@@ -63,6 +63,36 @@ class Variable:
         return self.tape.matmul(self, other)
 
 
+def _row_index(idx, num: int) -> np.ndarray:
+    """idx as int64, raising IndexError unless every entry is in [0, num)."""
+    idx = np.asarray(idx, dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= num):
+        raise IndexError(f"row index outside [0, {num})")
+    return idx
+
+
+def scatter_add(x: np.ndarray, idx: np.ndarray, num: int,
+                flat_cache: dict | None = None) -> np.ndarray:
+    """out[idx[j]] += x[j] into zeros of shape (num,) + trailing, where
+    trailing = x.shape[idx.ndim:], as one bincount over flat positions.
+
+    `flat_cache` maps a trailing width to the flat positions already built
+    for this same `idx`; the owner of a fixed index array (a graph's
+    heads, tails, rels) keeps one so each width is built once.  Indices
+    that change per call leave it None and build theirs on the fly.
+    """
+    trailing = x.shape[idx.ndim:]
+    w = int(np.prod(trailing, dtype=np.int64))
+    flat = None if flat_cache is None else flat_cache.get(w)
+    if flat is None:
+        flat = (idx.reshape(-1, 1) * w + np.arange(w)).ravel()
+        if flat_cache is not None:
+            flat_cache[w] = flat
+    out = np.bincount(flat, weights=x.reshape(-1), minlength=num * w)
+    # bincount of an empty index comes back as int64 zeros
+    return out.astype(np.float64, copy=False).reshape((num,) + trailing)
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     if g.shape == shape:
         return g
@@ -75,6 +105,14 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tape:
+    """Append-only record of primitive applications.
+
+    Scatters (`segment_sum` forward, `gather` backward) are one bincount
+    over flat (row, column) positions: each output entry starts at +0.0 and
+    adds its contributions in index (edge) order, so the result is bitwise
+    equal to zeros accumulated with the unbuffered `at` method of `np.add`.
+    """
+
     def __init__(self):
         self.nodes: list[Node] = []
 
@@ -139,23 +177,24 @@ class Tape:
 
     # ---- indexing / shaping ----
 
-    def gather(self, x: Variable, idx: np.ndarray) -> Variable:
+    def gather(self, x: Variable, idx: np.ndarray, *,
+               flat_cache: dict | None = None) -> Variable:
+        """Rows x[idx].  `flat_cache` (see `scatter_add`) serves the vjp."""
         xv = x.value
-        idx = np.asarray(idx, dtype=np.int64)
+        num = xv.shape[0]
+        idx = _row_index(idx, num)
 
         def vjp(g):
-            out = np.zeros_like(xv)
-            np.add.at(out, idx, g)
-            return (out,)
+            return (scatter_add(g, idx, num, flat_cache),)
 
-        return self._record(xv[idx], (x,), vjp, "gather")
+        return self._record(np.take(xv, idx, axis=0), (x,), vjp, "gather")
 
-    def segment_sum(self, x: Variable, idx: np.ndarray, num: int) -> Variable:
-        xv = x.value
-        idx = np.asarray(idx, dtype=np.int64)
-        out = np.zeros((num,) + xv.shape[1:], dtype=np.float64)
-        np.add.at(out, idx, xv)
-        return self._record(out, (x,), lambda g: (g[idx],), "segment_sum")
+    def segment_sum(self, x: Variable, idx: np.ndarray, num: int, *,
+                    flat_cache: dict | None = None) -> Variable:
+        """Row idx[j] of the result sums x[j] over every j carrying it."""
+        idx = _row_index(idx, num)
+        out = scatter_add(x.value, idx, num, flat_cache)
+        return self._record(out, (x,), lambda g: (np.take(g, idx, axis=0),), "segment_sum")
 
     def concat(self, parts, axis: int = -1) -> Variable:
         values = [p.value for p in parts]
@@ -381,6 +420,8 @@ class Tape:
             node = self.nodes[i]
             if g is None or node.vjp is None:
                 continue
+            # only leaves (no vjp) keep their gradient past this point
+            grads[i] = None
             for pi, pg in zip(node.parents, node.vjp(g)):
                 if pg is None:
                     continue
@@ -388,12 +429,11 @@ class Tape:
                     grads[pi] = np.array(pg, dtype=np.float64, copy=True)
                 else:
                     grads[pi] += pg
-        return GradientMap(self, grads)
+        return GradientMap(grads)
 
 
 class GradientMap:
-    def __init__(self, tape: Tape, grads: list):
-        self._tape = tape
+    def __init__(self, grads: list):
         self._grads = grads
 
     def __getitem__(self, var: Variable) -> np.ndarray:

@@ -26,6 +26,10 @@ class KnowledgeGraph:
     over edges labeled r.  All lists ascend lexicographically and the
     canonical triple order is ascending (head, relation, tail), so every
     aggregation downstream has one fixed summation order.
+
+    flat_cache[name] holds the flat scatter positions of the index array
+    `name` (heads, tails or rels), one entry per trailing width, filled by
+    the tape on first use (see `autodiff.scatter_add`).
     """
 
     def __init__(self, num_entities: int, num_relations: int, triples):
@@ -35,6 +39,7 @@ class KnowledgeGraph:
         self.heads = np.array([t.head for t in self.triples], dtype=np.int64)
         self.rels = np.array([t.relation for t in self.triples], dtype=np.int64)
         self.tails = np.array([t.tail for t in self.triples], dtype=np.int64)
+        self.flat_cache = {"heads": {}, "tails": {}, "rels": {}}
         in_adj = [[] for _ in range(self.num_entities)]
         out_adj = [[] for _ in range(self.num_entities)]
         rel_index = [[] for _ in range(self.num_relations)]

@@ -32,17 +32,12 @@ def rank_of_truth(distances, truth) -> int:
 
 def ranks_from_distance_matrix(dist: np.ndarray, truths: np.ndarray) -> np.ndarray:
     """Row q's rank of candidate truths[q]; same ordering convention as
-    rank_of_truth, vectorized over all candidates per row."""
+    rank_of_truth, vectorized over rows and candidates."""
     dist = np.asarray(dist, dtype=np.float64)
     truths = np.asarray(truths, dtype=np.int64)
-    q = dist.shape[0]
-    ids = np.arange(dist.shape[1])
-    ranks = np.empty(q, dtype=np.int64)
-    for i in range(q):
-        dt = dist[i, truths[i]]
-        row = dist[i]
-        ranks[i] = 1 + int(np.sum(row < dt)) + int(np.sum((row == dt) & (ids < truths[i])))
-    return ranks
+    dt = dist[np.arange(dist.shape[0]), truths][:, None]
+    ties_below = (dist == dt) & (np.arange(dist.shape[1]) < truths[:, None])
+    return 1 + np.count_nonzero(dist < dt, axis=1) + np.count_nonzero(ties_below, axis=1)
 
 
 def mrr(ranks) -> float:

@@ -82,11 +82,20 @@ def hamilton_product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     )
 
 
+def _negate_imaginary(p: np.ndarray) -> np.ndarray:
+    """Conjugate over the trailing axis: component 0 kept, the rest negated.
+    Negating the whole array and copying component 0 back keeps the inner
+    loop long; a broadcast multiply by [1, -1, ...] runs it 2 or 4 wide."""
+    out = np.negative(p)
+    out[..., 0] = p[..., 0]
+    return out
+
+
 def quaternion_conjugate(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     if p.shape[-1] != 4:
         raise DimensionError("quaternion arrays need a trailing axis of 4")
-    return p * np.array([1.0, -1.0, -1.0, -1.0])
+    return _negate_imaginary(p)
 
 
 def complex_elementwise_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -106,7 +115,7 @@ def complex_conjugate(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.shape[-1] != 2:
         raise DimensionError("complex arrays need a trailing axis of 2")
-    return a * np.array([1.0, -1.0])
+    return _negate_imaginary(a)
 
 
 def circular_correlation(a: np.ndarray, b: np.ndarray) -> np.ndarray:

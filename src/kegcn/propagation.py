@@ -295,19 +295,21 @@ def layer_forward_tape(tape: Tape, graph: KnowledgeGraph, mode: str, scorer: Opt
     self_term = tape.matmul(hv, w_self)
     gr_agg = None
     if ne > 0:
-        U = tape.gather(hv, graph.heads)
-        V = tape.gather(hv, graph.tails)
-        Re = tape.gather(hr, graph.rels) if hr is not None else None
+        fc = graph.flat_cache
+        U = tape.gather(hv, graph.heads, flat_cache=fc["heads"])
+        V = tape.gather(hv, graph.tails, flat_cache=fc["tails"])
+        Re = tape.gather(hr, graph.rels, flat_cache=fc["rels"]) if hr is not None else None
         gh, gr, gt = _edge_messages_tape(tape, mode, scorer, U, Re, V)
         if lv.w_per_rel is not None:
             gt = tape.per_relation_matmul(gt, lv.w_per_rel, graph.rels)
             gh = tape.per_relation_matmul(gh, lv.w_per_rel, graph.rels)
         elif lv.rel_scale is not None:
-            scl = tape.gather(lv.rel_scale, graph.rels)
+            scl = tape.gather(lv.rel_scale, graph.rels, flat_cache=fc["rels"])
             gt = tape.mul(gt, scl)
             gh = tape.mul(gh, scl)
         m = tape.add(
-            tape.segment_sum(gt, graph.tails, n), tape.segment_sum(gh, graph.heads, n)
+            tape.segment_sum(gt, graph.tails, n, flat_cache=fc["tails"]),
+            tape.segment_sum(gh, graph.heads, n, flat_cache=fc["heads"]),
         )
         if params.alpha is not None:
             key = ("ent", params.alpha)
@@ -319,7 +321,7 @@ def layer_forward_tape(tape: Tape, graph: KnowledgeGraph, mode: str, scorer: Opt
             m = tape.matmul(m, lv.w)
         pre = tape.add(m, self_term)
         if gr is not None:
-            gr_agg = tape.segment_sum(gr, graph.rels, rn)
+            gr_agg = tape.segment_sum(gr, graph.rels, rn, flat_cache=fc["rels"])
     else:
         pre = self_term
     new_hv = tape.activate(params.act_ent, pre)

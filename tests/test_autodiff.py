@@ -349,3 +349,99 @@ def test_second_order_through_pullback():
         return weighted_sum(t, msg, w)
 
     assert finite_diff_check(fn, [z, u]) <= 1e-6
+
+
+# ---------------- scatter kernel (np.add.at is the oracle) ----------------
+
+
+def add_at_oracle(x, idx, num):
+    trailing = x.shape[np.ndim(idx):]
+    out = np.zeros((num,) + trailing)
+    np.add.at(out, idx, x)
+    return out
+
+
+def bitwise_equal(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# about seven addends per target row, so a different summation order shows
+SCATTER_INDICES = {
+    "unsorted_repeated": RandomSource(1).integers(0, 6, 40),
+    "empty": np.zeros(0, dtype=np.int64),
+    "two_d": RandomSource(2).integers(0, 6, (5, 8)),
+}
+SCATTER_TRAILING = {"vector": (), "column": (1,), "matrix": (5,)}
+
+
+@pytest.mark.parametrize("trailing", sorted(SCATTER_TRAILING))
+@pytest.mark.parametrize("kind", sorted(SCATTER_INDICES))
+def test_segment_sum_matches_add_at_bitwise(kind, trailing):
+    rng = RandomSource(zlib.crc32(f"{kind}/{trailing}".encode()))
+    idx = SCATTER_INDICES[kind]
+    num = 6
+    x = rng.normal(idx.shape + SCATTER_TRAILING[trailing])
+    # mixed magnitudes and signed zeros make summation order visible
+    x = x * 10.0 ** rng.integers(-8, 9, x.shape)
+    x.reshape(-1)[:2] = [-0.0, 0.0][: x.size]
+    tape = Tape()
+    xv = tape.leaf(x)
+    out = tape.segment_sum(xv, idx, num)
+    assert bitwise_equal(out.value, add_at_oracle(x, idx, num))
+    g = rng.normal(out.shape)
+    assert bitwise_equal(out.tape.nodes[out.index].vjp(g)[0], g[idx])
+
+
+@pytest.mark.parametrize("trailing", sorted(SCATTER_TRAILING))
+@pytest.mark.parametrize("kind", sorted(SCATTER_INDICES))
+def test_gather_vjp_matches_add_at_bitwise(kind, trailing):
+    rng = RandomSource(zlib.crc32(f"gather/{kind}/{trailing}".encode()))
+    idx = SCATTER_INDICES[kind]
+    num = 6
+    x = rng.normal((num,) + SCATTER_TRAILING[trailing])
+    tape = Tape()
+    out = tape.gather(tape.leaf(x), idx)
+    assert bitwise_equal(out.value, x[idx])
+    g = rng.normal(out.shape) * 10.0 ** rng.integers(-8, 9, out.shape)
+    dx = tape.nodes[out.index].vjp(g)[0]
+    assert bitwise_equal(dx, add_at_oracle(g, idx, num))
+
+
+def test_scatter_cache_serves_equal_results_and_one_entry_per_width():
+    rng = RandomSource(5)
+    idx = np.array([4, 1, 1, 0, 4])
+    cache: dict = {}
+    for width in (3, 1, 3):
+        x = rng.normal((5, width))
+        tape = Tape()
+        out = tape.segment_sum(tape.leaf(x), idx, 6, flat_cache=cache)
+        assert bitwise_equal(out.value, add_at_oracle(x, idx, 6))
+        g = tape.gather(tape.leaf(rng.normal((6, width))), idx, flat_cache=cache)
+        dg = rng.normal(g.shape)
+        assert bitwise_equal(tape.nodes[g.index].vjp(dg)[0], add_at_oracle(dg, idx, 6))
+    assert sorted(cache) == [1, 3]
+
+
+@pytest.mark.parametrize("bad", [[0, 6, 1], [0, -1, 1]])
+def test_scatter_out_of_range_index_raises(bad):
+    tape = Tape()
+    with pytest.raises(IndexError):
+        tape.segment_sum(tape.leaf(np.ones((3, 2))), np.array(bad), 6)
+    with pytest.raises(IndexError):
+        tape.gather(tape.leaf(np.ones((6, 2))), np.array(bad))
+
+
+# ---------------- reverse-pass memory ----------------
+
+
+def test_backward_keeps_only_leaf_gradients():
+    rng = RandomSource(8)
+    tape = Tape()
+    x = tape.leaf(rng.normal((5, 3)))
+    w = tape.leaf(rng.normal((3, 3)))
+    h = tape.relu(tape.matmul(tape.gather(x, np.array([0, 2, 2, 4])), w))
+    loss = tape.sum(tape.segment_sum(h, np.array([1, 0, 1, 1]), 2))
+    grads = tape.backward(loss)
+    kept = {i for i, g in enumerate(grads._grads) if g is not None}
+    assert kept == {x.index, w.index}
+    assert all(tape.nodes[i].vjp is None for i in kept)

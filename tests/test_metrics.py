@@ -49,6 +49,20 @@ def test_ranks_from_distance_matrix_matches_scalar():
         assert got[i] == rank_of_truth(pairs, int(truths[i]))
 
 
+def test_ranks_from_distance_matrix_ties_match_oracle():
+    rng = RandomSource(11)
+    # distances from a handful of values, so most rows hold many ties
+    dist = rng.integers(0, 4, (40, 25)).astype(np.float64)
+    dist[0] = 1.0  # a whole row tied
+    truths = rng.integers(0, 25, 40)
+    truths[0] = 24
+    got = ranks_from_distance_matrix(dist, truths)
+    want = [rank_of_truth(list(enumerate(dist[i])), int(truths[i])) for i in range(40)]
+    assert got.dtype == np.int64 and got.tolist() == want
+    assert got[0] == 25
+    assert ranks_from_distance_matrix(np.zeros((0, 5)), np.zeros(0, np.int64)).shape == (0,)
+
+
 def test_mrr_hits():
     assert mrr([1, 1, 1]) == 1.0
     assert hits_at_k([1, 1, 1], 1) == 1.0

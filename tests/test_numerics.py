@@ -91,6 +91,24 @@ def test_conjugates():
     )
 
 
+@pytest.mark.parametrize("conj, signs", [
+    (complex_conjugate, [1.0, -1.0]),
+    (quaternion_conjugate, [1.0, -1.0, -1.0, -1.0]),
+])
+def test_conjugates_bitwise_equal_sign_multiply(conj, signs):
+    rng = RandomSource(len(signs))
+    width = len(signs)
+    p = rng.normal((7, 3, width)) * 10.0 ** rng.integers(-300, 300, (7, 3, width))
+    p[0] = 0.0
+    p[1] = -0.0
+    p[2, 0] = [0.0, -0.0] * (width // 2)
+    for arr in (p, p[0, 0], p[:, ::2]):
+        got = conj(arr)
+        want = arr * np.array(signs)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert np.signbit(conj(p)[0, 0, 1]) and not np.signbit(conj(p)[1, 0, 1])
+
+
 def test_circular_correlation_hand():
     out = circular_correlation([1.0, 0.0], [0.0, 1.0])
     assert np.allclose(out, [0.0, 1.0], atol=1e-14)

@@ -275,3 +275,30 @@ def test_model_gradients_match_finite_differences(kind):
         point.extend([p.w, p.w0, p.w_rel])
     err = finite_diff_check(fn, point, max_coords=60)
     assert err <= 1e-4, f"{kind}: model fd error {err:.3e}"
+
+
+def test_graphs_of_equal_size_keep_their_own_scatter_cache():
+    n, r = 9, 2
+    g1 = build_graph([(i, i % r, (i + 1) % n) for i in range(n)], n, r)
+    g2 = build_graph([(i, i % r, (i + 2) % n) for i in range(n)], n, r)
+    assert (g1.num_entities, g1.num_relations, g1.num_triples) == \
+        (g2.num_entities, g2.num_relations, g2.num_triples)
+    cfg = ModelConfig(mode="kegcn", scorer_kind="transe", dim=4, layers=2)
+    rng = RandomSource(4)
+    params = init_params(cfg, r, rng)
+    state = init_state(cfg, g1, rng)
+    scorer = config_scorer(cfg)
+    model_forward(g1, state, params, scorer=scorer)
+    warm = model_forward(g2, state, params, scorer=scorer)
+    fresh_graph = build_graph(g2.triples, n, r)
+    fresh = model_forward(fresh_graph, state, params, scorer=scorer)
+    assert warm.entity.tobytes() == fresh.entity.tobytes()
+    assert warm.relation.tobytes() == fresh.relation.tobytes()
+    for name in ("heads", "tails", "rels"):
+        c1, c2 = g1.flat_cache[name], g2.flat_cache[name]
+        assert c1 is not c2 and c1 and sorted(c1) == sorted(c2)
+        for w, flat in c2.items():
+            assert c1[w] is not flat
+            idx = getattr(g2, name)
+            assert np.array_equal(flat, (idx[:, None] * w + np.arange(w)).ravel())
+    assert not np.array_equal(g1.flat_cache["tails"][4], g2.flat_cache["tails"][4])

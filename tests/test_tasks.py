@@ -307,6 +307,19 @@ def test_train_alignment_deterministic():
     assert np.array_equal(a.state1.relation, b.state1.relation)
 
 
+def test_scatter_cache_size_fixed_across_epochs():
+    g1, g2, seeds = small_alignment_instance()
+    sizes = []
+
+    def progress(*_):
+        sizes.append(sum(len(c) for g in (g1, g2) for c in g.flat_cache.values()))
+
+    cfg = TrainConfig(dim=4, layers=2, epochs=30, patience=30, negatives=3)
+    train_alignment(g1, g2, seeds, cfg, progress=progress)
+    assert len(sizes) == 30 and sizes[0] > 0
+    assert sizes == [sizes[0]] * 30
+
+
 def test_train_alignment_early_stops_on_plateau():
     g1, g2, seeds = small_alignment_instance()
     cfg = TrainConfig(dim=4, layers=2, epochs=400, patience=5, seed=0)
