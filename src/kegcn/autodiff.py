@@ -10,6 +10,8 @@ functions are picked up automatically.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from . import numerics
@@ -17,7 +19,7 @@ from .numerics import DimensionError
 
 
 class Node:
-    __slots__ = ("value", "parents", "vjp", "name")
+    __slots__ = ("value", "parents", "vjp", "name", "__weakref__")
 
     def __init__(self, value, parents, vjp, name):
         self.value = value
@@ -27,21 +29,22 @@ class Node:
 
 
 class Variable:
-    """Handle to one tape node."""
+    """Handle to one tape node; it keeps the node (and so its value) alive."""
 
-    __slots__ = ("tape", "index")
+    __slots__ = ("tape", "index", "node")
 
-    def __init__(self, tape: "Tape", index: int):
+    def __init__(self, tape: "Tape", index: int, node: Node):
         self.tape = tape
         self.index = index
+        self.node = node
 
     @property
     def value(self) -> np.ndarray:
-        return self.tape.nodes[self.index].value
+        return self.node.value
 
     @property
     def shape(self):
-        return self.tape.nodes[self.index].value.shape
+        return self.node.value.shape
 
     def __add__(self, other):
         return self.tape.add(self, other)
@@ -117,9 +120,10 @@ class Tape:
         self.nodes: list[Node] = []
 
     def _record(self, value, parents=(), vjp=None, name="leaf") -> Variable:
-        value = np.asarray(value, dtype=np.float64)
-        self.nodes.append(Node(value, tuple(p.index for p in parents), vjp, name))
-        return Variable(self, len(self.nodes) - 1)
+        node = Node(np.asarray(value, dtype=np.float64), tuple(p.index for p in parents),
+                    vjp, name)
+        self.nodes.append(node)
+        return Variable(self, len(self.nodes) - 1, node)
 
     def leaf(self, value) -> Variable:
         return self._record(value)
@@ -430,6 +434,50 @@ class Tape:
                 else:
                     grads[pi] += pg
         return GradientMap(grads)
+
+
+class _LiveNodes:
+    """The nodes of a ForwardTape in record order, held weakly: indexing
+    gives a node while some Variable still holds it, else None; a slice
+    gives the nodes in it that are still held."""
+
+    def __init__(self):
+        self._refs: list = []
+
+    def append(self, node: Node) -> None:
+        self._refs.append(weakref.ref(node))
+
+    def __len__(self) -> int:
+        return len(self._refs)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [n for n in (r() for r in self._refs[i]) if n is not None]
+        return self._refs[i]()
+
+
+class ForwardTape(Tape):
+    """A Tape for passes that never run backward (inference).
+
+    Its nodes keep no vjp and no parents, and the tape holds them only
+    weakly, so each intermediate is freed as soon as the layer code drops
+    its last Variable.  Values are those of a Tape bit for bit, but a pass
+    holds about one layer's intermediates instead of the whole stack's.
+    That keeps a repeated pass inside memory the allocator already holds,
+    where a Tape's pass grows the heap, hands it back to the operating
+    system when the tape dies, and page-faults it in again on the next call.
+    """
+
+    def __init__(self):
+        self.nodes = _LiveNodes()
+
+    def _record(self, value, parents=(), vjp=None, name="leaf") -> Variable:
+        node = Node(np.asarray(value, dtype=np.float64), (), None, name)
+        self.nodes.append(node)
+        return Variable(self, len(self.nodes) - 1, node)
+
+    def backward(self, loss: Variable) -> "GradientMap":
+        raise TypeError("a ForwardTape records no gradients; use Tape")
 
 
 class GradientMap:

@@ -32,7 +32,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import numerics
-from .autodiff import Tape, Variable
+from .autodiff import ForwardTape, Tape, Variable
 from .graph import (
     KnowledgeGraph,
     degree_norm,
@@ -360,8 +360,9 @@ def model_forward(graph: KnowledgeGraph, state: EmbeddingState,
                   params_list: list[LayerParams], mode: str = "kegcn",
                   scorer: Optional[Scorer] = None, collect: bool = False):
     """Run the layer stack; returns the final EmbeddingState, or every
-    layer's state when collect is set."""
-    tape = Tape()
+    layer's state when collect is set.  Runs on a ForwardTape, so the
+    intermediates of each layer are freed once the layer returns."""
+    tape = ForwardTape()
     hv = tape.leaf(state.entity)
     hr = tape.leaf(state.relation) if state.relation is not None else None
     lvs = [lift_params(tape, p) for p in params_list]

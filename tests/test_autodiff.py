@@ -1,9 +1,11 @@
+import gc
+import weakref
 import zlib
 
 import numpy as np
 import pytest
 
-from kegcn.autodiff import Tape, finite_diff_check
+from kegcn.autodiff import ForwardTape, Tape, finite_diff_check
 from kegcn.numerics import DimensionError, RandomSource
 
 
@@ -445,3 +447,37 @@ def test_backward_keeps_only_leaf_gradients():
     kept = {i for i, g in enumerate(grads._grads) if g is not None}
     assert kept == {x.index, w.index}
     assert all(tape.nodes[i].vjp is None for i in kept)
+
+
+# ---------------- forward-only tape ----------------
+
+
+def _small_net(tape, xa, wa):
+    x, w = tape.leaf(xa), tape.leaf(wa)
+    h = tape.relu(tape.matmul(tape.gather(x, np.array([0, 2, 2, 4])), w))
+    return tape.segment_sum(tape.mul(h, h), np.array([1, 0, 1, 1]), 2)
+
+
+def test_forward_tape_values_equal_tape_bitwise():
+    rng = RandomSource(9)
+    xa, wa = rng.normal((5, 3)), rng.normal((3, 3))
+    want = _small_net(Tape(), xa, wa).value
+    got = _small_net(ForwardTape(), xa, wa).value
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_forward_tape_frees_dropped_intermediates():
+    tape = ForwardTape()
+    x = tape.leaf(np.ones((4, 2)))
+    h = tape.scale(x, 2.0)
+    out = tape.add(h, x)
+    assert len(tape.nodes) == 3 and tape.nodes[h.index] is h.node
+    probe = weakref.ref(h.node)
+    del h
+    gc.collect()
+    assert probe() is None
+    assert tape.nodes[1] is None
+    assert tape.nodes[0:] == [x.node, out.node]
+    assert out.node.vjp is None and out.node.parents == ()
+    with pytest.raises(TypeError):
+        tape.backward(tape.sum(out))

@@ -17,6 +17,7 @@ from kegcn.propagation import (
     init_params,
     init_state,
     layer_forward,
+    lift_params,
     model_forward,
     relation_message,
     relation_width,
@@ -137,6 +138,22 @@ def test_model_forward_deterministic():
     b = model_forward(g, state, params, scorer=s)
     assert np.array_equal(a.entity, b.entity)
     assert np.array_equal(a.relation, b.relation)
+
+
+def test_model_forward_equals_recording_tape_bitwise():
+    g = random_instance(seed=7)
+    cfg = ModelConfig(mode="kegcn", scorer_kind="quate", dim=8, layers=3, alpha=0.3)
+    rng = RandomSource(11)
+    params = init_params(cfg, g.num_relations, rng)
+    state = init_state(cfg, g, rng)
+    s = config_scorer(cfg)
+    tape = Tape()
+    lvs = [lift_params(tape, p) for p in params]
+    e, r = forward_on_tape(tape, g, "kegcn", s, params, lvs,
+                           tape.leaf(state.entity), tape.leaf(state.relation))
+    got = model_forward(g, state, params, scorer=s)
+    assert np.array_equal(got.entity.view(np.int64), e.value.view(np.int64))
+    assert np.array_equal(got.relation.view(np.int64), r.value.view(np.int64))
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
