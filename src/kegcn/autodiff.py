@@ -301,17 +301,21 @@ class Tape:
 
     # ---- structured algebra ----
 
-    def complex_mul(self, a: Variable, b: Variable) -> Variable:
+    def complex_mul(self, a: Variable, b: Variable, conj_b: bool = False) -> Variable:
+        """a * b entrywise, or a * conj(b) with conj_b: bitwise the product
+        with a complex_conj node, without the node."""
         av, bv = a.value, b.value
 
         def vjp(g):
+            db = numerics.complex_elementwise_product(g, av, conj_b=True)
             return (
-                numerics.complex_elementwise_product(g, numerics.complex_conjugate(bv)),
-                numerics.complex_elementwise_product(g, numerics.complex_conjugate(av)),
+                numerics.complex_elementwise_product(g, bv, conj_b=not conj_b),
+                numerics.complex_conjugate(db) if conj_b else db,
             )
 
         return self._record(
-            numerics.complex_elementwise_product(av, bv), (a, b), vjp, "complex_mul"
+            numerics.complex_elementwise_product(av, bv, conj_b=conj_b), (a, b), vjp,
+            "complex_mul"
         )
 
     def complex_conj(self, a: Variable) -> Variable:
@@ -322,16 +326,20 @@ class Tape:
             "complex_conj",
         )
 
-    def quat_mul(self, p: Variable, q: Variable) -> Variable:
+    def quat_mul(self, p: Variable, q: Variable, conj_p: bool = False,
+                 conj_q: bool = False) -> Variable:
+        """Hamilton product p q; conj_p / conj_q conjugate that factor, bitwise
+        as a quat_conj node would, without the node."""
         pv, qv = p.value, q.value
 
         def vjp(g):
-            return (
-                numerics.hamilton_product(g, numerics.quaternion_conjugate(qv)),
-                numerics.hamilton_product(numerics.quaternion_conjugate(pv), g),
-            )
+            dp = numerics.hamilton_product(g, qv, conj_q=not conj_q)
+            dq = numerics.hamilton_product(pv, g, conj_p=not conj_p)
+            return (numerics.quaternion_conjugate(dp) if conj_p else dp,
+                    numerics.quaternion_conjugate(dq) if conj_q else dq)
 
-        return self._record(numerics.hamilton_product(pv, qv), (p, q), vjp, "quat_mul")
+        return self._record(numerics.hamilton_product(pv, qv, conj_p, conj_q), (p, q), vjp,
+                            "quat_mul")
 
     def quat_conj(self, p: Variable) -> Variable:
         return self._record(
@@ -356,37 +364,44 @@ class Tape:
 
     def unit_project(self, z: Variable, eps: float = 1e-12) -> Variable:
         zv = z.value
+        parts = numerics.unit_norm_parts(zv, eps)
 
         def vjp(g):
-            return (numerics.unit_project_pullback(zv, g, eps),)
+            return (numerics.unit_project_pullback(zv, g, eps, parts),)
 
-        return self._record(numerics.unit_project(zv, eps), (z,), vjp, "unit_project")
+        return self._record(numerics.unit_project(zv, eps, parts), (z,), vjp, "unit_project")
 
     def unit_project_pullback(self, z: Variable, g: Variable, eps: float = 1e-12) -> Variable:
         """Forward evaluation of the unit_project vjp, differentiable in both
         arguments; needed because training backpropagates through message
         gradients that already contain one projection pullback."""
         zv, gv = z.value, g.value
+        parts = numerics.unit_norm_parts(zv, eps)
 
         def vjp(s):
-            m = np.linalg.norm(zv, axis=-1, keepdims=True)
-            small = m < eps
-            safe = np.where(small, 1.0, m)
-            sg = np.sum(s * gv, axis=-1, keepdims=True)
-            zg = np.sum(zv * gv, axis=-1, keepdims=True)
-            sz = np.sum(s * zv, axis=-1, keepdims=True)
-            dz = (
-                -sg * zv / safe**3
-                - zg * s / safe**3
-                - sz * gv / safe**3
-                + 3.0 * zg * sz * zv / safe**5
-            )
-            dz = np.where(small, 0.0, dz)
-            dg = numerics.unit_project_pullback(zv, s, eps)
-            return dz, dg
+            safe, small, safe3 = parts
+            zg = numerics.component_dot(zv, gv)
+            sz = numerics.component_dot(s, zv)
+            # -sg z / m^3 - zg s / m^3 - sz g / m^3 + 3 zg sz z / m^5, in that order
+            col = numerics.by_column
+            dz = col(np.multiply, zv, -numerics.component_dot(s, gv))
+            col(np.divide, dz, safe3, out=dz)
+            t = col(np.multiply, s, zg)
+            col(np.divide, t, safe3, out=t)
+            dz -= t
+            col(np.multiply, gv, sz, out=t)
+            col(np.divide, t, safe3, out=t)
+            dz -= t
+            col(np.multiply, zv, 3.0 * zg * sz, out=t)
+            col(np.divide, t, safe**5, out=t)
+            dz += t
+            if small is not None:
+                np.copyto(dz, 0.0, where=small)
+            return dz, numerics.unit_project_pullback(zv, s, eps, parts)
 
         return self._record(
-            numerics.unit_project_pullback(zv, gv, eps), (z, g), vjp, "unit_project_pullback"
+            numerics.unit_project_pullback(zv, gv, eps, parts), (z, g), vjp,
+            "unit_project_pullback"
         )
 
     def per_relation_matmul(self, x: Variable, w: Variable, rel: np.ndarray) -> Variable:

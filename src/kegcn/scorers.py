@@ -328,10 +328,8 @@ class RotatE(Scorer):
         p = tape.unit_project(r3)
         w = tape.sub(tape.complex_mul(u3, p), v3)
         gt = tape.reshape(tape.scale(w, 2.0), (n, 2 * d))
-        gh = tape.reshape(
-            tape.scale(tape.complex_mul(w, tape.complex_conj(p)), -2.0), (n, 2 * d)
-        )
-        ghat = tape.scale(tape.complex_mul(w, tape.complex_conj(u3)), -2.0)
+        gh = tape.reshape(tape.scale(tape.complex_mul(w, p, conj_b=True), -2.0), (n, 2 * d))
+        ghat = tape.scale(tape.complex_mul(w, u3, conj_b=True), -2.0)
         gr = tape.reshape(tape.unit_project_pullback(r3, ghat), (n, 2 * d))
         return gh, gr, gt
 
@@ -381,8 +379,8 @@ class QuatE(Scorer):
         v4 = tape.reshape(V, (n, d, 4))
         p = tape.unit_project(r4)
         gt = tape.reshape(tape.quat_mul(u4, p), (n, 4 * d))
-        gh = tape.reshape(tape.quat_mul(v4, tape.quat_conj(p)), (n, 4 * d))
-        ghat = tape.quat_mul(tape.quat_conj(u4), v4)
+        gh = tape.reshape(tape.quat_mul(v4, p, conj_q=True), (n, 4 * d))
+        ghat = tape.quat_mul(u4, v4, conj_p=True)
         gr = tape.reshape(tape.unit_project_pullback(r4, ghat), (n, 4 * d))
         return gh, gr, gt
 

@@ -241,8 +241,12 @@ def _lift_all(tape: Tape, params_list: list[LayerParams], tables: dict):
 # ---------------- evaluation ----------------
 
 
-def l1_cdist(a: np.ndarray, b: np.ndarray, chunk: int = 128) -> np.ndarray:
-    """Pairwise L1 distances, chunked over rows of a."""
+def l1_cdist(a: np.ndarray, b: np.ndarray, chunk: Optional[int] = None) -> np.ndarray:
+    """Pairwise L1 distances, chunked over rows of a.  The default chunk
+    keeps the (chunk, len(b), d) broadcast temporary near 1 MiB; each
+    row's sum is the same whatever the chunk."""
+    if chunk is None:
+        chunk = max(1, (1 << 20) // max(1, 8 * b.size))
     out = np.empty((a.shape[0], b.shape[0]))
     for lo in range(0, a.shape[0], chunk):
         hi = min(lo + chunk, a.shape[0])
@@ -290,15 +294,20 @@ def zero_shot_relation_alignment(state1: EmbeddingState, state2: EmbeddingState,
 
 def evaluate_classification(scores: np.ndarray, label_set: LabelSet,
                             entity_ids) -> dict:
+    """Accuracy, or p@1 / p@5 / ndcg@5 for multi-label sets, over entity_ids.
+    Rows are ranked as the per-row `metrics` functions rank them: argmax
+    and stable descending sorts give ties to the lowest class id."""
+    rows = np.asarray(scores)[np.asarray(entity_ids, dtype=np.int64)]
     if label_set.multi_label:
-        p1 = [metrics_mod.precision_at_k(scores[e], label_set.labels[e], 1) for e in entity_ids]
-        p5 = [metrics_mod.precision_at_k(scores[e], label_set.labels[e], 5) for e in entity_ids]
+        truth = _label_matrix(label_set, entity_ids) > 0
+        top = np.argsort(-rows, axis=1, kind="stable")[:, :5]
+        hits = np.take_along_axis(truth, top, axis=1)
+        out = {f"p{k}": float(np.mean(hits[:, :k].sum(axis=1) / k)) for k in (1, 5)}
         n5 = [metrics_mod.ndcg_at_k(scores[e], label_set.labels[e], 5) for e in entity_ids]
-        return {"p1": float(np.mean(p1)), "p5": float(np.mean(p5)),
-                "ndcg5": float(np.mean(n5))}
-    pred = [metrics_mod.argmax_prediction(scores[e]) for e in entity_ids]
+        out["ndcg5"] = float(np.mean(n5))
+        return out
     true = [label_set.labels[e][0] for e in entity_ids]
-    return {"accuracy": metrics_mod.accuracy(pred, true)}
+    return {"accuracy": metrics_mod.accuracy(np.argmax(rows, axis=1), true)}
 
 
 # ---------------- training loops ----------------
@@ -371,9 +380,9 @@ def train_alignment(g1: KnowledgeGraph, g2: KnowledgeGraph, seeds: AlignmentSeed
         h2, _ = forward_on_tape(tape, g2, mc.mode, scorer, params_list, lvs, *tvars["g2"])
         loss = alignment_loss(tape, h1, h2, positives, neg_u, neg_v, cfg.gamma)
         grads = tape.backward(loss)
-        adam.step(named, {name: grads[var] for name, var in pvars.items()})
         losses.append(float(loss.value))
 
+        hits1 = None
         if valid is not None:
             s1 = EmbeddingState(h1.value, None)
             s2 = EmbeddingState(h2.value, None)
@@ -381,13 +390,12 @@ def train_alignment(g1: KnowledgeGraph, g2: KnowledgeGraph, seeds: AlignmentSeed
             if best_metric is None or hits1 > best_metric:
                 best_metric = hits1
                 best_epoch = epoch
-                best_snap = _snapshot(named)
-            if progress is not None:
-                progress(epoch, losses[-1], hits1)
-            if epoch - best_epoch >= cfg.patience:
-                break
-        elif progress is not None:
-            progress(epoch, losses[-1], None)
+                best_snap = _snapshot(named)  # the parameters just scored
+        adam.step(named, {name: grads[var] for name, var in pvars.items()})
+        if progress is not None:
+            progress(epoch, losses[-1], hits1)
+        if valid is not None and epoch - best_epoch >= cfg.patience:
+            break
 
     if best_snap is not None:
         _restore(named, best_snap)
@@ -427,22 +435,21 @@ def train_classification(g: KnowledgeGraph, label_set: LabelSet, cfg: TrainConfi
         logits, _ = forward_on_tape(tape, g, mc.mode, scorer, params_list, lvs, *tvars["g"])
         loss = classification_loss(tape, logits, label_set, train_ids)
         grads = tape.backward(loss)
-        adam.step(named, {name: grads[var] for name, var in pvars.items()})
         losses.append(float(loss.value))
 
+        metric = None
         if valid_ids:
             scores = _scores_from_logits(logits.value, label_set.multi_label)
             metric = evaluate_classification(scores, label_set, valid_ids)[metric_key]
             if best_metric is None or metric > best_metric:
                 best_metric = metric
                 best_epoch = epoch
-                best_snap = _snapshot(named)
-            if progress is not None:
-                progress(epoch, losses[-1], metric)
-            if epoch - best_epoch >= cfg.patience:
-                break
-        elif progress is not None:
-            progress(epoch, losses[-1], None)
+                best_snap = _snapshot(named)  # the parameters just scored
+        adam.step(named, {name: grads[var] for name, var in pvars.items()})
+        if progress is not None:
+            progress(epoch, losses[-1], metric)
+        if valid_ids and epoch - best_epoch >= cfg.patience:
+            break
 
     if best_snap is not None:
         _restore(named, best_snap)

@@ -16,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+import kegcn
 from kegcn import synthetic
 from kegcn.checks import (
     END_TO_END_TASKS,
@@ -44,9 +45,16 @@ ALIGN_CASES = {"transe": 122, "quate": 19}
 WN_ENV = "KEGCN_WN_DIR"
 
 
+# The CLI subprocesses import the same kegcn as this process, also when it
+# comes from a source checkout put on sys.path by pytest's `pythonpath`.
+_PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(kegcn.__file__)))
+
+
 def _run_cli(args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (_PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-m", "kegcn.cli", *args], capture_output=True, text=True
+        [sys.executable, "-m", "kegcn.cli", *args], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
     return proc

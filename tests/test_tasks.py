@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from kegcn import synthetic
 from kegcn.autodiff import Tape, finite_diff_check
 from kegcn.checks import end_to_end_gradient_fd
 from kegcn.graph import build_graph
@@ -228,6 +229,36 @@ def test_l1_cdist_matches_naive():
     assert np.allclose(l1_cdist(a, b, chunk=2), want, atol=1e-12)
 
 
+def test_l1_cdist_chunking_is_bitwise():
+    rng = np.random.default_rng(12)
+    a = rng.normal(size=(11, 64))
+    b = rng.normal(size=(23, 64))
+    want = np.stack([np.sum(np.abs(row - b), axis=1) for row in a])
+    for chunk in (None, 1, 3, 12):
+        assert np.array_equal(l1_cdist(a, b, chunk=chunk), want)
+
+
+def test_evaluate_classification_matches_per_row_metrics_with_ties():
+    from kegcn import metrics
+
+    rng = np.random.default_rng(13)
+    scores = rng.integers(0, 3, size=(40, 7)) / 4.0   # many tied scores per row
+    scores[0] = 0.5                                     # a row that is all ties
+    ids = [int(i) for i in rng.permutation(40)[:30]]
+    single = LabelSet({i: (int(rng.integers(0, 7)),) for i in range(40)}, 7, False)
+    got = evaluate_classification(scores, single, ids)
+    pred = [metrics.argmax_prediction(scores[e]) for e in ids]
+    assert got["accuracy"] == metrics.accuracy(pred, [single.labels[e][0] for e in ids])
+    multi = LabelSet({i: tuple(sorted({int(c) for c in rng.integers(0, 7, size=3)}))
+                      for i in range(40)}, 7, True)
+    got = evaluate_classification(scores, multi, ids)
+    for key, k in (("p1", 1), ("p5", 5)):
+        per_row = [metrics.precision_at_k(scores[e], multi.labels[e], k) for e in ids]
+        assert got[key] == float(np.mean(per_row))
+    per_row = [metrics.ndcg_at_k(scores[e], multi.labels[e], 5) for e in ids]
+    assert got["ndcg5"] == float(np.mean(per_row))
+
+
 def test_evaluate_alignment_perfect_match():
     rng = RandomSource(6)
     ent = rng.normal((8, 4))
@@ -385,3 +416,26 @@ def test_train_alignment_rgcn_has_no_relation_table():
     assert res.state1.relation is None
     with pytest.raises(UnsupportedModeError):
         zero_shot_relation_alignment(res.state1, res.state2, [(0, 0)])
+
+
+# ---------------- best checkpoint ----------------
+
+
+def test_train_alignment_restores_the_scored_checkpoint():
+    # the restored model must be the one whose validation score was kept
+    g1, g2, ent_pairs, _ = synthetic.hub_signature_pair(200, 5, 1000, seed=122)
+    seeds = synthetic.alignment_split(ent_pairs, valid_fraction=0.1)
+    res = train_alignment(g1, g2, seeds, TrainConfig(dim=32, lr=0.05, patience=5))
+    assert res.epochs_run < 1000
+    rescored = evaluate_alignment(res.state1, res.state2, seeds.valid)["hits1"]
+    assert rescored == res.best_valid_hits1
+
+
+def test_train_classification_restores_the_scored_checkpoint():
+    g, labels = synthetic.block_classification(300, 3, 1500, noise=0.1, seed=3)
+    label_set = synthetic.classification_split(labels, 3, seed=3)
+    cfg = TrainConfig(dim=32, lr=0.05, patience=5, epochs=200, seed=3)
+    res = train_classification(g, label_set, cfg)
+    assert res.epochs_run < 200
+    rescored = evaluate_classification(res.scores, label_set, label_set.valid)["accuracy"]
+    assert rescored == res.best_valid_metric
