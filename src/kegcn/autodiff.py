@@ -75,25 +75,40 @@ def _row_index(idx, num: int) -> np.ndarray:
 
 
 def scatter_add(x: np.ndarray, idx: np.ndarray, num: int,
-                flat_cache: dict | None = None) -> np.ndarray:
+                flat_cache: dict | None = None, planes: int = 1) -> np.ndarray:
     """out[idx[j]] += x[j] into zeros of shape (num,) + trailing, where
     trailing = x.shape[idx.ndim:], as one bincount over flat positions.
 
-    `flat_cache` maps a trailing width to the flat positions already built
+    With planes=k > 1, x holds component planes (k, len(idx), d) and the
+    result is interleaved, (num, d*k): plane c of row j lands in columns
+    c, k + c, 2k + c, ... of row idx[j].  The positions follow x in plane
+    order, so each output entry still adds its rows in index order.
+
+    `flat_cache` maps (width, planes) to the flat positions already built
     for this same `idx`; the owner of a fixed index array (a graph's
-    heads, tails, rels) keeps one so each width is built once.  Indices
+    heads, tails, rels) keeps one so each layout is built once.  Indices
     that change per call leave it None and build theirs on the fly.
     """
-    trailing = x.shape[idx.ndim:]
+    trailing = x.shape[idx.ndim:] if planes == 1 else (x.shape[-1] * planes,)
     w = int(np.prod(trailing, dtype=np.int64))
-    flat = None if flat_cache is None else flat_cache.get(w)
+    flat = None if flat_cache is None else flat_cache.get((w, planes))
     if flat is None:
-        flat = (idx.reshape(-1, 1) * w + np.arange(w)).ravel()
+        flat = (idx.reshape(1, -1, 1) * w + np.arange(0, w, planes)
+                + np.arange(planes).reshape(-1, 1, 1)).ravel()
         if flat_cache is not None:
-            flat_cache[w] = flat
+            flat_cache[w, planes] = flat
     out = np.bincount(flat, weights=x.reshape(-1), minlength=num * w)
     # bincount of an empty index comes back as int64 zeros
     return out.astype(np.float64, copy=False).reshape((num,) + trailing)
+
+
+def take_planes(x: np.ndarray, idx: np.ndarray, planes: int) -> np.ndarray:
+    """Rows x[idx] of an interleaved (n, d*k) array as contiguous planes
+    (k, len(idx), d).  Only the n-row table is transposed."""
+    if planes == 1:
+        return np.take(x, idx, axis=0)
+    table = np.ascontiguousarray(x.reshape(x.shape[0], -1, planes).transpose(2, 0, 1))
+    return np.take(table, idx, axis=1)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -127,8 +142,6 @@ class Tape:
 
     def leaf(self, value) -> Variable:
         return self._record(value)
-
-    constant = leaf
 
     # ---- arithmetic ----
 
@@ -182,23 +195,28 @@ class Tape:
     # ---- indexing / shaping ----
 
     def gather(self, x: Variable, idx: np.ndarray, *,
-               flat_cache: dict | None = None) -> Variable:
-        """Rows x[idx].  `flat_cache` (see `scatter_add`) serves the vjp."""
+               flat_cache: dict | None = None, planes: int = 1) -> Variable:
+        """Rows x[idx]; with planes=k > 1 the interleaved rows come back as
+        (k, len(idx), d) planes (see `take_planes`).  `flat_cache` (see
+        `scatter_add`) serves the vjp."""
         xv = x.value
         num = xv.shape[0]
         idx = _row_index(idx, num)
 
         def vjp(g):
-            return (scatter_add(g, idx, num, flat_cache),)
+            return (scatter_add(g, idx, num, flat_cache, planes),)
 
-        return self._record(np.take(xv, idx, axis=0), (x,), vjp, "gather")
+        return self._record(take_planes(xv, idx, planes), (x,), vjp, "gather")
 
     def segment_sum(self, x: Variable, idx: np.ndarray, num: int, *,
-                    flat_cache: dict | None = None) -> Variable:
-        """Row idx[j] of the result sums x[j] over every j carrying it."""
+                    flat_cache: dict | None = None, planes: int = 1) -> Variable:
+        """Row idx[j] of the result sums x[j] over every j carrying it.  With
+        planes=k > 1, x is (k, len(idx), d) planes and the result is
+        interleaved, (num, d*k)."""
         idx = _row_index(idx, num)
-        out = scatter_add(x.value, idx, num, flat_cache)
-        return self._record(out, (x,), lambda g: (np.take(g, idx, axis=0),), "segment_sum")
+        out = scatter_add(x.value, idx, num, flat_cache, planes)
+        return self._record(out, (x,), lambda g: (take_planes(g, idx, planes),),
+                            "segment_sum")
 
     def concat(self, parts, axis: int = -1) -> Variable:
         values = [p.value for p in parts]
@@ -220,12 +238,6 @@ class Tape:
             return (out,)
 
         return self._record(xv[..., start:stop], (x,), vjp, "slice")
-
-    def reshape(self, x: Variable, shape) -> Variable:
-        xv = x.value
-        return self._record(
-            xv.reshape(shape), (x,), lambda g: (g.reshape(xv.shape),), "reshape"
-        )
 
     # ---- reductions ----
 
@@ -383,17 +395,16 @@ class Tape:
             zg = numerics.component_dot(zv, gv)
             sz = numerics.component_dot(s, zv)
             # -sg z / m^3 - zg s / m^3 - sz g / m^3 + 3 zg sz z / m^5, in that order
-            col = numerics.by_column
-            dz = col(np.multiply, zv, -numerics.component_dot(s, gv))
-            col(np.divide, dz, safe3, out=dz)
-            t = col(np.multiply, s, zg)
-            col(np.divide, t, safe3, out=t)
+            dz = zv * -numerics.component_dot(s, gv)
+            dz /= safe3
+            t = s * zg
+            t /= safe3
             dz -= t
-            col(np.multiply, gv, sz, out=t)
-            col(np.divide, t, safe3, out=t)
+            np.multiply(gv, sz, out=t)
+            t /= safe3
             dz -= t
-            col(np.multiply, zv, 3.0 * zg * sz, out=t)
-            col(np.divide, t, safe**5, out=t)
+            np.multiply(zv, 3.0 * zg * sz, out=t)
+            t /= safe**5
             dz += t
             if small is not None:
                 np.copyto(dz, 0.0, where=small)

@@ -63,16 +63,6 @@ def scorer_gradient_fd(kind: str, dim: int = 4, n_points: int = 100, seed: int =
     return worst
 
 
-def all_scorer_gradient_fd(dim: int = 4, n_points: int = 100, seed: int = 0):
-    """Per-scorer worst finite-difference errors, as a dict."""
-    from .scorers import SCORERS
-
-    return {
-        kind: scorer_gradient_fd(kind, dim=dim, n_points=n_points, seed=seed)
-        for kind in sorted(SCORERS)
-    }
-
-
 END_TO_END_TASKS = ("alignment", "multiclass", "multilabel")
 
 
@@ -217,16 +207,3 @@ def reduction_discrepancy(mode: str, seed: int, n: int = 20, r: int = 4,
     graph = _random_training_graph(RandomSource(seed * 7919 + 13), n, r, edges)
     return verify_reduction(mode, graph, seed, layers=layers, dim=dim)
 
-
-def all_end_to_end_fd(mode: str = "kegcn", dim: int = 4, layers: int = 2,
-                      seed: int = 0, max_coords: int = 40):
-    """Worst end-to-end error per (task, scorer) pair, as a dict."""
-    from .scorers import SCORERS
-
-    return {
-        (task, kind): end_to_end_gradient_fd(task, kind, mode=mode, dim=dim,
-                                             layers=layers, seed=seed,
-                                             max_coords=max_coords)
-        for task in END_TO_END_TASKS
-        for kind in sorted(SCORERS)
-    }

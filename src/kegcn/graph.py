@@ -28,8 +28,8 @@ class KnowledgeGraph:
     aggregation downstream has one fixed summation order.
 
     flat_cache[name] holds the flat scatter positions of the index array
-    `name` (heads, tails or rels), one entry per trailing width, filled by
-    the tape on first use (see `autodiff.scatter_add`).
+    `name` (heads, tails or rels), one entry per (width, planes) layout,
+    filled by the tape on first use (see `autodiff.scatter_add`).
     """
 
     def __init__(self, num_entities: int, num_relations: int, triples):

@@ -97,17 +97,34 @@ class Vocabulary:
 
 def _data_rows(path: str, n_fields: int):
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\r\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            tokens = [t.strip() for t in line.split("\t")]
-            if len(tokens) != n_fields or any(not t for t in tokens):
-                raise DataError(
-                    f"{path} line {lineno}: expected {n_fields} tab-separated fields")
-            rows.append((lineno, tokens))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                line = raw.rstrip("\r\n")
+                if not line.strip() or line.lstrip().startswith("#"):
+                    continue
+                tokens = [t.strip() for t in line.split("\t")]
+                if len(tokens) != n_fields or any(not t for t in tokens):
+                    raise DataError(
+                        f"{path} line {lineno}: expected {n_fields} tab-separated fields")
+                rows.append((lineno, tokens))
+    except UnicodeDecodeError:
+        raise DataError(_undecodable(path)) from None
     return rows
+
+
+def _undecodable(path: str) -> str:
+    """Message naming the line of the first byte that is not UTF-8; line
+    ends are \\r\\n, \\r or \\n, as in text mode."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        lineno = head.count(b"\n") + 1
+        return f"{path} line {lineno}: byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
+    return f"{path}: not UTF-8"
 
 
 def load_triples(path: str):
@@ -280,21 +297,6 @@ def train_config(values: dict) -> TrainConfig:
                        epochs=values["epochs"], patience=values["patience"],
                        gamma=values["gamma"], negatives=values["negatives"],
                        seed=values["seed"])
-
-
-def thread_cap() -> Optional[int]:
-    """Validated KEGCN_THREADS value.  The engine runs message passing
-    sequentially, so the cap is an upper bound it trivially honors."""
-    raw = os.environ.get("KEGCN_THREADS")
-    if raw is None:
-        return None
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ConfigError(f"KEGCN_THREADS must be a positive integer, got {raw!r}")
-    return n
 
 
 # ---------------- checkpoints ----------------

@@ -9,11 +9,14 @@ go to the lowest class id.  NDCG uses binary gains with discount
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
 def rank_of_truth(distances, truth) -> int:
-    """1-based rank of `truth` among (candidate-id, distance) pairs."""
+    """1-based rank of `truth` among (candidate-id, distance) pairs.
+    Raises ValueError on a non-finite distance."""
     found = False
     d_true = 0.0
     for cid, d in distances:
@@ -25,6 +28,8 @@ def rank_of_truth(distances, truth) -> int:
         raise ValueError(f"truth {truth!r} not among candidates")
     rank = 1
     for cid, d in distances:
+        if not math.isfinite(d):
+            raise ValueError(f"non-finite distance {d!r} for candidate {cid!r}")
         if d < d_true or (d == d_true and cid < truth):
             rank += 1
     return rank
@@ -32,8 +37,12 @@ def rank_of_truth(distances, truth) -> int:
 
 def ranks_from_distance_matrix(dist: np.ndarray, truths: np.ndarray) -> np.ndarray:
     """Row q's rank of candidate truths[q]; same ordering convention as
-    rank_of_truth, vectorized over rows and candidates."""
+    rank_of_truth, vectorized over rows and candidates.  Raises ValueError
+    on a non-finite distance: every comparison with nan is False, so a
+    nan row would rank its truth first."""
     dist = np.asarray(dist, dtype=np.float64)
+    if not np.isfinite(dist).all():
+        raise ValueError("non-finite distance in the ranking matrix")
     truths = np.asarray(truths, dtype=np.int64)
     dt = dist[np.arange(dist.shape[0]), truths][:, None]
     ties_below = (dist == dt) & (np.arange(dist.shape[1]) < truths[:, None])

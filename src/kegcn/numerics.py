@@ -1,20 +1,25 @@
 """Dense float64 kernels shared by every other module.
 
-Complex and quaternion vectors are stored as real arrays whose trailing
-axis holds the components: shape (..., 2) for complex entries, (..., 4)
-for quaternions.  Generic vector operations (distances, activations,
-initialization) act on the flattened real view, so one primitive set
-serves all three algebras.
+Complex and quaternion vectors have two layouts.  Stored embeddings are
+interleaved: a row of d complex entries or quaternions holds d tuples of
+2 or 4 components, shape (..., 2d) or (..., 4d).  The component kernels
+below (products, conjugates, unit projection and its pullback) take
+component planes instead, with the component axis FIRST: shape (2, ...)
+or (4, ...), so that x[c] is component c of every tuple, one contiguous
+run for a C-ordered array.  A single tuple of shape (2,) or (4,) is the
+same in both layouts.  Generic vector operations (distances, activations,
+initialization) act on the flat real arrays, so one primitive set serves
+all three algebras.
 
-The component kernels (products, conjugates, unit projection and its
-pullback) are written out per component, and their results are bit for
-bit those of the plain formulas: a product of conjugates is the same
-products under flipped signs (x*(-y) == -(x*y) and a-(-b) == a+b exactly),
-and a sum over the trailing 2- or 4-wide axis is the component adds
-((0.0 + t0) + t1) + ... in index order, which is what
-np.sum(t, axis=-1, keepdims=True) and np.linalg.norm(t, axis=-1) compute
-on such short axes, +0.0 start included (an all -0.0 tuple sums to +0.0).
-Only the sign and payload of a NaN may differ.
+The component kernels are written out per component, and their results
+are bit for bit those of the plain formulas on trailing tuples: a product
+of conjugates is the same products under flipped signs (x*(-y) == -(x*y)
+and a-(-b) == a+b exactly), and a sum over the 2 or 4 components is the
+adds ((0.0 + t0) + t1) + ... in component order, which is what
+np.sum(t, axis=-1) and np.linalg.norm(t, axis=-1) compute on such short
+trailing axes, +0.0 start included (an all -0.0 tuple sums to +0.0).
+Only the sign and payload of a NaN may differ.  A per-tuple quantity such
+as a norm has the shape of one plane and broadcasts over the planes.
 """
 
 from __future__ import annotations
@@ -119,59 +124,54 @@ _COMPLEX_PLANS = {cq: _plan(_COMPLEX, False, cq) for cq in (False, True)}
 
 
 def _algebra_product(p: np.ndarray, q: np.ndarray, plan: tuple) -> np.ndarray:
-    """Evaluate `plan` (see _plan) on trailing component tuples into one
-    output array, one component at a time."""
-    out = np.empty(np.broadcast_shapes(p.shape, q.shape))
-    acc = np.empty(out.shape[:-1])
-    tmp = np.empty(out.shape[:-1])
-    pc = [p[..., i] for i in range(len(plan))]
-    qc = [q[..., j] for j in range(len(plan))]
+    """Evaluate `plan` (see _plan) on component planes, accumulating each
+    output component in its own plane of one output array."""
+    out = np.empty((len(plan),) + np.broadcast_shapes(p.shape[1:], q.shape[1:]))
+    tmp = np.empty(out.shape[1:])
     for k, ((i, j, lead), rest) in enumerate(plan):
-        np.multiply(pc[i], qc[j], out=acc)
+        acc = out[k, ...]
+        np.multiply(p[i], q[j], out=acc)
         if lead is not None:
             lead(acc, out=acc)
         for i, j, ufunc in rest:
-            np.multiply(pc[i], qc[j], out=tmp)
+            np.multiply(p[i], q[j], out=tmp)
             ufunc(acc, tmp, out=acc)
-        out[..., k] = acc
     return out
 
 
 def hamilton_product(p: np.ndarray, q: np.ndarray, conj_p: bool = False,
                      conj_q: bool = False) -> np.ndarray:
-    """Quaternion product on trailing (a, b, c, d) quadruples; conj_p /
+    """Quaternion product on (a, b, c, d) planes, shape (4, ...); conj_p /
     conj_q conjugate that factor first, bitwise as the conjugate's product."""
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
-    if p.shape[-1] != 4 or q.shape[-1] != 4:
-        raise DimensionError("quaternion arrays need a trailing axis of 4")
+    if p.shape[:1] != (4,) or q.shape[:1] != (4,):
+        raise DimensionError("quaternion arrays need a leading component axis of 4")
     return _algebra_product(p, q, _HAMILTON_PLANS[conj_p, conj_q])
 
 
 def _negate_imaginary(p: np.ndarray) -> np.ndarray:
-    """Conjugate over the trailing axis: component 0 kept, the rest negated.
-    Negating the whole array and copying component 0 back keeps the inner
-    loop long; a broadcast multiply by [1, -1, ...] runs it 2 or 4 wide."""
+    """Conjugate: plane 0 kept, the other planes negated."""
     out = np.negative(p)
-    out[..., 0] = p[..., 0]
+    out[0] = p[0]
     return out
 
 
 def quaternion_conjugate(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
-    if p.shape[-1] != 4:
-        raise DimensionError("quaternion arrays need a trailing axis of 4")
+    if p.shape[:1] != (4,):
+        raise DimensionError("quaternion arrays need a leading component axis of 4")
     return _negate_imaginary(p)
 
 
 def complex_elementwise_product(a: np.ndarray, b: np.ndarray,
                                 conj_b: bool = False) -> np.ndarray:
-    """Entrywise complex product on trailing (re, im) pairs; conj_b
+    """Entrywise complex product on (re, im) planes, shape (2, ...); conj_b
     conjugates b first, bitwise as the conjugate's product."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.shape[-1] != 2 or b.shape[-1] != 2:
-        raise DimensionError("complex arrays need a trailing axis of 2")
+    if a.shape[:1] != (2,) or b.shape[:1] != (2,):
+        raise DimensionError("complex arrays need a leading component axis of 2")
     if a.shape != b.shape:
         raise DimensionError(f"length mismatch {a.shape} vs {b.shape}")
     return _algebra_product(a, b, _COMPLEX_PLANS[conj_b])
@@ -179,8 +179,8 @@ def complex_elementwise_product(a: np.ndarray, b: np.ndarray,
 
 def complex_conjugate(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
-    if a.shape[-1] != 2:
-        raise DimensionError("complex arrays need a trailing axis of 2")
+    if a.shape[:1] != (2,):
+        raise DimensionError("complex arrays need a leading component axis of 2")
     return _negate_imaginary(a)
 
 
@@ -272,64 +272,53 @@ def l2_norm_sq(a: np.ndarray) -> float:
 
 
 def _component_sum(t: np.ndarray) -> np.ndarray:
-    """np.sum(t, axis=-1, keepdims=True) bit for bit, as component adds."""
-    out = t[..., 0:1] + 0.0
-    for k in range(1, t.shape[-1]):
-        out += t[..., k:k + 1]
-    return out
-
-
-def by_column(ufunc, x: np.ndarray, col: np.ndarray, out=None) -> np.ndarray:
-    """ufunc(x, col) for a (..., 1) column, one component at a time.  The
-    values are the broadcast's; a broadcast over the trailing axis runs
-    its inner loop only 2 or 4 wide, these loops run the length of x."""
-    if out is None:
-        out = np.empty(x.shape)
-    c = col[..., 0]
-    for k in range(x.shape[-1]):
-        ufunc(x[..., k], c, out=out[..., k])
+    """Sum over the component planes of t, as adds from +0.0; bitwise
+    np.sum over a trailing component axis."""
+    out = np.add(t[0], 0.0, out=np.empty(t.shape[1:]))
+    for k in range(1, t.shape[0]):
+        out += t[k]
     return out
 
 
 def component_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot product of trailing component tuples, keepdims; bitwise
-    np.sum(a * b, axis=-1, keepdims=True)."""
+    """Dot product of component tuples, one value per tuple; bitwise
+    np.sum(a * b, axis=-1) on trailing tuples."""
     return _component_sum(a * b)
 
 
 def unit_norm_parts(z: np.ndarray, eps: float = 1e-12):
     """(safe, small, safe**3) shared by unit_project and its pullback at z.
 
-    safe is the norm of each trailing tuple (keepdims, bitwise
-    np.linalg.norm) with 1.0 where it is below eps; small marks those
-    tuples, or is None when there is none.
+    safe is the norm of each tuple (shape z.shape[1:], bitwise
+    np.linalg.norm on trailing tuples) with 1.0 where it is below eps;
+    small marks those tuples, or is None when there is none.
     """
     safe = np.sqrt(_component_sum(z * z))
     small = safe < eps
     if small.any():
-        safe[small] = 1.0
+        safe = np.where(small, 1.0, safe)
     else:
         small = None
     return safe, small, safe**3
 
 
 def unit_project(z: np.ndarray, eps: float = 1e-12, parts=None) -> np.ndarray:
-    """Normalize trailing component tuples to unit norm.  Tuples with norm
-    below eps are reset to the unit element (1, 0, ...).  `parts` is
-    unit_norm_parts(z, eps), if the caller already has it."""
+    """Normalize component tuples (planes, shape (k, ...)) to unit norm.
+    Tuples with norm below eps are reset to the unit element (1, 0, ...).
+    `parts` is unit_norm_parts(z, eps), if the caller already has it."""
     z = np.asarray(z, dtype=np.float64)
     safe, small, _ = unit_norm_parts(z, eps) if parts is None else parts
-    out = by_column(np.divide, z, safe)
+    out = z / safe
     if small is not None:
         np.copyto(out, 0.0, where=small)
-        np.copyto(out[..., 0:1], 1.0, where=small)
+        np.copyto(out[0, ...], 1.0, where=small)
     return out
 
 
 def unit_project_pullback(z: np.ndarray, g: np.ndarray, eps: float = 1e-12,
                           parts=None) -> np.ndarray:
-    """Apply the transposed Jacobian of unit_project at z to g:
-    g / |z| - z (z.g) / |z|^3.  `parts` is unit_norm_parts(z, eps).
+    """Apply the transposed Jacobian of unit_project at z to g (both
+    planes): g / |z| - z (z.g) / |z|^3.  `parts` is unit_norm_parts(z, eps).
 
     Reset tuples (norm < eps) are constants, so their pullback is zero.
     """
@@ -338,9 +327,9 @@ def unit_project_pullback(z: np.ndarray, g: np.ndarray, eps: float = 1e-12,
     if z.shape != g.shape:
         raise DimensionError(f"length mismatch {z.shape} vs {g.shape}")
     safe, small, safe3 = unit_norm_parts(z, eps) if parts is None else parts
-    out = by_column(np.divide, g, safe)
-    t = by_column(np.multiply, z, component_dot(z, g))
-    by_column(np.divide, t, safe3, out=t)
+    out = g / safe
+    t = z * component_dot(z, g)
+    t /= safe3
     out -= t
     if small is not None:
         np.copyto(out, 0.0, where=small)

@@ -296,9 +296,12 @@ def layer_forward_tape(tape: Tape, graph: KnowledgeGraph, mode: str, scorer: Opt
     gr_agg = None
     if ne > 0:
         fc = graph.flat_cache
-        U = tape.gather(hv, graph.heads, flat_cache=fc["heads"])
-        V = tape.gather(hv, graph.tails, flat_cache=fc["tails"])
-        Re = tape.gather(hr, graph.rels, flat_cache=fc["rels"]) if hr is not None else None
+        # complex/quaternion messages run on (k, E, d) component planes
+        k = scorer.planes if mode == "kegcn" else 1
+        U = tape.gather(hv, graph.heads, flat_cache=fc["heads"], planes=k)
+        V = tape.gather(hv, graph.tails, flat_cache=fc["tails"], planes=k)
+        Re = (tape.gather(hr, graph.rels, flat_cache=fc["rels"], planes=k)
+              if hr is not None else None)
         gh, gr, gt = _edge_messages_tape(tape, mode, scorer, U, Re, V)
         if lv.w_per_rel is not None:
             gt = tape.per_relation_matmul(gt, lv.w_per_rel, graph.rels)
@@ -308,8 +311,8 @@ def layer_forward_tape(tape: Tape, graph: KnowledgeGraph, mode: str, scorer: Opt
             gt = tape.mul(gt, scl)
             gh = tape.mul(gh, scl)
         m = tape.add(
-            tape.segment_sum(gt, graph.tails, n, flat_cache=fc["tails"]),
-            tape.segment_sum(gh, graph.heads, n, flat_cache=fc["heads"]),
+            tape.segment_sum(gt, graph.tails, n, flat_cache=fc["tails"], planes=k),
+            tape.segment_sum(gh, graph.heads, n, flat_cache=fc["heads"], planes=k),
         )
         if params.alpha is not None:
             key = ("ent", params.alpha)
@@ -321,7 +324,7 @@ def layer_forward_tape(tape: Tape, graph: KnowledgeGraph, mode: str, scorer: Opt
             m = tape.matmul(m, lv.w)
         pre = tape.add(m, self_term)
         if gr is not None:
-            gr_agg = tape.segment_sum(gr, graph.rels, rn, flat_cache=fc["rels"])
+            gr_agg = tape.segment_sum(gr, graph.rels, rn, flat_cache=fc["rels"], planes=k)
     else:
         pre = self_term
     new_hv = tape.activate(params.act_ent, pre)

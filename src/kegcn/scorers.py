@@ -21,6 +21,13 @@ RotatE relation entries are projected to unit modulus before use
 (reset to 1+0i below 1e-12); QuatE relation quaternions are likewise
 normalized (fallback (1,0,0,0)).  Gradients are taken with respect to
 the stored, unprojected coordinates.
+
+RotatE and QuatE vectors are stored as d interleaved tuples of
+k = `planes` = 2 or 4 components.  Their `messages` take and return
+(k, E, d) component planes (see `numerics`), which `Tape.gather` and
+`Tape.segment_sum` with planes=k convert from and to.  The closed forms
+run the kernels on (k, d) views of one vector, then sum or return the
+contiguous interleaved (d, k) array, so np.sum adds in stored order.
 """
 
 from __future__ import annotations
@@ -38,8 +45,14 @@ def _check(vec: np.ndarray, width: int, name: str) -> np.ndarray:
     return vec
 
 
+def _interleaved(x: np.ndarray) -> np.ndarray:
+    """Contiguous (d, k) tuples of (k, d) planes."""
+    return np.ascontiguousarray(x.T)
+
+
 class Scorer:
     kind = "?"
+    planes = 1
 
     def __init__(self, dim: int):
         if dim < 1:
@@ -76,7 +89,8 @@ class Scorer:
     def messages(self, tape, U, R, V):
         """Batched (grad_head, grad_rel, grad_tail) as tape Variables.
 
-        U, V: (E, entity_width); R: (E, relation_width).
+        U, V: (E, entity_width); R: (E, relation_width); or, when
+        planes = k > 1, all six are (k, E, d) component planes.
         """
         raise NotImplementedError
 
@@ -282,6 +296,7 @@ class TransD(Scorer):
 
 class RotatE(Scorer):
     kind = "rotate"
+    planes = 2
 
     @property
     def entity_width(self):
@@ -292,50 +307,41 @@ class RotatE(Scorer):
         return 2 * self.dim
 
     def _parts(self, u, r, v):
-        u, r, v = self._args(u, r, v)
-        d = self.dim
-        uc = u.reshape(d, 2)
-        rc = r.reshape(d, 2)
-        vc = v.reshape(d, 2)
+        uc, rc, vc = (x.reshape(-1, 2).T for x in self._args(u, r, v))
         rhat = numerics.unit_project(rc)
         w = numerics.complex_elementwise_product(uc, rhat) - vc
         return uc, rc, vc, rhat, w
 
     def score(self, u, r, v):
         w = self._parts(u, r, v)[-1]
-        return -float(np.sum(w * w))
+        return -float(np.sum(_interleaved(w * w)))
 
     def grad_head(self, u, r, v):
         _, _, _, rhat, w = self._parts(u, r, v)
         g = -2.0 * numerics.complex_elementwise_product(w, numerics.complex_conjugate(rhat))
-        return g.reshape(-1)
+        return _interleaved(g).reshape(-1)
 
     def grad_tail(self, u, r, v):
         w = self._parts(u, r, v)[-1]
-        return (2.0 * w).reshape(-1)
+        return _interleaved(2.0 * w).reshape(-1)
 
     def grad_rel(self, u, r, v):
         uc, rc, _, _, w = self._parts(u, r, v)
         ghat = -2.0 * numerics.complex_elementwise_product(w, numerics.complex_conjugate(uc))
-        return numerics.unit_project_pullback(rc, ghat).reshape(-1)
+        return _interleaved(numerics.unit_project_pullback(rc, ghat)).reshape(-1)
 
     def messages(self, tape, U, R, V):
-        d = self.dim
-        n = U.shape[0]
-        u3 = tape.reshape(U, (n, d, 2))
-        r3 = tape.reshape(R, (n, d, 2))
-        v3 = tape.reshape(V, (n, d, 2))
-        p = tape.unit_project(r3)
-        w = tape.sub(tape.complex_mul(u3, p), v3)
-        gt = tape.reshape(tape.scale(w, 2.0), (n, 2 * d))
-        gh = tape.reshape(tape.scale(tape.complex_mul(w, p, conj_b=True), -2.0), (n, 2 * d))
-        ghat = tape.scale(tape.complex_mul(w, u3, conj_b=True), -2.0)
-        gr = tape.reshape(tape.unit_project_pullback(r3, ghat), (n, 2 * d))
-        return gh, gr, gt
+        p = tape.unit_project(R)
+        w = tape.sub(tape.complex_mul(U, p), V)
+        gt = tape.scale(w, 2.0)
+        gh = tape.scale(tape.complex_mul(w, p, conj_b=True), -2.0)
+        ghat = tape.scale(tape.complex_mul(w, U, conj_b=True), -2.0)
+        return gh, tape.unit_project_pullback(R, ghat), gt
 
 
 class QuatE(Scorer):
     kind = "quate"
+    planes = 4
 
     @property
     def entity_width(self):
@@ -346,43 +352,34 @@ class QuatE(Scorer):
         return 4 * self.dim
 
     def _parts(self, u, r, v):
-        u, r, v = self._args(u, r, v)
-        d = self.dim
-        uq = u.reshape(d, 4)
-        rq = r.reshape(d, 4)
-        vq = v.reshape(d, 4)
+        uq, rq, vq = (x.reshape(-1, 4).T for x in self._args(u, r, v))
         rhat = numerics.unit_project(rq)
         return uq, rq, vq, rhat
 
     def score(self, u, r, v):
         uq, _, vq, rhat = self._parts(u, r, v)
-        return float(np.sum(numerics.hamilton_product(uq, rhat) * vq))
+        return float(np.sum(_interleaved(numerics.hamilton_product(uq, rhat) * vq)))
 
     def grad_tail(self, u, r, v):
         uq, _, _, rhat = self._parts(u, r, v)
-        return numerics.hamilton_product(uq, rhat).reshape(-1)
+        return _interleaved(numerics.hamilton_product(uq, rhat)).reshape(-1)
 
     def grad_head(self, u, r, v):
         _, _, vq, rhat = self._parts(u, r, v)
-        return numerics.hamilton_product(vq, numerics.quaternion_conjugate(rhat)).reshape(-1)
+        g = numerics.hamilton_product(vq, numerics.quaternion_conjugate(rhat))
+        return _interleaved(g).reshape(-1)
 
     def grad_rel(self, u, r, v):
         uq, rq, vq, _ = self._parts(u, r, v)
         ghat = numerics.hamilton_product(numerics.quaternion_conjugate(uq), vq)
-        return numerics.unit_project_pullback(rq, ghat).reshape(-1)
+        return _interleaved(numerics.unit_project_pullback(rq, ghat)).reshape(-1)
 
     def messages(self, tape, U, R, V):
-        d = self.dim
-        n = U.shape[0]
-        u4 = tape.reshape(U, (n, d, 4))
-        r4 = tape.reshape(R, (n, d, 4))
-        v4 = tape.reshape(V, (n, d, 4))
-        p = tape.unit_project(r4)
-        gt = tape.reshape(tape.quat_mul(u4, p), (n, 4 * d))
-        gh = tape.reshape(tape.quat_mul(v4, p, conj_q=True), (n, 4 * d))
-        ghat = tape.quat_mul(u4, v4, conj_p=True)
-        gr = tape.reshape(tape.unit_project_pullback(r4, ghat), (n, 4 * d))
-        return gh, gr, gt
+        p = tape.unit_project(R)
+        gt = tape.quat_mul(U, p)
+        gh = tape.quat_mul(V, p, conj_q=True)
+        ghat = tape.quat_mul(U, V, conj_p=True)
+        return gh, tape.unit_project_pullback(R, ghat), gt
 
 
 SCORERS = {

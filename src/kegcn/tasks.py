@@ -37,6 +37,18 @@ class UnsupportedModeError(ValueError):
     """Operation needs relation embeddings the mode does not have."""
 
 
+class TrainingDivergedError(ValueError):
+    """The training loss stopped being finite."""
+
+
+def _finite_loss(loss: Variable, epoch: int) -> float:
+    value = float(loss.value)
+    if not np.isfinite(value):
+        raise TrainingDivergedError(
+            f"training diverged: loss is {value} at epoch {epoch}; try a lower lr")
+    return value
+
+
 @dataclass
 class AlignmentSeeds:
     train: list = field(default_factory=list)
@@ -379,8 +391,8 @@ def train_alignment(g1: KnowledgeGraph, g2: KnowledgeGraph, seeds: AlignmentSeed
         h1, _ = forward_on_tape(tape, g1, mc.mode, scorer, params_list, lvs, *tvars["g1"])
         h2, _ = forward_on_tape(tape, g2, mc.mode, scorer, params_list, lvs, *tvars["g2"])
         loss = alignment_loss(tape, h1, h2, positives, neg_u, neg_v, cfg.gamma)
+        losses.append(_finite_loss(loss, epoch))
         grads = tape.backward(loss)
-        losses.append(float(loss.value))
 
         hits1 = None
         if valid is not None:
@@ -434,8 +446,8 @@ def train_classification(g: KnowledgeGraph, label_set: LabelSet, cfg: TrainConfi
         pvars, lvs, tvars = _lift_all(tape, params_list, tables)
         logits, _ = forward_on_tape(tape, g, mc.mode, scorer, params_list, lvs, *tvars["g"])
         loss = classification_loss(tape, logits, label_set, train_ids)
+        losses.append(_finite_loss(loss, epoch))
         grads = tape.backward(loss)
-        losses.append(float(loss.value))
 
         metric = None
         if valid_ids:

@@ -218,8 +218,9 @@ def test_criterion_4_algebra(verdict):
         base = scorer.score(u, r, v)
         phi = 2.0 * np.pi * float(rng.uniform())
         rot = np.tile([[np.cos(phi), np.sin(phi)]], (scorer.dim, 1))
-        u2 = complex_elementwise_product(u.reshape(-1, 2), rot).reshape(-1)
-        v2 = complex_elementwise_product(v.reshape(-1, 2), rot).reshape(-1)
+        # the kernel takes (2, d) component planes; the scorer interleaved pairs
+        u2 = complex_elementwise_product(u.reshape(-1, 2).T, rot.T).T.reshape(-1)
+        v2 = complex_elementwise_product(v.reshape(-1, 2).T, rot.T).T.reshape(-1)
         worst_phase = max(worst_phase, abs(scorer.score(u2, r, v2) - base))
 
     delta = np.zeros(16)

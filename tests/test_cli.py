@@ -145,6 +145,32 @@ def test_train_classify_multirun_reports_spread(tmp_path):
     assert "accuracy_std" in got
 
 
+def test_train_classify_diverged_run_exits_1(tmp_path, capsys):
+    g = write_ring_dataset(tmp_path, prefix="g")
+    train = tmp_path / "train_labels.tsv"
+    train.write_text("".join(f"{i}\t{i % 2}\n" for i in range(8)))
+    report = tmp_path / "report.tsv"
+    with np.errstate(all="ignore"):
+        code = cli.main(["train-classify", "--graph1", str(g), "--train", str(train),
+                         "--dim", "4", "--layers", "2", "--epochs", "6",
+                         "--lr", "1e300", "--report", str(report), "--quiet"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "epoch" in err
+    assert not report.exists()
+
+
+def test_undecodable_input_names_file_and_line(tmp_path, capsys):
+    g = tmp_path / "g.tsv"
+    g.write_bytes(b"0\t0\t1\n\xff\t0\t2\n")
+    train = tmp_path / "train_labels.tsv"
+    train.write_text("0\t0\n")
+    assert cli.main(["train-classify", "--graph1", str(g), "--train", str(train),
+                     "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{g} line 2" in err
+
+
 def test_eval_rejects_corrupt_checkpoint(tmp_path, capsys):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"not a checkpoint")
@@ -164,12 +190,6 @@ def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
     assert cli.main(["train-align", "--graph1", str(g1), "--graph2", str(g2),
                      "--train", str(train), "--quiet"]) == 2
     assert "internal error" in capsys.readouterr().err
-
-
-def test_thread_env_validation(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("KEGCN_THREADS", "-3")
-    assert cli.main(["verify-reductions", "--seed", "0"]) == 1
-    assert "KEGCN_THREADS" in capsys.readouterr().err
 
 
 def test_config_file_drives_training(tmp_path):

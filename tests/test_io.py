@@ -18,7 +18,6 @@ from kegcn.io import (
     parse_config,
     read_report,
     save_checkpoint,
-    thread_cap,
     train_config,
     unpack_model,
     write_report,
@@ -50,6 +49,23 @@ def test_load_triples_malformed_line_number(tmp_path):
     p.write_text("0,0,1\n")
     with pytest.raises(DataError, match="line 1"):
         load_triples(str(p))
+
+
+def test_load_triples_undecodable_byte_line_number(tmp_path):
+    p = tmp_path / "g.tsv"
+    p.write_bytes(b"0\t0\t1\n\xff\t0\t2\n")
+    with pytest.raises(DataError, match=r"g\.tsv line 2: .*0xff"):
+        load_triples(str(p))
+    # line breaks count as in text mode: \r\n and a lone \r end a line too
+    p.write_bytes(b"# a\r\n0\t0\t1\r1\t0\t2\n1\t\xc3\t0\n")
+    with pytest.raises(DataError, match="line 4"):
+        load_triples(str(p))
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_bytes(b"0\t0\n1\xfe\t1\n")
+    vocab = Vocabulary(True)
+    vocab.intern("1", "here")
+    with pytest.raises(DataError, match=r"pairs\.tsv line 2"):
+        load_alignments(str(pairs), vocab, vocab)
 
 
 def test_load_triples_comments_and_blanks(tmp_path):
@@ -225,19 +241,6 @@ def test_report_write_read_roundtrip(tmp_path):
     assert got["seed"] == "7"
     assert float(got["mrr"]) == 0.58333
     assert float(got["hits1"]) == 1.0 / 3.0
-
-
-def test_thread_cap_validation(monkeypatch):
-    monkeypatch.delenv("KEGCN_THREADS", raising=False)
-    assert thread_cap() is None
-    monkeypatch.setenv("KEGCN_THREADS", "4")
-    assert thread_cap() == 4
-    monkeypatch.setenv("KEGCN_THREADS", "zero")
-    with pytest.raises(ConfigError, match="KEGCN_THREADS"):
-        thread_cap()
-    monkeypatch.setenv("KEGCN_THREADS", "0")
-    with pytest.raises(ConfigError, match="KEGCN_THREADS"):
-        thread_cap()
 
 
 def test_load_graph_builds_counts(tmp_path):

@@ -2,10 +2,12 @@
 
 The oracles below are the straightforward forms the kernels replaced:
 np.stack of whole-axis expressions, conjugates as separate arrays, and
-np.sum / np.linalg.norm over the trailing component axis.  "Bitwise"
-means identical bytes wherever the oracle is not NaN, and NaN in the same
-places; the sign and payload of a NaN are not compared, since folding a
-conjugate into a product's sign may flip them.
+np.sum / np.linalg.norm over the trailing component axis.  The oracles
+work on trailing (..., k) tuples and the kernels on (k, ...) component
+planes, so kernel inputs go through `planes` and results through
+`trailing`.  "Bitwise" means identical bytes wherever the oracle is not
+NaN, and NaN in the same places; the sign and payload of a NaN are not
+compared, since folding a conjugate into a product's sign may flip them.
 """
 
 import numpy as np
@@ -75,7 +77,14 @@ def old_unit_project_pullback(z, g, eps=1e-12):
 
 
 class OracleTape(Tape):
-    """A Tape whose structured-algebra ops are the plain formulas."""
+    """A Tape whose structured-algebra ops are the plain formulas, on
+    trailing component tuples."""
+
+    def reshape(self, x, shape):
+        xv = x.value
+        return self._record(
+            xv.reshape(shape), (x,), lambda g: (g.reshape(xv.shape),), "reshape"
+        )
 
     def complex_mul(self, a, b):
         av, bv = a.value, b.value
@@ -160,6 +169,16 @@ def old_quate_messages(tape, d, U, R, V):
 # ---------------- inputs ----------------
 
 
+def planes(x):
+    """Trailing component tuples (..., k) as contiguous (k, ...) planes."""
+    return np.ascontiguousarray(np.moveaxis(np.asarray(x, dtype=np.float64), -1, 0))
+
+
+def trailing(x):
+    """(k, ...) planes back to trailing tuples (..., k)."""
+    return np.moveaxis(x, 0, -1)
+
+
 def assert_bitwise(got, want):
     got = np.asarray(got, dtype=np.float64)
     want = np.asarray(want, dtype=np.float64)
@@ -222,9 +241,9 @@ def shaped(x, lead):
 def test_component_sums_match_numpy_reductions(lead):
     for width in (2, 4):
         p, q = (shaped(x, lead) for x in pairs(width, 1))
-        assert_bitwise(numerics.component_dot(p, q), np.sum(p * q, axis=-1, keepdims=True))
-        safe, small, safe3 = numerics.unit_norm_parts(p)
-        n = np.linalg.norm(p, axis=-1, keepdims=True)
+        assert_bitwise(numerics.component_dot(planes(p), planes(q)), np.sum(p * q, axis=-1))
+        safe, small, safe3 = numerics.unit_norm_parts(planes(p))
+        n = np.linalg.norm(p, axis=-1)
         assert_bitwise(safe, np.where(n < 1e-12, 1.0, n))
         assert np.array_equal(small, n < 1e-12)
         assert_bitwise(safe3, np.where(n < 1e-12, 1.0, n) ** 3)
@@ -232,16 +251,16 @@ def test_component_sums_match_numpy_reductions(lead):
 
 def test_all_negative_zero_tuple_sums_to_positive_zero():
     z = np.full((3, 4), -0.0)
-    out = numerics.component_dot(z, np.ones((3, 4)))
+    out = numerics.component_dot(planes(z), planes(np.ones((3, 4))))
     assert not np.signbit(out).any()
-    assert_bitwise(out, np.sum(z, axis=-1, keepdims=True))
+    assert_bitwise(out, np.sum(z, axis=-1))
 
 
 def test_unit_norm_parts_without_small_tuples():
     z = np.random.default_rng(2).normal(size=(5, 3, 4)) + 3.0
-    safe, small, _ = numerics.unit_norm_parts(z)
+    safe, small, _ = numerics.unit_norm_parts(planes(z))
     assert small is None
-    assert_bitwise(safe, np.linalg.norm(z, axis=-1, keepdims=True))
+    assert_bitwise(safe, np.linalg.norm(z, axis=-1))
 
 
 @pytest.mark.parametrize("lead", SHAPES)
@@ -251,7 +270,8 @@ def test_hamilton_product_matches_oracle(lead, conj_p, conj_q):
     p, q = (shaped(x, lead) for x in pairs(4, 3))
     want = old_hamilton_product(old_conjugate(p) if conj_p else p,
                                 old_conjugate(q) if conj_q else q)
-    assert_bitwise(numerics.hamilton_product(p, q, conj_p, conj_q), want)
+    assert_bitwise(trailing(numerics.hamilton_product(planes(p), planes(q), conj_p, conj_q)),
+                   want)
 
 
 @pytest.mark.parametrize("lead", SHAPES)
@@ -259,14 +279,16 @@ def test_hamilton_product_matches_oracle(lead, conj_p, conj_q):
 def test_complex_product_matches_oracle(lead, conj_b):
     a, b = (shaped(x, lead) for x in pairs(2, 4))
     want = old_complex_product(a, old_conjugate(b) if conj_b else b)
-    assert_bitwise(numerics.complex_elementwise_product(a, b, conj_b=conj_b), want)
+    assert_bitwise(trailing(numerics.complex_elementwise_product(planes(a), planes(b),
+                                                                 conj_b=conj_b)), want)
 
 
 def test_products_of_single_tuples_and_broadcasts():
     rng = np.random.default_rng(5)
     p, q = rng.normal(size=4), rng.normal(size=(6, 4))
-    assert_bitwise(numerics.hamilton_product(p, q), old_hamilton_product(p, q))
-    assert_bitwise(numerics.hamilton_product(q, p, conj_q=True),
+    assert_bitwise(trailing(numerics.hamilton_product(p, planes(q))),
+                   old_hamilton_product(p, q))
+    assert_bitwise(trailing(numerics.hamilton_product(planes(q), p, conj_q=True)),
                    old_hamilton_product(q, old_conjugate(p)))
     assert_bitwise(numerics.hamilton_product(list(p), list(q[0])),
                    old_hamilton_product(p, q[0]))
@@ -277,22 +299,66 @@ def test_conjugates_match_oracle(lead):
     for width, conj in ((2, numerics.complex_conjugate), (4, numerics.quaternion_conjugate)):
         p, _ = pairs(width, 6)
         p = shaped(p, lead)
-        assert_bitwise(conj(p), old_conjugate(p))
+        assert_bitwise(trailing(conj(planes(p))), old_conjugate(p))
 
 
 @pytest.mark.parametrize("lead", SHAPES)
 def test_unit_projection_and_pullback_match_oracle(lead):
     for width in (2, 4):
         z, g = (shaped(x, lead) for x in pairs(width, 7))
-        assert_bitwise(numerics.unit_project(z), old_unit_project(z))
-        assert_bitwise(numerics.unit_project_pullback(z, g), old_unit_project_pullback(z, g))
-        parts = numerics.unit_norm_parts(z)
-        assert_bitwise(numerics.unit_project(z, parts=parts), old_unit_project(z))
-        assert_bitwise(numerics.unit_project_pullback(z, g, parts=parts),
+        zp, gp = planes(z), planes(g)
+        assert_bitwise(trailing(numerics.unit_project(zp)), old_unit_project(z))
+        assert_bitwise(trailing(numerics.unit_project_pullback(zp, gp)),
+                       old_unit_project_pullback(z, g))
+        parts = numerics.unit_norm_parts(zp)
+        assert_bitwise(trailing(numerics.unit_project(zp, parts=parts)), old_unit_project(z))
+        assert_bitwise(trailing(numerics.unit_project_pullback(zp, gp, parts=parts)),
                        old_unit_project_pullback(z, g))
 
 
+@pytest.mark.parametrize("kind", ["quate", "rotate"])
+def test_closed_forms_match_oracle_formulas(kind):
+    # the closed forms take interleaved vectors and sum them in stored order
+    d = 6
+    scorer = make_scorer(kind, d)
+    k = scorer.planes
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        u, r, v = rng.normal(size=(3, d * k)) * 10.0 ** rng.integers(-3, 4, (3, d * k))
+        r[:k] = 0.0                               # one reset tuple
+        uq, rq, vq = (x.reshape(d, k) for x in (u, r, v))
+        rhat = old_unit_project(rq)
+        if k == 4:
+            score = np.sum(old_hamilton_product(uq, rhat) * vq)
+            gh = old_hamilton_product(vq, old_conjugate(rhat))
+            gt = old_hamilton_product(uq, rhat)
+            ghat = old_hamilton_product(old_conjugate(uq), vq)
+        else:
+            w = old_complex_product(uq, rhat) - vq
+            score = -np.sum(w * w)
+            gh = -2.0 * old_complex_product(w, old_conjugate(rhat))
+            gt = 2.0 * w
+            ghat = -2.0 * old_complex_product(w, old_conjugate(uq))
+        gr = old_unit_project_pullback(rq, ghat)
+        assert_bitwise(scorer.score(u, r, v), score)
+        assert_bitwise(scorer.grad_head(u, r, v), gh.reshape(-1))
+        assert_bitwise(scorer.grad_rel(u, r, v), gr.reshape(-1))
+        assert_bitwise(scorer.grad_tail(u, r, v), gt.reshape(-1))
+
+
 # ---------------- tape ops and messages ----------------
+
+
+def test_oracle_tape_reshape_gradient():
+    # reshape lives only on the oracle tape, which builds the old messages
+    rng = np.random.default_rng(12)
+    x, w = rng.normal(size=(4, 6)), rng.normal(size=(4, 3, 2))
+    tape = OracleTape()
+    leaf = tape.leaf(x)
+    out = tape.reshape(leaf, (4, 3, 2))
+    grads = tape.backward(tape.sum(tape.mul(out, tape.leaf(w))))
+    assert_bitwise(out.value, x.reshape(4, 3, 2))
+    assert_bitwise(grads[leaf], w.reshape(4, 6))
 
 
 def run_tape(tape, build, arrays, weights):
@@ -304,6 +370,13 @@ def run_tape(tape, build, arrays, weights):
         total = term if total is None else tape.add(total, term)
     grads = tape.backward(total)
     return [o.value for o in outs], [grads[v] for v in leaves]
+
+
+def run_planar(build, arrays, weights, to=planes, back=trailing):
+    """run_tape on a production Tape with the arrays and weights as
+    component planes; values and leaf gradients come back trailing."""
+    values, grads = run_tape(Tape(), build, [to(a) for a in arrays], [to(w) for w in weights])
+    return [back(v) for v in values], [back(g) for g in grads]
 
 
 def assert_same_run(new, old):
@@ -335,7 +408,7 @@ def test_tape_ops_match_oracle_tape(width):
         def build_new(t, a, b):
             return (t.complex_mul(a, b), t.complex_mul(a, b, conj_b=True),
                     t.unit_project(a), t.unit_project_pullback(a, b))
-    assert_same_run(run_tape(Tape(), build_new, [z, g], weights),
+    assert_same_run(run_planar(build_new, [z, g], weights),
                     run_tape(OracleTape(), build, [z, g], weights))
 
 
@@ -352,7 +425,7 @@ def test_quat_mul_conjugate_flags_match_conj_nodes():
         return (t.quat_mul(a, b, conj_p=True), t.quat_mul(a, b, conj_q=True),
                 t.quat_mul(a, b, True, True))
 
-    assert_same_run(run_tape(Tape(), build_new, [p, q], weights),
+    assert_same_run(run_planar(build_new, [p, q], weights),
                     run_tape(OracleTape(), build, [p, q], weights))
 
 
@@ -369,6 +442,9 @@ def test_messages_match_oracle_tape(kind, old):
     R[1, : w // d] = -0.0                         # one all -0.0 tuple
     R[2, : w // d] = 1e-13                        # one tuple below eps
     weights = [rng.normal(size=(n, w)) for _ in range(3)]
-    new = run_tape(Tape(), lambda t, u, r, v: scorer.messages(t, u, r, v), [U, R, V], weights)
+    k = scorer.planes
+    new = run_planar(lambda t, u, r, v: scorer.messages(t, u, r, v), [U, R, V], weights,
+                     to=lambda x: planes(x.reshape(n, d, k)),
+                     back=lambda x: trailing(x).reshape(n, w))
     ref = run_tape(OracleTape(), lambda t, u, r, v: old(t, d, u, r, v), [U, R, V], weights)
     assert_same_run(new, ref)

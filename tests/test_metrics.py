@@ -22,6 +22,17 @@ def test_rank_of_truth_basic():
         rank_of_truth([(0, 0.1)], 7)
 
 
+def test_ranks_reject_non_finite_distances():
+    # every comparison against nan is False, so nan used to rank first
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            rank_of_truth([(0, bad), (1, 0.5)], 0)
+        with pytest.raises(ValueError, match="finite"):
+            rank_of_truth([(0, 0.1), (1, bad)], 0)
+        with pytest.raises(ValueError, match="finite"):
+            ranks_from_distance_matrix(np.array([[0.1, 0.2], [bad, 0.3]]), np.array([0, 1]))
+
+
 def test_rank_of_truth_tie_break():
     # equal distances, truth has the larger id, so it ranks second
     assert rank_of_truth([(0, 1.0), (1, 1.0)], 1) == 2

@@ -26,6 +26,16 @@ def quat_norm(p):
     return np.sqrt(np.sum(np.asarray(p) ** 2, axis=-1))
 
 
+def planes(x):
+    """Trailing component tuples (..., k) as the kernels' (k, ...) planes."""
+    return np.moveaxis(np.asarray(x, dtype=np.float64), -1, 0)
+
+
+def trailing(x):
+    """Kernel planes (k, ...) back to trailing tuples (..., k)."""
+    return np.moveaxis(x, 0, -1)
+
+
 def test_hamilton_identity():
     q = np.array([3.0, -1.0, 2.0, 0.5])
     assert np.array_equal(hamilton_product([1.0, 0, 0, 0], q), q)
@@ -47,7 +57,7 @@ def test_hamilton_norm_multiplicative():
     rng = RandomSource(7)
     p = rng.normal((1000, 4))
     q = rng.normal((1000, 4))
-    lhs = quat_norm(hamilton_product(p, q))
+    lhs = quat_norm(trailing(hamilton_product(planes(p), planes(q))))
     rhs = quat_norm(p) * quat_norm(q)
     assert np.all(np.abs(lhs - rhs) <= 1e-12 * np.maximum(rhs, 1.0))
 
@@ -55,6 +65,7 @@ def test_hamilton_norm_multiplicative():
 def test_hamilton_associative_not_commutative():
     rng = RandomSource(11)
     p, q, r = rng.normal((3, 50, 4))
+    p, q, r = planes(p), planes(q), planes(r)
     left = hamilton_product(hamilton_product(p, q), r)
     right = hamilton_product(p, hamilton_product(q, r))
     assert np.all(np.abs(left - right) <= 1e-12 * np.maximum(np.abs(left), 1.0))
@@ -64,28 +75,28 @@ def test_hamilton_associative_not_commutative():
 
 
 def test_complex_product_by_i():
-    out = complex_elementwise_product([[1.0, 0.0]], [[0.0, 1.0]])
-    assert np.array_equal(out, [[0.0, 1.0]])
+    out = complex_elementwise_product(planes([[1.0, 0.0]]), planes([[0.0, 1.0]]))
+    assert np.array_equal(trailing(out), [[0.0, 1.0]])
 
 
 def test_complex_product_hand():
     # (1+1i)(1-1i) = 2
-    out = complex_elementwise_product([[1.0, 1.0]], [[1.0, -1.0]])
-    assert np.array_equal(out, [[2.0, 0.0]])
+    out = complex_elementwise_product(planes([[1.0, 1.0]]), planes([[1.0, -1.0]]))
+    assert np.array_equal(trailing(out), [[2.0, 0.0]])
 
 
 def test_complex_product_empty():
-    a = np.zeros((0, 2))
-    assert complex_elementwise_product(a, a).shape == (0, 2)
+    a = planes(np.zeros((0, 2)))
+    assert trailing(complex_elementwise_product(a, a)).shape == (0, 2)
 
 
 def test_complex_product_mismatch():
     with pytest.raises(DimensionError):
-        complex_elementwise_product(np.zeros((2, 2)), np.zeros((3, 2)))
+        complex_elementwise_product(planes(np.zeros((2, 2))), planes(np.zeros((3, 2))))
 
 
 def test_conjugates():
-    assert np.array_equal(complex_conjugate([[1.0, 2.0]]), [[1.0, -2.0]])
+    assert np.array_equal(trailing(complex_conjugate(planes([[1.0, 2.0]]))), [[1.0, -2.0]])
     assert np.array_equal(
         quaternion_conjugate([1.0, 2.0, 3.0, 4.0]), [1.0, -2.0, -3.0, -4.0]
     )
@@ -103,10 +114,11 @@ def test_conjugates_bitwise_equal_sign_multiply(conj, signs):
     p[1] = -0.0
     p[2, 0] = [0.0, -0.0] * (width // 2)
     for arr in (p, p[0, 0], p[:, ::2]):
-        got = conj(arr)
+        got = trailing(conj(planes(arr)))
         want = arr * np.array(signs)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    assert np.signbit(conj(p)[0, 0, 1]) and not np.signbit(conj(p)[1, 0, 1])
+    got = trailing(conj(planes(p)))
+    assert np.signbit(got[0, 0, 1]) and not np.signbit(got[1, 0, 1])
 
 
 def test_circular_correlation_hand():
@@ -210,7 +222,7 @@ def test_distances():
 
 def test_unit_project():
     z = np.array([[3.0, 4.0], [0.0, 0.0]])
-    out = unit_project(z)
+    out = trailing(unit_project(planes(z)))
     assert np.allclose(out[0], [0.6, 0.8], atol=1e-15)
     assert np.array_equal(out[1], [1.0, 0.0])
 
@@ -219,7 +231,7 @@ def test_unit_project_pullback_matches_finite_difference():
     rng = RandomSource(17)
     z = rng.normal((6, 4)) + 0.5
     g = rng.normal((6, 4))
-    got = unit_project_pullback(z, g)
+    got = trailing(unit_project_pullback(planes(z), planes(g)))
     eps = 1e-6
     num = np.zeros_like(z)
     for idx in np.ndindex(z.shape):
@@ -227,14 +239,16 @@ def test_unit_project_pullback_matches_finite_difference():
         zp[idx] += eps
         zm = z.copy()
         zm[idx] -= eps
-        num[idx] = np.sum((unit_project(zp) - unit_project(zm)) * g) / (2 * eps)
+        diff = trailing(unit_project(planes(zp))) - trailing(unit_project(planes(zm)))
+        num[idx] = np.sum(diff * g) / (2 * eps)
     assert np.all(np.abs(got - num) <= 1e-7 * np.maximum(np.abs(num), 1.0))
 
 
 def test_unit_project_pullback_zero_on_reset():
     z = np.zeros((2, 4))
     g = np.ones((2, 4))
-    assert np.array_equal(unit_project_pullback(z, g), np.zeros((2, 4)))
+    assert np.array_equal(trailing(unit_project_pullback(planes(z), planes(g))),
+                          np.zeros((2, 4)))
 
 
 def test_random_source_streams_differ():
@@ -246,9 +260,9 @@ def test_random_source_streams_differ():
 def test_kernels_finite_in_finite_out():
     rng = RandomSource(23)
     p = rng.normal((10, 4)) * 1e6
-    assert np.all(np.isfinite(hamilton_product(p, p)))
+    assert np.all(np.isfinite(hamilton_product(planes(p), planes(p))))
     c = rng.normal((10, 2)) * 1e6
-    assert np.all(np.isfinite(complex_elementwise_product(c, c)))
+    assert np.all(np.isfinite(complex_elementwise_product(planes(c), planes(c))))
     a = rng.normal(32) * 1e3
     assert np.all(np.isfinite(circular_correlation(a, a)))
     assert np.all(np.isfinite(softmax_row(a)))

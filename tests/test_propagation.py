@@ -314,8 +314,8 @@ def test_graphs_of_equal_size_keep_their_own_scatter_cache():
     for name in ("heads", "tails", "rels"):
         c1, c2 = g1.flat_cache[name], g2.flat_cache[name]
         assert c1 is not c2 and c1 and sorted(c1) == sorted(c2)
-        for w, flat in c2.items():
-            assert c1[w] is not flat
+        for (w, planes), flat in c2.items():
+            assert planes == 1 and c1[w, planes] is not flat
             idx = getattr(g2, name)
             assert np.array_equal(flat, (idx[:, None] * w + np.arange(w)).ravel())
-    assert not np.array_equal(g1.flat_cache["tails"][4], g2.flat_cache["tails"][4])
+    assert not np.array_equal(g1.flat_cache["tails"][4, 1], g2.flat_cache["tails"][4, 1])

@@ -9,6 +9,16 @@ from kegcn.scorers import SCORERS, make_scorer
 ALL_KINDS = sorted(SCORERS)
 
 
+def to_planes(x, k):
+    """Interleaved (n, d*k) rows as the (k, n, d) planes that `messages`
+    of a k > 1 scorer takes."""
+    return x if k == 1 else np.ascontiguousarray(x.reshape(len(x), -1, k).transpose(2, 0, 1))
+
+
+def from_planes(x, k):
+    return x if k == 1 else x.transpose(1, 2, 0).reshape(x.shape[1], -1)
+
+
 def test_transe_scores():
     s = make_scorer("transe", 2)
     assert s.score([1.0, 0.0], [0.0, 1.0], [1.0, 1.0]) == 0.0
@@ -87,12 +97,14 @@ def test_tape_messages_match_closed_forms(kind):
         k = 2 if kind == "rotate" else 4
         R += 0.4 * np.sign(R.reshape(n, -1, k)).reshape(n, -1)
     tape = Tape()
-    gh, gr, gt = scorer.messages(tape, tape.leaf(U), tape.leaf(R), tape.leaf(V))
+    k = scorer.planes
+    out = scorer.messages(tape, *(tape.leaf(to_planes(x, k)) for x in (U, R, V)))
+    gh, gr, gt = (from_planes(o.value, k) for o in out)
     for e in range(n):
         for got, fn in ((gh, scorer.grad_head), (gr, scorer.grad_rel), (gt, scorer.grad_tail)):
             want = fn(U[e], R[e], V[e])
             scale = np.maximum(np.abs(want), 1.0)
-            assert np.all(np.abs(got.value[e] - want) <= 1e-10 * scale), (kind, e)
+            assert np.all(np.abs(got[e] - want) <= 1e-10 * scale), (kind, e)
 
 
 def test_distmult_tape_messages_bitwise():
@@ -149,8 +161,9 @@ def test_rotate_phase_invariance():
         phase = np.array([np.cos(theta), np.sin(theta)])
         from kegcn.numerics import complex_elementwise_product
 
-        up = complex_elementwise_product(u.reshape(4, 2), np.broadcast_to(phase, (4, 2))).reshape(-1)
-        vp = complex_elementwise_product(v.reshape(4, 2), np.broadcast_to(phase, (4, 2))).reshape(-1)
+        rot = np.broadcast_to(phase, (4, 2)).T
+        up = complex_elementwise_product(u.reshape(4, 2).T, rot).T.reshape(-1)
+        vp = complex_elementwise_product(v.reshape(4, 2).T, rot).T.reshape(-1)
         a = s.score(u, r, v)
         b = s.score(up, r, vp)
         assert abs(a - b) <= 1e-10 * max(abs(a), 1.0)
@@ -164,8 +177,8 @@ def test_rotate_nonpositive_and_zero_iff_exact():
     for _ in range(20):
         u, r, v = rng.normal((3, 6))
         assert s.score(u, r, v) <= 0.0
-        rhat = unit_project(r.reshape(3, 2))
-        v_exact = complex_elementwise_product(u.reshape(3, 2), rhat).reshape(-1)
+        rhat = unit_project(r.reshape(3, 2).T)
+        v_exact = complex_elementwise_product(u.reshape(3, 2).T, rhat).T.reshape(-1)
         assert abs(s.score(u, r, v_exact)) <= 1e-12
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kegcn import synthetic
+from kegcn import tasks as tasks_mod
 from kegcn.autodiff import Tape, finite_diff_check
 from kegcn.checks import end_to_end_gradient_fd
 from kegcn.graph import build_graph
@@ -13,6 +14,7 @@ from kegcn.tasks import (
     AlignmentSeeds,
     LabelSet,
     TrainConfig,
+    TrainingDivergedError,
     UnsupportedModeError,
     alignment_loss,
     classification_loss,
@@ -351,6 +353,37 @@ def test_scatter_cache_size_fixed_across_epochs():
     assert sizes == [sizes[0]] * 30
 
 
+def test_quate_scatter_cache_one_entry_per_layout_across_epochs():
+    # quaternion messages scatter from (4, E, d) planes: one layout per index
+    g1, g2, seeds = small_alignment_instance()
+    sizes = []
+
+    def progress(*_):
+        sizes.append(sum(len(c) for g in (g1, g2) for c in g.flat_cache.values()))
+
+    cfg = TrainConfig(scorer="quate", dim=8, layers=2, epochs=30, patience=30, negatives=3)
+    train_alignment(g1, g2, seeds, cfg, progress=progress)
+    assert sizes == [6] * 30
+    for g in (g1, g2):
+        assert all(list(g.flat_cache[name]) == [(8, 4)] for name in ("heads", "tails", "rels"))
+
+
+def test_quate_epoch_tape_node_count(monkeypatch):
+    # 4 layers on two graphs plus the loss; messages record no reshape nodes
+    counts = []
+
+    class CountingTape(Tape):
+        def backward(self, loss):
+            counts.append(len(self.nodes))
+            return super().backward(loss)
+
+    monkeypatch.setattr(tasks_mod, "Tape", CountingTape)
+    g1, g2, ent_pairs, _ = synthetic.hub_signature_pair(40, 3, 150, seed=1)
+    seeds = synthetic.alignment_split(ent_pairs)
+    train_alignment(g1, g2, seeds, TrainConfig(scorer="quate", dim=8, layers=4, epochs=2))
+    assert counts == [200, 200]
+
+
 def test_train_alignment_early_stops_on_plateau():
     g1, g2, seeds = small_alignment_instance()
     cfg = TrainConfig(dim=4, layers=2, epochs=400, patience=5, seed=0)
@@ -439,3 +472,32 @@ def test_train_classification_restores_the_scored_checkpoint():
     assert res.epochs_run < 200
     rescored = evaluate_classification(res.scores, label_set, label_set.valid)["accuracy"]
     assert rescored == res.best_valid_metric
+
+
+# ---------------- diverged runs ----------------
+
+
+def test_diverged_alignment_raises_naming_the_epoch():
+    # the loss is finite at epoch 0 and nan from epoch 1 on; the run used to
+    # finish and report mrr = hits@1 = 1.0 from nan distances
+    g1, g2, ent_pairs, _ = synthetic.hub_signature_pair(40, 3, 150, seed=1)
+    seeds = synthetic.alignment_split(ent_pairs)
+    cfg = TrainConfig(scorer="quate", dim=8, layers=2, lr=1e300, epochs=4)
+    with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError, match=r"epoch 1\b"):
+        train_alignment(g1, g2, seeds, cfg)
+    assert issubclass(TrainingDivergedError, ValueError)
+
+
+def test_diverged_classification_raises_naming_the_epoch():
+    g, labels = synthetic.block_classification(60, 3, 200, noise=0.1, seed=3)
+    label_set = synthetic.classification_split(labels, 3, seed=3)
+    cfg = TrainConfig(dim=8, layers=2, lr=1e300, epochs=4)
+    with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError, match=r"epoch 1\b"):
+        train_classification(g, label_set, cfg)
+
+
+def test_evaluate_alignment_rejects_non_finite_embeddings():
+    good = EmbeddingState(np.arange(6.0).reshape(3, 2))
+    bad = EmbeddingState(np.array([[0.0, 1.0], [np.nan, 0.0], [2.0, 2.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        evaluate_alignment(good, bad, [(0, 0), (1, 1)])
