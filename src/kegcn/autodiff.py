@@ -46,25 +46,6 @@ class Variable:
     def shape(self):
         return self.node.value.shape
 
-    def __add__(self, other):
-        return self.tape.add(self, other)
-
-    def __sub__(self, other):
-        return self.tape.sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Variable):
-            return self.tape.mul(self, other)
-        return self.tape.scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self.tape.scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return self.tape.matmul(self, other)
-
 
 def _row_index(idx, num: int) -> np.ndarray:
     """idx as int64, raising IndexError unless every entry is in [0, num)."""
@@ -182,16 +163,6 @@ class Tape:
 
         return self._record(av @ bv, (a, b), vjp, "matmul")
 
-    def matvec(self, m: Variable, x: Variable) -> Variable:
-        mv, xv = m.value, x.value
-        if mv.ndim != 2 or xv.ndim != 1 or mv.shape[1] != xv.shape[0]:
-            raise DimensionError(f"matvec mismatch {mv.shape} vs {xv.shape}")
-
-        def vjp(g):
-            return np.outer(g, xv), mv.T @ g
-
-        return self._record(mv @ xv, (m, x), vjp, "matvec")
-
     # ---- indexing / shaping ----
 
     def gather(self, x: Variable, idx: np.ndarray, *,
@@ -255,12 +226,6 @@ class Tape:
             return (np.broadcast_to(g, xv.shape).copy(),)
 
         return self._record(np.sum(xv, axis=axis, keepdims=True), (x,), vjp, "sum_axis")
-
-    def l2_norm_sq(self, x: Variable) -> Variable:
-        return self.sum(self.mul(x, x))
-
-    def l1_distance(self, a: Variable, b: Variable) -> Variable:
-        return self.sum(self.abs(self.sub(a, b)))
 
     # ---- elementwise nonlinear ----
 

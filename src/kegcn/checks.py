@@ -1,15 +1,25 @@
 """Numerical verification harnesses: finite-difference suites for scorer
-gradients and whole-model training gradients.  These are the oracles the
-test suite and the `gradcheck` CLI subcommand run; they deliberately
-avoid the closed-form gradient code paths they are checking.
+gradients and whole-model training gradients, and the printed baseline
+layers the reduction modes are checked against.  These are the oracles
+the test suite and the `gradcheck` / `verify-reductions` CLI subcommands
+run; they deliberately avoid the code paths they are checking.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .numerics import RandomSource
+from . import numerics
+from .autodiff import Tape, finite_diff_check
+from .graph import KnowledgeGraph, build_graph
+from .numerics import RandomSource, truncated_normal_fill
+from .propagation import (REDUCTION_MODES, EmbeddingState, LayerParams, ModelConfig,
+                          config_scorer, forward_on_tape, init_params, init_state,
+                          lift_params, model_forward)
 from .scorers import Scorer, make_scorer
+from .synthetic import random_triples
+from .tasks import (LabelSet, alignment_loss, classification_loss, named_parameters,
+                    sample_negatives)
 
 
 def _fd_error(analytic: float, numeric: float, rel_floor: float) -> float:
@@ -66,18 +76,6 @@ def scorer_gradient_fd(kind: str, dim: int = 4, n_points: int = 100, seed: int =
 END_TO_END_TASKS = ("alignment", "multiclass", "multilabel")
 
 
-def _random_training_graph(rng: RandomSource, n: int, r: int, edges: int):
-    from .graph import build_graph
-
-    triples = [
-        (int(h), int(q), int(t))
-        for h, q, t in zip(rng.integers(0, n, edges), rng.integers(0, r, edges),
-                           rng.integers(0, n, edges))
-        if h != t
-    ]
-    return build_graph(triples, n, r)
-
-
 def end_to_end_gradient_fd(task: str, scorer_kind: str, mode: str = "kegcn",
                            dim: int = 4, layers: int = 2, seed: int = 0,
                            max_coords: int = 40) -> float:
@@ -89,8 +87,6 @@ def end_to_end_gradient_fd(task: str, scorer_kind: str, mode: str = "kegcn",
     Central differences only certify a gradient where the loss is smooth,
     so instances whose relu or abs inputs sit within 3e-4 of a kink are
     redrawn from the next seed before probing."""
-    from .autodiff import finite_diff_check
-
     fn, point = _build_end_to_end(task, scorer_kind, mode, dim, layers, seed)
     for bump in range(1, 50):
         if _kink_margin(fn, point) > 3e-4:
@@ -102,8 +98,6 @@ def end_to_end_gradient_fd(task: str, scorer_kind: str, mode: str = "kegcn",
 
 def _kink_margin(fn, point) -> float:
     """Distance of the closest relu or abs input to its kink at zero."""
-    from .autodiff import Tape
-
     tape = Tape()
     leaves = [tape.leaf(np.asarray(p)) for p in point]
     fn(tape, *leaves)
@@ -118,41 +112,26 @@ def _kink_margin(fn, point) -> float:
 
 def _build_end_to_end(task: str, scorer_kind: str, mode: str, dim: int,
                       layers: int, seed: int):
-    from .propagation import (LayerVars, ModelConfig, config_scorer,
-                              forward_on_tape, init_params, init_state)
-    from .tasks import (LabelSet, alignment_loss, classification_loss,
-                        sample_negatives)
-
     if task not in END_TO_END_TASKS:
         raise ValueError(f"unknown task {task!r}")
     n, r = 10, 3
     rng = RandomSource(seed)
-    g1 = _random_training_graph(rng, n, r, 25)
+    g1 = build_graph(random_triples(n, r, 25, rng), n, r)
     out_dim = 3 if task != "alignment" else None
     cfg = ModelConfig(mode=mode, scorer_kind=scorer_kind, dim=dim,
                       layers=layers, alpha=0.3, out_dim=out_dim)
     scorer = config_scorer(cfg)
     params = init_params(cfg, r, rng)
 
-    fields = ("w", "w0", "wrel", "wstack", "relscale")
-    keys = []
-    point = []
-    for i, p in enumerate(params):
-        for suffix, arr in zip(fields, (p.w, p.w0, p.w_rel, p.w_per_rel, p.rel_scale)):
-            if arr is not None:
-                keys.append((i, suffix))
-                point.append(arr)
+    point = list(named_parameters(params, {}).values())
     n_param = len(point)
 
-    def layer_vars(vars):
-        members = [{f: None for f in fields} for _ in params]
-        for (i, suffix), var in zip(keys, vars[:n_param]):
-            members[i][suffix] = var
-        return [LayerVars(m["w"], m["w0"], m["wrel"], m["wstack"], m["relscale"])
-                for m in members]
+    def layer_vars(tape, vars):
+        leaves = iter(vars[:n_param])
+        return [lift_params(tape, p, leaves) for p in params]
 
     if task == "alignment":
-        g2 = _random_training_graph(rng, n, r, 25)
+        g2 = build_graph(random_triples(n, r, 25, rng), n, r)
         init1 = init_state(cfg, g1, rng)
         init2 = init_state(cfg, g2, rng)
         positives = np.array([(i, i) for i in range(4)])
@@ -163,7 +142,7 @@ def _build_end_to_end(task: str, scorer_kind: str, mode: str, dim: int,
             point.extend([init1.relation, init2.relation])
 
         def fn(tape, *vars):
-            lvs = layer_vars(vars)
+            lvs = layer_vars(tape, vars)
             e1, e2 = vars[n_param], vars[n_param + 1]
             r1 = vars[n_param + 2] if has_rel else None
             r2 = vars[n_param + 3] if has_rel else None
@@ -190,7 +169,7 @@ def _build_end_to_end(task: str, scorer_kind: str, mode: str, dim: int,
             point.append(init1.relation)
 
         def fn(tape, *vars):
-            lvs = layer_vars(vars)
+            lvs = layer_vars(tape, vars)
             e1 = vars[n_param]
             r1 = vars[n_param + 1] if has_rel else None
             logits, _ = forward_on_tape(tape, g1, mode, scorer, params, lvs, e1, r1)
@@ -199,11 +178,90 @@ def _build_end_to_end(task: str, scorer_kind: str, mode: str, dim: int,
     return fn, point
 
 
+def _phi_eager(mode: str, h_neighbor: np.ndarray, h_rel: np.ndarray) -> np.ndarray:
+    if mode == "compgcn-sub":
+        return h_neighbor - h_rel
+    if mode == "compgcn-mult":
+        return h_neighbor * h_rel
+    if mode == "compgcn-corr":
+        return numerics.circular_correlation(h_neighbor, h_rel)
+    raise ValueError(f"no composition for mode {mode!r}")
+
+
+def baseline_forward(kind: str, graph: KnowledgeGraph, state: EmbeddingState,
+                     params: LayerParams) -> EmbeddingState:
+    """Literal transcription of one printed baseline layer; no
+    normalization.  Used only as the oracle side of verify_reduction."""
+    if kind not in REDUCTION_MODES:
+        raise ValueError(f"no baseline for mode {kind!r}")
+    ent, rel = state.entity, state.relation
+    w_self = params.w if kind == "wgcn" else params.w0
+    new_ent = np.zeros((graph.num_entities, w_self.shape[1]))
+    for v in range(graph.num_entities):
+        m = np.zeros(w_self.shape[1])
+        for adj, pos in ((graph.in_adj[v], "in"), (graph.out_adj[v], "out")):
+            for u, r in adj:
+                if kind.startswith("compgcn"):
+                    m = m + _phi_eager(kind, ent[u], rel[r]) @ params.w_per_rel[r]
+                elif kind == "rgcn":
+                    m = m + ent[u] @ params.w_per_rel[r]
+                else:
+                    m = m + (params.rel_scale[r, 0] * ent[u]) @ params.w
+        new_ent[v] = numerics.activation(params.act_ent, m + ent[v] @ w_self)
+    new_rel = None
+    if kind.startswith("compgcn"):
+        new_rel = rel @ params.w_rel
+    return EmbeddingState(new_ent, new_rel)
+
+
+def verify_reduction(mode: str, graph: KnowledgeGraph, seed: int,
+                     layers: int = 3, dim: int = 8) -> float:
+    """Max absolute discrepancy, over all layers, between the generic
+    layer configured per the corresponding reduction and the literal
+    baseline, on one random instance."""
+    if mode not in REDUCTION_MODES:
+        raise ValueError(f"verify_reduction expects a reduction mode, got {mode!r}")
+    rng = RandomSource(seed)
+    n, rn = graph.num_entities, graph.num_relations
+    ent = truncated_normal_fill((n, dim), rng)
+    rel = truncated_normal_fill((rn, dim), rng) if mode.startswith("compgcn") else None
+    params = []
+    for _ in range(layers):
+        if mode.startswith("compgcn"):
+            p = LayerParams(
+                w_per_rel=truncated_normal_fill((rn, dim, dim), rng, width=dim),
+                w0=truncated_normal_fill((dim, dim), rng, width=dim),
+                w_rel=truncated_normal_fill((dim, dim), rng, width=dim),
+                act_ent="relu",
+                act_rel="identity",
+            )
+        elif mode == "rgcn":
+            p = LayerParams(
+                w_per_rel=truncated_normal_fill((rn, dim, dim), rng, width=dim),
+                w0=truncated_normal_fill((dim, dim), rng, width=dim),
+                act_ent="relu",
+            )
+        else:
+            p = LayerParams(
+                w=truncated_normal_fill((dim, dim), rng, width=dim),
+                rel_scale=rng.normal((rn, 1)),
+                act_ent="relu",
+            )
+        params.append(p)
+    state = EmbeddingState(ent, rel)
+    generic = model_forward(graph, state, params, mode=mode, collect=True)
+    worst = 0.0
+    base = state
+    for layer_state, p in zip(generic, params):
+        base = baseline_forward(mode, graph, base, p)
+        worst = max(worst, float(np.max(np.abs(layer_state.entity - base.entity))))
+        if base.relation is not None:
+            worst = max(worst, float(np.max(np.abs(layer_state.relation - base.relation))))
+    return worst
+
+
 def reduction_discrepancy(mode: str, seed: int, n: int = 20, r: int = 4,
                           edges: int = 60, layers: int = 3, dim: int = 8) -> float:
     """verify_reduction on one random graph drawn from the seed."""
-    from .propagation import verify_reduction
-
-    graph = _random_training_graph(RandomSource(seed * 7919 + 13), n, r, edges)
+    graph = build_graph(random_triples(n, r, edges, RandomSource(seed * 7919 + 13)), n, r)
     return verify_reduction(mode, graph, seed, layers=layers, dim=dim)
-

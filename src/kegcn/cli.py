@@ -18,27 +18,23 @@ from . import io as io_mod
 from .checks import (END_TO_END_TASKS, end_to_end_gradient_fd,
                      reduction_discrepancy, scorer_gradient_fd)
 from .metrics import hits_at_k, mrr
-from .propagation import REDUCTION_MODES, model_forward
-from .scorers import SCORERS, base_dim, make_scorer
-from .tasks import (evaluate_alignment, evaluate_classification,
+from .propagation import REDUCTION_MODES, config_scorer, model_forward
+from .scorers import SCORERS
+from .tasks import (evaluate_alignment, evaluate_classification, scores_from_logits,
                     train_alignment, train_classification,
                     zero_shot_relation_alignment)
-
-_TRAIN_KEYS = ("graph1", "graph2", "train", "valid", "test", "rel_test",
-               "report", "checkpoint", "mode", "scorer", "dim", "layers", "lr",
-               "alpha", "gamma", "negatives", "epochs", "patience", "seed", "runs")
 
 
 def _add_train_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="key = value configuration file")
-    for key in _TRAIN_KEYS:
+    for key in io_mod.TRAIN_KEYS:
         sub.add_argument(f"--{key.replace('_', '-')}", dest=key)
     sub.add_argument("--quiet", action="store_true",
                      help="suppress per-epoch progress lines")
 
 
 def _overrides(args: argparse.Namespace) -> dict:
-    return {k: getattr(args, k) for k in _TRAIN_KEYS if getattr(args, k, None) is not None}
+    return {k: getattr(args, k) for k in io_mod.TRAIN_KEYS if getattr(args, k, None) is not None}
 
 
 def _progress_printer(quiet: bool, every: int = 50):
@@ -72,68 +68,74 @@ def _emit(report: dict, runtime: float, report_path) -> None:
         print(f"report written to {report_path}")
 
 
-def cmd_train_align(args: argparse.Namespace) -> int:
+def _train(args: argparse.Namespace, task: str, run_one) -> int:
+    """Shared body of the training subcommands: `runs` seeded runs of
+    run_one(values, bundle, cfg, progress) -> (test metrics, layer params,
+    embedding tables, best validation metric), one aggregated report, and
+    the last run's checkpoint."""
     overrides = _overrides(args)
-    overrides["task"] = "align"
+    overrides["task"] = task
     values = io_mod.parse_config(args.config, overrides)
-    bundle = io_mod.load_alignment_bundle(values)
-    g1, g2 = bundle.graphs
-    eval_pairs = bundle.seeds.test or bundle.seeds.valid or bundle.seeds.train
+    bundle = (io_mod.load_alignment_bundle if task == "align"
+              else io_mod.load_classification_bundle)(values)
     t0 = time.perf_counter()
     per_run = []
-    last = None
     for run in range(values["runs"]):
         cfg = io_mod.train_config(values)
         cfg.seed = values["seed"] + run
-        res = train_alignment(g1, g2, bundle.seeds, cfg,
-                              progress=_progress_printer(args.quiet))
-        metrics = evaluate_alignment(res.state1, res.state2, eval_pairs)
-        if values.get("rel_test"):
-            rel_pairs = io_mod.load_alignments(values["rel_test"],
-                                               bundle.relation_vocabs[0],
-                                               bundle.relation_vocabs[1])
-            rel = zero_shot_relation_alignment(res.state1, res.state2, rel_pairs)
-            metrics["relation_mrr"] = rel["mrr"]
-            metrics["relation_hits1"] = rel["hits1"]
+        metrics, *last = run_one(values, bundle, cfg, _progress_printer(args.quiet))
         per_run.append(metrics)
-        last = res
     report = _aggregate(per_run, values["seed"])
     if values.get("checkpoint"):
-        cp = io_mod.pack_model(values, last.params,
-                               {"g1": last.init1, "g2": last.init2},
-                               last.best_valid_hits1)
-        io_mod.save_checkpoint(values["checkpoint"], cp)
+        io_mod.save_checkpoint(values["checkpoint"], io_mod.pack_model(values, *last))
         print(f"checkpoint written to {values['checkpoint']}")
     _emit(report, time.perf_counter() - t0, values.get("report"))
     return 0
+
+
+def _run_alignment(values, bundle, cfg, progress):
+    res = train_alignment(*bundle.graphs, bundle.seeds, cfg, progress=progress)
+    metrics = evaluate_alignment(res.state1, res.state2, bundle.seeds.test
+                                 or bundle.seeds.valid or bundle.seeds.train)
+    if values.get("rel_test"):
+        rel_pairs = io_mod.load_alignments(values["rel_test"], *bundle.relation_vocabs)
+        rel = zero_shot_relation_alignment(res.state1, res.state2, rel_pairs)
+        metrics["relation_mrr"] = rel["mrr"]
+        metrics["relation_hits1"] = rel["hits1"]
+    return metrics, res.params, {"g1": res.init1, "g2": res.init2}, res.best_valid_hits1
+
+
+def _run_classification(values, bundle, cfg, progress):
+    ls = bundle.label_set
+    res = train_classification(bundle.graphs[0], ls, cfg, progress=progress)
+    metrics = evaluate_classification(res.scores, ls, ls.test or ls.valid or ls.train)
+    return metrics, res.params, {"g": res.init}, res.best_valid_metric
+
+
+def cmd_train_align(args: argparse.Namespace) -> int:
+    return _train(args, "align", _run_alignment)
 
 
 def cmd_train_classify(args: argparse.Namespace) -> int:
-    overrides = _overrides(args)
-    overrides["task"] = "classify"
-    values = io_mod.parse_config(args.config, overrides)
-    bundle = io_mod.load_classification_bundle(values)
-    g = bundle.graphs[0]
-    label_set = bundle.label_set
-    eval_ids = label_set.test or label_set.valid or label_set.train
-    t0 = time.perf_counter()
-    per_run = []
-    last = None
-    for run in range(values["runs"]):
-        cfg = io_mod.train_config(values)
-        cfg.seed = values["seed"] + run
-        res = train_classification(g, label_set, cfg,
-                                   progress=_progress_printer(args.quiet))
-        per_run.append(evaluate_classification(res.scores, label_set, eval_ids))
-        last = res
-    report = _aggregate(per_run, values["seed"])
-    if values.get("checkpoint"):
-        cp = io_mod.pack_model(values, last.params, {"g": last.init},
-                               last.best_valid_metric)
-        io_mod.save_checkpoint(values["checkpoint"], cp)
-        print(f"checkpoint written to {values['checkpoint']}")
-    _emit(report, time.perf_counter() - t0, values.get("report"))
-    return 0
+    return _train(args, "classify", _run_classification)
+
+
+def _check_model_fits(gname: str, table, graph, params_list) -> None:
+    """The checkpoint's table `gname` has one row per entity (and relation)
+    of `graph`, and its relation weights cover every relation id."""
+    counts = [("entities", table.entity.shape[0], graph.num_entities)]
+    if table.relation is not None:
+        counts.append(("relations", table.relation.shape[0], graph.num_relations))
+    for what, have, need in counts:
+        if have != need:
+            raise io_mod.DataError(
+                f"checkpoint table {gname} covers {have} {what} but the graph has {need}")
+    for p in params_list:
+        for w in (p.w_per_rel, p.rel_scale):
+            if w is not None and w.shape[0] < graph.num_relations:
+                raise io_mod.DataError(
+                    f"checkpoint relation weights cover {w.shape[0]} relations but "
+                    f"graph {gname} has {graph.num_relations}")
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -143,54 +145,55 @@ def cmd_eval(args: argparse.Namespace) -> int:
         v = getattr(args, key, None)
         if v is not None:
             values[key] = v
-    scorer = (make_scorer(values["scorer"], base_dim(values["scorer"], values["dim"]))
-              if values["mode"] == "kegcn" else None)
+    mc = io_mod.train_config(values).model_config()
+    scorer = config_scorer(mc)
     t0 = time.perf_counter()
     if values["task"] == "align":
         bundle = io_mod.load_alignment_bundle(values)
-        g1, g2 = bundle.graphs
-        for gname, g in (("g1", g1), ("g2", g2)):
-            if tables[gname].entity.shape[0] != g.num_entities:
-                raise io_mod.DataError(
-                    f"checkpoint table {gname} covers {tables[gname].entity.shape[0]} "
-                    f"entities but the graph has {g.num_entities}")
-        s1 = model_forward(g1, tables["g1"], params_list, mode=values["mode"], scorer=scorer)
-        s2 = model_forward(g2, tables["g2"], params_list, mode=values["mode"], scorer=scorer)
+        names = ("g1", "g2")
+    else:
+        bundle = io_mod.load_classification_bundle(values)
+        names = ("g",)
+    graphs = dict(zip(names, bundle.graphs))
+    for gname, g in graphs.items():
+        _check_model_fits(gname, tables[gname], g, params_list)
+    finals = [model_forward(g, tables[gname], params_list, mode=mc.mode, scorer=scorer)
+              for gname, g in graphs.items()]
+    if values["task"] == "align":
         pairs = bundle.seeds.test or bundle.seeds.valid or bundle.seeds.train
         if not pairs:
             raise io_mod.DataError("no seed pairs to evaluate")
-        metrics = evaluate_alignment(s1, s2, pairs)
+        metrics = evaluate_alignment(*finals, pairs)
     else:
-        bundle = io_mod.load_classification_bundle(values)
-        g = bundle.graphs[0]
         label_set = bundle.label_set
-        if tables["g"].entity.shape[0] != g.num_entities:
+        logits = finals[0].entity
+        if logits.shape[1] != label_set.num_classes:
             raise io_mod.DataError(
-                f"checkpoint covers {tables['g'].entity.shape[0]} entities "
-                f"but the graph has {g.num_entities}")
-        final = model_forward(g, tables["g"], params_list, mode=values["mode"], scorer=scorer)
-        if final.entity.shape[1] != label_set.num_classes:
-            raise io_mod.DataError(
-                f"checkpoint predicts {final.entity.shape[1]} classes but the "
+                f"checkpoint predicts {logits.shape[1]} classes but the "
                 f"label files define {label_set.num_classes}")
-        from .tasks import _scores_from_logits
-
-        scores = _scores_from_logits(final.entity, label_set.multi_label)
         ids = label_set.test or label_set.valid or label_set.train
         if not ids:
             raise io_mod.DataError("no labeled entities to evaluate")
-        metrics = evaluate_classification(scores, label_set, ids)
+        metrics = evaluate_classification(
+            scores_from_logits(logits, label_set.multi_label), label_set, ids)
     report = dict(metrics)
     report["seed"] = values["seed"]
     _emit(report, time.perf_counter() - t0, values.get("report"))
     return 0
 
 
+def _at_least_one(flag: str, value: int) -> int:
+    if value < 1:
+        raise ValueError(f"{flag} must be at least 1, got {value}")
+    return value
+
+
 def cmd_verify_reductions(args: argparse.Namespace) -> int:
     base = args.seed
+    runs = _at_least_one("--runs", args.runs)
     worst_all = 0.0
     for mode in REDUCTION_MODES:
-        worst = max(reduction_discrepancy(mode, base + i) for i in range(args.runs))
+        worst = max(reduction_discrepancy(mode, base + i) for i in range(runs))
         worst_all = max(worst_all, worst)
         print(f"{mode:13s} max discrepancy {worst:.3e}")
     ok = worst_all <= 1e-9
@@ -200,9 +203,10 @@ def cmd_verify_reductions(args: argparse.Namespace) -> int:
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     kinds = sorted(SCORERS) if args.scorer == "all" else [args.scorer]
+    points = _at_least_one("--points", args.points)
     worst = 0.0
     for kind in kinds:
-        err = scorer_gradient_fd(kind, n_points=args.points)
+        err = scorer_gradient_fd(kind, n_points=points)
         worst = max(worst, err)
         print(f"scorer {kind:9s} closed-form fd error {err:.3e}")
     for kind in kinds:

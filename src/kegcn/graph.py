@@ -76,16 +76,6 @@ def build_graph(triples, num_entities: int, num_relations: int) -> KnowledgeGrap
     return KnowledgeGraph(num_entities, num_relations, clean)
 
 
-def degree_norm(g: KnowledgeGraph, v: int, alpha: float) -> float:
-    deg = int(g.in_degree[v] + g.out_degree[v])
-    return alpha / deg if deg > 0 else 0.0
-
-
-def relation_norm(g: KnowledgeGraph, r: int, alpha: float) -> float:
-    deg = int(g.rel_degree[r])
-    return alpha / deg if deg > 0 else 0.0
-
-
 def entity_norm_factors(g: KnowledgeGraph, alpha: float) -> np.ndarray:
     """Per-entity alpha/(|N_in|+|N_out|) column, zero where isolated."""
     deg = g.in_degree + g.out_degree

@@ -20,15 +20,14 @@ import os
 import re
 import struct
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
-from .graph import KnowledgeGraph, build_graph
-from .propagation import MODES, EmbeddingState, LayerParams
-from .scorers import SCORERS
-from .tasks import AlignmentSeeds, LabelSet, TrainConfig
+from .graph import build_graph
+from .propagation import EmbeddingState, LayerParams, LayerVars, layer_activations
+from .tasks import AlignmentSeeds, LabelSet, TrainConfig, named_parameters
 
 
 class DataError(ValueError):
@@ -234,37 +233,34 @@ def load_classification_bundle(values: dict) -> DatasetBundle:
 # ---------------- configuration ----------------
 
 
-_INT_KEYS = ("dim", "layers", "negatives", "epochs", "patience", "seed", "runs")
-_FLOAT_KEYS = ("lr", "alpha", "gamma")
-_CHOICE_KEYS = {"task": TASKS, "mode": MODES, "scorer": tuple(sorted(SCORERS))}
+# Config keys: the dataset and output paths, the task, every TrainConfig
+# field (typed by its default) and the run count.
 _PATH_KEYS = ("graph1", "graph2", "train", "valid", "test", "rel_test",
               "report", "checkpoint")
-_DEFAULTS = {
-    "task": "align", "scorer": "transe", "mode": "kegcn", "layers": 4,
-    "lr": 0.01, "alpha": 0.3, "gamma": 3.0, "negatives": 5,
-    "epochs": 1000, "patience": 50, "seed": 0, "runs": 1,
-}
+_FIELDS = fields(TrainConfig)
+TRAIN_KEYS = _PATH_KEYS + tuple(f.name for f in _FIELDS) + ("runs",)
+_TYPES = {"task": str, "runs": int, **{f.name: type(f.default) for f in _FIELDS}}
+_CHOICES = {"task": TASKS, **{f.name: f.metadata["choices"] for f in _FIELDS
+                              if "choices" in f.metadata}}
+_TYPE_NAMES = {int: "integer", float: "number"}
 
 
 def _convert(key: str, value: str):
-    if key in _INT_KEYS:
-        try:
-            return int(value)
-        except ValueError:
-            raise ConfigError(f"config key '{key}': expected integer, got {value!r}") from None
-    if key in _FLOAT_KEYS:
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(f"config key '{key}': expected number, got {value!r}") from None
-    if key in _CHOICE_KEYS:
-        if value not in _CHOICE_KEYS[key]:
-            raise ConfigError(
-                f"config key '{key}': expected one of {_CHOICE_KEYS[key]}, got {value!r}")
-        return value
     if key in _PATH_KEYS:
         return value
-    raise ConfigError(f"unknown config key '{key}'")
+    if key not in _TYPES:
+        raise ConfigError(f"unknown config key '{key}'")
+    kind = _TYPES[key]
+    if kind in _TYPE_NAMES:
+        try:
+            return kind(value)
+        except ValueError:
+            raise ConfigError(
+                f"config key '{key}': expected {_TYPE_NAMES[kind]}, got {value!r}") from None
+    if value not in _CHOICES[key]:
+        raise ConfigError(
+            f"config key '{key}': expected one of {_CHOICES[key]}, got {value!r}")
+    return value
 
 
 def parse_config(path: Optional[str] = None, overrides: Optional[dict] = None) -> dict:
@@ -284,19 +280,18 @@ def parse_config(path: Optional[str] = None, overrides: Optional[dict] = None) -
     for key, value in (overrides or {}).items():
         if value is not None:
             values[key] = _convert(key, str(value))
-    for key, value in _DEFAULTS.items():
-        values.setdefault(key, value)
-    values.setdefault("dim", 200 if values["task"] == "align" else 32)
+    values.setdefault("task", "align")
+    for f in _FIELDS:
+        values.setdefault(f.name, f.default if f.name != "dim"
+                          else 200 if values["task"] == "align" else 32)
+    values.setdefault("runs", 1)
+    if values["runs"] < 1:
+        raise ConfigError(f"config key 'runs': need at least 1 run, got {values['runs']}")
     return values
 
 
 def train_config(values: dict) -> TrainConfig:
-    return TrainConfig(mode=values["mode"], scorer=values["scorer"],
-                       dim=values["dim"], layers=values["layers"],
-                       alpha=values["alpha"], lr=values["lr"],
-                       epochs=values["epochs"], patience=values["patience"],
-                       gamma=values["gamma"], negatives=values["negatives"],
-                       seed=values["seed"])
+    return TrainConfig(**{f.name: values[f.name] for f in _FIELDS})
 
 
 # ---------------- checkpoints ----------------
@@ -376,32 +371,22 @@ def load_checkpoint(path: str) -> Checkpoint:
     return Checkpoint(sections, version)
 
 
-_PARAM_FIELDS = ("w", "w0", "w_rel", "w_per_rel", "rel_scale")
-_ECHO_KEYS = ("dim", "layers", "lr", "alpha", "gamma", "negatives",
-              "epochs", "patience", "seed")
-
-
 def pack_model(values: dict, params_list: list, tables: dict,
                best_valid: Optional[float]) -> Checkpoint:
     """Model state as a checkpoint: config echo, layer weights, embedding
-    tables, best validation metric (NaN when there was no validation)."""
+    tables, best validation metric (NaN when there was no validation).
+    Fields with choices are stored as their index."""
     sections: dict = {
         "config/task": [float(TASKS.index(values["task"]))],
-        "config/mode": [float(MODES.index(values["mode"]))],
-        "config/scorer": [float(sorted(SCORERS).index(values["scorer"]))],
         "best_valid": [np.nan if best_valid is None else float(best_valid)],
     }
-    for key in _ECHO_KEYS:
-        sections[f"config/{key}"] = [float(values[key])]
-    for i, p in enumerate(params_list):
-        for f in _PARAM_FIELDS:
-            arr = getattr(p, f)
-            if arr is not None:
-                sections[f"param/layer{i}.{f}"] = arr
-    for gname, st in tables.items():
-        sections[f"table/{gname}.entity"] = st.entity
-        if st.relation is not None:
-            sections[f"table/{gname}.relation"] = st.relation
+    for key in (f.name for f in _FIELDS):
+        v = values[key]
+        sections[f"config/{key}"] = [float(_CHOICES[key].index(v) if key in _CHOICES else v)]
+    for name, arr in named_parameters(params_list, {}).items():
+        sections[f"param/{name}"] = arr
+    for name, arr in named_parameters([], tables).items():
+        sections[f"table/{name}"] = arr
     return Checkpoint(sections)
 
 
@@ -414,38 +399,26 @@ def unpack_model(cp: Checkpoint):
             raise CheckpointError(f"checkpoint lacks section {name!r}")
         return float(np.asarray(sec[name]).ravel()[0])
 
-    def coded(name: str, choices) -> str:
-        idx = int(one(name))
-        if not (0 <= idx < len(choices)):
-            raise CheckpointError(f"checkpoint section {name!r} out of range")
-        return choices[idx]
-
-    values = {
-        "task": coded("config/task", TASKS),
-        "mode": coded("config/mode", MODES),
-        "scorer": coded("config/scorer", tuple(sorted(SCORERS))),
-    }
-    for key in _ECHO_KEYS:
+    values = {}
+    for key in ("task",) + tuple(f.name for f in _FIELDS):
         v = one(f"config/{key}")
-        values[key] = v if key in _FLOAT_KEYS else int(v)
+        if key in _CHOICES:
+            if not (0 <= int(v) < len(_CHOICES[key])):
+                raise CheckpointError(f"checkpoint section 'config/{key}' out of range")
+            values[key] = _CHOICES[key][int(v)]
+        else:
+            values[key] = _TYPES[key](v)
     values["runs"] = 1
 
     params_list = []
     for i in range(values["layers"]):
-        fields = {}
-        for f in _PARAM_FIELDS:
-            name = f"param/layer{i}.{f}"
-            fields[f] = sec[name].copy() if name in sec else None
-        if fields["w"] is None and fields["w_per_rel"] is None:
+        weights = {f: sec[f"param/layer{i}.{f}"].copy() if f"param/layer{i}.{f}" in sec else None
+                   for f in LayerVars._fields}
+        if weights["w"] is None and weights["w_per_rel"] is None:
             raise CheckpointError(f"checkpoint lacks weights for layer {i}")
-        last = i == values["layers"] - 1
-        params_list.append(LayerParams(
-            w=fields["w"], w0=fields["w0"], w_rel=fields["w_rel"],
-            w_per_rel=fields["w_per_rel"], rel_scale=fields["rel_scale"],
-            act_ent="identity" if last else "relu",
-            act_rel="identity" if (last or values["mode"].startswith("compgcn")) else "relu",
-            alpha=values["alpha"],
-        ))
+        act_ent, act_rel = layer_activations(values["mode"], i, values["layers"])
+        params_list.append(LayerParams(**weights, act_ent=act_ent, act_rel=act_rel,
+                                       alpha=values["alpha"]))
 
     tables: dict = {}
     for name in sec:

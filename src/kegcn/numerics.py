@@ -213,14 +213,6 @@ def circular_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.fft.irfft(fa * fb, n=d, axis=-1)
 
 
-def matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if m.ndim != 2 or x.ndim != 1 or m.shape[1] != x.shape[0]:
-        raise DimensionError(f"matvec mismatch {m.shape} vs {x.shape}")
-    return m @ x
-
-
 def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
 
@@ -256,19 +248,6 @@ def softmax_row(x: np.ndarray) -> np.ndarray:
     z = x - np.max(x, axis=-1, keepdims=True)
     e = np.exp(z)
     return e / np.sum(e, axis=-1, keepdims=True)
-
-
-def l1_distance(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionError(f"length mismatch {a.shape} vs {b.shape}")
-    return float(np.sum(np.abs(a - b)))
-
-
-def l2_norm_sq(a: np.ndarray) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    return float(np.sum(a * a))
 
 
 def _component_sum(t: np.ndarray) -> np.ndarray:

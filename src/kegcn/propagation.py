@@ -12,7 +12,7 @@ Updates are synchronous: every read comes from the input state.  The
 default mode shares one W per layer and uses the same f on both
 directions and for relations.  The reduction modes reproduce three
 printed baselines exactly (their literal transcriptions live in
-`baseline_forward` and serve as equivalence oracles):
+`checks.baseline_forward` and serve as equivalence oracles):
 
     compgcn-sub/-mult/-corr  f = phi(h_u, h_r)^T h_v, f_r = 0,
                              relation update collapses to W_rel h_r
@@ -22,6 +22,7 @@ printed baselines exactly (their literal transcriptions live in
                              relation table, self term uses W itself
 
 Matrices are stored row-convention: a row vector h maps to h @ W.
+Every layer runs batched over all edges on a tape (`layer_forward_tape`).
 """
 
 from __future__ import annotations
@@ -31,15 +32,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import numerics
 from .autodiff import ForwardTape, Tape, Variable
-from .graph import (
-    KnowledgeGraph,
-    degree_norm,
-    entity_norm_factors,
-    relation_norm,
-    relation_norm_factors,
-)
+from .graph import KnowledgeGraph, entity_norm_factors, relation_norm_factors
 from .numerics import RandomSource, truncated_normal_fill
 from .scorers import Scorer, base_dim, make_scorer
 
@@ -121,6 +115,14 @@ def relation_width(cfg: ModelConfig) -> Optional[int]:
     return None
 
 
+def layer_activations(mode: str, layer: int, layers: int) -> tuple[str, str]:
+    """(act_ent, act_rel) of layer `layer` of `layers`: relu inside the
+    stack, identity on the last layer and on every compgcn relation."""
+    last = layer == layers - 1
+    return ("identity" if last else "relu",
+            "identity" if last or mode.startswith("compgcn") else "relu")
+
+
 def init_params(cfg: ModelConfig, num_relations: int, rng: RandomSource) -> list[LayerParams]:
     we = entity_width(cfg)
     wr = relation_width(cfg)
@@ -128,39 +130,21 @@ def init_params(cfg: ModelConfig, num_relations: int, rng: RandomSource) -> list
     for layer in range(cfg.layers):
         last = layer == cfg.layers - 1
         out_w = cfg.out_dim if (last and cfg.out_dim is not None) else we
-        act_ent = "identity" if last else "relu"
-        act_rel = "identity" if (last or cfg.mode.startswith("compgcn")) else "relu"
+        act_ent, act_rel = layer_activations(cfg.mode, layer, cfg.layers)
+        p = LayerParams(act_ent=act_ent, act_rel=act_rel, alpha=cfg.alpha)
         if cfg.mode == "rgcn":
-            p = LayerParams(
-                w_per_rel=truncated_normal_fill((num_relations, we, out_w), rng, width=we),
-                w0=truncated_normal_fill((we, out_w), rng, width=we),
-                act_ent=act_ent,
-                act_rel=act_rel,
-                alpha=cfg.alpha,
-            )
+            p.w_per_rel = truncated_normal_fill((num_relations, we, out_w), rng, width=we)
+            p.w0 = truncated_normal_fill((we, out_w), rng, width=we)
         elif cfg.mode == "wgcn":
-            p = LayerParams(
-                w=truncated_normal_fill((we, out_w), rng, width=we),
-                rel_scale=np.ones((num_relations, 1)),
-                act_ent=act_ent,
-                act_rel=act_rel,
-                alpha=cfg.alpha,
-            )
+            p.w = truncated_normal_fill((we, out_w), rng, width=we)
+            p.rel_scale = np.ones((num_relations, 1))
         else:
-            w = truncated_normal_fill((we, out_w), rng, width=we)
-            w0 = truncated_normal_fill((we, out_w), rng, width=we)
-            w_rel = truncated_normal_fill((wr, wr), rng, width=wr)
+            p.w = truncated_normal_fill((we, out_w), rng, width=we)
+            p.w0 = truncated_normal_fill((we, out_w), rng, width=we)
+            p.w_rel = truncated_normal_fill((wr, wr), rng, width=wr)
             if cfg.mode == "kegcn":
-                w *= MESSAGE_GAIN[cfg.scorer_kind]
-                w0 *= SELF_GAIN
-            p = LayerParams(
-                w=w,
-                w0=w0,
-                w_rel=w_rel,
-                act_ent=act_ent,
-                act_rel=act_rel,
-                alpha=cfg.alpha,
-            )
+                p.w *= MESSAGE_GAIN[cfg.scorer_kind]
+                p.w0 *= SELF_GAIN
         out.append(p)
     return out
 
@@ -172,95 +156,14 @@ def init_state(cfg: ModelConfig, graph: KnowledgeGraph, rng: RandomSource) -> Em
     return EmbeddingState(ent, rel)
 
 
-# ---------------- eager per-entity oracle path ----------------
-
-
-def _phi_eager(mode: str, h_neighbor: np.ndarray, h_rel: np.ndarray) -> np.ndarray:
-    if mode == "compgcn-sub":
-        return h_neighbor - h_rel
-    if mode == "compgcn-mult":
-        return h_neighbor * h_rel
-    if mode == "compgcn-corr":
-        return numerics.circular_correlation(h_neighbor, h_rel)
-    raise ValueError(f"no composition for mode {mode!r}")
-
-
-def _eager_edge_message(mode, scorer, state, u, r, v, position):
-    """Message an entity receives from one incident edge (u, r, v);
-    position says whether the receiver is the tail or the head."""
-    ent, rel = state.entity, state.relation
-    if mode == "kegcn":
-        if position == "tail":
-            return scorer.grad_tail(ent[u], rel[r], ent[v])
-        return scorer.grad_head(ent[u], rel[r], ent[v])
-    if mode.startswith("compgcn"):
-        neighbor = ent[u] if position == "tail" else ent[v]
-        return _phi_eager(mode, neighbor, rel[r])
-    # rgcn / wgcn: the neighbor embedding itself
-    return ent[u] if position == "tail" else ent[v]
-
-
-def _apply_transform(g: np.ndarray, params: LayerParams, r: int) -> np.ndarray:
-    if params.w_per_rel is not None:
-        return g @ params.w_per_rel[r]
-    if params.rel_scale is not None:
-        return (params.rel_scale[r, 0] * g) @ params.w
-    return g @ params.w
-
-
-def entity_message(graph: KnowledgeGraph, state: EmbeddingState, scorer: Optional[Scorer],
-                   v: int, params: LayerParams, mode: str = "kegcn") -> np.ndarray:
-    """Transformed, degree-normalized message sum for one entity."""
-    out_w = (params.w_per_rel if params.w is None else params.w).shape[-1]
-    acc = np.zeros(out_w)
-    for u, r in graph.in_adj[v]:
-        g = _eager_edge_message(mode, scorer, state, u, r, v, "tail")
-        acc += _apply_transform(g, params, r)
-    for u, r in graph.out_adj[v]:
-        g = _eager_edge_message(mode, scorer, state, v, r, u, "head")
-        acc += _apply_transform(g, params, r)
-    factor = 1.0 if params.alpha is None else degree_norm(graph, v, params.alpha)
-    return factor * acc
-
-
-def relation_message(graph: KnowledgeGraph, state: EmbeddingState, scorer: Optional[Scorer],
-                     r: int, params: LayerParams, mode: str = "kegcn") -> np.ndarray:
-    """Degree-normalized sum of d f / d h_r over the edges labeled r."""
-    width = state.relation.shape[1]
-    if mode != "kegcn":
-        return np.zeros(width)
-    acc = np.zeros(width)
-    for u, v in graph.rel_index[r]:
-        acc += scorer.grad_rel(state.entity[u], state.relation[r], state.entity[v])
-    factor = 1.0 if params.alpha is None else relation_norm(graph, r, params.alpha)
-    return factor * acc
-
-
-def layer_forward(graph: KnowledgeGraph, state: EmbeddingState, params: LayerParams,
-                  scorer: Optional[Scorer], mode: str = "kegcn") -> EmbeddingState:
-    """Reference per-entity implementation of one synchronous layer."""
-    w_self = params.w0 if params.w0 is not None else params.w
-    new_ent = np.zeros((graph.num_entities, w_self.shape[1]))
-    for v in range(graph.num_entities):
-        m = entity_message(graph, state, scorer, v, params, mode)
-        new_ent[v] = numerics.activation(params.act_ent, m + state.entity[v] @ w_self)
-    new_rel = None
-    if state.relation is not None and params.w_rel is not None:
-        new_rel = np.zeros((graph.num_relations, params.w_rel.shape[1]))
-        for r in range(graph.num_relations):
-            if mode == "kegcn":
-                mr = relation_message(graph, state, scorer, r, params, mode)
-                pre = (mr + state.relation[r]) @ params.w_rel
-            else:
-                pre = state.relation[r] @ params.w_rel
-            new_rel[r] = numerics.activation(params.act_rel, pre)
-    return EmbeddingState(new_ent, new_rel)
-
-
 # ---------------- batched tape path (production) ----------------
 
 
 class LayerVars(NamedTuple):
+    """One layer's weights on a tape.  The field names are the names of
+    the layer weights everywhere: LayerParams attributes, named
+    parameters and checkpoint sections."""
+
     w: Optional[Variable]
     w0: Optional[Variable]
     w_rel: Optional[Variable]
@@ -268,9 +171,13 @@ class LayerVars(NamedTuple):
     rel_scale: Optional[Variable]
 
 
-def lift_params(tape: Tape, p: LayerParams) -> LayerVars:
-    lift = lambda a: None if a is None else tape.leaf(a)
-    return LayerVars(lift(p.w), lift(p.w0), lift(p.w_rel), lift(p.w_per_rel), lift(p.rel_scale))
+def lift_params(tape: Tape, p: LayerParams, leaves=None) -> LayerVars:
+    """The layer's weights as tape leaves, in LayerVars field order; with
+    `leaves`, an iterator over leaves already recorded in that order (layer
+    by layer), the weights take those instead."""
+    take = tape.leaf if leaves is None else (lambda _: next(leaves))
+    return LayerVars(*(None if getattr(p, f) is None else take(getattr(p, f))
+                       for f in LayerVars._fields))
 
 
 def _edge_messages_tape(tape, mode, scorer, U, Re, V):
@@ -376,78 +283,3 @@ def model_forward(graph: KnowledgeGraph, state: EmbeddingState,
         ]
     e, r = out
     return EmbeddingState(e.value, None if r is None else r.value)
-
-
-# ---------------- printed baselines (equivalence oracles) ----------------
-
-
-def baseline_forward(kind: str, graph: KnowledgeGraph, state: EmbeddingState,
-                     params: LayerParams) -> EmbeddingState:
-    """Literal transcription of one printed baseline layer; no
-    normalization.  Used only as the oracle side of verify_reduction."""
-    if kind not in REDUCTION_MODES:
-        raise ValueError(f"no baseline for mode {kind!r}")
-    ent, rel = state.entity, state.relation
-    w_self = params.w if kind == "wgcn" else params.w0
-    new_ent = np.zeros((graph.num_entities, w_self.shape[1]))
-    for v in range(graph.num_entities):
-        m = np.zeros(w_self.shape[1])
-        for adj, pos in ((graph.in_adj[v], "in"), (graph.out_adj[v], "out")):
-            for u, r in adj:
-                if kind.startswith("compgcn"):
-                    m = m + _phi_eager(kind, ent[u], rel[r]) @ params.w_per_rel[r]
-                elif kind == "rgcn":
-                    m = m + ent[u] @ params.w_per_rel[r]
-                else:
-                    m = m + (params.rel_scale[r, 0] * ent[u]) @ params.w
-        new_ent[v] = numerics.activation(params.act_ent, m + ent[v] @ w_self)
-    new_rel = None
-    if kind.startswith("compgcn"):
-        new_rel = rel @ params.w_rel
-    return EmbeddingState(new_ent, new_rel)
-
-
-def verify_reduction(mode: str, graph: KnowledgeGraph, seed: int,
-                     layers: int = 3, dim: int = 8) -> float:
-    """Max absolute discrepancy, over all layers, between the generic
-    layer configured per the corresponding reduction and the literal
-    baseline, on one random instance."""
-    if mode not in REDUCTION_MODES:
-        raise ValueError(f"verify_reduction expects a reduction mode, got {mode!r}")
-    rng = RandomSource(seed)
-    n, rn = graph.num_entities, graph.num_relations
-    ent = truncated_normal_fill((n, dim), rng)
-    rel = truncated_normal_fill((rn, dim), rng) if mode.startswith("compgcn") else None
-    params = []
-    for _ in range(layers):
-        if mode.startswith("compgcn"):
-            p = LayerParams(
-                w_per_rel=truncated_normal_fill((rn, dim, dim), rng, width=dim),
-                w0=truncated_normal_fill((dim, dim), rng, width=dim),
-                w_rel=truncated_normal_fill((dim, dim), rng, width=dim),
-                act_ent="relu",
-                act_rel="identity",
-            )
-        elif mode == "rgcn":
-            p = LayerParams(
-                w_per_rel=truncated_normal_fill((rn, dim, dim), rng, width=dim),
-                w0=truncated_normal_fill((dim, dim), rng, width=dim),
-                act_ent="relu",
-            )
-        else:
-            p = LayerParams(
-                w=truncated_normal_fill((dim, dim), rng, width=dim),
-                rel_scale=rng.normal((rn, 1)),
-                act_ent="relu",
-            )
-        params.append(p)
-    state = EmbeddingState(ent, rel)
-    generic = model_forward(graph, state, params, mode=mode, collect=True)
-    worst = 0.0
-    base = state
-    for layer_state, p in zip(generic, params):
-        base = baseline_forward(mode, graph, base, p)
-        worst = max(worst, float(np.max(np.abs(layer_state.entity - base.entity))))
-        if base.relation is not None:
-            worst = max(worst, float(np.max(np.abs(layer_state.relation - base.relation))))
-    return worst

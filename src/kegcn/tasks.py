@@ -20,6 +20,7 @@ from .autodiff import Tape, Variable
 from .graph import KnowledgeGraph
 from .numerics import RandomSource, sigmoid, softmax_row
 from .propagation import (
+    MODES,
     EmbeddingState,
     LayerParams,
     LayerVars,
@@ -28,8 +29,10 @@ from .propagation import (
     forward_on_tape,
     init_params,
     init_state,
+    lift_params,
     model_forward,
 )
+from .scorers import SCORERS
 from . import metrics as metrics_mod
 
 
@@ -78,16 +81,20 @@ class LabelSet:
 
 @dataclass
 class TrainConfig:
-    mode: str = "kegcn"
-    scorer: str = "transe"
+    """Training hyperparameters.  Every field is also a config-file key and
+    a training flag, in this order, typed by its default; `choices`
+    metadata lists the values a string field accepts."""
+
+    mode: str = field(default="kegcn", metadata={"choices": MODES})
+    scorer: str = field(default="transe", metadata={"choices": tuple(sorted(SCORERS))})
     dim: int = 200
     layers: int = 4
-    alpha: float = 0.3
     lr: float = 0.01
-    epochs: int = 1000
-    patience: int = 50
+    alpha: float = 0.3
     gamma: float = 3.0
     negatives: int = 5
+    epochs: int = 1000
+    patience: int = 50
     seed: int = 0
 
     def __post_init__(self):
@@ -209,45 +216,17 @@ class Adam:
 # ---------------- parameter plumbing ----------------
 
 
-def named_parameters(params_list: list[LayerParams], tables: dict) -> dict:
-    out: dict = {}
-    for i, p in enumerate(params_list):
-        for suffix, arr in (("w", p.w), ("w0", p.w0), ("wrel", p.w_rel),
-                            ("wstack", p.w_per_rel), ("relscale", p.rel_scale)):
-            if arr is not None:
-                out[f"layer{i}.{suffix}"] = arr
+def named_parameters(params_list: list, tables: dict) -> dict:
+    """`layer{i}.{LayerVars field}` for every layer weight, then
+    `{table}.entity` and `{table}.relation`; the members may be arrays
+    (LayerParams, EmbeddingState) or their tape leaves (LayerVars)."""
+    out = {f"layer{i}.{f}": getattr(p, f) for i, p in enumerate(params_list)
+           for f in LayerVars._fields if getattr(p, f) is not None}
     for gname, st in tables.items():
         out[f"{gname}.entity"] = st.entity
         if st.relation is not None:
             out[f"{gname}.relation"] = st.relation
     return out
-
-
-def _lift_all(tape: Tape, params_list: list[LayerParams], tables: dict):
-    pvars: dict = {}
-    lvs = []
-    for i, p in enumerate(params_list):
-        members = {}
-        for suffix, arr in (("w", p.w), ("w0", p.w0), ("wrel", p.w_rel),
-                            ("wstack", p.w_per_rel), ("relscale", p.rel_scale)):
-            if arr is None:
-                members[suffix] = None
-            else:
-                var = tape.leaf(arr)
-                pvars[f"layer{i}.{suffix}"] = var
-                members[suffix] = var
-        lvs.append(LayerVars(members["w"], members["w0"], members["wrel"],
-                             members["wstack"], members["relscale"]))
-    tvars: dict = {}
-    for gname, st in tables.items():
-        ev = tape.leaf(st.entity)
-        pvars[f"{gname}.entity"] = ev
-        rv = None
-        if st.relation is not None:
-            rv = tape.leaf(st.relation)
-            pvars[f"{gname}.relation"] = rv
-        tvars[gname] = (ev, rv)
-    return pvars, lvs, tvars
 
 
 # ---------------- evaluation ----------------
@@ -266,25 +245,25 @@ def l1_cdist(a: np.ndarray, b: np.ndarray, chunk: Optional[int] = None) -> np.nd
     return out
 
 
-def _direction_ranks(h_src: np.ndarray, h_dst: np.ndarray, pairs: np.ndarray,
-                     src_col: int) -> np.ndarray:
-    dst_col = 1 - src_col
-    dist = l1_cdist(h_src[pairs[:, src_col]], h_dst)
-    return metrics_mod.ranks_from_distance_matrix(dist, pairs[:, dst_col])
+def _two_way_ranking(x1: np.ndarray, x2: np.ndarray, pairs) -> dict:
+    """MRR / Hits@1 / Hits@10 of the pairs' partners, ranked among every
+    row of x2 for each x1 row and back, averaged over both directions."""
+    pairs = np.asarray(pairs, dtype=np.int64)
+    fwd, bwd = (metrics_mod.ranks_from_distance_matrix(
+        l1_cdist(src[pairs[:, col]], dst), pairs[:, 1 - col])
+        for col, src, dst in ((0, x1, x2), (1, x2, x1)))
+    return {
+        "mrr": 0.5 * (metrics_mod.mrr(fwd) + metrics_mod.mrr(bwd)),
+        "hits1": 0.5 * (metrics_mod.hits_at_k(fwd, 1) + metrics_mod.hits_at_k(bwd, 1)),
+        "hits10": 0.5 * (metrics_mod.hits_at_k(fwd, 10) + metrics_mod.hits_at_k(bwd, 10)),
+    }
 
 
 def evaluate_alignment(state1: EmbeddingState, state2: EmbeddingState,
                        pairs) -> dict:
     """MRR / Hits@1 / Hits@10 averaged over both ranking directions,
     candidate pool = every entity of the target graph."""
-    pairs = np.asarray(pairs, dtype=np.int64)
-    fwd = _direction_ranks(state1.entity, state2.entity, pairs, 0)
-    bwd = _direction_ranks(state2.entity, state1.entity, pairs, 1)
-    return {
-        "mrr": 0.5 * (metrics_mod.mrr(fwd) + metrics_mod.mrr(bwd)),
-        "hits1": 0.5 * (metrics_mod.hits_at_k(fwd, 1) + metrics_mod.hits_at_k(bwd, 1)),
-        "hits10": 0.5 * (metrics_mod.hits_at_k(fwd, 10) + metrics_mod.hits_at_k(bwd, 10)),
-    }
+    return _two_way_ranking(state1.entity, state2.entity, pairs)
 
 
 def zero_shot_relation_alignment(state1: EmbeddingState, state2: EmbeddingState,
@@ -294,14 +273,7 @@ def zero_shot_relation_alignment(state1: EmbeddingState, state2: EmbeddingState,
     if state1.relation is None or state2.relation is None:
         raise UnsupportedModeError(
             "relation alignment needs a mode with relation embeddings")
-    pairs = np.asarray(rel_pairs, dtype=np.int64)
-    fwd = _direction_ranks(state1.relation, state2.relation, pairs, 0)
-    bwd = _direction_ranks(state2.relation, state1.relation, pairs, 1)
-    return {
-        "mrr": 0.5 * (metrics_mod.mrr(fwd) + metrics_mod.mrr(bwd)),
-        "hits1": 0.5 * (metrics_mod.hits_at_k(fwd, 1) + metrics_mod.hits_at_k(bwd, 1)),
-        "hits10": 0.5 * (metrics_mod.hits_at_k(fwd, 10) + metrics_mod.hits_at_k(bwd, 10)),
-    }
+    return _two_way_ranking(state1.relation, state2.relation, rel_pairs)
 
 
 def evaluate_classification(scores: np.ndarray, label_set: LabelSet,
@@ -350,13 +322,58 @@ class ClassificationResult:
     losses: list
 
 
-def _snapshot(params: dict) -> dict:
-    return {k: v.copy() for k, v in params.items()}
+def fit(graphs: dict, mc: ModelConfig, cfg: TrainConfig, loss_fn: Callable,
+        metric_fn: Optional[Callable], progress: Optional[Callable]):
+    """The training loop of both tasks.  Initializes the shared layer stack
+    and one embedding table per graph; each epoch records one tape with the
+    stack over every graph (in `graphs` order) and
+    loss_fn(tape, rng, *outputs), backpropagates, scores validation with
+    metric_fn(*output values) when given, snapshots the best-scoring
+    parameters, steps Adam, and stops after `patience` epochs without a
+    new best.  The best snapshot is restored before the final forward.
+    Returns (params, tables, final states, best metric, best epoch,
+    epochs run, losses)."""
+    scorer = config_scorer(mc)
+    rng = RandomSource(cfg.seed)
+    params_list = init_params(mc, max(g.num_relations for g in graphs.values()), rng)
+    tables = {name: init_state(mc, g, rng) for name, g in graphs.items()}
+    named = named_parameters(params_list, tables)
+    adam = Adam(cfg.lr)
+    best_metric, best_epoch, best_snap, losses = None, 0, None, []
+    epochs_run = 0
+    for epoch in range(cfg.epochs):
+        epochs_run = epoch + 1
+        tape = Tape()
+        lvs = [lift_params(tape, p) for p in params_list]
+        tvars = {name: EmbeddingState(tape.leaf(st.entity), None if st.relation is None
+                                      else tape.leaf(st.relation))
+                 for name, st in tables.items()}
+        outs = [forward_on_tape(tape, g, mc.mode, scorer, params_list, lvs,
+                                tvars[name].entity, tvars[name].relation)[0]
+                for name, g in graphs.items()]
+        loss = loss_fn(tape, rng, *outs)
+        losses.append(_finite_loss(loss, epoch))
+        grads = tape.backward(loss)
 
+        metric = None
+        if metric_fn is not None:
+            metric = metric_fn(*(h.value for h in outs))
+            if best_metric is None or metric > best_metric:
+                best_metric, best_epoch = metric, epoch
+                best_snap = {k: v.copy() for k, v in named.items()}  # the parameters just scored
+        pvars = named_parameters(lvs, tvars)
+        adam.step(named, {name: grads[var] for name, var in pvars.items()})
+        if progress is not None:
+            progress(epoch, losses[-1], metric)
+        if metric_fn is not None and epoch - best_epoch >= cfg.patience:
+            break
 
-def _restore(params: dict, snap: dict) -> None:
-    for k, v in params.items():
-        v[...] = snap[k]
+    if best_snap is not None:
+        for k, v in named.items():
+            v[...] = best_snap[k]
+    final = {name: model_forward(g, tables[name], params_list, mode=mc.mode, scorer=scorer)
+             for name, g in graphs.items()}
+    return params_list, tables, final, best_metric, best_epoch, epochs_run, losses
 
 
 def train_alignment(g1: KnowledgeGraph, g2: KnowledgeGraph, seeds: AlignmentSeeds,
@@ -364,57 +381,20 @@ def train_alignment(g1: KnowledgeGraph, g2: KnowledgeGraph, seeds: AlignmentSeed
                     progress: Optional[Callable] = None) -> AlignmentResult:
     if not seeds.train:
         raise ValueError("empty training set")
-    mc = cfg.model_config()
-    scorer = config_scorer(mc)
-    rng = RandomSource(cfg.seed)
-    num_rel = max(g1.num_relations, g2.num_relations)
-    params_list = init_params(mc, num_rel, rng)
-    init1 = init_state(mc, g1, rng)
-    init2 = init_state(mc, g2, rng)
-    tables = {"g1": init1, "g2": init2}
-    named = named_parameters(params_list, tables)
-    adam = Adam(cfg.lr)
     positives = np.asarray(seeds.train, dtype=np.int64)
-    valid = np.asarray(seeds.valid, dtype=np.int64) if seeds.valid else None
+    valid = np.asarray(seeds.valid, dtype=np.int64)
 
-    best_metric = None
-    best_epoch = 0
-    best_snap = None
-    losses = []
-    epochs_run = 0
-    for epoch in range(cfg.epochs):
-        epochs_run = epoch + 1
+    def loss_fn(tape, rng, h1, h2):
         neg_u, neg_v = sample_negatives(positives, cfg.negatives,
                                         g1.num_entities, g2.num_entities, rng)
-        tape = Tape()
-        pvars, lvs, tvars = _lift_all(tape, params_list, tables)
-        h1, _ = forward_on_tape(tape, g1, mc.mode, scorer, params_list, lvs, *tvars["g1"])
-        h2, _ = forward_on_tape(tape, g2, mc.mode, scorer, params_list, lvs, *tvars["g2"])
-        loss = alignment_loss(tape, h1, h2, positives, neg_u, neg_v, cfg.gamma)
-        losses.append(_finite_loss(loss, epoch))
-        grads = tape.backward(loss)
+        return alignment_loss(tape, h1, h2, positives, neg_u, neg_v, cfg.gamma)
 
-        hits1 = None
-        if valid is not None:
-            s1 = EmbeddingState(h1.value, None)
-            s2 = EmbeddingState(h2.value, None)
-            hits1 = evaluate_alignment(s1, s2, valid)["hits1"]
-            if best_metric is None or hits1 > best_metric:
-                best_metric = hits1
-                best_epoch = epoch
-                best_snap = _snapshot(named)  # the parameters just scored
-        adam.step(named, {name: grads[var] for name, var in pvars.items()})
-        if progress is not None:
-            progress(epoch, losses[-1], hits1)
-        if valid is not None and epoch - best_epoch >= cfg.patience:
-            break
+    def metric_fn(h1, h2):
+        return evaluate_alignment(EmbeddingState(h1), EmbeddingState(h2), valid)["hits1"]
 
-    if best_snap is not None:
-        _restore(named, best_snap)
-    final1 = model_forward(g1, init1, params_list, mode=mc.mode, scorer=scorer)
-    final2 = model_forward(g2, init2, params_list, mode=mc.mode, scorer=scorer)
-    return AlignmentResult(params_list, init1, init2, final1, final2,
-                           best_metric, best_epoch, epochs_run, losses)
+    params, tables, final, *rest = fit({"g1": g1, "g2": g2}, cfg.model_config(), cfg,
+                                       loss_fn, metric_fn if seeds.valid else None, progress)
+    return AlignmentResult(params, tables["g1"], tables["g2"], final["g1"], final["g2"], *rest)
 
 
 def train_classification(g: KnowledgeGraph, label_set: LabelSet, cfg: TrainConfig,
@@ -423,53 +403,24 @@ def train_classification(g: KnowledgeGraph, label_set: LabelSet, cfg: TrainConfi
         raise ValueError("classification needs at least one class")
     if not label_set.train:
         raise ValueError("empty training set")
-    mc = cfg.model_config(out_dim=label_set.num_classes)
-    scorer = config_scorer(mc)
-    rng = RandomSource(cfg.seed)
-    params_list = init_params(mc, g.num_relations, rng)
-    init = init_state(mc, g, rng)
-    tables = {"g": init}
-    named = named_parameters(params_list, tables)
-    adam = Adam(cfg.lr)
-    train_ids = list(label_set.train)
-    valid_ids = list(label_set.valid)
+    train_ids, valid_ids = list(label_set.train), list(label_set.valid)
     metric_key = "p1" if label_set.multi_label else "accuracy"
 
-    best_metric = None
-    best_epoch = 0
-    best_snap = None
-    losses = []
-    epochs_run = 0
-    for epoch in range(cfg.epochs):
-        epochs_run = epoch + 1
-        tape = Tape()
-        pvars, lvs, tvars = _lift_all(tape, params_list, tables)
-        logits, _ = forward_on_tape(tape, g, mc.mode, scorer, params_list, lvs, *tvars["g"])
-        loss = classification_loss(tape, logits, label_set, train_ids)
-        losses.append(_finite_loss(loss, epoch))
-        grads = tape.backward(loss)
+    def loss_fn(tape, rng, logits):
+        return classification_loss(tape, logits, label_set, train_ids)
 
-        metric = None
-        if valid_ids:
-            scores = _scores_from_logits(logits.value, label_set.multi_label)
-            metric = evaluate_classification(scores, label_set, valid_ids)[metric_key]
-            if best_metric is None or metric > best_metric:
-                best_metric = metric
-                best_epoch = epoch
-                best_snap = _snapshot(named)  # the parameters just scored
-        adam.step(named, {name: grads[var] for name, var in pvars.items()})
-        if progress is not None:
-            progress(epoch, losses[-1], metric)
-        if valid_ids and epoch - best_epoch >= cfg.patience:
-            break
+    def metric_fn(logits):
+        scores = scores_from_logits(logits, label_set.multi_label)
+        return evaluate_classification(scores, label_set, valid_ids)[metric_key]
 
-    if best_snap is not None:
-        _restore(named, best_snap)
-    final = model_forward(g, init, params_list, mode=mc.mode, scorer=scorer)
-    scores = _scores_from_logits(final.entity, label_set.multi_label)
-    return ClassificationResult(params_list, init, final.entity, scores,
-                                best_metric, best_epoch, epochs_run, losses)
+    mc = cfg.model_config(out_dim=label_set.num_classes)
+    params, tables, final, *rest = fit({"g": g}, mc, cfg, loss_fn,
+                                       metric_fn if valid_ids else None, progress)
+    logits = final["g"].entity
+    return ClassificationResult(params, tables["g"], logits,
+                                scores_from_logits(logits, label_set.multi_label), *rest)
 
 
-def _scores_from_logits(logits: np.ndarray, multi_label: bool) -> np.ndarray:
+def scores_from_logits(logits: np.ndarray, multi_label: bool) -> np.ndarray:
+    """Class scores of logits: sigmoid per class (multi-label) or softmax."""
     return sigmoid(logits) if multi_label else softmax_row(logits)

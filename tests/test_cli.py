@@ -1,11 +1,18 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from kegcn import cli
+from kegcn import io as io_mod
+from kegcn.graph import build_graph
 from kegcn.io import read_report
 from kegcn.numerics import RandomSource
+from kegcn.propagation import init_params, init_state
+from kegcn.tasks import TrainConfig
 
 
 def write_ring_dataset(tmp_path, n=14, r=2, prefix="g1"):
@@ -203,3 +210,85 @@ def test_config_file_drives_training(tmp_path):
         f"dim = 4\nlayers = 2\nepochs = 3\nreport = {report}\n")
     assert cli.main(["train-align", "--config", str(cfg), "--quiet"]) == 0
     assert report.exists()
+
+
+def _flags(command):
+    parser = cli.build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [s for a in subs.choices[command]._actions for s in a.option_strings]
+
+
+TRAIN_FLAGS = ["-h", "--help", "--config", "--graph1", "--graph2", "--train", "--valid",
+               "--test", "--rel-test", "--report", "--checkpoint", "--mode", "--scorer",
+               "--dim", "--layers", "--lr", "--alpha", "--gamma", "--negatives",
+               "--epochs", "--patience", "--seed", "--runs", "--quiet"]
+
+
+def test_cli_surface_flag_names_and_order():
+    assert _flags("train-align") == TRAIN_FLAGS
+    assert _flags("train-classify") == TRAIN_FLAGS
+    assert _flags("eval") == ["-h", "--help", "--checkpoint", "--graph1", "--graph2",
+                              "--train", "--valid", "--test", "--report"]
+
+
+def test_every_train_config_field_round_trips(tmp_path):
+    want = TrainConfig(mode="wgcn", scorer="rotate", dim=6, layers=3, lr=0.02, alpha=0.4,
+                       gamma=2.5, negatives=7, epochs=11, patience=13, seed=17)
+    items = [(f.name, getattr(want, f.name)) for f in fields(TrainConfig)]
+    # every value differs from its default, so a dropped key shows
+    assert all(v != f.default for f, (_, v) in zip(fields(TrainConfig), items))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in items))
+    from_file = io_mod.parse_config(str(cfg), {"task": "classify"})
+    args = cli.build_parser().parse_args(
+        ["train-classify"] + [s for k, v in items for s in (f"--{k}", str(v))])
+    from_flags = io_mod.parse_config(None, {**cli._overrides(args), "task": "classify"})
+    mc = want.model_config(out_dim=2)
+    rng = RandomSource(0)
+    g = build_graph([(0, 0, 1), (1, 1, 2)], 3, 2)
+    ckpt = tmp_path / "m.ckpt"
+    io_mod.save_checkpoint(str(ckpt), io_mod.pack_model(
+        from_flags, init_params(mc, 2, rng), {"g": init_state(mc, g, rng)}, None))
+    unpacked = io_mod.unpack_model(io_mod.load_checkpoint(str(ckpt)))[0]
+    for values in (from_file, from_flags, unpacked):
+        assert io_mod.train_config(values) == want
+        assert all(type(values[k]) is type(v) for k, v in items)
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["verify-reductions", "--runs", "0"], "--runs"),
+    (["gradcheck", "--scorer", "transe", "--points", "0"], "--points"),
+])
+def test_count_option_below_one_exits_1(argv, option, capsys):
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and option in err
+
+
+@pytest.mark.parametrize("command", ["train-align", "train-classify"])
+def test_train_runs_below_one_exits_1(tmp_path, capsys, command):
+    g = write_ring_dataset(tmp_path, prefix="g")
+    train = write_pairs(tmp_path, "train.tsv", [(i, i % 2) for i in range(8)])
+    assert cli.main([command, "--graph1", str(g), "--graph2", str(g), "--train", str(train),
+                     "--dim", "4", "--layers", "2", "--epochs", "2", "--runs", "0",
+                     "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "runs" in err
+
+
+@pytest.mark.parametrize("mode", ["kegcn", "rgcn", "wgcn"])
+def test_eval_rejects_graph_with_relation_beyond_checkpoint(tmp_path, capsys, mode):
+    g = write_ring_dataset(tmp_path, r=3, prefix="g")
+    train = write_pairs(tmp_path, "train.tsv", [(i, i % 2) for i in range(8)])
+    ckpt = tmp_path / "model.ckpt"
+    assert cli.main(["train-classify", "--graph1", str(g), "--train", str(train),
+                     "--mode", mode, "--dim", "8", "--layers", "2", "--epochs", "2",
+                     "--checkpoint", str(ckpt), "--quiet"]) == 0
+    capsys.readouterr()
+    wider = tmp_path / "wider.tsv"
+    wider.write_text(g.read_text() + "0\t3\t1\n")
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--graph1", str(wider),
+                     "--train", str(train)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "cover" in err and "3 relations" in err
+

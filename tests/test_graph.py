@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
+from eager_oracle import degree_norm, relation_norm
 from kegcn.graph import (
     GraphError,
     Triple,
     build_graph,
-    degree_norm,
     entity_norm_factors,
-    relation_norm,
     relation_norm_factors,
 )
 from kegcn.numerics import RandomSource

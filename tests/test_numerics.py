@@ -10,9 +10,6 @@ from kegcn.numerics import (
     complex_conjugate,
     complex_elementwise_product,
     hamilton_product,
-    l1_distance,
-    l2_norm_sq,
-    matvec,
     quaternion_conjugate,
     sigmoid,
     softmax_row,
@@ -152,14 +149,6 @@ def test_circular_convolution_is_correlation_adjoint():
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 
 
-def test_matvec():
-    assert np.array_equal(matvec(np.eye(2), [3.0, 4.0]), [3.0, 4.0])
-    assert np.array_equal(matvec([[1.0, 2.0], [3.0, 4.0]], [1.0, 1.0]), [3.0, 7.0])
-    assert np.array_equal(matvec([[0.0, 0.0]], [5.0, 6.0]), [0.0])
-    with pytest.raises(DimensionError):
-        matvec(np.eye(2), [1.0, 2.0, 3.0])
-
-
 def test_activations():
     assert np.array_equal(activation("relu", [-1.0, 0.0, 2.0]), [0.0, 0.0, 2.0])
     assert activation("sigmoid", np.array([0.0]))[0] == 0.5
@@ -210,14 +199,6 @@ def test_truncated_normal_mean():
 def test_truncated_normal_bad_shape():
     with pytest.raises(DimensionError):
         truncated_normal_fill((0, 3), RandomSource(1))
-
-
-def test_distances():
-    assert l1_distance([1.0, 2.0], [1.0, 2.0]) == 0.0
-    assert l1_distance([1.0, 0.0], [0.0, 2.0]) == 3.0
-    assert l2_norm_sq([3.0, 4.0]) == 25.0
-    with pytest.raises(DimensionError):
-        l1_distance(np.zeros(2), np.zeros(3))
 
 
 def test_unit_project():

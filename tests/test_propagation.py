@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from eager_oracle import entity_message, layer_forward, relation_message
 from kegcn.autodiff import Tape, finite_diff_check
+from kegcn.checks import baseline_forward, verify_reduction
 from kegcn.graph import build_graph
 from kegcn.numerics import RandomSource, activation
 from kegcn.propagation import (
@@ -9,19 +11,14 @@ from kegcn.propagation import (
     LayerParams,
     LayerVars,
     ModelConfig,
-    baseline_forward,
     config_scorer,
-    entity_message,
     entity_width,
     forward_on_tape,
     init_params,
     init_state,
-    layer_forward,
     lift_params,
     model_forward,
-    relation_message,
     relation_width,
-    verify_reduction,
 )
 from kegcn.scorers import SCORERS, make_scorer
 

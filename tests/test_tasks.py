@@ -1,5 +1,8 @@
 """Tests for losses, negative sampling, Adam, and the training loops."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -472,6 +475,35 @@ def test_train_classification_restores_the_scored_checkpoint():
     assert res.epochs_run < 200
     rescored = evaluate_classification(res.scores, label_set, label_set.valid)["accuracy"]
     assert rescored == res.best_valid_metric
+
+
+# ---------------- benchmark tracing hooks ----------------
+
+
+def test_perfbench_tracing_patch_points_resolve():
+    # perfbench/tracing.py patches module attributes of the package by name
+    # (tasks.forward_on_tape, tasks.sample_negatives, io.build_graph, ...);
+    # a renamed or dropped one breaks only traced benchmark runs
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    g1, g2, seeds = small_alignment_instance()
+    g = ring_graph(10, 2)
+    labels = LabelSet({i: (i % 3,) for i in range(6)}, 3, False,
+                      train=[0, 1, 2, 3], valid=[4, 5])
+    cfg = TrainConfig(dim=4, layers=2, epochs=2)
+    runs = {"tasks.negatives": lambda: train_alignment(g1, g2, seeds, cfg),
+            "tasks.final_forward": lambda: train_classification(g, labels, cfg)}
+    for extra, run in runs.items():
+        tr = tracing.Tracer()
+        # entering looks up every patched name
+        with tracing.instrument(tr):
+            run()
+        names = {span[0] for span in tr.spans}
+        assert {"tasks.loss", "tasks.valid", "tasks.adam", "propagation.layer0",
+                "propagation.layer1", extra} <= names, names
+        assert any(m[0] == "propagation.layer0.tape_nodes" for m in tr.marks)
 
 
 # ---------------- diverged runs ----------------
