@@ -148,18 +148,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
     mc = io_mod.train_config(values).model_config()
     scorer = config_scorer(mc)
     t0 = time.perf_counter()
-    if values["task"] == "align":
-        bundle = io_mod.load_alignment_bundle(values)
-        names = ("g1", "g2")
-    else:
-        bundle = io_mod.load_classification_bundle(values)
-        names = ("g",)
-    graphs = dict(zip(names, bundle.graphs))
+    align = values["task"] == "align"
+    bundle = (io_mod.load_alignment_bundle if align
+              else io_mod.load_classification_bundle)(values)
+    graphs = dict(zip(("g1", "g2") if align else ("g",), bundle.graphs))
     for gname, g in graphs.items():
         _check_model_fits(gname, tables[gname], g, params_list)
     finals = [model_forward(g, tables[gname], params_list, mode=mc.mode, scorer=scorer)
               for gname, g in graphs.items()]
-    if values["task"] == "align":
+    if align:
         pairs = bundle.seeds.test or bundle.seeds.valid or bundle.seeds.train
         if not pairs:
             raise io_mod.DataError("no seed pairs to evaluate")

@@ -348,6 +348,7 @@ def fit(graphs: dict, mc: ModelConfig, cfg: TrainConfig, loss_fn: Callable,
         tvars = {name: EmbeddingState(tape.leaf(st.entity), None if st.relation is None
                                       else tape.leaf(st.relation))
                  for name, st in tables.items()}
+        pvars = named_parameters(lvs, tvars)
         outs = [forward_on_tape(tape, g, mc.mode, scorer, params_list, lvs,
                                 tvars[name].entity, tvars[name].relation)[0]
                 for name, g in graphs.items()]
@@ -361,7 +362,6 @@ def fit(graphs: dict, mc: ModelConfig, cfg: TrainConfig, loss_fn: Callable,
             if best_metric is None or metric > best_metric:
                 best_metric, best_epoch = metric, epoch
                 best_snap = {k: v.copy() for k, v in named.items()}  # the parameters just scored
-        pvars = named_parameters(lvs, tvars)
         adam.step(named, {name: grads[var] for name, var in pvars.items()})
         if progress is not None:
             progress(epoch, losses[-1], metric)
