@@ -279,8 +279,8 @@ class Tape:
     # ---- structured algebra ----
 
     def complex_mul(self, a: Variable, b: Variable, conj_b: bool = False) -> Variable:
-        """a * b entrywise, or a * conj(b) with conj_b: bitwise the product
-        with a complex_conj node, without the node."""
+        """a * b entrywise, or a * conj(b) with conj_b, without a
+        conjugate node."""
         av, bv = a.value, b.value
 
         def vjp(g):
@@ -295,18 +295,10 @@ class Tape:
             "complex_mul"
         )
 
-    def complex_conj(self, a: Variable) -> Variable:
-        return self._record(
-            numerics.complex_conjugate(a.value),
-            (a,),
-            lambda g: (numerics.complex_conjugate(g),),
-            "complex_conj",
-        )
-
     def quat_mul(self, p: Variable, q: Variable, conj_p: bool = False,
                  conj_q: bool = False) -> Variable:
-        """Hamilton product p q; conj_p / conj_q conjugate that factor, bitwise
-        as a quat_conj node would, without the node."""
+        """Hamilton product p q; conj_p / conj_q conjugate that factor
+        without a conjugate node."""
         pv, qv = p.value, q.value
 
         def vjp(g):
@@ -317,14 +309,6 @@ class Tape:
 
         return self._record(numerics.hamilton_product(pv, qv, conj_p, conj_q), (p, q), vjp,
                             "quat_mul")
-
-    def quat_conj(self, p: Variable) -> Variable:
-        return self._record(
-            numerics.quaternion_conjugate(p.value),
-            (p,),
-            lambda g: (numerics.quaternion_conjugate(g),),
-            "quat_conj",
-        )
 
     def circular_correlation(self, a: Variable, b: Variable) -> Variable:
         av, bv = a.value, b.value

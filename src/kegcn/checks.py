@@ -1,8 +1,9 @@
 """Numerical verification harnesses: finite-difference suites for scorer
 gradients and whole-model training gradients, and the printed baseline
-layers the reduction modes are checked against.  These are the oracles
-the test suite and the `gradcheck` / `verify-reductions` CLI subcommands
-run; they deliberately avoid the code paths they are checking.
+layers the reduction modes are checked against, which sum per entity over
+the ascending neighbourhoods below.  These are the oracles the test suite
+and the `gradcheck` / `verify-reductions` CLI subcommands run; they
+deliberately avoid the code paths they are checking.
 """
 
 from __future__ import annotations
@@ -188,6 +189,25 @@ def _phi_eager(mode: str, h_neighbor: np.ndarray, h_rel: np.ndarray) -> np.ndarr
     raise ValueError(f"no composition for mode {mode!r}")
 
 
+def _pairs(mask: np.ndarray, a: np.ndarray, b: np.ndarray) -> list:
+    return sorted(zip(a[mask].tolist(), b[mask].tolist()))
+
+
+def in_edges(graph: KnowledgeGraph, v: int) -> list:
+    """(head, relation) of every edge into v, ascending."""
+    return _pairs(graph.tails == v, graph.heads, graph.rels)
+
+
+def out_edges(graph: KnowledgeGraph, v: int) -> list:
+    """(tail, relation) of every edge out of v, ascending."""
+    return _pairs(graph.heads == v, graph.tails, graph.rels)
+
+
+def relation_edges(graph: KnowledgeGraph, r: int) -> list:
+    """(head, tail) of every edge labeled r, ascending."""
+    return _pairs(graph.rels == r, graph.heads, graph.tails)
+
+
 def baseline_forward(kind: str, graph: KnowledgeGraph, state: EmbeddingState,
                      params: LayerParams) -> EmbeddingState:
     """Literal transcription of one printed baseline layer; no
@@ -199,14 +219,13 @@ def baseline_forward(kind: str, graph: KnowledgeGraph, state: EmbeddingState,
     new_ent = np.zeros((graph.num_entities, w_self.shape[1]))
     for v in range(graph.num_entities):
         m = np.zeros(w_self.shape[1])
-        for adj, pos in ((graph.in_adj[v], "in"), (graph.out_adj[v], "out")):
-            for u, r in adj:
-                if kind.startswith("compgcn"):
-                    m = m + _phi_eager(kind, ent[u], rel[r]) @ params.w_per_rel[r]
-                elif kind == "rgcn":
-                    m = m + ent[u] @ params.w_per_rel[r]
-                else:
-                    m = m + (params.rel_scale[r, 0] * ent[u]) @ params.w
+        for u, r in in_edges(graph, v) + out_edges(graph, v):
+            if kind.startswith("compgcn"):
+                m = m + _phi_eager(kind, ent[u], rel[r]) @ params.w_per_rel[r]
+            elif kind == "rgcn":
+                m = m + ent[u] @ params.w_per_rel[r]
+            else:
+                m = m + (params.rel_scale[r, 0] * ent[u]) @ params.w
         new_ent[v] = numerics.activation(params.act_ent, m + ent[v] @ w_self)
     new_rel = None
     if kind.startswith("compgcn"):

@@ -1,9 +1,8 @@
-"""Immutable multi-relational directed graph with the three neighborhood
-indices the propagation layer iterates over."""
+"""Immutable multi-relational directed graph: the deduplicated triples as
+three int64 index columns in canonical order, plus the degree counts the
+propagation layer normalizes by."""
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -12,68 +11,53 @@ class GraphError(ValueError):
     """Invalid triple data handed to the graph builder."""
 
 
-class Triple(NamedTuple):
-    head: int
-    relation: int
-    tail: int
-
-
 class KnowledgeGraph:
-    """Deduplicated triple set plus per-entity and per-relation indices.
-
-    in_adj[v] lists (head, relation) over edges into v; out_adj[v] lists
-    (tail, relation) over edges out of v; rel_index[r] lists (head, tail)
-    over edges labeled r.  All lists ascend lexicographically and the
-    canonical triple order is ascending (head, relation, tail), so every
-    aggregation downstream has one fixed summation order.
+    """Distinct triples as the columns heads, rels and tails, ascending in
+    canonical (head, relation, tail) order, so every aggregation
+    downstream has one fixed summation order; in_degree, out_degree and
+    rel_degree count the edges into, out of and labeled by each id.
 
     flat_cache[name] holds the flat scatter positions of the index array
     `name` (heads, tails or rels), one entry per (width, planes) layout,
     filled by the tape on first use (see `autodiff.scatter_add`).
     """
 
-    def __init__(self, num_entities: int, num_relations: int, triples):
+    def __init__(self, num_entities: int, num_relations: int, heads: np.ndarray,
+                 rels: np.ndarray, tails: np.ndarray):
         self.num_entities = int(num_entities)
         self.num_relations = int(num_relations)
-        self.triples = tuple(triples)
-        self.heads = np.array([t.head for t in self.triples], dtype=np.int64)
-        self.rels = np.array([t.relation for t in self.triples], dtype=np.int64)
-        self.tails = np.array([t.tail for t in self.triples], dtype=np.int64)
+        self.heads, self.rels, self.tails = heads, rels, tails
+        self.in_degree = np.bincount(tails, minlength=self.num_entities)
+        self.out_degree = np.bincount(heads, minlength=self.num_entities)
+        self.rel_degree = np.bincount(rels, minlength=self.num_relations)
         self.flat_cache = {"heads": {}, "tails": {}, "rels": {}}
-        in_adj = [[] for _ in range(self.num_entities)]
-        out_adj = [[] for _ in range(self.num_entities)]
-        rel_index = [[] for _ in range(self.num_relations)]
-        for h, r, t in self.triples:
-            in_adj[t].append((h, r))
-            out_adj[h].append((t, r))
-            rel_index[r].append((h, t))
-        self.in_adj = tuple(tuple(sorted(lst)) for lst in in_adj)
-        self.out_adj = tuple(tuple(sorted(lst)) for lst in out_adj)
-        self.rel_index = tuple(tuple(sorted(lst)) for lst in rel_index)
-        self.in_degree = np.array([len(a) for a in self.in_adj], dtype=np.int64)
-        self.out_degree = np.array([len(a) for a in self.out_adj], dtype=np.int64)
-        self.rel_degree = np.array([len(a) for a in self.rel_index], dtype=np.int64)
 
     @property
     def num_triples(self) -> int:
-        return len(self.triples)
+        return len(self.heads)
 
 
 def build_graph(triples, num_entities: int, num_relations: int) -> KnowledgeGraph:
-    seen = set()
-    clean = []
-    for i, t in enumerate(triples):
-        h, r, v = int(t[0]), int(t[1]), int(t[2])
-        if not (0 <= h < num_entities and 0 <= v < num_entities):
-            raise GraphError(f"triple {i}: entity id out of range in ({h},{r},{v})")
-        if not (0 <= r < num_relations):
-            raise GraphError(f"triple {i}: relation id out of range in ({h},{r},{v})")
-        key = (h, r, v)
-        if key not in seen:
-            seen.add(key)
-            clean.append(Triple(h, r, v))
-    clean.sort()
-    return KnowledgeGraph(num_entities, num_relations, clean)
+    """Graph over (head, relation, tail) rows; the first row holding an
+    out-of-range id (entities checked before the relation) is reported."""
+    try:
+        rows = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    except OverflowError:
+        raise GraphError("triple id out of range: beyond 64 bits") from None
+    ends = rows[:, ::2]
+    bad_entity = ((ends < 0) | (ends >= num_entities)).any(axis=1)
+    bad_relation = (rows[:, 1] < 0) | (rows[:, 1] >= num_relations)
+    bad = np.flatnonzero(bad_entity | bad_relation)
+    if bad.size:
+        i = int(bad[0])
+        h, r, v = rows[i].tolist()
+        what = "entity" if bad_entity[i] else "relation"
+        raise GraphError(f"triple {i}: {what} id out of range in ({h},{r},{v})")
+    rows = rows[np.lexsort(rows.T[::-1])]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return KnowledgeGraph(num_entities, num_relations,
+                          *(np.ascontiguousarray(c) for c in rows[first].T))
 
 
 def entity_norm_factors(g: KnowledgeGraph, alpha: float) -> np.ndarray:

@@ -128,11 +128,14 @@ def _undecodable(path: str) -> str:
 
 def load_triples(path: str):
     """Parse `head<TAB>relation<TAB>tail` lines; returns the triple list
-    plus entity and relation vocabularies."""
+    plus entity and relation vocabularies.  An integer id must be below
+    the file's id-token count (three per line), the most distinct ids the
+    file can name; globally numbered pairs such as DBP15K stay well inside."""
     rows = _data_rows(path, 3)
     int_mode = bool(rows) and all(_INT_RE.fullmatch(t) for t in rows[0][1])
     ent = Vocabulary(int_mode)
     rel = Vocabulary(int_mode)
+    limit = 3 * len(rows)
     triples = []
     for lineno, tokens in rows:
         row_int = all(_INT_RE.fullmatch(t) for t in tokens)
@@ -142,6 +145,9 @@ def load_triples(path: str):
         h = ent.intern(tokens[0], where)
         r = rel.intern(tokens[1], where)
         t = ent.intern(tokens[2], where)
+        if int_mode and max(h, r, t) >= limit:
+            raise DataError(f"{where}: id {max(h, r, t)} is not below {limit}, "
+                            "the file's id-token count")
         triples.append((h, r, t))
     return triples, ent, rel
 

@@ -151,9 +151,8 @@ def classification_split(labels: dict, num_classes: int,
 
 
 def write_graph_tsv(path, graph: KnowledgeGraph) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for h, r, t in graph.triples:
-            fh.write(f"{h}\t{r}\t{t}\n")
+    np.savetxt(path, np.column_stack((graph.heads, graph.rels, graph.tails)),
+               fmt="%d", delimiter="\t")
 
 
 def write_pairs_tsv(path, pairs) -> None:

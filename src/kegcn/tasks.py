@@ -102,6 +102,10 @@ class TrainConfig:
             raise ValueError("margin gamma must be positive")
         if self.negatives < 1:
             raise ValueError("need at least one negative per positive")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
+        if self.patience < 0:
+            raise ValueError(f"patience must be non-negative, got {self.patience}")
 
     def model_config(self, out_dim: Optional[int] = None) -> ModelConfig:
         return ModelConfig(mode=self.mode, scorer_kind=self.scorer, dim=self.dim,

@@ -2,7 +2,8 @@
 
 The oracle the batched tape layer (`propagation.layer_forward_tape`) is
 tested against: every entity and relation sums its messages edge by edge
-from the adjacency lists, with the scorers' closed-form gradients and the
+over its ascending neighbourhood (`checks.in_edges`, `out_edges`,
+`relation_edges`), with the scorers' closed-form gradients and the
 scalar degree normalizations below.
 """
 
@@ -11,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from kegcn import numerics
-from kegcn.checks import _phi_eager
+from kegcn.checks import _phi_eager, in_edges, out_edges, relation_edges
 from kegcn.graph import KnowledgeGraph
 from kegcn.propagation import EmbeddingState, LayerParams
 from kegcn.scorers import Scorer
@@ -55,10 +56,10 @@ def entity_message(graph: KnowledgeGraph, state: EmbeddingState, scorer: Optiona
     """Transformed, degree-normalized message sum for one entity."""
     out_w = (params.w_per_rel if params.w is None else params.w).shape[-1]
     acc = np.zeros(out_w)
-    for u, r in graph.in_adj[v]:
+    for u, r in in_edges(graph, v):
         g = _eager_edge_message(mode, scorer, state, u, r, v, "tail")
         acc += _apply_transform(g, params, r)
-    for u, r in graph.out_adj[v]:
+    for u, r in out_edges(graph, v):
         g = _eager_edge_message(mode, scorer, state, v, r, u, "head")
         acc += _apply_transform(g, params, r)
     factor = 1.0 if params.alpha is None else degree_norm(graph, v, params.alpha)
@@ -72,7 +73,7 @@ def relation_message(graph: KnowledgeGraph, state: EmbeddingState, scorer: Optio
     if mode != "kegcn":
         return np.zeros(width)
     acc = np.zeros(width)
-    for u, v in graph.rel_index[r]:
+    for u, v in relation_edges(graph, r):
         acc += scorer.grad_rel(state.entity[u], state.relation[r], state.entity[v])
     factor = 1.0 if params.alpha is None else relation_norm(graph, r, params.alpha)
     return factor * acc

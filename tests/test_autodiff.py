@@ -291,22 +291,10 @@ def _cmul(rng):
     return lambda t, x, y: weighted_sum(t, t.complex_mul(x, y), w), [a, b]
 
 
-@case("complex_conj")
-def _cconj(rng):
-    a, w = planes(rng.normal((3, 2))), planes(rng.normal((3, 2)))
-    return lambda t, x: weighted_sum(t, t.complex_conj(x), w), [a]
-
-
 @case("quat_mul")
 def _qmul(rng):
     a, b, w = (planes(rng.normal((2, 3, 4))) for _ in range(3))
     return lambda t, x, y: weighted_sum(t, t.quat_mul(x, y), w), [a, b]
-
-
-@case("quat_conj")
-def _qconj(rng):
-    a, w = planes(rng.normal((3, 4))), planes(rng.normal((3, 4)))
-    return lambda t, x: weighted_sum(t, t.quat_conj(x), w), [a]
 
 
 @case("circular_correlation")

@@ -1,11 +1,16 @@
 """End-to-end tests of the command-line interface."""
 
 import argparse
+import os
+import resource
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import kegcn
 from kegcn import cli
 from kegcn import io as io_mod
 from kegcn.graph import build_graph
@@ -292,3 +297,45 @@ def test_eval_rejects_graph_with_relation_beyond_checkpoint(tmp_path, capsys, mo
     err = capsys.readouterr().err
     assert err.startswith("error:") and "cover" in err and "3 relations" in err
 
+
+@pytest.mark.parametrize("command", ["train-align", "train-classify"])
+@pytest.mark.parametrize("key, value", [("epochs", 0), ("epochs", -3), ("patience", -1)])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_train_epochs_below_one_or_negative_patience_exits_1(tmp_path, capsys, command,
+                                                             key, value, via):
+    g = write_ring_dataset(tmp_path, prefix="g")
+    train = write_pairs(tmp_path, "train.tsv", [(i, i % 2) for i in range(8)])
+    options = {"graph1": g, "graph2": g, "train": train, "dim": 4, "layers": 2,
+               "epochs": 2, key: value}
+    if via == "flag":
+        argv = [s for k, v in options.items() for s in (f"--{k}", str(v))]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in options.items()))
+        argv = ["--config", str(cfg)]
+    assert cli.main([command, *argv, "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_huge_integer_id_exits_1_without_allocating_for_it(tmp_path):
+    # Runs under a 1 GiB address-space cap, so a loader that sizes anything
+    # by the implied entity count fails fast instead of exhausting memory.
+    g = tmp_path / "g.tsv"
+    g.write_text("0\t0\t1\n1\t0\t99999999999999\n")
+    train = tmp_path / "train_labels.tsv"
+    train.write_text("0\t0\n")
+    env = dict(os.environ)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(kegcn.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "kegcn.cli", "train-classify", "--graph1", str(g),
+         "--train", str(train), "--dim", "4", "--layers", "1", "--epochs", "1", "--quiet"],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=_limit_address_space)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error:") and f"{g} line 2" in proc.stderr

@@ -85,6 +85,32 @@ def test_load_triples_mixed_modes_rejected(tmp_path):
         load_triples(str(p))
 
 
+@pytest.mark.parametrize("line", ["1\t0\t99999999999999", "1\t99999999999999\t0",
+                                  "6\t0\t1"])
+def test_load_triples_rejects_ids_beyond_what_the_file_names(tmp_path, line):
+    # two lines hold six id tokens, so no id may reach 6
+    p = tmp_path / "g.tsv"
+    p.write_text(f"0\t0\t1\n{line}\n")
+    with pytest.raises(DataError, match=r"g\.tsv line 2: .*id"):
+        load_triples(str(p))
+
+
+def test_load_triples_admits_globally_numbered_second_graph(tmp_path):
+    # DBP15K-style numbering: the second graph's ids continue after the
+    # first graph's, so a graph of n entities names ids n..2n-1
+    n = 40
+    g1 = tmp_path / "g1.tsv"
+    g1.write_text("".join(f"{i}\t0\t{(i + 1) % n}\n" for i in range(n)))
+    g2 = tmp_path / "g2.tsv"
+    g2.write_text("".join(f"{n + i}\t1\t{n + (i + 1) % n}\n" for i in range(n)))
+    _, ent1, _ = load_triples(str(g1))
+    triples, ent2, rel2 = load_triples(str(g2))
+    assert ent1.size == n and ent2.size == 2 * n and rel2.size == 2
+    assert load_graph(str(g2))[0].num_triples == n
+    g2.write_text("0\t0\t1\n1\t0\t5\n")
+    assert load_triples(str(g2))[1].size == 6
+
+
 def test_load_alignments_and_unknown_entity(tmp_path):
     g = tmp_path / "g.tsv"
     g.write_text("a\tr\tb\n")

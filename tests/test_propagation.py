@@ -211,7 +211,7 @@ def test_permutation_equivariance():
     out1 = model_forward(g, state, params, scorer=s)
 
     perm = RandomSource(41).permutation(10)
-    triples2 = [(int(perm[h]), int(r), int(perm[t])) for h, r, t in g.triples]
+    triples2 = np.column_stack((perm[g.heads], g.rels, perm[g.tails]))
     g2 = build_graph(triples2, 10, g.num_relations)
     ent2 = np.zeros_like(state.entity)
     ent2[perm] = state.entity
@@ -304,7 +304,7 @@ def test_graphs_of_equal_size_keep_their_own_scatter_cache():
     scorer = config_scorer(cfg)
     model_forward(g1, state, params, scorer=scorer)
     warm = model_forward(g2, state, params, scorer=scorer)
-    fresh_graph = build_graph(g2.triples, n, r)
+    fresh_graph = build_graph(np.column_stack((g2.heads, g2.rels, g2.tails)), n, r)
     fresh = model_forward(fresh_graph, state, params, scorer=scorer)
     assert warm.entity.tobytes() == fresh.entity.tobytes()
     assert warm.relation.tobytes() == fresh.relation.tobytes()
