@@ -6,6 +6,16 @@ accumulation order is fixed and results are bitwise reproducible for an
 identical tape.  Training losses built from these primitives differentiate
 through the score-gradient messages, so second derivatives of the scoring
 functions are picked up automatically.
+
+Value lifetime: a Variable owns its array, and a Tape's nodes hold every
+value until `backward` starts, so the recorded forward pass can be read
+from `tape.nodes[i].value` until then.  `backward` reads no node value and
+drops them all as it starts; an intermediate then lives only while a
+Variable or a vjp that computes with it holds it (vjps that need only a
+shape keep the shape).  Freeing values earlier, as each layer returns or
+one by one during `backward`, made the allocator trim freed temporaries
+and fault them back in: about 190k and 55k minor faults per classify-300
+training job, several times the count with values dropped at `backward`.
 """
 
 from __future__ import annotations
@@ -29,22 +39,19 @@ class Node:
 
 
 class Variable:
-    """Handle to one tape node; it keeps the node (and so its value) alive."""
+    """Handle to one tape node; owns its value and keeps the node alive."""
 
-    __slots__ = ("tape", "index", "node")
+    __slots__ = ("tape", "index", "node", "value")
 
     def __init__(self, tape: "Tape", index: int, node: Node):
         self.tape = tape
         self.index = index
         self.node = node
-
-    @property
-    def value(self) -> np.ndarray:
-        return self.node.value
+        self.value = node.value
 
     @property
     def shape(self):
-        return self.node.value.shape
+        return self.value.shape
 
 
 def _row_index(idx, num: int) -> np.ndarray:
@@ -127,20 +134,20 @@ class Tape:
     # ---- arithmetic ----
 
     def add(self, a: Variable, b: Variable) -> Variable:
-        av, bv = a.value, b.value
+        sa, sb = a.shape, b.shape
 
         def vjp(g):
-            return _unbroadcast(g, av.shape), _unbroadcast(g, bv.shape)
+            return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
-        return self._record(av + bv, (a, b), vjp, "add")
+        return self._record(a.value + b.value, (a, b), vjp, "add")
 
     def sub(self, a: Variable, b: Variable) -> Variable:
-        av, bv = a.value, b.value
+        sa, sb = a.shape, b.shape
 
         def vjp(g):
-            return _unbroadcast(g, av.shape), _unbroadcast(-g, bv.shape)
+            return _unbroadcast(g, sa), _unbroadcast(-g, sb)
 
-        return self._record(av - bv, (a, b), vjp, "sub")
+        return self._record(a.value - b.value, (a, b), vjp, "sub")
 
     def mul(self, a: Variable, b: Variable) -> Variable:
         av, bv = a.value, b.value
@@ -201,31 +208,31 @@ class Tape:
         return self._record(np.concatenate(values, axis=ax), tuple(parts), vjp, "concat")
 
     def slice_cols(self, x: Variable, start: int, stop: int) -> Variable:
-        xv = x.value
+        shape = x.shape
 
         def vjp(g):
-            out = np.zeros_like(xv)
+            out = np.zeros(shape)
             out[..., start:stop] = g
             return (out,)
 
-        return self._record(xv[..., start:stop], (x,), vjp, "slice")
+        return self._record(x.value[..., start:stop], (x,), vjp, "slice")
 
     # ---- reductions ----
 
     def sum(self, x: Variable) -> Variable:
-        xv = x.value
+        shape = x.shape
         return self._record(
-            np.sum(xv), (x,), lambda g: (np.full(xv.shape, float(g)),), "sum"
+            np.sum(x.value), (x,), lambda g: (np.full(shape, float(g)),), "sum"
         )
 
     def sum_axis(self, x: Variable, axis: int = -1) -> Variable:
         """Sum over one axis, keepdims."""
-        xv = x.value
+        shape = x.shape
 
         def vjp(g):
-            return (np.broadcast_to(g, xv.shape).copy(),)
+            return (np.broadcast_to(g, shape).copy(),)
 
-        return self._record(np.sum(xv, axis=axis, keepdims=True), (x,), vjp, "sum_axis")
+        return self._record(np.sum(x.value, axis=axis, keepdims=True), (x,), vjp, "sum_axis")
 
     # ---- elementwise nonlinear ----
 
@@ -392,6 +399,8 @@ class Tape:
     def backward(self, loss: Variable) -> "GradientMap":
         if np.size(loss.value) != 1:
             raise ValueError(f"loss must be scalar, got shape {loss.value.shape}")
+        for node in self.nodes:
+            node.value = None
         grads: list = [None] * (loss.index + 1)
         grads[loss.index] = np.ones_like(loss.value)
         for i in range(loss.index, -1, -1):

@@ -43,6 +43,7 @@ class CheckpointError(ValueError):
 
 
 _INT_RE = re.compile(r"[0-9]+\Z")
+_MAX_ID_DIGITS = 18   # every id of this many digits fits int64
 TASKS = ("align", "classify")
 
 
@@ -75,6 +76,8 @@ class Vocabulary:
         if self.int_mode:
             if not is_int:
                 raise DataError(f"{where}: mixed integer and string ids")
+            if len(token) > _MAX_ID_DIGITS:
+                raise _overlong_id(token, where)
             i = int(token)
             self._count = max(self._count, i + 1)
             return i
@@ -86,12 +89,18 @@ class Vocabulary:
     def resolve(self, token: str, where: str, what: str = "entity") -> int:
         if self.int_mode:
             if _INT_RE.fullmatch(token):
+                if len(token) > _MAX_ID_DIGITS:
+                    raise _overlong_id(token, where)
                 i = int(token)
                 if i < self._count:
                     return i
         elif token in self._ids:
             return self._ids[token]
         raise DataError(f"{where}: unknown {what} {token!r}")
+
+
+def _overlong_id(token: str, where: str) -> DataError:
+    return DataError(f"{where}: integer id of {len(token)} digits, more than {_MAX_ID_DIGITS}")
 
 
 def _data_rows(path: str, n_fields: int):

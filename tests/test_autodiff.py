@@ -492,6 +492,66 @@ def test_backward_keeps_only_leaf_gradients():
     assert all(tape.nodes[i].vjp is None for i in kept)
 
 
+def test_backward_frees_dropped_intermediates_while_tape_and_loss_live():
+    # scale's vjp keeps only its constant, so after backward starts nothing
+    # but a live Variable can hold h's array
+    tape = Tape()
+    x = tape.leaf(np.ones((4, 3)))
+    h = tape.scale(x, 2.0)
+    probe = weakref.ref(h.value)
+    loss = tape.sum(tape.scale(h, 3.0))
+    del h
+    gc.collect()
+    assert probe() is not None
+    grads = tape.backward(loss)
+    gc.collect()
+    assert probe() is None
+    assert float(loss.value) == 72.0
+    assert np.array_equal(grads[x], np.full((4, 3), 6.0))
+
+
+SHAPE_ONLY_OPS = {
+    "add": lambda t, h, x: t.sum(t.add(h, x)),
+    "sub": lambda t, h, x: t.sum(t.sub(x, h)),
+    "sum": lambda t, h, x: t.sum(h),
+    "sum_axis": lambda t, h, x: t.sum(t.sum_axis(h)),
+    "slice_cols": lambda t, h, x: t.sum(t.slice_cols(h, 1, 3)),
+}
+
+
+@pytest.mark.parametrize("op", sorted(SHAPE_ONLY_OPS))
+def test_shape_only_vjps_free_their_inputs_after_backward(op):
+    tape = Tape()
+    x = tape.leaf(np.arange(12.0).reshape(4, 3))
+    h = tape.scale(x, 2.0)
+    probe = weakref.ref(h.value)
+    loss = SHAPE_ONLY_OPS[op](tape, h, x)
+    del h
+    grads = tape.backward(loss)
+    gc.collect()
+    assert probe() is None
+    assert grads[x].shape == (4, 3)
+
+
+def test_tape_nodes_hold_forward_values_until_backward():
+    # the kink-margin check reads relu/abs inputs from tape.nodes before
+    # backward; backward then drops every node value at once
+    rng = RandomSource(8)
+    tape = Tape()
+    x = tape.leaf(rng.normal((5, 3)))
+    w = tape.leaf(rng.normal((3, 3)))
+    pre = tape.matmul(tape.gather(x, np.array([0, 2, 2, 4])), w)
+    loss = tape.sum(tape.abs(tape.relu(pre)))
+    want = pre.value.copy()
+    del pre
+    relu = next(n for n in tape.nodes if n.name == "relu")
+    assert bitwise_equal(tape.nodes[relu.parents[0]].value, want)
+    assert all(n.value is not None for n in tape.nodes)
+    tape.backward(loss)
+    assert all(n.value is None for n in tape.nodes)
+    assert loss.value.shape == () and x.value.shape == (5, 3)
+
+
 # ---------------- forward-only tape ----------------
 
 

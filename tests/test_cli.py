@@ -339,3 +339,18 @@ def test_huge_integer_id_exits_1_without_allocating_for_it(tmp_path):
         preexec_fn=_limit_address_space)
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("error:") and f"{g} line 2" in proc.stderr
+
+
+@pytest.mark.parametrize("bad", ["graph", "labels"])
+def test_overlong_integer_id_exits_1_naming_file_and_line(tmp_path, capsys, bad):
+    overlong = "9" * 5000
+    g = tmp_path / "g.tsv"
+    g.write_text("0\t0\t1\n" + (f"1\t0\t{overlong}\n" if bad == "graph" else "1\t0\t2\n"))
+    train = tmp_path / "train_labels.tsv"
+    train.write_text("0\t0\n" + (f"{overlong}\t1\n" if bad == "labels" else "1\t1\n"))
+    argv = ["train-classify", "--graph1", str(g), "--train", str(train), "--dim", "4",
+            "--layers", "1", "--epochs", "1", "--quiet"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    path = g if bad == "graph" else train
+    assert err.startswith("error:") and f"{path} line 2: integer id of 5000 digits" in err

@@ -95,6 +95,34 @@ def test_load_triples_rejects_ids_beyond_what_the_file_names(tmp_path, line):
         load_triples(str(p))
 
 
+OVERLONG_ID = "9" * 5000   # past the digit limit of Python's int()
+
+
+@pytest.mark.parametrize("line", [f"1\t0\t{OVERLONG_ID}", f"1\t{OVERLONG_ID}\t0",
+                                  f"{OVERLONG_ID}\t0\t1"], ids=["tail", "relation", "head"])
+def test_load_triples_names_the_line_of_an_overlong_integer_id(tmp_path, line):
+    p = tmp_path / "g.tsv"
+    p.write_text(f"0\t0\t1\n{line}\n")
+    with pytest.raises(DataError, match=r"g\.tsv line 2: integer id of 5000 digits"):
+        load_triples(str(p))
+
+
+def test_load_labels_and_alignments_name_the_line_of_an_overlong_integer_id(tmp_path):
+    gv = Vocabulary(True)
+    gv.intern("1", "setup")
+    p = tmp_path / "labels.tsv"
+    p.write_text(f"0\t0\n{OVERLONG_ID}\t0\n")
+    with pytest.raises(DataError, match=r"labels\.tsv line 2: integer id of 5000 digits"):
+        load_labels(str(p), gv, Vocabulary())
+    p.write_text(f"0\t0\n1\t{OVERLONG_ID}\n")
+    with pytest.raises(DataError, match=r"labels\.tsv line 2: integer id of 5000 digits"):
+        load_labels(str(p), gv, Vocabulary())
+    p = tmp_path / "pairs.tsv"
+    p.write_text(f"{OVERLONG_ID}\t0\n")
+    with pytest.raises(DataError, match=r"pairs\.tsv line 1: integer id of 5000 digits"):
+        load_alignments(str(p), gv, gv)
+
+
 def test_load_triples_admits_globally_numbered_second_graph(tmp_path):
     # DBP15K-style numbering: the second graph's ids continue after the
     # first graph's, so a graph of n entities names ids n..2n-1

@@ -504,6 +504,10 @@ def test_perfbench_tracing_patch_points_resolve():
         assert {"tasks.loss", "tasks.valid", "tasks.adam", "propagation.layer0",
                 "propagation.layer1", extra} <= names, names
         assert any(m[0] == "propagation.layer0.tape_nodes" for m in tr.marks)
+        # the tracer sums node values just before backward drops them
+        for mark in ("autodiff.tape_bytes", "propagation.layer0.tape_bytes"):
+            sizes = [m[2] for m in tr.marks if m[0] == mark]
+            assert sizes and min(sizes) > 0, mark
 
 
 # ---------------- diverged runs ----------------
