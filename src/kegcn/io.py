@@ -6,6 +6,16 @@ non-negative integers (used directly) or all strings (interned in
 first-seen order); mixing the two is an error.  Every malformed line is
 reported with its line number, nothing is skipped silently.
 
+Each file is parsed in one pass over whole columns, with no Python code
+per token: the text is decoded at once (lines end in \\n, \\r\\n or \\r),
+the data lines are split and stripped together, and integer columns are
+checked and converted in bulk.  A file with errors reports the first
+one, its message rebuilt from that line alone, in this order: a byte
+that is not UTF-8; a wrong field count or an empty field; then line by
+line, mixed integer and string ids, an id of more than 18 digits, and an
+id at or above the file's id-token count (triples) or an unknown id,
+duplicate entity or empty label token (pairs and labels).
+
 Checkpoints are a flat binary container: magic `KEGC`, a 4-byte
 little-endian version, then named sections, each
 `name-length(4B LE) | name(UTF-8) | elem-count(8B LE) | float64 LE payload`.
@@ -16,8 +26,8 @@ written sorted by name, which makes save -> load -> save byte-identical.
 
 from __future__ import annotations
 
+import itertools
 import os
-import re
 import struct
 import tempfile
 from dataclasses import dataclass, field, fields
@@ -42,12 +52,21 @@ class CheckpointError(ValueError):
     """Unreadable or corrupt checkpoint file."""
 
 
-_INT_RE = re.compile(r"[0-9]+\Z")
 _MAX_ID_DIGITS = 18   # every id of this many digits fits int64
 TASKS = ("align", "classify")
 
 
 # ---------------- vocabularies and TSV loaders ----------------
+
+
+def _is_int(token: str) -> bool:
+    return token.isascii() and token.isdigit()   # isdigit alone admits non-ASCII digits
+
+
+def _int_id(token: str, where: str) -> int:
+    if len(token) > _MAX_ID_DIGITS:
+        raise DataError(f"{where}: integer id of {len(token)} digits, more than {_MAX_ID_DIGITS}")
+    return int(token)
 
 
 class Vocabulary:
@@ -57,7 +76,6 @@ class Vocabulary:
     def __init__(self, int_mode: Optional[bool] = None):
         self.int_mode = int_mode
         self._ids: dict = {}
-        self._names: list = []
         self._count = 0
 
     @property
@@ -65,74 +83,115 @@ class Vocabulary:
         return self._count if self.int_mode else len(self._ids)
 
     def names(self):
-        if self.int_mode:
-            return [str(i) for i in range(self._count)]
-        return list(self._names)
+        return list(map(str, range(self._count))) if self.int_mode else list(self._ids)
 
     def intern(self, token: str, where: str) -> int:
-        is_int = bool(_INT_RE.fullmatch(token))
+        is_int = _is_int(token)
         if self.int_mode is None:
             self.int_mode = is_int
+        if not self.int_mode:
+            return self._ids.setdefault(token, len(self._ids))
+        if not is_int:
+            raise DataError(f"{where}: mixed integer and string ids")
+        i = _int_id(token, where)
+        self._count = max(self._count, i + 1)
+        return i
+
+    def intern_all(self, tokens: list, limit: int = 10 ** _MAX_ID_DIGITS):
+        """`intern` over non-empty tokens in order, up to the first one it
+        would reject or, in integer mode, that is not below `limit`;
+        returns the int64 ids so far and that token's index."""
+        if self.int_mode is None and tokens:
+            self.int_mode = _is_int(tokens[0])
         if self.int_mode:
-            if not is_int:
-                raise DataError(f"{where}: mixed integer and string ids")
-            if len(token) > _MAX_ID_DIGITS:
-                raise _overlong_id(token, where)
-            i = int(token)
-            self._count = max(self._count, i + 1)
-            return i
-        if token not in self._ids:
-            self._ids[token] = len(self._ids)
-            self._names.append(token)
-        return self._ids[token]
+            ids, stop = _ints(tokens, limit)
+            self._count = max(self._count, int(ids.max(initial=-1)) + 1)
+            return ids, stop
+        self._ids = dict(zip(dict.fromkeys([*self._ids, *tokens]), itertools.count()))
+        return np.fromiter(map(self._ids.__getitem__, tokens), np.int64, len(tokens)), len(tokens)
 
     def resolve(self, token: str, where: str, what: str = "entity") -> int:
-        if self.int_mode:
-            if _INT_RE.fullmatch(token):
-                if len(token) > _MAX_ID_DIGITS:
-                    raise _overlong_id(token, where)
-                i = int(token)
-                if i < self._count:
-                    return i
-        elif token in self._ids:
+        if not self.int_mode and token in self._ids:
             return self._ids[token]
+        if self.int_mode and _is_int(token) and (i := _int_id(token, where)) < self._count:
+            return i
         raise DataError(f"{where}: unknown {what} {token!r}")
 
-
-def _overlong_id(token: str, where: str) -> DataError:
-    return DataError(f"{where}: integer id of {len(token)} digits, more than {_MAX_ID_DIGITS}")
-
-
-def _data_rows(path: str, n_fields: int):
-    rows = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.rstrip("\r\n")
-                if not line.strip() or line.lstrip().startswith("#"):
-                    continue
-                tokens = [t.strip() for t in line.split("\t")]
-                if len(tokens) != n_fields or any(not t for t in tokens):
-                    raise DataError(
-                        f"{path} line {lineno}: expected {n_fields} tab-separated fields")
-                rows.append((lineno, tokens))
-    except UnicodeDecodeError:
-        raise DataError(_undecodable(path)) from None
-    return rows
+    def resolve_all(self, tokens: list):
+        """`resolve` over tokens in order, up to the first one it rejects;
+        returns the int64 ids so far and that token's index."""
+        if self.int_mode:
+            return _ints(tokens, self._count)
+        ids = list(map(self._ids.get, tokens))
+        stop = ids.index(None) if None in ids else len(ids)
+        return np.array(ids[:stop], dtype=np.int64), stop
 
 
-def _undecodable(path: str) -> str:
-    """Message naming the line of the first byte that is not UTF-8; line
-    ends are \\r\\n, \\r or \\n, as in text mode."""
+def _first(mask: np.ndarray, default: int) -> int:
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else default
+
+
+def _ints(tokens: list, limit: int):
+    """int64 ids of non-empty `tokens` up to the first that is not an
+    integer id of at most _MAX_ID_DIGITS digits below `limit`, and that
+    token's index (len(tokens) if there is none)."""
+    n = len(tokens)
+    ok = np.fromiter(map(len, tokens), np.int64, n) <= _MAX_ID_DIGITS
+    if not ((joined := "".join(tokens)).isascii() and joined.isdigit()):
+        ok &= np.fromiter(map(_is_int, tokens), bool, n)
+    stop = _first(~ok, n)
+    ids = np.fromiter(map(int, tokens[:stop]), np.int64, stop)
+    stop = _first(ids >= limit, stop)
+    return ids[:stop], stop
+
+
+def _read_rows(path: str, n_fields: int):
+    """Line numbers of the data lines of a TSV file and their stripped
+    fields, one flat list of n_fields per line.  Lines end in \\n, \\r\\n
+    or \\r, as in text mode."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        data.decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        head = data[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        lineno = head.count(b"\n") + 1
-        return f"{path} line {lineno}: byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
-    return f"{path}: not UTF-8"
+        lineno = data[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
+        raise DataError(f"{path} line {lineno}: byte 0x{data[exc.start]:02x} is not UTF-8 "
+                        f"({exc.reason})") from None
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    linenos = [i for i, line in enumerate(lines, 1) if (s := line.lstrip()) and s[0] != "#"]
+    rows = [lines[i - 1] for i in linenos]
+    tokens = list(map(str.strip, "\t".join(rows).split("\t"))) if rows else []
+    tabs = n_fields - 1
+    if "" in tokens or list(map(str.count, rows, itertools.repeat("\t"))).count(tabs) < len(rows):
+        lineno = next(i for i, row in zip(linenos, rows) if row.count("\t") != tabs
+                      or "" in map(str.strip, row.split("\t")))
+        raise DataError(f"{path} line {lineno}: expected {n_fields} tab-separated fields")
+    return linenos, tokens
+
+
+def _triple_rows(path: str):
+    """(n, 3) int64 rows of a triples file in file order, with its entity
+    and relation vocabularies."""
+    linenos, tokens = _read_rows(path, 3)
+    n = len(linenos)
+    int_mode = n > 0 and all(map(_is_int, tokens[:3]))
+    ent, rel = Vocabulary(int_mode), Vocabulary(int_mode)
+    rels, rel_stop = rel.intern_all(tokens[1::3], 3 * n)
+    ends = tokens[:]
+    del ends[1::3]   # heads and tails, interleaved in file order
+    ends, end_stop = ent.intern_all(ends, 3 * n)
+    stop = min(rel_stop, end_stop // 2)
+    if not int_mode:   # then a line of integer ids only is mixed
+        joined = map("".join, zip(tokens[0::3], tokens[1::3], tokens[2::3]))
+        stop = _first(np.fromiter(map(_is_int, joined), bool, n), n)
+    if stop < n:   # the first failing check of that line raises
+        where, row = f"{path} line {linenos[stop]}", tokens[3 * stop:3 * stop + 3]
+        if all(map(_is_int, row)) != int_mode:
+            raise DataError(f"{where}: mixed integer and string ids")
+        top = max(_int_id(t, where) for t in row)
+        raise DataError(f"{where}: id {top} is not below {3 * n}, the file's id-token count")
+    return np.column_stack((ends[0::2], rels, ends[1::2])), ent, rel
 
 
 def load_triples(path: str):
@@ -140,59 +199,60 @@ def load_triples(path: str):
     plus entity and relation vocabularies.  An integer id must be below
     the file's id-token count (three per line), the most distinct ids the
     file can name; globally numbered pairs such as DBP15K stay well inside."""
-    rows = _data_rows(path, 3)
-    int_mode = bool(rows) and all(_INT_RE.fullmatch(t) for t in rows[0][1])
-    ent = Vocabulary(int_mode)
-    rel = Vocabulary(int_mode)
-    limit = 3 * len(rows)
-    triples = []
-    for lineno, tokens in rows:
-        row_int = all(_INT_RE.fullmatch(t) for t in tokens)
-        if row_int != int_mode:
-            raise DataError(f"{path} line {lineno}: mixed integer and string ids")
-        where = f"{path} line {lineno}"
-        h = ent.intern(tokens[0], where)
-        r = rel.intern(tokens[1], where)
-        t = ent.intern(tokens[2], where)
-        if int_mode and max(h, r, t) >= limit:
-            raise DataError(f"{where}: id {max(h, r, t)} is not below {limit}, "
-                            "the file's id-token count")
-        triples.append((h, r, t))
-    return triples, ent, rel
+    rows, ent, rel = _triple_rows(path)
+    return list(map(tuple, rows.tolist())), ent, rel
 
 
 def load_graph(path: str):
-    triples, ent, rel = load_triples(path)
-    return build_graph(triples, ent.size, rel.size), ent, rel
+    rows, ent, rel = _triple_rows(path)
+    return build_graph(rows, ent.size, rel.size), ent, rel
 
 
 def load_alignments(path: str, vocab1: Vocabulary, vocab2: Vocabulary):
     """Parse `e1<TAB>e2` seed pairs; both sides must already be known."""
-    pairs = []
-    for lineno, tokens in _data_rows(path, 2):
-        where = f"{path} line {lineno}"
-        pairs.append((vocab1.resolve(tokens[0], where),
-                      vocab2.resolve(tokens[1], where)))
-    return pairs
+    linenos, tokens = _read_rows(path, 2)
+    left, stop1 = vocab1.resolve_all(tokens[0::2])
+    right, stop2 = vocab2.resolve_all(tokens[1::2])
+    stop = min(stop1, stop2)
+    if stop < len(linenos):   # the line's first unknown token raises
+        where = f"{path} line {linenos[stop]}"
+        vocab1.resolve(tokens[2 * stop], where)
+        vocab2.resolve(tokens[2 * stop + 1], where)
+    return list(zip(left.tolist(), right.tolist()))
+
+
+def _label_rows(path: str, ent_vocab: Vocabulary, class_vocab: Vocabulary):
+    """load_labels, plus the line number of each labeled entity (in the
+    map's order) and the file's label-token count."""
+    linenos, tokens = _read_rows(path, 2)
+    n = len(linenos)
+    ents, stop = ent_vocab.resolve_all(tokens[0::2])
+    repeated = np.ones(len(ents), dtype=bool)
+    repeated[np.unique(ents, return_index=True)[1]] = False
+    ends = np.cumsum(np.fromiter(map(str.count, tokens[1::2], itertools.repeat(",")),
+                                 np.int64, n) + 1)   # one past each line's last label token
+    parts = list(map(str.strip, ",".join(tokens[1::2]).split(","))) if n else []
+    classes, cut = class_vocab.intern_all(parts[:parts.index("") if "" in parts else None])
+    stop = min(_first(repeated, stop), int(np.searchsorted(ends, cut, "right")))
+    if stop < n:   # the first failing check of that line raises
+        where, (entity, text) = f"{path} line {linenos[stop]}", tokens[2 * stop:2 * stop + 2]
+        ent_vocab.resolve(entity, where)
+        if stop < len(ents) and repeated[stop]:
+            raise DataError(f"{where}: duplicate labels for entity {entity!r}")
+        row = [p.strip() for p in text.split(",")]
+        if not all(row):
+            raise DataError(f"{where}: empty label token")
+        for p in row:
+            Vocabulary(class_vocab.int_mode).intern(p, where)
+    flat, ends = classes.tolist(), ends.tolist()
+    tuples = [tuple(dict.fromkeys(flat[a:b])) for a, b in zip([0] + ends, ends)]
+    return dict(zip(ents.tolist(), tuples)), any(len(t) > 1 for t in tuples), linenos, len(parts)
 
 
 def load_labels(path: str, ent_vocab: Vocabulary, class_vocab: Vocabulary):
     """Parse `entity<TAB>label[,label...]` lines; returns the entity to
     label-tuple map and whether any line carried several labels."""
-    labels: dict = {}
-    multi = False
-    for lineno, tokens in _data_rows(path, 2):
-        where = f"{path} line {lineno}"
-        e = ent_vocab.resolve(tokens[0], where)
-        if e in labels:
-            raise DataError(f"{where}: duplicate labels for entity {tokens[0]!r}")
-        parts = [p.strip() for p in tokens[1].split(",")]
-        if any(not p for p in parts):
-            raise DataError(f"{where}: empty label token")
-        ids = tuple(dict.fromkeys(class_vocab.intern(p, where) for p in parts))
-        labels[e] = ids
-        multi = multi or len(ids) > 1
-    return labels, multi
+    return _label_rows(path, ent_vocab, class_vocab)[:2]
 
 
 @dataclass
@@ -223,23 +283,34 @@ def load_alignment_bundle(values: dict) -> DatasetBundle:
 
 
 def load_classification_bundle(values: dict) -> DatasetBundle:
+    """An integer label must be below the label-token count of all split
+    files together, checked once they are all read."""
     g, ev, rv = load_graph(_require_path(values, "graph1"))
     class_vocab = Vocabulary()
     merged: dict = {}
+    where: dict = {}
     split_ids = {}
     multi = False
+    limit = 0
     for split in ("train", "valid", "test"):
         path = values.get(split)
         if not path:
             split_ids[split] = []
             continue
-        labels, m = load_labels(path, ev, class_vocab)
-        multi = multi or m
-        for e in labels:
+        labels, m, linenos, n_tokens = _label_rows(path, ev, class_vocab)
+        for e, lineno in zip(labels, linenos):
             if e in merged:
-                raise DataError(f"{path}: entity id {e} labeled in more than one split")
+                raise DataError(f"{path} line {lineno}: entity id {e} labeled in more than "
+                                "one split")
+            where[e] = f"{path} line {lineno}"
         merged.update(labels)
         split_ids[split] = sorted(labels)
+        multi = multi or m
+        limit += n_tokens
+    if class_vocab.int_mode and class_vocab.size > limit:
+        e = next(e for e, ids in merged.items() if max(ids) >= limit)
+        raise DataError(f"{where[e]}: label {max(merged[e])} is not below {limit}, the split "
+                        "files' label-token count")
     label_set = LabelSet(merged, class_vocab.size, multi, **split_ids)
     return DatasetBundle([g], [ev], [rv], label_set=label_set,
                          class_vocab=class_vocab)
