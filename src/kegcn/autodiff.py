@@ -7,6 +7,11 @@ identical tape.  Training losses built from these primitives differentiate
 through the score-gradient messages, so second derivatives of the scoring
 functions are picked up automatically.
 
+Gradients: `backward` keeps the first gradient a node receives as its vjp
+built it and adds later ones into it in place.  It copies that first one
+only when it may share memory with the incoming gradient, which `add`,
+`sub` (a same-shape `_unbroadcast`) and `concat` (views) pass on.
+
 Value lifetime: a Variable owns its array, and a Tape's nodes hold every
 value until `backward` starts, so the recorded forward pass can be read
 from `tape.nodes[i].value` until then.  `backward` reads no node value and
@@ -292,10 +297,9 @@ class Tape:
 
         def vjp(g):
             db = numerics.complex_elementwise_product(g, av, conj_b=True)
-            return (
-                numerics.complex_elementwise_product(g, bv, conj_b=not conj_b),
-                numerics.complex_conjugate(db) if conj_b else db,
-            )
+            if conj_b:
+                np.negative(db[1], out=db[1])
+            return numerics.complex_elementwise_product(g, bv, conj_b=not conj_b), db
 
         return self._record(
             numerics.complex_elementwise_product(av, bv, conj_b=conj_b), (a, b), vjp,
@@ -311,8 +315,10 @@ class Tape:
         def vjp(g):
             dp = numerics.hamilton_product(g, qv, conj_q=not conj_q)
             dq = numerics.hamilton_product(pv, g, conj_p=not conj_p)
-            return (numerics.quaternion_conjugate(dp) if conj_p else dp,
-                    numerics.quaternion_conjugate(dq) if conj_q else dq)
+            for d, conj in ((dp, conj_p), (dq, conj_q)):
+                if conj:
+                    np.negative(d[1:], out=d[1:])
+            return dp, dq
 
         return self._record(numerics.hamilton_product(pv, qv, conj_p, conj_q), (p, q), vjp,
                             "quat_mul")
@@ -330,25 +336,29 @@ class Tape:
             numerics.circular_correlation(av, bv), (a, b), vjp, "circular_correlation"
         )
 
-    def unit_project(self, z: Variable, eps: float = 1e-12) -> Variable:
+    def unit_project(self, z: Variable, eps: float = 1e-12, parts=None) -> Variable:
+        """Unit-norm tuples of z's planes.  `parts` is numerics.unit_parts(z,
+        eps) if the caller has it (once per relation row, taken to edges)."""
         zv = z.value
-        parts = numerics.unit_norm_parts(zv, eps)
+        parts = numerics.unit_parts(zv, eps) if parts is None else parts
 
         def vjp(g):
             return (numerics.unit_project_pullback(zv, g, eps, parts),)
 
-        return self._record(numerics.unit_project(zv, eps, parts), (z,), vjp, "unit_project")
+        return self._record(parts[4], (z,), vjp, "unit_project")
 
-    def unit_project_pullback(self, z: Variable, g: Variable, eps: float = 1e-12) -> Variable:
+    def unit_project_pullback(self, z: Variable, g: Variable, eps: float = 1e-12,
+                              parts=None) -> Variable:
         """Forward evaluation of the unit_project vjp, differentiable in both
         arguments; needed because training backpropagates through message
-        gradients that already contain one projection pullback."""
+        gradients that already contain one projection pullback.  `parts` as
+        in unit_project; the vjp reuses the forward's z.g."""
         zv, gv = z.value, g.value
-        parts = numerics.unit_norm_parts(zv, eps)
+        parts = numerics.unit_parts(zv, eps) if parts is None else parts
+        zg = numerics.component_dot(zv, gv)
 
         def vjp(s):
-            safe, small, safe3 = parts
-            zg = numerics.component_dot(zv, gv)
+            safe, small, safe3, safe5, _ = parts
             sz = numerics.component_dot(s, zv)
             # -sg z / m^3 - zg s / m^3 - sz g / m^3 + 3 zg sz z / m^5, in that order
             dz = zv * -numerics.component_dot(s, gv)
@@ -360,14 +370,14 @@ class Tape:
             t /= safe3
             dz -= t
             np.multiply(zv, 3.0 * zg * sz, out=t)
-            t /= safe**5
+            t /= safe5
             dz += t
             if small is not None:
                 np.copyto(dz, 0.0, where=small)
-            return dz, numerics.unit_project_pullback(zv, s, eps, parts)
+            return dz, numerics.unit_project_pullback(zv, s, eps, parts, sz)
 
         return self._record(
-            numerics.unit_project_pullback(zv, gv, eps, parts), (z, g), vjp,
+            numerics.unit_project_pullback(zv, gv, eps, parts, zg), (z, g), vjp,
             "unit_project_pullback"
         )
 
@@ -414,7 +424,8 @@ class Tape:
                 if pg is None:
                     continue
                 if grads[pi] is None:
-                    grads[pi] = np.array(pg, dtype=np.float64, copy=True)
+                    grads[pi] = (np.array(pg, dtype=np.float64, copy=True)
+                                 if np.may_share_memory(pg, g) else pg)
                 else:
                     grads[pi] += pg
         return GradientMap(grads)

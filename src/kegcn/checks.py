@@ -203,11 +203,6 @@ def out_edges(graph: KnowledgeGraph, v: int) -> list:
     return _pairs(graph.heads == v, graph.tails, graph.rels)
 
 
-def relation_edges(graph: KnowledgeGraph, r: int) -> list:
-    """(head, tail) of every edge labeled r, ascending."""
-    return _pairs(graph.rels == r, graph.heads, graph.tails)
-
-
 def baseline_forward(kind: str, graph: KnowledgeGraph, state: EmbeddingState,
                      params: LayerParams) -> EmbeddingState:
     """Literal transcription of one printed baseline layer; no

@@ -98,7 +98,8 @@ def _run_alignment(values, bundle, cfg, progress):
     metrics = evaluate_alignment(res.state1, res.state2, bundle.seeds.test
                                  or bundle.seeds.valid or bundle.seeds.train)
     if values.get("rel_test"):
-        rel_pairs = io_mod.load_alignments(values["rel_test"], *bundle.relation_vocabs)
+        rel_pairs = io_mod.load_alignments(values["rel_test"], *bundle.relation_vocabs,
+                                           what="relation")
         rel = zero_shot_relation_alignment(res.state1, res.state2, rel_pairs)
         metrics["relation_mrr"] = rel["mrr"]
         metrics["relation_hits1"] = rel["hits1"]

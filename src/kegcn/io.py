@@ -194,30 +194,25 @@ def _triple_rows(path: str):
     return np.column_stack((ends[0::2], rels, ends[1::2])), ent, rel
 
 
-def load_triples(path: str):
-    """Parse `head<TAB>relation<TAB>tail` lines; returns the triple list
-    plus entity and relation vocabularies.  An integer id must be below
-    the file's id-token count (three per line), the most distinct ids the
-    file can name; globally numbered pairs such as DBP15K stay well inside."""
-    rows, ent, rel = _triple_rows(path)
-    return list(map(tuple, rows.tolist())), ent, rel
-
-
 def load_graph(path: str):
+    """Parse `head<TAB>relation<TAB>tail` lines into a graph plus entity and
+    relation vocabularies.  An integer id must be below the file's id-token
+    count (three per line), the most distinct ids the file can name;
+    globally numbered pairs such as DBP15K stay well inside."""
     rows, ent, rel = _triple_rows(path)
     return build_graph(rows, ent.size, rel.size), ent, rel
 
 
-def load_alignments(path: str, vocab1: Vocabulary, vocab2: Vocabulary):
-    """Parse `e1<TAB>e2` seed pairs; both sides must already be known."""
+def load_alignments(path: str, vocab1: Vocabulary, vocab2: Vocabulary, what: str = "entity"):
+    """Parse `e1<TAB>e2` seed pairs; both sides must already be known `what`s."""
     linenos, tokens = _read_rows(path, 2)
     left, stop1 = vocab1.resolve_all(tokens[0::2])
     right, stop2 = vocab2.resolve_all(tokens[1::2])
     stop = min(stop1, stop2)
     if stop < len(linenos):   # the line's first unknown token raises
         where = f"{path} line {linenos[stop]}"
-        vocab1.resolve(tokens[2 * stop], where)
-        vocab2.resolve(tokens[2 * stop + 1], where)
+        vocab1.resolve(tokens[2 * stop], where, what)
+        vocab2.resolve(tokens[2 * stop + 1], where, what)
     return list(zip(left.tolist(), right.tolist()))
 
 
@@ -541,17 +536,3 @@ def write_report(path: str, entries: dict) -> None:
     """`key<TAB>value` lines, sorted by key, written atomically."""
     text = "".join(f"{k}\t{format_value(entries[k])}\n" for k in sorted(entries))
     atomic_write_bytes(path, text.encode("utf-8"))
-
-
-def read_report(path: str) -> dict:
-    out: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            key, sep, value = line.partition("\t")
-            if not sep:
-                raise DataError(f"{path} line {lineno}: expected key<TAB>value")
-            out[key] = value
-    return out

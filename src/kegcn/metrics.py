@@ -71,23 +71,10 @@ def accuracy(pred_labels, true_labels) -> float:
     return float(np.mean(pred == true))
 
 
-def argmax_prediction(scores_row: np.ndarray) -> int:
-    # np.argmax returns the first maximum, i.e. the lowest class id
-    return int(np.argmax(np.asarray(scores_row)))
-
-
 def top_k_classes(scores_row: np.ndarray, k: int) -> np.ndarray:
     row = np.asarray(scores_row, dtype=np.float64)
     order = np.argsort(-row, kind="stable")
     return order[:k]
-
-
-def precision_at_k(scores_row, truth, k: int) -> float:
-    truth = set(truth)
-    if not truth:
-        return 0.0
-    top = top_k_classes(scores_row, k)
-    return float(sum(1 for c in top if int(c) in truth)) / float(k)
 
 
 def ndcg_at_k(scores_row, truth, k: int) -> float:

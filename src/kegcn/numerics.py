@@ -265,39 +265,37 @@ def component_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _component_sum(a * b)
 
 
-def unit_norm_parts(z: np.ndarray, eps: float = 1e-12):
-    """(safe, small, safe**3) shared by unit_project and its pullback at z.
-
-    safe is the norm of each tuple (shape z.shape[1:], bitwise
-    np.linalg.norm on trailing tuples) with 1.0 where it is below eps;
-    small marks those tuples, or is None when there is none.
-    """
+def unit_parts(z: np.ndarray, eps: float = 1e-12):
+    """(safe, small, safe**3, safe**5, unit_project(z, eps)): all that
+    unit_project, its pullback and that pullback's vjp read of z.  safe is
+    the norm of each tuple (shape z.shape[1:], bitwise np.linalg.norm on
+    trailing tuples) with 1.0 where it is below eps; small marks those
+    tuples, or is None when there is none."""
+    z = np.asarray(z, dtype=np.float64)
     safe = np.sqrt(_component_sum(z * z))
     small = safe < eps
     if small.any():
         safe = np.where(small, 1.0, safe)
     else:
         small = None
-    return safe, small, safe**3
-
-
-def unit_project(z: np.ndarray, eps: float = 1e-12, parts=None) -> np.ndarray:
-    """Normalize component tuples (planes, shape (k, ...)) to unit norm.
-    Tuples with norm below eps are reset to the unit element (1, 0, ...).
-    `parts` is unit_norm_parts(z, eps), if the caller already has it."""
-    z = np.asarray(z, dtype=np.float64)
-    safe, small, _ = unit_norm_parts(z, eps) if parts is None else parts
     out = z / safe
     if small is not None:
         np.copyto(out, 0.0, where=small)
         np.copyto(out[0, ...], 1.0, where=small)
-    return out
+    return safe, small, safe**3, safe**5, out
+
+
+def unit_project(z: np.ndarray, eps: float = 1e-12) -> np.ndarray:
+    """Normalize component tuples (planes, shape (k, ...)) to unit norm.
+    Tuples with norm below eps are reset to the unit element (1, 0, ...)."""
+    return unit_parts(z, eps)[4]
 
 
 def unit_project_pullback(z: np.ndarray, g: np.ndarray, eps: float = 1e-12,
-                          parts=None) -> np.ndarray:
+                          parts=None, zg=None) -> np.ndarray:
     """Apply the transposed Jacobian of unit_project at z to g (both
-    planes): g / |z| - z (z.g) / |z|^3.  `parts` is unit_norm_parts(z, eps).
+    planes): g / |z| - z (z.g) / |z|^3.  `parts` is unit_parts(z, eps) and
+    `zg` is component_dot(z, g), if the caller has them.
 
     Reset tuples (norm < eps) are constants, so their pullback is zero.
     """
@@ -305,9 +303,9 @@ def unit_project_pullback(z: np.ndarray, g: np.ndarray, eps: float = 1e-12,
     g = np.asarray(g, dtype=np.float64)
     if z.shape != g.shape:
         raise DimensionError(f"length mismatch {z.shape} vs {g.shape}")
-    safe, small, safe3 = unit_norm_parts(z, eps) if parts is None else parts
+    safe, small, safe3 = (unit_parts(z, eps) if parts is None else parts)[:3]
     out = g / safe
-    t = z * component_dot(z, g)
+    t = z * (component_dot(z, g) if zg is None else zg)
     t /= safe3
     out -= t
     if small is not None:

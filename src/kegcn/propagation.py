@@ -23,6 +23,8 @@ printed baselines exactly (their literal transcriptions live in
 
 Matrices are stored row-convention: a row vector h maps to h @ W.
 Every layer runs batched over all edges on a tape (`layer_forward_tape`).
+Training reads only the last layer's entities, so `tasks.fit` records no
+last-layer relation update; `model_forward` builds it (relation alignment).
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import numerics
 from .autodiff import ForwardTape, Tape, Variable
 from .graph import KnowledgeGraph, entity_norm_factors, relation_norm_factors
 from .numerics import RandomSource, truncated_normal_fill
@@ -180,10 +183,17 @@ def lift_params(tape: Tape, p: LayerParams, leaves=None) -> LayerVars:
                        for f in LayerVars._fields))
 
 
-def _edge_messages_tape(tape, mode, scorer, U, Re, V):
-    """(message-to-head, message-to-relation, message-to-tail) per edge."""
+def edge_unit_parts(hr: np.ndarray, rels: np.ndarray, planes: int):
+    """numerics.unit_parts of the (n, d*k) relation table's tuples, computed
+    once per row and taken to the edges in `rels` order."""
+    rows = numerics.unit_parts(hr.reshape(len(hr), -1, planes).transpose(2, 0, 1))
+    return tuple(None if a is None else np.take(a, rels, axis=a.ndim - 2) for a in rows)
+
+
+def _edge_messages_tape(tape, mode, scorer, U, Re, V, relation, parts):
+    """(message-to-head, -relation (None unless `relation`), -tail) per edge."""
     if mode == "kegcn":
-        return scorer.messages(tape, U, Re, V)
+        return scorer.messages(tape, U, Re, V, relation, parts)
     if mode == "compgcn-sub":
         return tape.sub(V, Re), None, tape.sub(U, Re)
     if mode == "compgcn-mult":
@@ -196,8 +206,9 @@ def _edge_messages_tape(tape, mode, scorer, U, Re, V):
 def layer_forward_tape(tape: Tape, graph: KnowledgeGraph, mode: str, scorer: Optional[Scorer],
                        params: LayerParams, lv: LayerVars,
                        hv: Variable, hr: Optional[Variable],
-                       norm_cache: dict):
+                       norm_cache: dict, relation: bool = True):
     n, rn, ne = graph.num_entities, graph.num_relations, graph.num_triples
+    relation = relation and hr is not None and lv.w_rel is not None
     w_self = lv.w0 if lv.w0 is not None else lv.w
     self_term = tape.matmul(hv, w_self)
     gr_agg = None
@@ -209,7 +220,8 @@ def layer_forward_tape(tape: Tape, graph: KnowledgeGraph, mode: str, scorer: Opt
         V = tape.gather(hv, graph.tails, flat_cache=fc["tails"], planes=k)
         Re = (tape.gather(hr, graph.rels, flat_cache=fc["rels"], planes=k)
               if hr is not None else None)
-        gh, gr, gt = _edge_messages_tape(tape, mode, scorer, U, Re, V)
+        parts = edge_unit_parts(hr.value, graph.rels, k) if k > 1 else None
+        gh, gr, gt = _edge_messages_tape(tape, mode, scorer, U, Re, V, relation, parts)
         if lv.w_per_rel is not None:
             gt = tape.per_relation_matmul(gt, lv.w_per_rel, graph.rels)
             gh = tape.per_relation_matmul(gh, lv.w_per_rel, graph.rels)
@@ -237,18 +249,15 @@ def layer_forward_tape(tape: Tape, graph: KnowledgeGraph, mode: str, scorer: Opt
     new_hv = tape.activate(params.act_ent, pre)
 
     new_hr = None
-    if hr is not None and lv.w_rel is not None:
-        if mode == "kegcn":
-            if gr_agg is not None:
-                if params.alpha is not None:
-                    key = ("rel", params.alpha)
-                    if key not in norm_cache:
-                        col = relation_norm_factors(graph, params.alpha).reshape(rn, 1)
-                        norm_cache[key] = tape.leaf(col)
-                    gr_agg = tape.mul(gr_agg, norm_cache[key])
-                pre_r = tape.matmul(tape.add(gr_agg, hr), lv.w_rel)
-            else:
-                pre_r = tape.matmul(hr, lv.w_rel)
+    if relation:
+        if gr_agg is not None:   # kegcn with edges; the other modes send no gr
+            if params.alpha is not None:
+                key = ("rel", params.alpha)
+                if key not in norm_cache:
+                    col = relation_norm_factors(graph, params.alpha).reshape(rn, 1)
+                    norm_cache[key] = tape.leaf(col)
+                gr_agg = tape.mul(gr_agg, norm_cache[key])
+            pre_r = tape.matmul(tape.add(gr_agg, hr), lv.w_rel)
         else:
             pre_r = tape.matmul(hr, lv.w_rel)
         new_hr = tape.activate(params.act_rel, pre_r)
@@ -257,11 +266,16 @@ def layer_forward_tape(tape: Tape, graph: KnowledgeGraph, mode: str, scorer: Opt
 
 def forward_on_tape(tape: Tape, graph: KnowledgeGraph, mode: str, scorer: Optional[Scorer],
                     params_list: list[LayerParams], layer_vars: list[LayerVars],
-                    hv: Variable, hr: Optional[Variable], collect: bool = False):
+                    hv: Variable, hr: Optional[Variable], collect: bool = False,
+                    final_relation: bool = True):
+    """The layer stack on `tape`; without `final_relation` the last layer
+    records no relation update and returns None for it."""
     norm_cache: dict = {}
     states = []
-    for p, lv in zip(params_list, layer_vars):
-        hv, hr = layer_forward_tape(tape, graph, mode, scorer, p, lv, hv, hr, norm_cache)
+    last = len(params_list) - 1
+    for i, (p, lv) in enumerate(zip(params_list, layer_vars)):
+        hv, hr = layer_forward_tape(tape, graph, mode, scorer, p, lv, hv, hr, norm_cache,
+                                    relation=final_relation or i < last)
         states.append((hv, hr))
     return states if collect else (hv, hr)
 

@@ -86,11 +86,13 @@ class Scorer:
     def grad_tail(self, u, r, v) -> np.ndarray:
         raise NotImplementedError
 
-    def messages(self, tape, U, R, V):
-        """Batched (grad_head, grad_rel, grad_tail) as tape Variables.
+    def messages(self, tape, U, R, V, relation=True, parts=None):
+        """Batched (grad_head, grad_rel, grad_tail) as tape Variables;
+        grad_rel is None, and not recorded, unless `relation`.
 
         U, V: (E, entity_width); R: (E, relation_width); or, when
-        planes = k > 1, all six are (k, E, d) component planes.
+        planes = k > 1, all six are (k, E, d) component planes, and
+        `parts` may carry numerics.unit_parts of R (see Tape.unit_project).
         """
         raise NotImplementedError
 
@@ -123,9 +125,10 @@ class TransE(Scorer):
         u, r, v = self._args(u, r, v)
         return 2.0 * (u + r - v)
 
-    def messages(self, tape, U, R, V):
+    def messages(self, tape, U, R, V, relation=True, parts=None):
         e = tape.sub(tape.add(U, R), V)
-        return tape.scale(e, -2.0), tape.scale(e, -2.0), tape.scale(e, 2.0)
+        return (tape.scale(e, -2.0), tape.scale(e, -2.0) if relation else None,
+                tape.scale(e, 2.0))
 
 
 class DistMult(Scorer):
@@ -156,8 +159,8 @@ class DistMult(Scorer):
         u, r, v = self._args(u, r, v)
         return u * r
 
-    def messages(self, tape, U, R, V):
-        return tape.mul(R, V), tape.mul(U, V), tape.mul(U, R)
+    def messages(self, tape, U, R, V, relation=True, parts=None):
+        return tape.mul(R, V), tape.mul(U, V) if relation else None, tape.mul(U, R)
 
 
 class TransH(Scorer):
@@ -198,7 +201,7 @@ class TransH(Scorer):
         g2 = -2.0 * e
         return np.concatenate([g1, g2])
 
-    def messages(self, tape, U, R, V):
+    def messages(self, tape, U, R, V, relation=True, parts=None):
         d = self.dim
         r1 = tape.slice_cols(R, 0, d)
         r2 = tape.slice_cols(R, d, 2 * d)
@@ -211,6 +214,8 @@ class TransH(Scorer):
         t = tape.sub(e, tape.mul(pe, r1))
         gh = tape.scale(t, -2.0)
         gt = tape.scale(t, 2.0)
+        if not relation:
+            return gh, None, gt
         duv = tape.sub(V, U)
         pduv = tape.sum_axis(tape.mul(r1, duv))
         g1 = tape.scale(tape.add(tape.mul(pe, duv), tape.mul(pduv, e)), -2.0)
@@ -258,7 +263,7 @@ class TransD(Scorer):
         _, _, _, _, _, _, au, av, e = self._parts(u, r, v)
         return np.concatenate([-2.0 * (au + av) * e, -2.0 * e])
 
-    def messages(self, tape, U, R, V):
+    def messages(self, tape, U, R, V, relation=True, parts=None):
         d = self.dim
         u1 = tape.slice_cols(U, 0, d)
         u2 = tape.slice_cols(U, d, 2 * d)
@@ -285,6 +290,8 @@ class TransD(Scorer):
                 tape.scale(tape.mul(pe, v1), -2.0),
             ]
         )
+        if not relation:
+            return gh, None, gt
         gr = tape.concat(
             [
                 tape.scale(tape.mul(tape.add(au, av), e), -2.0),
@@ -330,13 +337,15 @@ class RotatE(Scorer):
         ghat = -2.0 * numerics.complex_elementwise_product(w, numerics.complex_conjugate(uc))
         return _interleaved(numerics.unit_project_pullback(rc, ghat)).reshape(-1)
 
-    def messages(self, tape, U, R, V):
-        p = tape.unit_project(R)
+    def messages(self, tape, U, R, V, relation=True, parts=None):
+        p = tape.unit_project(R, parts=parts)
         w = tape.sub(tape.complex_mul(U, p), V)
         gt = tape.scale(w, 2.0)
         gh = tape.scale(tape.complex_mul(w, p, conj_b=True), -2.0)
+        if not relation:
+            return gh, None, gt
         ghat = tape.scale(tape.complex_mul(w, U, conj_b=True), -2.0)
-        return gh, tape.unit_project_pullback(R, ghat), gt
+        return gh, tape.unit_project_pullback(R, ghat, parts=parts), gt
 
 
 class QuatE(Scorer):
@@ -374,12 +383,14 @@ class QuatE(Scorer):
         ghat = numerics.hamilton_product(numerics.quaternion_conjugate(uq), vq)
         return _interleaved(numerics.unit_project_pullback(rq, ghat)).reshape(-1)
 
-    def messages(self, tape, U, R, V):
-        p = tape.unit_project(R)
+    def messages(self, tape, U, R, V, relation=True, parts=None):
+        p = tape.unit_project(R, parts=parts)
         gt = tape.quat_mul(U, p)
         gh = tape.quat_mul(V, p, conj_q=True)
+        if not relation:
+            return gh, None, gt
         ghat = tape.quat_mul(U, V, conj_p=True)
-        return gh, tape.unit_project_pullback(R, ghat), gt
+        return gh, tape.unit_project_pullback(R, ghat, parts=parts), gt
 
 
 SCORERS = {

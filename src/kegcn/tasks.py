@@ -353,8 +353,8 @@ def fit(graphs: dict, mc: ModelConfig, cfg: TrainConfig, loss_fn: Callable,
                                       else tape.leaf(st.relation))
                  for name, st in tables.items()}
         pvars = named_parameters(lvs, tvars)
-        outs = [forward_on_tape(tape, g, mc.mode, scorer, params_list, lvs,
-                                tvars[name].entity, tvars[name].relation)[0]
+        outs = [forward_on_tape(tape, g, mc.mode, scorer, params_list, lvs, tvars[name].entity,
+                                tvars[name].relation, final_relation=False)[0]
                 for name, g in graphs.items()]
         loss = loss_fn(tape, rng, *outs)
         losses.append(_finite_loss(loss, epoch))

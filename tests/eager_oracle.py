@@ -3,7 +3,7 @@
 The oracle the batched tape layer (`propagation.layer_forward_tape`) is
 tested against: every entity and relation sums its messages edge by edge
 over its ascending neighbourhood (`checks.in_edges`, `out_edges`,
-`relation_edges`), with the scorers' closed-form gradients and the
+`relation_edges` below), with the scorers' closed-form gradients and the
 scalar degree normalizations below.
 """
 
@@ -12,10 +12,16 @@ from typing import Optional
 import numpy as np
 
 from kegcn import numerics
-from kegcn.checks import _phi_eager, in_edges, out_edges, relation_edges
+from kegcn.checks import _phi_eager, in_edges, out_edges
 from kegcn.graph import KnowledgeGraph
 from kegcn.propagation import EmbeddingState, LayerParams
 from kegcn.scorers import Scorer
+
+
+def relation_edges(g: KnowledgeGraph, r: int) -> list:
+    """(head, tail) of every edge labeled r, ascending."""
+    mask = g.rels == r
+    return sorted(zip(g.heads[mask].tolist(), g.tails[mask].tolist()))
 
 
 def degree_norm(g: KnowledgeGraph, v: int, alpha: float) -> float:

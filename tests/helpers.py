@@ -1,0 +1,42 @@
+"""Functions only the tests call: the per-row classification metrics the
+vectorised `tasks.evaluate_classification` is checked against, the
+triples a graph file parses to, and the reader of `io.write_report` files."""
+
+import numpy as np
+
+from kegcn.io import DataError, _triple_rows
+from kegcn.metrics import top_k_classes
+
+
+def argmax_prediction(scores_row: np.ndarray) -> int:
+    # np.argmax returns the first maximum, i.e. the lowest class id
+    return int(np.argmax(np.asarray(scores_row)))
+
+
+def precision_at_k(scores_row, truth, k: int) -> float:
+    truth = set(truth)
+    if not truth:
+        return 0.0
+    top = top_k_classes(scores_row, k)
+    return float(sum(1 for c in top if int(c) in truth)) / float(k)
+
+
+def read_report(path: str) -> dict:
+    out: dict = {}
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.rstrip("\n")
+            if not line:
+                continue
+            key, sep, value = line.partition("\t")
+            if not sep:
+                raise DataError(f"{path} line {lineno}: expected key<TAB>value")
+            out[key] = value
+    return out
+
+
+def load_triples(path: str):
+    """The triples of a graph file in file order, with its entity and
+    relation vocabularies: what `io.load_graph` builds its graph from."""
+    rows, ent, rel = _triple_rows(path)
+    return list(map(tuple, rows.tolist())), ent, rel

@@ -24,8 +24,8 @@ from kegcn.checks import (
     reduction_discrepancy,
     scorer_gradient_fd,
 )
-from kegcn.io import read_report
-from kegcn.metrics import accuracy, hits_at_k, mrr, ndcg_at_k, precision_at_k
+from kegcn.metrics import accuracy, hits_at_k, mrr, ndcg_at_k
+from helpers import precision_at_k, read_report
 from kegcn.numerics import (
     RandomSource,
     circular_correlation,

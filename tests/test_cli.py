@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 import kegcn
+from helpers import read_report
 from kegcn import cli
 from kegcn import io as io_mod
 from kegcn.graph import build_graph
-from kegcn.io import read_report
 from kegcn.numerics import RandomSource
 from kegcn.propagation import init_params, init_state
 from kegcn.tasks import TrainConfig
@@ -113,6 +113,18 @@ def test_train_align_empty_training_set(tmp_path, capsys):
     assert cli.main(["train-align", "--graph1", str(g1), "--graph2", str(g2),
                      "--train", str(train), "--epochs", "2", "--quiet"]) == 1
     assert "empty training set" in capsys.readouterr().err
+
+
+def test_train_align_unknown_rel_test_relation_is_named_a_relation(tmp_path, capsys):
+    g1 = write_ring_dataset(tmp_path, prefix="g1")
+    g2 = write_ring_dataset(tmp_path, prefix="g2")
+    train = write_pairs(tmp_path, "train.tsv", [(i, i) for i in range(9)])
+    rel_test = write_pairs(tmp_path, "rp.tsv", [(0, 7)])
+    assert cli.main(["train-align", "--graph1", str(g1), "--graph2", str(g2),
+                     "--train", str(train), "--rel-test", str(rel_test),
+                     "--dim", "4", "--layers", "2", "--epochs", "2", "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{rel_test} line 1: unknown relation '7'" in err
 
 
 def test_train_align_missing_graph(tmp_path, capsys):

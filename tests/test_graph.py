@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eager_oracle import degree_norm, relation_norm
-from kegcn.checks import in_edges, out_edges, relation_edges
+from eager_oracle import degree_norm, relation_edges, relation_norm
+from kegcn.checks import in_edges, out_edges
 from kegcn.graph import (
     GraphError,
     build_graph,

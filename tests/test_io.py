@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import load_triples, read_report
 from kegcn.io import (
     Checkpoint,
     CheckpointError,
@@ -13,10 +14,8 @@ from kegcn.io import (
     load_checkpoint,
     load_graph,
     load_labels,
-    load_triples,
     pack_model,
     parse_config,
-    read_report,
     save_checkpoint,
     train_config,
     unpack_model,
@@ -149,6 +148,16 @@ def test_load_alignments_and_unknown_entity(tmp_path):
     al.write_text("a\tmissing\n")
     with pytest.raises(DataError, match="line 1.*unknown entity 'missing'"):
         load_alignments(str(al), ent, ent)
+
+
+def test_load_alignments_names_an_unknown_relation(tmp_path):
+    g = tmp_path / "g.tsv"
+    g.write_text("a\tr\tb\n")
+    _, _, rel = load_triples(str(g))
+    pairs = tmp_path / "rp.tsv"
+    pairs.write_text("r\tzz\n")
+    with pytest.raises(DataError, match="rp.tsv line 1: unknown relation 'zz'"):
+        load_alignments(str(pairs), rel, rel, what="relation")
 
 
 def test_load_alignments_empty_file(tmp_path):

@@ -242,11 +242,12 @@ def test_component_sums_match_numpy_reductions(lead):
     for width in (2, 4):
         p, q = (shaped(x, lead) for x in pairs(width, 1))
         assert_bitwise(numerics.component_dot(planes(p), planes(q)), np.sum(p * q, axis=-1))
-        safe, small, safe3 = numerics.unit_norm_parts(planes(p))
+        safe, small, safe3, safe5, _ = numerics.unit_parts(planes(p))
         n = np.linalg.norm(p, axis=-1)
         assert_bitwise(safe, np.where(n < 1e-12, 1.0, n))
         assert np.array_equal(small, n < 1e-12)
         assert_bitwise(safe3, np.where(n < 1e-12, 1.0, n) ** 3)
+        assert_bitwise(safe5, np.where(n < 1e-12, 1.0, n) ** 5)
 
 
 def test_all_negative_zero_tuple_sums_to_positive_zero():
@@ -258,7 +259,7 @@ def test_all_negative_zero_tuple_sums_to_positive_zero():
 
 def test_unit_norm_parts_without_small_tuples():
     z = np.random.default_rng(2).normal(size=(5, 3, 4)) + 3.0
-    safe, small, _ = numerics.unit_norm_parts(planes(z))
+    safe, small = numerics.unit_parts(planes(z))[:2]
     assert small is None
     assert_bitwise(safe, np.linalg.norm(z, axis=-1))
 
@@ -310,9 +311,13 @@ def test_unit_projection_and_pullback_match_oracle(lead):
         assert_bitwise(trailing(numerics.unit_project(zp)), old_unit_project(z))
         assert_bitwise(trailing(numerics.unit_project_pullback(zp, gp)),
                        old_unit_project_pullback(z, g))
-        parts = numerics.unit_norm_parts(zp)
-        assert_bitwise(trailing(numerics.unit_project(zp, parts=parts)), old_unit_project(z))
+        parts = numerics.unit_parts(zp)
+        assert_bitwise(trailing(parts[4]), old_unit_project(z))
         assert_bitwise(trailing(numerics.unit_project_pullback(zp, gp, parts=parts)),
+                       old_unit_project_pullback(z, g))
+        # the dot product may come in either order: g.z is z.g bitwise
+        zg = numerics.component_dot(gp, zp)
+        assert_bitwise(trailing(numerics.unit_project_pullback(zp, gp, parts=parts, zg=zg)),
                        old_unit_project_pullback(z, g))
 
 

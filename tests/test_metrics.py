@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
+from helpers import argmax_prediction, precision_at_k
 from kegcn.metrics import (
     accuracy,
-    argmax_prediction,
     hits_at_k,
     mrr,
     ndcg_at_k,
-    precision_at_k,
     rank_of_truth,
     ranks_from_distance_matrix,
     top_k_classes,

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from kegcn.checks import baseline_forward, verify_reduction
 from kegcn.graph import build_graph
 from kegcn.numerics import RandomSource, activation
 from kegcn.propagation import (
+    REDUCTION_MODES,
     EmbeddingState,
     LayerParams,
     LayerVars,
@@ -218,6 +221,49 @@ def test_permutation_equivariance():
     out2 = model_forward(g2, EmbeddingState(ent2, state.relation), params, scorer=s)
     assert np.allclose(out2.entity[perm], out1.entity, atol=1e-9)
     assert np.allclose(out2.relation, out1.relation, atol=1e-9)
+
+
+def _relative_error(got, want) -> float:
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("mode,kind", [("kegcn", k) for k in ALL_KINDS]
+                         + [(m, "transe") for m in REDUCTION_MODES])
+def test_model_forward_equivariant_under_relabelling(mode, kind):
+    # renumber entities and relations: every output row moves with its
+    # label.  Edge order sets the summation order, so equal to 1e-12
+    # relative, not bitwise
+    g = random_instance(n=12, r=4, edges=40, seed=53)
+    cfg = ModelConfig(mode=mode, scorer_kind=kind, dim=8, layers=3, alpha=0.3)
+    rng = RandomSource(59)
+    params = init_params(cfg, g.num_relations, rng)
+    state = init_state(cfg, g, rng)
+    pe, pr = RandomSource(61).permutation(12), RandomSource(67).permutation(4)
+    g2 = build_graph(np.column_stack((pe[g.heads], pr[g.rels], pe[g.tails])), 12, 4)
+    params2 = []
+    for p in params:
+        q = replace(p)
+        if p.rel_scale is not None:
+            p.rel_scale = 0.5 + rng.uniform((4, 1))
+            q.rel_scale = np.empty_like(p.rel_scale)
+            q.rel_scale[pr] = p.rel_scale
+        if p.w_per_rel is not None:
+            q.w_per_rel = np.empty_like(p.w_per_rel)
+            q.w_per_rel[pr] = p.w_per_rel
+        params2.append(q)
+    ent2 = np.empty_like(state.entity)
+    ent2[pe] = state.entity
+    rel2 = None
+    if state.relation is not None:
+        rel2 = np.empty_like(state.relation)
+        rel2[pr] = state.relation
+    s = config_scorer(cfg)
+    out = model_forward(g, state, params, mode=mode, scorer=s)
+    out2 = model_forward(g2, EmbeddingState(ent2, rel2), params2, mode=mode, scorer=s)
+    assert _relative_error(out2.entity[pe], out.entity) <= 1e-12
+    assert (out.relation is None) == (out2.relation is None)
+    if out.relation is not None:
+        assert _relative_error(out2.relation[pr], out.relation) <= 1e-12
 
 
 @pytest.mark.parametrize("mode", ["compgcn-sub", "compgcn-mult", "compgcn-corr", "rgcn", "wgcn"])

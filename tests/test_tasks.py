@@ -30,7 +30,8 @@ from kegcn.tasks import (
     train_classification,
     zero_shot_relation_alignment,
 )
-from kegcn.propagation import EmbeddingState
+from kegcn import propagation
+from kegcn.propagation import REDUCTION_MODES, EmbeddingState
 
 
 def ring_graph(n, r):
@@ -245,6 +246,7 @@ def test_l1_cdist_chunking_is_bitwise():
 
 def test_evaluate_classification_matches_per_row_metrics_with_ties():
     from kegcn import metrics
+    import helpers
 
     rng = np.random.default_rng(13)
     scores = rng.integers(0, 3, size=(40, 7)) / 4.0   # many tied scores per row
@@ -252,13 +254,13 @@ def test_evaluate_classification_matches_per_row_metrics_with_ties():
     ids = [int(i) for i in rng.permutation(40)[:30]]
     single = LabelSet({i: (int(rng.integers(0, 7)),) for i in range(40)}, 7, False)
     got = evaluate_classification(scores, single, ids)
-    pred = [metrics.argmax_prediction(scores[e]) for e in ids]
+    pred = [helpers.argmax_prediction(scores[e]) for e in ids]
     assert got["accuracy"] == metrics.accuracy(pred, [single.labels[e][0] for e in ids])
     multi = LabelSet({i: tuple(sorted({int(c) for c in rng.integers(0, 7, size=3)}))
                       for i in range(40)}, 7, True)
     got = evaluate_classification(scores, multi, ids)
     for key, k in (("p1", 1), ("p5", 5)):
-        per_row = [metrics.precision_at_k(scores[e], multi.labels[e], k) for e in ids]
+        per_row = [helpers.precision_at_k(scores[e], multi.labels[e], k) for e in ids]
         assert got[key] == float(np.mean(per_row))
     per_row = [metrics.ndcg_at_k(scores[e], multi.labels[e], 5) for e in ids]
     assert got["ndcg5"] == float(np.mean(per_row))
@@ -371,8 +373,7 @@ def test_quate_scatter_cache_one_entry_per_layout_across_epochs():
         assert all(list(g.flat_cache[name]) == [(8, 4)] for name in ("heads", "tails", "rels"))
 
 
-def test_quate_epoch_tape_node_count(monkeypatch):
-    # 4 layers on two graphs plus the loss; messages record no reshape nodes
+def _epoch_node_counts(monkeypatch, train):
     counts = []
 
     class CountingTape(Tape):
@@ -381,10 +382,77 @@ def test_quate_epoch_tape_node_count(monkeypatch):
             return super().backward(loss)
 
     monkeypatch.setattr(tasks_mod, "Tape", CountingTape)
+    train()
+    return counts
+
+
+def test_quate_epoch_tape_node_count(monkeypatch):
+    # 4 layers on two graphs plus the loss; messages record no reshape nodes.
+    # The last layer records no relation update: per graph no quat_mul for
+    # ghat, unit_project_pullback, relation segment_sum, norm mul, add or
+    # matmul (200 nodes with it)
     g1, g2, ent_pairs, _ = synthetic.hub_signature_pair(40, 3, 150, seed=1)
     seeds = synthetic.alignment_split(ent_pairs)
-    train_alignment(g1, g2, seeds, TrainConfig(scorer="quate", dim=8, layers=4, epochs=2))
-    assert counts == [200, 200]
+    cfg = TrainConfig(scorer="quate", dim=8, layers=4, epochs=2)
+    assert _epoch_node_counts(monkeypatch, lambda: train_alignment(g1, g2, seeds, cfg)) \
+        == [188, 188]
+
+
+def test_transe_classification_epoch_tape_node_count(monkeypatch):
+    # 4 layers plus the loss; the last layer records no gr scale, relation
+    # segment_sum, norm mul, add or matmul (106 nodes with them)
+    g, labels = synthetic.block_classification(60, 3, 200, noise=0.1, seed=3)
+    label_set = synthetic.classification_split(labels, 3, seed=3)
+    cfg = TrainConfig(dim=8, layers=4, epochs=2)
+    assert _epoch_node_counts(monkeypatch, lambda: train_classification(g, label_set, cfg)) \
+        == [101, 101]
+
+
+FULL_STACK_CASES = ([("kegcn", s) for s in ("transe", "distmult", "transh", "transd",
+                                             "rotate", "quate")]
+                    + [(m, "transe") for m in REDUCTION_MODES])
+
+
+@pytest.mark.parametrize("task", ["alignment", "classification"])
+@pytest.mark.parametrize("mode,scorer", FULL_STACK_CASES)
+def test_epoch_equals_the_full_stack_bitwise(monkeypatch, task, mode, scorer):
+    # training skips the last layer's relation update and takes the planes
+    # scorers' unit-projection parts once per relation row; the full stack
+    # records that update and lets every projection op compute its parts
+    # per edge.  Losses and every leaf gradient must not move by one bit.
+    g1, g2, ent_pairs, _ = synthetic.hub_signature_pair(40, 3, 150, seed=1)
+    seeds = synthetic.alignment_split(ent_pairs, valid_fraction=0.1)
+    g, labels = synthetic.block_classification(60, 3, 200, noise=0.1, seed=3)
+    label_set = synthetic.classification_split(labels, 3, seed=3)
+    cfg = TrainConfig(mode=mode, scorer=scorer, dim=8, layers=3, epochs=2, lr=0.05)
+    epochs = []
+
+    class RecordingTape(Tape):
+        def backward(self, loss):
+            grads = super().backward(loss)
+            leaves = [i for i, node in enumerate(self.nodes) if node.vjp is None]
+            epochs.append((float(loss.value), [grads._grads[i] if i < len(grads._grads)
+                                               else None for i in leaves]))
+            return grads
+
+    monkeypatch.setattr(tasks_mod, "Tape", RecordingTape)
+    run = ((lambda: train_alignment(g1, g2, seeds, cfg)) if task == "alignment"
+           else (lambda: train_classification(g, label_set, cfg)))
+    run()
+    trained, epochs[:] = list(epochs), []
+
+    def full_forward(*args, **kwargs):
+        return propagation.forward_on_tape(*args, **{**kwargs, "final_relation": True})
+
+    monkeypatch.setattr(tasks_mod, "forward_on_tape", full_forward)
+    monkeypatch.setattr(propagation, "edge_unit_parts", lambda *_: None)
+    run()
+    assert len(trained) == len(epochs) == 2
+    for (loss, grads), (full_loss, full_grads) in zip(trained, epochs):
+        assert loss == full_loss
+        assert len(grads) == len(full_grads)
+        for a, b in zip(grads, full_grads):
+            assert (a is None and b is None) or np.array_equal(a, b)
 
 
 def test_train_alignment_early_stops_on_plateau():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import tsv_oracle as oracle
+from helpers import load_triples
 from kegcn import cli
 from kegcn import io as kio
 from kegcn.graph import build_graph
@@ -167,7 +168,7 @@ def test_triples_match_the_oracle(tmp_path_factory, instance, bad, data):
     path = tmp_path_factory.mktemp("t") / "g.tsv"
     path.write_bytes(encode(data.draw(layout(rows))))
     want = outcome(oracle.load_triples, str(path))
-    assert triples_state(outcome(kio.load_triples, str(path))) == triples_state(want)
+    assert triples_state(outcome(load_triples, str(path))) == triples_state(want)
     assert want[0] == "error" or "non_utf8" not in used
     if want[0] == "ok":
         triples, ent, rel = want[1]
@@ -183,7 +184,7 @@ def graph_file(draw, tmp_path_factory):
     _, rows = draw(triple_rows())
     path = tmp_path_factory.mktemp("g") / "g.tsv"
     path.write_bytes(encode(draw(layout(rows))))
-    loaded = kio.load_triples(str(path))
+    loaded = load_triples(str(path))
     assume(loaded[0])   # every row may have been a comment: "#" is a head token too
     return path, loaded, oracle.load_triples(str(path))
 

@@ -123,12 +123,12 @@ def load_triples(path: str):
     return triples, ent, rel
 
 
-def load_alignments(path: str, vocab1, vocab2):
+def load_alignments(path: str, vocab1, vocab2, what: str = "entity"):
     pairs = []
     for lineno, tokens in data_rows(path, 2):
         where = f"{path} line {lineno}"
-        pairs.append((vocab1.resolve(tokens[0], where),
-                      vocab2.resolve(tokens[1], where)))
+        pairs.append((vocab1.resolve(tokens[0], where, what),
+                      vocab2.resolve(tokens[1], where, what)))
     return pairs
 
 
