@@ -8,23 +8,32 @@ through the score-gradient messages, so second derivatives of the scoring
 functions are picked up automatically.
 
 Gradients: `backward` keeps the first gradient a node receives as its vjp
-built it and adds later ones into it in place.  It copies that first one
-only when it may share memory with the incoming gradient, which `add`,
-`sub` (a same-shape `_unbroadcast`) and `concat` (views) pass on.
+built it and adds later ones into it in place.  The incoming gradient
+itself, which `add` and `sub` pass on unchanged, becomes the first
+gradient of the first parent that gets it: nothing else holds it once its
+node has run.  Any other first gradient that may share its memory (the
+second parent of an `add`, the views `concat` passes on) is copied.
 
 Value lifetime: a Variable owns its array, and a Tape's nodes hold every
 value until `backward` starts, so the recorded forward pass can be read
 from `tape.nodes[i].value` until then.  `backward` reads no node value and
-drops them all as it starts; an intermediate then lives only while a
-Variable or a vjp that computes with it holds it (vjps that need only a
-shape keep the shape).  Freeing values earlier, as each layer returns or
-one by one during `backward`, made the allocator trim freed temporaries
-and fault them back in: about 190k and 55k minor faults per classify-300
-training job, several times the count with values dropped at `backward`.
+drops them all as it starts, and it drops each node's vjp and parents as
+soon as the node has run, so a tape is consumed by its own reverse pass:
+an intermediate lives only while a Variable, or a vjp not yet run, holds
+it (vjps that need only a shape keep the shape).
+
+Memory: freed that early, a training epoch's arrays go back to the
+allocator during `backward`, which hands the top of its heap back to the
+operating system, and the next epoch faults the same memory in again.  A
+Tape given a `BufferPool` takes its ops' outputs, its vjps' gradients and
+their large temporaries from the pool instead; the pool keeps them for
+the next tape.  Without a pool the same ops allocate as usual.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 import weakref
 
 import numpy as np
@@ -68,7 +77,8 @@ def _row_index(idx, num: int) -> np.ndarray:
 
 
 def scatter_add(x: np.ndarray, idx: np.ndarray, num: int,
-                flat_cache: dict | None = None, planes: int = 1) -> np.ndarray:
+                flat_cache: dict | None = None, planes: int = 1,
+                empty=None) -> np.ndarray:
     """out[idx[j]] += x[j] into zeros of shape (num,) + trailing, where
     trailing = x.shape[idx.ndim:], as one bincount over flat positions.
 
@@ -81,9 +91,12 @@ def scatter_add(x: np.ndarray, idx: np.ndarray, num: int,
     for this same `idx`; the owner of a fixed index array (a graph's
     heads, tails, rels) keeps one so each layout is built once.  Indices
     that change per call leave it None and build theirs on the fly.
+
+    With `empty`, the sums are copied into empty(shape) and bincount's own
+    array is freed at once.
     """
     trailing = x.shape[idx.ndim:] if planes == 1 else (x.shape[-1] * planes,)
-    w = int(np.prod(trailing, dtype=np.int64))
+    w = math.prod(trailing)
     flat = None if flat_cache is None else flat_cache.get((w, planes))
     if flat is None:
         flat = (idx.reshape(1, -1, 1) * w + np.arange(0, w, planes)
@@ -91,17 +104,104 @@ def scatter_add(x: np.ndarray, idx: np.ndarray, num: int,
         if flat_cache is not None:
             flat_cache[w, planes] = flat
     out = np.bincount(flat, weights=x.reshape(-1), minlength=num * w)
-    # bincount of an empty index comes back as int64 zeros
-    return out.astype(np.float64, copy=False).reshape((num,) + trailing)
+    if empty is None:
+        # bincount of an empty index comes back as int64 zeros
+        return out.astype(np.float64, copy=False).reshape((num,) + trailing)
+    sums = empty((num,) + trailing)
+    np.copyto(sums.reshape(-1), out)
+    return sums
 
 
-def take_planes(x: np.ndarray, idx: np.ndarray, planes: int) -> np.ndarray:
+def take_planes(x: np.ndarray, idx: np.ndarray, planes: int, empty=np.empty) -> np.ndarray:
     """Rows x[idx] of an interleaved (n, d*k) array as contiguous planes
-    (k, len(idx), d).  Only the n-row table is transposed."""
+    (k, len(idx), d), written into empty(shape).  Only the n-row table is
+    transposed.  Every index must be in [0, n) (see `_row_index`)."""
     if planes == 1:
-        return np.take(x, idx, axis=0)
-    table = np.ascontiguousarray(x.reshape(x.shape[0], -1, planes).transpose(2, 0, 1))
-    return np.take(table, idx, axis=1)
+        return np.take(x, idx, axis=0, out=empty(idx.shape + x.shape[1:]), mode="clip")
+    table = empty((planes, x.shape[0], x.shape[1] // planes))
+    np.copyto(table, x.reshape(x.shape[0], -1, planes).transpose(2, 0, 1))
+    return np.take(table, idx, axis=1, out=empty((planes,) + idx.shape + table.shape[2:]),
+                   mode="clip")
+
+
+def _shape_of(sa: tuple, sb: tuple) -> tuple:
+    return sa if sa == sb else np.broadcast_shapes(sa, sb)
+
+
+def _free_refs() -> int:
+    """What sys.getrefcount reports for an array held by one list only."""
+    arrays = [np.empty(0)]
+    return sys.getrefcount(arrays[0])
+
+
+_FREE_REFS = _free_refs()
+_LINE, _PAGE = 8, 512      # float64 elements in a 64-byte cache line, a 4 KiB page
+
+
+def _block(size: int, count: int, color: int) -> list:
+    """`count` flat float64 arrays of `size` elements cut from one
+    allocation.  Each is an array of its own (its base is a memoryview, not
+    the block), so its views refer to it and count as its references.
+    Consecutive arrays are an odd number of cache lines apart and the first
+    starts `color` lines into the block, so a pool's arrays start at
+    different offsets within a page: elementwise loops that read one array
+    and write another at the same offset run markedly slower."""
+    stride = -(-size // (2 * _LINE)) * 2 * _LINE + _LINE
+    first = color * _LINE % _PAGE
+    mem = memoryview(np.empty(first + count * stride))
+    return [np.frombuffer(mem[first + i * stride:first + i * stride + size])
+            for i in range(count)]
+
+
+class BufferPool:
+    """Float64 arrays that the tapes of one training run reuse.
+
+    The pool keeps every array it hands out, flat and keyed by element
+    count.  `empty(shape)` returns one of that size, viewed as `shape`,
+    that nothing outside the pool holds any more: its reference count shows
+    the pool's list alone, since a Variable, a vjp, a view or a caller each
+    add one.  So an array still in use is never handed out twice, whoever
+    holds it.  The arrays of a size come in blocks that double their count
+    (1, 1, 2, 4, ...), and an array is first handed out only when every
+    earlier one of its size is held, so the pool uses as many arrays of
+    each size as were ever held at once; the rest of the last block is
+    never written.  Arrays below MIN_SIZE elements are not pooled: they
+    cost more to pool than to allocate.
+    """
+
+    MIN_SIZE = 1024
+
+    def __init__(self):
+        self._arrays: dict[int, list] = {}   # handed out before, most recently last
+        self._unused: dict[int, list] = {}   # the rest of each size's last block
+        self._blocks = 0
+
+    def empty(self, shape: tuple) -> np.ndarray:
+        size = math.prod(shape)
+        if size < self.MIN_SIZE:
+            return np.empty(shape)
+        arrays = self._arrays.get(size)
+        if arrays is None:
+            arrays = self._arrays[size] = []
+            self._unused[size] = []
+        # the free array handed out last was most likely freed last: still in cache
+        for i in range(len(arrays) - 1, -1, -1):
+            if sys.getrefcount(arrays[i]) == _FREE_REFS:
+                a = arrays.pop(i)
+                arrays.append(a)
+                return a.reshape(shape)
+        unused = self._unused[size]
+        if not unused:
+            self._blocks += 1   # blocks start 5 lines apart: an odd step visits all 64
+            unused.extend(_block(size, max(1, len(arrays)), 5 * self._blocks))
+        a = unused.pop()
+        arrays.append(a)
+        return a.reshape(shape)
+
+    def held(self) -> list:
+        """The pooled arrays that something outside the pool still holds."""
+        return [arrays[i] for arrays in self._arrays.values() for i in range(len(arrays))
+                if sys.getrefcount(arrays[i]) > _FREE_REFS]
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -122,10 +222,18 @@ class Tape:
     over flat (row, column) positions: each output entry starts at +0.0 and
     adds its contributions in index (edge) order, so the result is bitwise
     equal to zeros accumulated with the unbuffered `at` method of `np.add`.
+
+    `tape.empty(shape)` is where ops, vjps and callers that feed the tape
+    take their large arrays: `pool.empty` for a Tape given a `pool` (see
+    the module docstring), else `np.empty`; the values are the same bit for
+    bit.  A vjp holds that allocator, never the tape, so a tape that never
+    runs backward is still freed as soon as nothing refers to it.
     """
 
-    def __init__(self):
+    def __init__(self, pool: BufferPool | None = None):
         self.nodes: list[Node] = []
+        self.empty = np.empty if pool is None else pool.empty
+        self._sums = None if pool is None else pool.empty   # scatter_add's `empty`
 
     def _record(self, value, parents=(), vjp=None, name="leaf") -> Variable:
         node = Node(np.asarray(value, dtype=np.float64), tuple(p.index for p in parents),
@@ -144,36 +252,51 @@ class Tape:
         def vjp(g):
             return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
-        return self._record(a.value + b.value, (a, b), vjp, "add")
+        out = np.add(a.value, b.value, out=self.empty(_shape_of(sa, sb)))
+        return self._record(out, (a, b), vjp, "add")
 
     def sub(self, a: Variable, b: Variable) -> Variable:
+        empty = self.empty
         sa, sb = a.shape, b.shape
 
         def vjp(g):
-            return _unbroadcast(g, sa), _unbroadcast(-g, sb)
+            return _unbroadcast(g, sa), _unbroadcast(np.negative(g, out=empty(g.shape)), sb)
 
-        return self._record(a.value - b.value, (a, b), vjp, "sub")
+        out = np.subtract(a.value, b.value, out=empty(_shape_of(sa, sb)))
+        return self._record(out, (a, b), vjp, "sub")
 
     def mul(self, a: Variable, b: Variable) -> Variable:
+        empty = self.empty
         av, bv = a.value, b.value
 
         def vjp(g):
-            return _unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)
+            return (_unbroadcast(np.multiply(g, bv, out=empty(g.shape)), av.shape),
+                    _unbroadcast(np.multiply(g, av, out=empty(g.shape)), bv.shape))
 
-        return self._record(av * bv, (a, b), vjp, "mul")
+        out = np.multiply(av, bv, out=empty(_shape_of(av.shape, bv.shape)))
+        return self._record(out, (a, b), vjp, "mul")
 
     def scale(self, a: Variable, c: float) -> Variable:
-        return self._record(a.value * c, (a,), lambda g: (g * c,), "scale")
+        empty = self.empty
+
+        def vjp(g):
+            return (np.multiply(g, c, out=empty(g.shape)),)
+
+        return self._record(np.multiply(a.value, c, out=empty(a.shape)), (a,), vjp,
+                            "scale")
 
     def matmul(self, a: Variable, b: Variable) -> Variable:
+        empty = self.empty
         av, bv = a.value, b.value
         if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
             raise DimensionError(f"matmul mismatch {av.shape} vs {bv.shape}")
 
         def vjp(g):
-            return g @ bv.T, av.T @ g
+            return (np.matmul(g, bv.T, out=empty(av.shape)),
+                    np.matmul(av.T, g, out=empty(bv.shape)))
 
-        return self._record(av @ bv, (a, b), vjp, "matmul")
+        out = np.matmul(av, bv, out=empty((av.shape[0], bv.shape[1])))
+        return self._record(out, (a, b), vjp, "matmul")
 
     # ---- indexing / shaping ----
 
@@ -182,23 +305,25 @@ class Tape:
         """Rows x[idx]; with planes=k > 1 the interleaved rows come back as
         (k, len(idx), d) planes (see `take_planes`).  `flat_cache` (see
         `scatter_add`) serves the vjp."""
+        sums = self._sums
         xv = x.value
         num = xv.shape[0]
         idx = _row_index(idx, num)
 
         def vjp(g):
-            return (scatter_add(g, idx, num, flat_cache, planes),)
+            return (scatter_add(g, idx, num, flat_cache, planes, sums),)
 
-        return self._record(take_planes(xv, idx, planes), (x,), vjp, "gather")
+        return self._record(take_planes(xv, idx, planes, self.empty), (x,), vjp, "gather")
 
     def segment_sum(self, x: Variable, idx: np.ndarray, num: int, *,
                     flat_cache: dict | None = None, planes: int = 1) -> Variable:
         """Row idx[j] of the result sums x[j] over every j carrying it.  With
         planes=k > 1, x is (k, len(idx), d) planes and the result is
         interleaved, (num, d*k)."""
+        empty = self.empty
         idx = _row_index(idx, num)
-        out = scatter_add(x.value, idx, num, flat_cache, planes)
-        return self._record(out, (x,), lambda g: (take_planes(g, idx, planes),),
+        out = scatter_add(x.value, idx, num, flat_cache, planes, self._sums)
+        return self._record(out, (x,), lambda g: (take_planes(g, idx, planes, empty),),
                             "segment_sum")
 
     def concat(self, parts, axis: int = -1) -> Variable:
@@ -210,13 +335,17 @@ class Tape:
         def vjp(g):
             return tuple(np.split(g, splits, axis=ax))
 
-        return self._record(np.concatenate(values, axis=ax), tuple(parts), vjp, "concat")
+        shape = values[0].shape[:ax] + (sum(sizes),) + values[0].shape[ax + 1:]
+        out = np.concatenate(values, axis=ax, out=self.empty(shape))
+        return self._record(out, tuple(parts), vjp, "concat")
 
     def slice_cols(self, x: Variable, start: int, stop: int) -> Variable:
+        empty = self.empty
         shape = x.shape
 
         def vjp(g):
-            out = np.zeros(shape)
+            out = empty(shape)
+            out.fill(0.0)
             out[..., start:stop] = g
             return (out,)
 
@@ -225,34 +354,49 @@ class Tape:
     # ---- reductions ----
 
     def sum(self, x: Variable) -> Variable:
-        shape = x.shape
-        return self._record(
-            np.sum(x.value), (x,), lambda g: (np.full(shape, float(g)),), "sum"
-        )
-
-    def sum_axis(self, x: Variable, axis: int = -1) -> Variable:
-        """Sum over one axis, keepdims."""
+        empty = self.empty
         shape = x.shape
 
         def vjp(g):
-            return (np.broadcast_to(g, shape).copy(),)
+            out = empty(shape)
+            out.fill(float(g))
+            return (out,)
+
+        return self._record(np.sum(x.value), (x,), vjp, "sum")
+
+    def sum_axis(self, x: Variable, axis: int = -1) -> Variable:
+        """Sum over one axis, keepdims."""
+        empty = self.empty
+        shape = x.shape
+
+        def vjp(g):
+            out = empty(shape)
+            np.copyto(out, np.broadcast_to(g, shape))
+            return (out,)
 
         return self._record(np.sum(x.value, axis=axis, keepdims=True), (x,), vjp, "sum_axis")
 
     # ---- elementwise nonlinear ----
 
     def abs(self, x: Variable) -> Variable:
+        empty = self.empty
         xv = x.value
-        return self._record(np.abs(xv), (x,), lambda g: (g * np.sign(xv),), "abs")
+
+        def vjp(g):
+            sign = np.sign(xv, out=empty(xv.shape))
+            return (np.multiply(g, sign, out=sign),)
+
+        return self._record(np.abs(xv, out=empty(xv.shape)), (x,), vjp, "abs")
 
     def relu(self, x: Variable) -> Variable:
+        empty = self.empty
         xv = x.value
         mask = xv > 0
 
         def vjp(g):
-            return (g * mask,)
+            return (np.multiply(g, mask, out=empty(g.shape)),)
 
-        return self._record(np.maximum(xv, 0.0), (x,), vjp, "relu")
+        return self._record(np.maximum(xv, 0.0, out=empty(xv.shape)), (x,), vjp, "relu")
 
     def sigmoid(self, x: Variable) -> Variable:
         s = numerics.sigmoid(x.value)
@@ -293,35 +437,35 @@ class Tape:
     def complex_mul(self, a: Variable, b: Variable, conj_b: bool = False) -> Variable:
         """a * b entrywise, or a * conj(b) with conj_b, without a
         conjugate node."""
+        empty = self.empty
         av, bv = a.value, b.value
 
         def vjp(g):
-            db = numerics.complex_elementwise_product(g, av, conj_b=True)
+            db = numerics.complex_elementwise_product(g, av, True, empty)
             if conj_b:
                 np.negative(db[1], out=db[1])
-            return numerics.complex_elementwise_product(g, bv, conj_b=not conj_b), db
+            return numerics.complex_elementwise_product(g, bv, not conj_b, empty), db
 
-        return self._record(
-            numerics.complex_elementwise_product(av, bv, conj_b=conj_b), (a, b), vjp,
-            "complex_mul"
-        )
+        out = numerics.complex_elementwise_product(av, bv, conj_b, empty)
+        return self._record(out, (a, b), vjp, "complex_mul")
 
     def quat_mul(self, p: Variable, q: Variable, conj_p: bool = False,
                  conj_q: bool = False) -> Variable:
         """Hamilton product p q; conj_p / conj_q conjugate that factor
         without a conjugate node."""
+        empty = self.empty
         pv, qv = p.value, q.value
 
         def vjp(g):
-            dp = numerics.hamilton_product(g, qv, conj_q=not conj_q)
-            dq = numerics.hamilton_product(pv, g, conj_p=not conj_p)
+            dp = numerics.hamilton_product(g, qv, False, not conj_q, empty)
+            dq = numerics.hamilton_product(pv, g, not conj_p, False, empty)
             for d, conj in ((dp, conj_p), (dq, conj_q)):
                 if conj:
                     np.negative(d[1:], out=d[1:])
             return dp, dq
 
-        return self._record(numerics.hamilton_product(pv, qv, conj_p, conj_q), (p, q), vjp,
-                            "quat_mul")
+        out = numerics.hamilton_product(pv, qv, conj_p, conj_q, empty)
+        return self._record(out, (p, q), vjp, "quat_mul")
 
     def circular_correlation(self, a: Variable, b: Variable) -> Variable:
         av, bv = a.value, b.value
@@ -339,11 +483,12 @@ class Tape:
     def unit_project(self, z: Variable, eps: float = 1e-12, parts=None) -> Variable:
         """Unit-norm tuples of z's planes.  `parts` is numerics.unit_parts(z,
         eps) if the caller has it (once per relation row, taken to edges)."""
+        empty = self.empty
         zv = z.value
         parts = numerics.unit_parts(zv, eps) if parts is None else parts
 
         def vjp(g):
-            return (numerics.unit_project_pullback(zv, g, eps, parts),)
+            return (numerics.unit_project_pullback(zv, g, eps, parts, empty=empty),)
 
         return self._record(parts[4], (z,), vjp, "unit_project")
 
@@ -353,33 +498,35 @@ class Tape:
         arguments; needed because training backpropagates through message
         gradients that already contain one projection pullback.  `parts` as
         in unit_project; the vjp reuses the forward's z.g."""
+        empty = self.empty
         zv, gv = z.value, g.value
         parts = numerics.unit_parts(zv, eps) if parts is None else parts
-        zg = numerics.component_dot(zv, gv)
+        zg = numerics.component_dot(zv, gv, empty)
 
         def vjp(s):
             safe, small, safe3, safe5, _ = parts
-            sz = numerics.component_dot(s, zv)
+            sz = numerics.component_dot(s, zv, empty)
+            sg = numerics.component_dot(s, gv, empty)
             # -sg z / m^3 - zg s / m^3 - sz g / m^3 + 3 zg sz z / m^5, in that order
-            dz = zv * -numerics.component_dot(s, gv)
+            dz = np.multiply(zv, np.negative(sg, out=sg), out=empty(zv.shape))
             dz /= safe3
-            t = s * zg
+            t = np.multiply(s, zg, out=empty(zv.shape))
             t /= safe3
             dz -= t
             np.multiply(gv, sz, out=t)
             t /= safe3
             dz -= t
-            np.multiply(zv, 3.0 * zg * sz, out=t)
+            w = np.multiply(zg, 3.0, out=empty(zg.shape))
+            w *= sz
+            np.multiply(zv, w, out=t)
             t /= safe5
             dz += t
             if small is not None:
                 np.copyto(dz, 0.0, where=small)
-            return dz, numerics.unit_project_pullback(zv, s, eps, parts, sz)
+            return dz, numerics.unit_project_pullback(zv, s, eps, parts, sz, empty)
 
-        return self._record(
-            numerics.unit_project_pullback(zv, gv, eps, parts, zg), (z, g), vjp,
-            "unit_project_pullback"
-        )
+        out = numerics.unit_project_pullback(zv, gv, eps, parts, zg, empty)
+        return self._record(out, (z, g), vjp, "unit_project_pullback")
 
     def per_relation_matmul(self, x: Variable, w: Variable, rel: np.ndarray) -> Variable:
         """Row i of the result is x[i] @ w[rel[i]]."""
@@ -407,28 +554,47 @@ class Tape:
     # ---- reverse pass ----
 
     def backward(self, loss: Variable) -> "GradientMap":
+        """Leaf gradients of `loss`.  Consumes the tape: node values are
+        dropped as it starts and each vjp once it has run."""
         if np.size(loss.value) != 1:
             raise ValueError(f"loss must be scalar, got shape {loss.value.shape}")
-        for node in self.nodes:
+        nodes = self.nodes
+        for node in nodes:
             node.value = None
+        for node in nodes[loss.index + 1:]:
+            node.vjp, node.parents = None, ()
         grads: list = [None] * (loss.index + 1)
         grads[loss.index] = np.ones_like(loss.value)
         for i in range(loss.index, -1, -1):
-            g = grads[i]
-            node = self.nodes[i]
-            if g is None or node.vjp is None:
+            node = nodes[i]
+            vjp, parents = node.vjp, node.parents
+            if vjp is None:
+                continue    # a leaf keeps its gradient
+            node.vjp, node.parents = None, ()
+            g, grads[i] = grads[i], None
+            if g is None:
                 continue
-            # only leaves (no vjp) keep their gradient past this point
-            grads[i] = None
-            for pi, pg in zip(node.parents, node.vjp(g)):
-                if pg is None:
-                    continue
-                if grads[pi] is None:
-                    grads[pi] = (np.array(pg, dtype=np.float64, copy=True)
-                                 if np.may_share_memory(pg, g) else pg)
-                else:
-                    grads[pi] += pg
+            self._accumulate(grads, parents, vjp(g), g)
         return GradientMap(grads)
+
+    def _accumulate(self, grads: list, parents: tuple, pgs: tuple, g: np.ndarray) -> None:
+        """Add a vjp's results into the parents' gradients.  A first
+        gradient is kept as the vjp built it; g itself (nobody else holds
+        it) goes to the first parent that gets it, and anything else that
+        may alias g is copied."""
+        g_free = True
+        for pi, pg in zip(parents, pgs):
+            if pg is None:
+                continue
+            if grads[pi] is not None:
+                grads[pi] += pg
+            elif pg is g and g_free:
+                grads[pi], g_free = g, False
+            elif np.may_share_memory(pg, g):
+                grads[pi] = self.empty(pg.shape)
+                np.copyto(grads[pi], pg)
+            else:
+                grads[pi] = pg
 
 
 class _LiveNodes:
@@ -464,6 +630,7 @@ class ForwardTape(Tape):
     """
 
     def __init__(self):
+        super().__init__()
         self.nodes = _LiveNodes()
 
     def _record(self, value, parents=(), vjp=None, name="leaf") -> Variable:

@@ -123,11 +123,11 @@ _HAMILTON_PLANS = {(cp, cq): _plan(_HAMILTON, cp, cq)
 _COMPLEX_PLANS = {cq: _plan(_COMPLEX, False, cq) for cq in (False, True)}
 
 
-def _algebra_product(p: np.ndarray, q: np.ndarray, plan: tuple) -> np.ndarray:
+def _algebra_product(p: np.ndarray, q: np.ndarray, plan: tuple, empty) -> np.ndarray:
     """Evaluate `plan` (see _plan) on component planes, accumulating each
     output component in its own plane of one output array."""
-    out = np.empty((len(plan),) + np.broadcast_shapes(p.shape[1:], q.shape[1:]))
-    tmp = np.empty(out.shape[1:])
+    out = empty((len(plan),) + np.broadcast_shapes(p.shape[1:], q.shape[1:]))
+    tmp = empty(out.shape[1:])
     for k, ((i, j, lead), rest) in enumerate(plan):
         acc = out[k, ...]
         np.multiply(p[i], q[j], out=acc)
@@ -140,14 +140,15 @@ def _algebra_product(p: np.ndarray, q: np.ndarray, plan: tuple) -> np.ndarray:
 
 
 def hamilton_product(p: np.ndarray, q: np.ndarray, conj_p: bool = False,
-                     conj_q: bool = False) -> np.ndarray:
+                     conj_q: bool = False, empty=np.empty) -> np.ndarray:
     """Quaternion product on (a, b, c, d) planes, shape (4, ...); conj_p /
-    conj_q conjugate that factor first, bitwise as the conjugate's product."""
+    conj_q conjugate that factor first, bitwise as the conjugate's product.
+    The result and the temporary come from empty(shape)."""
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if p.shape[:1] != (4,) or q.shape[:1] != (4,):
         raise DimensionError("quaternion arrays need a leading component axis of 4")
-    return _algebra_product(p, q, _HAMILTON_PLANS[conj_p, conj_q])
+    return _algebra_product(p, q, _HAMILTON_PLANS[conj_p, conj_q], empty)
 
 
 def _negate_imaginary(p: np.ndarray) -> np.ndarray:
@@ -165,16 +166,17 @@ def quaternion_conjugate(p: np.ndarray) -> np.ndarray:
 
 
 def complex_elementwise_product(a: np.ndarray, b: np.ndarray,
-                                conj_b: bool = False) -> np.ndarray:
+                                conj_b: bool = False, empty=np.empty) -> np.ndarray:
     """Entrywise complex product on (re, im) planes, shape (2, ...); conj_b
-    conjugates b first, bitwise as the conjugate's product."""
+    conjugates b first, bitwise as the conjugate's product.  The result
+    and the temporary come from empty(shape)."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape[:1] != (2,) or b.shape[:1] != (2,):
         raise DimensionError("complex arrays need a leading component axis of 2")
     if a.shape != b.shape:
         raise DimensionError(f"length mismatch {a.shape} vs {b.shape}")
-    return _algebra_product(a, b, _COMPLEX_PLANS[conj_b])
+    return _algebra_product(a, b, _COMPLEX_PLANS[conj_b], empty)
 
 
 def complex_conjugate(a: np.ndarray) -> np.ndarray:
@@ -250,19 +252,17 @@ def softmax_row(x: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def _component_sum(t: np.ndarray) -> np.ndarray:
-    """Sum over the component planes of t, as adds from +0.0; bitwise
-    np.sum over a trailing component axis."""
-    out = np.add(t[0], 0.0, out=np.empty(t.shape[1:]))
-    for k in range(1, t.shape[0]):
-        out += t[k]
-    return out
-
-
-def component_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def component_dot(a: np.ndarray, b: np.ndarray, empty=np.empty) -> np.ndarray:
     """Dot product of component tuples, one value per tuple; bitwise
-    np.sum(a * b, axis=-1) on trailing tuples."""
-    return _component_sum(a * b)
+    np.sum(a * b, axis=-1) on trailing tuples: the products of the planes
+    added from +0.0 in component order, one plane at a time.  The result
+    and the temporary come from empty(shape)."""
+    out = np.multiply(a[0], b[0], out=empty(np.broadcast_shapes(a.shape[1:], b.shape[1:])))
+    out += 0.0
+    tmp = empty(out.shape)
+    for k in range(1, a.shape[0]):
+        out += np.multiply(a[k], b[k], out=tmp)
+    return out
 
 
 def unit_parts(z: np.ndarray, eps: float = 1e-12):
@@ -272,7 +272,7 @@ def unit_parts(z: np.ndarray, eps: float = 1e-12):
     trailing tuples) with 1.0 where it is below eps; small marks those
     tuples, or is None when there is none."""
     z = np.asarray(z, dtype=np.float64)
-    safe = np.sqrt(_component_sum(z * z))
+    safe = np.sqrt(component_dot(z, z))
     small = safe < eps
     if small.any():
         safe = np.where(small, 1.0, safe)
@@ -292,10 +292,11 @@ def unit_project(z: np.ndarray, eps: float = 1e-12) -> np.ndarray:
 
 
 def unit_project_pullback(z: np.ndarray, g: np.ndarray, eps: float = 1e-12,
-                          parts=None, zg=None) -> np.ndarray:
+                          parts=None, zg=None, empty=np.empty) -> np.ndarray:
     """Apply the transposed Jacobian of unit_project at z to g (both
     planes): g / |z| - z (z.g) / |z|^3.  `parts` is unit_parts(z, eps) and
-    `zg` is component_dot(z, g), if the caller has them.
+    `zg` is component_dot(z, g), if the caller has them; the result and
+    temporaries come from empty(shape).
 
     Reset tuples (norm < eps) are constants, so their pullback is zero.
     """
@@ -304,10 +305,13 @@ def unit_project_pullback(z: np.ndarray, g: np.ndarray, eps: float = 1e-12,
     if z.shape != g.shape:
         raise DimensionError(f"length mismatch {z.shape} vs {g.shape}")
     safe, small, safe3 = (unit_parts(z, eps) if parts is None else parts)[:3]
-    out = g / safe
-    t = z * (component_dot(z, g) if zg is None else zg)
-    t /= safe3
-    out -= t
+    out = np.divide(g, safe, out=empty(g.shape))
+    zg = component_dot(z, g, empty) if zg is None else zg
+    t = empty(out.shape[1:])
+    for k in range(len(z)):     # one plane at a time: no (k, ...) temporary
+        np.multiply(z[k], zg, out=t)
+        t /= safe3
+        out[k] -= t
     if small is not None:
         np.copyto(out, 0.0, where=small)
     return out

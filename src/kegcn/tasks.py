@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .autodiff import Tape, Variable
+from .autodiff import BufferPool, Tape, Variable
 from .graph import KnowledgeGraph
 from .numerics import RandomSource, sigmoid, softmax_row
 from .propagation import (
@@ -188,7 +188,8 @@ def classification_loss(tape: Tape, logits: Variable, label_set: LabelSet,
 
 class Adam:
     """Full-batch Adam with bias correction; beta1 0.9, beta2 0.999,
-    eps 1e-8.  Updates parameter arrays in place."""
+    eps 1e-8.  Updates parameter arrays in place, through two scratch
+    arrays of the largest parameter's size instead of temporaries."""
 
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
@@ -199,10 +200,14 @@ class Adam:
         self.step_count = 0
         self.m: dict = {}
         self.v: dict = {}
+        self._scratch = np.empty((2, 0))
 
     def step(self, params: dict, grads: dict) -> None:
         self.step_count += 1
         t = self.step_count
+        size = max((a.size for a in params.values()), default=0)
+        if self._scratch.shape[1] < size:
+            self._scratch = np.empty((2, size))
         for name, arr in params.items():
             g = grads[name]
             if name not in self.m:
@@ -210,11 +215,23 @@ class Adam:
                 self.v[name] = np.zeros_like(arr)
             m = self.m[name]
             v = self.v[name]
-            m += (1.0 - self.beta1) * (g - m)
-            v += (1.0 - self.beta2) * (g * g - v)
-            mhat = m / (1.0 - self.beta1**t)
-            vhat = v / (1.0 - self.beta2**t)
-            arr -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            a, b = (s[:arr.size].reshape(arr.shape) for s in self._scratch)
+            # m += (1 - beta1) (g - m); v += (1 - beta2) (g g - v);
+            # arr -= lr mhat / (sqrt(vhat) + eps): the same operations in place
+            np.subtract(g, m, out=a)
+            a *= 1.0 - self.beta1
+            m += a
+            np.multiply(g, g, out=a)
+            a -= v
+            a *= 1.0 - self.beta2
+            v += a
+            np.divide(m, 1.0 - self.beta1**t, out=a)
+            a *= self.lr
+            np.divide(v, 1.0 - self.beta2**t, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            arr -= a
 
 
 # ---------------- parameter plumbing ----------------
@@ -336,7 +353,15 @@ def fit(graphs: dict, mc: ModelConfig, cfg: TrainConfig, loss_fn: Callable,
     parameters, steps Adam, and stops after `patience` epochs without a
     new best.  The best snapshot is restored before the final forward.
     Returns (params, tables, final states, best metric, best epoch,
-    epochs run, losses)."""
+    epochs run, losses).
+
+    One BufferPool serves every epoch's tape; its arrays are freed after
+    the last epoch.  `backward` consumes the tape, and each epoch drops
+    its tape, outputs, loss and gradients before the next one starts, so
+    the next forward finds every pooled array free: a run holds one
+    epoch's arrays, and after the first epoch it allocates almost nothing
+    new.  metric_fn reads outputs the epoch still holds, which the pool
+    therefore cannot have handed out again during `backward`."""
     scorer = config_scorer(mc)
     rng = RandomSource(cfg.seed)
     params_list = init_params(mc, max(g.num_relations for g in graphs.values()), rng)
@@ -345,9 +370,10 @@ def fit(graphs: dict, mc: ModelConfig, cfg: TrainConfig, loss_fn: Callable,
     adam = Adam(cfg.lr)
     best_metric, best_epoch, best_snap, losses = None, 0, None, []
     epochs_run = 0
+    pool = BufferPool()
     for epoch in range(cfg.epochs):
         epochs_run = epoch + 1
-        tape = Tape()
+        tape = Tape(pool)
         lvs = [lift_params(tape, p) for p in params_list]
         tvars = {name: EmbeddingState(tape.leaf(st.entity), None if st.relation is None
                                       else tape.leaf(st.relation))
@@ -367,11 +393,14 @@ def fit(graphs: dict, mc: ModelConfig, cfg: TrainConfig, loss_fn: Callable,
                 best_metric, best_epoch = metric, epoch
                 best_snap = {k: v.copy() for k, v in named.items()}  # the parameters just scored
         adam.step(named, {name: grads[var] for name, var in pvars.items()})
+        # nothing of this epoch outlives it: the next forward finds the pool free
+        del tape, lvs, tvars, pvars, outs, loss, grads
         if progress is not None:
             progress(epoch, losses[-1], metric)
         if metric_fn is not None and epoch - best_epoch >= cfg.patience:
             break
 
+    del pool   # freed before the final forward, so the two never hold memory at once
     if best_snap is not None:
         for k, v in named.items():
             v[...] = best_snap[k]

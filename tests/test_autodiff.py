@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kegcn import autodiff
-from kegcn.autodiff import ForwardTape, Tape, finite_diff_check
+from kegcn.autodiff import BufferPool, ForwardTape, Tape, finite_diff_check
 from kegcn.numerics import DimensionError, RandomSource
 
 
@@ -550,6 +550,110 @@ def test_tape_nodes_hold_forward_values_until_backward():
     tape.backward(loss)
     assert all(n.value is None for n in tape.nodes)
     assert loss.value.shape == () and x.value.shape == (5, 3)
+
+
+def test_backward_consumes_the_tape_and_frees_captured_edge_arrays():
+    # mul's vjp captures the gathered edge rows; once mul has run, nothing
+    # holds them, so they are gone before the gather before it runs
+    tape = Tape()
+    x = tape.leaf(np.arange(12.0).reshape(4, 3))
+    edges = tape.gather(x, np.array([0, 3, 3, 1, 2]))
+    w = tape.leaf(np.full((5, 3), 0.5))
+    loss = tape.sum(tape.mul(edges, w))
+    probe = weakref.ref(edges.value)
+    gather_node = edges.node
+    del edges
+    seen = []
+    inner = gather_node.vjp
+
+    def vjp(g):
+        gc.collect()
+        seen.append(probe())
+        return inner(g)
+
+    gather_node.vjp = vjp
+    grads = tape.backward(loss)
+    assert seen == [None]
+    assert all(n.vjp is None and n.parents == () for n in tape.nodes)
+    assert np.array_equal(grads[x], np.array([[0.5] * 3, [0.5] * 3, [0.5] * 3, [1.0] * 3]))
+
+
+def test_tape_without_backward_is_freed_by_reference_counting():
+    # vjps hold the allocator, not the tape, so no reference cycle keeps a
+    # tape that never runs backward (as in finite-difference probes)
+    gc.disable()
+    try:
+        for pool in (None, BufferPool()):
+            tape = Tape(pool)
+            x = tape.leaf(np.ones((40, 30)))
+            tape.sum(tape.abs(tape.relu(tape.scale(tape.sub(x, tape.mul(x, x)), 2.0))))
+            probe = weakref.ref(tape)
+            del tape, x
+            assert probe() is None
+    finally:
+        gc.enable()
+
+
+def test_buffer_pool_hands_out_only_arrays_nothing_holds():
+    pool = BufferPool()
+    a = pool.empty((64, 32))
+    view = a[1:]
+    b = pool.empty((32, 64))               # same element count, a still held
+    assert not np.may_share_memory(a, b)
+    del a
+    c = pool.empty((2048,))                # a's array is held through its view
+    assert not np.may_share_memory(view, c)
+    del b, view
+    d = pool.empty((16, 128))
+    assert d.shape == (16, 128) and d.flags.c_contiguous
+    assert len(pool.held()) == 2           # c and d; nothing new was made
+    del c, d
+    assert pool.held() == []
+    small = pool.empty((3, 4))             # below MIN_SIZE: a plain array
+    assert small.base is None and pool.held() == []
+
+
+def _pooled_net(tape, xa, wa, idx):
+    x, w = tape.leaf(xa), tape.leaf(wa)
+    h = tape.relu(tape.matmul(tape.gather(x, idx), w))
+    m = tape.segment_sum(tape.sub(tape.add(h, h), tape.scale(h, 0.5)), idx, len(xa))
+    return x, w, tape.sum(tape.abs(tape.mul(m, m)))
+
+
+def test_pooled_tape_is_bitwise_a_plain_tape():
+    rng = RandomSource(12)
+    xa, wa = rng.normal((40, 32)), rng.normal((32, 32))
+    idx = rng.integers(0, 40, 200)
+    pool = BufferPool()
+    x0, w0, loss0 = _pooled_net(Tape(), xa, wa, idx)
+    want = Tape.backward(loss0.tape, loss0)
+    for _ in range(3):                     # later tapes reuse the pool's arrays
+        tape = Tape(pool)
+        x, w, loss = _pooled_net(tape, xa, wa, idx)
+        got = tape.backward(loss)
+        assert bitwise_equal(loss.value, loss0.value)
+        assert bitwise_equal(got[x], want[x]) and bitwise_equal(got[w], want[w])
+        del tape, x, w, loss, got
+        assert pool.held() == []
+
+
+def test_pool_never_recycles_a_leaf_gradient_still_held():
+    # add hands its incoming gradient itself to its first parent, here a
+    # leaf, so the GradientMap holds a pooled array after backward
+    pool = BufferPool()
+    tape = Tape(pool)
+    x = tape.leaf(np.ones((64, 32)))
+    loss = tape.sum(tape.add(x, tape.leaf(np.zeros((64, 32)))))
+    grads = tape.backward(loss)
+    gx = grads[x]
+    want = gx.copy()
+    assert any(np.may_share_memory(gx, a) for a in pool.held())
+    for _ in range(4):
+        other = Tape(pool)
+        y = other.leaf(np.full((64, 32), 7.0))
+        outs = [other.scale(y, 3.0), other.add(y, y), other.mul(y, y)]
+        assert not any(np.may_share_memory(gx, o.value) for o in outs)
+    assert bitwise_equal(gx, want)
 
 
 # ---------------- forward-only tape ----------------

@@ -1,6 +1,8 @@
 """Tests for losses, negative sampling, Adam, and the training loops."""
 
 import importlib.util
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 
 from kegcn import synthetic
 from kegcn import tasks as tasks_mod
-from kegcn.autodiff import Tape, finite_diff_check
+from kegcn.autodiff import BufferPool, Tape, finite_diff_check
 from kegcn.checks import end_to_end_gradient_fd
 from kegcn.graph import build_graph
 from kegcn.numerics import RandomSource
@@ -430,7 +432,7 @@ def test_epoch_equals_the_full_stack_bitwise(monkeypatch, task, mode, scorer):
     class RecordingTape(Tape):
         def backward(self, loss):
             grads = super().backward(loss)
-            leaves = [i for i, node in enumerate(self.nodes) if node.vjp is None]
+            leaves = [i for i, node in enumerate(self.nodes) if node.name == "leaf"]
             epochs.append((float(loss.value), [grads._grads[i] if i < len(grads._grads)
                                                else None for i in leaves]))
             return grads
@@ -453,6 +455,133 @@ def test_epoch_equals_the_full_stack_bitwise(monkeypatch, task, mode, scorer):
         assert len(grads) == len(full_grads)
         for a, b in zip(grads, full_grads):
             assert (a is None and b is None) or np.array_equal(a, b)
+
+
+# ---------------- training memory ----------------
+
+ADAM_STEP = Adam.step
+
+
+def _fit_record(monkeypatch, task, mode, scorer, epochs=3):
+    """Losses and the leaf gradients of every epoch, as Adam receives them."""
+    g1, g2, ent_pairs, _ = synthetic.hub_signature_pair(40, 3, 150, seed=1)
+    seeds = synthetic.alignment_split(ent_pairs, valid_fraction=0.1)
+    g, labels = synthetic.block_classification(60, 3, 200, noise=0.1, seed=3)
+    label_set = synthetic.classification_split(labels, 3, seed=3)
+    cfg = TrainConfig(mode=mode, scorer=scorer, dim=8, layers=3, epochs=epochs, lr=0.05)
+    grads = []
+
+    def recording_step(self, params, g):
+        grads.append({k: v.copy() for k, v in g.items()})
+        return ADAM_STEP(self, params, g)
+
+    monkeypatch.setattr(Adam, "step", recording_step)
+    res = (train_alignment(g1, g2, seeds, cfg) if task == "alignment"
+           else train_classification(g, label_set, cfg))
+    return res.losses, grads
+
+
+@pytest.mark.parametrize("task", ["alignment", "classification"])
+@pytest.mark.parametrize("mode,scorer", FULL_STACK_CASES)
+def test_pooled_training_is_bitwise_plain_tape_training(monkeypatch, task, mode, scorer):
+    pooled = _fit_record(monkeypatch, task, mode, scorer)
+    monkeypatch.setattr(tasks_mod, "Tape", lambda pool=None: Tape())
+    plain = _fit_record(monkeypatch, task, mode, scorer)
+    assert pooled[0] == plain[0]
+    assert len(pooled[1]) == len(plain[1]) == 3
+    for a, b in zip(pooled[1], plain[1]):
+        assert a.keys() == b.keys()
+        for k in a:
+            assert a[k].shape == b[k].shape
+            assert np.array_equal(a[k].view(np.int64), b[k].view(np.int64)), k
+
+
+@pytest.mark.parametrize("scorer", ["transe", "quate"])
+def test_no_array_of_an_epoch_outlives_it(monkeypatch, scorer):
+    # when fit makes epoch t+1's tape, epoch t's tape, gradients and every
+    # array its nodes held are gone, and the pool hands all its arrays out
+    # again: epoch t+1's forward runs with nothing of epoch t alive
+    history, checked = [], []
+
+    class ProbeTape(Tape):
+        def __init__(self, pool=None):
+            if history:
+                tape, grads, arrays = history[-1]
+                assert tape() is None and grads() is None
+                assert all(r() is None for r in arrays)
+                assert pool.held() == []
+                checked.append(True)
+            super().__init__(pool)
+
+        def backward(self, loss):
+            arrays = [weakref.ref(n.value) for n in self.nodes if n.name != "leaf"]
+            grads = super().backward(loss)
+            history.append((weakref.ref(self), weakref.ref(grads), arrays))
+            return grads
+
+    monkeypatch.setattr(tasks_mod, "Tape", ProbeTape)
+    g1, g2, ent_pairs, _ = synthetic.hub_signature_pair(40, 3, 150, seed=1)
+    seeds = synthetic.alignment_split(ent_pairs, valid_fraction=0.1)
+    train_alignment(g1, g2, seeds, TrainConfig(scorer=scorer, dim=8, layers=3, epochs=4))
+    assert len(checked) == 3
+
+
+def test_validation_reads_outputs_the_pool_did_not_recycle(monkeypatch):
+    # the last layer's outputs are pooled arrays that validation reads after
+    # backward: backward must not have handed them out again
+    pools, outs, checked = [], [], []
+
+    class ProbePool(BufferPool):
+        def __init__(self):
+            super().__init__()
+            pools.append(self)
+
+    forward = tasks_mod.forward_on_tape
+
+    def recording_forward(*args, **kwargs):
+        hv, hr = forward(*args, **kwargs)
+        outs.append(hv.value.copy())
+        return hv, hr
+
+    evaluate = tasks_mod.evaluate_alignment
+
+    def checking_evaluate(s1, s2, pairs):
+        for got, want in zip((s1.entity, s2.entity), outs[-2:]):
+            assert any(np.may_share_memory(got, a) for a in pools[-1].held())
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        checked.append(True)
+        return evaluate(s1, s2, pairs)
+
+    monkeypatch.setattr(tasks_mod, "BufferPool", ProbePool)
+    monkeypatch.setattr(tasks_mod, "forward_on_tape", recording_forward)
+    monkeypatch.setattr(tasks_mod, "evaluate_alignment", checking_evaluate)
+    g1, g2, ent_pairs, _ = synthetic.hub_signature_pair(40, 3, 150, seed=1)
+    seeds = synthetic.alignment_split(ent_pairs, valid_fraction=0.1)
+    train_alignment(g1, g2, seeds, TrainConfig(scorer="quate", dim=32, layers=3, epochs=3))
+    assert len(checked) == 3
+
+
+def test_training_memory_is_one_epoch():
+    # traced memory peaks per epoch: the later epochs reuse the first one's
+    # arrays, so none holds two tapes' arrays at once.  The margin covers
+    # what the first epoch allocates after its peak (Adam's state, about
+    # 100 KiB here); one more tape's arrays would add about 1.5 MiB
+    g1, g2, ent_pairs, _ = synthetic.hub_signature_pair(60, 3, 300, seed=2)
+    seeds = synthetic.alignment_split(ent_pairs)
+    cfg = TrainConfig(scorer="quate", dim=16, layers=3, epochs=3)
+    peaks = []
+
+    def progress(*_):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+
+    tracemalloc.start()
+    try:
+        train_alignment(g1, g2, seeds, cfg, progress=progress)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 3
+    assert max(peaks[1:]) <= peaks[0] + 256 * 1024, peaks
 
 
 def test_train_alignment_early_stops_on_plateau():
