@@ -94,12 +94,16 @@ def _train(args: argparse.Namespace, task: str, run_one) -> int:
 
 
 def _run_alignment(values, bundle, cfg, progress):
+    rel_test = values.get("rel_test")
+    if rel_test:
+        rel_pairs = io_mod.load_alignments(rel_test, *bundle.relation_vocabs,
+                                           what="relation")
+        if not rel_pairs:
+            raise io_mod.DataError(f"{rel_test}: no relation pairs")
     res = train_alignment(*bundle.graphs, bundle.seeds, cfg, progress=progress)
     metrics = evaluate_alignment(res.state1, res.state2, bundle.seeds.test
                                  or bundle.seeds.valid or bundle.seeds.train)
-    if values.get("rel_test"):
-        rel_pairs = io_mod.load_alignments(values["rel_test"], *bundle.relation_vocabs,
-                                           what="relation")
+    if rel_test:
         rel = zero_shot_relation_alignment(res.state1, res.state2, rel_pairs)
         metrics["relation_mrr"] = rel["mrr"]
         metrics["relation_hits1"] = rel["hits1"]

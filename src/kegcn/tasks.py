@@ -253,26 +253,68 @@ def named_parameters(params_list: list, tables: dict) -> dict:
 # ---------------- evaluation ----------------
 
 
+# Bytes of the one block buffer l1_cdist reuses: the fastest of 64 KiB to
+# 4 MiB in a timeit sweep at 140 x 200 and 200 x 5,000 rows of dim 64 on a
+# host with 2 MiB L2 per core (`BENCH_13.json` `cdist_buffer_sweep`).
+_CDIST_BUFFER_BYTES = 512 << 10
+
+
 def l1_cdist(a: np.ndarray, b: np.ndarray, chunk: Optional[int] = None) -> np.ndarray:
-    """Pairwise L1 distances, chunked over rows of a.  The default chunk
-    keeps the (chunk, len(b), d) broadcast temporary near 1 MiB; each
-    row's sum is the same whatever the chunk."""
+    """Pairwise L1 distances, out[i, j] = sum_k |a[i, k] - b[j, k]|.
+
+    Works block by block: up to `chunk` rows of a against as many rows of
+    b as fit _CDIST_BUFFER_BYTES.  `subtract`, `abs` and `sum` write
+    through `out=` into one (chunk, cols, d) buffer made once per call, so
+    no block allocates (and page-faults) temporaries of its own.  The
+    default chunk fills the buffer, whose size a timeit sweep found
+    fastest (see _CDIST_BUFFER_BYTES).  Each distance is one sum over the
+    same contiguous d axis, so the result is bitwise the same whatever
+    the block shape."""
+    n, d = b.shape
+    cols = max(1, min(n, _CDIST_BUFFER_BYTES // max(1, 8 * d)))
     if chunk is None:
-        chunk = max(1, (1 << 20) // max(1, 8 * b.size))
-    out = np.empty((a.shape[0], b.shape[0]))
+        chunk = max(1, _CDIST_BUFFER_BYTES // max(1, 8 * d * cols))
+    out = np.empty((a.shape[0], n))
+    buf = np.empty((min(chunk, a.shape[0]), cols, d))
     for lo in range(0, a.shape[0], chunk):
-        hi = min(lo + chunk, a.shape[0])
-        out[lo:hi] = np.sum(np.abs(a[lo:hi, None, :] - b[None, :, :]), axis=2)
+        for jlo in range(0, n, cols):
+            block = buf[:min(chunk, a.shape[0] - lo), :min(cols, n - jlo)]
+            np.subtract(a[lo:lo + chunk, None, :], b[jlo:jlo + cols], out=block)
+            np.abs(block, out=block)
+            np.sum(block, axis=2, out=out[lo:lo + chunk, jlo:jlo + cols])
     return out
 
 
 def _two_way_ranking(x1: np.ndarray, x2: np.ndarray, pairs) -> dict:
     """MRR / Hits@1 / Hits@10 of the pairs' partners, ranked among every
-    row of x2 for each x1 row and back, averaged over both directions."""
+    row of x2 for each x1 row and back, averaged over both directions.
+
+    Each pair distance is computed once: |a - b| == |b - a| exactly and
+    each distance is the same sum over the same contiguous d axis, so the
+    backward matrix's columns at the source ids are the forward matrix's
+    columns at the target ids, transposed, bit for bit.  Only the other
+    rows of x1 are measured against x2[dst], in row blocks.  The forward
+    matrix is dropped once ranked and copied from.  Exactly two
+    `metrics.ranks_from_distance_matrix` calls rank the forward (q, n2)
+    and then the backward (q, n1) matrix, the same matrices as ranking
+    each direction from scratch; perfbench's rank check
+    (`workloads.capture_ranks`) records those two calls."""
     pairs = np.asarray(pairs, dtype=np.int64)
-    fwd, bwd = (metrics_mod.ranks_from_distance_matrix(
-        l1_cdist(src[pairs[:, col]], dst), pairs[:, 1 - col])
-        for col, src, dst in ((0, x1, x2), (1, x2, x1)))
+    if len(pairs) == 0:
+        raise ValueError("no pairs to rank")
+    src, dst = pairs[:, 0], pairs[:, 1]
+    dist = l1_cdist(x1[src], x2)
+    fwd = metrics_mod.ranks_from_distance_matrix(dist, dst)
+    shared = dist[:, dst]
+    del dist
+    dist = np.empty((len(pairs), x1.shape[0]))
+    dist[:, src] = shared.T
+    del shared
+    rest = np.setdiff1d(np.arange(x1.shape[0]), src)
+    step = max(1, _CDIST_BUFFER_BYTES // max(1, 8 * len(rest)))
+    for lo in range(0, len(dst), step):
+        dist[lo:lo + step, rest] = l1_cdist(x2[dst[lo:lo + step]], x1[rest])
+    bwd = metrics_mod.ranks_from_distance_matrix(dist, src)
     return {
         "mrr": 0.5 * (metrics_mod.mrr(fwd) + metrics_mod.mrr(bwd)),
         "hits1": 0.5 * (metrics_mod.hits_at_k(fwd, 1) + metrics_mod.hits_at_k(bwd, 1)),

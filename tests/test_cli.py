@@ -127,6 +127,19 @@ def test_train_align_unknown_rel_test_relation_is_named_a_relation(tmp_path, cap
     assert err.startswith("error:") and f"{rel_test} line 1: unknown relation '7'" in err
 
 
+def test_train_align_empty_rel_test_names_the_file(tmp_path, capsys):
+    g1 = write_ring_dataset(tmp_path, prefix="g1")
+    g2 = write_ring_dataset(tmp_path, prefix="g2")
+    train = write_pairs(tmp_path, "train.tsv", [(i, i) for i in range(9)])
+    rel_test = tmp_path / "rel.tsv"
+    rel_test.write_text("# no pairs here\n")
+    assert cli.main(["train-align", "--graph1", str(g1), "--graph2", str(g2),
+                     "--train", str(train), "--rel-test", str(rel_test),
+                     "--dim", "4", "--layers", "2", "--epochs", "2", "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{rel_test}: no relation pairs" in err
+
+
 def test_train_align_missing_graph(tmp_path, capsys):
     assert cli.main(["train-align", "--graph1", str(tmp_path / "none.tsv"),
                      "--graph2", str(tmp_path / "none.tsv"), "--quiet"]) == 1

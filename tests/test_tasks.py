@@ -237,13 +237,21 @@ def test_l1_cdist_matches_naive():
     assert np.allclose(l1_cdist(a, b, chunk=2), want, atol=1e-12)
 
 
+def _l1_oracle(a, b):
+    """One plain-NumPy row of L1 distances per row of a."""
+    return np.array([np.sum(np.abs(row - b), axis=1) for row in a]).reshape(len(a), len(b))
+
+
 def test_l1_cdist_chunking_is_bitwise():
+    # a with no rows; b of 1100 rows at dim 64 fills more than one block
     rng = np.random.default_rng(12)
-    a = rng.normal(size=(11, 64))
-    b = rng.normal(size=(23, 64))
-    want = np.stack([np.sum(np.abs(row - b), axis=1) for row in a])
-    for chunk in (None, 1, 3, 12):
-        assert np.array_equal(l1_cdist(a, b, chunk=chunk), want)
+    for rows_a, rows_b, dim in ((11, 23, 64), (0, 23, 64), (5, 1100, 64), (9, 40, 3)):
+        a = rng.normal(size=(rows_a, dim))
+        b = rng.normal(size=(rows_b, dim))
+        want = _l1_oracle(a, b)
+        for chunk in (None, 1, 3, 12, 50):
+            got = l1_cdist(a, b, chunk=chunk)
+            assert got.shape == (rows_a, rows_b) and np.array_equal(got, want)
 
 
 def test_evaluate_classification_matches_per_row_metrics_with_ties():
@@ -285,6 +293,67 @@ def test_zero_shot_identity_relations():
     s2 = EmbeddingState(np.zeros((2, 4)), rel.copy())
     out = zero_shot_relation_alignment(s1, s2, [(i, i) for i in range(5)])
     assert out["hits1"] == 1.0 and out["mrr"] == 1.0
+
+
+def _rank_cases():
+    rng = np.random.default_rng(21)
+    half = lambda n, d=5: rng.integers(0, 4, size=(n, d)) / 2.0   # many tied distances
+    ties = half(30), half(30)
+    yield "ties", ties, rng.permutation(30)[:20], rng.permutation(30)[:20]
+    yield "n1<n2", (half(12), half(31)), rng.permutation(12)[:9], rng.permutation(31)[:9]
+    yield "n1>n2", (rng.normal(size=(40, 6)), rng.normal(size=(17, 6))), \
+        rng.permutation(40)[:15], rng.permutation(17)[:15]
+    yield "repeated-source", ties, np.array([3, 7, 3, 0, 7, 3]), np.array([1, 2, 5, 5, 0, 9])
+    yield "q=n1", ties, rng.permutation(30), rng.permutation(30)
+    yield "q=1", ties, np.array([4]), np.array([11])
+
+
+@pytest.mark.parametrize("case", list(_rank_cases()), ids=lambda c: c[0])
+@pytest.mark.parametrize("table", ["entity", "relation"])
+def test_two_way_ranking_matches_two_matrix_oracle_bitwise(monkeypatch, case, table):
+    """Each direction's matrix, and so its ranks and the report, equals one
+    plain L1 matrix per direction; ranks are taken exactly twice, forward
+    (q, n2) then backward (q, n1)."""
+    from kegcn import metrics
+
+    _, (x1, x2), src, dst = case
+    calls = []
+    inner = metrics.ranks_from_distance_matrix
+
+    def recording(dist, truths):
+        ranks = inner(dist, truths)
+        calls.append((dist.copy(), np.array(truths), ranks))
+        return ranks
+
+    monkeypatch.setattr(metrics, "ranks_from_distance_matrix", recording)
+    pairs = list(zip(src.tolist(), dst.tolist()))
+    if table == "entity":
+        got = evaluate_alignment(EmbeddingState(x1), EmbeddingState(x2), pairs)
+    else:
+        got = zero_shot_relation_alignment(EmbeddingState(np.zeros((1, 2)), x1),
+                                           EmbeddingState(np.zeros((1, 2)), x2), pairs)
+    want_fwd, want_bwd = _l1_oracle(x1[src], x2), _l1_oracle(x2[dst], x1)
+    r_fwd, r_bwd = inner(want_fwd, dst), inner(want_bwd, src)
+    assert len(calls) == 2
+    (fwd, fwd_truths, fwd_ranks), (bwd, bwd_truths, bwd_ranks) = calls
+    assert fwd.shape == (len(src), len(x2)) and np.array_equal(fwd, want_fwd)
+    assert bwd.shape == (len(src), len(x1)) and np.array_equal(bwd, want_bwd)
+    assert np.array_equal(fwd_truths, dst) and np.array_equal(bwd_truths, src)
+    assert np.array_equal(fwd_ranks, r_fwd) and np.array_equal(bwd_ranks, r_bwd)
+    assert got == {
+        "mrr": 0.5 * (metrics.mrr(r_fwd) + metrics.mrr(r_bwd)),
+        "hits1": 0.5 * (metrics.hits_at_k(r_fwd, 1) + metrics.hits_at_k(r_bwd, 1)),
+        "hits10": 0.5 * (metrics.hits_at_k(r_fwd, 10) + metrics.hits_at_k(r_bwd, 10)),
+    }
+
+
+@pytest.mark.parametrize("pairs", [[], np.zeros((0, 2), dtype=np.int64)])
+def test_two_way_ranking_rejects_no_pairs(pairs):
+    s = EmbeddingState(np.zeros((3, 2)), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="no pairs"):
+        evaluate_alignment(s, s, pairs)
+    with pytest.raises(ValueError, match="no pairs"):
+        zero_shot_relation_alignment(s, s, pairs)
 
 
 def test_zero_shot_needs_relation_embeddings():
