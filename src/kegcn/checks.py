@@ -1,9 +1,10 @@
-"""Numerical verification harnesses: finite-difference suites for scorer
-gradients and whole-model training gradients, and the printed baseline
-layers the reduction modes are checked against, which sum per entity over
-the ascending neighbourhoods below.  These are the oracles the test suite
-and the `gradcheck` / `verify-reductions` CLI subcommands run; they
-deliberately avoid the code paths they are checking.
+"""Numerical verification harnesses: finite-difference suites for the
+scorers' messages and whole-model training gradients, and the printed
+baseline layers the reduction modes are checked against, which sum per
+entity over the ascending neighbourhoods below.  These are the checks the
+test suite and the `gradcheck` / `verify-reductions` CLI subcommands run.
+The finite differences take the production gradients as they are; the
+baseline layers avoid the code paths they are checking.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import numerics
-from .autodiff import Tape, finite_diff_check
+from .autodiff import ForwardTape, Tape, finite_diff_check
 from .graph import KnowledgeGraph, build_graph
 from .numerics import RandomSource, truncated_normal_fill
 from .propagation import (REDUCTION_MODES, EmbeddingState, LayerParams, ModelConfig,
@@ -32,34 +33,36 @@ def _sample_triple(scorer: Scorer, rng: RandomSource):
     r = rng.normal(scorer.relation_width)
     # keep projected relation tuples away from the modulus reset so the
     # score stays smooth at the probe point
-    if scorer.kind in ("rotate", "quate"):
-        k = 2 if scorer.kind == "rotate" else 4
-        while True:
-            tuples = r.reshape(-1, k)
-            norms = np.linalg.norm(tuples, axis=1)
-            if np.all(norms >= 0.3):
-                break
-            r = rng.normal(scorer.relation_width)
+    while scorer.planes > 1 and np.any(
+            np.linalg.norm(r.reshape(-1, scorer.planes), axis=1) < 0.3):
+        r = rng.normal(scorer.relation_width)
     v = rng.normal(scorer.entity_width)
     return u, r, v
 
 
+def message_gradients(scorer: Scorer, u, r, v) -> list:
+    """Gradients of scorer.score at one interleaved (u, r, v) triple with
+    respect to each argument, from `messages` on a one-row tape."""
+    k = scorer.planes
+    tape = ForwardTape()
+    rows = [tape.leaf(x[None] if k == 1 else x.reshape(1, -1, k).transpose(2, 0, 1))
+            for x in (u, r, v)]
+    return [(g.value if k == 1 else g.value.transpose(1, 2, 0)).reshape(-1)
+            for g in scorer.messages(tape, *rows)]
+
+
 def scorer_gradient_fd(kind: str, dim: int = 4, n_points: int = 100, seed: int = 0,
                        eps: float = 1e-5, rel_floor: float = 1e-2) -> float:
-    """Worst floored relative error of the three closed-form gradients of
-    one scorer against central differences of its score, over n_points
-    random smooth points."""
+    """Worst floored relative error of the three gradients `messages`
+    computes for one scorer against central differences of its score,
+    over n_points random smooth points."""
     scorer = make_scorer(kind, dim)
     rng = RandomSource(seed)
     worst = 0.0
     for _ in range(n_points):
         u, r, v = _sample_triple(scorer, rng)
         args = [u, r, v]
-        grads = [
-            scorer.grad_head(u, r, v),
-            scorer.grad_rel(u, r, v),
-            scorer.grad_tail(u, r, v),
-        ]
+        grads = message_gradients(scorer, u, r, v)
         for k in range(3):
             vec = args[k]
             for c in range(vec.shape[0]):

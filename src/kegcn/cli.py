@@ -210,7 +210,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     for kind in kinds:
         err = scorer_gradient_fd(kind, n_points=points)
         worst = max(worst, err)
-        print(f"scorer {kind:9s} closed-form fd error {err:.3e}")
+        print(f"scorer {kind:9s} message fd error {err:.3e}")
     for kind in kinds:
         for task in END_TO_END_TASKS:
             err = end_to_end_gradient_fd(task, kind, max_coords=20)

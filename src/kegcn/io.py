@@ -27,6 +27,7 @@ written sorted by name, which makes save -> load -> save byte-identical.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import struct
 import tempfile
@@ -85,22 +86,11 @@ class Vocabulary:
     def names(self):
         return list(map(str, range(self._count))) if self.int_mode else list(self._ids)
 
-    def intern(self, token: str, where: str) -> int:
-        is_int = _is_int(token)
-        if self.int_mode is None:
-            self.int_mode = is_int
-        if not self.int_mode:
-            return self._ids.setdefault(token, len(self._ids))
-        if not is_int:
-            raise DataError(f"{where}: mixed integer and string ids")
-        i = _int_id(token, where)
-        self._count = max(self._count, i + 1)
-        return i
-
     def intern_all(self, tokens: list, limit: int = 10 ** _MAX_ID_DIGITS):
-        """`intern` over non-empty tokens in order, up to the first one it
-        would reject or, in integer mode, that is not below `limit`;
-        returns the int64 ids so far and that token's index."""
+        """Ids of non-empty tokens in order (an unset mode follows the first
+        token), up to the first one integer mode rejects: any but an id of
+        at most _MAX_ID_DIGITS digits below `limit`.  Returns the int64 ids
+        so far and that token's index."""
         if self.int_mode is None and tokens:
             self.int_mode = _is_int(tokens[0])
         if self.int_mode:
@@ -110,21 +100,23 @@ class Vocabulary:
         self._ids = dict(zip(dict.fromkeys([*self._ids, *tokens]), itertools.count()))
         return np.fromiter(map(self._ids.__getitem__, tokens), np.int64, len(tokens)), len(tokens)
 
-    def resolve(self, token: str, where: str, what: str = "entity") -> int:
-        if not self.int_mode and token in self._ids:
-            return self._ids[token]
-        if self.int_mode and _is_int(token) and (i := _int_id(token, where)) < self._count:
-            return i
-        raise DataError(f"{where}: unknown {what} {token!r}")
-
     def resolve_all(self, tokens: list):
-        """`resolve` over tokens in order, up to the first one it rejects;
+        """Ids of known tokens in order, up to the first unknown one;
         returns the int64 ids so far and that token's index."""
         if self.int_mode:
             return _ints(tokens, self._count)
         ids = list(map(self._ids.get, tokens))
         stop = ids.index(None) if None in ids else len(ids)
         return np.array(ids[:stop], dtype=np.int64), stop
+
+
+def _rejected(vocab: Vocabulary, token: str, where: str, what: Optional[str] = None):
+    """The error for a token that intern_all (what=None) or resolve_all
+    (what names the kind of id) stopped at."""
+    if vocab.int_mode and _is_int(token):
+        _int_id(token, where)   # raises for an id of too many digits
+    return DataError(f"{where}: unknown {what} {token!r}" if what
+                     else f"{where}: mixed integer and string ids")
 
 
 def _first(mask: np.ndarray, default: int) -> int:
@@ -210,9 +202,9 @@ def load_alignments(path: str, vocab1: Vocabulary, vocab2: Vocabulary, what: str
     right, stop2 = vocab2.resolve_all(tokens[1::2])
     stop = min(stop1, stop2)
     if stop < len(linenos):   # the line's first unknown token raises
-        where = f"{path} line {linenos[stop]}"
-        vocab1.resolve(tokens[2 * stop], where, what)
-        vocab2.resolve(tokens[2 * stop + 1], where, what)
+        side = int(stop1 > stop)
+        raise _rejected((vocab1, vocab2)[side], tokens[2 * stop + side],
+                        f"{path} line {linenos[stop]}", what)
     return list(zip(left.tolist(), right.tolist()))
 
 
@@ -231,14 +223,15 @@ def _label_rows(path: str, ent_vocab: Vocabulary, class_vocab: Vocabulary):
     stop = min(_first(repeated, stop), int(np.searchsorted(ends, cut, "right")))
     if stop < n:   # the first failing check of that line raises
         where, (entity, text) = f"{path} line {linenos[stop]}", tokens[2 * stop:2 * stop + 2]
-        ent_vocab.resolve(entity, where)
-        if stop < len(ents) and repeated[stop]:
+        if stop == len(ents):
+            raise _rejected(ent_vocab, entity, where, "entity")
+        if repeated[stop]:
             raise DataError(f"{where}: duplicate labels for entity {entity!r}")
         row = [p.strip() for p in text.split(",")]
         if not all(row):
             raise DataError(f"{where}: empty label token")
-        for p in row:
-            Vocabulary(class_vocab.int_mode).intern(p, where)
+        raise _rejected(class_vocab, row[Vocabulary(class_vocab.int_mode).intern_all(row)[1]],
+                        where)
     flat, ends = classes.tolist(), ends.tolist()
     tuples = [tuple(dict.fromkeys(flat[a:b])) for a, b in zip([0] + ends, ends)]
     return dict(zip(ents.tolist(), tuples)), any(len(t) > 1 for t in tuples), linenos, len(parts)
@@ -437,18 +430,28 @@ def load_checkpoint(path: str) -> Checkpoint:
 
     while off < len(data):
         (name_len,) = struct.unpack("<I", take(4))
-        full = take(name_len).decode("utf-8")
+        try:
+            full = take(name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: section name at byte {off - name_len} "
+                                  "is not UTF-8") from None
         (count,) = struct.unpack("<Q", take(8))
         payload = take(8 * count)
         name, sep, shape_txt = full.rpartition(":")
         if not sep:
             raise CheckpointError(f"{path}: section {full!r} lacks a shape")
-        shape = tuple(int(p) for p in shape_txt.split("x")) if shape_txt else ()
-        if int(np.prod(shape, dtype=np.int64)) != count:
+        dims = shape_txt.split("x") if shape_txt else []
+        shape = (tuple(map(int, dims))
+                 if all(_is_int(p) and len(p) <= _MAX_ID_DIGITS for p in dims) else None)
+        if shape is None or math.prod(shape) != count:
             raise CheckpointError(f"{path}: section {name!r} shape/count mismatch")
         if name in sections:
             raise CheckpointError(f"{path}: duplicate section {name!r}")
-        sections[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+        try:
+            sections[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+        except ValueError:   # more axes, or a larger empty array, than NumPy holds
+            raise CheckpointError(f"{path}: section {name!r} has shape {shape_txt}, "
+                                  "which NumPy cannot hold") from None
     return Checkpoint(sections, version)
 
 

@@ -3,23 +3,25 @@
 Complex and quaternion vectors have two layouts.  Stored embeddings are
 interleaved: a row of d complex entries or quaternions holds d tuples of
 2 or 4 components, shape (..., 2d) or (..., 4d).  The component kernels
-below (products, conjugates, unit projection and its pullback) take
-component planes instead, with the component axis FIRST: shape (2, ...)
-or (4, ...), so that x[c] is component c of every tuple, one contiguous
-run for a C-ordered array.  A single tuple of shape (2,) or (4,) is the
-same in both layouts.  Generic vector operations (distances, activations,
+below (products, unit projection and its pullback) take component planes
+instead, with the component axis FIRST: shape (2, ...) or (4, ...), so
+that x[c] is component c of every tuple, one contiguous run for a
+C-ordered array.  A single tuple of shape (2,) or (4,) is the same in
+both layouts.  Generic vector operations (distances, activations,
 initialization) act on the flat real arrays, so one primitive set serves
 all three algebras.
 
 The component kernels are written out per component, and their results
-are bit for bit those of the plain formulas on trailing tuples: a product
-of conjugates is the same products under flipped signs (x*(-y) == -(x*y)
-and a-(-b) == a+b exactly), and a sum over the 2 or 4 components is the
-adds ((0.0 + t0) + t1) + ... in component order, which is what
-np.sum(t, axis=-1) and np.linalg.norm(t, axis=-1) compute on such short
-trailing axes, +0.0 start included (an all -0.0 tuple sums to +0.0).
-Only the sign and payload of a NaN may differ.  A per-tuple quantity such
-as a norm has the shape of one plane and broadcasts over the planes.
+are bit for bit those of the plain formulas on trailing tuples.  A
+product conjugates a factor through a flag (conj_p, conj_q, conj_b),
+bitwise equal to multiplying by the conjugate: the same products under
+flipped signs (x*(-y) == -(x*y) and a-(-b) == a+b exactly).  A sum over
+the 2 or 4 components is the adds ((0.0 + t0) + t1) + ... in component
+order, which is what np.sum(t, axis=-1) and np.linalg.norm(t, axis=-1)
+compute on such short trailing axes, +0.0 start included (an all -0.0
+tuple sums to +0.0).  Only the sign and payload of a NaN may differ.  A
+per-tuple quantity such as a norm has the shape of one plane and
+broadcasts over the planes.
 """
 
 from __future__ import annotations
@@ -151,20 +153,6 @@ def hamilton_product(p: np.ndarray, q: np.ndarray, conj_p: bool = False,
     return _algebra_product(p, q, _HAMILTON_PLANS[conj_p, conj_q], empty)
 
 
-def _negate_imaginary(p: np.ndarray) -> np.ndarray:
-    """Conjugate: plane 0 kept, the other planes negated."""
-    out = np.negative(p)
-    out[0] = p[0]
-    return out
-
-
-def quaternion_conjugate(p: np.ndarray) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64)
-    if p.shape[:1] != (4,):
-        raise DimensionError("quaternion arrays need a leading component axis of 4")
-    return _negate_imaginary(p)
-
-
 def complex_elementwise_product(a: np.ndarray, b: np.ndarray,
                                 conj_b: bool = False, empty=np.empty) -> np.ndarray:
     """Entrywise complex product on (re, im) planes, shape (2, ...); conj_b
@@ -177,13 +165,6 @@ def complex_elementwise_product(a: np.ndarray, b: np.ndarray,
     if a.shape != b.shape:
         raise DimensionError(f"length mismatch {a.shape} vs {b.shape}")
     return _algebra_product(a, b, _COMPLEX_PLANS[conj_b], empty)
-
-
-def complex_conjugate(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    if a.shape[:1] != (2,):
-        raise DimensionError("complex arrays need a leading component axis of 2")
-    return _negate_imaginary(a)
 
 
 def circular_correlation(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,14 +1,14 @@
-"""Knowledge-embedding scoring functions with analytic gradients.
+"""Knowledge-embedding scoring functions and their gradients.
 
-Each scorer provides three things: a scalar score over one (head,
-relation, tail) embedding triple, closed-form gradients of that score
-with respect to each argument, and `messages`, the same gradients built
-as a tape expression over batched edge arrays so training can
-differentiate through them.  The closed forms and the tape expressions
-are maintained as separate derivations on purpose; tests cross-check
-them against each other and against finite differences.
+Each scorer provides two things: a scalar score over one (head,
+relation, tail) embedding triple, and `messages`, the gradients of that
+score with respect to each argument, built as a tape expression over
+batched edge arrays so training can differentiate through them.
+`checks.scorer_gradient_fd` runs `messages` on a one-row tape against
+finite differences of `score`; the tests also compare it with closed
+forms derived separately.
 
-Width conventions for base dimension d:
+Widths for base dimension d (`widths` holds the multiples of d):
 
     TransE    entity d    relation d
     DistMult  entity d    relation d
@@ -25,9 +25,9 @@ the stored, unprojected coordinates.
 RotatE and QuatE vectors are stored as d interleaved tuples of
 k = `planes` = 2 or 4 components.  Their `messages` take and return
 (k, E, d) component planes (see `numerics`), which `Tape.gather` and
-`Tape.segment_sum` with planes=k convert from and to.  The closed forms
-run the kernels on (k, d) views of one vector, then sum or return the
-contiguous interleaved (d, k) array, so np.sum adds in stored order.
+`Tape.segment_sum` with planes=k convert from and to.  Their `score`
+runs the kernels on (k, d) views of one vector, then sums the contiguous
+interleaved (d, k) array, so np.sum adds in stored order.
 """
 
 from __future__ import annotations
@@ -53,19 +53,13 @@ def _interleaved(x: np.ndarray) -> np.ndarray:
 class Scorer:
     kind = "?"
     planes = 1
+    widths: tuple   # (entity, relation) width as multiples of d
 
     def __init__(self, dim: int):
         if dim < 1:
             raise DimensionError(f"base dimension must be >= 1, got {dim}")
         self.dim = int(dim)
-
-    @property
-    def entity_width(self) -> int:
-        raise NotImplementedError
-
-    @property
-    def relation_width(self) -> int:
-        raise NotImplementedError
+        self.entity_width, self.relation_width = (m * self.dim for m in self.widths)
 
     def _args(self, u, r, v):
         return (
@@ -77,18 +71,10 @@ class Scorer:
     def score(self, u, r, v) -> float:
         raise NotImplementedError
 
-    def grad_head(self, u, r, v) -> np.ndarray:
-        raise NotImplementedError
-
-    def grad_rel(self, u, r, v) -> np.ndarray:
-        raise NotImplementedError
-
-    def grad_tail(self, u, r, v) -> np.ndarray:
-        raise NotImplementedError
-
     def messages(self, tape, U, R, V, relation=True, parts=None):
-        """Batched (grad_head, grad_rel, grad_tail) as tape Variables;
-        grad_rel is None, and not recorded, unless `relation`.
+        """Batched gradients of the score with respect to head, relation
+        and tail, as tape Variables; the relation gradient is None, and not
+        recorded, unless `relation`.
 
         U, V: (E, entity_width); R: (E, relation_width); or, when
         planes = k > 1, all six are (k, E, d) component planes, and
@@ -99,31 +85,12 @@ class Scorer:
 
 class TransE(Scorer):
     kind = "transe"
-
-    @property
-    def entity_width(self):
-        return self.dim
-
-    @property
-    def relation_width(self):
-        return self.dim
+    widths = (1, 1)
 
     def score(self, u, r, v):
         u, r, v = self._args(u, r, v)
         e = u + r - v
         return -float(np.sum(e * e))
-
-    def grad_head(self, u, r, v):
-        u, r, v = self._args(u, r, v)
-        return -2.0 * (u + r - v)
-
-    def grad_rel(self, u, r, v):
-        u, r, v = self._args(u, r, v)
-        return -2.0 * (u + r - v)
-
-    def grad_tail(self, u, r, v):
-        u, r, v = self._args(u, r, v)
-        return 2.0 * (u + r - v)
 
     def messages(self, tape, U, R, V, relation=True, parts=None):
         e = tape.sub(tape.add(U, R), V)
@@ -133,31 +100,12 @@ class TransE(Scorer):
 
 class DistMult(Scorer):
     kind = "distmult"
-
-    @property
-    def entity_width(self):
-        return self.dim
-
-    @property
-    def relation_width(self):
-        return self.dim
+    widths = (1, 1)
 
     def score(self, u, r, v):
         u, r, v = self._args(u, r, v)
         # r * (u * v) keeps the float sequence symmetric in u and v
         return float(np.sum(r * (u * v)))
-
-    def grad_head(self, u, r, v):
-        u, r, v = self._args(u, r, v)
-        return r * v
-
-    def grad_rel(self, u, r, v):
-        u, r, v = self._args(u, r, v)
-        return u * v
-
-    def grad_tail(self, u, r, v):
-        u, r, v = self._args(u, r, v)
-        return u * r
 
     def messages(self, tape, U, R, V, relation=True, parts=None):
         return tape.mul(R, V), tape.mul(U, V) if relation else None, tape.mul(U, R)
@@ -165,41 +113,13 @@ class DistMult(Scorer):
 
 class TransH(Scorer):
     kind = "transh"
-
-    @property
-    def entity_width(self):
-        return self.dim
-
-    @property
-    def relation_width(self):
-        return 2 * self.dim
-
-    def _parts(self, u, r, v):
-        u, r, v = self._args(u, r, v)
-        r1, r2 = r[: self.dim], r[self.dim :]
-        uproj = u - np.dot(r1, u) * r1
-        vproj = v - np.dot(r1, v) * r1
-        e = uproj + r2 - vproj
-        return u, v, r1, r2, e
+    widths = (1, 2)
 
     def score(self, u, r, v):
-        _, _, _, _, e = self._parts(u, r, v)
+        u, r, v = self._args(u, r, v)
+        r1, r2 = r[: self.dim], r[self.dim :]
+        e = u - np.dot(r1, u) * r1 + r2 - (v - np.dot(r1, v) * r1)
         return -float(np.sum(e * e))
-
-    def grad_head(self, u, r, v):
-        _, _, r1, _, e = self._parts(u, r, v)
-        return -2.0 * (e - np.dot(r1, e) * r1)
-
-    def grad_tail(self, u, r, v):
-        _, _, r1, _, e = self._parts(u, r, v)
-        return 2.0 * (e - np.dot(r1, e) * r1)
-
-    def grad_rel(self, u, r, v):
-        u, v, r1, _, e = self._parts(u, r, v)
-        duv = v - u
-        g1 = -2.0 * (np.dot(r1, e) * duv + np.dot(r1, duv) * e)
-        g2 = -2.0 * e
-        return np.concatenate([g1, g2])
 
     def messages(self, tape, U, R, V, relation=True, parts=None):
         d = self.dim
@@ -225,43 +145,14 @@ class TransH(Scorer):
 
 class TransD(Scorer):
     kind = "transd"
-
-    @property
-    def entity_width(self):
-        return 2 * self.dim
-
-    @property
-    def relation_width(self):
-        return 2 * self.dim
-
-    def _parts(self, u, r, v):
-        u, r, v = self._args(u, r, v)
-        d = self.dim
-        u1, u2 = u[:d], u[d:]
-        v1, v2 = v[:d], v[d:]
-        r1, r2 = r[:d], r[d:]
-        au = np.dot(u2, u1)
-        av = np.dot(v2, v1)
-        e = u1 + au * r1 + r2 - v1 + av * r1
-        return u1, u2, v1, v2, r1, r2, au, av, e
+    widths = (2, 2)
 
     def score(self, u, r, v):
-        e = self._parts(u, r, v)[-1]
+        u, r, v = self._args(u, r, v)
+        d = self.dim
+        u1, v1, r1 = u[:d], v[:d], r[:d]
+        e = u1 + np.dot(u[d:], u1) * r1 + r[d:] - v1 + np.dot(v[d:], v1) * r1
         return -float(np.sum(e * e))
-
-    def grad_head(self, u, r, v):
-        u1, u2, _, _, r1, _, _, _, e = self._parts(u, r, v)
-        pe = np.dot(r1, e)
-        return np.concatenate([-2.0 * (e + pe * u2), -2.0 * pe * u1])
-
-    def grad_tail(self, u, r, v):
-        _, _, v1, v2, r1, _, _, _, e = self._parts(u, r, v)
-        pe = np.dot(r1, e)
-        return np.concatenate([2.0 * (e - pe * v2), -2.0 * pe * v1])
-
-    def grad_rel(self, u, r, v):
-        _, _, _, _, _, _, au, av, e = self._parts(u, r, v)
-        return np.concatenate([-2.0 * (au + av) * e, -2.0 * e])
 
     def messages(self, tape, U, R, V, relation=True, parts=None):
         d = self.dim
@@ -304,38 +195,12 @@ class TransD(Scorer):
 class RotatE(Scorer):
     kind = "rotate"
     planes = 2
-
-    @property
-    def entity_width(self):
-        return 2 * self.dim
-
-    @property
-    def relation_width(self):
-        return 2 * self.dim
-
-    def _parts(self, u, r, v):
-        uc, rc, vc = (x.reshape(-1, 2).T for x in self._args(u, r, v))
-        rhat = numerics.unit_project(rc)
-        w = numerics.complex_elementwise_product(uc, rhat) - vc
-        return uc, rc, vc, rhat, w
+    widths = (2, 2)
 
     def score(self, u, r, v):
-        w = self._parts(u, r, v)[-1]
+        uc, rc, vc = (x.reshape(-1, 2).T for x in self._args(u, r, v))
+        w = numerics.complex_elementwise_product(uc, numerics.unit_project(rc)) - vc
         return -float(np.sum(_interleaved(w * w)))
-
-    def grad_head(self, u, r, v):
-        _, _, _, rhat, w = self._parts(u, r, v)
-        g = -2.0 * numerics.complex_elementwise_product(w, numerics.complex_conjugate(rhat))
-        return _interleaved(g).reshape(-1)
-
-    def grad_tail(self, u, r, v):
-        w = self._parts(u, r, v)[-1]
-        return _interleaved(2.0 * w).reshape(-1)
-
-    def grad_rel(self, u, r, v):
-        uc, rc, _, _, w = self._parts(u, r, v)
-        ghat = -2.0 * numerics.complex_elementwise_product(w, numerics.complex_conjugate(uc))
-        return _interleaved(numerics.unit_project_pullback(rc, ghat)).reshape(-1)
 
     def messages(self, tape, U, R, V, relation=True, parts=None):
         p = tape.unit_project(R, parts=parts)
@@ -351,37 +216,12 @@ class RotatE(Scorer):
 class QuatE(Scorer):
     kind = "quate"
     planes = 4
-
-    @property
-    def entity_width(self):
-        return 4 * self.dim
-
-    @property
-    def relation_width(self):
-        return 4 * self.dim
-
-    def _parts(self, u, r, v):
-        uq, rq, vq = (x.reshape(-1, 4).T for x in self._args(u, r, v))
-        rhat = numerics.unit_project(rq)
-        return uq, rq, vq, rhat
+    widths = (4, 4)
 
     def score(self, u, r, v):
-        uq, _, vq, rhat = self._parts(u, r, v)
-        return float(np.sum(_interleaved(numerics.hamilton_product(uq, rhat) * vq)))
-
-    def grad_tail(self, u, r, v):
-        uq, _, _, rhat = self._parts(u, r, v)
-        return _interleaved(numerics.hamilton_product(uq, rhat)).reshape(-1)
-
-    def grad_head(self, u, r, v):
-        _, _, vq, rhat = self._parts(u, r, v)
-        g = numerics.hamilton_product(vq, numerics.quaternion_conjugate(rhat))
-        return _interleaved(g).reshape(-1)
-
-    def grad_rel(self, u, r, v):
-        uq, rq, vq, _ = self._parts(u, r, v)
-        ghat = numerics.hamilton_product(numerics.quaternion_conjugate(uq), vq)
-        return _interleaved(numerics.unit_project_pullback(rq, ghat)).reshape(-1)
+        uq, rq, vq = (x.reshape(-1, 4).T for x in self._args(u, r, v))
+        w = numerics.hamilton_product(uq, numerics.unit_project(rq))
+        return float(np.sum(_interleaved(w * vq)))
 
     def messages(self, tape, U, R, V, relation=True, parts=None):
         p = tape.unit_project(R, parts=parts)
@@ -402,21 +242,15 @@ SCORERS = {
     "quate": QuatE,
 }
 
-# entity width as a multiple of the scorer's base dimension d
-ENTITY_MULT = {
-    "transe": 1,
-    "distmult": 1,
-    "transh": 1,
-    "transd": 2,
-    "rotate": 2,
-    "quate": 4,
-}
+
+def _scorer_class(kind: str) -> type:
+    if kind not in SCORERS:
+        raise ValueError(f"unknown scorer {kind!r}; expected one of {sorted(SCORERS)}")
+    return SCORERS[kind]
 
 
 def make_scorer(kind: str, dim: int) -> Scorer:
-    if kind not in SCORERS:
-        raise ValueError(f"unknown scorer {kind!r}; expected one of {sorted(SCORERS)}")
-    return SCORERS[kind](dim)
+    return _scorer_class(kind)(dim)
 
 
 def base_dim(kind: str, width: int) -> int:
@@ -426,9 +260,7 @@ def base_dim(kind: str, width: int) -> int:
     entities are concatenations (TransD pairs, RotatE complex pairs,
     QuatE quadruples) split it into d components.
     """
-    if kind not in SCORERS:
-        raise ValueError(f"unknown scorer {kind!r}; expected one of {sorted(SCORERS)}")
-    mult = ENTITY_MULT[kind]
+    mult = _scorer_class(kind).widths[0]
     if width % mult:
         raise ValueError(
             f"dim {width} is not a multiple of {mult} required by scorer {kind!r}")

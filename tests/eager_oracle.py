@@ -3,8 +3,8 @@
 The oracle the batched tape layer (`propagation.layer_forward_tape`) is
 tested against: every entity and relation sums its messages edge by edge
 over its ascending neighbourhood (`checks.in_edges`, `out_edges`,
-`relation_edges` below), with the scorers' closed-form gradients and the
-scalar degree normalizations below.
+`relation_edges` below), with the closed-form score gradients of
+`scorer_oracle` and the scalar degree normalizations below.
 """
 
 from typing import Optional
@@ -16,6 +16,7 @@ from kegcn.checks import _phi_eager, in_edges, out_edges
 from kegcn.graph import KnowledgeGraph
 from kegcn.propagation import EmbeddingState, LayerParams
 from kegcn.scorers import Scorer
+from scorer_oracle import gradients
 
 
 def relation_edges(g: KnowledgeGraph, r: int) -> list:
@@ -39,9 +40,7 @@ def _eager_edge_message(mode, scorer, state, u, r, v, position):
     position says whether the receiver is the tail or the head."""
     ent, rel = state.entity, state.relation
     if mode == "kegcn":
-        if position == "tail":
-            return scorer.grad_tail(ent[u], rel[r], ent[v])
-        return scorer.grad_head(ent[u], rel[r], ent[v])
+        return gradients(scorer, ent[u], rel[r], ent[v])[2 if position == "tail" else 0]
     if mode.startswith("compgcn"):
         neighbor = ent[u] if position == "tail" else ent[v]
         return _phi_eager(mode, neighbor, rel[r])
@@ -80,7 +79,7 @@ def relation_message(graph: KnowledgeGraph, state: EmbeddingState, scorer: Optio
         return np.zeros(width)
     acc = np.zeros(width)
     for u, v in relation_edges(graph, r):
-        acc += scorer.grad_rel(state.entity[u], state.relation[r], state.entity[v])
+        acc += gradients(scorer, state.entity[u], state.relation[r], state.entity[v])[1]
     factor = 1.0 if params.alpha is None else relation_norm(graph, r, params.alpha)
     return factor * acc
 

@@ -129,9 +129,10 @@ def gate_runs(tmp_path_factory):
 
 
 def test_criterion_1_scorer_gradients(verdict):
-    """Closed-form scorer gradients vs central differences: 6 scorers, 3
-    gradients each, 100 random points, floored relative error <= 1e-6 (the
-    1e-2 floor holds near-zero gradients to 1e-8 absolute)."""
+    """Scorer gradients as training computes them (`messages` on a one-row
+    tape) vs central differences of the score: 6 scorers, 3 gradients each,
+    100 random points, floored relative error <= 1e-6 (the 1e-2 floor holds
+    near-zero gradients to 1e-8 absolute)."""
     start = time.monotonic()
     errs = {k: scorer_gradient_fd(k, dim=4, n_points=100) for k in sorted(SCORERS)}
     seconds = time.monotonic() - start

@@ -3,6 +3,7 @@
 import argparse
 import os
 import resource
+import struct
 import subprocess
 import sys
 from dataclasses import fields
@@ -57,6 +58,7 @@ def test_gradcheck_cli(capsys):
     assert cli.main(["gradcheck", "--scorer", "transe", "--points", "5"]) == 0
     out = capsys.readouterr().out
     assert "transe" in out and "PASS" in out
+    assert "scorer transe    message fd error " in out
 
 
 def test_metrics_report_cli(tmp_path, capsys):
@@ -213,6 +215,15 @@ def test_eval_rejects_corrupt_checkpoint(tmp_path, capsys):
     bad.write_bytes(b"not a checkpoint")
     assert cli.main(["eval", "--checkpoint", str(bad)]) == 1
     assert "magic" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", [b"a\xff:1", b"a:2xq", b"a:99999999999999999999"])
+def test_eval_corrupt_section_header_exits_1_naming_the_file(tmp_path, capsys, name):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(io_mod.MAGIC + struct.pack("<II", 1, len(name)) + name
+                    + struct.pack("<Qd", 1, 1.5))
+    assert cli.main(["eval", "--checkpoint", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
 
 def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):

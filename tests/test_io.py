@@ -1,13 +1,17 @@
 """Tests for dataset parsing, config handling, checkpoints, and reports."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import load_triples, read_report
 from kegcn.io import (
     Checkpoint,
     CheckpointError,
     ConfigError,
+    MAGIC,
     DataError,
     Vocabulary,
     load_alignments,
@@ -62,7 +66,7 @@ def test_load_triples_undecodable_byte_line_number(tmp_path):
     pairs = tmp_path / "pairs.tsv"
     pairs.write_bytes(b"0\t0\n1\xfe\t1\n")
     vocab = Vocabulary(True)
-    vocab.intern("1", "here")
+    vocab.intern_all(["1"])
     with pytest.raises(DataError, match=r"pairs\.tsv line 2"):
         load_alignments(str(pairs), vocab, vocab)
 
@@ -108,7 +112,7 @@ def test_load_triples_names_the_line_of_an_overlong_integer_id(tmp_path, line):
 
 def test_load_labels_and_alignments_name_the_line_of_an_overlong_integer_id(tmp_path):
     gv = Vocabulary(True)
-    gv.intern("1", "setup")
+    gv.intern_all(["1"])
     p = tmp_path / "labels.tsv"
     p.write_text(f"0\t0\n{OVERLONG_ID}\t0\n")
     with pytest.raises(DataError, match=r"labels\.tsv line 2: integer id of 5000 digits"):
@@ -168,8 +172,7 @@ def test_load_alignments_empty_file(tmp_path):
 
 def test_load_labels_multi_and_duplicates(tmp_path):
     gv = Vocabulary(False)
-    gv.intern("e", "setup")
-    gv.intern("f", "setup")
+    gv.intern_all(["e", "f"])
     cv = Vocabulary()
     p = tmp_path / "labels.tsv"
     p.write_text("e\tc1,c2\nf\tc1\n")
@@ -183,7 +186,7 @@ def test_load_labels_multi_and_duplicates(tmp_path):
 
 def test_load_labels_unknown_entity(tmp_path):
     gv = Vocabulary(True)
-    gv.intern("0", "setup")
+    gv.intern_all(["0"])
     p = tmp_path / "labels.tsv"
     p.write_text("7\t0\n")
     with pytest.raises(DataError, match="line 1.*unknown entity"):
@@ -250,6 +253,71 @@ def test_checkpoint_bad_magic_and_truncation(tmp_path):
     bad.write_bytes(bytes(raw))
     with pytest.raises(CheckpointError, match="version"):
         load_checkpoint(str(bad))
+
+
+def one_section_checkpoint(name: bytes, count: int = 1) -> bytes:
+    """A checkpoint holding one section of `count` elements whose stored
+    name, shape text included, is `name`."""
+    return (MAGIC + struct.pack("<I", 1) + struct.pack("<I", len(name)) + name
+            + struct.pack("<Q", count) + struct.pack(f"<{count}d", *[1.5] * count))
+
+
+@pytest.mark.parametrize("name, count", [
+    (b"a\xff:1", 1), (b"a:2xq", 1), (b"a:99999999999999999999", 1), (b"a:+1", 1),
+    (b"a:1_0", 1), (b"a: 1", 1), (b"a:1x", 1), (b"a:-1x-1", 1), (b"a:" + b"1x" * 70 + b"1", 1),
+    (b"a:0x999999999999999999x999999999999999999", 0)])
+def test_corrupt_section_header_names_the_file(tmp_path, name, count):
+    p = tmp_path / "m.ckpt"
+    p.write_bytes(one_section_checkpoint(name, count))
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(str(p))
+    assert str(err.value).startswith(f"{p}: ")
+
+
+def test_checkpoint_section_names_may_be_any_utf8(tmp_path):
+    p = tmp_path / "m.ckpt"
+    p.write_bytes(one_section_checkpoint("é:1x1".encode("utf-8")))
+    assert load_checkpoint(str(p)).sections["é"].tolist() == [[1.5]]
+
+
+def model_checkpoint_bytes(tmp_path) -> bytes:
+    values = parse_config(None, {"task": "align", "dim": "4", "layers": "2",
+                                 "scorer": "transd", "mode": "kegcn"})
+    cfg = ModelConfig(mode="kegcn", scorer_kind="transd", dim=4, layers=2)
+    rng = RandomSource(3)
+    params = init_params(cfg, 2, rng)
+    from kegcn.graph import build_graph
+
+    g = build_graph([(0, 0, 1), (1, 1, 2)], 3, 2)
+    tables = {"g1": init_state(cfg, g, rng), "g2": init_state(cfg, g, rng)}
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(str(path), pack_model(values, params, tables, 0.5))
+    return path.read_bytes()
+
+
+def loads_or_names_the_file(path, data: bytes) -> None:
+    path.write_bytes(data)
+    try:
+        load_checkpoint(str(path))
+    except CheckpointError as err:
+        assert str(err).startswith(f"{path}: "), str(err)
+
+
+def test_every_truncated_model_checkpoint_loads_or_names_the_file(tmp_path):
+    data = model_checkpoint_bytes(tmp_path)
+    path = tmp_path / "cut.ckpt"
+    for n in range(len(data)):
+        loads_or_names_the_file(path, data[:n])
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_model_checkpoint_with_one_byte_overwritten_loads_or_names_the_file(
+        tmp_path_factory, data):
+    tmp = tmp_path_factory.mktemp("ckpt")
+    raw = bytearray(model_checkpoint_bytes(tmp))
+    raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
+    loads_or_names_the_file(tmp / "bad.ckpt", bytes(raw))
 
 
 def test_model_pack_unpack_roundtrip(tmp_path):

@@ -7,10 +7,8 @@ from kegcn.numerics import (
     activation,
     circular_convolution,
     circular_correlation,
-    complex_conjugate,
     complex_elementwise_product,
     hamilton_product,
-    quaternion_conjugate,
     sigmoid,
     softmax_row,
     truncated_normal_fill,
@@ -93,29 +91,14 @@ def test_complex_product_mismatch():
 
 
 def test_conjugates():
-    assert np.array_equal(trailing(complex_conjugate(planes([[1.0, 2.0]]))), [[1.0, -2.0]])
-    assert np.array_equal(
-        quaternion_conjugate([1.0, 2.0, 3.0, 4.0]), [1.0, -2.0, -3.0, -4.0]
-    )
-
-
-@pytest.mark.parametrize("conj, signs", [
-    (complex_conjugate, [1.0, -1.0]),
-    (quaternion_conjugate, [1.0, -1.0, -1.0, -1.0]),
-])
-def test_conjugates_bitwise_equal_sign_multiply(conj, signs):
-    rng = RandomSource(len(signs))
-    width = len(signs)
-    p = rng.normal((7, 3, width)) * 10.0 ** rng.integers(-300, 300, (7, 3, width))
-    p[0] = 0.0
-    p[1] = -0.0
-    p[2, 0] = [0.0, -0.0] * (width // 2)
-    for arr in (p, p[0, 0], p[:, ::2]):
-        got = trailing(conj(planes(arr)))
-        want = arr * np.array(signs)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    got = trailing(conj(planes(p)))
-    assert np.signbit(got[0, 0, 1]) and not np.signbit(got[1, 0, 1])
+    # the product with the unit element conjugates through the flag
+    one = planes([[1.0, 0.0]])
+    assert np.array_equal(trailing(complex_elementwise_product(
+        one, planes([[1.0, 2.0]]), conj_b=True)), [[1.0, -2.0]])
+    assert np.array_equal(hamilton_product([1.0, 0.0, 0.0, 0.0], [1.0, 2.0, 3.0, 4.0],
+                                           conj_q=True), [1.0, -2.0, -3.0, -4.0])
+    assert np.array_equal(hamilton_product([1.0, 2.0, 3.0, 4.0], [1.0, 0.0, 0.0, 0.0],
+                                           conj_p=True), [1.0, -2.0, -3.0, -4.0])
 
 
 def test_circular_correlation_hand():

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from kegcn.autodiff import Tape
-from kegcn.checks import scorer_gradient_fd
+from kegcn.checks import message_gradients, scorer_gradient_fd
 from kegcn.numerics import DimensionError, RandomSource, unit_project
-from kegcn.scorers import SCORERS, make_scorer
+from kegcn.scorers import SCORERS, base_dim, make_scorer
+from scorer_oracle import gradients
 
 ALL_KINDS = sorted(SCORERS)
 
@@ -49,24 +50,27 @@ def test_transh_projection_annihilates():
 
 def test_transe_gradients_hand():
     s = make_scorer("transe", 2)
-    u, r, v = [1.0, 2.0], [1.0, 1.0], [0.0, 0.0]
-    assert np.array_equal(s.grad_tail(u, r, v), [4.0, 6.0])
-    assert np.array_equal(s.grad_head(u, r, v), [-4.0, -6.0])
-    assert np.array_equal(s.grad_rel(u, r, v), [-4.0, -6.0])
+    u, r, v = np.array([[1.0, 2.0], [1.0, 1.0], [0.0, 0.0]])
+    for grads in (message_gradients(s, u, r, v), gradients(s, u, r, v)):
+        gh, gr, gt = grads
+        assert np.array_equal(gt, [4.0, 6.0])
+        assert np.array_equal(gh, [-4.0, -6.0])
+        assert np.array_equal(gr, [-4.0, -6.0])
 
 
 def test_transe_zero_point_zero_grads():
     s = make_scorer("transe", 3)
     z = np.zeros(3)
-    assert np.array_equal(s.grad_head(z, z, z), z)
-    assert np.array_equal(s.grad_rel(z, z, z), z)
-    assert np.array_equal(s.grad_tail(z, z, z), z)
+    for grads in (message_gradients(s, z, z, z), gradients(s, z, z, z)):
+        for g in grads:
+            assert np.array_equal(g, z)
 
 
 def test_distmult_grad_rel_hand():
     s = make_scorer("distmult", 2)
-    out = s.grad_rel([1.0, 2.0], [0.0, 0.0], [5.0, 6.0])
-    assert np.array_equal(out, [5.0, 12.0])
+    u, r, v = np.array([[1.0, 2.0], [0.0, 0.0], [5.0, 6.0]])
+    assert np.array_equal(message_gradients(s, u, r, v)[1], [5.0, 12.0])
+    assert np.array_equal(gradients(s, u, r, v)[1], [5.0, 12.0])
 
 
 def test_width_mismatch():
@@ -74,7 +78,7 @@ def test_width_mismatch():
     with pytest.raises(DimensionError):
         s.score(np.zeros(3), np.zeros(3), np.zeros(3))
     with pytest.raises(DimensionError):
-        s.grad_head(np.zeros(6), np.zeros(6), np.zeros(6))
+        s.score(np.zeros(6), np.zeros(6), np.zeros(6))
     with pytest.raises(ValueError):
         make_scorer("ntn", 3)
 
@@ -93,16 +97,14 @@ def test_tape_messages_match_closed_forms(kind):
     U = rng.normal((n, scorer.entity_width))
     R = rng.normal((n, scorer.relation_width))
     V = rng.normal((n, scorer.entity_width))
-    if kind in ("rotate", "quate"):
-        k = 2 if kind == "rotate" else 4
+    k = scorer.planes
+    if k > 1:
         R += 0.4 * np.sign(R.reshape(n, -1, k)).reshape(n, -1)
     tape = Tape()
-    k = scorer.planes
     out = scorer.messages(tape, *(tape.leaf(to_planes(x, k)) for x in (U, R, V)))
     gh, gr, gt = (from_planes(o.value, k) for o in out)
     for e in range(n):
-        for got, fn in ((gh, scorer.grad_head), (gr, scorer.grad_rel), (gt, scorer.grad_tail)):
-            want = fn(U[e], R[e], V[e])
+        for got, want in zip((gh, gr, gt), gradients(scorer, U[e], R[e], V[e])):
             scale = np.maximum(np.abs(want), 1.0)
             assert np.all(np.abs(got[e] - want) <= 1e-10 * scale), (kind, e)
 
@@ -119,7 +121,7 @@ def test_distmult_tape_messages_bitwise():
 
 
 def test_transe_message_vjp_is_minus_two_g():
-    # L = <grad_tail, g>; dL/dV = -2 g because grad_tail = 2(U + R - V)
+    # L = <gt, g>; dL/dV = -2 g because the tail message gt = 2(U + R - V)
     scorer = make_scorer("transe", 4)
     rng = RandomSource(47)
     U, R, V = rng.normal((3, 6, 4))
@@ -202,3 +204,10 @@ def test_width_conventions(kind):
     rw = {"transe": d, "distmult": d, "transh": 2 * d, "transd": 2 * d,
           "rotate": 2 * d, "quate": 4 * d}[kind]
     assert s.entity_width == ew and s.relation_width == rw
+    assert s.widths == (ew // d, rw // d)
+    assert base_dim(kind, ew) == d
+    if ew // d > 1:
+        with pytest.raises(ValueError, match="not a multiple"):
+            base_dim(kind, ew + 1)
+    with pytest.raises(ValueError, match="unknown scorer"):
+        base_dim("ntn", ew)

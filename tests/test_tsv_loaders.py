@@ -233,7 +233,7 @@ def test_labels_match_the_oracle(tmp_path_factory, data, bad):
     seen = data.draw(st.sampled_from([None, "0", "c"]))   # class tokens of an earlier split
     classes, oclasses = kio.Vocabulary(), oracle.OracleVocabulary()
     if seen is not None:
-        classes.intern(seen, "setup")
+        classes.intern_all([seen])
         oclasses.intern(seen, "setup")
     got = outcome(kio.load_labels, str(labels), ent, classes)
     want = outcome(oracle.load_labels, str(labels), oent, oclasses)
