@@ -14,20 +14,21 @@ gradient of the first parent that gets it: nothing else holds it once its
 node has run.  Any other first gradient that may share its memory (the
 second parent of an `add`, the views `concat` passes on) is copied.
 
-Value lifetime: a Variable owns its array, and a Tape's nodes hold every
-value until `backward` starts, so the recorded forward pass can be read
-from `tape.nodes[i].value` until then.  `backward` reads no node value and
-drops them all as it starts, and it drops each node's vjp and parents as
-soon as the node has run, so a tape is consumed by its own reverse pass:
-an intermediate lives only while a Variable, or a vjp not yet run, holds
-it (vjps that need only a shape keep the shape).
+Value lifetime: an intermediate lives only while a Variable, or a vjp not
+yet run, holds it.  A Variable owns its array; a node holds its parents and
+vjp until `backward` has run it, but refers to its value only weakly, so an
+array that no vjp captured is freed as soon as the layer code drops its
+last Variable (vjps that need only a shape keep the shape, relu keeps its
+mask).  `backward` drops each node's vjp and parents once the node has run,
+so a tape is consumed by its own reverse pass.
 
-Memory: freed that early, a training epoch's arrays go back to the
-allocator during `backward`, which hands the top of its heap back to the
-operating system, and the next epoch faults the same memory in again.  A
-Tape given a `BufferPool` takes its ops' outputs, its vjps' gradients and
-their large temporaries from the pool instead; the pool keeps them for
-the next tape.  Without a pool the same ops allocate as usual.
+Memory: a Tape given a `BufferPool` takes its ops' outputs, its vjps'
+gradients and their large temporaries from the pool, which hands an array
+out again once nothing holds it: an array dropped during the forward pass
+serves a later op of the same pass, and the arrays freed by `backward`
+serve the next tape.  The pool's arrays stay with it, where freed ones
+would go back to the operating system and be faulted in again.  Without a
+pool the same ops allocate as usual.
 """
 
 from __future__ import annotations
@@ -43,25 +44,51 @@ from .numerics import DimensionError
 
 
 class Node:
-    __slots__ = ("value", "parents", "vjp", "name", "__weakref__")
+    """One recorded op: parent indices, vjp and name.  `value` is the op's
+    array while something else holds it, else None."""
+
+    __slots__ = ("_value", "parents", "vjp", "name")
 
     def __init__(self, value, parents, vjp, name):
-        self.value = value
+        self._value = weakref.ref(value)
         self.parents = parents
         self.vjp = vjp
         self.name = name
 
+    @property
+    def value(self):
+        return self._value()
+
+
+class _Nodes:
+    """A tape's nodes in record order: `nodes[i]` is node i and `len`
+    counts them all, while iterating or slicing gives only the nodes whose
+    value is still alive."""
+
+    def __init__(self):
+        self.all: list[Node] = []
+
+    def __len__(self) -> int:
+        return len(self.all)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [n for n in self.all[i] if n.value is not None]
+        return self.all[i]
+
+    def __iter__(self):
+        return iter(self[:])
+
 
 class Variable:
-    """Handle to one tape node; owns its value and keeps the node alive."""
+    """Handle to one tape node; owns its value."""
 
-    __slots__ = ("tape", "index", "node", "value")
+    __slots__ = ("tape", "index", "value")
 
-    def __init__(self, tape: "Tape", index: int, node: Node):
+    def __init__(self, tape: "Tape", index: int, value: np.ndarray):
         self.tape = tape
         self.index = index
-        self.node = node
-        self.value = node.value
+        self.value = value
 
     @property
     def shape(self):
@@ -227,19 +254,20 @@ class Tape:
     take their large arrays: `pool.empty` for a Tape given a `pool` (see
     the module docstring), else `np.empty`; the values are the same bit for
     bit.  A vjp holds that allocator, never the tape, so a tape that never
-    runs backward is still freed as soon as nothing refers to it.
+    runs backward is still freed as soon as nothing refers to it.  Its
+    `nodes` keep each node's parents and vjp for `backward`, and its value
+    only while a Variable or a vjp holds it (see the module docstring).
     """
 
     def __init__(self, pool: BufferPool | None = None):
-        self.nodes: list[Node] = []
+        self.nodes = _Nodes()
         self.empty = np.empty if pool is None else pool.empty
         self._sums = None if pool is None else pool.empty   # scatter_add's `empty`
 
     def _record(self, value, parents=(), vjp=None, name="leaf") -> Variable:
-        node = Node(np.asarray(value, dtype=np.float64), tuple(p.index for p in parents),
-                    vjp, name)
-        self.nodes.append(node)
-        return Variable(self, len(self.nodes) - 1, node)
+        value = np.asarray(value, dtype=np.float64)
+        self.nodes.all.append(Node(value, tuple(p.index for p in parents), vjp, name))
+        return Variable(self, len(self.nodes.all) - 1, value)
 
     def leaf(self, value) -> Variable:
         return self._record(value)
@@ -554,13 +582,12 @@ class Tape:
     # ---- reverse pass ----
 
     def backward(self, loss: Variable) -> "GradientMap":
-        """Leaf gradients of `loss`.  Consumes the tape: node values are
-        dropped as it starts and each vjp once it has run."""
+        """Leaf gradients of `loss`.  Consumes the tape: each node's vjp
+        and parents are dropped once it has run, or at once if it comes
+        after the loss."""
         if np.size(loss.value) != 1:
             raise ValueError(f"loss must be scalar, got shape {loss.value.shape}")
-        nodes = self.nodes
-        for node in nodes:
-            node.value = None
+        nodes = self.nodes.all
         for node in nodes[loss.index + 1:]:
             node.vjp, node.parents = None, ()
         grads: list = [None] * (loss.index + 1)
@@ -597,46 +624,17 @@ class Tape:
                 grads[pi] = pg
 
 
-class _LiveNodes:
-    """The nodes of a ForwardTape in record order, held weakly: indexing
-    gives a node while some Variable still holds it, else None; a slice
-    gives the nodes in it that are still held."""
-
-    def __init__(self):
-        self._refs: list = []
-
-    def append(self, node: Node) -> None:
-        self._refs.append(weakref.ref(node))
-
-    def __len__(self) -> int:
-        return len(self._refs)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [n for n in (r() for r in self._refs[i]) if n is not None]
-        return self._refs[i]()
-
-
 class ForwardTape(Tape):
     """A Tape for passes that never run backward (inference).
 
-    Its nodes keep no vjp and no parents, and the tape holds them only
-    weakly, so each intermediate is freed as soon as the layer code drops
-    its last Variable.  Values are those of a Tape bit for bit, but a pass
-    holds about one layer's intermediates instead of the whole stack's.
-    That keeps a repeated pass inside memory the allocator already holds,
-    where a Tape's pass grows the heap, hands it back to the operating
-    system when the tape dies, and page-faults it in again on the next call.
+    Its nodes keep no vjp and no parents, so no vjp holds an array either:
+    each intermediate is freed as soon as the layer code drops its last
+    Variable, and a pass holds about one layer's intermediates.  Values are
+    those of a Tape bit for bit.
     """
 
-    def __init__(self):
-        super().__init__()
-        self.nodes = _LiveNodes()
-
     def _record(self, value, parents=(), vjp=None, name="leaf") -> Variable:
-        node = Node(np.asarray(value, dtype=np.float64), (), None, name)
-        self.nodes.append(node)
-        return Variable(self, len(self.nodes) - 1, node)
+        return super()._record(value, (), None, name)
 
     def backward(self, loss: Variable) -> "GradientMap":
         raise TypeError("a ForwardTape records no gradients; use Tape")

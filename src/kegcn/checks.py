@@ -100,18 +100,28 @@ def end_to_end_gradient_fd(task: str, scorer_kind: str, mode: str = "kegcn",
     return finite_diff_check(fn, point, max_coords=max_coords)
 
 
+class _KinkTape(Tape):
+    """A Tape that keeps the distance of the closest relu or abs input to
+    its kink at zero (a Tape keeps no input that no vjp needs)."""
+
+    margin = np.inf
+
+    def _kink(self, x):
+        self.margin = min(self.margin, float(np.abs(x.value).min(initial=np.inf)))
+        return x
+
+    def relu(self, x):
+        return super().relu(self._kink(x))
+
+    def abs(self, x):
+        return super().abs(self._kink(x))
+
+
 def _kink_margin(fn, point) -> float:
     """Distance of the closest relu or abs input to its kink at zero."""
-    tape = Tape()
-    leaves = [tape.leaf(np.asarray(p)) for p in point]
-    fn(tape, *leaves)
-    margin = np.inf
-    for node in tape.nodes:
-        if node.name in ("relu", "abs"):
-            pre = tape.nodes[node.parents[0]].value
-            if pre.size:
-                margin = min(margin, float(np.abs(pre).min()))
-    return margin
+    tape = _KinkTape()
+    fn(tape, *[tape.leaf(np.asarray(p)) for p in point])
+    return tape.margin
 
 
 def _build_end_to_end(task: str, scorer_kind: str, mode: str, dim: int,

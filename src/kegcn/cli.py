@@ -145,7 +145,10 @@ def _check_model_fits(gname: str, table, graph, params_list) -> None:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cp = io_mod.load_checkpoint(args.checkpoint)
-    values, params_list, tables, _ = io_mod.unpack_model(cp)
+    try:
+        values, params_list, tables, _ = io_mod.unpack_model(cp)
+    except io_mod.CheckpointError as exc:
+        raise io_mod.CheckpointError(f"{args.checkpoint}: {exc}") from None
     for key in ("graph1", "graph2", "train", "valid", "test", "report"):
         v = getattr(args, key, None)
         if v is not None:

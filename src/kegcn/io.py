@@ -495,15 +495,19 @@ def unpack_model(cp: Checkpoint):
     values["runs"] = 1
 
     params_list = []
+    unknown = {name for name in sec if name.startswith("param/")}
     for i in range(values["layers"]):
-        weights = {f: sec[f"param/layer{i}.{f}"].copy() if f"param/layer{i}.{f}" in sec else None
-                   for f in LayerVars._fields}
+        names = {f: f"param/layer{i}.{f}" for f in LayerVars._fields}
+        unknown -= set(names.values())
+        weights = {f: sec[n].copy() if n in sec else None for f, n in names.items()}
         if weights["w"] is None and weights["w_per_rel"] is None:
             raise CheckpointError(f"checkpoint lacks weights for layer {i}")
         act_ent, act_rel = layer_activations(values["mode"], i, values["layers"])
         params_list.append(LayerParams(**weights, act_ent=act_ent, act_rel=act_rel,
                                        alpha=values["alpha"]))
 
+    if unknown:
+        raise CheckpointError(f"unexpected parameter section {min(unknown)!r}")
     tables: dict = {}
     for name in sec:
         if not name.startswith("table/"):

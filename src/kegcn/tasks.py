@@ -398,12 +398,12 @@ def fit(graphs: dict, mc: ModelConfig, cfg: TrainConfig, loss_fn: Callable,
     epochs run, losses).
 
     One BufferPool serves every epoch's tape; its arrays are freed after
-    the last epoch.  `backward` consumes the tape, and each epoch drops
-    its tape, outputs, loss and gradients before the next one starts, so
-    the next forward finds every pooled array free: a run holds one
-    epoch's arrays, and after the first epoch it allocates almost nothing
-    new.  metric_fn reads outputs the epoch still holds, which the pool
-    therefore cannot have handed out again during `backward`."""
+    the last epoch.  A tape keeps no intermediate that no vjp needs, so a
+    pooled array the layer code drops serves a later op of the same
+    forward pass; `backward` consumes the tape, and each epoch drops its
+    tape, outputs, loss and gradients before the next one starts.  After
+    the first epoch a run allocates almost nothing new.  metric_fn reads
+    outputs the epoch still holds, which the pool cannot hand out again."""
     scorer = config_scorer(mc)
     rng = RandomSource(cfg.seed)
     params_list = init_params(mc, max(g.num_relations for g in graphs.values()), rng)

@@ -493,21 +493,21 @@ def test_backward_keeps_only_leaf_gradients():
 
 
 def test_backward_frees_dropped_intermediates_while_tape_and_loss_live():
-    # scale's vjp keeps only its constant, so after backward starts nothing
-    # but a live Variable can hold h's array
+    # mul's vjp captures h's array, so it outlives its dropped Variable
+    # until backward has run the mul, and nothing holds it after that
     tape = Tape()
     x = tape.leaf(np.ones((4, 3)))
     h = tape.scale(x, 2.0)
     probe = weakref.ref(h.value)
-    loss = tape.sum(tape.scale(h, 3.0))
+    loss = tape.sum(tape.mul(h, h))
     del h
     gc.collect()
     assert probe() is not None
     grads = tape.backward(loss)
     gc.collect()
     assert probe() is None
-    assert float(loss.value) == 72.0
-    assert np.array_equal(grads[x], np.full((4, 3), 6.0))
+    assert float(loss.value) == 48.0
+    assert np.array_equal(grads[x], np.full((4, 3), 8.0))
 
 
 SHAPE_ONLY_OPS = {
@@ -533,22 +533,29 @@ def test_shape_only_vjps_free_their_inputs_after_backward(op):
     assert grads[x].shape == (4, 3)
 
 
-def test_tape_nodes_hold_forward_values_until_backward():
-    # the kink-margin check reads relu/abs inputs from tape.nodes before
-    # backward; backward then drops every node value at once
+def test_tape_nodes_hold_values_only_while_something_else_does():
+    # a node refers to its value weakly.  relu's vjp keeps only its mask and
+    # sum's only a shape, so the matmul and abs arrays go with their
+    # Variables; the gathered rows (matmul's vjp) and the relu output (abs's
+    # vjp) stay until backward has run the node that captured them
     rng = RandomSource(8)
     tape = Tape()
     x = tape.leaf(rng.normal((5, 3)))
     w = tape.leaf(rng.normal((3, 3)))
-    pre = tape.matmul(tape.gather(x, np.array([0, 2, 2, 4])), w)
+    rows = tape.gather(x, np.array([0, 2, 2, 4]))
+    pre = tape.matmul(rows, w)
     loss = tape.sum(tape.abs(tape.relu(pre)))
-    want = pre.value.copy()
-    del pre
-    relu = next(n for n in tape.nodes if n.name == "relu")
-    assert bitwise_equal(tape.nodes[relu.parents[0]].value, want)
-    assert all(n.value is not None for n in tape.nodes)
+    assert tape.nodes[pre.index].value is pre.value
+    del rows, pre
+    names = ["leaf", "leaf", "gather", "matmul", "relu", "abs", "sum"]
+    assert len(tape.nodes) == 7
+    assert [tape.nodes[i].name for i in range(7)] == names
+    assert tape.nodes[3].value is None and tape.nodes[3].vjp is not None
+    assert [n.name for n in tape.nodes] == ["leaf", "leaf", "gather", "relu", "sum"]
+    assert [n.name for n in tape.nodes[3:]] == ["relu", "sum"]
     tape.backward(loss)
-    assert all(n.value is None for n in tape.nodes)
+    assert [n.name for n in tape.nodes] == ["leaf", "leaf", "sum"]
+    assert all(tape.nodes[i].vjp is None for i in range(7))
     assert loss.value.shape == () and x.value.shape == (5, 3)
 
 
@@ -561,7 +568,7 @@ def test_backward_consumes_the_tape_and_frees_captured_edge_arrays():
     w = tape.leaf(np.full((5, 3), 0.5))
     loss = tape.sum(tape.mul(edges, w))
     probe = weakref.ref(edges.value)
-    gather_node = edges.node
+    gather_node = tape.nodes[edges.index]
     del edges
     seen = []
     inner = gather_node.vjp
@@ -574,7 +581,8 @@ def test_backward_consumes_the_tape_and_frees_captured_edge_arrays():
     gather_node.vjp = vjp
     grads = tape.backward(loss)
     assert seen == [None]
-    assert all(n.vjp is None and n.parents == () for n in tape.nodes)
+    assert all(tape.nodes[i].vjp is None and tape.nodes[i].parents == ()
+               for i in range(len(tape.nodes)))
     assert np.array_equal(grads[x], np.array([[0.5] * 3, [0.5] * 3, [0.5] * 3, [1.0] * 3]))
 
 
@@ -678,13 +686,14 @@ def test_forward_tape_frees_dropped_intermediates():
     x = tape.leaf(np.ones((4, 2)))
     h = tape.scale(x, 2.0)
     out = tape.add(h, x)
-    assert len(tape.nodes) == 3 and tape.nodes[h.index] is h.node
-    probe = weakref.ref(h.node)
+    assert len(tape.nodes) == 3 and tape.nodes[h.index].value is h.value
+    probe = weakref.ref(h.value)
     del h
     gc.collect()
     assert probe() is None
-    assert tape.nodes[1] is None
-    assert tape.nodes[0:] == [x.node, out.node]
-    assert out.node.vjp is None and out.node.parents == ()
+    assert tape.nodes[1].name == "scale" and tape.nodes[1].value is None
+    live = tape.nodes[0:]
+    assert len(live) == 2 and live[0].value is x.value and live[1].value is out.value
+    assert all(tape.nodes[i].vjp is None and tape.nodes[i].parents == () for i in range(3))
     with pytest.raises(TypeError):
         tape.backward(tape.sum(out))

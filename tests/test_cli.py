@@ -226,6 +226,26 @@ def test_eval_corrupt_section_header_exits_1_naming_the_file(tmp_path, capsys, n
     assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
 
+@pytest.mark.parametrize("old, new", [(b"param/layer0.w_rel", b"param/layer0.w_reX"),
+                                      (b"config/mode", b"config/modX")])
+def test_eval_damaged_model_checkpoint_exits_1_naming_the_file(tmp_path, capsys, old, new):
+    g1 = write_ring_dataset(tmp_path, prefix="g1")
+    g2 = write_ring_dataset(tmp_path, prefix="g2")
+    train = write_pairs(tmp_path, "train.tsv", [(i, i) for i in range(9)])
+    ckpt = tmp_path / "model.ckpt"
+    assert cli.main(["train-align", "--graph1", str(g1), "--graph2", str(g2),
+                     "--train", str(train), "--dim", "4", "--layers", "2", "--epochs", "2",
+                     "--checkpoint", str(ckpt), "--quiet"]) == 0
+    capsys.readouterr()
+    raw = ckpt.read_bytes()
+    assert raw.count(old) == 1
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(raw.replace(old, new))
+    assert cli.main(["eval", "--checkpoint", str(bad), "--graph1", str(g1),
+                     "--graph2", str(g2), "--test", str(train)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+
 def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
     g1 = write_ring_dataset(tmp_path, prefix="g1")
     g2 = write_ring_dataset(tmp_path, prefix="g2")

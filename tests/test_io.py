@@ -320,6 +320,19 @@ def test_model_checkpoint_with_one_byte_overwritten_loads_or_names_the_file(
     loads_or_names_the_file(tmp / "bad.ckpt", bytes(raw))
 
 
+@pytest.mark.parametrize("old, new", [(b"param/layer0.w_rel", b"param/layer0.w_reX"),
+                                      (b"param/layer1.w0", b"param/layer7.w0")])
+def test_unpack_model_rejects_a_param_section_it_does_not_know(tmp_path, old, new):
+    # a damaged weight name must not load as a model that lacks the weight
+    raw = model_checkpoint_bytes(tmp_path)
+    assert raw.count(old) == 1
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(raw.replace(old, new))
+    cp = load_checkpoint(str(path))
+    with pytest.raises(CheckpointError, match=new.decode()):
+        unpack_model(cp)
+
+
 def test_model_pack_unpack_roundtrip(tmp_path):
     values = parse_config(None, {"task": "classify", "dim": "4", "layers": "2",
                                  "scorer": "rotate"})

@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from kegcn.propagation import (
     forward_on_tape,
     init_params,
     init_state,
+    layer_forward_tape,
     lift_params,
     model_forward,
     relation_width,
@@ -362,3 +364,77 @@ def test_graphs_of_equal_size_keep_their_own_scatter_cache():
             idx = getattr(g2, name)
             assert np.array_equal(flat, (idx[:, None] * w + np.arange(w)).ravel())
     assert not np.array_equal(g1.flat_cache["tails"][4, 1], g2.flat_cache["tails"][4, 1])
+
+
+# ---------------- intermediate lifetimes ----------------
+
+
+class ProbeTape(Tape):
+    """A Tape that keeps a weak reference to, and the shape of, each value."""
+
+    def __init__(self):
+        super().__init__()
+        self.probes = []
+
+    def _record(self, value, parents=(), vjp=None, name="leaf"):
+        var = super()._record(value, parents, vjp, name)
+        self.probes.append((weakref.ref(var.value), var.shape))
+        return var
+
+
+def _first_layer(kind):
+    g = random_instance(n=12, r=3, edges=36, seed=13)
+    cfg = ModelConfig(mode="kegcn", scorer_kind=kind, dim=8, layers=2, alpha=0.3)
+    rng = RandomSource(17)
+    params = init_params(cfg, g.num_relations, rng)
+    state = init_state(cfg, g, rng)
+    tape = ProbeTape()
+    hv, hr = layer_forward_tape(tape, g, "kegcn", config_scorer(cfg), params[0],
+                                lift_params(tape, params[0]), tape.leaf(state.entity),
+                                tape.leaf(state.relation), {})
+    return g, tape, hv, hr
+
+
+def test_transe_layer_frees_its_edge_arrays_when_it_returns():
+    # no TransE vjp captures an edge-sized array, so once the layer returns
+    # its gathered rows, U + R, e and the three messages are gone, while
+    # the tape and the layer's outputs live on
+    g, tape, hv, hr = _first_layer("transe")
+    edge = [i for i, (_, shape) in enumerate(tape.probes) if shape[0] == g.num_triples]
+    assert [tape.nodes[i].name for i in edge] == ["gather"] * 3 + ["add", "sub"] + ["scale"] * 3
+    assert all(tape.probes[i][0]() is None for i in edge)
+    assert tape.nodes[hv.index].value is hv.value and tape.nodes[hr.index].value is hr.value
+
+
+def test_quate_layer_keeps_captured_edge_arrays_until_their_node_runs():
+    # each captured array lives until the earliest-recorded node whose vjp
+    # holds it has run in backward, and no longer: U and V in the message
+    # quat_muls, ghat in unit_project_pullback, p in unit_project's parts
+    g, tape, hv, hr = _first_layer("quate")
+    nodes = [tape.nodes[i] for i in range(len(tape.nodes))]
+    at: dict = {}
+    for i, node in enumerate(nodes):
+        at.setdefault(node.name, []).append(i)
+    gather, qmul, unit = at["gather"], at["quat_mul"], at["unit_project"][0]
+    made = {"U": gather[0], "V": gather[1], "p": unit, "ghat": qmul[2]}
+    freed = {"U": qmul[0], "V": qmul[1], "p": unit, "ghat": at["unit_project_pullback"][0]}
+    probes = {k: tape.probes[i][0] for k, i in made.items()}
+    assert all(r() is not None for r in probes.values())
+    # the entity messages themselves went with the layer
+    assert tape.probes[qmul[0]][0]() is None and tape.probes[qmul[1]][0]() is None
+    calls = []
+
+    def recording(vjp, i):
+        def run(g):
+            calls.append((i, {k for k, r in probes.items() if r() is not None}))
+            return vjp(g)
+        return run
+
+    for i, node in enumerate(nodes):
+        if node.vjp is not None:
+            node.vjp = recording(node.vjp, i)
+    tape.backward(tape.add(tape.sum(hv), tape.sum(hr)))
+    assert {i for i, _ in calls} >= set(freed.values())
+    for i, live in calls:
+        assert live == {k for k, c in freed.items() if i >= c}, (i, nodes[i].name)
+    assert all(r() is None for r in probes.values())

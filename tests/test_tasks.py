@@ -501,7 +501,7 @@ def test_epoch_equals_the_full_stack_bitwise(monkeypatch, task, mode, scorer):
     class RecordingTape(Tape):
         def backward(self, loss):
             grads = super().backward(loss)
-            leaves = [i for i, node in enumerate(self.nodes) if node.name == "leaf"]
+            leaves = [i for i in range(len(self.nodes)) if self.nodes[i].name == "leaf"]
             epochs.append((float(loss.value), [grads._grads[i] if i < len(grads._grads)
                                                else None for i in leaves]))
             return grads
@@ -550,19 +550,52 @@ def _fit_record(monkeypatch, task, mode, scorer, epochs=3):
     return res.losses, grads
 
 
+def _assert_bitwise_records(got, want, epochs):
+    assert got[0] == want[0]
+    assert len(got[1]) == len(want[1]) == epochs
+    for a, b in zip(got[1], want[1]):
+        assert a.keys() == b.keys()
+        for k in a:
+            assert a[k].shape == b[k].shape
+            assert np.array_equal(a[k].view(np.int64), b[k].view(np.int64)), k
+
+
 @pytest.mark.parametrize("task", ["alignment", "classification"])
 @pytest.mark.parametrize("mode,scorer", FULL_STACK_CASES)
 def test_pooled_training_is_bitwise_plain_tape_training(monkeypatch, task, mode, scorer):
     pooled = _fit_record(monkeypatch, task, mode, scorer)
     monkeypatch.setattr(tasks_mod, "Tape", lambda pool=None: Tape())
     plain = _fit_record(monkeypatch, task, mode, scorer)
-    assert pooled[0] == plain[0]
-    assert len(pooled[1]) == len(plain[1]) == 3
-    for a, b in zip(pooled[1], plain[1]):
-        assert a.keys() == b.keys()
-        for k in a:
-            assert a[k].shape == b[k].shape
-            assert np.array_equal(a[k].view(np.int64), b[k].view(np.int64)), k
+    _assert_bitwise_records(pooled, plain, 3)
+
+
+class KeepingTape(Tape):
+    """A Tape that holds every value it records until backward starts, so
+    no array of the forward pass goes back to the pool before then."""
+
+    def __init__(self, pool=None):
+        super().__init__(pool)
+        self.kept = []
+
+    def _record(self, value, parents=(), vjp=None, name="leaf"):
+        var = super()._record(value, parents, vjp, name)
+        self.kept.append(var.value)
+        return var
+
+    def backward(self, loss):
+        self.kept.clear()
+        return super().backward(loss)
+
+
+@pytest.mark.parametrize("task", ["alignment", "classification"])
+@pytest.mark.parametrize("mode,scorer", FULL_STACK_CASES[:7])   # six scorers, compgcn-sub
+def test_training_is_bitwise_a_tape_that_keeps_every_value(monkeypatch, task, mode, scorer):
+    # a pooled array that a dropped Variable gave back serves a later op of
+    # the same forward pass; values and gradients must not move by one bit
+    got = _fit_record(monkeypatch, task, mode, scorer, epochs=2)
+    monkeypatch.setattr(tasks_mod, "Tape", KeepingTape)
+    want = _fit_record(monkeypatch, task, mode, scorer, epochs=2)
+    _assert_bitwise_records(got, want, 2)
 
 
 @pytest.mark.parametrize("scorer", ["transe", "quate"])
