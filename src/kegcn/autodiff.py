@@ -19,8 +19,11 @@ yet run, holds it.  A Variable owns its array; a node holds its parents and
 vjp until `backward` has run it, but refers to its value only weakly, so an
 array that no vjp captured is freed as soon as the layer code drops its
 last Variable (vjps that need only a shape keep the shape, relu keeps its
-mask).  `backward` drops each node's vjp and parents once the node has run,
-so a tape is consumed by its own reverse pass.
+mask).  A vjp that reads a gathered operand keeps its `Rows` (the source
+table, the index and the plane count) instead of the edge-sized array,
+and takes the rows again when it runs: a row lookup is recomputed, never
+an op.  `backward` drops each node's vjp and parents once the node has
+run, so a tape is consumed by its own reverse pass.
 
 Memory: a Tape given a `BufferPool` takes its ops' outputs, its vjps'
 gradients and their large temporaries from the pool, which hands an array
@@ -36,6 +39,7 @@ from __future__ import annotations
 import math
 import sys
 import weakref
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,14 +85,15 @@ class _Nodes:
 
 
 class Variable:
-    """Handle to one tape node; owns its value."""
+    """Handle to one tape node; owns its value (and its Rows, if any)."""
 
-    __slots__ = ("tape", "index", "value")
+    __slots__ = ("tape", "index", "value", "rows")
 
     def __init__(self, tape: "Tape", index: int, value: np.ndarray):
         self.tape = tape
         self.index = index
         self.value = value
+        self.rows = None
 
     @property
     def shape(self):
@@ -149,6 +154,39 @@ def take_planes(x: np.ndarray, idx: np.ndarray, planes: int, empty=np.empty) -> 
     np.copyto(table, x.reshape(x.shape[0], -1, planes).transpose(2, 0, 1))
     return np.take(table, idx, axis=1, out=empty((planes,) + idx.shape + table.shape[2:]),
                    mode="clip")
+
+
+class Rows(NamedTuple):
+    """A gathered value as the rows it came from: take_planes(*rows, empty)
+    is the value again, bit for bit, from a table-sized array."""
+
+    table: np.ndarray
+    idx: np.ndarray
+    planes: int
+
+
+def _keep(x: Variable):
+    """What a vjp keeps of operand x: its Rows if it was gathered, else its
+    array.  The vjp gets the array back from `_kept` when it runs."""
+    return x.value if x.rows is None else x.rows
+
+
+def _kept(kept, empty) -> np.ndarray:
+    return take_planes(*kept, empty) if isinstance(kept, Rows) else kept
+
+
+def _unit_parts(kz, eps: float, empty, taken: int = 4) -> tuple:
+    """numerics.unit_parts of the operand kept as kz.  Gathered with planes > 1,
+    they come per source row: the first `taken` of (safe, small, safe**3, safe**5)
+    taken to the edges (bitwise the edges' own), the rest None, the projection as Rows."""
+    if not isinstance(kz, Rows) or kz.planes == 1:
+        return numerics.unit_parts(_kept(kz, empty), eps)
+    n, k, idx = len(kz.table), kz.planes, kz.idx
+    *rows, unit = numerics.unit_parts(kz.table.reshape(n, -1, k).transpose(2, 0, 1), eps)
+    edges = [None if a is None or i >= taken else
+             a[idx] if a.dtype == bool else take_planes(a, idx, 1, empty)
+             for i, a in enumerate(rows)]
+    return (*edges, Rows(np.ascontiguousarray(unit.transpose(1, 2, 0)).reshape(n, -1), idx, k))
 
 
 def _shape_of(sa: tuple, sb: tuple) -> tuple:
@@ -257,6 +295,8 @@ class Tape:
     runs backward is still freed as soon as nothing refers to it.  Its
     `nodes` keep each node's parents and vjp for `backward`, and its value
     only while a Variable or a vjp holds it (see the module docstring).
+    `gather` results, and `unit_project` results of them, carry Rows, which
+    the vjps that read them keep instead of the arrays (see `_keep`).
     """
 
     def __init__(self, pool: BufferPool | None = None):
@@ -295,13 +335,14 @@ class Tape:
 
     def mul(self, a: Variable, b: Variable) -> Variable:
         empty = self.empty
-        av, bv = a.value, b.value
+        ka, kb, sa, sb = _keep(a), _keep(b), a.shape, b.shape
 
         def vjp(g):
-            return (_unbroadcast(np.multiply(g, bv, out=empty(g.shape)), av.shape),
-                    _unbroadcast(np.multiply(g, av, out=empty(g.shape)), bv.shape))
+            av, bv = _kept(ka, empty), _kept(kb, empty)
+            return (_unbroadcast(np.multiply(g, bv, out=empty(g.shape)), sa),
+                    _unbroadcast(np.multiply(g, av, out=empty(g.shape)), sb))
 
-        out = np.multiply(av, bv, out=empty(_shape_of(av.shape, bv.shape)))
+        out = np.multiply(a.value, b.value, out=empty(_shape_of(sa, sb)))
         return self._record(out, (a, b), vjp, "mul")
 
     def scale(self, a: Variable, c: float) -> Variable:
@@ -332,7 +373,8 @@ class Tape:
                flat_cache: dict | None = None, planes: int = 1) -> Variable:
         """Rows x[idx]; with planes=k > 1 the interleaved rows come back as
         (k, len(idx), d) planes (see `take_planes`).  `flat_cache` (see
-        `scatter_add`) serves the vjp."""
+        `scatter_add`) serves the vjp.  The result's `rows` (x's array, the
+        checked index, `planes`) are what a vjp that reads it keeps."""
         sums = self._sums
         xv = x.value
         num = xv.shape[0]
@@ -341,7 +383,9 @@ class Tape:
         def vjp(g):
             return (scatter_add(g, idx, num, flat_cache, planes, sums),)
 
-        return self._record(take_planes(xv, idx, planes, self.empty), (x,), vjp, "gather")
+        out = self._record(take_planes(xv, idx, planes, self.empty), (x,), vjp, "gather")
+        out.rows = Rows(xv, idx, planes)
+        return out
 
     def segment_sum(self, x: Variable, idx: np.ndarray, num: int, *,
                     flat_cache: dict | None = None, planes: int = 1) -> Variable:
@@ -466,15 +510,16 @@ class Tape:
         """a * b entrywise, or a * conj(b) with conj_b, without a
         conjugate node."""
         empty = self.empty
-        av, bv = a.value, b.value
+        ka, kb = _keep(a), _keep(b)
 
         def vjp(g):
-            db = numerics.complex_elementwise_product(g, av, True, empty)
+            db = numerics.complex_elementwise_product(g, _kept(ka, empty), True, empty)
             if conj_b:
                 np.negative(db[1], out=db[1])
-            return numerics.complex_elementwise_product(g, bv, not conj_b, empty), db
+            return numerics.complex_elementwise_product(g, _kept(kb, empty), not conj_b,
+                                                        empty), db
 
-        out = numerics.complex_elementwise_product(av, bv, conj_b, empty)
+        out = numerics.complex_elementwise_product(a.value, b.value, conj_b, empty)
         return self._record(out, (a, b), vjp, "complex_mul")
 
     def quat_mul(self, p: Variable, q: Variable, conj_p: bool = False,
@@ -482,57 +527,61 @@ class Tape:
         """Hamilton product p q; conj_p / conj_q conjugate that factor
         without a conjugate node."""
         empty = self.empty
-        pv, qv = p.value, q.value
+        kp, kq = _keep(p), _keep(q)
 
         def vjp(g):
-            dp = numerics.hamilton_product(g, qv, False, not conj_q, empty)
-            dq = numerics.hamilton_product(pv, g, not conj_p, False, empty)
+            dp = numerics.hamilton_product(g, _kept(kq, empty), False, not conj_q, empty)
+            dq = numerics.hamilton_product(_kept(kp, empty), g, not conj_p, False, empty)
             for d, conj in ((dp, conj_p), (dq, conj_q)):
                 if conj:
                     np.negative(d[1:], out=d[1:])
             return dp, dq
 
-        out = numerics.hamilton_product(pv, qv, conj_p, conj_q, empty)
+        out = numerics.hamilton_product(p.value, q.value, conj_p, conj_q, empty)
         return self._record(out, (p, q), vjp, "quat_mul")
 
     def circular_correlation(self, a: Variable, b: Variable) -> Variable:
-        av, bv = a.value, b.value
+        empty = self.empty
+        ka, kb = _keep(a), _keep(b)
 
         def vjp(g):
             return (
-                numerics.circular_correlation(g, bv),
-                numerics.circular_convolution(g, av),
+                numerics.circular_correlation(g, _kept(kb, empty)),
+                numerics.circular_convolution(g, _kept(ka, empty)),
             )
 
         return self._record(
-            numerics.circular_correlation(av, bv), (a, b), vjp, "circular_correlation"
+            numerics.circular_correlation(a.value, b.value), (a, b), vjp, "circular_correlation"
         )
 
-    def unit_project(self, z: Variable, eps: float = 1e-12, parts=None) -> Variable:
-        """Unit-norm tuples of z's planes.  `parts` is numerics.unit_parts(z,
-        eps) if the caller has it (once per relation row, taken to edges)."""
+    def unit_project(self, z: Variable, eps: float = 1e-12) -> Variable:
+        """Unit-norm tuples of z's planes.  For a gathered z the result's
+        `rows` are those of the per-row projection (see `_unit_parts`)."""
         empty = self.empty
-        zv = z.value
-        parts = numerics.unit_parts(zv, eps) if parts is None else parts
+        kz = _keep(z)
+        unit = _unit_parts(kz, eps, empty, 0)[4]
 
         def vjp(g):
-            return (numerics.unit_project_pullback(zv, g, eps, parts, empty=empty),)
+            return (numerics.unit_project_pullback(_kept(kz, empty), g, eps,
+                                                   _unit_parts(kz, eps, empty, 3), empty=empty),)
 
-        return self._record(parts[4], (z,), vjp, "unit_project")
+        out = self._record(_kept(unit, empty), (z,), vjp, "unit_project")
+        out.rows = unit if isinstance(unit, Rows) else None
+        return out
 
-    def unit_project_pullback(self, z: Variable, g: Variable, eps: float = 1e-12,
-                              parts=None) -> Variable:
+    def unit_project_pullback(self, z: Variable, g: Variable, eps: float = 1e-12) -> Variable:
         """Forward evaluation of the unit_project vjp, differentiable in both
         arguments; needed because training backpropagates through message
-        gradients that already contain one projection pullback.  `parts` as
-        in unit_project; the vjp reuses the forward's z.g."""
+        gradients that already contain one projection pullback.  The vjp
+        reuses the forward's z.g."""
         empty = self.empty
+        kz, kg = _keep(z), _keep(g)
         zv, gv = z.value, g.value
-        parts = numerics.unit_parts(zv, eps) if parts is None else parts
         zg = numerics.component_dot(zv, gv, empty)
 
         def vjp(s):
-            safe, small, safe3, safe5, _ = parts
+            zv, gv = _kept(kz, empty), _kept(kg, empty)
+            _, small, safe3, safe5, _ = parts = _unit_parts(kz, eps, empty)
             sz = numerics.component_dot(s, zv, empty)
             sg = numerics.component_dot(s, gv, empty)
             # -sg z / m^3 - zg s / m^3 - sz g / m^3 + 3 zg sz z / m^5, in that order
@@ -553,12 +602,14 @@ class Tape:
                 np.copyto(dz, 0.0, where=small)
             return dz, numerics.unit_project_pullback(zv, s, eps, parts, sz, empty)
 
-        out = numerics.unit_project_pullback(zv, gv, eps, parts, zg, empty)
+        out = numerics.unit_project_pullback(zv, gv, eps, _unit_parts(kz, eps, empty, 3), zg,
+                                             empty)
         return self._record(out, (z, g), vjp, "unit_project_pullback")
 
     def per_relation_matmul(self, x: Variable, w: Variable, rel: np.ndarray) -> Variable:
         """Row i of the result is x[i] @ w[rel[i]]."""
-        xv, wv = x.value, w.value
+        empty = self.empty
+        xv, wv, kx = x.value, w.value, _keep(x)
         rel = np.asarray(rel, dtype=np.int64)
         if wv.ndim != 3 or xv.ndim != 2 or xv.shape[1] != wv.shape[1]:
             raise DimensionError(f"per-relation matmul mismatch {xv.shape} vs {wv.shape}")
@@ -569,6 +620,7 @@ class Tape:
                 out[m] = xv[m] @ wv[r]
 
         def vjp(g):
+            xv = _kept(kx, empty)
             dx = np.zeros_like(xv)
             dw = np.zeros_like(wv)
             for r, m in enumerate(masks):
@@ -652,14 +704,9 @@ class GradientMap:
 
 def finite_diff_check(fn, point, eps: float = 1e-5, rel_floor: float = 1e-2,
                       max_coords: int | None = None) -> float:
-    """Compare backward() against central differences.
-
+    """Compare backward() against central differences (see `fd_error`).
     `fn(tape, *vars) -> scalar Variable` must be a deterministic function of
-    the leaf values.  Returns the worst error |analytic - numeric| divided by
-    max(|analytic|, |numeric|, rel_floor); the floor makes the comparison an
-    absolute one near zero.  `max_coords` caps the probed coordinates per
-    input (deterministic subsample) to bound runtime on large parameter sets.
-    """
+    the leaf values."""
     point = [np.asarray(p, dtype=np.float64) for p in point]
     tape = Tape()
     leaves = [tape.leaf(p) for p in point]
@@ -667,13 +714,23 @@ def finite_diff_check(fn, point, eps: float = 1e-5, rel_floor: float = 1e-2,
     if np.size(out.value) != 1:
         raise ValueError("finite_diff_check needs a scalar-valued fn")
     grads = tape.backward(out)
-    analytic = [grads[v] for v in leaves]
 
     def value_at(args):
         t = Tape()
-        vs = [t.leaf(a) for a in args]
-        return float(fn(t, *vs).value)
+        return float(fn(t, *[t.leaf(a) for a in args]).value)
 
+    return fd_error(value_at, point, [grads[v] for v in leaves], eps, rel_floor, max_coords)
+
+
+def fd_error(value_at, point: list, analytic: list, eps: float = 1e-5, rel_floor: float = 1e-2,
+             max_coords: int | None = None) -> float:
+    """The worst error of `analytic`, the gradients of value_at(point) with
+    respect to each array of `point`, against central differences:
+    |analytic - numeric| divided by max(|analytic|, |numeric|, rel_floor);
+    the floor makes the comparison an absolute one near zero.  `max_coords`
+    caps the probed coordinates per array (deterministic subsample) to
+    bound runtime on large parameter sets.  The arrays of `point` are
+    changed in place and restored."""
     worst = 0.0
     pick = np.random.Generator(np.random.PCG64(20240917))
     for k, p in enumerate(point):

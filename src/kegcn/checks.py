@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import numerics
-from .autodiff import ForwardTape, Tape, finite_diff_check
+from .autodiff import ForwardTape, Tape, fd_error, finite_diff_check
 from .graph import KnowledgeGraph, build_graph
 from .numerics import RandomSource, truncated_normal_fill
 from .propagation import (REDUCTION_MODES, EmbeddingState, LayerParams, ModelConfig,
@@ -22,10 +22,6 @@ from .scorers import Scorer, make_scorer
 from .synthetic import random_triples
 from .tasks import (LabelSet, alignment_loss, classification_loss, named_parameters,
                     sample_negatives)
-
-
-def _fd_error(analytic: float, numeric: float, rel_floor: float) -> float:
-    return abs(analytic - numeric) / max(abs(analytic), abs(numeric), rel_floor)
 
 
 def _sample_triple(scorer: Scorer, rng: RandomSource):
@@ -61,19 +57,8 @@ def scorer_gradient_fd(kind: str, dim: int = 4, n_points: int = 100, seed: int =
     worst = 0.0
     for _ in range(n_points):
         u, r, v = _sample_triple(scorer, rng)
-        args = [u, r, v]
-        grads = message_gradients(scorer, u, r, v)
-        for k in range(3):
-            vec = args[k]
-            for c in range(vec.shape[0]):
-                orig = vec[c]
-                vec[c] = orig + eps
-                f_plus = scorer.score(*args)
-                vec[c] = orig - eps
-                f_minus = scorer.score(*args)
-                vec[c] = orig
-                numeric = (f_plus - f_minus) / (2.0 * eps)
-                worst = max(worst, _fd_error(float(grads[k][c]), numeric, rel_floor))
+        worst = max(worst, fd_error(lambda args: scorer.score(*args), [u, r, v],
+                                    message_gradients(scorer, u, r, v), eps, rel_floor))
     return worst
 
 
@@ -144,28 +129,18 @@ def _build_end_to_end(task: str, scorer_kind: str, mode: str, dim: int,
         leaves = iter(vars[:n_param])
         return [lift_params(tape, p, leaves) for p in params]
 
+    graphs = [g1] + ([build_graph(random_triples(n, r, 25, rng), n, r)]
+                     if task == "alignment" else [])
+    inits = [init_state(cfg, g, rng) for g in graphs]
+    has_rel = inits[0].relation is not None
+    point += [st.entity for st in inits] + ([st.relation for st in inits] if has_rel else [])
     if task == "alignment":
-        g2 = build_graph(random_triples(n, r, 25, rng), n, r)
-        init1 = init_state(cfg, g1, rng)
-        init2 = init_state(cfg, g2, rng)
         positives = np.array([(i, i) for i in range(4)])
         neg_u, neg_v = sample_negatives(positives, 2, n, n, rng)
-        point.extend([init1.entity, init2.entity])
-        has_rel = init1.relation is not None
-        if has_rel:
-            point.extend([init1.relation, init2.relation])
 
-        def fn(tape, *vars):
-            lvs = layer_vars(tape, vars)
-            e1, e2 = vars[n_param], vars[n_param + 1]
-            r1 = vars[n_param + 2] if has_rel else None
-            r2 = vars[n_param + 3] if has_rel else None
-            h1, _ = forward_on_tape(tape, g1, mode, scorer, params, lvs, e1, r1)
-            h2, _ = forward_on_tape(tape, g2, mode, scorer, params, lvs, e2, r2)
+        def loss(tape, h1, h2):
             return alignment_loss(tape, h1, h2, positives, neg_u, neg_v, 3.0)
-
     else:
-        init1 = init_state(cfg, g1, rng)
         multi = task == "multilabel"
         ids = list(range(6))
         if multi:
@@ -177,17 +152,16 @@ def _build_end_to_end(task: str, scorer_kind: str, mode: str, dim: int,
         else:
             labels = {e: (int(rng.integers(0, 3, 1)[0]),) for e in ids}
         label_set = LabelSet(labels, 3, multi, train=ids)
-        point.append(init1.entity)
-        has_rel = init1.relation is not None
-        if has_rel:
-            point.append(init1.relation)
 
-        def fn(tape, *vars):
-            lvs = layer_vars(tape, vars)
-            e1 = vars[n_param]
-            r1 = vars[n_param + 1] if has_rel else None
-            logits, _ = forward_on_tape(tape, g1, mode, scorer, params, lvs, e1, r1)
+        def loss(tape, logits):
             return classification_loss(tape, logits, label_set, ids)
+
+    def fn(tape, *vars):
+        lvs = layer_vars(tape, vars)
+        k = len(graphs)
+        rels = vars[n_param + k:] if has_rel else [None] * k
+        return loss(tape, *(forward_on_tape(tape, g, mode, scorer, params, lvs, e, r)[0]
+                            for g, e, r in zip(graphs, vars[n_param:n_param + k], rels)))
 
     return fn, point
 
@@ -253,28 +227,17 @@ def verify_reduction(mode: str, graph: KnowledgeGraph, seed: int,
     ent = truncated_normal_fill((n, dim), rng)
     rel = truncated_normal_fill((rn, dim), rng) if mode.startswith("compgcn") else None
     params = []
+
+    def w(*shape):
+        return truncated_normal_fill(shape, rng, width=dim)
+
     for _ in range(layers):
-        if mode.startswith("compgcn"):
-            p = LayerParams(
-                w_per_rel=truncated_normal_fill((rn, dim, dim), rng, width=dim),
-                w0=truncated_normal_fill((dim, dim), rng, width=dim),
-                w_rel=truncated_normal_fill((dim, dim), rng, width=dim),
-                act_ent="relu",
-                act_rel="identity",
-            )
-        elif mode == "rgcn":
-            p = LayerParams(
-                w_per_rel=truncated_normal_fill((rn, dim, dim), rng, width=dim),
-                w0=truncated_normal_fill((dim, dim), rng, width=dim),
-                act_ent="relu",
-            )
-        else:
-            p = LayerParams(
-                w=truncated_normal_fill((dim, dim), rng, width=dim),
-                rel_scale=rng.normal((rn, 1)),
-                act_ent="relu",
-            )
-        params.append(p)
+        if mode == "wgcn":
+            params.append(LayerParams(w=w(dim, dim), rel_scale=rng.normal((rn, 1))))
+        else:   # compgcn: relation updates without an activation; rgcn: no relations
+            params.append(LayerParams(w_per_rel=w(rn, dim, dim), w0=w(dim, dim),
+                                      w_rel=w(dim, dim) if rel is not None else None,
+                                      act_rel="identity"))
     state = EmbeddingState(ent, rel)
     generic = model_forward(graph, state, params, mode=mode, collect=True)
     worst = 0.0

@@ -162,8 +162,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     graphs = dict(zip(("g1", "g2") if align else ("g",), bundle.graphs))
     for gname, g in graphs.items():
         _check_model_fits(gname, tables[gname], g, params_list)
-    finals = [model_forward(g, tables[gname], params_list, mode=mc.mode, scorer=scorer)
-              for gname, g in graphs.items()]
+    with np.errstate(all="ignore"):   # finite weights can still overflow: reported below
+        finals = [model_forward(g, tables[gname], params_list, mode=mc.mode, scorer=scorer)
+                  for gname, g in graphs.items()]
+    bad = [gname for gname, f in zip(graphs, finals) if not np.isfinite(f.entity).all()]
+    if bad:
+        raise io_mod.CheckpointError(f"{args.checkpoint}: the model's output on {bad[0]} "
+                                     "is not finite")
     if align:
         pairs = bundle.seeds.test or bundle.seeds.valid or bundle.seeds.train
         if not pairs:

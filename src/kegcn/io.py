@@ -37,7 +37,8 @@ from typing import Optional
 import numpy as np
 
 from .graph import build_graph
-from .propagation import EmbeddingState, LayerParams, LayerVars, layer_activations
+from .propagation import (EmbeddingState, LayerParams, LayerVars, layer_activations,
+                          relation_width)
 from .tasks import AlignmentSeeds, LabelSet, TrainConfig, named_parameters
 
 
@@ -475,54 +476,56 @@ def pack_model(values: dict, params_list: list, tables: dict,
 
 
 def unpack_model(cp: Checkpoint):
-    """Inverse of pack_model: (config values, layer params, tables, best)."""
+    """Inverse of pack_model: (config values, layer params, tables, best).
+    Every section must be one the stored config expects, and every value
+    finite, but `best_valid` (NaN when there was no validation)."""
     sec = cp.sections
 
-    def one(name: str) -> float:
+    def get(name: str) -> np.ndarray:
         if name not in sec:
             raise CheckpointError(f"checkpoint lacks section {name!r}")
-        return float(np.asarray(sec[name]).ravel()[0])
+        return sec[name]
 
+    for name in sec:
+        if name != "best_valid" and not np.isfinite(sec[name]).all():
+            raise CheckpointError(f"checkpoint section {name!r} holds a non-finite value")
     values = {}
     for key in ("task",) + tuple(f.name for f in _FIELDS):
-        v = one(f"config/{key}")
+        v = float(np.ravel(get(f"config/{key}"))[0])
+        if (key in _CHOICES or _TYPES[key] is int) and v != int(v):
+            raise CheckpointError(f"checkpoint section 'config/{key}' is not an integer")
         if key in _CHOICES:
             if not (0 <= int(v) < len(_CHOICES[key])):
                 raise CheckpointError(f"checkpoint section 'config/{key}' out of range")
             values[key] = _CHOICES[key][int(v)]
         else:
             values[key] = _TYPES[key](v)
+    expected = {"best_valid", *(f"config/{key}" for key in values)}
     values["runs"] = 1
+    try:
+        mc = train_config(values).model_config()
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint config: {exc}") from None
 
     params_list = []
-    unknown = {name for name in sec if name.startswith("param/")}
     for i in range(values["layers"]):
         names = {f: f"param/layer{i}.{f}" for f in LayerVars._fields}
-        unknown -= set(names.values())
+        expected |= set(names.values())
         weights = {f: sec[n].copy() if n in sec else None for f, n in names.items()}
         if weights["w"] is None and weights["w_per_rel"] is None:
             raise CheckpointError(f"checkpoint lacks weights for layer {i}")
         act_ent, act_rel = layer_activations(values["mode"], i, values["layers"])
         params_list.append(LayerParams(**weights, act_ent=act_ent, act_rel=act_rel,
                                        alpha=values["alpha"]))
-
-    if unknown:
-        raise CheckpointError(f"unexpected parameter section {min(unknown)!r}")
-    tables: dict = {}
-    for name in sec:
-        if not name.startswith("table/"):
-            continue
-        gname, _, part = name[len("table/"):].partition(".")
-        if gname not in tables:
-            tables[gname] = EmbeddingState(np.zeros((0, 0)))
-        if part == "entity":
-            tables[gname].entity = sec[name].copy()
-        elif part == "relation":
-            tables[gname].relation = sec[name].copy()
-        else:
-            raise CheckpointError(f"unexpected table section {name!r}")
-
-    best = one("best_valid")
+    tables = {}
+    for gname in ("g1", "g2") if values["task"] == "align" else ("g",):
+        names = [f"table/{gname}.{part}" for part in ("entity", "relation")
+                 if part == "entity" or relation_width(mc) is not None]
+        expected |= set(names)
+        tables[gname] = EmbeddingState(*(get(n).copy() for n in names))
+    if set(sec) - expected:
+        raise CheckpointError(f"unexpected section {min(set(sec) - expected)!r}")
+    best = float(np.ravel(get("best_valid"))[0])
     return values, params_list, tables, (None if np.isnan(best) else best)
 
 

@@ -169,31 +169,26 @@ def complex_elementwise_product(a: np.ndarray, b: np.ndarray,
 
 def circular_correlation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """result[k] = sum_i a[i] * b[(i + k) mod d], over the trailing axis."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionError(f"length mismatch {a.shape} vs {b.shape}")
-    d = a.shape[-1]
-    if d < 1:
-        raise DimensionError("circular correlation needs length >= 1")
-    fa = np.fft.rfft(a, axis=-1)
-    fb = np.fft.rfft(b, axis=-1)
-    return np.fft.irfft(np.conj(fa) * fb, n=d, axis=-1)
+    return _circular(a, b, "correlation")
 
 
 def circular_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """result[k] = sum_i a[i] * b[(k - i) mod d]; adjoint partner of the
     correlation above."""
+    return _circular(a, b, "convolution")
+
+
+def _circular(a, b, kind: str) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise DimensionError(f"length mismatch {a.shape} vs {b.shape}")
     d = a.shape[-1]
     if d < 1:
-        raise DimensionError("circular convolution needs length >= 1")
+        raise DimensionError(f"circular {kind} needs length >= 1")
     fa = np.fft.rfft(a, axis=-1)
     fb = np.fft.rfft(b, axis=-1)
-    return np.fft.irfft(fa * fb, n=d, axis=-1)
+    return np.fft.irfft((np.conj(fa) if kind == "correlation" else fa) * fb, n=d, axis=-1)
 
 
 def relu(x: np.ndarray) -> np.ndarray:

@@ -34,7 +34,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import numerics
 from .autodiff import ForwardTape, Tape, Variable
 from .graph import KnowledgeGraph, entity_norm_factors, relation_norm_factors
 from .numerics import RandomSource, truncated_normal_fill
@@ -183,24 +182,10 @@ def lift_params(tape: Tape, p: LayerParams, leaves=None) -> LayerVars:
                        for f in LayerVars._fields))
 
 
-def edge_unit_parts(hr: np.ndarray, rels: np.ndarray, planes: int, empty=np.empty):
-    """numerics.unit_parts of the (n, d*k) relation table's tuples, computed
-    once per row and taken to the edges in `rels` order, into empty(shape)."""
-    rows = numerics.unit_parts(hr.reshape(len(hr), -1, planes).transpose(2, 0, 1))
-
-    def to_edges(a):
-        if a is None:
-            return None
-        out = empty(a.shape[:-2] + rels.shape + a.shape[-1:]) if a.dtype == np.float64 else None
-        return np.take(a, rels, axis=a.ndim - 2, out=out, mode="clip")
-
-    return tuple(map(to_edges, rows))
-
-
-def _edge_messages_tape(tape, mode, scorer, U, Re, V, relation, parts):
+def _edge_messages_tape(tape, mode, scorer, U, Re, V, relation):
     """(message-to-head, -relation (None unless `relation`), -tail) per edge."""
     if mode == "kegcn":
-        return scorer.messages(tape, U, Re, V, relation, parts)
+        return scorer.messages(tape, U, Re, V, relation)
     if mode == "compgcn-sub":
         return tape.sub(V, Re), None, tape.sub(U, Re)
     if mode == "compgcn-mult":
@@ -227,8 +212,7 @@ def layer_forward_tape(tape: Tape, graph: KnowledgeGraph, mode: str, scorer: Opt
         V = tape.gather(hv, graph.tails, flat_cache=fc["tails"], planes=k)
         Re = (tape.gather(hr, graph.rels, flat_cache=fc["rels"], planes=k)
               if hr is not None else None)
-        parts = edge_unit_parts(hr.value, graph.rels, k, tape.empty) if k > 1 else None
-        gh, gr, gt = _edge_messages_tape(tape, mode, scorer, U, Re, V, relation, parts)
+        gh, gr, gt = _edge_messages_tape(tape, mode, scorer, U, Re, V, relation)
         if lv.w_per_rel is not None:
             gt = tape.per_relation_matmul(gt, lv.w_per_rel, graph.rels)
             gh = tape.per_relation_matmul(gh, lv.w_per_rel, graph.rels)

@@ -71,14 +71,15 @@ class Scorer:
     def score(self, u, r, v) -> float:
         raise NotImplementedError
 
-    def messages(self, tape, U, R, V, relation=True, parts=None):
+    def messages(self, tape, U, R, V, relation=True):
         """Batched gradients of the score with respect to head, relation
         and tail, as tape Variables; the relation gradient is None, and not
         recorded, unless `relation`.
 
         U, V: (E, entity_width); R: (E, relation_width); or, when
-        planes = k > 1, all six are (k, E, d) component planes, and
-        `parts` may carry numerics.unit_parts of R (see Tape.unit_project).
+        planes = k > 1, all six are (k, E, d) component planes.  When R is
+        gathered, the projection ops compute its unit parts once per
+        relation row (see Tape.unit_project).
         """
         raise NotImplementedError
 
@@ -92,7 +93,7 @@ class TransE(Scorer):
         e = u + r - v
         return -float(np.sum(e * e))
 
-    def messages(self, tape, U, R, V, relation=True, parts=None):
+    def messages(self, tape, U, R, V, relation=True):
         e = tape.sub(tape.add(U, R), V)
         return (tape.scale(e, -2.0), tape.scale(e, -2.0) if relation else None,
                 tape.scale(e, 2.0))
@@ -107,7 +108,7 @@ class DistMult(Scorer):
         # r * (u * v) keeps the float sequence symmetric in u and v
         return float(np.sum(r * (u * v)))
 
-    def messages(self, tape, U, R, V, relation=True, parts=None):
+    def messages(self, tape, U, R, V, relation=True):
         return tape.mul(R, V), tape.mul(U, V) if relation else None, tape.mul(U, R)
 
 
@@ -121,7 +122,7 @@ class TransH(Scorer):
         e = u - np.dot(r1, u) * r1 + r2 - (v - np.dot(r1, v) * r1)
         return -float(np.sum(e * e))
 
-    def messages(self, tape, U, R, V, relation=True, parts=None):
+    def messages(self, tape, U, R, V, relation=True):
         d = self.dim
         r1 = tape.slice_cols(R, 0, d)
         r2 = tape.slice_cols(R, d, 2 * d)
@@ -154,7 +155,7 @@ class TransD(Scorer):
         e = u1 + np.dot(u[d:], u1) * r1 + r[d:] - v1 + np.dot(v[d:], v1) * r1
         return -float(np.sum(e * e))
 
-    def messages(self, tape, U, R, V, relation=True, parts=None):
+    def messages(self, tape, U, R, V, relation=True):
         d = self.dim
         u1 = tape.slice_cols(U, 0, d)
         u2 = tape.slice_cols(U, d, 2 * d)
@@ -202,15 +203,15 @@ class RotatE(Scorer):
         w = numerics.complex_elementwise_product(uc, numerics.unit_project(rc)) - vc
         return -float(np.sum(_interleaved(w * w)))
 
-    def messages(self, tape, U, R, V, relation=True, parts=None):
-        p = tape.unit_project(R, parts=parts)
+    def messages(self, tape, U, R, V, relation=True):
+        p = tape.unit_project(R)
         w = tape.sub(tape.complex_mul(U, p), V)
         gt = tape.scale(w, 2.0)
         gh = tape.scale(tape.complex_mul(w, p, conj_b=True), -2.0)
         if not relation:
             return gh, None, gt
         ghat = tape.scale(tape.complex_mul(w, U, conj_b=True), -2.0)
-        return gh, tape.unit_project_pullback(R, ghat, parts=parts), gt
+        return gh, tape.unit_project_pullback(R, ghat), gt
 
 
 class QuatE(Scorer):
@@ -223,14 +224,14 @@ class QuatE(Scorer):
         w = numerics.hamilton_product(uq, numerics.unit_project(rq))
         return float(np.sum(_interleaved(w * vq)))
 
-    def messages(self, tape, U, R, V, relation=True, parts=None):
-        p = tape.unit_project(R, parts=parts)
+    def messages(self, tape, U, R, V, relation=True):
+        p = tape.unit_project(R)
         gt = tape.quat_mul(U, p)
         gh = tape.quat_mul(V, p, conj_q=True)
         if not relation:
             return gh, None, gt
         ghat = tape.quat_mul(U, V, conj_p=True)
-        return gh, tape.unit_project_pullback(R, ghat, parts=parts), gt
+        return gh, tape.unit_project_pullback(R, ghat), gt
 
 
 SCORERS = {

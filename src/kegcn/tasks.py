@@ -398,11 +398,13 @@ def fit(graphs: dict, mc: ModelConfig, cfg: TrainConfig, loss_fn: Callable,
     epochs run, losses).
 
     One BufferPool serves every epoch's tape; its arrays are freed after
-    the last epoch.  A tape keeps no intermediate that no vjp needs, so a
-    pooled array the layer code drops serves a later op of the same
-    forward pass; `backward` consumes the tape, and each epoch drops its
-    tape, outputs, loss and gradients before the next one starts.  After
-    the first epoch a run allocates almost nothing new.  metric_fn reads
+    the last epoch.  A tape keeps no intermediate that no vjp needs, and a
+    vjp keeps a gathered operand as the table it came from, so a pooled
+    array the layer code drops serves a later op of the same forward pass
+    and the rows a vjp takes again during `backward` come from the pool
+    too.  `backward` consumes the tape, and each epoch drops its tape,
+    outputs, loss and gradients before the next one starts.  After the
+    first epoch a run allocates almost nothing new.  metric_fn reads
     outputs the epoch still holds, which the pool cannot hand out again."""
     scorer = config_scorer(mc)
     rng = RandomSource(cfg.seed)

@@ -560,8 +560,8 @@ def test_tape_nodes_hold_values_only_while_something_else_does():
 
 
 def test_backward_consumes_the_tape_and_frees_captured_edge_arrays():
-    # mul's vjp captures the gathered edge rows; once mul has run, nothing
-    # holds them, so they are gone before the gather before it runs
+    # mul's vjp keeps the rows the edges were gathered from, not the edge
+    # array, so the edge array is gone once the Variable is dropped
     tape = Tape()
     x = tape.leaf(np.arange(12.0).reshape(4, 3))
     edges = tape.gather(x, np.array([0, 3, 3, 1, 2]))
@@ -584,6 +584,47 @@ def test_backward_consumes_the_tape_and_frees_captured_edge_arrays():
     assert all(tape.nodes[i].vjp is None and tape.nodes[i].parents == ()
                for i in range(len(tape.nodes)))
     assert np.array_equal(grads[x], np.array([[0.5] * 3, [0.5] * 3, [0.5] * 3, [1.0] * 3]))
+
+
+W_PER_REL = np.linspace(-1.0, 1.0, 18).reshape(3, 3, 2)
+GATHERED_OPS = {   # planes, op on gathered a and b
+    "mul": (1, lambda t, a, b: t.mul(a, b)),
+    "complex_mul": (2, lambda t, a, b: t.complex_mul(a, b, conj_b=True)),
+    "quat_mul": (4, lambda t, a, b: t.quat_mul(a, b, conj_p=True)),
+    "circular_correlation": (1, lambda t, a, b: t.circular_correlation(a, b)),
+    "per_relation_matmul": (1, lambda t, a, b: t.per_relation_matmul(
+        a, t.leaf(W_PER_REL), np.array([0, 2, 1, 1, 0, 2, 2]))),
+    "unit_project": (4, lambda t, a, b: t.quat_mul(t.unit_project(a), b)),
+    "unit_project_pullback": (2, lambda t, a, b: t.unit_project_pullback(a, b)),
+}
+
+
+@pytest.mark.parametrize("op", sorted(GATHERED_OPS))
+def test_vjps_take_gathered_operands_again_from_their_rows(op):
+    # the gathered arrays go with their Variables, and the gradients are
+    # bitwise those of vjps that captured the arrays (a gather whose result
+    # keeps no rows); row 2 of `a` holds tuples the projections reset
+    k, build = GATHERED_OPS[op]
+    rng = RandomSource(5)
+    tables = [rng.normal((6, 3 * k)), rng.normal((5, 3 * k))]
+    tables[0][2] = 0.0
+    ia, ib = np.array([0, 2, 5, 2, 1, 3, 3]), np.array([4, 0, 1, 1, 3, 2, 0])
+    grads = []
+    for keep_rows in (True, False):
+        tape = Tape()
+        a, b = tape.leaf(tables[0]), tape.leaf(tables[1])
+        ga, gb = tape.gather(a, ia, planes=k), tape.gather(b, ib, planes=k)
+        if not keep_rows:
+            ga.rows = gb.rows = None
+        out = build(tape, ga, gb)
+        probes = [weakref.ref(ga.value), weakref.ref(gb.value)]
+        del ga, gb
+        assert all(p() is None for p in probes) if keep_rows else probes[0]() is not None
+        w = np.cos(np.arange(out.value.size)).reshape(out.shape)
+        g = tape.backward(tape.sum(tape.mul(out, tape.leaf(w))))
+        grads.append([g[a], g[b]])
+    for got, want in zip(*grads):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_tape_without_backward_is_freed_by_reference_counting():

@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface."""
 
 import argparse
+import contextlib
+import io
 import os
 import resource
 import struct
@@ -10,6 +12,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import kegcn
 from helpers import read_report
@@ -244,6 +247,78 @@ def test_eval_damaged_model_checkpoint_exits_1_naming_the_file(tmp_path, capsys,
     assert cli.main(["eval", "--checkpoint", str(bad), "--graph1", str(g1),
                      "--graph2", str(g2), "--test", str(train)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+
+def train_align_checkpoint(tmp_path, capsys=None):
+    """A 2-layer train-align checkpoint on ring graphs, and the eval
+    arguments that read it back (the checkpoint path comes last)."""
+    g1 = write_ring_dataset(tmp_path, prefix="g1")
+    g2 = write_ring_dataset(tmp_path, prefix="g2")
+    train = write_pairs(tmp_path, "train.tsv", [(i, i) for i in range(9)])
+    ckpt = tmp_path / "model.ckpt"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["train-align", "--graph1", str(g1), "--graph2", str(g2),
+                         "--train", str(train), "--dim", "4", "--layers", "2", "--epochs", "2",
+                         "--checkpoint", str(ckpt), "--quiet"]) == 0
+    return ckpt, ["eval", "--graph1", str(g1), "--graph2", str(g2), "--test", str(train),
+                  "--checkpoint"]
+
+
+@pytest.mark.parametrize("name, value", [("config/dim", np.inf), ("config/layers", np.inf),
+                                         ("config/dim", np.nan), ("table/g1.entity", np.nan),
+                                         ("param/layer0.w", np.inf)])
+def test_eval_non_finite_checkpoint_value_exits_1_naming_file_and_section(
+        tmp_path, capsys, name, value):
+    ckpt, args = train_align_checkpoint(tmp_path)
+    cp = io_mod.load_checkpoint(str(ckpt))
+    cp.sections[name] = cp.sections[name].copy()
+    cp.sections[name].flat[0] = value
+    bad = tmp_path / "bad.ckpt"
+    io_mod.save_checkpoint(str(bad), cp)
+    assert cli.main(args + [str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and name in err, err
+
+
+def test_eval_checkpoint_whose_model_overflows_exits_1_naming_the_file(tmp_path, capsys):
+    # finite weights can still drive the forward pass to inf or NaN
+    ckpt, args = train_align_checkpoint(tmp_path)
+    cp = io_mod.load_checkpoint(str(ckpt))
+    for name in ("param/layer0.w0", "table/g1.entity"):
+        cp.sections[name] = np.full_like(cp.sections[name], 1e300)
+    bad = tmp_path / "bad.ckpt"
+    io_mod.save_checkpoint(str(bad), cp)
+    assert cli.main(args + [str(bad)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: the model's output on g1 is not finite\n"
+
+
+_FLOAT_BYTES = st.sampled_from([struct.pack("<d", x) for x in
+                                (np.nan, np.inf, -np.inf, 1e300, -1.0, 0.5, 2.5, 1e18)])
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_eval_of_an_overwritten_checkpoint_evaluates_or_exits_1_naming_the_file(
+        tmp_path_factory, data):
+    # one overwrite anywhere in the file: 1-8 drawn bytes, or a whole float
+    # (NaN, an infinity, a huge or a non-integral value) at a payload slot
+    tmp = tmp_path_factory.mktemp("eval")
+    ckpt, args = train_align_checkpoint(tmp)
+    raw = bytearray(ckpt.read_bytes())
+    if data.draw(st.booleans()):
+        patch = data.draw(st.binary(min_size=1, max_size=8))
+        at = data.draw(st.integers(0, len(raw) - len(patch)))
+    else:
+        patch = data.draw(_FLOAT_BYTES)
+        at = len(raw) - 8 * data.draw(st.integers(1, (len(raw) - 8) // 8))
+    raw[at:at + len(patch)] = patch
+    bad = tmp / "bad.ckpt"
+    bad.write_bytes(bytes(raw))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(args + [str(bad)])
+    assert code == 0 or (code == 1 and err.getvalue().startswith(f"error: {bad}: ")), \
+        (code, at, bytes(patch), err.getvalue())
 
 
 def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):

@@ -333,6 +333,30 @@ def test_unpack_model_rejects_a_param_section_it_does_not_know(tmp_path, old, ne
         unpack_model(cp)
 
 
+@pytest.mark.parametrize("name, value", [("config/dim", np.inf), ("config/layers", np.inf),
+                                         ("config/dim", np.nan), ("config/layers", 2.5),
+                                         ("config/scorer", np.nan), ("config/lr", -np.inf),
+                                         ("table/g1.entity", np.nan), ("param/layer0.w", np.inf),
+                                         ("param/layer1.w_rel", np.nan)])
+def test_unpack_model_rejects_a_non_finite_or_non_integral_value(tmp_path, name, value):
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(model_checkpoint_bytes(tmp_path))
+    cp = load_checkpoint(str(path))
+    cp.sections[name] = cp.sections[name].copy()
+    cp.sections[name].flat[-1] = value
+    with pytest.raises(CheckpointError, match=name):
+        unpack_model(cp)
+
+
+def test_unpack_model_reads_a_nan_best_valid_as_none(tmp_path):
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(model_checkpoint_bytes(tmp_path))
+    cp = load_checkpoint(str(path))
+    assert unpack_model(cp)[3] == 0.5
+    cp.sections["best_valid"] = np.array([np.nan])
+    assert unpack_model(cp)[3] is None
+
+
 def test_model_pack_unpack_roundtrip(tmp_path):
     values = parse_config(None, {"task": "classify", "dim": "4", "layers": "2",
                                  "scorer": "rotate"})

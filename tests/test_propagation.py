@@ -407,26 +407,26 @@ def test_transe_layer_frees_its_edge_arrays_when_it_returns():
 
 
 def test_quate_layer_keeps_captured_edge_arrays_until_their_node_runs():
-    # each captured array lives until the earliest-recorded node whose vjp
-    # holds it has run in backward, and no longer: U and V in the message
-    # quat_muls, ghat in unit_project_pullback, p in unit_project's parts
+    # the vjps that read the gathered rows U, V, R and the projection p keep
+    # the rows' source tables instead, so all four go with the layer; ghat,
+    # computed from them, is captured and lives until unit_project_pullback
+    # (the earliest-recorded node whose vjp holds it) has run in backward
     g, tape, hv, hr = _first_layer("quate")
     nodes = [tape.nodes[i] for i in range(len(tape.nodes))]
     at: dict = {}
     for i, node in enumerate(nodes):
         at.setdefault(node.name, []).append(i)
     gather, qmul, unit = at["gather"], at["quat_mul"], at["unit_project"][0]
-    made = {"U": gather[0], "V": gather[1], "p": unit, "ghat": qmul[2]}
-    freed = {"U": qmul[0], "V": qmul[1], "p": unit, "ghat": at["unit_project_pullback"][0]}
-    probes = {k: tape.probes[i][0] for k, i in made.items()}
-    assert all(r() is not None for r in probes.values())
-    # the entity messages themselves went with the layer
-    assert tape.probes[qmul[0]][0]() is None and tape.probes[qmul[1]][0]() is None
+    gone = {"U": gather[0], "V": gather[1], "R": gather[2], "p": unit,
+            "gt": qmul[0], "gh": qmul[1]}
+    assert all(tape.probes[i][0]() is None for i in gone.values())
+    ghat, freed = tape.probes[qmul[2]][0], at["unit_project_pullback"][0]
+    assert ghat() is not None and tape.probes[qmul[2]][1] == (4, g.num_triples, 2)
     calls = []
 
     def recording(vjp, i):
         def run(g):
-            calls.append((i, {k for k, r in probes.items() if r() is not None}))
+            calls.append((i, ghat() is not None))
             return vjp(g)
         return run
 
@@ -434,7 +434,7 @@ def test_quate_layer_keeps_captured_edge_arrays_until_their_node_runs():
         if node.vjp is not None:
             node.vjp = recording(node.vjp, i)
     tape.backward(tape.add(tape.sum(hv), tape.sum(hr)))
-    assert {i for i, _ in calls} >= set(freed.values())
+    assert freed in {i for i, _ in calls}
     for i, live in calls:
-        assert live == {k for k, c in freed.items() if i >= c}, (i, nodes[i].name)
-    assert all(r() is None for r in probes.values())
+        assert live == (i >= freed), (i, nodes[i].name)
+    assert ghat() is None

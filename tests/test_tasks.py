@@ -479,6 +479,14 @@ def test_transe_classification_epoch_tape_node_count(monkeypatch):
         == [101, 101]
 
 
+def gather_without_rows(tape, *args, **kwargs):
+    """Tape.gather whose result keeps no rows: a vjp that reads it captures
+    the gathered array, and the projection ops take its unit parts per edge."""
+    out = Tape.gather(tape, *args, **kwargs)
+    out.rows = None
+    return out
+
+
 FULL_STACK_CASES = ([("kegcn", s) for s in ("transe", "distmult", "transh", "transd",
                                              "rotate", "quate")]
                     + [(m, "transe") for m in REDUCTION_MODES])
@@ -489,8 +497,9 @@ FULL_STACK_CASES = ([("kegcn", s) for s in ("transe", "distmult", "transh", "tra
 def test_epoch_equals_the_full_stack_bitwise(monkeypatch, task, mode, scorer):
     # training skips the last layer's relation update and takes the planes
     # scorers' unit-projection parts once per relation row; the full stack
-    # records that update and lets every projection op compute its parts
-    # per edge.  Losses and every leaf gradient must not move by one bit.
+    # records that update, and with gathers that keep no rows every
+    # projection op computes its parts per edge.  Losses and every leaf
+    # gradient must not move by one bit.
     g1, g2, ent_pairs, _ = synthetic.hub_signature_pair(40, 3, 150, seed=1)
     seeds = synthetic.alignment_split(ent_pairs, valid_fraction=0.1)
     g, labels = synthetic.block_classification(60, 3, 200, noise=0.1, seed=3)
@@ -516,7 +525,7 @@ def test_epoch_equals_the_full_stack_bitwise(monkeypatch, task, mode, scorer):
         return propagation.forward_on_tape(*args, **{**kwargs, "final_relation": True})
 
     monkeypatch.setattr(tasks_mod, "forward_on_tape", full_forward)
-    monkeypatch.setattr(propagation, "edge_unit_parts", lambda *_: None)
+    monkeypatch.setattr(RecordingTape, "gather", gather_without_rows)
     run()
     assert len(trained) == len(epochs) == 2
     for (loss, grads), (full_loss, full_grads) in zip(trained, epochs):
@@ -596,6 +605,55 @@ def test_training_is_bitwise_a_tape_that_keeps_every_value(monkeypatch, task, mo
     monkeypatch.setattr(tasks_mod, "Tape", KeepingTape)
     want = _fit_record(monkeypatch, task, mode, scorer, epochs=2)
     _assert_bitwise_records(got, want, 2)
+
+
+class CapturingTape(Tape):
+    """A Tape whose vjps capture every operand array they read, as they did
+    before gathers kept their rows."""
+
+    gather = gather_without_rows
+
+
+@pytest.mark.parametrize("task", ["alignment", "classification"])
+@pytest.mark.parametrize("mode,scorer", FULL_STACK_CASES)
+def test_training_is_bitwise_a_tape_that_captures_gathered_arrays(monkeypatch, task, mode,
+                                                                   scorer):
+    # a vjp that takes its gathered operands (and QuatE/RotatE projections)
+    # again from their rows must compute what the captured arrays give
+    got = _fit_record(monkeypatch, task, mode, scorer, epochs=2)
+    monkeypatch.setattr(tasks_mod, "Tape", CapturingTape)
+    want = _fit_record(monkeypatch, task, mode, scorer, epochs=2)
+    _assert_bitwise_records(got, want, 2)
+
+
+def test_quate_tape_holds_only_inner_ghats_when_backward_starts(monkeypatch):
+    # of the (4, E, d) planes, only ghat (the relation message's quaternion
+    # product, read by unit_project_pullback's vjp) outlives the layer that
+    # made it, and the last layer makes none: 2 graphs x 2 inner layers
+    g1, g2, ent_pairs, _ = synthetic.hub_signature_pair(40, 3, 150, seed=1)
+    seeds = synthetic.alignment_split(ent_pairs, valid_fraction=0.1)
+    d = 4
+    sizes = {4 * g.num_triples * d for g in (g1, g2)}
+    checked = []
+
+    class ProbeTape(Tape):
+        def __init__(self, pool=None):
+            super().__init__(pool)
+            self.pool = pool
+
+        def backward(self, loss):
+            nodes = [self.nodes[i] for i in range(len(self.nodes))]
+            live = [n for n in nodes if n.value is not None and n.value.size in sizes]
+            assert [n.name for n in live] == ["quat_mul"] * 4
+            assert all(n.value.shape[0] == 4 for n in live)
+            held = [a for a in self.pool.held() if a.size in sizes]
+            assert sorted(map(id, held)) == sorted(id(n.value.base) for n in live)
+            checked.append(True)
+            return super().backward(loss)
+
+    monkeypatch.setattr(tasks_mod, "Tape", ProbeTape)
+    train_alignment(g1, g2, seeds, TrainConfig(scorer="quate", dim=4 * d, layers=3, epochs=1))
+    assert checked == [True]
 
 
 @pytest.mark.parametrize("scorer", ["transe", "quate"])
