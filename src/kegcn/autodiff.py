@@ -19,11 +19,13 @@ yet run, holds it.  A Variable owns its array; a node holds its parents and
 vjp until `backward` has run it, but refers to its value only weakly, so an
 array that no vjp captured is freed as soon as the layer code drops its
 last Variable (vjps that need only a shape keep the shape, relu keeps its
-mask).  A vjp that reads a gathered operand keeps its `Rows` (the source
-table, the index and the plane count) instead of the edge-sized array,
-and takes the rows again when it runs: a row lookup is recomputed, never
-an op.  `backward` drops each node's vjp and parents once the node has
-run, so a tape is consumed by its own reverse pass.
+mask).  A vjp that reads a gathered operand, or a product of gathered
+operands (`quat_mul`, `complex_mul`, `sub`, `scale`), keeps its `Recipe`
+instead of the edge-sized array and rebuilds the value when it runs, with
+the same kernels on rows taken again: a row lookup, or one product of row
+lookups, is recomputed, never a layer.  `backward` drops each node's vjp
+and parents once the node has run, so a tape is consumed by its own
+reverse pass.
 
 Memory: a Tape given a `BufferPool` takes its ops' outputs, its vjps'
 gradients and their large temporaries from the pool, which hands an array
@@ -39,7 +41,7 @@ from __future__ import annotations
 import math
 import sys
 import weakref
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -85,7 +87,7 @@ class _Nodes:
 
 
 class Variable:
-    """Handle to one tape node; owns its value (and its Rows, if any)."""
+    """Handle to one tape node; owns its value (and its Recipe, if any)."""
 
     __slots__ = ("tape", "index", "value", "rows")
 
@@ -110,37 +112,34 @@ def _row_index(idx, num: int) -> np.ndarray:
 
 def scatter_add(x: np.ndarray, idx: np.ndarray, num: int,
                 flat_cache: dict | None = None, planes: int = 1,
-                empty=None) -> np.ndarray:
+                empty=np.empty) -> np.ndarray:
     """out[idx[j]] += x[j] into zeros of shape (num,) + trailing, where
     trailing = x.shape[idx.ndim:], as one bincount over flat positions.
 
     With planes=k > 1, x holds component planes (k, len(idx), d) and the
     result is interleaved, (num, d*k): plane c of row j lands in columns
-    c, k + c, 2k + c, ... of row idx[j].  The positions follow x in plane
-    order, so each output entry still adds its rows in index order.
+    c, k + c, 2k + c, ... of row idx[j].  Each plane is one bincount over
+    the width-d positions, so each output entry adds its rows in index order.
 
-    `flat_cache` maps (width, planes) to the flat positions already built
-    for this same `idx`; the owner of a fixed index array (a graph's
-    heads, tails, rels) keeps one so each layout is built once.  Indices
-    that change per call leave it None and build theirs on the fly.
+    `flat_cache` maps a plane width to the flat positions already built
+    for this same `idx` (shared by the k planes); the owner of a fixed
+    index array (a graph's heads, tails, rels) keeps one so each is built
+    once.  Indices that change per call leave it None.
 
-    With `empty`, the sums are copied into empty(shape) and bincount's own
-    array is freed at once.
+    The sums are copied into empty(shape), and bincount's own arrays are
+    freed at once.
     """
     trailing = x.shape[idx.ndim:] if planes == 1 else (x.shape[-1] * planes,)
-    w = math.prod(trailing)
-    flat = None if flat_cache is None else flat_cache.get((w, planes))
+    w = math.prod(trailing) // planes
+    flat = None if flat_cache is None else flat_cache.get(w)
     if flat is None:
-        flat = (idx.reshape(1, -1, 1) * w + np.arange(0, w, planes)
-                + np.arange(planes).reshape(-1, 1, 1)).ravel()
+        flat = (idx.reshape(-1, 1) * w + np.arange(w)).ravel()
         if flat_cache is not None:
-            flat_cache[w, planes] = flat
-    out = np.bincount(flat, weights=x.reshape(-1), minlength=num * w)
-    if empty is None:
-        # bincount of an empty index comes back as int64 zeros
-        return out.astype(np.float64, copy=False).reshape((num,) + trailing)
+            flat_cache[w] = flat
     sums = empty((num,) + trailing)
-    np.copyto(sums.reshape(-1), out)
+    cols = sums.reshape(num, w, planes)
+    for c, weights in enumerate(x.reshape(planes, -1)):
+        np.copyto(cols[..., c], np.bincount(flat, weights, num * w).reshape(num, w))
     return sums
 
 
@@ -156,37 +155,58 @@ def take_planes(x: np.ndarray, idx: np.ndarray, planes: int, empty=np.empty) -> 
                    mode="clip")
 
 
-class Rows(NamedTuple):
-    """A gathered value as the rows it came from: take_planes(*rows, empty)
-    is the value again, bit for bit, from a table-sized array."""
+class Recipe(NamedTuple):
+    """A value as what it is computed from: `build(empty)` rebuilds each
+    operand (a Recipe too), then returns kernel(*operands, *args, empty),
+    the value again bit for bit.  A row lookup is take_planes over no
+    operands: its args are a table-sized array, the index and `planes`."""
 
-    table: np.ndarray
-    idx: np.ndarray
-    planes: int
+    kernel: Callable
+    operands: tuple
+    args: tuple
+
+    def build(self, empty) -> np.ndarray:
+        return self.kernel(*(o.build(empty) for o in self.operands), *self.args, empty)
+
+
+def _recipe(kernel, operands: tuple, *args):
+    """The Recipe of kernel over `operands`, if each of them has one."""
+    if all(o.rows is not None for o in operands):
+        return Recipe(kernel, tuple(o.rows for o in operands), args)
+    return None
 
 
 def _keep(x: Variable):
-    """What a vjp keeps of operand x: its Rows if it was gathered, else its
+    """What a vjp keeps of operand x: its Recipe if it has one, else its
     array.  The vjp gets the array back from `_kept` when it runs."""
     return x.value if x.rows is None else x.rows
 
 
 def _kept(kept, empty) -> np.ndarray:
-    return take_planes(*kept, empty) if isinstance(kept, Rows) else kept
+    return kept if isinstance(kept, np.ndarray) else kept.build(empty)
+
+
+def _subtract(a, b, empty) -> np.ndarray:
+    return np.subtract(a, b, out=empty(_shape_of(a.shape, b.shape)))
+
+
+def _scaled(a, c, empty) -> np.ndarray:
+    return np.multiply(a, c, out=empty(a.shape))
 
 
 def _unit_parts(kz, eps: float, empty, taken: int = 4) -> tuple:
     """numerics.unit_parts of the operand kept as kz.  Gathered with planes > 1,
     they come per source row: the first `taken` of (safe, small, safe**3, safe**5)
-    taken to the edges (bitwise the edges' own), the rest None, the projection as Rows."""
-    if not isinstance(kz, Rows) or kz.planes == 1:
+    taken to the edges (bitwise the edges' own), the rest None, the projection as rows."""
+    if isinstance(kz, np.ndarray) or kz.kernel is not take_planes or kz.args[2] == 1:
         return numerics.unit_parts(_kept(kz, empty), eps)
-    n, k, idx = len(kz.table), kz.planes, kz.idx
-    *rows, unit = numerics.unit_parts(kz.table.reshape(n, -1, k).transpose(2, 0, 1), eps)
+    table, idx, k = kz.args
+    *rows, unit = numerics.unit_parts(table.reshape(len(table), -1, k).transpose(2, 0, 1), eps)
     edges = [None if a is None or i >= taken else
              a[idx] if a.dtype == bool else take_planes(a, idx, 1, empty)
              for i, a in enumerate(rows)]
-    return (*edges, Rows(np.ascontiguousarray(unit.transpose(1, 2, 0)).reshape(n, -1), idx, k))
+    unit = np.ascontiguousarray(unit.transpose(1, 2, 0)).reshape(len(table), -1)
+    return (*edges, Recipe(take_planes, (), (unit, idx, k)))
 
 
 def _shape_of(sa: tuple, sb: tuple) -> tuple:
@@ -284,9 +304,10 @@ class Tape:
     """Append-only record of primitive applications.
 
     Scatters (`segment_sum` forward, `gather` backward) are one bincount
-    over flat (row, column) positions: each output entry starts at +0.0 and
-    adds its contributions in index (edge) order, so the result is bitwise
-    equal to zeros accumulated with the unbuffered `at` method of `np.add`.
+    per component plane over flat (row, column) positions: each output
+    entry starts at +0.0 and adds its contributions in index (edge) order,
+    so the result is bitwise equal to zeros accumulated with the unbuffered
+    `at` method of `np.add`.
 
     `tape.empty(shape)` is where ops, vjps and callers that feed the tape
     take their large arrays: `pool.empty` for a Tape given a `pool` (see
@@ -295,14 +316,14 @@ class Tape:
     runs backward is still freed as soon as nothing refers to it.  Its
     `nodes` keep each node's parents and vjp for `backward`, and its value
     only while a Variable or a vjp holds it (see the module docstring).
-    `gather` results, and `unit_project` results of them, carry Rows, which
-    the vjps that read them keep instead of the arrays (see `_keep`).
+    `gather` results, `unit_project` results of them, and the products of
+    such operands carry a Recipe, which the vjps that read them keep
+    instead of the arrays (see `_keep`).
     """
 
     def __init__(self, pool: BufferPool | None = None):
         self.nodes = _Nodes()
         self.empty = np.empty if pool is None else pool.empty
-        self._sums = None if pool is None else pool.empty   # scatter_add's `empty`
 
     def _record(self, value, parents=(), vjp=None, name="leaf") -> Variable:
         value = np.asarray(value, dtype=np.float64)
@@ -330,8 +351,9 @@ class Tape:
         def vjp(g):
             return _unbroadcast(g, sa), _unbroadcast(np.negative(g, out=empty(g.shape)), sb)
 
-        out = np.subtract(a.value, b.value, out=empty(_shape_of(sa, sb)))
-        return self._record(out, (a, b), vjp, "sub")
+        out = self._record(_subtract(a.value, b.value, empty), (a, b), vjp, "sub")
+        out.rows = _recipe(_subtract, (a, b))
+        return out
 
     def mul(self, a: Variable, b: Variable) -> Variable:
         empty = self.empty
@@ -345,14 +367,16 @@ class Tape:
         out = np.multiply(a.value, b.value, out=empty(_shape_of(sa, sb)))
         return self._record(out, (a, b), vjp, "mul")
 
-    def scale(self, a: Variable, c: float) -> Variable:
+    def scale(self, a: Variable, c) -> Variable:
+        """a times a constant: a float, or an array broadcast to a's shape."""
         empty = self.empty
 
         def vjp(g):
-            return (np.multiply(g, c, out=empty(g.shape)),)
+            return (_scaled(g, c, empty),)
 
-        return self._record(np.multiply(a.value, c, out=empty(a.shape)), (a,), vjp,
-                            "scale")
+        out = self._record(_scaled(a.value, c, empty), (a,), vjp, "scale")
+        out.rows = _recipe(_scaled, (a,), c)
+        return out
 
     def matmul(self, a: Variable, b: Variable) -> Variable:
         empty = self.empty
@@ -373,18 +397,18 @@ class Tape:
                flat_cache: dict | None = None, planes: int = 1) -> Variable:
         """Rows x[idx]; with planes=k > 1 the interleaved rows come back as
         (k, len(idx), d) planes (see `take_planes`).  `flat_cache` (see
-        `scatter_add`) serves the vjp.  The result's `rows` (x's array, the
-        checked index, `planes`) are what a vjp that reads it keeps."""
-        sums = self._sums
+        `scatter_add`) serves the vjp.  The result's `rows` (a lookup of x's
+        array with the checked index) are what a vjp that reads it keeps."""
+        empty = self.empty
         xv = x.value
         num = xv.shape[0]
         idx = _row_index(idx, num)
 
         def vjp(g):
-            return (scatter_add(g, idx, num, flat_cache, planes, sums),)
+            return (scatter_add(g, idx, num, flat_cache, planes, empty),)
 
-        out = self._record(take_planes(xv, idx, planes, self.empty), (x,), vjp, "gather")
-        out.rows = Rows(xv, idx, planes)
+        out = self._record(take_planes(xv, idx, planes, empty), (x,), vjp, "gather")
+        out.rows = Recipe(take_planes, (), (xv, idx, planes))
         return out
 
     def segment_sum(self, x: Variable, idx: np.ndarray, num: int, *,
@@ -394,7 +418,7 @@ class Tape:
         interleaved, (num, d*k)."""
         empty = self.empty
         idx = _row_index(idx, num)
-        out = scatter_add(x.value, idx, num, flat_cache, planes, self._sums)
+        out = scatter_add(x.value, idx, num, flat_cache, planes, empty)
         return self._record(out, (x,), lambda g: (take_planes(g, idx, planes, empty),),
                             "segment_sum")
 
@@ -496,13 +520,9 @@ class Tape:
         return self._record(p, (x,), vjp, "softmax_row")
 
     def activate(self, kind: str, x: Variable) -> Variable:
-        if kind == "relu":
-            return self.relu(x)
-        if kind == "sigmoid":
-            return self.sigmoid(x)
-        if kind == "identity":
-            return x
-        raise ValueError(f"unknown activation {kind!r}")
+        if kind not in ("relu", "sigmoid", "identity"):
+            raise ValueError(f"unknown activation {kind!r}")
+        return x if kind == "identity" else getattr(self, kind)(x)
 
     # ---- structured algebra ----
 
@@ -520,7 +540,9 @@ class Tape:
                                                         empty), db
 
         out = numerics.complex_elementwise_product(a.value, b.value, conj_b, empty)
-        return self._record(out, (a, b), vjp, "complex_mul")
+        out = self._record(out, (a, b), vjp, "complex_mul")
+        out.rows = _recipe(numerics.complex_elementwise_product, (a, b), conj_b)
+        return out
 
     def quat_mul(self, p: Variable, q: Variable, conj_p: bool = False,
                  conj_q: bool = False) -> Variable:
@@ -538,7 +560,9 @@ class Tape:
             return dp, dq
 
         out = numerics.hamilton_product(p.value, q.value, conj_p, conj_q, empty)
-        return self._record(out, (p, q), vjp, "quat_mul")
+        out = self._record(out, (p, q), vjp, "quat_mul")
+        out.rows = _recipe(numerics.hamilton_product, (p, q), conj_p, conj_q)
+        return out
 
     def circular_correlation(self, a: Variable, b: Variable) -> Variable:
         empty = self.empty
@@ -566,21 +590,20 @@ class Tape:
                                                    _unit_parts(kz, eps, empty, 3), empty=empty),)
 
         out = self._record(_kept(unit, empty), (z,), vjp, "unit_project")
-        out.rows = unit if isinstance(unit, Rows) else None
+        out.rows = None if isinstance(unit, np.ndarray) else unit
         return out
 
     def unit_project_pullback(self, z: Variable, g: Variable, eps: float = 1e-12) -> Variable:
         """Forward evaluation of the unit_project vjp, differentiable in both
         arguments; needed because training backpropagates through message
         gradients that already contain one projection pullback.  The vjp
-        reuses the forward's z.g."""
+        computes z.g again, from z and g as it gets them back."""
         empty = self.empty
         kz, kg = _keep(z), _keep(g)
-        zv, gv = z.value, g.value
-        zg = numerics.component_dot(zv, gv, empty)
 
         def vjp(s):
             zv, gv = _kept(kz, empty), _kept(kg, empty)
+            zg = numerics.component_dot(zv, gv, empty)
             _, small, safe3, safe5, _ = parts = _unit_parts(kz, eps, empty)
             sz = numerics.component_dot(s, zv, empty)
             sg = numerics.component_dot(s, gv, empty)
@@ -602,8 +625,8 @@ class Tape:
                 np.copyto(dz, 0.0, where=small)
             return dz, numerics.unit_project_pullback(zv, s, eps, parts, sz, empty)
 
-        out = numerics.unit_project_pullback(zv, gv, eps, _unit_parts(kz, eps, empty, 3), zg,
-                                             empty)
+        out = numerics.unit_project_pullback(z.value, g.value, eps,
+                                             _unit_parts(kz, eps, empty, 3), empty=empty)
         return self._record(out, (z, g), vjp, "unit_project_pullback")
 
     def per_relation_matmul(self, x: Variable, w: Variable, rel: np.ndarray) -> Variable:

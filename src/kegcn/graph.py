@@ -18,8 +18,8 @@ class KnowledgeGraph:
     rel_degree count the edges into, out of and labeled by each id.
 
     flat_cache[name] holds the flat scatter positions of the index array
-    `name` (heads, tails or rels), one entry per (width, planes) layout,
-    filled by the tape on first use (see `autodiff.scatter_add`).
+    `name` (heads, tails or rels), one entry per plane width, filled by
+    the tape on first use (see `autodiff.scatter_add`).
     """
 
     def __init__(self, num_entities: int, num_relations: int, heads: np.ndarray,

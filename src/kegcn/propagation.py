@@ -227,9 +227,8 @@ def layer_forward_tape(tape: Tape, graph: KnowledgeGraph, mode: str, scorer: Opt
         if params.alpha is not None:
             key = ("ent", params.alpha)
             if key not in norm_cache:
-                col = entity_norm_factors(graph, params.alpha).reshape(n, 1)
-                norm_cache[key] = tape.leaf(col)
-            m = tape.mul(m, norm_cache[key])
+                norm_cache[key] = entity_norm_factors(graph, params.alpha).reshape(n, 1)
+            m = tape.scale(m, norm_cache[key])
         if lv.w_per_rel is None:
             m = tape.matmul(m, lv.w)
         pre = tape.add(m, self_term)
@@ -245,9 +244,8 @@ def layer_forward_tape(tape: Tape, graph: KnowledgeGraph, mode: str, scorer: Opt
             if params.alpha is not None:
                 key = ("rel", params.alpha)
                 if key not in norm_cache:
-                    col = relation_norm_factors(graph, params.alpha).reshape(rn, 1)
-                    norm_cache[key] = tape.leaf(col)
-                gr_agg = tape.mul(gr_agg, norm_cache[key])
+                    norm_cache[key] = relation_norm_factors(graph, params.alpha).reshape(rn, 1)
+                gr_agg = tape.scale(gr_agg, norm_cache[key])
             pre_r = tape.matmul(tape.add(gr_agg, hr), lv.w_rel)
         else:
             pre_r = tape.matmul(hr, lv.w_rel)

@@ -79,7 +79,9 @@ class Scorer:
         U, V: (E, entity_width); R: (E, relation_width); or, when
         planes = k > 1, all six are (k, E, d) component planes.  When R is
         gathered, the projection ops compute its unit parts once per
-        relation row (see Tape.unit_project).
+        relation row (see Tape.unit_project), and the vjps rebuild the
+        products of gathered rows they read (QuatE's ghat, RotatE's w)
+        instead of keeping them (see autodiff's Value lifetime).
         """
         raise NotImplementedError
 
@@ -165,31 +167,17 @@ class TransD(Scorer):
         r2 = tape.slice_cols(R, d, 2 * d)
         au = tape.sum_axis(tape.mul(u2, u1))
         av = tape.sum_axis(tape.mul(v2, v1))
-        e = tape.add(
-            tape.sub(tape.add(tape.add(u1, tape.mul(au, r1)), r2), v1),
-            tape.mul(av, r1),
-        )
+        e = tape.add(tape.sub(tape.add(tape.add(u1, tape.mul(au, r1)), r2), v1),
+                     tape.mul(av, r1))
         pe = tape.sum_axis(tape.mul(r1, e))
-        gh = tape.concat(
-            [
-                tape.scale(tape.add(e, tape.mul(pe, u2)), -2.0),
-                tape.scale(tape.mul(pe, u1), -2.0),
-            ]
-        )
-        gt = tape.concat(
-            [
-                tape.scale(tape.sub(e, tape.mul(pe, v2)), 2.0),
-                tape.scale(tape.mul(pe, v1), -2.0),
-            ]
-        )
+        gh = tape.concat([tape.scale(tape.add(e, tape.mul(pe, u2)), -2.0),
+                          tape.scale(tape.mul(pe, u1), -2.0)])
+        gt = tape.concat([tape.scale(tape.sub(e, tape.mul(pe, v2)), 2.0),
+                          tape.scale(tape.mul(pe, v1), -2.0)])
         if not relation:
             return gh, None, gt
-        gr = tape.concat(
-            [
-                tape.scale(tape.mul(tape.add(au, av), e), -2.0),
-                tape.scale(e, -2.0),
-            ]
-        )
+        gr = tape.concat([tape.scale(tape.mul(tape.add(au, av), e), -2.0),
+                          tape.scale(e, -2.0)])
         return gh, gr, gt
 
 

@@ -98,8 +98,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("margin gamma must be positive")
+        if not 0 < self.lr < np.inf:
+            raise ValueError(f"learning rate lr must be positive and finite, got {self.lr}")
+        if not 0 < self.gamma < np.inf:
+            raise ValueError(f"margin gamma must be positive and finite, got {self.gamma}")
+        if not np.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
         if self.negatives < 1:
             raise ValueError("need at least one negative per positive")
         if self.epochs < 1:
@@ -124,20 +128,17 @@ def sample_negatives(pairs: np.ndarray, k: int, n1: int, n2: int, source: Random
     flips = source.integers(0, 2, (p, k)).astype(bool)
     u_col = np.broadcast_to(pairs[:, 0:1], (p, k))
     v_col = np.broadcast_to(pairs[:, 1:2], (p, k))
-    r1 = source.integers(0, n1, (p, k))
-    if n1 > 1:
-        bad = flips & (r1 == u_col)
-        while bad.any():
-            r1[bad] = source.integers(0, n1, int(bad.sum()))
-            bad = flips & (r1 == u_col)
-    r2 = source.integers(0, n2, (p, k))
-    if n2 > 1:
-        bad = (~flips) & (r2 == v_col)
-        while bad.any():
-            r2[bad] = source.integers(0, n2, int(bad.sum()))
-            bad = (~flips) & (r2 == v_col)
-    neg_u = np.where(flips, r1, u_col)
-    neg_v = np.where(flips, v_col, r2)
+
+    def draw(n, side, col):   # entities of n, redrawn where they equal col on side
+        r = source.integers(0, n, (p, k))
+        bad = side & (r == col)
+        while n > 1 and bad.any():
+            r[bad] = source.integers(0, n, int(bad.sum()))
+            bad = side & (r == col)
+        return r
+
+    neg_u = np.where(flips, draw(n1, flips, u_col), u_col)
+    neg_v = np.where(flips, v_col, draw(n2, ~flips, v_col))
     return neg_u, neg_v
 
 
@@ -193,13 +194,9 @@ class Adam:
 
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.step_count = 0
-        self.m: dict = {}
-        self.v: dict = {}
+        self.m, self.v = {}, {}
         self._scratch = np.empty((2, 0))
 
     def step(self, params: dict, grads: dict) -> None:
@@ -213,8 +210,7 @@ class Adam:
             if name not in self.m:
                 self.m[name] = np.zeros_like(arr)
                 self.v[name] = np.zeros_like(arr)
-            m = self.m[name]
-            v = self.v[name]
+            m, v = self.m[name], self.v[name]
             a, b = (s[:arr.size].reshape(arr.shape) for s in self._scratch)
             # m += (1 - beta1) (g - m); v += (1 - beta2) (g g - v);
             # arr -= lr mhat / (sqrt(vhat) + eps): the same operations in place
@@ -399,10 +395,10 @@ def fit(graphs: dict, mc: ModelConfig, cfg: TrainConfig, loss_fn: Callable,
 
     One BufferPool serves every epoch's tape; its arrays are freed after
     the last epoch.  A tape keeps no intermediate that no vjp needs, and a
-    vjp keeps a gathered operand as the table it came from, so a pooled
-    array the layer code drops serves a later op of the same forward pass
-    and the rows a vjp takes again during `backward` come from the pool
-    too.  `backward` consumes the tape, and each epoch drops its tape,
+    vjp keeps a gathered operand, or a product of them, as its recipe, so
+    a pooled array the layer code drops serves a later op of the same
+    forward pass and what a vjp rebuilds during `backward` comes from the
+    pool too.  `backward` consumes the tape, and each epoch drops its tape,
     outputs, loss and gradients before the next one starts.  After the
     first epoch a run allocates almost nothing new.  metric_fn reads
     outputs the epoch still holds, which the pool cannot hand out again."""

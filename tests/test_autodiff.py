@@ -423,7 +423,7 @@ def test_scatter_cache_serves_equal_results_and_one_entry_per_width():
         g = tape.gather(tape.leaf(rng.normal((6, width))), idx, flat_cache=cache)
         dg = rng.normal(g.shape)
         assert bitwise_equal(tape.nodes[g.index].vjp(dg)[0], add_at_oracle(dg, idx, 6))
-    assert sorted(cache) == [(1, 1), (3, 1)]
+    assert sorted(cache) == [1, 3]
 
 
 def interleaved(x):
@@ -449,7 +449,12 @@ def test_planar_scatters_match_interleaved_bitwise(kind, k):
         got = autodiff.scatter_add(x, idx, num, cache, planes=k)
         assert bitwise_equal(got, autodiff.scatter_add(rows, idx, num))
         assert bitwise_equal(got, add_at_oracle(rows, idx, num))
-    assert list(cache) == [(d * k, k)]
+    # the k planes share the positions of one plane: the planes=1 entry of width d
+    assert list(cache) == [d]
+    pooled = autodiff.scatter_add(x, idx, num, cache, k, BufferPool().empty)
+    assert bitwise_equal(pooled, add_at_oracle(rows, idx, num))
+    autodiff.scatter_add(x[0], idx, num, cache)
+    assert list(cache) == [d] and cache[d].size == idx.size * d
 
     tape = Tape()
     out = tape.segment_sum(tape.leaf(x), idx, num, planes=k)
@@ -625,6 +630,44 @@ def test_vjps_take_gathered_operands_again_from_their_rows(op):
         grads.append([g[a], g[b]])
     for got, want in zip(*grads):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+RECIPE_OPS = {   # planes, op on gathered a and b whose result carries a Product
+    "sub": (2, lambda t, a, b: t.sub(a, b)),
+    "scale": (4, lambda t, a, b: t.scale(a, -2.0)),
+    "complex_mul": (2, lambda t, a, b: t.complex_mul(a, b)),
+    "complex_mul_conj": (2, lambda t, a, b: t.complex_mul(a, b, conj_b=True)),
+    **{f"quat_mul_{cp:d}{cq:d}": (4, lambda t, a, b, cp=cp, cq=cq: t.quat_mul(a, b, cp, cq))
+       for cp in (False, True) for cq in (False, True)},
+    "quate_ghat_of_projection": (4, lambda t, a, b: t.quat_mul(a, t.unit_project(b), True)),
+    "rotate_ghat": (2, lambda t, a, b: t.scale(t.complex_mul(
+        t.sub(t.complex_mul(a, t.unit_project(b)), b), a, conj_b=True), -2.0)),
+}
+
+
+@pytest.mark.parametrize("op", sorted(RECIPE_OPS))
+def test_product_recipes_rebuild_the_forward_value_bitwise(op):
+    # a vjp that reads a product of gathered rows rebuilds it from its
+    # recipe; signed zeros and tuples of only -0.0 (reset by the
+    # projections) must come back as the forward pass wrote them
+    k, build = RECIPE_OPS[op]
+    rng = RandomSource(zlib.crc32(f"recipe/{op}".encode()))
+    tables = [rng.normal((6, 3 * k)) * 10.0 ** rng.integers(-8, 9, (6, 3 * k)),
+              rng.normal((5, 3 * k))]
+    tables[0][2] = -0.0
+    tables[1][1] = np.where(np.arange(3 * k) % 2, -0.0, 0.0)
+    tables[1][3, :k] = -0.0
+    tape = Tape()
+    ia, ib = np.array([0, 2, 5, 2, 1, 3, 3]), np.array([4, 0, 1, 1, 3, 2, 0])
+    ga = tape.gather(tape.leaf(tables[0]), ia, planes=k)
+    gb = tape.gather(tape.leaf(tables[1]), ib, planes=k)
+    out = build(tape, ga, gb)
+    assert isinstance(out.rows, autodiff.Recipe)
+    for empty in (np.empty, BufferPool().empty):
+        assert bitwise_equal(out.rows.build(empty), out.value)
+    # one operand without a recipe: the result keeps none either
+    ga.rows = None
+    assert build(tape, ga, gb).rows is None
 
 
 def test_tape_without_backward_is_freed_by_reference_counting():

@@ -5,14 +5,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_traced_benchmark_run_reports_tape_memory():
+@pytest.mark.parametrize("workload", ["classify-300", "align-quate-200"])
+def test_traced_benchmark_run_reports_tape_memory(workload):
     # tracing sums the live values of `tape.nodes` at backward and per
-    # layer; a tape whose nodes lost that view would fail or read 0 here
+    # layer; a tape whose nodes lost that view would fail or read 0 here.
+    # align-quate-200 runs the traced harness through the QuatE vjps
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "classify-300", "--seed", "0",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
          "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

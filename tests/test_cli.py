@@ -18,6 +18,7 @@ import kegcn
 from helpers import read_report
 from kegcn import cli
 from kegcn import io as io_mod
+from kegcn import synthetic
 from kegcn.graph import build_graph
 from kegcn.numerics import RandomSource
 from kegcn.propagation import init_params, init_state
@@ -447,6 +448,33 @@ def test_train_epochs_below_one_or_negative_patience_exits_1(tmp_path, capsys, c
     assert cli.main([command, *argv, "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
+
+
+def _write_hub_pair(tmp_path):
+    g1, g2, ent_pairs, _ = synthetic.hub_signature_pair(40, 3, 150, seed=1)
+    paths = []
+    for name, g in (("g1.tsv", g1), ("g2.tsv", g2)):
+        path = tmp_path / name
+        path.write_text("".join(f"{h}\t{r}\t{t}\n"
+                                for h, r, t in zip(g.heads, g.rels, g.tails)))
+        paths.append(path)
+    seeds = synthetic.alignment_split(ent_pairs)
+    return (*paths, write_pairs(tmp_path, "train.tsv", seeds.train),
+            write_pairs(tmp_path, "test.tsv", seeds.test))
+
+
+@pytest.mark.parametrize("key, value", [("lr", "-1"), ("lr", "0"), ("lr", "nan"),
+                                        ("lr", "inf"), ("gamma", "nan"), ("alpha", "nan")])
+def test_bad_learning_rate_or_nonfinite_gamma_alpha_exits_1_naming_it(tmp_path, capsys,
+                                                                     key, value):
+    # gradient ascent (lr -1) or no step (lr 0) used to train and report
+    # ordinary metrics; non-finite values ended as "training diverged"
+    g1, g2, train, test = _write_hub_pair(tmp_path)
+    assert cli.main(["train-align", "--graph1", str(g1), "--graph2", str(g2),
+                     "--train", str(train), "--test", str(test), "--dim", "8",
+                     "--layers", "2", "--epochs", "5", f"--{key}", value, "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{key} must be" in err and "diverged" not in err
 
 
 def _limit_address_space():

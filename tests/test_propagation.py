@@ -359,11 +359,11 @@ def test_graphs_of_equal_size_keep_their_own_scatter_cache():
     for name in ("heads", "tails", "rels"):
         c1, c2 = g1.flat_cache[name], g2.flat_cache[name]
         assert c1 is not c2 and c1 and sorted(c1) == sorted(c2)
-        for (w, planes), flat in c2.items():
-            assert planes == 1 and c1[w, planes] is not flat
+        for w, flat in c2.items():
+            assert c1[w] is not flat
             idx = getattr(g2, name)
             assert np.array_equal(flat, (idx[:, None] * w + np.arange(w)).ravel())
-    assert not np.array_equal(g1.flat_cache["tails"][4, 1], g2.flat_cache["tails"][4, 1])
+    assert not np.array_equal(g1.flat_cache["tails"][4], g2.flat_cache["tails"][4])
 
 
 # ---------------- intermediate lifetimes ----------------
@@ -406,35 +406,24 @@ def test_transe_layer_frees_its_edge_arrays_when_it_returns():
     assert tape.nodes[hv.index].value is hv.value and tape.nodes[hr.index].value is hr.value
 
 
-def test_quate_layer_keeps_captured_edge_arrays_until_their_node_runs():
-    # the vjps that read the gathered rows U, V, R and the projection p keep
-    # the rows' source tables instead, so all four go with the layer; ghat,
-    # computed from them, is captured and lives until unit_project_pullback
-    # (the earliest-recorded node whose vjp holds it) has run in backward
-    g, tape, hv, hr = _first_layer("quate")
-    nodes = [tape.nodes[i] for i in range(len(tape.nodes))]
-    at: dict = {}
-    for i, node in enumerate(nodes):
-        at.setdefault(node.name, []).append(i)
-    gather, qmul, unit = at["gather"], at["quat_mul"], at["unit_project"][0]
-    gone = {"U": gather[0], "V": gather[1], "R": gather[2], "p": unit,
-            "gt": qmul[0], "gh": qmul[1]}
-    assert all(tape.probes[i][0]() is None for i in gone.values())
-    ghat, freed = tape.probes[qmul[2]][0], at["unit_project_pullback"][0]
-    assert ghat() is not None and tape.probes[qmul[2]][1] == (4, g.num_triples, 2)
-    calls = []
+PLANES_EDGE_NODES = {
+    "quate": ["gather"] * 3 + ["unit_project"] + ["quat_mul"] * 3 + ["unit_project_pullback"],
+    "rotate": ["gather"] * 3 + ["unit_project", "complex_mul", "sub", "scale"]
+    + ["complex_mul", "scale"] * 2 + ["unit_project_pullback"],
+}
 
-    def recording(vjp, i):
-        def run(g):
-            calls.append((i, ghat() is not None))
-            return vjp(g)
-        return run
 
-    for i, node in enumerate(nodes):
-        if node.vjp is not None:
-            node.vjp = recording(node.vjp, i)
-    tape.backward(tape.add(tape.sum(hv), tape.sum(hr)))
-    assert freed in {i for i, _ in calls}
-    for i, live in calls:
-        assert live == (i >= freed), (i, nodes[i].name)
-    assert ghat() is None
+@pytest.mark.parametrize("kind", sorted(PLANES_EDGE_NODES))
+def test_planes_layer_frees_its_edge_arrays_when_it_returns(kind):
+    # the vjps that read the gathered rows U, V, R, the projection p or a
+    # product of them (QuatE's ghat, RotatE's w and ghat) keep recipes
+    # instead, so every (k, E, d) value goes with the layer; backward
+    # rebuilds what it reads
+    g, tape, hv, hr = _first_layer(kind)
+    edge = [i for i, (_, shape) in enumerate(tape.probes)
+            if len(shape) == 3 and shape[1] == g.num_triples]
+    assert [tape.nodes[i].name for i in edge] == PLANES_EDGE_NODES[kind]
+    assert all(tape.probes[i][0]() is None for i in edge)
+    leaves = [i for i in range(len(tape.nodes)) if tape.nodes[i].name == "leaf"]
+    grads = tape.backward(tape.add(tape.sum(hv), tape.sum(hr)))
+    assert all(np.isfinite(grads._grads[i]).all() for i in leaves)
