@@ -194,14 +194,14 @@ def _scaled(a, c, empty) -> np.ndarray:
     return np.multiply(a, c, out=empty(a.shape))
 
 
-def _unit_parts(kz, eps: float, empty, taken: int = 4) -> tuple:
+def _unit_parts(kz, empty, taken: int = 4) -> tuple:
     """numerics.unit_parts of the operand kept as kz.  Gathered with planes > 1,
     they come per source row: the first `taken` of (safe, small, safe**3, safe**5)
     taken to the edges (bitwise the edges' own), the rest None, the projection as rows."""
     if isinstance(kz, np.ndarray) or kz.kernel is not take_planes or kz.args[2] == 1:
-        return numerics.unit_parts(_kept(kz, empty), eps)
+        return numerics.unit_parts(_kept(kz, empty))
     table, idx, k = kz.args
-    *rows, unit = numerics.unit_parts(table.reshape(len(table), -1, k).transpose(2, 0, 1), eps)
+    *rows, unit = numerics.unit_parts(table.reshape(len(table), -1, k).transpose(2, 0, 1))
     edges = [None if a is None or i >= taken else
              a[idx] if a.dtype == bool else take_planes(a, idx, 1, empty)
              for i, a in enumerate(rows)]
@@ -520,9 +520,9 @@ class Tape:
         return self._record(p, (x,), vjp, "softmax_row")
 
     def activate(self, kind: str, x: Variable) -> Variable:
-        if kind not in ("relu", "sigmoid", "identity"):
+        if kind not in ("relu", "identity"):
             raise ValueError(f"unknown activation {kind!r}")
-        return x if kind == "identity" else getattr(self, kind)(x)
+        return x if kind == "identity" else self.relu(x)
 
     # ---- structured algebra ----
 
@@ -578,22 +578,22 @@ class Tape:
             numerics.circular_correlation(a.value, b.value), (a, b), vjp, "circular_correlation"
         )
 
-    def unit_project(self, z: Variable, eps: float = 1e-12) -> Variable:
+    def unit_project(self, z: Variable) -> Variable:
         """Unit-norm tuples of z's planes.  For a gathered z the result's
         `rows` are those of the per-row projection (see `_unit_parts`)."""
         empty = self.empty
         kz = _keep(z)
-        unit = _unit_parts(kz, eps, empty, 0)[4]
+        unit = _unit_parts(kz, empty, 0)[4]
 
         def vjp(g):
-            return (numerics.unit_project_pullback(_kept(kz, empty), g, eps,
-                                                   _unit_parts(kz, eps, empty, 3), empty=empty),)
+            return (numerics.unit_project_pullback(_kept(kz, empty), g,
+                                                   parts=_unit_parts(kz, empty, 3), empty=empty),)
 
         out = self._record(_kept(unit, empty), (z,), vjp, "unit_project")
         out.rows = None if isinstance(unit, np.ndarray) else unit
         return out
 
-    def unit_project_pullback(self, z: Variable, g: Variable, eps: float = 1e-12) -> Variable:
+    def unit_project_pullback(self, z: Variable, g: Variable) -> Variable:
         """Forward evaluation of the unit_project vjp, differentiable in both
         arguments; needed because training backpropagates through message
         gradients that already contain one projection pullback.  The vjp
@@ -604,7 +604,7 @@ class Tape:
         def vjp(s):
             zv, gv = _kept(kz, empty), _kept(kg, empty)
             zg = numerics.component_dot(zv, gv, empty)
-            _, small, safe3, safe5, _ = parts = _unit_parts(kz, eps, empty)
+            _, small, safe3, safe5, _ = parts = _unit_parts(kz, empty)
             sz = numerics.component_dot(s, zv, empty)
             sg = numerics.component_dot(s, gv, empty)
             # -sg z / m^3 - zg s / m^3 - sz g / m^3 + 3 zg sz z / m^5, in that order
@@ -623,10 +623,10 @@ class Tape:
             dz += t
             if small is not None:
                 np.copyto(dz, 0.0, where=small)
-            return dz, numerics.unit_project_pullback(zv, s, eps, parts, sz, empty)
+            return dz, numerics.unit_project_pullback(zv, s, parts=parts, zg=sz, empty=empty)
 
-        out = numerics.unit_project_pullback(z.value, g.value, eps,
-                                             _unit_parts(kz, eps, empty, 3), empty=empty)
+        out = numerics.unit_project_pullback(z.value, g.value, parts=_unit_parts(kz, empty, 3),
+                                             empty=empty)
         return self._record(out, (z, g), vjp, "unit_project_pullback")
 
     def per_relation_matmul(self, x: Variable, w: Variable, rel: np.ndarray) -> Variable:
@@ -723,26 +723,6 @@ class GradientMap:
         if var.index < len(self._grads) and self._grads[var.index] is not None:
             return self._grads[var.index]
         return np.zeros_like(var.value)
-
-
-def finite_diff_check(fn, point, eps: float = 1e-5, rel_floor: float = 1e-2,
-                      max_coords: int | None = None) -> float:
-    """Compare backward() against central differences (see `fd_error`).
-    `fn(tape, *vars) -> scalar Variable` must be a deterministic function of
-    the leaf values."""
-    point = [np.asarray(p, dtype=np.float64) for p in point]
-    tape = Tape()
-    leaves = [tape.leaf(p) for p in point]
-    out = fn(tape, *leaves)
-    if np.size(out.value) != 1:
-        raise ValueError("finite_diff_check needs a scalar-valued fn")
-    grads = tape.backward(out)
-
-    def value_at(args):
-        t = Tape()
-        return float(fn(t, *[t.leaf(a) for a in args]).value)
-
-    return fd_error(value_at, point, [grads[v] for v in leaves], eps, rel_floor, max_coords)
 
 
 def fd_error(value_at, point: list, analytic: list, eps: float = 1e-5, rel_floor: float = 1e-2,

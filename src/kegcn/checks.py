@@ -12,16 +12,15 @@ from __future__ import annotations
 import numpy as np
 
 from . import numerics
-from .autodiff import ForwardTape, Tape, fd_error, finite_diff_check
+from .autodiff import ForwardTape, Tape, fd_error
 from .graph import KnowledgeGraph, build_graph
 from .numerics import RandomSource, truncated_normal_fill
 from .propagation import (REDUCTION_MODES, EmbeddingState, LayerParams, ModelConfig,
-                          config_scorer, forward_on_tape, init_params, init_state,
-                          lift_params, model_forward)
+                          config_scorer, init_params, init_state, model_forward)
 from .scorers import Scorer, make_scorer
 from .synthetic import random_triples
 from .tasks import (LabelSet, alignment_loss, classification_loss, named_parameters,
-                    sample_negatives)
+                    record_forward, sample_negatives)
 
 
 def _sample_triple(scorer: Scorer, rng: RandomSource):
@@ -47,42 +46,44 @@ def message_gradients(scorer: Scorer, u, r, v) -> list:
             for g in scorer.messages(tape, *rows)]
 
 
-def scorer_gradient_fd(kind: str, dim: int = 4, n_points: int = 100, seed: int = 0,
-                       eps: float = 1e-5, rel_floor: float = 1e-2) -> float:
+def scorer_gradient_fd(kind: str, n_points: int = 100, seed: int = 0) -> float:
     """Worst floored relative error of the three gradients `messages`
-    computes for one scorer against central differences of its score,
-    over n_points random smooth points."""
-    scorer = make_scorer(kind, dim)
+    computes for one scorer of base dimension 4 against central
+    differences of its score, over n_points random smooth points."""
+    scorer = make_scorer(kind, 4)
     rng = RandomSource(seed)
     worst = 0.0
     for _ in range(n_points):
         u, r, v = _sample_triple(scorer, rng)
         worst = max(worst, fd_error(lambda args: scorer.score(*args), [u, r, v],
-                                    message_gradients(scorer, u, r, v), eps, rel_floor))
+                                    message_gradients(scorer, u, r, v)))
     return worst
 
 
 END_TO_END_TASKS = ("alignment", "multiclass", "multilabel")
 
 
-def end_to_end_gradient_fd(task: str, scorer_kind: str, mode: str = "kegcn",
-                           dim: int = 4, layers: int = 2, seed: int = 0,
-                           max_coords: int = 40) -> float:
-    """Finite-difference check of the full training gradient: graph layers
-    stacked on trainable embedding tables, through one task loss.  Probes
-    every parameter tensor (subsampled coordinates) on a 10-entity,
-    3-relation instance and returns the worst floored relative error.
+def end_to_end_gradient_fd(task: str, scorer_kind: str, max_coords: int = 40) -> float:
+    """Finite-difference check of the full training gradient: the tape a
+    training epoch records (`tasks.record_forward`: two kegcn layers of
+    width 4 over trainable embedding tables) through one task loss, on a
+    10-entity, 3-relation instance.  Probes every parameter tensor
+    (subsampled coordinates) and returns the worst floored relative error.
 
     Central differences only certify a gradient where the loss is smooth,
     so instances whose relu or abs inputs sit within 3e-4 of a kink are
-    redrawn from the next seed before probing."""
-    fn, point = _build_end_to_end(task, scorer_kind, mode, dim, layers, seed)
-    for bump in range(1, 50):
-        if _kink_margin(fn, point) > 3e-4:
+    redrawn from the next seed, up to seed 49, before probing."""
+    for seed in range(50):
+        named, record = _end_to_end_instance(task, scorer_kind, seed)
+        tape = _KinkTape()
+        record(tape)
+        if tape.margin > 3e-4:
             break
-        fn, point = _build_end_to_end(task, scorer_kind, mode, dim, layers,
-                                      seed + bump)
-    return finite_diff_check(fn, point, max_coords=max_coords)
+    tape = Tape()
+    leaves, loss = record(tape)
+    grads = tape.backward(loss)
+    return fd_error(lambda _: float(record(Tape())[1].value), list(named.values()),
+                    [grads[leaves[name]] for name in named], max_coords=max_coords)
 
 
 class _KinkTape(Tape):
@@ -102,38 +103,22 @@ class _KinkTape(Tape):
         return super().abs(self._kink(x))
 
 
-def _kink_margin(fn, point) -> float:
-    """Distance of the closest relu or abs input to its kink at zero."""
-    tape = _KinkTape()
-    fn(tape, *[tape.leaf(np.asarray(p)) for p in point])
-    return tape.margin
-
-
-def _build_end_to_end(task: str, scorer_kind: str, mode: str, dim: int,
-                      layers: int, seed: int):
+def _end_to_end_instance(task: str, scorer_kind: str, seed: int):
+    """The parameter arrays by name of one random instance, and
+    record(tape) -> (their leaves by name, the task loss), which records
+    what a training epoch records and reads the arrays as they are."""
     if task not in END_TO_END_TASKS:
         raise ValueError(f"unknown task {task!r}")
     n, r = 10, 3
     rng = RandomSource(seed)
     g1 = build_graph(random_triples(n, r, 25, rng), n, r)
-    out_dim = 3 if task != "alignment" else None
-    cfg = ModelConfig(mode=mode, scorer_kind=scorer_kind, dim=dim,
-                      layers=layers, alpha=0.3, out_dim=out_dim)
-    scorer = config_scorer(cfg)
-    params = init_params(cfg, r, rng)
-
-    point = list(named_parameters(params, {}).values())
-    n_param = len(point)
-
-    def layer_vars(tape, vars):
-        leaves = iter(vars[:n_param])
-        return [lift_params(tape, p, leaves) for p in params]
-
-    graphs = [g1] + ([build_graph(random_triples(n, r, 25, rng), n, r)]
-                     if task == "alignment" else [])
-    inits = [init_state(cfg, g, rng) for g in graphs]
-    has_rel = inits[0].relation is not None
-    point += [st.entity for st in inits] + ([st.relation for st in inits] if has_rel else [])
+    mc = ModelConfig(scorer_kind=scorer_kind, dim=4, layers=2, alpha=0.3,
+                     out_dim=3 if task != "alignment" else None)
+    params = init_params(mc, r, rng)
+    graphs = {"g1": g1}
+    if task == "alignment":
+        graphs["g2"] = build_graph(random_triples(n, r, 25, rng), n, r)
+    tables = {name: init_state(mc, g, rng) for name, g in graphs.items()}
     if task == "alignment":
         positives = np.array([(i, i) for i in range(4)])
         neg_u, neg_v = sample_negatives(positives, 2, n, n, rng)
@@ -156,14 +141,13 @@ def _build_end_to_end(task: str, scorer_kind: str, mode: str, dim: int,
         def loss(tape, logits):
             return classification_loss(tape, logits, label_set, ids)
 
-    def fn(tape, *vars):
-        lvs = layer_vars(tape, vars)
-        k = len(graphs)
-        rels = vars[n_param + k:] if has_rel else [None] * k
-        return loss(tape, *(forward_on_tape(tape, g, mode, scorer, params, lvs, e, r)[0]
-                            for g, e, r in zip(graphs, vars[n_param:n_param + k], rels)))
+    scorer = config_scorer(mc)
 
-    return fn, point
+    def record(tape):
+        leaves, outs = record_forward(tape, graphs, mc.mode, scorer, params, tables)
+        return leaves, loss(tape, *outs)
+
+    return named_parameters(params, tables), record
 
 
 def _phi_eager(mode: str, h_neighbor: np.ndarray, h_rel: np.ndarray) -> np.ndarray:
@@ -208,22 +192,22 @@ def baseline_forward(kind: str, graph: KnowledgeGraph, state: EmbeddingState,
                 m = m + ent[u] @ params.w_per_rel[r]
             else:
                 m = m + (params.rel_scale[r, 0] * ent[u]) @ params.w
-        new_ent[v] = numerics.activation(params.act_ent, m + ent[v] @ w_self)
+        pre = m + ent[v] @ w_self
+        new_ent[v] = np.maximum(pre, 0.0) if params.act_ent == "relu" else pre
     new_rel = None
     if kind.startswith("compgcn"):
         new_rel = rel @ params.w_rel
     return EmbeddingState(new_ent, new_rel)
 
 
-def verify_reduction(mode: str, graph: KnowledgeGraph, seed: int,
-                     layers: int = 3, dim: int = 8) -> float:
-    """Max absolute discrepancy, over all layers, between the generic
-    layer configured per the corresponding reduction and the literal
-    baseline, on one random instance."""
+def verify_reduction(mode: str, graph: KnowledgeGraph, seed: int) -> float:
+    """Max absolute discrepancy, over all 3 layers of width 8, between the
+    generic layer configured per the corresponding reduction and the
+    literal baseline, on one random instance."""
     if mode not in REDUCTION_MODES:
         raise ValueError(f"verify_reduction expects a reduction mode, got {mode!r}")
     rng = RandomSource(seed)
-    n, rn = graph.num_entities, graph.num_relations
+    n, rn, dim = graph.num_entities, graph.num_relations, 8
     ent = truncated_normal_fill((n, dim), rng)
     rel = truncated_normal_fill((rn, dim), rng) if mode.startswith("compgcn") else None
     params = []
@@ -231,7 +215,7 @@ def verify_reduction(mode: str, graph: KnowledgeGraph, seed: int,
     def w(*shape):
         return truncated_normal_fill(shape, rng, width=dim)
 
-    for _ in range(layers):
+    for _ in range(3):
         if mode == "wgcn":
             params.append(LayerParams(w=w(dim, dim), rel_scale=rng.normal((rn, 1))))
         else:   # compgcn: relation updates without an activation; rgcn: no relations
@@ -250,8 +234,8 @@ def verify_reduction(mode: str, graph: KnowledgeGraph, seed: int,
     return worst
 
 
-def reduction_discrepancy(mode: str, seed: int, n: int = 20, r: int = 4,
-                          edges: int = 60, layers: int = 3, dim: int = 8) -> float:
-    """verify_reduction on one random graph drawn from the seed."""
-    graph = build_graph(random_triples(n, r, edges, RandomSource(seed * 7919 + 13)), n, r)
-    return verify_reduction(mode, graph, seed, layers=layers, dim=dim)
+def reduction_discrepancy(mode: str, seed: int) -> float:
+    """verify_reduction on one random graph of 20 entities, 4 relations and
+    about 60 edges, drawn from the seed."""
+    graph = build_graph(random_triples(20, 4, 60, RandomSource(seed * 7919 + 13)), 20, 4)
+    return verify_reduction(mode, graph, seed)

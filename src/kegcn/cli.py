@@ -125,43 +125,25 @@ def cmd_train_classify(args: argparse.Namespace) -> int:
     return _train(args, "classify", _run_classification)
 
 
-def _check_model_fits(gname: str, table, graph, params_list) -> None:
-    """The checkpoint's table `gname` has one row per entity (and relation)
-    of `graph`, and its relation weights cover every relation id."""
-    counts = [("entities", table.entity.shape[0], graph.num_entities)]
-    if table.relation is not None:
-        counts.append(("relations", table.relation.shape[0], graph.num_relations))
-    for what, have, need in counts:
-        if have != need:
-            raise io_mod.DataError(
-                f"checkpoint table {gname} covers {have} {what} but the graph has {need}")
-    for p in params_list:
-        for w in (p.w_per_rel, p.rel_scale):
-            if w is not None and w.shape[0] < graph.num_relations:
-                raise io_mod.DataError(
-                    f"checkpoint relation weights cover {w.shape[0]} relations but "
-                    f"graph {gname} has {graph.num_relations}")
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     cp = io_mod.load_checkpoint(args.checkpoint)
-    try:
-        values, params_list, tables, _ = io_mod.unpack_model(cp)
+    try:   # checkpoint errors get the file's name; data errors carry their own
+        values, _ = io_mod.unpack_config(cp)
+        for key in ("graph1", "graph2", "train", "valid", "test", "report"):
+            v = getattr(args, key, None)
+            if v is not None:
+                values[key] = v
+        t0 = time.perf_counter()
+        align = values["task"] == "align"
+        bundle = (io_mod.load_alignment_bundle if align
+                  else io_mod.load_classification_bundle)(values)
+        graphs = dict(zip(("g1", "g2") if align else ("g",), bundle.graphs))
+        params_list, tables = io_mod.unpack_model(
+            cp, values, graphs, None if align else bundle.label_set.num_classes)
     except io_mod.CheckpointError as exc:
         raise io_mod.CheckpointError(f"{args.checkpoint}: {exc}") from None
-    for key in ("graph1", "graph2", "train", "valid", "test", "report"):
-        v = getattr(args, key, None)
-        if v is not None:
-            values[key] = v
     mc = io_mod.train_config(values).model_config()
     scorer = config_scorer(mc)
-    t0 = time.perf_counter()
-    align = values["task"] == "align"
-    bundle = (io_mod.load_alignment_bundle if align
-              else io_mod.load_classification_bundle)(values)
-    graphs = dict(zip(("g1", "g2") if align else ("g",), bundle.graphs))
-    for gname, g in graphs.items():
-        _check_model_fits(gname, tables[gname], g, params_list)
     with np.errstate(all="ignore"):   # finite weights can still overflow: reported below
         finals = [model_forward(g, tables[gname], params_list, mode=mc.mode, scorer=scorer)
                   for gname, g in graphs.items()]
@@ -176,16 +158,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
         metrics = evaluate_alignment(*finals, pairs)
     else:
         label_set = bundle.label_set
-        logits = finals[0].entity
-        if logits.shape[1] != label_set.num_classes:
-            raise io_mod.DataError(
-                f"checkpoint predicts {logits.shape[1]} classes but the "
-                f"label files define {label_set.num_classes}")
         ids = label_set.test or label_set.valid or label_set.train
         if not ids:
             raise io_mod.DataError("no labeled entities to evaluate")
         metrics = evaluate_classification(
-            scores_from_logits(logits, label_set.multi_label), label_set, ids)
+            scores_from_logits(finals[0].entity, label_set.multi_label), label_set, ids)
     report = dict(metrics)
     report["seed"] = values["seed"]
     _emit(report, time.perf_counter() - t0, values.get("report"))
@@ -231,20 +208,15 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 def cmd_metrics_report(args: argparse.Namespace) -> int:
     ranks = []
-    with open(args.ranks, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                rank = int(line)
-            except ValueError:
-                raise io_mod.DataError(
-                    f"{args.ranks} line {lineno}: expected an integer rank") from None
-            if rank < 1:
-                raise io_mod.DataError(
-                    f"{args.ranks} line {lineno}: ranks are 1-based")
-            ranks.append(rank)
+    for lineno, line in zip(*io_mod.data_lines(args.ranks)):
+        try:
+            rank = int(line)
+        except ValueError:
+            raise io_mod.DataError(
+                f"{args.ranks} line {lineno}: expected an integer rank") from None
+        if rank < 1:
+            raise io_mod.DataError(f"{args.ranks} line {lineno}: ranks are 1-based")
+        ranks.append(rank)
     report = {"mrr": mrr(ranks), "hits1": hits_at_k(ranks, 1),
               "hits10": hits_at_k(ranks, 10)}
     t0 = time.perf_counter()

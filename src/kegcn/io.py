@@ -1,10 +1,11 @@
 """Dataset ingestion, config files, binary checkpoints, and report files.
 
 Data files are tab-separated text; blank lines and lines starting with
-`#` are ignored.  Within one triples file ids are either all
-non-negative integers (used directly) or all strings (interned in
-first-seen order); mixing the two is an error.  Every malformed line is
-reported with its line number, nothing is skipped silently.
+`#` are ignored, in config files and rank lists too (`data_lines`).
+Within one triples file ids are either all non-negative integers (used
+directly) or all strings (interned in first-seen order); mixing the two
+is an error.  Every malformed line is reported with its line number,
+nothing is skipped silently.
 
 Each file is parsed in one pass over whole columns, with no Python code
 per token: the text is decoded at once (lines end in \\n, \\r\\n or \\r),
@@ -22,6 +23,11 @@ little-endian version, then named sections, each
 Array shapes ride inside the section name after a `:` separator, so the
 container itself stays a plain list of float vectors.  Sections are
 written sorted by name, which makes save -> load -> save byte-identical.
+A model checkpoint (`pack_model`) holds the config echo `config/<key>`,
+`best_valid`, and one `param/layer<i>.<field>` or `table/<graph>.<part>`
+section per array of the layout `propagation.layer_shapes` and
+`table_shapes` give the model of that config on the data; `unpack_model`
+reads back exactly those sections with exactly those shapes.
 """
 
 from __future__ import annotations
@@ -37,8 +43,7 @@ from typing import Optional
 import numpy as np
 
 from .graph import build_graph
-from .propagation import (EmbeddingState, LayerParams, LayerVars, layer_activations,
-                          relation_width)
+from .propagation import EmbeddingState, layer_params, layer_shapes, table_shapes
 from .tasks import AlignmentSeeds, LabelSet, TrainConfig, named_parameters
 
 
@@ -139,10 +144,10 @@ def _ints(tokens: list, limit: int):
     return ids[:stop], stop
 
 
-def _read_rows(path: str, n_fields: int):
-    """Line numbers of the data lines of a TSV file and their stripped
-    fields, one flat list of n_fields per line.  Lines end in \\n, \\r\\n
-    or \\r, as in text mode."""
+def data_lines(path: str):
+    """Line numbers and text of the data lines of a text file, all lines
+    but blank ones and those whose first non-blank character is `#`.
+    Lines end in \\n, \\r\\n or \\r, as in text mode."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -153,7 +158,13 @@ def _read_rows(path: str, n_fields: int):
                         f"({exc.reason})") from None
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     linenos = [i for i, line in enumerate(lines, 1) if (s := line.lstrip()) and s[0] != "#"]
-    rows = [lines[i - 1] for i in linenos]
+    return linenos, [lines[i - 1] for i in linenos]
+
+
+def _read_rows(path: str, n_fields: int):
+    """Line numbers of the data lines of a TSV file and their stripped
+    fields, one flat list of n_fields per line."""
+    linenos, rows = data_lines(path)
     tokens = list(map(str.strip, "\t".join(rows).split("\t"))) if rows else []
     tabs = n_fields - 1
     if "" in tokens or list(map(str.count, rows, itertools.repeat("\t"))).count(tabs) < len(rows):
@@ -313,6 +324,7 @@ def load_classification_bundle(values: dict) -> DatasetBundle:
 _PATH_KEYS = ("graph1", "graph2", "train", "valid", "test", "rel_test",
               "report", "checkpoint")
 _FIELDS = fields(TrainConfig)
+_CONFIG_KEYS = ("task",) + tuple(f.name for f in _FIELDS)   # the keys a checkpoint stores
 TRAIN_KEYS = _PATH_KEYS + tuple(f.name for f in _FIELDS) + ("runs",)
 _TYPES = {"task": str, "runs": int, **{f.name: type(f.default) for f in _FIELDS}}
 _CHOICES = {"task": TASKS, **{f.name: f.metadata["choices"] for f in _FIELDS
@@ -342,16 +354,14 @@ def parse_config(path: Optional[str] = None, overrides: Optional[dict] = None) -
     """`key = value` lines merged with command-line overrides (which win),
     then defaults; dim defaults to 200 for alignment, 32 for classification."""
     values: dict = {}
-    if path:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, sep, value = line.partition("=")
-                if not sep:
-                    raise ConfigError(f"{path} line {lineno}: expected key = value")
-                values[key.strip()] = _convert(key.strip(), value.strip())
+    for lineno, line in zip(*data_lines(path)) if path else ():
+        key, sep, value = line.partition("=")
+        try:
+            if not sep:
+                raise ConfigError("expected key = value")
+            values[key.strip()] = _convert(key.strip(), value.strip())
+        except ConfigError as exc:
+            raise ConfigError(f"{path} line {lineno}: {exc}") from None
     for key, value in (overrides or {}).items():
         if value is not None:
             values[key] = _convert(key, str(value))
@@ -461,11 +471,8 @@ def pack_model(values: dict, params_list: list, tables: dict,
     """Model state as a checkpoint: config echo, layer weights, embedding
     tables, best validation metric (NaN when there was no validation).
     Fields with choices are stored as their index."""
-    sections: dict = {
-        "config/task": [float(TASKS.index(values["task"]))],
-        "best_valid": [np.nan if best_valid is None else float(best_valid)],
-    }
-    for key in (f.name for f in _FIELDS):
+    sections: dict = {"best_valid": [np.nan if best_valid is None else float(best_valid)]}
+    for key in _CONFIG_KEYS:
         v = values[key]
         sections[f"config/{key}"] = [float(_CHOICES[key].index(v) if key in _CHOICES else v)]
     for name, arr in named_parameters(params_list, {}).items():
@@ -475,23 +482,27 @@ def pack_model(values: dict, params_list: list, tables: dict,
     return Checkpoint(sections)
 
 
-def unpack_model(cp: Checkpoint):
-    """Inverse of pack_model: (config values, layer params, tables, best).
-    Every section must be one the stored config expects, and every value
-    finite, but `best_valid` (NaN when there was no validation)."""
+def unpack_config(cp: Checkpoint):
+    """The config values (runs = 1) and best validation metric (None when
+    NaN) a checkpoint stores.  Every value must be finite but
+    `best_valid`, whose NaN means there was no validation, and the config
+    one `TrainConfig` and `ModelConfig` accept."""
     sec = cp.sections
 
-    def get(name: str) -> np.ndarray:
+    def get(name: str) -> float:
         if name not in sec:
             raise CheckpointError(f"checkpoint lacks section {name!r}")
-        return sec[name]
+        if np.shape(sec[name]) != (1,):
+            raise CheckpointError(f"section {name!r} has shape {_dims(np.shape(sec[name]))}, "
+                                  "but holds one value")
+        return float(sec[name][0])
 
     for name in sec:
         if name != "best_valid" and not np.isfinite(sec[name]).all():
             raise CheckpointError(f"checkpoint section {name!r} holds a non-finite value")
     values = {}
-    for key in ("task",) + tuple(f.name for f in _FIELDS):
-        v = float(np.ravel(get(f"config/{key}"))[0])
+    for key in _CONFIG_KEYS:
+        v = get(f"config/{key}")
         if (key in _CHOICES or _TYPES[key] is int) and v != int(v):
             raise CheckpointError(f"checkpoint section 'config/{key}' is not an integer")
         if key in _CHOICES:
@@ -500,33 +511,49 @@ def unpack_model(cp: Checkpoint):
             values[key] = _CHOICES[key][int(v)]
         else:
             values[key] = _TYPES[key](v)
-    expected = {"best_valid", *(f"config/{key}" for key in values)}
     values["runs"] = 1
     try:
-        mc = train_config(values).model_config()
+        train_config(values).model_config()
     except ValueError as exc:
         raise CheckpointError(f"checkpoint config: {exc}") from None
+    best = get("best_valid")
+    return values, None if np.isnan(best) else best
 
-    params_list = []
-    for i in range(values["layers"]):
-        names = {f: f"param/layer{i}.{f}" for f in LayerVars._fields}
-        expected |= set(names.values())
-        weights = {f: sec[n].copy() if n in sec else None for f, n in names.items()}
-        if weights["w"] is None and weights["w_per_rel"] is None:
-            raise CheckpointError(f"checkpoint lacks weights for layer {i}")
-        act_ent, act_rel = layer_activations(values["mode"], i, values["layers"])
-        params_list.append(LayerParams(**weights, act_ent=act_ent, act_rel=act_rel,
-                                       alpha=values["alpha"]))
-    tables = {}
-    for gname in ("g1", "g2") if values["task"] == "align" else ("g",):
-        names = [f"table/{gname}.{part}" for part in ("entity", "relation")
-                 if part == "entity" or relation_width(mc) is not None]
-        expected |= set(names)
-        tables[gname] = EmbeddingState(*(get(n).copy() for n in names))
-    if set(sec) - expected:
-        raise CheckpointError(f"unexpected section {min(set(sec) - expected)!r}")
-    best = float(np.ravel(get("best_valid"))[0])
-    return values, params_list, tables, (None if np.isnan(best) else best)
+
+def _dims(shape) -> str:
+    return "x".join(map(str, shape))
+
+
+def unpack_model(cp: Checkpoint, values: dict, graphs: dict, num_classes: Optional[int] = None):
+    """The (layer params, tables by graph name) of a checkpoint whose
+    config is `values`, for `graphs` and, when classifying, `num_classes`
+    labels.  Its param/ and table/ sections must be exactly those
+    pack_model writes for the model the config builds on these graphs,
+    with their shapes: the relation count is the largest of the graphs'.
+    Each layer is read before the next is looked for, so nothing is sized
+    by a stored count before the sections show it."""
+    mc = train_config(values).model_config(num_classes)
+    sec, used = cp.sections, {"best_valid", *(f"config/{key}" for key in _CONFIG_KEYS)}
+
+    def take(name: str, shape: tuple) -> np.ndarray:
+        if name not in sec:
+            raise CheckpointError(f"checkpoint lacks section {name!r} of shape {_dims(shape)}")
+        if sec[name].shape != shape:
+            raise CheckpointError(f"section {name!r} has shape {_dims(sec[name].shape)}, but "
+                                  f"the model of its config and data has {_dims(shape)}")
+        used.add(name)
+        return sec[name].copy()
+
+    rels = max(g.num_relations for g in graphs.values())
+    params_list = [layer_params(mc, i, {f: take(f"param/layer{i}.{f}", shape)
+                                        for f, shape in layer_shapes(mc, rels, i).items()})
+                   for i in range(mc.layers)]
+    tables = {name: EmbeddingState(**{part: take(f"table/{name}.{part}", shape)
+                                      for part, shape in table_shapes(mc, g).items()})
+              for name, g in graphs.items()}
+    if set(sec) - used:
+        raise CheckpointError(f"unexpected section {min(set(sec) - used)!r}")
+    return params_list, tables
 
 
 # ---------------- report files ----------------

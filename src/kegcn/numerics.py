@@ -191,10 +191,6 @@ def _circular(a, b, kind: str) -> np.ndarray:
     return np.fft.irfft((np.conj(fa) if kind == "correlation" else fa) * fb, n=d, axis=-1)
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
-
-
 def sigmoid(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     out = np.empty_like(x)
@@ -203,19 +199,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
-
-
-def identity(x: np.ndarray) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64)
-
-
-ACTIVATIONS = {"relu": relu, "sigmoid": sigmoid, "identity": identity}
-
-
-def activation(kind: str, x: np.ndarray) -> np.ndarray:
-    if kind not in ACTIVATIONS:
-        raise ValueError(f"unknown activation {kind!r}")
-    return ACTIVATIONS[kind](x)
 
 
 def softmax_row(x: np.ndarray) -> np.ndarray:

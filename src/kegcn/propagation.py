@@ -22,6 +22,10 @@ printed baselines exactly (their literal transcriptions live in
                              relation table, self term uses W itself
 
 Matrices are stored row-convention: a row vector h maps to h @ W.
+The model's layout is decided once: `layer_shapes` gives each layer's
+weight shapes and `table_shapes` a graph's embedding tables.
+`init_params`/`init_state` draw exactly those shapes, and
+`io.unpack_model` checks a checkpoint against them.
 Every layer runs batched over all edges on a tape (`layer_forward_tape`).
 Training reads only the last layer's entities, so `tasks.fit` records no
 last-layer relation update; `model_forward` builds it (relation alignment).
@@ -117,45 +121,52 @@ def relation_width(cfg: ModelConfig) -> Optional[int]:
     return None
 
 
-def layer_activations(mode: str, layer: int, layers: int) -> tuple[str, str]:
-    """(act_ent, act_rel) of layer `layer` of `layers`: relu inside the
-    stack, identity on the last layer and on every compgcn relation."""
-    last = layer == layers - 1
-    return ("identity" if last else "relu",
-            "identity" if last or mode.startswith("compgcn") else "relu")
+def layer_shapes(cfg: ModelConfig, num_relations: int, layer: int) -> dict:
+    """The shapes of layer `layer`'s weights by LayerVars field, in the
+    order init_params draws them."""
+    we, wr = entity_width(cfg), relation_width(cfg)
+    out_w = cfg.out_dim if layer == cfg.layers - 1 and cfg.out_dim is not None else we
+    if cfg.mode == "rgcn":
+        return {"w_per_rel": (num_relations, we, out_w), "w0": (we, out_w)}
+    if cfg.mode == "wgcn":
+        return {"w": (we, out_w), "rel_scale": (num_relations, 1)}
+    return {"w": (we, out_w), "w0": (we, out_w), "w_rel": (wr, wr)}
+
+
+def table_shapes(cfg: ModelConfig, graph: KnowledgeGraph) -> dict:
+    """The shapes of a graph's embedding tables by EmbeddingState field."""
+    wr = relation_width(cfg)
+    return {"entity": (graph.num_entities, entity_width(cfg)),
+            **({"relation": (graph.num_relations, wr)} if wr else {})}
+
+
+def layer_params(cfg: ModelConfig, layer: int, weights: dict) -> LayerParams:
+    """Layer `layer` of the stack `cfg` builds, holding `weights`: relu
+    inside the stack, identity on the last layer and on every compgcn
+    relation."""
+    last = layer == cfg.layers - 1
+    return LayerParams(**weights, act_ent="identity" if last else "relu",
+                       act_rel="identity" if last or cfg.mode.startswith("compgcn") else "relu",
+                       alpha=cfg.alpha)
 
 
 def init_params(cfg: ModelConfig, num_relations: int, rng: RandomSource) -> list[LayerParams]:
-    we = entity_width(cfg)
-    wr = relation_width(cfg)
+    """Truncated-normal weights with fan-in shape[-2]; wgcn's rel_scale
+    starts at ones."""
     out: list[LayerParams] = []
     for layer in range(cfg.layers):
-        last = layer == cfg.layers - 1
-        out_w = cfg.out_dim if (last and cfg.out_dim is not None) else we
-        act_ent, act_rel = layer_activations(cfg.mode, layer, cfg.layers)
-        p = LayerParams(act_ent=act_ent, act_rel=act_rel, alpha=cfg.alpha)
-        if cfg.mode == "rgcn":
-            p.w_per_rel = truncated_normal_fill((num_relations, we, out_w), rng, width=we)
-            p.w0 = truncated_normal_fill((we, out_w), rng, width=we)
-        elif cfg.mode == "wgcn":
-            p.w = truncated_normal_fill((we, out_w), rng, width=we)
-            p.rel_scale = np.ones((num_relations, 1))
-        else:
-            p.w = truncated_normal_fill((we, out_w), rng, width=we)
-            p.w0 = truncated_normal_fill((we, out_w), rng, width=we)
-            p.w_rel = truncated_normal_fill((wr, wr), rng, width=wr)
-            if cfg.mode == "kegcn":
-                p.w *= MESSAGE_GAIN[cfg.scorer_kind]
-                p.w0 *= SELF_GAIN
-        out.append(p)
+        weights = {f: np.ones(s) if f == "rel_scale" else truncated_normal_fill(s, rng, s[-2])
+                   for f, s in layer_shapes(cfg, num_relations, layer).items()}
+        if cfg.mode == "kegcn":
+            weights["w"] *= MESSAGE_GAIN[cfg.scorer_kind]
+            weights["w0"] *= SELF_GAIN
+        out.append(layer_params(cfg, layer, weights))
     return out
 
 
 def init_state(cfg: ModelConfig, graph: KnowledgeGraph, rng: RandomSource) -> EmbeddingState:
-    ent = truncated_normal_fill((graph.num_entities, entity_width(cfg)), rng)
-    wr = relation_width(cfg)
-    rel = truncated_normal_fill((graph.num_relations, wr), rng) if wr else None
-    return EmbeddingState(ent, rel)
+    return EmbeddingState(*(truncated_normal_fill(s, rng)
+                            for s in table_shapes(cfg, graph).values()))
 
 
 # ---------------- batched tape path (production) ----------------
@@ -173,12 +184,9 @@ class LayerVars(NamedTuple):
     rel_scale: Optional[Variable]
 
 
-def lift_params(tape: Tape, p: LayerParams, leaves=None) -> LayerVars:
-    """The layer's weights as tape leaves, in LayerVars field order; with
-    `leaves`, an iterator over leaves already recorded in that order (layer
-    by layer), the weights take those instead."""
-    take = tape.leaf if leaves is None else (lambda _: next(leaves))
-    return LayerVars(*(None if getattr(p, f) is None else take(getattr(p, f))
+def lift_params(tape: Tape, p: LayerParams) -> LayerVars:
+    """The layer's weights as tape leaves, in LayerVars field order."""
+    return LayerVars(*(None if getattr(p, f) is None else tape.leaf(getattr(p, f))
                        for f in LayerVars._fields))
 
 

@@ -26,20 +26,19 @@ def random_triples(n: int, r: int, edges: int, rng: RandomSource):
             for h, q, t in zip(heads, rels, tails) if h != t]
 
 
-def hub_signature_triples(n: int, r: int, edges: int, seed: int,
-                          hub_frac: float = 0.2):
+def hub_signature_triples(n: int, r: int, edges: int, seed: int):
     """Random triples in which every entity is structurally identifiable.
 
     Uniform random graphs leave many entities with near-identical
     neighborhoods, which caps seed-based alignment well below perfect
-    recovery.  Here a `hub_frac` fraction of entities act as hubs, each
+    recovery.  Here a fifth of the entities act as hubs, each
     owning one relation through its hub group.  Every remaining entity
     attaches to its own distinct 3-hub subset with random edge
     directions, so the subset works like a signature, and hub pairs are
     chained group to group until the edge budget is met, which keeps the
     hubs themselves distinguishable."""
     rng = RandomSource(seed)
-    hubs = int(n * hub_frac)
+    hubs = int(n * 0.2)
     group = (np.arange(hubs) % r)[rng.permutation(hubs)]
     seen, triples = set(), []
     sigs = set()

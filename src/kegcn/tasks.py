@@ -188,13 +188,14 @@ def classification_loss(tape: Tape, logits: Variable, label_set: LabelSet,
 
 
 class Adam:
-    """Full-batch Adam with bias correction; beta1 0.9, beta2 0.999,
-    eps 1e-8.  Updates parameter arrays in place, through two scratch
-    arrays of the largest parameter's size instead of temporaries."""
+    """Full-batch Adam with bias correction.  Updates parameter arrays in
+    place, through two scratch arrays of the largest parameter's size
+    instead of temporaries."""
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr: float):
+        self.lr = lr
         self.step_count = 0
         self.m, self.v = {}, {}
         self._scratch = np.empty((2, 0))
@@ -255,21 +256,20 @@ def named_parameters(params_list: list, tables: dict) -> dict:
 _CDIST_BUFFER_BYTES = 512 << 10
 
 
-def l1_cdist(a: np.ndarray, b: np.ndarray, chunk: Optional[int] = None) -> np.ndarray:
+def l1_cdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise L1 distances, out[i, j] = sum_k |a[i, k] - b[j, k]|.
 
-    Works block by block: up to `chunk` rows of a against as many rows of
-    b as fit _CDIST_BUFFER_BYTES.  `subtract`, `abs` and `sum` write
-    through `out=` into one (chunk, cols, d) buffer made once per call, so
-    no block allocates (and page-faults) temporaries of its own.  The
-    default chunk fills the buffer, whose size a timeit sweep found
-    fastest (see _CDIST_BUFFER_BYTES).  Each distance is one sum over the
-    same contiguous d axis, so the result is bitwise the same whatever
-    the block shape."""
+    Works block by block: as many rows of b as fit _CDIST_BUFFER_BYTES,
+    against as many rows of a as then fill it.  `subtract`, `abs` and
+    `sum` write through `out=` into one (chunk, cols, d) buffer made once
+    per call, so no block allocates (and page-faults) temporaries of its
+    own; a timeit sweep found that buffer size fastest (see
+    _CDIST_BUFFER_BYTES).  Each distance is one sum over the same
+    contiguous d axis, so the result is bitwise the same whatever the
+    block shape."""
     n, d = b.shape
     cols = max(1, min(n, _CDIST_BUFFER_BYTES // max(1, 8 * d)))
-    if chunk is None:
-        chunk = max(1, _CDIST_BUFFER_BYTES // max(1, 8 * d * cols))
+    chunk = max(1, _CDIST_BUFFER_BYTES // max(1, 8 * d * cols))
     out = np.empty((a.shape[0], n))
     buf = np.empty((min(chunk, a.shape[0]), cols, d))
     for lo in range(0, a.shape[0], chunk):
@@ -381,6 +381,23 @@ class ClassificationResult:
     losses: list
 
 
+def record_forward(tape: Tape, graphs: dict, mode: str, scorer, params_list: list,
+                   tables: dict):
+    """What a training epoch records on `tape` before its loss: the layer
+    weights as leaves, then each table (in `tables` order), then the layer
+    stack over each graph (in `graphs` order) without the last layer's
+    relation update, which no loss reads.  Returns the leaves by
+    `named_parameters` name and each graph's output entities."""
+    lvs = [lift_params(tape, p) for p in params_list]
+    tvars = {name: EmbeddingState(tape.leaf(st.entity), None if st.relation is None
+                                  else tape.leaf(st.relation))
+             for name, st in tables.items()}
+    outs = [forward_on_tape(tape, g, mode, scorer, params_list, lvs, tvars[name].entity,
+                            tvars[name].relation, final_relation=False)[0]
+            for name, g in graphs.items()]
+    return named_parameters(lvs, tvars), outs
+
+
 def fit(graphs: dict, mc: ModelConfig, cfg: TrainConfig, loss_fn: Callable,
         metric_fn: Optional[Callable], progress: Optional[Callable]):
     """The training loop of both tasks.  Initializes the shared layer stack
@@ -414,14 +431,7 @@ def fit(graphs: dict, mc: ModelConfig, cfg: TrainConfig, loss_fn: Callable,
     for epoch in range(cfg.epochs):
         epochs_run = epoch + 1
         tape = Tape(pool)
-        lvs = [lift_params(tape, p) for p in params_list]
-        tvars = {name: EmbeddingState(tape.leaf(st.entity), None if st.relation is None
-                                      else tape.leaf(st.relation))
-                 for name, st in tables.items()}
-        pvars = named_parameters(lvs, tvars)
-        outs = [forward_on_tape(tape, g, mc.mode, scorer, params_list, lvs, tvars[name].entity,
-                                tvars[name].relation, final_relation=False)[0]
-                for name, g in graphs.items()]
+        pvars, outs = record_forward(tape, graphs, mc.mode, scorer, params_list, tables)
         loss = loss_fn(tape, rng, *outs)
         losses.append(_finite_loss(loss, epoch))
         grads = tape.backward(loss)
@@ -434,7 +444,7 @@ def fit(graphs: dict, mc: ModelConfig, cfg: TrainConfig, loss_fn: Callable,
                 best_snap = {k: v.copy() for k, v in named.items()}  # the parameters just scored
         adam.step(named, {name: grads[var] for name, var in pvars.items()})
         # nothing of this epoch outlives it: the next forward finds the pool free
-        del tape, lvs, tvars, pvars, outs, loss, grads
+        del tape, pvars, outs, loss, grads
         if progress is not None:
             progress(epoch, losses[-1], metric)
         if metric_fn is not None and epoch - best_epoch >= cfg.patience:

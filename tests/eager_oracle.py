@@ -11,7 +11,6 @@ from typing import Optional
 
 import numpy as np
 
-from kegcn import numerics
 from kegcn.checks import _phi_eager, in_edges, out_edges
 from kegcn.graph import KnowledgeGraph
 from kegcn.propagation import EmbeddingState, LayerParams
@@ -84,6 +83,11 @@ def relation_message(graph: KnowledgeGraph, state: EmbeddingState, scorer: Optio
     return factor * acc
 
 
+def activate(kind: str, x: np.ndarray) -> np.ndarray:
+    """The layers' activations: relu, or identity for any other kind."""
+    return np.maximum(x, 0.0) if kind == "relu" else x
+
+
 def layer_forward(graph: KnowledgeGraph, state: EmbeddingState, params: LayerParams,
                   scorer: Optional[Scorer], mode: str = "kegcn") -> EmbeddingState:
     """Reference per-entity implementation of one synchronous layer."""
@@ -91,7 +95,7 @@ def layer_forward(graph: KnowledgeGraph, state: EmbeddingState, params: LayerPar
     new_ent = np.zeros((graph.num_entities, w_self.shape[1]))
     for v in range(graph.num_entities):
         m = entity_message(graph, state, scorer, v, params, mode)
-        new_ent[v] = numerics.activation(params.act_ent, m + state.entity[v] @ w_self)
+        new_ent[v] = activate(params.act_ent, m + state.entity[v] @ w_self)
     new_rel = None
     if state.relation is not None and params.w_rel is not None:
         new_rel = np.zeros((graph.num_relations, params.w_rel.shape[1]))
@@ -101,5 +105,5 @@ def layer_forward(graph: KnowledgeGraph, state: EmbeddingState, params: LayerPar
                 pre = (mr + state.relation[r]) @ params.w_rel
             else:
                 pre = state.relation[r] @ params.w_rel
-            new_rel[r] = numerics.activation(params.act_rel, pre)
+            new_rel[r] = activate(params.act_rel, pre)
     return EmbeddingState(new_ent, new_rel)

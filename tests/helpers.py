@@ -1,9 +1,11 @@
 """Functions only the tests call: the per-row classification metrics the
 vectorised `tasks.evaluate_classification` is checked against, the
-triples a graph file parses to, and the reader of `io.write_report` files."""
+triples a graph file parses to, the reader of `io.write_report` files,
+and a finite-difference check of any function recorded on a tape."""
 
 import numpy as np
 
+from kegcn.autodiff import Tape, fd_error
 from kegcn.io import DataError, _triple_rows
 from kegcn.metrics import top_k_classes
 
@@ -40,3 +42,22 @@ def load_triples(path: str):
     relation vocabularies: what `io.load_graph` builds its graph from."""
     rows, ent, rel = _triple_rows(path)
     return list(map(tuple, rows.tolist())), ent, rel
+
+
+def finite_diff_check(fn, point, max_coords: int | None = None) -> float:
+    """Compare backward() against central differences (see
+    `autodiff.fd_error`).  `fn(tape, *vars) -> scalar Variable` must be a
+    deterministic function of the leaf values."""
+    point = [np.asarray(p, dtype=np.float64) for p in point]
+    tape = Tape()
+    leaves = [tape.leaf(p) for p in point]
+    out = fn(tape, *leaves)
+    if np.size(out.value) != 1:
+        raise ValueError("finite_diff_check needs a scalar-valued fn")
+    grads = tape.backward(out)
+
+    def value_at(args):
+        t = Tape()
+        return float(fn(t, *[t.leaf(a) for a in args]).value)
+
+    return fd_error(value_at, point, [grads[v] for v in leaves], max_coords=max_coords)

@@ -134,7 +134,7 @@ def test_criterion_1_scorer_gradients(verdict):
     100 random points, floored relative error <= 1e-6 (the 1e-2 floor holds
     near-zero gradients to 1e-8 absolute)."""
     start = time.monotonic()
-    errs = {k: scorer_gradient_fd(k, dim=4, n_points=100) for k in sorted(SCORERS)}
+    errs = {k: scorer_gradient_fd(k, n_points=100) for k in sorted(SCORERS)}
     seconds = time.monotonic() - start
     worst = max(errs.values())
     ok = worst <= 1e-6 and seconds < 30.0

@@ -5,8 +5,9 @@ import zlib
 import numpy as np
 import pytest
 
+from helpers import finite_diff_check
 from kegcn import autodiff
-from kegcn.autodiff import BufferPool, ForwardTape, Tape, finite_diff_check
+from kegcn.autodiff import BufferPool, ForwardTape, Tape
 from kegcn.numerics import DimensionError, RandomSource
 
 

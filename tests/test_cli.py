@@ -8,6 +8,7 @@ import resource
 import struct
 import subprocess
 import sys
+import time
 from dataclasses import fields
 
 import numpy as np
@@ -81,6 +82,27 @@ def test_metrics_report_bad_rank(tmp_path, capsys):
     ranks.write_text("1\nx\n")
     assert cli.main(["metrics-report", "--ranks", str(ranks)]) == 1
     assert "line 2" in capsys.readouterr().err
+
+
+def test_metrics_report_undecodable_rank_file_names_file_and_line(tmp_path, capsys):
+    ranks = tmp_path / "ranks.txt"
+    ranks.write_bytes(b"1\r\n# ok\r\n2\r\n\xff\r\n")
+    assert cli.main(["metrics-report", "--ranks", str(ranks)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {ranks} line 4: byte 0xff")
+
+
+@pytest.mark.parametrize("text, lineno", [
+    (b"dim = 4\nla\xffyers = 2\n", 2),       # not UTF-8
+    (b"# run\n\ndim = 4\rlayers = 2 = 3\r", 4),   # not an integer
+    (b"dim = 4\r\nfoo = 3\r\n", 2),           # unknown key
+    (b"dim = 4\nscorer = nope\n", 2),          # not a choice
+])
+def test_config_file_error_names_file_and_line(tmp_path, capsys, text, lineno):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(text)
+    assert cli.main(["train-align", "--config", str(cfg), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg} line {lineno}: "), err
 
 
 def test_train_align_cli_and_determinism(tmp_path, capsys):
@@ -301,25 +323,128 @@ _FLOAT_BYTES = st.sampled_from([struct.pack("<d", x) for x in
 @given(data=st.data())
 def test_eval_of_an_overwritten_checkpoint_evaluates_or_exits_1_naming_the_file(
         tmp_path_factory, data):
-    # one overwrite anywhere in the file: 1-8 drawn bytes, or a whole float
-    # (NaN, an infinity, a huge or a non-integral value) at a payload slot
+    # one change to the file: 1-8 drawn bytes anywhere, a whole float (NaN,
+    # an infinity, a huge or a non-integral value) at a payload slot, one
+    # section reshaped to the same element count, or a drawn config/dim
     tmp = tmp_path_factory.mktemp("eval")
     ckpt, args = train_align_checkpoint(tmp)
-    raw = bytearray(ckpt.read_bytes())
-    if data.draw(st.booleans()):
-        patch = data.draw(st.binary(min_size=1, max_size=8))
-        at = data.draw(st.integers(0, len(raw) - len(patch)))
-    else:
-        patch = data.draw(_FLOAT_BYTES)
-        at = len(raw) - 8 * data.draw(st.integers(1, (len(raw) - 8) // 8))
-    raw[at:at + len(patch)] = patch
     bad = tmp / "bad.ckpt"
-    bad.write_bytes(bytes(raw))
+    edit = data.draw(st.sampled_from(["bytes", "float", "reshape", "dim"]))
+    if edit in ("bytes", "float"):
+        raw = bytearray(ckpt.read_bytes())
+        if edit == "bytes":
+            patch = data.draw(st.binary(min_size=1, max_size=8))
+            at = data.draw(st.integers(0, len(raw) - len(patch)))
+        else:
+            patch = data.draw(_FLOAT_BYTES)
+            at = len(raw) - 8 * data.draw(st.integers(1, (len(raw) - 8) // 8))
+        raw[at:at + len(patch)] = patch
+        bad.write_bytes(bytes(raw))
+        what = (at, bytes(patch))
+    else:
+        cp = io_mod.load_checkpoint(str(ckpt))
+        if edit == "reshape":
+            name = data.draw(st.sampled_from(sorted(cp.sections)))
+            size = cp.sections[name].size
+            rows = data.draw(st.sampled_from([d for d in range(1, size + 1) if size % d == 0]))
+            cp.sections[name] = cp.sections[name].reshape(rows, size // rows)
+            what = (name, cp.sections[name].shape)
+        else:
+            what = data.draw(st.integers(1, 64))
+            cp.sections["config/dim"] = np.array([float(what)])
+        io_mod.save_checkpoint(str(bad), cp)
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = cli.main(args + [str(bad)])
     assert code == 0 or (code == 1 and err.getvalue().startswith(f"error: {bad}: ")), \
-        (code, at, bytes(patch), err.getvalue())
+        (code, edit, what, err.getvalue())
+
+
+def hub_align_checkpoint(tmp_path, mode="kegcn", scorer="transe"):
+    """A train-align checkpoint of hub_signature_pair(40, 3, 150, seed=1)
+    with a 30% train split, dim 8, 2 layers and 3 epochs, and the eval
+    arguments that read it back (the checkpoint path comes last)."""
+    g1, g2, pairs, _ = synthetic.hub_signature_pair(40, 3, 150, seed=1)
+    seeds = synthetic.alignment_split(pairs, 0.3)
+    paths = {name: str(tmp_path / f"{name}.tsv") for name in ("g1", "g2", "train", "test")}
+    synthetic.write_graph_tsv(paths["g1"], g1)
+    synthetic.write_graph_tsv(paths["g2"], g2)
+    synthetic.write_pairs_tsv(paths["train"], seeds.train)
+    synthetic.write_pairs_tsv(paths["test"], seeds.test)
+    data = ["--graph1", paths["g1"], "--graph2", paths["g2"], "--train", paths["train"],
+            "--test", paths["test"]]
+    ckpt = tmp_path / "model.ckpt"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["train-align", *data, "--mode", mode, "--scorer", scorer, "--dim", "8",
+                         "--layers", "2", "--epochs", "3", "--checkpoint", str(ckpt),
+                         "--quiet"]) == 0
+    return ckpt, ["eval", *data, "--checkpoint"]
+
+
+def eval_with_section(tmp_path, ckpt, args, name, change):
+    """Exit code and stderr of `kegcn eval` on a copy of the checkpoint
+    whose section `name` is change(its array), and the copy's path."""
+    cp = io_mod.load_checkpoint(str(ckpt))
+    cp.sections[name] = change(cp.sections[name])
+    bad = tmp_path / "bad.ckpt"
+    io_mod.save_checkpoint(str(bad), cp)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(args + [str(bad)])
+    return code, err.getvalue(), bad
+
+
+@pytest.mark.parametrize("scorer", ["transe", "quate", "rotate", "transd", "transh"])
+@pytest.mark.parametrize("dim", [16, 4])
+def test_eval_config_dim_that_disagrees_with_the_weights_exits_1_naming_the_section(
+        tmp_path, scorer, dim):
+    ckpt, args = hub_align_checkpoint(tmp_path, scorer=scorer)
+    code, err, bad = eval_with_section(tmp_path, ckpt, args, "config/dim",
+                                       lambda a: np.array([float(dim)]))
+    assert code == 1 and err.startswith(f"error: {bad}: "), err
+    assert "'param/layer0.w'" in err and "8x8" in err, err
+
+
+@pytest.mark.parametrize("mode, name, shape", [
+    ("kegcn", "param/layer0.w", (4, 16)),
+    ("wgcn", "param/layer0.rel_scale", (1, 3)),
+    ("rgcn", "param/layer0.w_per_rel", (3, 64)),
+    ("kegcn", "table/g1.entity", (8, 40)),
+])
+def test_eval_section_reshaped_to_the_same_count_exits_1_naming_file_and_section(
+        tmp_path, mode, name, shape):
+    ckpt, args = hub_align_checkpoint(tmp_path, mode=mode)
+    code, err, bad = eval_with_section(tmp_path, ckpt, args, name, lambda a: a.reshape(shape))
+    assert code == 1 and err.startswith(f"error: {bad}: "), err
+    assert repr(name) in err and "x".join(map(str, shape)) in err, err
+
+
+@pytest.mark.parametrize("shape", [(0,), (2,)])
+def test_eval_config_section_not_of_one_value_exits_1_naming_file_and_section(tmp_path, shape):
+    ckpt, args = hub_align_checkpoint(tmp_path)
+    code, err, bad = eval_with_section(tmp_path, ckpt, args, "config/dim",
+                                       lambda a: np.full(shape, 8.0))
+    assert code == 1 and err.startswith(f"error: {bad}: ") and "'config/dim'" in err, err
+
+
+def test_eval_huge_config_layers_exits_1_at_once(tmp_path):
+    # nothing may be sized by the stored layer count before it is checked
+    ckpt, args = hub_align_checkpoint(tmp_path)
+    cp = io_mod.load_checkpoint(str(ckpt))
+    cp.sections["config/layers"] = np.array([1e18])
+    bad = tmp_path / "bad.ckpt"
+    io_mod.save_checkpoint(str(bad), cp)
+    env = dict(os.environ)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(kegcn.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "kegcn.cli"] + args + [str(bad)],
+                          capture_output=True, text=True, env=env, timeout=120,
+                          preexec_fn=_limit_address_space)
+    assert proc.returncode == 1 and proc.stderr.startswith(f"error: {bad}: "), proc.stderr
+    start = time.monotonic()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(args + [str(bad)]) == 1
+    assert time.monotonic() - start < 1.0
 
 
 def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
@@ -386,7 +511,7 @@ def test_every_train_config_field_round_trips(tmp_path):
     ckpt = tmp_path / "m.ckpt"
     io_mod.save_checkpoint(str(ckpt), io_mod.pack_model(
         from_flags, init_params(mc, 2, rng), {"g": init_state(mc, g, rng)}, None))
-    unpacked = io_mod.unpack_model(io_mod.load_checkpoint(str(ckpt)))[0]
+    unpacked = io_mod.unpack_config(io_mod.load_checkpoint(str(ckpt)))[0]
     for values in (from_file, from_flags, unpacked):
         assert io_mod.train_config(values) == want
         assert all(type(values[k]) is type(v) for k, v in items)
@@ -415,6 +540,8 @@ def test_train_runs_below_one_exits_1(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("mode", ["kegcn", "rgcn", "wgcn"])
 def test_eval_rejects_graph_with_relation_beyond_checkpoint(tmp_path, capsys, mode):
+    # the relation tables and per-relation weights must match the eval
+    # graph's relation count exactly, more relations or fewer
     g = write_ring_dataset(tmp_path, r=3, prefix="g")
     train = write_pairs(tmp_path, "train.tsv", [(i, i % 2) for i in range(8)])
     ckpt = tmp_path / "model.ckpt"
@@ -422,12 +549,17 @@ def test_eval_rejects_graph_with_relation_beyond_checkpoint(tmp_path, capsys, mo
                      "--mode", mode, "--dim", "8", "--layers", "2", "--epochs", "2",
                      "--checkpoint", str(ckpt), "--quiet"]) == 0
     capsys.readouterr()
+    section = {"kegcn": "table/g.relation", "rgcn": "param/layer0.w_per_rel",
+               "wgcn": "param/layer0.rel_scale"}[mode]
     wider = tmp_path / "wider.tsv"
     wider.write_text(g.read_text() + "0\t3\t1\n")
-    assert cli.main(["eval", "--checkpoint", str(ckpt), "--graph1", str(wider),
-                     "--train", str(train)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "cover" in err and "3 relations" in err
+    narrower = write_ring_dataset(tmp_path, r=2, prefix="narrower")
+    for graph, count in ((wider, 4), (narrower, 2)):
+        assert cli.main(["eval", "--checkpoint", str(ckpt), "--graph1", str(graph),
+                         "--train", str(train)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}: section {section!r} has shape 3x"), err
+        assert f"has {count}x" in err, err
 
 
 @pytest.mark.parametrize("command", ["train-align", "train-classify"])

@@ -22,9 +22,11 @@ from kegcn.io import (
     parse_config,
     save_checkpoint,
     train_config,
+    unpack_config,
     unpack_model,
     write_report,
 )
+from kegcn.graph import build_graph
 from kegcn.numerics import RandomSource
 from kegcn.propagation import ModelConfig, init_params, init_state
 
@@ -286,8 +288,6 @@ def model_checkpoint_bytes(tmp_path) -> bytes:
     cfg = ModelConfig(mode="kegcn", scorer_kind="transd", dim=4, layers=2)
     rng = RandomSource(3)
     params = init_params(cfg, 2, rng)
-    from kegcn.graph import build_graph
-
     g = build_graph([(0, 0, 1), (1, 1, 2)], 3, 2)
     tables = {"g1": init_state(cfg, g, rng), "g2": init_state(cfg, g, rng)}
     path = tmp_path / "model.ckpt"
@@ -329,8 +329,9 @@ def test_unpack_model_rejects_a_param_section_it_does_not_know(tmp_path, old, ne
     path = tmp_path / "bad.ckpt"
     path.write_bytes(raw.replace(old, new))
     cp = load_checkpoint(str(path))
-    with pytest.raises(CheckpointError, match=new.decode()):
-        unpack_model(cp)
+    g = build_graph([(0, 0, 1), (1, 1, 2)], 3, 2)
+    with pytest.raises(CheckpointError, match=f"lacks section '{old.decode()}'"):
+        unpack_model(cp, unpack_config(cp)[0], {"g1": g, "g2": g})
 
 
 @pytest.mark.parametrize("name, value", [("config/dim", np.inf), ("config/layers", np.inf),
@@ -345,16 +346,16 @@ def test_unpack_model_rejects_a_non_finite_or_non_integral_value(tmp_path, name,
     cp.sections[name] = cp.sections[name].copy()
     cp.sections[name].flat[-1] = value
     with pytest.raises(CheckpointError, match=name):
-        unpack_model(cp)
+        unpack_config(cp)
 
 
 def test_unpack_model_reads_a_nan_best_valid_as_none(tmp_path):
     path = tmp_path / "model.ckpt"
     path.write_bytes(model_checkpoint_bytes(tmp_path))
     cp = load_checkpoint(str(path))
-    assert unpack_model(cp)[3] == 0.5
+    assert unpack_config(cp)[1] == 0.5
     cp.sections["best_valid"] = np.array([np.nan])
-    assert unpack_model(cp)[3] is None
+    assert unpack_config(cp)[1] is None
 
 
 def test_model_pack_unpack_roundtrip(tmp_path):
@@ -365,14 +366,14 @@ def test_model_pack_unpack_roundtrip(tmp_path):
                       alpha=values["alpha"], out_dim=3)
     rng = RandomSource(1)
     params = init_params(cfg, 2, rng)
-    from kegcn.graph import build_graph
-
     g = build_graph([(0, 0, 1), (1, 1, 2)], 3, 2)
     tables = {"g": init_state(cfg, g, rng)}
     cp = pack_model(values, params, tables, 0.75)
     path = tmp_path / "m.ckpt"
     save_checkpoint(str(path), cp)
-    got_values, got_params, got_tables, best = unpack_model(load_checkpoint(str(path)))
+    cp = load_checkpoint(str(path))
+    got_values, best = unpack_config(cp)
+    got_params, got_tables = unpack_model(cp, got_values, {"g": g}, 3)
     assert got_values["task"] == "classify" and got_values["scorer"] == "rotate"
     assert got_values["dim"] == 4 and got_values["layers"] == 2
     assert best == 0.75
@@ -392,12 +393,9 @@ def test_pack_model_no_validation_metric():
     cfg = ModelConfig(dim=4, layers=1)
     rng = RandomSource(2)
     params = init_params(cfg, 1, rng)
-    from kegcn.graph import build_graph
-
     g = build_graph([(0, 0, 1)], 2, 1)
     tables = {"g1": init_state(cfg, g, rng), "g2": init_state(cfg, g, rng)}
-    _, _, _, best = unpack_model(pack_model(values, params, tables, None))
-    assert best is None
+    assert unpack_config(pack_model(values, params, tables, None))[1] is None
 
 
 def test_report_write_read_roundtrip(tmp_path):

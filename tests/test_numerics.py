@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from kegcn.autodiff import Tape
 from kegcn.numerics import (
     DimensionError,
     RandomSource,
-    activation,
     circular_convolution,
     circular_correlation,
     complex_elementwise_product,
@@ -133,12 +133,15 @@ def test_circular_convolution_is_correlation_adjoint():
 
 
 def test_activations():
-    assert np.array_equal(activation("relu", [-1.0, 0.0, 2.0]), [0.0, 0.0, 2.0])
-    assert activation("sigmoid", np.array([0.0]))[0] == 0.5
-    x = np.array([1.5, -2.0])
-    assert np.array_equal(activation("identity", x), x)
-    with pytest.raises(ValueError):
-        activation("tanh", x)
+    # the layers apply relu or identity; sigmoid serves the multi-label loss
+    tape = Tape()
+    x = tape.leaf(np.array([-1.0, 0.0, 2.0]))
+    assert np.array_equal(tape.activate("relu", x).value, [0.0, 0.0, 2.0])
+    assert tape.activate("identity", x) is x
+    for kind in ("sigmoid", "tanh"):
+        with pytest.raises(ValueError):
+            tape.activate(kind, x)
+    assert sigmoid(np.array([0.0]))[0] == 0.5
 
 
 def test_sigmoid_extremes_finite():

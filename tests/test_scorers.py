@@ -85,7 +85,7 @@ def test_width_mismatch():
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_gradients_match_finite_differences(kind):
-    worst = scorer_gradient_fd(kind, dim=4, n_points=30, seed=5)
+    worst = scorer_gradient_fd(kind, n_points=30, seed=5)
     assert worst <= 1e-6, f"{kind}: worst fd error {worst:.3e}"
 
 

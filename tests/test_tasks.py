@@ -10,7 +10,8 @@ import pytest
 
 from kegcn import synthetic
 from kegcn import tasks as tasks_mod
-from kegcn.autodiff import BufferPool, Tape, finite_diff_check
+from helpers import finite_diff_check
+from kegcn.autodiff import BufferPool, Tape
 from kegcn.checks import end_to_end_gradient_fd
 from kegcn.graph import build_graph
 from kegcn.numerics import RandomSource
@@ -229,12 +230,14 @@ def test_end_to_end_fd_multilabel_rotate():
 # ---------------- evaluation helpers ----------------
 
 
-def test_l1_cdist_matches_naive():
+def test_l1_cdist_matches_naive(monkeypatch):
     rng = RandomSource(5)
     a = rng.normal((7, 3))
     b = rng.normal((9, 3))
     want = np.array([[np.sum(np.abs(x - y)) for y in b] for x in a])
-    assert np.allclose(l1_cdist(a, b, chunk=2), want, atol=1e-12)
+    # blocks of 2 rows of a against all 9 of b
+    monkeypatch.setattr(tasks_mod, "_CDIST_BUFFER_BYTES", 2 * 9 * 3 * 8)
+    assert np.allclose(l1_cdist(a, b), want, atol=1e-12)
 
 
 def _l1_oracle(a, b):
@@ -242,15 +245,17 @@ def _l1_oracle(a, b):
     return np.array([np.sum(np.abs(row - b), axis=1) for row in a]).reshape(len(a), len(b))
 
 
-def test_l1_cdist_chunking_is_bitwise():
-    # a with no rows; b of 1100 rows at dim 64 fills more than one block
+def test_l1_cdist_chunking_is_bitwise(monkeypatch):
+    # a with no rows; b of 1100 rows at dim 64 fills more than one block;
+    # buffers from one row pair per block to every pair in one block
     rng = np.random.default_rng(12)
     for rows_a, rows_b, dim in ((11, 23, 64), (0, 23, 64), (5, 1100, 64), (9, 40, 3)):
         a = rng.normal(size=(rows_a, dim))
         b = rng.normal(size=(rows_b, dim))
         want = _l1_oracle(a, b)
-        for chunk in (None, 1, 3, 12, 50):
-            got = l1_cdist(a, b, chunk=chunk)
+        for size in (8, 3 * 8 * dim, 7 * 8 * dim, 12 * 8 * dim * rows_b, 512 << 10, 8 << 20):
+            monkeypatch.setattr(tasks_mod, "_CDIST_BUFFER_BYTES", size)
+            got = l1_cdist(a, b)
             assert got.shape == (rows_a, rows_b) and np.array_equal(got, want)
 
 
