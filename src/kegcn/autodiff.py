@@ -27,13 +27,12 @@ lookups, is recomputed, never a layer.  `backward` drops each node's vjp
 and parents once the node has run, so a tape is consumed by its own
 reverse pass.
 
-Memory: a Tape given a `BufferPool` takes its ops' outputs, its vjps'
-gradients and their large temporaries from the pool, which hands an array
-out again once nothing holds it: an array dropped during the forward pass
-serves a later op of the same pass, and the arrays freed by `backward`
-serve the next tape.  The pool's arrays stay with it, where freed ones
-would go back to the operating system and be faulted in again.  Without a
-pool the same ops allocate as usual.
+Memory: ops and vjps take their arrays from `numerics.empty` when they
+run, so none holds an allocator.  In a `numerics.pooled()` block (a
+training run) an array dropped during the forward pass serves a later op
+of the same pass, and the arrays `backward` frees serve the next tape,
+instead of going back to the operating system; outside one they come
+from NumPy.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import numerics
-from .numerics import DimensionError
+from .numerics import DimensionError, empty
 
 
 class Node:
@@ -89,10 +88,9 @@ class _Nodes:
 class Variable:
     """Handle to one tape node; owns its value (and its Recipe, if any)."""
 
-    __slots__ = ("tape", "index", "value", "rows")
+    __slots__ = ("index", "value", "rows")
 
-    def __init__(self, tape: "Tape", index: int, value: np.ndarray):
-        self.tape = tape
+    def __init__(self, index: int, value: np.ndarray):
         self.index = index
         self.value = value
         self.rows = None
@@ -111,8 +109,7 @@ def _row_index(idx, num: int) -> np.ndarray:
 
 
 def scatter_add(x: np.ndarray, idx: np.ndarray, num: int,
-                flat_cache: dict | None = None, planes: int = 1,
-                empty=np.empty) -> np.ndarray:
+                flat_cache: dict | None = None, planes: int = 1) -> np.ndarray:
     """out[idx[j]] += x[j] into zeros of shape (num,) + trailing, where
     trailing = x.shape[idx.ndim:], as one bincount over flat positions.
 
@@ -126,8 +123,8 @@ def scatter_add(x: np.ndarray, idx: np.ndarray, num: int,
     index array (a graph's heads, tails, rels) keeps one so each is built
     once.  Indices that change per call leave it None.
 
-    The sums are copied into empty(shape), and bincount's own arrays are
-    freed at once.
+    The sums are copied into numerics.empty(shape), and bincount's own
+    arrays are freed at once.
     """
     trailing = x.shape[idx.ndim:] if planes == 1 else (x.shape[-1] * planes,)
     w = math.prod(trailing) // planes
@@ -143,10 +140,10 @@ def scatter_add(x: np.ndarray, idx: np.ndarray, num: int,
     return sums
 
 
-def take_planes(x: np.ndarray, idx: np.ndarray, planes: int, empty=np.empty) -> np.ndarray:
+def take_planes(x: np.ndarray, idx: np.ndarray, planes: int) -> np.ndarray:
     """Rows x[idx] of an interleaved (n, d*k) array as contiguous planes
-    (k, len(idx), d), written into empty(shape).  Only the n-row table is
-    transposed.  Every index must be in [0, n) (see `_row_index`)."""
+    (k, len(idx), d), written into numerics.empty(shape).  Only the n-row
+    table is transposed.  Every index must be in [0, n) (see `_row_index`)."""
     if planes == 1:
         return np.take(x, idx, axis=0, out=empty(idx.shape + x.shape[1:]), mode="clip")
     table = empty((planes, x.shape[0], x.shape[1] // planes))
@@ -156,17 +153,17 @@ def take_planes(x: np.ndarray, idx: np.ndarray, planes: int, empty=np.empty) -> 
 
 
 class Recipe(NamedTuple):
-    """A value as what it is computed from: `build(empty)` rebuilds each
-    operand (a Recipe too), then returns kernel(*operands, *args, empty),
-    the value again bit for bit.  A row lookup is take_planes over no
-    operands: its args are a table-sized array, the index and `planes`."""
+    """A value as what it is computed from: `build()` rebuilds each operand
+    (a Recipe too), then returns kernel(*operands, *args), the value again
+    bit for bit.  A row lookup is take_planes over no operands: its args
+    are a table-sized array, the index and `planes`."""
 
     kernel: Callable
     operands: tuple
     args: tuple
 
-    def build(self, empty) -> np.ndarray:
-        return self.kernel(*(o.build(empty) for o in self.operands), *self.args, empty)
+    def build(self) -> np.ndarray:
+        return self.kernel(*(o.build() for o in self.operands), *self.args)
 
 
 def _recipe(kernel, operands: tuple, *args):
@@ -182,28 +179,28 @@ def _keep(x: Variable):
     return x.value if x.rows is None else x.rows
 
 
-def _kept(kept, empty) -> np.ndarray:
-    return kept if isinstance(kept, np.ndarray) else kept.build(empty)
+def _kept(kept) -> np.ndarray:
+    return kept if isinstance(kept, np.ndarray) else kept.build()
 
 
-def _subtract(a, b, empty) -> np.ndarray:
+def _subtract(a, b) -> np.ndarray:
     return np.subtract(a, b, out=empty(_shape_of(a.shape, b.shape)))
 
 
-def _scaled(a, c, empty) -> np.ndarray:
+def _scaled(a, c) -> np.ndarray:
     return np.multiply(a, c, out=empty(a.shape))
 
 
-def _unit_parts(kz, empty, taken: int = 4) -> tuple:
+def _unit_parts(kz, taken: int = 4) -> tuple:
     """numerics.unit_parts of the operand kept as kz.  Gathered with planes > 1,
     they come per source row: the first `taken` of (safe, small, safe**3, safe**5)
     taken to the edges (bitwise the edges' own), the rest None, the projection as rows."""
     if isinstance(kz, np.ndarray) or kz.kernel is not take_planes or kz.args[2] == 1:
-        return numerics.unit_parts(_kept(kz, empty))
+        return numerics.unit_parts(_kept(kz))
     table, idx, k = kz.args
     *rows, unit = numerics.unit_parts(table.reshape(len(table), -1, k).transpose(2, 0, 1))
     edges = [None if a is None or i >= taken else
-             a[idx] if a.dtype == bool else take_planes(a, idx, 1, empty)
+             a[idx] if a.dtype == bool else take_planes(a, idx, 1)
              for i, a in enumerate(rows)]
     unit = np.ascontiguousarray(unit.transpose(1, 2, 0)).reshape(len(table), -1)
     return (*edges, Recipe(take_planes, (), (unit, idx, k)))
@@ -211,82 +208,6 @@ def _unit_parts(kz, empty, taken: int = 4) -> tuple:
 
 def _shape_of(sa: tuple, sb: tuple) -> tuple:
     return sa if sa == sb else np.broadcast_shapes(sa, sb)
-
-
-def _free_refs() -> int:
-    """What sys.getrefcount reports for an array held by one list only."""
-    arrays = [np.empty(0)]
-    return sys.getrefcount(arrays[0])
-
-
-_FREE_REFS = _free_refs()
-_LINE, _PAGE = 8, 512      # float64 elements in a 64-byte cache line, a 4 KiB page
-
-
-def _block(size: int, count: int, color: int) -> list:
-    """`count` flat float64 arrays of `size` elements cut from one
-    allocation.  Each is an array of its own (its base is a memoryview, not
-    the block), so its views refer to it and count as its references.
-    Consecutive arrays are an odd number of cache lines apart and the first
-    starts `color` lines into the block, so a pool's arrays start at
-    different offsets within a page: elementwise loops that read one array
-    and write another at the same offset run markedly slower."""
-    stride = -(-size // (2 * _LINE)) * 2 * _LINE + _LINE
-    first = color * _LINE % _PAGE
-    mem = memoryview(np.empty(first + count * stride))
-    return [np.frombuffer(mem[first + i * stride:first + i * stride + size])
-            for i in range(count)]
-
-
-class BufferPool:
-    """Float64 arrays that the tapes of one training run reuse.
-
-    The pool keeps every array it hands out, flat and keyed by element
-    count.  `empty(shape)` returns one of that size, viewed as `shape`,
-    that nothing outside the pool holds any more: its reference count shows
-    the pool's list alone, since a Variable, a vjp, a view or a caller each
-    add one.  So an array still in use is never handed out twice, whoever
-    holds it.  The arrays of a size come in blocks that double their count
-    (1, 1, 2, 4, ...), and an array is first handed out only when every
-    earlier one of its size is held, so the pool uses as many arrays of
-    each size as were ever held at once; the rest of the last block is
-    never written.  Arrays below MIN_SIZE elements are not pooled: they
-    cost more to pool than to allocate.
-    """
-
-    MIN_SIZE = 1024
-
-    def __init__(self):
-        self._arrays: dict[int, list] = {}   # handed out before, most recently last
-        self._unused: dict[int, list] = {}   # the rest of each size's last block
-        self._blocks = 0
-
-    def empty(self, shape: tuple) -> np.ndarray:
-        size = math.prod(shape)
-        if size < self.MIN_SIZE:
-            return np.empty(shape)
-        arrays = self._arrays.get(size)
-        if arrays is None:
-            arrays = self._arrays[size] = []
-            self._unused[size] = []
-        # the free array handed out last was most likely freed last: still in cache
-        for i in range(len(arrays) - 1, -1, -1):
-            if sys.getrefcount(arrays[i]) == _FREE_REFS:
-                a = arrays.pop(i)
-                arrays.append(a)
-                return a.reshape(shape)
-        unused = self._unused[size]
-        if not unused:
-            self._blocks += 1   # blocks start 5 lines apart: an odd step visits all 64
-            unused.extend(_block(size, max(1, len(arrays)), 5 * self._blocks))
-        a = unused.pop()
-        arrays.append(a)
-        return a.reshape(shape)
-
-    def held(self) -> list:
-        """The pooled arrays that something outside the pool still holds."""
-        return [arrays[i] for arrays in self._arrays.values() for i in range(len(arrays))
-                if sys.getrefcount(arrays[i]) > _FREE_REFS]
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -309,10 +230,8 @@ class Tape:
     so the result is bitwise equal to zeros accumulated with the unbuffered
     `at` method of `np.add`.
 
-    `tape.empty(shape)` is where ops, vjps and callers that feed the tape
-    take their large arrays: `pool.empty` for a Tape given a `pool` (see
-    the module docstring), else `np.empty`; the values are the same bit for
-    bit.  A vjp holds that allocator, never the tape, so a tape that never
+    Ops and vjps take their large arrays from `numerics.empty` (see the
+    module docstring).  A vjp never holds the tape, so a tape that never
     runs backward is still freed as soon as nothing refers to it.  Its
     `nodes` keep each node's parents and vjp for `backward`, and its value
     only while a Variable or a vjp holds it (see the module docstring).
@@ -321,14 +240,13 @@ class Tape:
     instead of the arrays (see `_keep`).
     """
 
-    def __init__(self, pool: BufferPool | None = None):
+    def __init__(self):
         self.nodes = _Nodes()
-        self.empty = np.empty if pool is None else pool.empty
 
     def _record(self, value, parents=(), vjp=None, name="leaf") -> Variable:
         value = np.asarray(value, dtype=np.float64)
         self.nodes.all.append(Node(value, tuple(p.index for p in parents), vjp, name))
-        return Variable(self, len(self.nodes.all) - 1, value)
+        return Variable(len(self.nodes.all) - 1, value)
 
     def leaf(self, value) -> Variable:
         return self._record(value)
@@ -341,26 +259,24 @@ class Tape:
         def vjp(g):
             return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
-        out = np.add(a.value, b.value, out=self.empty(_shape_of(sa, sb)))
+        out = np.add(a.value, b.value, out=empty(_shape_of(sa, sb)))
         return self._record(out, (a, b), vjp, "add")
 
     def sub(self, a: Variable, b: Variable) -> Variable:
-        empty = self.empty
         sa, sb = a.shape, b.shape
 
         def vjp(g):
             return _unbroadcast(g, sa), _unbroadcast(np.negative(g, out=empty(g.shape)), sb)
 
-        out = self._record(_subtract(a.value, b.value, empty), (a, b), vjp, "sub")
+        out = self._record(_subtract(a.value, b.value), (a, b), vjp, "sub")
         out.rows = _recipe(_subtract, (a, b))
         return out
 
     def mul(self, a: Variable, b: Variable) -> Variable:
-        empty = self.empty
         ka, kb, sa, sb = _keep(a), _keep(b), a.shape, b.shape
 
         def vjp(g):
-            av, bv = _kept(ka, empty), _kept(kb, empty)
+            av, bv = _kept(ka), _kept(kb)
             return (_unbroadcast(np.multiply(g, bv, out=empty(g.shape)), sa),
                     _unbroadcast(np.multiply(g, av, out=empty(g.shape)), sb))
 
@@ -369,17 +285,15 @@ class Tape:
 
     def scale(self, a: Variable, c) -> Variable:
         """a times a constant: a float, or an array broadcast to a's shape."""
-        empty = self.empty
 
         def vjp(g):
-            return (_scaled(g, c, empty),)
+            return (_scaled(g, c),)
 
-        out = self._record(_scaled(a.value, c, empty), (a,), vjp, "scale")
+        out = self._record(_scaled(a.value, c), (a,), vjp, "scale")
         out.rows = _recipe(_scaled, (a,), c)
         return out
 
     def matmul(self, a: Variable, b: Variable) -> Variable:
-        empty = self.empty
         av, bv = a.value, b.value
         if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
             raise DimensionError(f"matmul mismatch {av.shape} vs {bv.shape}")
@@ -399,15 +313,14 @@ class Tape:
         (k, len(idx), d) planes (see `take_planes`).  `flat_cache` (see
         `scatter_add`) serves the vjp.  The result's `rows` (a lookup of x's
         array with the checked index) are what a vjp that reads it keeps."""
-        empty = self.empty
         xv = x.value
         num = xv.shape[0]
         idx = _row_index(idx, num)
 
         def vjp(g):
-            return (scatter_add(g, idx, num, flat_cache, planes, empty),)
+            return (scatter_add(g, idx, num, flat_cache, planes),)
 
-        out = self._record(take_planes(xv, idx, planes, empty), (x,), vjp, "gather")
+        out = self._record(take_planes(xv, idx, planes), (x,), vjp, "gather")
         out.rows = Recipe(take_planes, (), (xv, idx, planes))
         return out
 
@@ -416,27 +329,24 @@ class Tape:
         """Row idx[j] of the result sums x[j] over every j carrying it.  With
         planes=k > 1, x is (k, len(idx), d) planes and the result is
         interleaved, (num, d*k)."""
-        empty = self.empty
         idx = _row_index(idx, num)
-        out = scatter_add(x.value, idx, num, flat_cache, planes, empty)
-        return self._record(out, (x,), lambda g: (take_planes(g, idx, planes, empty),),
+        out = scatter_add(x.value, idx, num, flat_cache, planes)
+        return self._record(out, (x,), lambda g: (take_planes(g, idx, planes),),
                             "segment_sum")
 
-    def concat(self, parts, axis: int = -1) -> Variable:
+    def concat(self, parts) -> Variable:
+        """The parts side by side along the last axis."""
         values = [p.value for p in parts]
-        ax = axis if axis >= 0 else values[0].ndim + axis
-        sizes = [v.shape[ax] for v in values]
+        sizes = [v.shape[-1] for v in values]
         splits = np.cumsum(sizes)[:-1]
 
         def vjp(g):
-            return tuple(np.split(g, splits, axis=ax))
+            return tuple(np.split(g, splits, axis=-1))
 
-        shape = values[0].shape[:ax] + (sum(sizes),) + values[0].shape[ax + 1:]
-        out = np.concatenate(values, axis=ax, out=self.empty(shape))
+        out = np.concatenate(values, axis=-1, out=empty(values[0].shape[:-1] + (sum(sizes),)))
         return self._record(out, tuple(parts), vjp, "concat")
 
     def slice_cols(self, x: Variable, start: int, stop: int) -> Variable:
-        empty = self.empty
         shape = x.shape
 
         def vjp(g):
@@ -450,7 +360,6 @@ class Tape:
     # ---- reductions ----
 
     def sum(self, x: Variable) -> Variable:
-        empty = self.empty
         shape = x.shape
 
         def vjp(g):
@@ -460,9 +369,8 @@ class Tape:
 
         return self._record(np.sum(x.value), (x,), vjp, "sum")
 
-    def sum_axis(self, x: Variable, axis: int = -1) -> Variable:
-        """Sum over one axis, keepdims."""
-        empty = self.empty
+    def sum_axis(self, x: Variable) -> Variable:
+        """Sum over the last axis, keepdims."""
         shape = x.shape
 
         def vjp(g):
@@ -470,12 +378,11 @@ class Tape:
             np.copyto(out, np.broadcast_to(g, shape))
             return (out,)
 
-        return self._record(np.sum(x.value, axis=axis, keepdims=True), (x,), vjp, "sum_axis")
+        return self._record(np.sum(x.value, axis=-1, keepdims=True), (x,), vjp, "sum_axis")
 
     # ---- elementwise nonlinear ----
 
     def abs(self, x: Variable) -> Variable:
-        empty = self.empty
         xv = x.value
 
         def vjp(g):
@@ -485,7 +392,6 @@ class Tape:
         return self._record(np.abs(xv, out=empty(xv.shape)), (x,), vjp, "abs")
 
     def relu(self, x: Variable) -> Variable:
-        empty = self.empty
         xv = x.value
         mask = xv > 0
 
@@ -529,17 +435,15 @@ class Tape:
     def complex_mul(self, a: Variable, b: Variable, conj_b: bool = False) -> Variable:
         """a * b entrywise, or a * conj(b) with conj_b, without a
         conjugate node."""
-        empty = self.empty
         ka, kb = _keep(a), _keep(b)
 
         def vjp(g):
-            db = numerics.complex_elementwise_product(g, _kept(ka, empty), True, empty)
+            db = numerics.complex_elementwise_product(g, _kept(ka), True)
             if conj_b:
                 np.negative(db[1], out=db[1])
-            return numerics.complex_elementwise_product(g, _kept(kb, empty), not conj_b,
-                                                        empty), db
+            return numerics.complex_elementwise_product(g, _kept(kb), not conj_b), db
 
-        out = numerics.complex_elementwise_product(a.value, b.value, conj_b, empty)
+        out = numerics.complex_elementwise_product(a.value, b.value, conj_b)
         out = self._record(out, (a, b), vjp, "complex_mul")
         out.rows = _recipe(numerics.complex_elementwise_product, (a, b), conj_b)
         return out
@@ -548,30 +452,28 @@ class Tape:
                  conj_q: bool = False) -> Variable:
         """Hamilton product p q; conj_p / conj_q conjugate that factor
         without a conjugate node."""
-        empty = self.empty
         kp, kq = _keep(p), _keep(q)
 
         def vjp(g):
-            dp = numerics.hamilton_product(g, _kept(kq, empty), False, not conj_q, empty)
-            dq = numerics.hamilton_product(_kept(kp, empty), g, not conj_p, False, empty)
+            dp = numerics.hamilton_product(g, _kept(kq), False, not conj_q)
+            dq = numerics.hamilton_product(_kept(kp), g, not conj_p, False)
             for d, conj in ((dp, conj_p), (dq, conj_q)):
                 if conj:
                     np.negative(d[1:], out=d[1:])
             return dp, dq
 
-        out = numerics.hamilton_product(p.value, q.value, conj_p, conj_q, empty)
+        out = numerics.hamilton_product(p.value, q.value, conj_p, conj_q)
         out = self._record(out, (p, q), vjp, "quat_mul")
         out.rows = _recipe(numerics.hamilton_product, (p, q), conj_p, conj_q)
         return out
 
     def circular_correlation(self, a: Variable, b: Variable) -> Variable:
-        empty = self.empty
         ka, kb = _keep(a), _keep(b)
 
         def vjp(g):
             return (
-                numerics.circular_correlation(g, _kept(kb, empty)),
-                numerics.circular_convolution(g, _kept(ka, empty)),
+                numerics.circular_correlation(g, _kept(kb)),
+                numerics.circular_convolution(g, _kept(ka)),
             )
 
         return self._record(
@@ -581,15 +483,13 @@ class Tape:
     def unit_project(self, z: Variable) -> Variable:
         """Unit-norm tuples of z's planes.  For a gathered z the result's
         `rows` are those of the per-row projection (see `_unit_parts`)."""
-        empty = self.empty
         kz = _keep(z)
-        unit = _unit_parts(kz, empty, 0)[4]
+        unit = _unit_parts(kz, 0)[4]
 
         def vjp(g):
-            return (numerics.unit_project_pullback(_kept(kz, empty), g,
-                                                   parts=_unit_parts(kz, empty, 3), empty=empty),)
+            return (numerics.unit_project_pullback(_kept(kz), g, parts=_unit_parts(kz, 3)),)
 
-        out = self._record(_kept(unit, empty), (z,), vjp, "unit_project")
+        out = self._record(_kept(unit), (z,), vjp, "unit_project")
         out.rows = None if isinstance(unit, np.ndarray) else unit
         return out
 
@@ -598,15 +498,14 @@ class Tape:
         arguments; needed because training backpropagates through message
         gradients that already contain one projection pullback.  The vjp
         computes z.g again, from z and g as it gets them back."""
-        empty = self.empty
         kz, kg = _keep(z), _keep(g)
 
         def vjp(s):
-            zv, gv = _kept(kz, empty), _kept(kg, empty)
-            zg = numerics.component_dot(zv, gv, empty)
-            _, small, safe3, safe5, _ = parts = _unit_parts(kz, empty)
-            sz = numerics.component_dot(s, zv, empty)
-            sg = numerics.component_dot(s, gv, empty)
+            zv, gv = _kept(kz), _kept(kg)
+            zg = numerics.component_dot(zv, gv)
+            _, small, safe3, safe5, _ = parts = _unit_parts(kz)
+            sz = numerics.component_dot(s, zv)
+            sg = numerics.component_dot(s, gv)
             # -sg z / m^3 - zg s / m^3 - sz g / m^3 + 3 zg sz z / m^5, in that order
             dz = np.multiply(zv, np.negative(sg, out=sg), out=empty(zv.shape))
             dz /= safe3
@@ -623,15 +522,13 @@ class Tape:
             dz += t
             if small is not None:
                 np.copyto(dz, 0.0, where=small)
-            return dz, numerics.unit_project_pullback(zv, s, parts=parts, zg=sz, empty=empty)
+            return dz, numerics.unit_project_pullback(zv, s, parts=parts, zg=sz)
 
-        out = numerics.unit_project_pullback(z.value, g.value, parts=_unit_parts(kz, empty, 3),
-                                             empty=empty)
+        out = numerics.unit_project_pullback(z.value, g.value, parts=_unit_parts(kz, 3))
         return self._record(out, (z, g), vjp, "unit_project_pullback")
 
     def per_relation_matmul(self, x: Variable, w: Variable, rel: np.ndarray) -> Variable:
         """Row i of the result is x[i] @ w[rel[i]]."""
-        empty = self.empty
         xv, wv, kx = x.value, w.value, _keep(x)
         rel = np.asarray(rel, dtype=np.int64)
         if wv.ndim != 3 or xv.ndim != 2 or xv.shape[1] != wv.shape[1]:
@@ -643,7 +540,7 @@ class Tape:
                 out[m] = xv[m] @ wv[r]
 
         def vjp(g):
-            xv = _kept(kx, empty)
+            xv = _kept(kx)
             dx = np.zeros_like(xv)
             dw = np.zeros_like(wv)
             for r, m in enumerate(masks):
@@ -693,7 +590,7 @@ class Tape:
             elif pg is g and g_free:
                 grads[pi], g_free = g, False
             elif np.may_share_memory(pg, g):
-                grads[pi] = self.empty(pg.shape)
+                grads[pi] = empty(pg.shape)
                 np.copyto(grads[pi], pg)
             else:
                 grads[pi] = pg

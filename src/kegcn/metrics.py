@@ -77,15 +77,22 @@ def top_k_classes(scores_row: np.ndarray, k: int) -> np.ndarray:
     return order[:k]
 
 
-def ndcg_at_k(scores_row, truth, k: int) -> float:
-    truth = set(truth)
-    if not truth:
-        return 0.0
-    top = top_k_classes(scores_row, k)
-    dcg = 0.0
-    for pos, c in enumerate(top, start=1):
-        if int(c) in truth:
-            dcg += 1.0 / np.log2(1.0 + pos)
-    ideal_hits = min(len(truth), k)
-    idcg = sum(1.0 / np.log2(1.0 + pos) for pos in range(1, ideal_hits + 1))
-    return float(dcg / idcg)
+def ndcg_at_k(scores, truth, k: int):
+    """NDCG@k of a score row against its true class ids, or, for 2-D
+    scores, an array of each row's against truth[i] (0 for no true class).
+    Gains are added in rank order from 0.0 with scalar np.log2 discounts,
+    so each row's value is the one it has alone."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim == 1:
+        return float(ndcg_at_k(scores[None], [truth], k)[0])
+    sets = [set(t) for t in truth]
+    member = np.zeros(scores.shape, dtype=bool)
+    for i, t in enumerate(sets):
+        member[i, [c for c in t if 0 <= c < scores.shape[1]]] = True
+    hits = np.take_along_axis(member, np.argsort(-scores, axis=1, kind="stable")[:, :k], axis=1)
+    discount = np.array([1.0 / np.log2(1.0 + pos) for pos in range(1, k + 1)])
+    dcg = np.zeros(len(scores))
+    for pos in range(hits.shape[1]):
+        dcg += np.where(hits[:, pos], discount[pos], 0.0)
+    ideal = np.minimum([len(t) for t in sets], k)
+    return np.where(ideal > 0, dcg / np.cumsum(discount)[np.maximum(ideal - 1, 0)], 0.0)

@@ -22,11 +22,19 @@ compute on such short trailing axes, +0.0 start included (an all -0.0
 tuple sums to +0.0).  Only the sign and payload of a NaN may differ.  A
 per-tuple quantity such as a norm has the shape of one plane and
 broadcasts over the planes.
+
+Memory: the large arrays of these kernels and of the `autodiff` tape ops
+come from `empty(shape)`: np.empty, or inside a `pooled()` block (the
+epochs of one `tasks.fit`) one BufferPool that the block's tapes share.
+The values are the same bit for bit either way.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 
@@ -59,6 +67,105 @@ class RandomSource:
 
     def choice(self, n: int, size: int, replace: bool = False) -> np.ndarray:
         return self._gen.choice(n, size=size, replace=replace)
+
+
+def _free_refs() -> int:
+    """What sys.getrefcount reports for an array held by one list only."""
+    arrays = [np.empty(0)]
+    return sys.getrefcount(arrays[0])
+
+
+_FREE_REFS = _free_refs()
+_LINE, _PAGE = 8, 512      # float64 elements in a 64-byte cache line, a 4 KiB page
+
+
+def _block(size: int, count: int, color: int) -> list:
+    """`count` flat float64 arrays of `size` elements cut from one
+    allocation.  Each is an array of its own (its base is a memoryview, not
+    the block), so its views refer to it and count as its references.
+    Consecutive arrays are an odd number of cache lines apart and the first
+    starts `color` lines into the block, so a pool's arrays start at
+    different offsets within a page: elementwise loops that read one array
+    and write another at the same offset run markedly slower."""
+    stride = -(-size // (2 * _LINE)) * 2 * _LINE + _LINE
+    first = color * _LINE % _PAGE
+    mem = memoryview(np.empty(first + count * stride))
+    return [np.frombuffer(mem[first + i * stride:first + i * stride + size])
+            for i in range(count)]
+
+
+class BufferPool:
+    """Float64 arrays that the tapes of one training run reuse.
+
+    The pool keeps every array it hands out, flat and keyed by element
+    count.  `empty(shape)` returns one of that size, viewed as `shape`,
+    that nothing outside the pool holds any more: its reference count shows
+    the pool's list alone, since a Variable, a vjp, a view or a caller each
+    add one.  So an array still in use is never handed out twice, whoever
+    holds it.  The arrays of a size come in blocks that double their count
+    (1, 1, 2, 4, ...), and an array is first handed out only when every
+    earlier one of its size is held, so the pool uses as many arrays of
+    each size as were ever held at once; the rest of the last block is
+    never written.  Arrays below MIN_SIZE elements are not pooled: they
+    cost more to pool than to allocate.
+    """
+
+    MIN_SIZE = 1024
+
+    def __init__(self):
+        self._arrays: dict[int, list] = {}   # handed out before, most recently last
+        self._unused: dict[int, list] = {}   # the rest of each size's last block
+        self._blocks = 0
+
+    def empty(self, shape: tuple) -> np.ndarray:
+        size = math.prod(shape)
+        if size < self.MIN_SIZE:
+            return np.empty(shape)
+        arrays = self._arrays.get(size)
+        if arrays is None:
+            arrays = self._arrays[size] = []
+            self._unused[size] = []
+        # the free array handed out last was most likely freed last: still in cache
+        for i in range(len(arrays) - 1, -1, -1):
+            if sys.getrefcount(arrays[i]) == _FREE_REFS:
+                a = arrays.pop(i)
+                arrays.append(a)
+                return a.reshape(shape)
+        unused = self._unused[size]
+        if not unused:
+            self._blocks += 1   # blocks start 5 lines apart: an odd step visits all 64
+            unused.extend(_block(size, max(1, len(arrays)), 5 * self._blocks))
+        a = unused.pop()
+        arrays.append(a)
+        return a.reshape(shape)
+
+    def held(self) -> list:
+        """The pooled arrays that something outside the pool still holds."""
+        return [arrays[i] for arrays in self._arrays.values() for i in range(len(arrays))
+                if sys.getrefcount(arrays[i]) > _FREE_REFS]
+
+
+# the pool of the innermost pooled() block running in this thread or task
+_active: ContextVar[BufferPool | None] = ContextVar("kegcn_pool", default=None)
+
+
+def empty(shape: tuple) -> np.ndarray:
+    """An uninitialized float64 array of `shape`: from the active pool
+    inside a `pooled()` block, else from np.empty."""
+    pool = _active.get()
+    return np.empty(shape) if pool is None else pool.empty(shape)
+
+
+@contextmanager
+def pooled():
+    """Make a fresh BufferPool the allocator of `empty` for the block, and
+    give it; the previous allocator is restored on exit, also on an
+    exception.  The pool is freed once nothing else refers to it."""
+    token = _active.set(BufferPool())
+    try:
+        yield _active.get()
+    finally:
+        _active.reset(token)
 
 
 def truncated_normal_fill(shape, source: RandomSource, width: int | None = None) -> np.ndarray:
@@ -125,7 +232,7 @@ _HAMILTON_PLANS = {(cp, cq): _plan(_HAMILTON, cp, cq)
 _COMPLEX_PLANS = {cq: _plan(_COMPLEX, False, cq) for cq in (False, True)}
 
 
-def _algebra_product(p: np.ndarray, q: np.ndarray, plan: tuple, empty) -> np.ndarray:
+def _algebra_product(p: np.ndarray, q: np.ndarray, plan: tuple) -> np.ndarray:
     """Evaluate `plan` (see _plan) on component planes, accumulating each
     output component in its own plane of one output array."""
     out = empty((len(plan),) + np.broadcast_shapes(p.shape[1:], q.shape[1:]))
@@ -142,29 +249,27 @@ def _algebra_product(p: np.ndarray, q: np.ndarray, plan: tuple, empty) -> np.nda
 
 
 def hamilton_product(p: np.ndarray, q: np.ndarray, conj_p: bool = False,
-                     conj_q: bool = False, empty=np.empty) -> np.ndarray:
+                     conj_q: bool = False) -> np.ndarray:
     """Quaternion product on (a, b, c, d) planes, shape (4, ...); conj_p /
-    conj_q conjugate that factor first, bitwise as the conjugate's product.
-    The result and the temporary come from empty(shape)."""
+    conj_q conjugate that factor first, bitwise as the conjugate's product."""
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if p.shape[:1] != (4,) or q.shape[:1] != (4,):
         raise DimensionError("quaternion arrays need a leading component axis of 4")
-    return _algebra_product(p, q, _HAMILTON_PLANS[conj_p, conj_q], empty)
+    return _algebra_product(p, q, _HAMILTON_PLANS[conj_p, conj_q])
 
 
 def complex_elementwise_product(a: np.ndarray, b: np.ndarray,
-                                conj_b: bool = False, empty=np.empty) -> np.ndarray:
+                                conj_b: bool = False) -> np.ndarray:
     """Entrywise complex product on (re, im) planes, shape (2, ...); conj_b
-    conjugates b first, bitwise as the conjugate's product.  The result
-    and the temporary come from empty(shape)."""
+    conjugates b first, bitwise as the conjugate's product."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape[:1] != (2,) or b.shape[:1] != (2,):
         raise DimensionError("complex arrays need a leading component axis of 2")
     if a.shape != b.shape:
         raise DimensionError(f"length mismatch {a.shape} vs {b.shape}")
-    return _algebra_product(a, b, _COMPLEX_PLANS[conj_b], empty)
+    return _algebra_product(a, b, _COMPLEX_PLANS[conj_b])
 
 
 def circular_correlation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -211,11 +316,10 @@ def softmax_row(x: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def component_dot(a: np.ndarray, b: np.ndarray, empty=np.empty) -> np.ndarray:
+def component_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot product of component tuples, one value per tuple; bitwise
     np.sum(a * b, axis=-1) on trailing tuples: the products of the planes
-    added from +0.0 in component order, one plane at a time.  The result
-    and the temporary come from empty(shape)."""
+    added from +0.0 in component order, one plane at a time."""
     out = np.multiply(a[0], b[0], out=empty(np.broadcast_shapes(a.shape[1:], b.shape[1:])))
     out += 0.0
     tmp = empty(out.shape)
@@ -251,11 +355,10 @@ def unit_project(z: np.ndarray, eps: float = 1e-12) -> np.ndarray:
 
 
 def unit_project_pullback(z: np.ndarray, g: np.ndarray, eps: float = 1e-12,
-                          parts=None, zg=None, empty=np.empty) -> np.ndarray:
+                          parts=None, zg=None) -> np.ndarray:
     """Apply the transposed Jacobian of unit_project at z to g (both
     planes): g / |z| - z (z.g) / |z|^3.  `parts` is unit_parts(z, eps) and
-    `zg` is component_dot(z, g), if the caller has them; the result and
-    temporaries come from empty(shape).
+    `zg` is component_dot(z, g), if the caller has them.
 
     Reset tuples (norm < eps) are constants, so their pullback is zero.
     """
@@ -265,7 +368,7 @@ def unit_project_pullback(z: np.ndarray, g: np.ndarray, eps: float = 1e-12,
         raise DimensionError(f"length mismatch {z.shape} vs {g.shape}")
     safe, small, safe3 = (unit_parts(z, eps) if parts is None else parts)[:3]
     out = np.divide(g, safe, out=empty(g.shape))
-    zg = component_dot(z, g, empty) if zg is None else zg
+    zg = component_dot(z, g) if zg is None else zg
     t = empty(out.shape[1:])
     for k in range(len(z)):     # one plane at a time: no (k, ...) temporary
         np.multiply(z[k], zg, out=t)

@@ -87,17 +87,19 @@ def hub_signature_pair(n: int = 200, r: int = 5, edges: int = 1000,
     return g1, g2, ent_pairs, rel_pairs
 
 
+def _split(items: list, train_fraction: float, valid_fraction: float, seed: int) -> tuple:
+    """Shuffle `items` with the seed and carve (train, valid, test) lists."""
+    order = RandomSource(seed).permutation(len(items))
+    n_train = int(round(train_fraction * len(items)))
+    n_valid = int(round(valid_fraction * len(items)))
+    return tuple([items[i] for i in part] for part in
+                 (order[:n_train], order[n_train:n_train + n_valid], order[n_train + n_valid:]))
+
+
 def alignment_split(ent_pairs, train_fraction: float = 0.3, seed: int = 0,
                     valid_fraction: float = 0.0) -> AlignmentSeeds:
     """Shuffle the true pairs and carve train/valid/test seed sets."""
-    rng = RandomSource(seed)
-    order = rng.permutation(len(ent_pairs))
-    n_train = int(round(train_fraction * len(ent_pairs)))
-    n_valid = int(round(valid_fraction * len(ent_pairs)))
-    train = [ent_pairs[i] for i in order[:n_train]]
-    valid = [ent_pairs[i] for i in order[n_train:n_train + n_valid]]
-    test = [ent_pairs[i] for i in order[n_train + n_valid:]]
-    return AlignmentSeeds(train=train, valid=valid, test=test)
+    return AlignmentSeeds(*_split(ent_pairs, train_fraction, valid_fraction, seed))
 
 
 def block_classification(n: int = 300, classes: int = 3, edges: int = 1500,
@@ -137,16 +139,9 @@ def classification_split(labels: dict, num_classes: int,
                          train_fraction: float = 0.1,
                          valid_fraction: float = 0.1,
                          seed: int = 0) -> LabelSet:
-    entities = sorted(labels)
-    rng = RandomSource(seed)
-    order = rng.permutation(len(entities))
-    n_train = int(round(train_fraction * len(entities)))
-    n_valid = int(round(valid_fraction * len(entities)))
-    train = [entities[i] for i in order[:n_train]]
-    valid = [entities[i] for i in order[n_train:n_train + n_valid]]
-    test = [entities[i] for i in order[n_train + n_valid:]]
-    return LabelSet(labels, num_classes, False, train=train, valid=valid,
-                    test=test)
+    """Shuffle the labelled entities and carve train/valid/test sets."""
+    train, valid, test = _split(sorted(labels), train_fraction, valid_fraction, seed)
+    return LabelSet(labels, num_classes, False, train=train, valid=valid, test=test)
 
 
 def write_graph_tsv(path, graph: KnowledgeGraph) -> None:

@@ -16,9 +16,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .autodiff import BufferPool, Tape, Variable
+from .autodiff import Tape, Variable
 from .graph import KnowledgeGraph
-from .numerics import RandomSource, sigmoid, softmax_row
+from .numerics import RandomSource, pooled, sigmoid, softmax_row
 from .propagation import (
     MODES,
     EmbeddingState,
@@ -346,7 +346,7 @@ def evaluate_classification(scores: np.ndarray, label_set: LabelSet,
         top = np.argsort(-rows, axis=1, kind="stable")[:, :5]
         hits = np.take_along_axis(truth, top, axis=1)
         out = {f"p{k}": float(np.mean(hits[:, :k].sum(axis=1) / k)) for k in (1, 5)}
-        n5 = [metrics_mod.ndcg_at_k(scores[e], label_set.labels[e], 5) for e in entity_ids]
+        n5 = metrics_mod.ndcg_at_k(rows, [label_set.labels[e] for e in entity_ids], 5)
         out["ndcg5"] = float(np.mean(n5))
         return out
     true = [label_set.labels[e][0] for e in entity_ids]
@@ -410,15 +410,17 @@ def fit(graphs: dict, mc: ModelConfig, cfg: TrainConfig, loss_fn: Callable,
     Returns (params, tables, final states, best metric, best epoch,
     epochs run, losses).
 
-    One BufferPool serves every epoch's tape; its arrays are freed after
-    the last epoch.  A tape keeps no intermediate that no vjp needs, and a
-    vjp keeps a gathered operand, or a product of them, as its recipe, so
-    a pooled array the layer code drops serves a later op of the same
-    forward pass and what a vjp rebuilds during `backward` comes from the
-    pool too.  `backward` consumes the tape, and each epoch drops its tape,
-    outputs, loss and gradients before the next one starts.  After the
-    first epoch a run allocates almost nothing new.  metric_fn reads
-    outputs the epoch still holds, which the pool cannot hand out again."""
+    The epochs run in one `numerics.pooled()` block: every epoch's tape
+    draws from one pool, freed after the last epoch, and the final forward
+    allocates from NumPy like all inference.  A tape keeps no intermediate
+    that no vjp needs, and a vjp keeps a gathered operand, or a product of
+    them, as its recipe, so a pooled array the layer code drops serves a
+    later op of the same forward pass and what a vjp rebuilds during
+    `backward` comes from the pool too.  `backward` consumes the tape, and
+    each epoch drops its tape, outputs, loss and gradients before the next
+    one starts.  After the first epoch a run allocates almost nothing new.
+    metric_fn reads outputs the epoch still holds, which the pool cannot
+    hand out again."""
     scorer = config_scorer(mc)
     rng = RandomSource(cfg.seed)
     params_list = init_params(mc, max(g.num_relations for g in graphs.values()), rng)
@@ -427,30 +429,30 @@ def fit(graphs: dict, mc: ModelConfig, cfg: TrainConfig, loss_fn: Callable,
     adam = Adam(cfg.lr)
     best_metric, best_epoch, best_snap, losses = None, 0, None, []
     epochs_run = 0
-    pool = BufferPool()
-    for epoch in range(cfg.epochs):
-        epochs_run = epoch + 1
-        tape = Tape(pool)
-        pvars, outs = record_forward(tape, graphs, mc.mode, scorer, params_list, tables)
-        loss = loss_fn(tape, rng, *outs)
-        losses.append(_finite_loss(loss, epoch))
-        grads = tape.backward(loss)
+    with pooled():
+        for epoch in range(cfg.epochs):
+            epochs_run = epoch + 1
+            tape = Tape()
+            pvars, outs = record_forward(tape, graphs, mc.mode, scorer, params_list, tables)
+            loss = loss_fn(tape, rng, *outs)
+            losses.append(_finite_loss(loss, epoch))
+            grads = tape.backward(loss)
 
-        metric = None
-        if metric_fn is not None:
-            metric = metric_fn(*(h.value for h in outs))
-            if best_metric is None or metric > best_metric:
-                best_metric, best_epoch = metric, epoch
-                best_snap = {k: v.copy() for k, v in named.items()}  # the parameters just scored
-        adam.step(named, {name: grads[var] for name, var in pvars.items()})
-        # nothing of this epoch outlives it: the next forward finds the pool free
-        del tape, pvars, outs, loss, grads
-        if progress is not None:
-            progress(epoch, losses[-1], metric)
-        if metric_fn is not None and epoch - best_epoch >= cfg.patience:
-            break
+            metric = None
+            if metric_fn is not None:
+                metric = metric_fn(*(h.value for h in outs))
+                if best_metric is None or metric > best_metric:
+                    best_metric, best_epoch = metric, epoch
+                    best_snap = {k: v.copy() for k, v in named.items()}  # just scored
+            adam.step(named, {name: grads[var] for name, var in pvars.items()})
+            # nothing of this epoch outlives it: the next forward finds the pool free
+            del tape, pvars, outs, loss, grads
+            if progress is not None:
+                progress(epoch, losses[-1], metric)
+            if metric_fn is not None and epoch - best_epoch >= cfg.patience:
+                break
 
-    del pool   # freed before the final forward, so the two never hold memory at once
+    # the pool is freed before the final forward, so the two never hold memory at once
     if best_snap is not None:
         for k, v in named.items():
             v[...] = best_snap[k]

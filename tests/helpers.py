@@ -1,5 +1,6 @@
 """Functions only the tests call: the per-row classification metrics the
-vectorised `tasks.evaluate_classification` is checked against, the
+vectorised `tasks.evaluate_classification` and `metrics.ndcg_at_k` are
+checked against, the
 triples a graph file parses to, the reader of `io.write_report` files,
 and a finite-difference check of any function recorded on a tape."""
 
@@ -21,6 +22,19 @@ def precision_at_k(scores_row, truth, k: int) -> float:
         return 0.0
     top = top_k_classes(scores_row, k)
     return float(sum(1 for c in top if int(c) in truth)) / float(k)
+
+
+def ndcg_one_row(scores_row, truth, k: int) -> float:
+    """NDCG@k of one row as a loop over its ranked positions."""
+    truth = set(truth)
+    if not truth:
+        return 0.0
+    dcg = 0.0
+    for pos, c in enumerate(top_k_classes(scores_row, k), start=1):
+        if int(c) in truth:
+            dcg += 1.0 / np.log2(1.0 + pos)
+    idcg = sum(1.0 / np.log2(1.0 + pos) for pos in range(1, min(len(truth), k) + 1))
+    return float(dcg / idcg)
 
 
 def read_report(path: str) -> dict:

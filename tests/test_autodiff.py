@@ -1,14 +1,15 @@
 import gc
 import weakref
 import zlib
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
 from helpers import finite_diff_check
-from kegcn import autodiff
-from kegcn.autodiff import BufferPool, ForwardTape, Tape
-from kegcn.numerics import DimensionError, RandomSource
+from kegcn import autodiff, numerics
+from kegcn.autodiff import ForwardTape, Tape
+from kegcn.numerics import BufferPool, DimensionError, RandomSource
 
 
 def directional_error(build, arrays, rng, eps=1e-6):
@@ -394,7 +395,7 @@ def test_segment_sum_matches_add_at_bitwise(kind, trailing):
     out = tape.segment_sum(xv, idx, num)
     assert bitwise_equal(out.value, add_at_oracle(x, idx, num))
     g = rng.normal(out.shape)
-    assert bitwise_equal(out.tape.nodes[out.index].vjp(g)[0], g[idx])
+    assert bitwise_equal(tape.nodes[out.index].vjp(g)[0], g[idx])
 
 
 @pytest.mark.parametrize("trailing", sorted(SCATTER_TRAILING))
@@ -452,8 +453,9 @@ def test_planar_scatters_match_interleaved_bitwise(kind, k):
         assert bitwise_equal(got, add_at_oracle(rows, idx, num))
     # the k planes share the positions of one plane: the planes=1 entry of width d
     assert list(cache) == [d]
-    pooled = autodiff.scatter_add(x, idx, num, cache, k, BufferPool().empty)
-    assert bitwise_equal(pooled, add_at_oracle(rows, idx, num))
+    with numerics.pooled():
+        pooled = autodiff.scatter_add(x, idx, num, cache, k)
+        assert bitwise_equal(pooled, add_at_oracle(rows, idx, num))
     autodiff.scatter_add(x[0], idx, num, cache)
     assert list(cache) == [d] and cache[d].size == idx.size * d
 
@@ -664,25 +666,27 @@ def test_product_recipes_rebuild_the_forward_value_bitwise(op):
     gb = tape.gather(tape.leaf(tables[1]), ib, planes=k)
     out = build(tape, ga, gb)
     assert isinstance(out.rows, autodiff.Recipe)
-    for empty in (np.empty, BufferPool().empty):
-        assert bitwise_equal(out.rows.build(empty), out.value)
+    for scope in (nullcontext, numerics.pooled):
+        with scope():
+            assert bitwise_equal(out.rows.build(), out.value)
     # one operand without a recipe: the result keeps none either
     ga.rows = None
     assert build(tape, ga, gb).rows is None
 
 
 def test_tape_without_backward_is_freed_by_reference_counting():
-    # vjps hold the allocator, not the tape, so no reference cycle keeps a
-    # tape that never runs backward (as in finite-difference probes)
+    # neither vjps nor Variables hold the tape, so no reference cycle keeps
+    # a tape that never runs backward (as in finite-difference probes)
     gc.disable()
     try:
-        for pool in (None, BufferPool()):
-            tape = Tape(pool)
-            x = tape.leaf(np.ones((40, 30)))
-            tape.sum(tape.abs(tape.relu(tape.scale(tape.sub(x, tape.mul(x, x)), 2.0))))
-            probe = weakref.ref(tape)
-            del tape, x
-            assert probe() is None
+        for scope in (nullcontext, numerics.pooled):
+            with scope():
+                tape = Tape()
+                x = tape.leaf(np.ones((40, 30)))
+                tape.sum(tape.abs(tape.relu(tape.scale(tape.sub(x, tape.mul(x, x)), 2.0))))
+                probe = weakref.ref(tape)
+                del tape, x
+                assert probe() is None
     finally:
         gc.enable()
 
@@ -717,36 +721,38 @@ def test_pooled_tape_is_bitwise_a_plain_tape():
     rng = RandomSource(12)
     xa, wa = rng.normal((40, 32)), rng.normal((32, 32))
     idx = rng.integers(0, 40, 200)
-    pool = BufferPool()
-    x0, w0, loss0 = _pooled_net(Tape(), xa, wa, idx)
-    want = Tape.backward(loss0.tape, loss0)
-    for _ in range(3):                     # later tapes reuse the pool's arrays
-        tape = Tape(pool)
-        x, w, loss = _pooled_net(tape, xa, wa, idx)
-        got = tape.backward(loss)
-        assert bitwise_equal(loss.value, loss0.value)
-        assert bitwise_equal(got[x], want[x]) and bitwise_equal(got[w], want[w])
-        del tape, x, w, loss, got
-        assert pool.held() == []
+    tape0 = Tape()
+    x0, w0, loss0 = _pooled_net(tape0, xa, wa, idx)
+    want = tape0.backward(loss0)
+    with numerics.pooled() as pool:
+        for _ in range(3):                 # later tapes reuse the pool's arrays
+            tape = Tape()
+            x, w, loss = _pooled_net(tape, xa, wa, idx)
+            assert pool.held()             # the vjps hold pooled arrays
+            got = tape.backward(loss)
+            assert bitwise_equal(loss.value, loss0.value)
+            assert bitwise_equal(got[x], want[x]) and bitwise_equal(got[w], want[w])
+            del tape, x, w, loss, got
+            assert pool.held() == []
 
 
 def test_pool_never_recycles_a_leaf_gradient_still_held():
     # add hands its incoming gradient itself to its first parent, here a
     # leaf, so the GradientMap holds a pooled array after backward
-    pool = BufferPool()
-    tape = Tape(pool)
-    x = tape.leaf(np.ones((64, 32)))
-    loss = tape.sum(tape.add(x, tape.leaf(np.zeros((64, 32)))))
-    grads = tape.backward(loss)
-    gx = grads[x]
-    want = gx.copy()
-    assert any(np.may_share_memory(gx, a) for a in pool.held())
-    for _ in range(4):
-        other = Tape(pool)
-        y = other.leaf(np.full((64, 32), 7.0))
-        outs = [other.scale(y, 3.0), other.add(y, y), other.mul(y, y)]
-        assert not any(np.may_share_memory(gx, o.value) for o in outs)
-    assert bitwise_equal(gx, want)
+    with numerics.pooled() as pool:
+        tape = Tape()
+        x = tape.leaf(np.ones((64, 32)))
+        loss = tape.sum(tape.add(x, tape.leaf(np.zeros((64, 32)))))
+        grads = tape.backward(loss)
+        gx = grads[x]
+        want = gx.copy()
+        assert any(np.may_share_memory(gx, a) for a in pool.held())
+        for _ in range(4):
+            other = Tape()
+            y = other.leaf(np.full((64, 32), 7.0))
+            outs = [other.scale(y, 3.0), other.add(y, y), other.mul(y, y)]
+            assert not any(np.may_share_memory(gx, o.value) for o in outs)
+        assert bitwise_equal(gx, want)
 
 
 # ---------------- forward-only tape ----------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import argmax_prediction, precision_at_k
+from helpers import argmax_prediction, ndcg_one_row, precision_at_k
 from kegcn.metrics import (
     accuracy,
     hits_at_k,
@@ -135,6 +135,23 @@ def test_ndcg_perfect_and_empty():
     row = [0.9, 0.8, 0.1, 0.1, 0.1]
     assert ndcg_at_k(row, {0, 1}, 5) == 1.0
     assert ndcg_at_k(row, set(), 5) == 0.0
+
+
+@pytest.mark.parametrize("k", [1, 5, 9])
+def test_ndcg_of_a_batch_is_bitwise_each_row_alone(k):
+    # tied scores, empty, full and out-of-range truths: every row of one
+    # batched call, and their mean, equals the per-row loop bit for bit
+    rng = RandomSource(29)
+    scores = np.round(rng.uniform((40, 7)) * 4.0) / 4.0
+    scores[0] = 0.5
+    truths = [{int(c) for c in rng.integers(0, 7, size=int(rng.integers(1, 6)))}
+              for _ in range(36)] + [set(), set(range(7)), {2, 9}, {-1}]
+    got = ndcg_at_k(scores, truths, k)
+    want = np.array([ndcg_one_row(row, t, k) for row, t in zip(scores, truths)])
+    assert got.shape == (40,)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert float(np.mean(got)) == float(np.mean(list(want)))
+    assert [ndcg_at_k(row, t, k) for row, t in zip(scores, truths)] == list(want)
 
 
 def test_metric_bounds_random():

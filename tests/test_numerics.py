@@ -1,8 +1,12 @@
+import threading
+
 import numpy as np
 import pytest
 
+from kegcn import numerics
 from kegcn.autodiff import Tape
 from kegcn.numerics import (
+    BufferPool,
     DimensionError,
     RandomSource,
     circular_convolution,
@@ -233,3 +237,51 @@ def test_kernels_finite_in_finite_out():
     a = rng.normal(32) * 1e3
     assert np.all(np.isfinite(circular_correlation(a, a)))
     assert np.all(np.isfinite(softmax_row(a)))
+
+
+def in_pool(a, pool) -> bool:
+    return any(np.may_share_memory(a, b) for b in pool.held())
+
+
+def test_empty_draws_from_the_pool_only_inside_pooled():
+    assert numerics.empty((64, 32)).base is None
+    with numerics.pooled() as pool:
+        big = numerics.empty((64, 32))
+        small = numerics.empty((3, 4))          # below MIN_SIZE: a plain array
+        edge = numerics.empty((BufferPool.MIN_SIZE,))
+        assert big.shape == (64, 32) and big.flags.c_contiguous
+        assert in_pool(big, pool) and in_pool(edge, pool)
+        assert small.base is None and not in_pool(small, pool)
+    plain = numerics.empty((64, 32))
+    assert plain.base is None and not in_pool(plain, pool)
+
+
+def test_pooled_scopes_nest_and_restore_the_outer_allocator():
+    with numerics.pooled() as outer:
+        with numerics.pooled() as inner:
+            a = numerics.empty((2048,))
+            assert inner is not outer
+            assert in_pool(a, inner) and not in_pool(a, outer)
+        b = numerics.empty((2048,))
+        assert in_pool(b, outer) and not in_pool(b, inner)
+        with pytest.raises(RuntimeError):
+            with numerics.pooled() as failed:
+                raise RuntimeError("inside a nested scope")
+        c = numerics.empty((2048,))
+        assert in_pool(c, outer) and not in_pool(c, failed)
+    with pytest.raises(RuntimeError):
+        with numerics.pooled():
+            raise RuntimeError("inside the only scope")
+    assert numerics.empty((2048,)).base is None
+
+
+def test_a_pooled_block_is_local_to_its_thread():
+    # another thread's arrays stay plain while this one runs a pooled block
+    seen = []
+    with numerics.pooled() as pool:
+        worker = threading.Thread(target=lambda: seen.append(numerics.empty((2048,))))
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert in_pool(numerics.empty((2048,)), pool)
+    assert len(seen) == 1 and seen[0].base is None

@@ -7,6 +7,7 @@ import pytest
 from eager_oracle import activate, entity_message, layer_forward, relation_message
 from helpers import finite_diff_check
 from kegcn.autodiff import Tape
+from kegcn import checks
 from kegcn.checks import baseline_forward, verify_reduction
 from kegcn.graph import build_graph
 from kegcn.numerics import RandomSource
@@ -22,6 +23,7 @@ from kegcn.propagation import (
     init_params,
     init_state,
     layer_forward_tape,
+    layer_shapes,
     lift_params,
     model_forward,
     relation_width,
@@ -276,6 +278,26 @@ def test_verify_reduction(mode):
         assert verify_reduction(mode, g, seed) <= 1e-9
 
 
+@pytest.mark.parametrize("mode", REDUCTION_MODES)
+def test_verify_reduction_runs_the_layout_training_builds(monkeypatch, mode):
+    # the layers verify_reduction checks hold exactly the weights that
+    # layer_shapes gives the mode, field for field and shape for shape
+    g = random_instance(n=20, r=4, edges=50, seed=43)
+    seen = []
+
+    def recording_forward(graph, state, params, **kwargs):
+        seen.append(params)
+        return model_forward(graph, state, params, **kwargs)
+
+    monkeypatch.setattr(checks, "model_forward", recording_forward)
+    verify_reduction(mode, g, 0)
+    cfg = ModelConfig(mode=mode, dim=8, layers=3, alpha=None)
+    assert len(seen) == 1 and len(seen[0]) == 3
+    for layer, p in enumerate(seen[0]):
+        got = {f: getattr(p, f).shape for f in LayerVars._fields if getattr(p, f) is not None}
+        assert got == layer_shapes(cfg, g.num_relations, layer)
+
+
 def test_baseline_forward_examples():
     # rgcn on the empty graph: sigma(W_0 h_v)
     g = build_graph([], 3, 2)
@@ -305,7 +327,7 @@ def test_baseline_forward_examples():
     hr = np.array([1.0, 3.0])
     wr = np.array([[1.0, 2.0], [0.0, 1.0]])
     w0 = np.eye(2)
-    p = LayerParams(w_per_rel=wr[None, :, :], w0=w0, w_rel=np.eye(2), act_ent="relu")
+    p = LayerParams(w=wr, w0=w0, w_rel=np.eye(2), act_ent="relu")
     out = baseline_forward("compgcn-sub", g, EmbeddingState(np.stack([hu, hv]), hr[None, :]), p)
     want_v = np.maximum((hu - hr) @ wr + hv, 0.0)
     want_u = np.maximum((hv - hr) @ wr + hu, 0.0)

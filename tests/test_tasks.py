@@ -1,5 +1,6 @@
 """Tests for losses, negative sampling, Adam, and the training loops."""
 
+import contextlib
 import importlib.util
 import tracemalloc
 import weakref
@@ -8,10 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kegcn import synthetic
+from kegcn import checks, numerics, synthetic
 from kegcn import tasks as tasks_mod
 from helpers import finite_diff_check
-from kegcn.autodiff import BufferPool, Tape
+from kegcn.autodiff import Tape
 from kegcn.checks import end_to_end_gradient_fd
 from kegcn.graph import build_graph
 from kegcn.numerics import RandomSource
@@ -558,6 +559,19 @@ def test_epoch_equals_the_full_stack_bitwise(monkeypatch, task, mode, scorer):
 ADAM_STEP = Adam.step
 
 
+def recording_pools(monkeypatch) -> list:
+    """The BufferPools `numerics.pooled` makes from now on, in order."""
+    pools = []
+
+    class RecordingPool(numerics.BufferPool):
+        def __init__(self):
+            super().__init__()
+            pools.append(self)
+
+    monkeypatch.setattr(numerics, "BufferPool", RecordingPool)
+    return pools
+
+
 def _fit_record(monkeypatch, task, mode, scorer, epochs=3):
     """Losses and the leaf gradients of every epoch, as Adam receives them."""
     g1, g2, ent_pairs, _ = synthetic.hub_signature_pair(40, 3, 150, seed=1)
@@ -590,9 +604,12 @@ def _assert_bitwise_records(got, want, epochs):
 @pytest.mark.parametrize("task", ["alignment", "classification"])
 @pytest.mark.parametrize("mode,scorer", FULL_STACK_CASES)
 def test_pooled_training_is_bitwise_plain_tape_training(monkeypatch, task, mode, scorer):
+    pools = recording_pools(monkeypatch)
     pooled = _fit_record(monkeypatch, task, mode, scorer)
-    monkeypatch.setattr(tasks_mod, "Tape", lambda pool=None: Tape())
+    assert len(pools) == 1
+    monkeypatch.setattr(tasks_mod, "pooled", contextlib.nullcontext)
     plain = _fit_record(monkeypatch, task, mode, scorer)
+    assert len(pools) == 1
     _assert_bitwise_records(pooled, plain, 3)
 
 
@@ -600,8 +617,8 @@ class KeepingTape(Tape):
     """A Tape that holds every value it records until backward starts, so
     no array of the forward pass goes back to the pool before then."""
 
-    def __init__(self, pool=None):
-        super().__init__(pool)
+    def __init__(self):
+        super().__init__()
         self.kept = []
 
     def _record(self, value, parents=(), vjp=None, name="leaf"):
@@ -654,18 +671,15 @@ def test_planes_tape_holds_no_edge_planes_when_backward_starts(monkeypatch, scor
     d = 4
     sizes = {k * g.num_triples * d for g in (g1, g2)}
     checked = []
+    pools = recording_pools(monkeypatch)
 
     class ProbeTape(Tape):
-        def __init__(self, pool=None):
-            super().__init__(pool)
-            self.pool = pool
-
         def backward(self, loss):
             nodes = [self.nodes[i] for i in range(len(self.nodes))]
             # 2 graphs x (3 + 3 + 2) message products; the last layer makes no ghat
             assert sum(n.name in ("quat_mul", "complex_mul") for n in nodes) == 16
             assert [n.name for n in nodes if n.value is not None and n.value.size in sizes] == []
-            assert [a for a in self.pool.held() if a.size in sizes] == []
+            assert [a for a in pools[-1].held() if a.size in sizes] == []
             checked.append(True)
             return super().backward(loss)
 
@@ -680,16 +694,17 @@ def test_no_array_of_an_epoch_outlives_it(monkeypatch, scorer):
     # array its nodes held are gone, and the pool hands all its arrays out
     # again: epoch t+1's forward runs with nothing of epoch t alive
     history, checked = [], []
+    pools = recording_pools(monkeypatch)
 
     class ProbeTape(Tape):
-        def __init__(self, pool=None):
+        def __init__(self):
             if history:
                 tape, grads, arrays = history[-1]
                 assert tape() is None and grads() is None
                 assert all(r() is None for r in arrays)
-                assert pool.held() == []
+                assert pools[-1].held() == []
                 checked.append(True)
-            super().__init__(pool)
+            super().__init__()
 
         def backward(self, loss):
             arrays = [weakref.ref(n.value) for n in self.nodes if n.name != "leaf"]
@@ -707,13 +722,7 @@ def test_no_array_of_an_epoch_outlives_it(monkeypatch, scorer):
 def test_validation_reads_outputs_the_pool_did_not_recycle(monkeypatch):
     # the last layer's outputs are pooled arrays that validation reads after
     # backward: backward must not have handed them out again
-    pools, outs, checked = [], [], []
-
-    class ProbePool(BufferPool):
-        def __init__(self):
-            super().__init__()
-            pools.append(self)
-
+    pools, outs, checked = recording_pools(monkeypatch), [], []
     forward = tasks_mod.forward_on_tape
 
     def recording_forward(*args, **kwargs):
@@ -730,7 +739,6 @@ def test_validation_reads_outputs_the_pool_did_not_recycle(monkeypatch):
         checked.append(True)
         return evaluate(s1, s2, pairs)
 
-    monkeypatch.setattr(tasks_mod, "BufferPool", ProbePool)
     monkeypatch.setattr(tasks_mod, "forward_on_tape", recording_forward)
     monkeypatch.setattr(tasks_mod, "evaluate_alignment", checking_evaluate)
     g1, g2, ent_pairs, _ = synthetic.hub_signature_pair(40, 3, 150, seed=1)
@@ -760,6 +768,78 @@ def test_training_memory_is_one_epoch():
         tracemalloc.stop()
     assert len(peaks) == 3
     assert max(peaks[1:]) <= peaks[0] + 256 * 1024, peaks
+
+
+def pooled_array(a) -> bool:
+    """Whether `a` came from a BufferPool: pooled arrays are views of the
+    pool's flat arrays, and np.empty's own arrays have no base."""
+    return a.base is not None
+
+
+def test_a_pool_lives_for_one_training_run(monkeypatch):
+    # fit runs its epochs in one pooled() block: one pool per run, which is
+    # unreachable once fit returns; the final forward runs on NumPy arrays
+    pools, final = [], []
+
+    class WeakPool(numerics.BufferPool):
+        def __init__(self):
+            super().__init__()
+            pools.append(weakref.ref(self))
+
+    forward = tasks_mod.model_forward
+
+    def checking_forward(*args, **kwargs):
+        assert pools[-1]() is None
+        out = forward(*args, **kwargs)
+        final.append(pooled_array(numerics.empty((64, 32))) or pooled_array(out.entity))
+        return out
+
+    monkeypatch.setattr(numerics, "BufferPool", WeakPool)
+    monkeypatch.setattr(tasks_mod, "model_forward", checking_forward)
+    g1, g2, ent_pairs, _ = synthetic.hub_signature_pair(40, 3, 150, seed=1)
+    seeds = synthetic.alignment_split(ent_pairs, valid_fraction=0.1)
+    for run in range(2):
+        train_alignment(g1, g2, seeds, TrainConfig(scorer="quate", dim=32, layers=2, epochs=2))
+        assert len(pools) == run + 1 and pools[-1]() is None
+    assert final == [False] * 4
+    assert not pooled_array(numerics.empty((64, 32)))
+
+
+def test_inference_checks_and_plain_tapes_allocate_from_numpy(monkeypatch):
+    class NoPool(numerics.BufferPool):
+        def __init__(self):
+            raise AssertionError("a BufferPool outside a training run")
+
+    monkeypatch.setattr(numerics, "BufferPool", NoPool)
+    g1, _, _, _ = synthetic.hub_signature_pair(40, 3, 150, seed=1)
+    mc = propagation.ModelConfig(scorer_kind="quate", dim=32, layers=2)
+    rng = RandomSource(0)
+    params = propagation.init_params(mc, g1.num_relations, rng)
+    out = propagation.model_forward(g1, propagation.init_state(mc, g1, rng), params,
+                                    scorer=propagation.config_scorer(mc))
+    assert not pooled_array(out.entity) and not pooled_array(out.relation)
+    end_to_end_gradient_fd("alignment", "quate", max_coords=2)
+    checks.reduction_discrepancy("compgcn-sub", 0)
+    checks.scorer_gradient_fd("rotate", n_points=2)
+    tape = Tape()
+    x = tape.leaf(np.ones((64, 32)))
+    h = tape.relu(tape.scale(x, 2.0))
+    grads = tape.backward(tape.sum(tape.mul(h, h)))
+    assert not pooled_array(h.value) and not pooled_array(grads[x])
+
+
+def test_synthetic_splits_shuffle_and_carve_alike():
+    # both splits share one shuffle: these lists pin the permutation and
+    # the carving that the benchmark instances are built from
+    seeds = synthetic.alignment_split([(i, 10 + i) for i in range(10)], 0.3, seed=4,
+                                      valid_fraction=0.2)
+    assert seeds.train == [(1, 11), (0, 10), (7, 17)]
+    assert seeds.valid == [(2, 12), (9, 19)]
+    assert seeds.test == [(8, 18), (6, 16), (4, 14), (3, 13), (5, 15)]
+    split = synthetic.classification_split({i * 2: (i % 3,) for i in range(10)}, 3, 0.3, 0.2,
+                                           seed=4)
+    assert (split.train, split.valid, split.test) == ([2, 0, 14], [4, 18], [16, 12, 8, 6, 10])
+    assert not split.multi_label and split.num_classes == 3
 
 
 def test_train_alignment_early_stops_on_plateau():
