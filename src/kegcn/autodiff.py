@@ -100,8 +100,23 @@ class Variable:
         return self.value.shape
 
 
-def _row_index(idx, num: int) -> np.ndarray:
-    """idx as int64, raising IndexError unless every entry is in [0, num)."""
+class FlatCache(dict):
+    """`scatter_add`'s flat positions of one fixed index array by plane
+    width; its owner checked once that every index is below `rows`."""
+
+    def __init__(self, rows: int):
+        super().__init__()
+        self.rows = rows
+
+
+def _row_index(idx, num: int, flat_cache=None) -> np.ndarray:
+    """idx as int64, raising IndexError unless every entry is in [0, num).
+    The owner of a FlatCache checked its index: only its `rows` is checked."""
+    rows = getattr(flat_cache, "rows", None)
+    if rows is not None:
+        if rows > num:
+            raise IndexError(f"row index outside [0, {num})")
+        return idx
     idx = np.asarray(idx, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= num):
         raise IndexError(f"row index outside [0, {num})")
@@ -123,8 +138,8 @@ def scatter_add(x: np.ndarray, idx: np.ndarray, num: int,
     index array (a graph's heads, tails, rels) keeps one so each is built
     once.  Indices that change per call leave it None.
 
-    The sums are copied into numerics.empty(shape), and bincount's own
-    arrays are freed at once.
+    One plane is bincount's own array; k planes are copied into
+    numerics.empty(shape), and bincount's arrays are freed at once.
     """
     trailing = x.shape[idx.ndim:] if planes == 1 else (x.shape[-1] * planes,)
     w = math.prod(trailing) // planes
@@ -133,6 +148,9 @@ def scatter_add(x: np.ndarray, idx: np.ndarray, num: int,
         flat = (idx.reshape(-1, 1) * w + np.arange(w)).ravel()
         if flat_cache is not None:
             flat_cache[w] = flat
+    if planes == 1:   # bincount gives int64 zeros for an empty idx
+        sums = np.bincount(flat, x.reshape(-1), num * w)
+        return sums.astype(np.float64, copy=False).reshape((num,) + trailing)
     sums = empty((num,) + trailing)
     cols = sums.reshape(num, w, planes)
     for c, weights in enumerate(x.reshape(planes, -1)):
@@ -315,7 +333,7 @@ class Tape:
         array with the checked index) are what a vjp that reads it keeps."""
         xv = x.value
         num = xv.shape[0]
-        idx = _row_index(idx, num)
+        idx = _row_index(idx, num, flat_cache)
 
         def vjp(g):
             return (scatter_add(g, idx, num, flat_cache, planes),)
@@ -329,7 +347,7 @@ class Tape:
         """Row idx[j] of the result sums x[j] over every j carrying it.  With
         planes=k > 1, x is (k, len(idx), d) planes and the result is
         interleaved, (num, d*k)."""
-        idx = _row_index(idx, num)
+        idx = _row_index(idx, num, flat_cache)
         out = scatter_add(x.value, idx, num, flat_cache, planes)
         return self._record(out, (x,), lambda g: (take_planes(g, idx, planes),),
                             "segment_sum")

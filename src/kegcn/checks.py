@@ -37,18 +37,18 @@ def _sample_triple(scorer: Scorer, rng: RandomSource):
 
 def message_gradients(scorer: Scorer, u, r, v) -> list:
     """Gradients of scorer.score at one interleaved (u, r, v) triple with
-    respect to each argument, from `messages` on a one-row tape."""
+    respect to each argument, from `Scorer.gradients` on a one-row tape."""
     k = scorer.planes
     tape = ForwardTape()
     rows = [tape.leaf(x[None] if k == 1 else x.reshape(1, -1, k).transpose(2, 0, 1))
             for x in (u, r, v)]
     return [(g.value if k == 1 else g.value.transpose(1, 2, 0)).reshape(-1)
-            for g in scorer.messages(tape, *rows)]
+            for g in scorer.gradients(tape, *rows)]
 
 
 def scorer_gradient_fd(kind: str, n_points: int = 100, seed: int = 0) -> float:
-    """Worst floored relative error of the three gradients `messages`
-    computes for one scorer of base dimension 4 against central
+    """Worst floored relative error of the three gradients
+    `Scorer.gradients` computes for one scorer of base dimension 4 against central
     differences of its score, over n_points random smooth points."""
     scorer = make_scorer(kind, 4)
     rng = RandomSource(seed)

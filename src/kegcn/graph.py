@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .autodiff import FlatCache
+
 
 class GraphError(ValueError):
     """Invalid triple data handed to the graph builder."""
@@ -19,7 +21,7 @@ class KnowledgeGraph:
 
     flat_cache[name] holds the flat scatter positions of the index array
     `name` (heads, tails or rels), one entry per plane width, filled by
-    the tape on first use (see `autodiff.scatter_add`).
+    the tape on first use (see `autodiff.scatter_add`), and its id count.
     """
 
     def __init__(self, num_entities: int, num_relations: int, heads: np.ndarray,
@@ -27,10 +29,15 @@ class KnowledgeGraph:
         self.num_entities = int(num_entities)
         self.num_relations = int(num_relations)
         self.heads, self.rels, self.tails = heads, rels, tails
+        n, rn = self.num_entities, self.num_relations
+        self.flat_cache = {"heads": FlatCache(n), "tails": FlatCache(n), "rels": FlatCache(rn)}
+        for name, cache in self.flat_cache.items():   # once for every tape op on them
+            ids = getattr(self, name)
+            if ids.size and (ids.min() < 0 or ids.max() >= cache.rows):
+                raise GraphError(f"{name} id outside [0, {cache.rows})")
         self.in_degree = np.bincount(tails, minlength=self.num_entities)
         self.out_degree = np.bincount(heads, minlength=self.num_entities)
         self.rel_degree = np.bincount(rels, minlength=self.num_relations)
-        self.flat_cache = {"heads": {}, "tails": {}, "rels": {}}
 
     @property
     def num_triples(self) -> int:

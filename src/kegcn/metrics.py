@@ -71,17 +71,9 @@ def accuracy(pred_labels, true_labels) -> float:
     return float(np.mean(pred == true))
 
 
-def top_k_classes(scores_row: np.ndarray, k: int) -> np.ndarray:
-    row = np.asarray(scores_row, dtype=np.float64)
-    order = np.argsort(-row, kind="stable")
-    return order[:k]
-
-
 def ndcg_at_k(scores, truth, k: int):
     """NDCG@k of a score row against its true class ids, or, for 2-D
-    scores, an array of each row's against truth[i] (0 for no true class).
-    Gains are added in rank order from 0.0 with scalar np.log2 discounts,
-    so each row's value is the one it has alone."""
+    scores, an array of each row's against truth[i] (0 for no true class)."""
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim == 1:
         return float(ndcg_at_k(scores[None], [truth], k)[0])
@@ -90,9 +82,17 @@ def ndcg_at_k(scores, truth, k: int):
     for i, t in enumerate(sets):
         member[i, [c for c in t if 0 <= c < scores.shape[1]]] = True
     hits = np.take_along_axis(member, np.argsort(-scores, axis=1, kind="stable")[:, :k], axis=1)
+    return ndcg_of_hits(hits, [len(t) for t in sets], k)
+
+
+def ndcg_of_hits(hits: np.ndarray, num_true, k: int) -> np.ndarray:
+    """Each row's NDCG@k from whether its k best classes in rank order are
+    true, and its count of true classes.  Gains are added in rank order
+    from 0.0 with scalar np.log2 discounts, so each row's value is the one
+    it has alone."""
     discount = np.array([1.0 / np.log2(1.0 + pos) for pos in range(1, k + 1)])
-    dcg = np.zeros(len(scores))
+    dcg = np.zeros(len(hits))
     for pos in range(hits.shape[1]):
         dcg += np.where(hits[:, pos], discount[pos], 0.0)
-    ideal = np.minimum([len(t) for t in sets], k)
+    ideal = np.minimum(num_true, k)
     return np.where(ideal > 0, dcg / np.cumsum(discount)[np.maximum(ideal - 1, 0)], 0.0)

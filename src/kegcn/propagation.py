@@ -3,10 +3,14 @@
 Entity update:  h_v' = act_ent(m_v + W_0 h_v), where m_v sums
 W * d f(h_u, h_r, h_v) / d h_v over in-edges and
 W * d f(h_v, h_r, h_u) / d h_v over out-edges, scaled by
-alpha / (|N_in(v)| + |N_out(v)|)  (zero for isolated entities).
+alpha / (|N_in(v)| + |N_out(v)|)  (zero for isolated entities).  The
+sums run over the scorer's messages, the gradients over its `factors`
+(fh, fr, ft), so m_v = ft * norm_v * (in-sum + out-sum) W, with - for +
+where fh = -ft.
 
 Relation update:  h_r' = act_rel(W_rel (m_r + h_r)), where m_r sums
-d f / d h_r over the edges labeled r, scaled by alpha / |N(r)|.
+d f / d h_r over the edges labeled r, scaled by alpha / |N(r)|: the sum
+of the messages times fr * alpha / |N(r)|.
 
 Updates are synchronous: every read comes from the input state.  The
 default mode shares one W per layer and uses the same f on both
@@ -203,6 +207,18 @@ def _edge_messages_tape(tape, mode, scorer, U, Re, V, relation):
     return V, None, U
 
 
+def _row_scale(tape: Tape, x: Variable, factor: int, graph: KnowledgeGraph,
+               alpha: Optional[float], norm_cache: dict, entity: bool) -> Variable:
+    """x times `factor` and, unless alpha is None, its rows' degree norms."""
+    if alpha is None:
+        return x if factor == 1 else tape.scale(x, float(factor))
+    key = (entity, alpha, factor)
+    if key not in norm_cache:
+        norm = (entity_norm_factors if entity else relation_norm_factors)(graph, alpha)
+        norm_cache[key] = factor * norm.reshape(-1, 1)
+    return tape.scale(x, norm_cache[key])
+
+
 def layer_forward_tape(tape: Tape, graph: KnowledgeGraph, mode: str, scorer: Optional[Scorer],
                        params: LayerParams, lv: LayerVars,
                        hv: Variable, hr: Optional[Variable],
@@ -212,6 +228,7 @@ def layer_forward_tape(tape: Tape, graph: KnowledgeGraph, mode: str, scorer: Opt
     w_self = lv.w0 if lv.w0 is not None else lv.w
     self_term = tape.matmul(hv, w_self)
     gr_agg = None
+    fh, fr, ft = scorer.factors if mode == "kegcn" else (1, 1, 1)
     if ne > 0:
         fc = graph.flat_cache
         # complex/quaternion messages run on (k, E, d) component planes
@@ -228,20 +245,16 @@ def layer_forward_tape(tape: Tape, graph: KnowledgeGraph, mode: str, scorer: Opt
             scl = tape.gather(lv.rel_scale, graph.rels, flat_cache=fc["rels"])
             gt = tape.mul(gt, scl)
             gh = tape.mul(gh, scl)
-        m = tape.add(
-            tape.segment_sum(gt, graph.tails, n, flat_cache=fc["tails"], planes=k),
-            tape.segment_sum(gh, graph.heads, n, flat_cache=fc["heads"], planes=k),
-        )
-        if params.alpha is not None:
-            key = ("ent", params.alpha)
-            if key not in norm_cache:
-                norm_cache[key] = entity_norm_factors(graph, params.alpha).reshape(n, 1)
-            m = tape.scale(m, norm_cache[key])
+        # in this order TransE's one message e adds its gradient (tail + relation) + head
+        sh = tape.segment_sum(gh, graph.heads, n, flat_cache=fc["heads"], planes=k)
+        if gr is not None:
+            gr_agg = tape.segment_sum(gr, graph.rels, rn, flat_cache=fc["rels"], planes=k)
+        st = tape.segment_sum(gt, graph.tails, n, flat_cache=fc["tails"], planes=k)
+        m = (tape.add if fh == ft else tape.sub)(st, sh)
+        m = _row_scale(tape, m, ft, graph, params.alpha, norm_cache, entity=True)
         if lv.w_per_rel is None:
             m = tape.matmul(m, lv.w)
         pre = tape.add(m, self_term)
-        if gr is not None:
-            gr_agg = tape.segment_sum(gr, graph.rels, rn, flat_cache=fc["rels"], planes=k)
     else:
         pre = self_term
     new_hv = tape.activate(params.act_ent, pre)
@@ -249,11 +262,7 @@ def layer_forward_tape(tape: Tape, graph: KnowledgeGraph, mode: str, scorer: Opt
     new_hr = None
     if relation:
         if gr_agg is not None:   # kegcn with edges; the other modes send no gr
-            if params.alpha is not None:
-                key = ("rel", params.alpha)
-                if key not in norm_cache:
-                    norm_cache[key] = relation_norm_factors(graph, params.alpha).reshape(rn, 1)
-                gr_agg = tape.scale(gr_agg, norm_cache[key])
+            gr_agg = _row_scale(tape, gr_agg, fr, graph, params.alpha, norm_cache, entity=False)
             pre_r = tape.matmul(tape.add(gr_agg, hr), lv.w_rel)
         else:
             pre_r = tape.matmul(hr, lv.w_rel)

@@ -2,11 +2,12 @@
 
 Each scorer provides two things: a scalar score over one (head,
 relation, tail) embedding triple, and `messages`, the gradients of that
-score with respect to each argument, built as a tape expression over
-batched edge arrays so training can differentiate through them.
-`checks.scorer_gradient_fd` runs `messages` on a one-row tape against
-finite differences of `score`; the tests also compare it with closed
-forms derived separately.
+score with respect to each argument over its power-of-two `factors`
+(TransE sends e = h + r - t three ways, for -2, -2, 2; the layer applies
+them per row), as tape expressions over batched edge arrays so training
+can differentiate through them.  `checks.scorer_gradient_fd` runs
+`gradients` on a one-row tape against finite differences of `score`;
+the tests also compare it with closed forms derived separately.
 
 Widths for base dimension d (`widths` holds the multiples of d):
 
@@ -54,6 +55,7 @@ class Scorer:
     kind = "?"
     planes = 1
     widths: tuple   # (entity, relation) width as multiples of d
+    factors = (1, 1, 1)   # gradient / message (head, relation, tail); head = +-tail
 
     def __init__(self, dim: int):
         if dim < 1:
@@ -71,10 +73,16 @@ class Scorer:
     def score(self, u, r, v) -> float:
         raise NotImplementedError
 
+    def gradients(self, tape, U, R, V, relation=True):
+        """The score's gradients: `messages` times `factors`."""
+        return tuple(g if g is None or f == 1 else tape.scale(g, float(f))
+                     for g, f in zip(self.messages(tape, U, R, V, relation), self.factors))
+
     def messages(self, tape, U, R, V, relation=True):
         """Batched gradients of the score with respect to head, relation
-        and tail, as tape Variables; the relation gradient is None, and not
-        recorded, unless `relation`.
+        and tail, each divided by its entry of `factors`, as tape
+        Variables; the relation message is None, and not recorded, unless
+        `relation`.
 
         U, V: (E, entity_width); R: (E, relation_width); or, when
         planes = k > 1, all six are (k, E, d) component planes.  When R is
@@ -89,6 +97,7 @@ class Scorer:
 class TransE(Scorer):
     kind = "transe"
     widths = (1, 1)
+    factors = (-2, -2, 2)
 
     def score(self, u, r, v):
         u, r, v = self._args(u, r, v)
@@ -97,8 +106,7 @@ class TransE(Scorer):
 
     def messages(self, tape, U, R, V, relation=True):
         e = tape.sub(tape.add(U, R), V)
-        return (tape.scale(e, -2.0), tape.scale(e, -2.0) if relation else None,
-                tape.scale(e, 2.0))
+        return e, e if relation else None, e
 
 
 class DistMult(Scorer):

@@ -189,30 +189,44 @@ def classification_loss(tape: Tape, logits: Variable, label_set: LabelSet,
 
 class Adam:
     """Full-batch Adam with bias correction.  Updates parameter arrays in
-    place, through two scratch arrays of the largest parameter's size
-    instead of temporaries."""
+    place.  The moments m and v are flat, one span per parameter of the
+    first step, which every later step must name again with the same
+    shapes.  Each elementwise operation runs once per run of consecutive
+    parameters that fits two scratch arrays of the largest parameter's
+    size, not once per parameter, and every element sees the operations
+    it would see alone."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     def __init__(self, lr: float):
         self.lr = lr
         self.step_count = 0
-        self.m, self.v = {}, {}
-        self._scratch = np.empty((2, 0))
+        self._layout = None
+
+    def _plan(self, params: dict) -> None:
+        self._layout = [(name, a.shape) for name, a in params.items()]
+        sizes = [a.size for a in params.values()]
+        cap, stop = max(sizes, default=0), 0
+        self._runs = []   # [flat start, flat stop, names] of each run
+        for name, size in zip(params, sizes):
+            if not self._runs or stop + size - self._runs[-1][0] > cap:
+                self._runs.append([stop, stop, []])
+            stop += size
+            self._runs[-1][1] = stop
+            self._runs[-1][2].append(name)
+        self.m, self.v, self._scratch = np.zeros(stop), np.zeros(stop), np.empty((2, cap))
 
     def step(self, params: dict, grads: dict) -> None:
+        if self._layout is None:
+            self._plan(params)
+        if [(name, a.shape) for name, a in params.items()] != self._layout:
+            raise ValueError("Adam.step takes the parameters of its first step")
         self.step_count += 1
         t = self.step_count
-        size = max((a.size for a in params.values()), default=0)
-        if self._scratch.shape[1] < size:
-            self._scratch = np.empty((2, size))
-        for name, arr in params.items():
-            g = grads[name]
-            if name not in self.m:
-                self.m[name] = np.zeros_like(arr)
-                self.v[name] = np.zeros_like(arr)
-            m, v = self.m[name], self.v[name]
-            a, b = (s[:arr.size].reshape(arr.shape) for s in self._scratch)
+        for lo, hi, names in self._runs:
+            m, v = self.m[lo:hi], self.v[lo:hi]
+            a, b = (s[:hi - lo] for s in self._scratch)
+            g = np.concatenate([grads[k] for k in names], axis=None, out=b)
             # m += (1 - beta1) (g - m); v += (1 - beta2) (g g - v);
             # arr -= lr mhat / (sqrt(vhat) + eps): the same operations in place
             np.subtract(g, m, out=a)
@@ -228,7 +242,10 @@ class Adam:
             np.sqrt(b, out=b)
             b += self.eps
             a /= b
-            arr -= a
+            for k in names:
+                arr = params[k]
+                arr -= a[:arr.size].reshape(arr.shape)
+                a = a[arr.size:]
 
 
 # ---------------- parameter plumbing ----------------
@@ -339,15 +356,15 @@ def evaluate_classification(scores: np.ndarray, label_set: LabelSet,
                             entity_ids) -> dict:
     """Accuracy, or p@1 / p@5 / ndcg@5 for multi-label sets, over entity_ids.
     Rows are ranked as the per-row `metrics` functions rank them: argmax
-    and stable descending sorts give ties to the lowest class id."""
+    and stable descending sorts give ties to the lowest class id.  One
+    ranking of each row serves p@1, p@5 and ndcg@5."""
     rows = np.asarray(scores)[np.asarray(entity_ids, dtype=np.int64)]
     if label_set.multi_label:
         truth = _label_matrix(label_set, entity_ids) > 0
         top = np.argsort(-rows, axis=1, kind="stable")[:, :5]
         hits = np.take_along_axis(truth, top, axis=1)
         out = {f"p{k}": float(np.mean(hits[:, :k].sum(axis=1) / k)) for k in (1, 5)}
-        n5 = metrics_mod.ndcg_at_k(rows, [label_set.labels[e] for e in entity_ids], 5)
-        out["ndcg5"] = float(np.mean(n5))
+        out["ndcg5"] = float(np.mean(metrics_mod.ndcg_of_hits(hits, truth.sum(axis=1), 5)))
         return out
     true = [label_set.labels[e][0] for e in entity_ids]
     return {"accuracy": metrics_mod.accuracy(np.argmax(rows, axis=1), true)}

@@ -1,0 +1,167 @@
+"""Hashes of what training and the CLI compute, to show that a change
+keeps them bit for bit.
+
+    python tests/fingerprint.py            # everything, a few minutes
+    python tests/fingerprint.py --no-cli   # the training records only
+
+Run it in two checkouts and compare the outputs: each line is a name and
+the sha256 of the bytes it stands for.  The package comes from the `src`
+directory next to this file's directory, so each checkout hashes its own.
+
+Training records: for kegcn with each of the six scorers and for the
+five reduction modes, on alignment (`hub_signature_pair(40, 3, 150,
+seed=1)`) and classification (`block_classification(60, 3, 200,
+seed=3)`), dim 8, 3 layers, alpha 0.3, 4 epochs; and for kegcn with
+alpha None (set on the `ModelConfig`) in 2 layers for alignment and 1 for
+classification, where deeper unnormalized stacks saturate the loss.
+Hashed are the losses, every epoch's leaf gradients as `Adam.step`
+receives them, the weights and tables after every step, and the final
+states (`model_forward` over the restored best tables, final relation
+included).
+
+CLI: the report bytes of the three gate runs (`train-align` transe and
+quate with `--rel-test`, `train-classify`; the instances of
+`tests/test_acceptance.py`, 300 epochs) and the stdout of
+`verify-reductions` and `gradcheck --scorer all`.
+
+Not collected by pytest.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+import numpy as np  # noqa: E402
+
+from kegcn import synthetic, tasks  # noqa: E402
+from kegcn.propagation import REDUCTION_MODES, model_forward  # noqa: E402
+
+SCORER_KINDS = ("transe", "distmult", "transh", "transd", "rotate", "quate")
+
+
+def digest(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(repr((a.dtype.str, a.shape)).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def training_record(task: str, mode: str, scorer: str, alpha) -> dict:
+    """Hashes of one dim-8, 4-epoch run; alpha None is set on the
+    ModelConfig, since TrainConfig takes a number."""
+    layers = 3 if alpha is not None else 2 if task == "alignment" else 1
+    cfg = tasks.TrainConfig(mode=mode, scorer=scorer, dim=8, layers=layers, epochs=4,
+                            lr=0.05, alpha=0.3 if alpha is None else alpha)
+    grads, steps = [], []
+    step, model_config = tasks.Adam.step, tasks.TrainConfig.model_config
+
+    def recording_step(self, params, g):
+        grads.extend(g[k].copy() for k in sorted(g))
+        step(self, params, g)
+        steps.extend(params[k].copy() for k in sorted(params))
+
+    def config(self, out_dim=None):
+        mc = model_config(self, out_dim)
+        mc.alpha = alpha
+        return mc
+
+    tasks.Adam.step = recording_step
+    tasks.TrainConfig.model_config = config
+    try:
+        if task == "alignment":
+            g1, g2, ent_pairs, _ = synthetic.hub_signature_pair(40, 3, 150, seed=1)
+            seeds = synthetic.alignment_split(ent_pairs, valid_fraction=0.1)
+            res = tasks.train_alignment(g1, g2, seeds, cfg)
+            runs = [(g1, res.init1), (g2, res.init2)]
+        else:
+            g, labels = synthetic.block_classification(60, 3, 200, noise=0.1, seed=3)
+            label_set = synthetic.classification_split(labels, 3, seed=3)
+            res = tasks.train_classification(g, label_set, cfg)
+            runs = [(g, res.init)]
+        scorer_obj = tasks.config_scorer(cfg.model_config(
+            None if task == "alignment" else label_set.num_classes))
+        finals = [model_forward(g, st, res.params, mode=mode, scorer=scorer_obj)
+                  for g, st in runs]
+    finally:
+        tasks.Adam.step, tasks.TrainConfig.model_config = step, model_config
+    return {
+        "losses": digest([np.array(res.losses)]),
+        "grads": digest(grads),
+        "steps": digest(steps),
+        "final": digest([a for st in finals for a in (st.entity, st.relation)
+                         if a is not None]),
+    }
+
+
+def training_cases():
+    for task in ("alignment", "classification"):
+        for scorer in SCORER_KINDS:
+            for alpha in (0.3, None):
+                yield task, "kegcn", scorer, alpha
+        for mode in REDUCTION_MODES:
+            yield task, mode, "transe", 0.3
+
+
+def cli(args, cwd) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-m", "kegcn.cli", *args], cwd=cwd, env=env,
+                          capture_output=True)
+    if proc.returncode != 0:
+        raise SystemExit(proc.stderr.decode())
+    return proc
+
+
+def cli_records():
+    with tempfile.TemporaryDirectory() as tmp:
+        for scorer, gen_seed in (("transe", 122), ("quate", 19)):
+            g1, g2, ent_pairs, rel_pairs = synthetic.hub_signature_pair(200, 5, 1000,
+                                                                        seed=gen_seed)
+            seeds = synthetic.alignment_split(ent_pairs, 0.3, seed=0)
+            for name, g in (("graph1", g1), ("graph2", g2)):
+                synthetic.write_graph_tsv(os.path.join(tmp, f"{name}.tsv"), g)
+            for name, pairs in (("train", seeds.train), ("test", seeds.test),
+                                ("rel-test", rel_pairs)):
+                synthetic.write_pairs_tsv(os.path.join(tmp, f"{name}.tsv"), pairs)
+            files = ("graph1", "graph2", "train", "test", "rel-test")
+            cli(["train-align", *(x for name in files for x in (f"--{name}", f"{name}.tsv")),
+                 "--scorer", scorer, "--dim", "64", "--epochs", "300", "--seed", "0",
+                 "--quiet", "--report", "report.tsv"], tmp)
+            with open(os.path.join(tmp, "report.tsv"), "rb") as fh:
+                yield f"cli train-align {scorer} report", hashlib.sha256(fh.read()).hexdigest()
+
+        graph, labels = synthetic.block_classification(300, 3, 1500, noise=0.1, seed=0)
+        split = synthetic.classification_split(labels, 3, train_fraction=0.1,
+                                               valid_fraction=0.0, seed=0)
+        synthetic.write_graph_tsv(os.path.join(tmp, "g.tsv"), graph)
+        synthetic.write_labels_tsv(os.path.join(tmp, "train.tsv"), labels, split.train)
+        synthetic.write_labels_tsv(os.path.join(tmp, "test.tsv"), labels, split.test)
+        cli(["train-classify", "--graph1", "g.tsv", "--train", "train.tsv", "--test",
+             "test.tsv", "--epochs", "300", "--seed", "0", "--quiet", "--report",
+             "report.tsv"], tmp)
+        with open(os.path.join(tmp, "report.tsv"), "rb") as fh:
+            yield "cli train-classify report", hashlib.sha256(fh.read()).hexdigest()
+        for args in (["verify-reductions"], ["gradcheck", "--scorer", "all"]):
+            out = cli(args, tmp).stdout
+            yield f"cli {' '.join(args)} stdout", hashlib.sha256(out).hexdigest()
+
+
+def main(argv) -> None:
+    for task, mode, scorer, alpha in training_cases():
+        for what, h in training_record(task, mode, scorer, alpha).items():
+            print(f"{task} {mode} {scorer} alpha={alpha} {what} {h}", flush=True)
+    if "--no-cli" not in argv:
+        for name, h in cli_records():
+            print(f"{name} {h}", flush=True)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

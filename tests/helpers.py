@@ -2,13 +2,19 @@
 vectorised `tasks.evaluate_classification` and `metrics.ndcg_at_k` are
 checked against, the
 triples a graph file parses to, the reader of `io.write_report` files,
-and a finite-difference check of any function recorded on a tape."""
+a finite-difference check of any function recorded on a tape, and the
+per-parameter Adam step the flat `tasks.Adam` is checked against."""
 
 import numpy as np
 
 from kegcn.autodiff import Tape, fd_error
 from kegcn.io import DataError, _triple_rows
-from kegcn.metrics import top_k_classes
+
+
+def top_k_classes(scores_row: np.ndarray, k: int) -> np.ndarray:
+    row = np.asarray(scores_row, dtype=np.float64)
+    order = np.argsort(-row, kind="stable")
+    return order[:k]
 
 
 def argmax_prediction(scores_row: np.ndarray) -> int:
@@ -75,3 +81,46 @@ def finite_diff_check(fn, point, max_coords: int | None = None) -> float:
         return float(fn(t, *[t.leaf(a) for a in args]).value)
 
     return fd_error(value_at, point, [grads[v] for v in leaves], max_coords=max_coords)
+
+
+class PerParameterAdam:
+    """Full-batch Adam with bias correction, one parameter at a time: its
+    moments are a dict of arrays and its 13 elementwise operations run once
+    per parameter, through two scratch arrays of the largest parameter's
+    size."""
+
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr: float):
+        self.lr = lr
+        self.step_count = 0
+        self.m, self.v = {}, {}
+        self._scratch = np.empty((2, 0))
+
+    def step(self, params: dict, grads: dict) -> None:
+        self.step_count += 1
+        t = self.step_count
+        size = max((a.size for a in params.values()), default=0)
+        if self._scratch.shape[1] < size:
+            self._scratch = np.empty((2, size))
+        for name, arr in params.items():
+            g = grads[name]
+            if name not in self.m:
+                self.m[name] = np.zeros_like(arr)
+                self.v[name] = np.zeros_like(arr)
+            m, v = self.m[name], self.v[name]
+            a, b = (s[:arr.size].reshape(arr.shape) for s in self._scratch)
+            np.subtract(g, m, out=a)
+            a *= 1.0 - self.beta1
+            m += a
+            np.multiply(g, g, out=a)
+            a -= v
+            a *= 1.0 - self.beta2
+            v += a
+            np.divide(m, 1.0 - self.beta1**t, out=a)
+            a *= self.lr
+            np.divide(v, 1.0 - self.beta2**t, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            arr -= a

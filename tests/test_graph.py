@@ -4,8 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from eager_oracle import degree_norm, relation_edges, relation_norm
 from kegcn.checks import in_edges, out_edges
+from kegcn.autodiff import Tape
 from kegcn.graph import (
     GraphError,
+    KnowledgeGraph,
     build_graph,
     entity_norm_factors,
     relation_norm_factors,
@@ -60,6 +62,34 @@ def test_out_of_range_ids():
     # the first bad triple is named, and its entity ids are checked first
     with pytest.raises(GraphError, match=r"^triple 1: entity id out of range in \(0,9,7\)$"):
         build_graph([(0, 0, 1), (0, 9, 7), (9, 0, 1)], 2, 1)
+
+
+def test_graph_checks_its_ids_once_and_the_tape_the_table_rows():
+    # the graph checks every id once; a gather or segment sum over its
+    # index arrays then checks only that the table has the graph's rows,
+    # so a short table still raises instead of being clipped
+    ids = np.array([0, 4, 2])
+    for bad in ([0, 5, 2], [0, -1, 2]):
+        with pytest.raises(GraphError, match="heads id outside"):
+            KnowledgeGraph(5, 2, np.array(bad), np.array([0, 1, 0]), ids)
+    with pytest.raises(GraphError, match="rels id outside"):
+        KnowledgeGraph(5, 2, ids, np.array([0, 2, 0]), ids)
+    with pytest.raises(GraphError, match="tails id outside"):
+        KnowledgeGraph(5, 2, ids, np.array([0, 1, 0]), np.array([0, 1, 5]))
+    g = build_graph([(0, 1, 4), (4, 0, 2), (2, 1, 3)], 5, 2)
+    fc = g.flat_cache
+    tape = Tape()
+    for name, num in (("heads", 5), ("tails", 5), ("rels", 2)):
+        idx = getattr(g, name)
+        out = tape.gather(tape.leaf(np.arange(2.0 * num).reshape(num, 2)), idx,
+                          flat_cache=fc[name])
+        assert np.array_equal(out.value, np.arange(2.0 * num).reshape(num, 2)[idx])
+        with pytest.raises(IndexError):
+            tape.gather(tape.leaf(np.ones((num - 1, 2))), idx, flat_cache=fc[name])
+        with pytest.raises(IndexError):
+            tape.segment_sum(tape.leaf(np.ones((3, 2))), idx, num - 1, flat_cache=fc[name])
+        assert tape.segment_sum(tape.leaf(np.ones((3, 2))), idx, num + 1,
+                                flat_cache=fc[name]).shape == (num + 1, 2)
 
 
 def test_norms():

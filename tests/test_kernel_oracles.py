@@ -441,7 +441,7 @@ def test_messages_match_oracle_tape(kind, old):
     R[2, : w // d] = 1e-13                        # one tuple below eps
     weights = [rng.normal(size=(n, w)) for _ in range(3)]
     k = scorer.planes
-    new = run_planar(lambda t, u, r, v: scorer.messages(t, u, r, v), [U, R, V], weights,
+    new = run_planar(lambda t, u, r, v: scorer.gradients(t, u, r, v), [U, R, V], weights,
                      to=lambda x: planes(x.reshape(n, d, k)),
                      back=lambda x: trailing(x).reshape(n, w))
     ref = run_tape(OracleTape(), lambda t, u, r, v: old(t, d, u, r, v), [U, R, V], weights)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import argmax_prediction, ndcg_one_row, precision_at_k
+from helpers import argmax_prediction, ndcg_one_row, precision_at_k, top_k_classes
 from kegcn.metrics import (
     accuracy,
     hits_at_k,
@@ -9,7 +9,6 @@ from kegcn.metrics import (
     ndcg_at_k,
     rank_of_truth,
     ranks_from_distance_matrix,
-    top_k_classes,
 )
 from kegcn.numerics import RandomSource
 

@@ -420,11 +420,11 @@ def _first_layer(kind):
 
 def test_transe_layer_frees_its_edge_arrays_when_it_returns():
     # no TransE vjp captures an edge-sized array, so once the layer returns
-    # its gathered rows, U + R, e and the three messages are gone, while
-    # the tape and the layer's outputs live on
+    # its gathered rows, U + R and e, its one message for all three
+    # directions, are gone, while the tape and the layer's outputs live on
     g, tape, hv, hr = _first_layer("transe")
     edge = [i for i, (_, shape) in enumerate(tape.probes) if shape[0] == g.num_triples]
-    assert [tape.nodes[i].name for i in edge] == ["gather"] * 3 + ["add", "sub"] + ["scale"] * 3
+    assert [tape.nodes[i].name for i in edge] == ["gather"] * 3 + ["add", "sub"]
     assert all(tape.probes[i][0]() is None for i in edge)
     assert tape.nodes[hv.index].value is hv.value and tape.nodes[hr.index].value is hr.value
 

@@ -101,7 +101,7 @@ def test_tape_messages_match_closed_forms(kind):
     if k > 1:
         R += 0.4 * np.sign(R.reshape(n, -1, k)).reshape(n, -1)
     tape = Tape()
-    out = scorer.messages(tape, *(tape.leaf(to_planes(x, k)) for x in (U, R, V)))
+    out = scorer.gradients(tape, *(tape.leaf(to_planes(x, k)) for x in (U, R, V)))
     gh, gr, gt = (from_planes(o.value, k) for o in out)
     for e in range(n):
         for got, want in zip((gh, gr, gt), gradients(scorer, U[e], R[e], V[e])):
@@ -128,10 +128,36 @@ def test_transe_message_vjp_is_minus_two_g():
     g = rng.normal((6, 4))
     tape = Tape()
     vU, vR, vV = tape.leaf(U), tape.leaf(R), tape.leaf(V)
-    _, _, gt = scorer.messages(tape, vU, vR, vV)
+    _, _, gt = scorer.gradients(tape, vU, vR, vV)
     loss = tape.sum(tape.mul(gt, tape.leaf(g)))
     grads = tape.backward(loss)
     assert np.allclose(grads[vV], -2.0 * g, atol=1e-12)
+
+
+def test_transe_sends_one_edge_term_for_its_factors():
+    # the layer applies -2, -2 and 2 once per summed row; the edge term is
+    # e = U + R - V for all three directions, recorded once
+    scorer = make_scorer("transe", 4)
+    U, R, V = RandomSource(48).normal((3, 6, 4))
+    tape = Tape()
+    gh, gr, gt = scorer.messages(tape, tape.leaf(U), tape.leaf(R), tape.leaf(V))
+    assert scorer.factors == (-2, -2, 2) and gh is gr is gt
+    assert np.array_equal(gh.value, U + R - V)
+    assert scorer.messages(tape, tape.leaf(U), tape.leaf(R), tape.leaf(V), False)[1] is None
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_gradients_are_messages_times_factors_bitwise(kind):
+    scorer = make_scorer(kind, 3)
+    rng = RandomSource(49)
+    U, V = rng.normal((2, 10, scorer.entity_width))
+    R = rng.normal((10, scorer.relation_width))
+    k = scorer.planes
+    tape = Tape()
+    rows = [tape.leaf(to_planes(x, k)) for x in (U, R, V)]
+    for f, m, g in zip(scorer.factors, scorer.messages(tape, *rows),
+                       scorer.gradients(tape, *rows)):
+        assert np.array_equal(g.value, f * m.value)
 
 
 def test_transe_translation_invariance():

@@ -9,9 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kegcn import checks, numerics, synthetic
+from kegcn import checks, numerics, scorers, synthetic
 from kegcn import tasks as tasks_mod
-from helpers import finite_diff_check
+from helpers import PerParameterAdam, finite_diff_check
 from kegcn.autodiff import Tape
 from kegcn.checks import end_to_end_gradient_fd
 from kegcn.graph import build_graph
@@ -211,6 +211,40 @@ def test_adam_minimizes_quadratic():
     for _ in range(500):
         opt.step({"x": x}, {"x": 2.0 * (x - 3.0)})
     assert abs(x[0] - 3.0) <= 1e-3
+
+
+def test_flat_adam_is_bitwise_the_per_parameter_step():
+    # runs of consecutive parameters share one pass of each elementwise op
+    # as long as they fit the largest parameter's 12 elements; every element
+    # still sees the operations it sees alone, non-contiguous gradients too
+    shapes = {"a": (3, 4), "b": (5,), "c": (2, 3), "d": (1,), "e": (4, 3),
+              "f": (2,), "g": (3, 3)}
+    rng = RandomSource(83)
+    flat = {k: rng.normal(s) for k, s in shapes.items()}
+    oracle = {k: v.copy() for k, v in flat.items()}
+    adam, ref = Adam(0.05), PerParameterAdam(0.05)
+    for t in range(50):
+        grads = {k: rng.normal(s) * 10.0 ** rng.integers(-6, 3) for k, s in shapes.items()}
+        grads["c"] = rng.normal((3, 2)).T          # a strided view inside a run
+        grads["e"] = rng.normal((3, 4)).T          # a strided view alone
+        if t % 7 == 3:
+            grads["b"][:] = 0.0
+        adam.step(flat, grads)
+        ref.step(oracle, grads)
+        for k in shapes:
+            assert np.array_equal(flat[k].view(np.int64), oracle[k].view(np.int64)), (t, k)
+    assert [names for _, _, names in adam._runs] == [["a"], ["b", "c", "d"], ["e"], ["f", "g"]]
+    assert np.array_equal(adam.m, np.concatenate([ref.m[k] for k in shapes], axis=None))
+    assert np.array_equal(adam.v, np.concatenate([ref.v[k] for k in shapes], axis=None))
+
+
+def test_adam_steps_the_parameters_of_its_first_step_only():
+    adam = Adam(0.01)
+    adam.step({"x": np.zeros(3)}, {"x": np.ones(3)})
+    with pytest.raises(ValueError, match="first step"):
+        adam.step({"x": np.zeros(4)}, {"x": np.ones(4)})
+    with pytest.raises(ValueError, match="first step"):
+        adam.step({"y": np.zeros(3)}, {"y": np.ones(3)})
 
 
 # ---------------- end-to-end gradients ----------------
@@ -488,14 +522,16 @@ def test_quate_epoch_tape_node_count(monkeypatch):
 
 
 def test_transe_classification_epoch_tape_node_count(monkeypatch):
-    # 4 layers plus the loss; the last layer records no gr scale, relation
-    # segment_sum, norm scale, add or matmul (104 nodes with them).  The norm
-    # columns are constants, not leaves
+    # 4 layers plus the loss; the last layer records no relation
+    # segment_sum, norm scale, add or matmul (92 nodes with them).  TransE's
+    # message is e itself: its factors -2, -2, 2 ride on the norm scales,
+    # not on three edge scale nodes per layer.  The norm columns are
+    # constants, not leaves
     g, labels = synthetic.block_classification(60, 3, 200, noise=0.1, seed=3)
     label_set = synthetic.classification_split(labels, 3, seed=3)
     cfg = TrainConfig(dim=8, layers=4, epochs=2)
     assert _epoch_node_counts(monkeypatch, lambda: train_classification(g, label_set, cfg)) \
-        == [99, 99]
+        == [88, 88]
 
 
 def gather_without_rows(tape, *args, **kwargs):
@@ -552,6 +588,81 @@ def test_epoch_equals_the_full_stack_bitwise(monkeypatch, task, mode, scorer):
         assert len(grads) == len(full_grads)
         for a, b in zip(grads, full_grads):
             assert (a is None and b is None) or np.array_equal(a, b)
+
+
+class UnfoldedTransE(scorers.TransE):
+    """TransE with its factors inside the messages: the score gradients
+    -2e, -2e and 2e, one edge-sized scale node each."""
+
+    factors = (1, 1, 1)
+
+    def messages(self, tape, U, R, V, relation=True):
+        e = tape.sub(tape.add(U, R), V)
+        return (tape.scale(e, -2.0), tape.scale(e, -2.0) if relation else None,
+                tape.scale(e, 2.0))
+
+
+def _transe_run(monkeypatch, task, alpha):
+    """Losses, every epoch's leaf gradients as Adam receives them, and the
+    trained arrays and final states (model_forward, final relation
+    included) of a transe run with `alpha` on its ModelConfig.  Without
+    alpha the stack is shallower (2 layers for alignment, 1 for
+    classification): deeper unnormalized messages saturate the loss."""
+    g1, g2, ent_pairs, _ = synthetic.hub_signature_pair(40, 3, 150, seed=1)
+    seeds = synthetic.alignment_split(ent_pairs, valid_fraction=0.1)
+    g, labels = synthetic.block_classification(60, 3, 200, noise=0.1, seed=3)
+    label_set = synthetic.classification_split(labels, 3, seed=3)
+    layers = 3 if alpha is not None else 2 if task == "alignment" else 1
+    cfg = TrainConfig(scorer="transe", dim=8, layers=layers, epochs=3, lr=0.05)
+    model_config = TrainConfig.model_config
+
+    def config(self, out_dim=None):
+        mc = model_config(self, out_dim)
+        mc.alpha = alpha
+        return mc
+
+    grads = []
+
+    def recording_step(self, params, gr):
+        grads.append({k: v.copy() for k, v in gr.items()})
+        return ADAM_STEP(self, params, gr)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(TrainConfig, "model_config", config)
+        mp.setattr(Adam, "step", recording_step)
+        if task == "alignment":
+            res = train_alignment(g1, g2, seeds, cfg)
+            runs = [(g1, res.init1), (g2, res.init2)]
+            mc = cfg.model_config()
+        else:
+            res = train_classification(g, label_set, cfg)
+            runs = [(g, res.init)]
+            mc = cfg.model_config(label_set.num_classes)
+    scorer = propagation.config_scorer(mc)
+    finals = [propagation.model_forward(gr, st, res.params, scorer=scorer) for gr, st in runs]
+    arrays = [a for p in res.params for a in (p.w, p.w0, p.w_rel)]
+    arrays += [a for gr, st in runs for a in (st.entity, st.relation)]
+    arrays += [a for st in finals for a in (st.entity, st.relation)]
+    return (res.losses, grads), arrays, type(scorer)
+
+
+@pytest.mark.parametrize("alpha", [0.3, None])
+@pytest.mark.parametrize("task", ["alignment", "classification"])
+def test_transe_fold_is_bitwise_the_unfolded_messages(monkeypatch, task, alpha):
+    # the layer applies TransE's -2, -2 and 2 once per summed row, folded
+    # into the degree norms; scaling each edge message first gives the same
+    # bits: the factors are powers of two, and e's gradient still adds
+    # (tail + relation) + head
+    folded, arrays, kind = _transe_run(monkeypatch, task, alpha)
+    assert kind is scorers.TransE
+    monkeypatch.setitem(scorers.SCORERS, "transe", UnfoldedTransE)
+    unfolded, ref_arrays, kind = _transe_run(monkeypatch, task, alpha)
+    assert kind is UnfoldedTransE
+    assert len(set(folded[0])) == 3          # the loss moves every epoch
+    _assert_bitwise_records(folded, unfolded, 3)
+    assert len(arrays) == len(ref_arrays)
+    for a, b in zip(arrays, ref_arrays):
+        assert (a is None and b is None) or np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 # ---------------- training memory ----------------
