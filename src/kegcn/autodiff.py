@@ -8,11 +8,11 @@ through the score-gradient messages, so second derivatives of the scoring
 functions are picked up automatically.
 
 Gradients: `backward` keeps the first gradient a node receives as its vjp
-built it and adds later ones into it in place.  The incoming gradient
-itself, which `add` and `sub` pass on unchanged, becomes the first
-gradient of the first parent that gets it: nothing else holds it once its
-node has run.  Any other first gradient that may share its memory (the
-second parent of an `add`, the views `concat` passes on) is copied.
+built it and adds later ones into it in place, so a node with a second
+consumer owns its first: the incoming gradient itself (`add` and `sub`
+pass it on) if nothing else holds it, else a copy.  A node with one
+consumer reads it, or `concat`'s views of it, as is unless an owner took
+it: both parents of an `add` that no other op reads share one array.
 
 Value lifetime: an intermediate lives only while a Variable, or a vjp not
 yet run, holds it.  A Variable owns its array; a node holds its parents and
@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 import sys
 import weakref
+from collections import Counter
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -580,8 +581,10 @@ class Tape:
         nodes = self.nodes.all
         for node in nodes[loss.index + 1:]:
             node.vjp, node.parents = None, ()
+        consumers = Counter(pi for node in nodes[:loss.index + 1] for pi in node.parents)
         grads: list = [None] * (loss.index + 1)
         grads[loss.index] = np.ones_like(loss.value)
+        shared: set = set()   # nodes whose gradient another node may hold too
         for i in range(loss.index, -1, -1):
             node = nodes[i]
             vjp, parents = node.vjp, node.parents
@@ -591,27 +594,31 @@ class Tape:
             g, grads[i] = grads[i], None
             if g is None:
                 continue
-            self._accumulate(grads, parents, vjp(g), g)
+            self._accumulate(grads, parents, vjp(g), g, consumers, shared, i in shared)
         return GradientMap(grads)
 
-    def _accumulate(self, grads: list, parents: tuple, pgs: tuple, g: np.ndarray) -> None:
-        """Add a vjp's results into the parents' gradients.  A first
-        gradient is kept as the vjp built it; g itself (nobody else holds
-        it) goes to the first parent that gets it, and anything else that
-        may alias g is copied."""
-        g_free = True
+    def _accumulate(self, grads: list, parents: tuple, pgs: tuple, g: np.ndarray,
+                    consumers: Counter, shared: set, g_shared: bool) -> None:
+        """Add a vjp's results into the parents' gradients (see the module
+        docstring); readers of g that another node may hold too join `shared`."""
+        readers, g_taken = [], False
         for pi, pg in zip(parents, pgs):
             if pg is None:
                 continue
             if grads[pi] is not None:
                 grads[pi] += pg
-            elif pg is g and g_free:
-                grads[pi], g_free = g, False
-            elif np.may_share_memory(pg, g):
+            elif not np.may_share_memory(pg, g):
+                grads[pi] = pg
+            elif consumers[pi] == 1 and not g_taken:
+                grads[pi] = pg
+                readers.append(pi)
+            elif pg is g and not (g_shared or readers or g_taken):
+                grads[pi], g_taken = g, True
+            else:
                 grads[pi] = empty(pg.shape)
                 np.copyto(grads[pi], pg)
-            else:
-                grads[pi] = pg
+        if g_shared or len(readers) > 1:
+            shared.update(readers)
 
 
 class ForwardTape(Tape):

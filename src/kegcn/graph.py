@@ -38,6 +38,17 @@ class KnowledgeGraph:
         self.in_degree = np.bincount(tails, minlength=self.num_entities)
         self.out_degree = np.bincount(heads, minlength=self.num_entities)
         self.rel_degree = np.bincount(rels, minlength=self.num_relations)
+        self.norm_columns: dict = {}
+
+    def norm_column(self, alpha: float, factor: int, entity: bool) -> np.ndarray:
+        """factor * alpha / degree (edges in and out of each entity, or on each
+        relation) as one column, zero where the degree is 0; built once."""
+        key = (alpha, factor, entity)
+        if key not in self.norm_columns:
+            deg = (self.in_degree + self.out_degree if entity else self.rel_degree)[:, None]
+            norm = np.divide(alpha, deg, out=np.zeros(deg.shape), where=deg > 0)
+            self.norm_columns[key] = factor * norm
+        return self.norm_columns[key]
 
     @property
     def num_triples(self) -> int:
@@ -66,16 +77,3 @@ def build_graph(triples, num_entities: int, num_relations: int) -> KnowledgeGrap
     return KnowledgeGraph(num_entities, num_relations,
                           *(np.ascontiguousarray(c) for c in rows[first].T))
 
-
-def entity_norm_factors(g: KnowledgeGraph, alpha: float) -> np.ndarray:
-    """Per-entity alpha/(|N_in|+|N_out|) column, zero where isolated."""
-    deg = g.in_degree + g.out_degree
-    out = np.zeros(g.num_entities, dtype=np.float64)
-    np.divide(alpha, deg, out=out, where=deg > 0)
-    return out
-
-
-def relation_norm_factors(g: KnowledgeGraph, alpha: float) -> np.ndarray:
-    out = np.zeros(g.num_relations, dtype=np.float64)
-    np.divide(alpha, g.rel_degree, out=out, where=g.rel_degree > 0)
-    return out

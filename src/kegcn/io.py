@@ -23,6 +23,8 @@ little-endian version, then named sections, each
 Array shapes ride inside the section name after a `:` separator, so the
 container itself stays a plain list of float vectors.  Sections are
 written sorted by name, which makes save -> load -> save byte-identical.
+Version 2 ends in a `checksum` section (the CRC-32 of all bytes before it, an
+exact float) that loading checks and drops; version 1 loads unchecked.
 A model checkpoint (`pack_model`) holds the config echo `config/<key>`,
 `best_valid`, and one `param/layer<i>.<field>` or `table/<graph>.<part>`
 section per array of the layout `propagation.layer_shapes` and
@@ -37,6 +39,7 @@ import math
 import os
 import struct
 import tempfile
+import zlib
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -383,13 +386,23 @@ def train_config(values: dict) -> TrainConfig:
 
 
 MAGIC = b"KEGC"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+CHECKSUM = "checksum"   # the last section of a version-2 file; a reserved name
 
 
 @dataclass
 class Checkpoint:
     sections: dict = field(default_factory=dict)
-    version: int = CHECKPOINT_VERSION
+
+
+def _section(name: str, arr: np.ndarray) -> bytes:
+    full = f"{name}:{'x'.join(str(s) for s in arr.shape)}".encode("utf-8")
+    return (struct.pack("<I", len(full)) + full + struct.pack("<Q", arr.size)
+            + np.ascontiguousarray(arr, dtype="<f8").tobytes())
+
+
+def _checksum(data: bytes) -> np.ndarray:
+    return np.array([float(zlib.crc32(data))])
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
@@ -406,15 +419,10 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
 
 
 def save_checkpoint(path: str, cp: Checkpoint) -> None:
-    blob = bytearray(MAGIC)
-    blob += struct.pack("<I", cp.version)
+    blob = bytearray(MAGIC + struct.pack("<I", CHECKPOINT_VERSION))
     for name in sorted(cp.sections):
-        arr = np.atleast_1d(np.asarray(cp.sections[name], dtype="<f8"))
-        full = f"{name}:{'x'.join(str(s) for s in arr.shape)}".encode("utf-8")
-        blob += struct.pack("<I", len(full))
-        blob += full
-        blob += struct.pack("<Q", arr.size)
-        blob += np.ascontiguousarray(arr).tobytes()
+        blob += _section(name, np.atleast_1d(cp.sections[name]))
+    blob += _section(CHECKSUM, _checksum(blob))
     atomic_write_bytes(path, bytes(blob))
 
 
@@ -426,9 +434,9 @@ def load_checkpoint(path: str) -> Checkpoint:
     if len(data) < 8:
         raise CheckpointError(f"{path}: truncated checkpoint")
     version = struct.unpack_from("<I", data, 4)[0]
-    if version != CHECKPOINT_VERSION:
+    if version not in (1, CHECKPOINT_VERSION):
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    off = 8
+    off, start, name = 8, 8, None
     sections: dict = {}
 
     def take(n: int) -> bytes:
@@ -440,6 +448,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         return out
 
     while off < len(data):
+        start = off
         (name_len,) = struct.unpack("<I", take(4))
         try:
             full = take(name_len).decode("utf-8")
@@ -463,7 +472,10 @@ def load_checkpoint(path: str) -> Checkpoint:
         except ValueError:   # more axes, or a larger empty array, than NumPy holds
             raise CheckpointError(f"{path}: section {name!r} has shape {shape_txt}, "
                                   "which NumPy cannot hold") from None
-    return Checkpoint(sections, version)
+    if version == CHECKPOINT_VERSION and not (
+            name == CHECKSUM and np.array_equal(sections.pop(name), _checksum(data[:start]))):
+        raise CheckpointError(f"{path}: checksum mismatch, changed since it was written")
+    return Checkpoint(sections)
 
 
 def pack_model(values: dict, params_list: list, tables: dict,

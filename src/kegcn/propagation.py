@@ -37,13 +37,13 @@ last-layer relation update; `model_forward` builds it (relation alignment).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from dataclasses import dataclass, fields, replace
+from typing import ClassVar, Optional
 
 import numpy as np
 
 from .autodiff import ForwardTape, Tape, Variable
-from .graph import KnowledgeGraph, entity_norm_factors, relation_norm_factors
+from .graph import KnowledgeGraph
 from .numerics import RandomSource, truncated_normal_fill
 from .scorers import Scorer, base_dim, make_scorer
 
@@ -66,9 +66,11 @@ class LayerParams:
 
     Exactly one of (w, w_per_rel) carries the message transform; wgcn
     additionally scales each message by rel_scale[r] and reuses w for
-    the self term (w0 is None there).
+    the self term (w0 is None there).  WEIGHTS names the weights
+    everywhere: fields, named parameters and checkpoint sections.
     """
 
+    WEIGHTS: ClassVar[tuple] = ("w", "w0", "w_rel", "w_per_rel", "rel_scale")
     w: Optional[np.ndarray] = None
     w0: Optional[np.ndarray] = None
     w_rel: Optional[np.ndarray] = None
@@ -126,8 +128,8 @@ def relation_width(cfg: ModelConfig) -> Optional[int]:
 
 
 def layer_shapes(cfg: ModelConfig, num_relations: int, layer: int) -> dict:
-    """The shapes of layer `layer`'s weights by LayerVars field, in the
-    order init_params draws them."""
+    """The shapes of layer `layer`'s weights by name (see
+    LayerParams.WEIGHTS), in the order init_params draws them."""
     we, wr = entity_width(cfg), relation_width(cfg)
     out_w = cfg.out_dim if layer == cfg.layers - 1 and cfg.out_dim is not None else we
     if cfg.mode == "rgcn":
@@ -176,22 +178,10 @@ def init_state(cfg: ModelConfig, graph: KnowledgeGraph, rng: RandomSource) -> Em
 # ---------------- batched tape path (production) ----------------
 
 
-class LayerVars(NamedTuple):
-    """One layer's weights on a tape.  The field names are the names of
-    the layer weights everywhere: LayerParams attributes, named
-    parameters and checkpoint sections."""
-
-    w: Optional[Variable]
-    w0: Optional[Variable]
-    w_rel: Optional[Variable]
-    w_per_rel: Optional[Variable]
-    rel_scale: Optional[Variable]
-
-
-def lift_params(tape: Tape, p: LayerParams) -> LayerVars:
-    """The layer's weights as tape leaves, in LayerVars field order."""
-    return LayerVars(*(None if getattr(p, f) is None else tape.leaf(getattr(p, f))
-                       for f in LayerVars._fields))
+def lift(tape: Tape, x):
+    """x (a LayerParams or EmbeddingState) with each array field a tape leaf, in field order."""
+    return replace(x, **{f.name: tape.leaf(v) for f in fields(x)
+                         if isinstance(v := getattr(x, f.name), np.ndarray)})
 
 
 def _edge_messages_tape(tape, mode, scorer, U, Re, V, relation):
@@ -208,25 +198,20 @@ def _edge_messages_tape(tape, mode, scorer, U, Re, V, relation):
 
 
 def _row_scale(tape: Tape, x: Variable, factor: int, graph: KnowledgeGraph,
-               alpha: Optional[float], norm_cache: dict, entity: bool) -> Variable:
+               alpha: Optional[float], entity: bool) -> Variable:
     """x times `factor` and, unless alpha is None, its rows' degree norms."""
     if alpha is None:
         return x if factor == 1 else tape.scale(x, float(factor))
-    key = (entity, alpha, factor)
-    if key not in norm_cache:
-        norm = (entity_norm_factors if entity else relation_norm_factors)(graph, alpha)
-        norm_cache[key] = factor * norm.reshape(-1, 1)
-    return tape.scale(x, norm_cache[key])
+    return tape.scale(x, graph.norm_column(alpha, factor, entity))
 
 
 def layer_forward_tape(tape: Tape, graph: KnowledgeGraph, mode: str, scorer: Optional[Scorer],
-                       params: LayerParams, lv: LayerVars,
-                       hv: Variable, hr: Optional[Variable],
-                       norm_cache: dict, relation: bool = True):
+                       layer: LayerParams, hv: Variable, hr: Optional[Variable],
+                       relation: bool = True):
+    """One layer on `tape`; `layer` holds its weights as leaves (`lift`)."""
     n, rn, ne = graph.num_entities, graph.num_relations, graph.num_triples
-    relation = relation and hr is not None and lv.w_rel is not None
-    w_self = lv.w0 if lv.w0 is not None else lv.w
-    self_term = tape.matmul(hv, w_self)
+    relation = relation and hr is not None and layer.w_rel is not None
+    self_term = tape.matmul(hv, layer.w0 if layer.w0 is not None else layer.w)
     gr_agg = None
     fh, fr, ft = scorer.factors if mode == "kegcn" else (1, 1, 1)
     if ne > 0:
@@ -238,11 +223,11 @@ def layer_forward_tape(tape: Tape, graph: KnowledgeGraph, mode: str, scorer: Opt
         Re = (tape.gather(hr, graph.rels, flat_cache=fc["rels"], planes=k)
               if hr is not None else None)
         gh, gr, gt = _edge_messages_tape(tape, mode, scorer, U, Re, V, relation)
-        if lv.w_per_rel is not None:
-            gt = tape.per_relation_matmul(gt, lv.w_per_rel, graph.rels)
-            gh = tape.per_relation_matmul(gh, lv.w_per_rel, graph.rels)
-        elif lv.rel_scale is not None:
-            scl = tape.gather(lv.rel_scale, graph.rels, flat_cache=fc["rels"])
+        if layer.w_per_rel is not None:
+            gt = tape.per_relation_matmul(gt, layer.w_per_rel, graph.rels)
+            gh = tape.per_relation_matmul(gh, layer.w_per_rel, graph.rels)
+        elif layer.rel_scale is not None:
+            scl = tape.gather(layer.rel_scale, graph.rels, flat_cache=fc["rels"])
             gt = tape.mul(gt, scl)
             gh = tape.mul(gh, scl)
         # in this order TransE's one message e adds its gradient (tail + relation) + head
@@ -251,37 +236,34 @@ def layer_forward_tape(tape: Tape, graph: KnowledgeGraph, mode: str, scorer: Opt
             gr_agg = tape.segment_sum(gr, graph.rels, rn, flat_cache=fc["rels"], planes=k)
         st = tape.segment_sum(gt, graph.tails, n, flat_cache=fc["tails"], planes=k)
         m = (tape.add if fh == ft else tape.sub)(st, sh)
-        m = _row_scale(tape, m, ft, graph, params.alpha, norm_cache, entity=True)
-        if lv.w_per_rel is None:
-            m = tape.matmul(m, lv.w)
+        m = _row_scale(tape, m, ft, graph, layer.alpha, entity=True)
+        if layer.w_per_rel is None:
+            m = tape.matmul(m, layer.w)
         pre = tape.add(m, self_term)
     else:
         pre = self_term
-    new_hv = tape.activate(params.act_ent, pre)
+    new_hv = tape.activate(layer.act_ent, pre)
 
     new_hr = None
     if relation:
         if gr_agg is not None:   # kegcn with edges; the other modes send no gr
-            gr_agg = _row_scale(tape, gr_agg, fr, graph, params.alpha, norm_cache, entity=False)
-            pre_r = tape.matmul(tape.add(gr_agg, hr), lv.w_rel)
+            gr_agg = _row_scale(tape, gr_agg, fr, graph, layer.alpha, entity=False)
+            pre_r = tape.matmul(tape.add(gr_agg, hr), layer.w_rel)
         else:
-            pre_r = tape.matmul(hr, lv.w_rel)
-        new_hr = tape.activate(params.act_rel, pre_r)
+            pre_r = tape.matmul(hr, layer.w_rel)
+        new_hr = tape.activate(layer.act_rel, pre_r)
     return new_hv, new_hr
 
 
 def forward_on_tape(tape: Tape, graph: KnowledgeGraph, mode: str, scorer: Optional[Scorer],
-                    params_list: list[LayerParams], layer_vars: list[LayerVars],
-                    hv: Variable, hr: Optional[Variable], collect: bool = False,
-                    final_relation: bool = True):
-    """The layer stack on `tape`; without `final_relation` the last layer
-    records no relation update and returns None for it."""
-    norm_cache: dict = {}
+                    layers: list[LayerParams], hv: Variable, hr: Optional[Variable],
+                    collect: bool = False, final_relation: bool = True):
+    """The stack of lifted `layers` on `tape`; without `final_relation` the
+    last layer records no relation update and returns None for it."""
     states = []
-    last = len(params_list) - 1
-    for i, (p, lv) in enumerate(zip(params_list, layer_vars)):
-        hv, hr = layer_forward_tape(tape, graph, mode, scorer, p, lv, hv, hr, norm_cache,
-                                    relation=final_relation or i < last)
+    for i, layer in enumerate(layers):
+        hv, hr = layer_forward_tape(tape, graph, mode, scorer, layer, hv, hr,
+                                    relation=final_relation or i < len(layers) - 1)
         states.append((hv, hr))
     return states if collect else (hv, hr)
 
@@ -293,13 +275,9 @@ def model_forward(graph: KnowledgeGraph, state: EmbeddingState,
     layer's state when collect is set.  Runs on a ForwardTape, so the
     intermediates of each layer are freed once the layer returns."""
     tape = ForwardTape()
-    hv = tape.leaf(state.entity)
-    hr = tape.leaf(state.relation) if state.relation is not None else None
-    lvs = [lift_params(tape, p) for p in params_list]
-    out = forward_on_tape(tape, graph, mode, scorer, params_list, lvs, hv, hr, collect=collect)
-    if collect:
-        return [
-            EmbeddingState(e.value, None if r is None else r.value) for e, r in out
-        ]
-    e, r = out
-    return EmbeddingState(e.value, None if r is None else r.value)
+    st = lift(tape, state)
+    out = forward_on_tape(tape, graph, mode, scorer, [lift(tape, p) for p in params_list],
+                          st.entity, st.relation, collect=collect)
+    states = [EmbeddingState(e.value, None if r is None else r.value)
+              for e, r in (out if collect else [out])]
+    return states if collect else states[0]

@@ -23,13 +23,12 @@ from .propagation import (
     MODES,
     EmbeddingState,
     LayerParams,
-    LayerVars,
     ModelConfig,
     config_scorer,
     forward_on_tape,
     init_params,
     init_state,
-    lift_params,
+    lift,
     model_forward,
 )
 from .scorers import SCORERS
@@ -252,15 +251,13 @@ class Adam:
 
 
 def named_parameters(params_list: list, tables: dict) -> dict:
-    """`layer{i}.{LayerVars field}` for every layer weight, then
-    `{table}.entity` and `{table}.relation`; the members may be arrays
-    (LayerParams, EmbeddingState) or their tape leaves (LayerVars)."""
+    """`layer{i}.{weight}` for every layer weight (`LayerParams.WEIGHTS`), then
+    `{table}.entity` and `{table}.relation`; the members may be arrays or,
+    when `lift`ed, their tape leaves."""
     out = {f"layer{i}.{f}": getattr(p, f) for i, p in enumerate(params_list)
-           for f in LayerVars._fields if getattr(p, f) is not None}
-    for gname, st in tables.items():
-        out[f"{gname}.entity"] = st.entity
-        if st.relation is not None:
-            out[f"{gname}.relation"] = st.relation
+           for f in LayerParams.WEIGHTS if getattr(p, f) is not None}
+    out.update({f"{g}.{f}": getattr(st, f) for g, st in tables.items()
+                for f in ("entity", "relation") if getattr(st, f) is not None})
     return out
 
 
@@ -405,14 +402,12 @@ def record_forward(tape: Tape, graphs: dict, mode: str, scorer, params_list: lis
     stack over each graph (in `graphs` order) without the last layer's
     relation update, which no loss reads.  Returns the leaves by
     `named_parameters` name and each graph's output entities."""
-    lvs = [lift_params(tape, p) for p in params_list]
-    tvars = {name: EmbeddingState(tape.leaf(st.entity), None if st.relation is None
-                                  else tape.leaf(st.relation))
-             for name, st in tables.items()}
-    outs = [forward_on_tape(tape, g, mode, scorer, params_list, lvs, tvars[name].entity,
+    layers = [lift(tape, p) for p in params_list]
+    tvars = {name: lift(tape, st) for name, st in tables.items()}
+    outs = [forward_on_tape(tape, g, mode, scorer, layers, tvars[name].entity,
                             tvars[name].relation, final_relation=False)[0]
             for name, g in graphs.items()]
-    return named_parameters(lvs, tvars), outs
+    return named_parameters(layers, tvars), outs
 
 
 def fit(graphs: dict, mc: ModelConfig, cfg: TrainConfig, loss_fn: Callable,

@@ -3,10 +3,15 @@ keeps them bit for bit.
 
     python tests/fingerprint.py            # everything, a few minutes
     python tests/fingerprint.py --no-cli   # the training records only
+    python tests/fingerprint.py --against saved.txt
 
-Run it in two checkouts and compare the outputs: each line is a name and
-the sha256 of the bytes it stands for.  The package comes from the `src`
-directory next to this file's directory, so each checkout hashes its own.
+Each line is a name and the sha256 of the bytes it stands for.  The
+package comes from the `src` directory next to this file's directory, so
+each checkout hashes its own.  Save a run of one checkout and run the
+other with `--against` that file: after its own lines it prints, to
+stderr, each name whose hash differs from the saved one or that the file
+lacks, and exits 1 if there is any.  Saved names this run does not make
+(the CLI ones under `--no-cli`) are not compared.
 
 Training records: for kegcn with each of the six scorers and for the
 five reduction modes, on alignment (`hub_signature_pair(40, 3, 150,
@@ -29,6 +34,7 @@ Not collected by pytest.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import os
 import subprocess
@@ -154,14 +160,34 @@ def cli_records():
             yield f"cli {' '.join(args)} stdout", hashlib.sha256(out).hexdigest()
 
 
-def main(argv) -> None:
+def records(cli_too: bool):
     for task, mode, scorer, alpha in training_cases():
         for what, h in training_record(task, mode, scorer, alpha).items():
-            print(f"{task} {mode} {scorer} alpha={alpha} {what} {h}", flush=True)
-    if "--no-cli" not in argv:
-        for name, h in cli_records():
-            print(f"{name} {h}", flush=True)
+            yield f"{task} {mode} {scorer} alpha={alpha} {what}", h
+    if cli_too:
+        yield from cli_records()
+
+
+def main(argv) -> int:
+    parser = argparse.ArgumentParser(description="Hash what training and the CLI compute.")
+    parser.add_argument("--no-cli", action="store_true", help="the training records only")
+    parser.add_argument("--against", metavar="FILE",
+                        help="a saved run: print the names that differ and exit 1 if any do")
+    args = parser.parse_args(argv)
+    got = {}
+    for name, h in records(not args.no_cli):
+        print(f"{name} {h}", flush=True)
+        got[name] = h
+    if args.against is None:
+        return 0
+    with open(args.against, encoding="utf-8") as fh:
+        saved = dict(line.rstrip("\n").rsplit(" ", 1) for line in fh if line.strip())
+    differ = [name for name, h in got.items() if saved.get(name) != h]
+    for name in differ:
+        print(f"differs: {name}", file=sys.stderr)
+    print(f"{len(differ)} of {len(got)} lines differ from {args.against}", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    sys.exit(main(sys.argv[1:]))

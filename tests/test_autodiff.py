@@ -90,6 +90,38 @@ def test_accumulation_fanout():
     assert np.array_equal(grads[x], [2.0, 2.0])
 
 
+
+def test_single_consumer_parents_of_an_add_share_its_gradient():
+    tape = Tape()
+    a, b = tape.leaf(np.ones((3, 2))), tape.leaf(np.ones((3, 2)))
+    grads = tape.backward(tape.sum(tape.add(a, b)))
+    assert grads[a] is grads[b] and np.array_equal(grads[a], np.ones((3, 2)))
+
+
+def test_a_parent_that_is_added_into_owns_its_first_gradient():
+    # a has two consumers, b and c one each.  s's parents p and q share
+    # its gradient, so p passes a shared array on: a must copy it before
+    # r's gradient is added into it, or q, which runs after r, would read
+    # 4 instead of 1 and give c 20
+    tape = Tape()
+    a, b, c = (tape.leaf(np.ones((3, 2))) for _ in range(3))
+    q = tape.scale(c, 5.0)
+    r = tape.scale(a, 3.0)
+    p = tape.add(a, b)
+    s = tape.add(p, q)
+    grads = tape.backward(tape.sum(tape.add(s, r)))
+    assert not np.may_share_memory(grads[a], grads[b])
+    for leaf, want in ((a, 4.0), (b, 1.0), (c, 5.0)):
+        assert np.array_equal(grads[leaf], np.full((3, 2), want))
+    for a_first in (True, False):   # a takes the add's gradient, or its sibling does
+        tape = Tape()
+        a, b = tape.leaf(np.ones((3, 2))), tape.leaf(np.ones((3, 2)))
+        x = tape.add(a, b)
+        grads = tape.backward(tape.sum(tape.add(a, x) if a_first else tape.add(x, a)))
+        assert not np.may_share_memory(grads[a], grads[b])
+        assert np.array_equal(grads[a], np.full((3, 2), 2.0))
+        assert np.array_equal(grads[b], np.ones((3, 2)))
+
 def test_untouched_leaf_gets_zero():
     tape = Tape()
     x = tape.leaf([1.0, 2.0])

@@ -381,6 +381,26 @@ def hub_align_checkpoint(tmp_path, mode="kegcn", scorer="transe"):
     return ckpt, ["eval", *data, "--checkpoint"]
 
 
+@pytest.mark.parametrize("key, value", [("scorer", "distmult"), ("mode", "compgcn-sub"),
+                                        ("alpha", 5.0)])
+def test_eval_of_a_config_value_edited_in_the_file_exits_1_naming_the_file(
+        tmp_path, capsys, key, value):
+    # each edit leaves a model of the same layout, which evaluated and exited
+    # 0 before the container had a checksum
+    ckpt, args = hub_align_checkpoint(tmp_path)
+    raw = bytearray(ckpt.read_bytes())
+    name = f"config/{key}:1".encode()
+    assert raw.count(name) == 1
+    at = raw.index(name) + len(name) + 8
+    stored = value if key == "alpha" else io_mod._CHOICES[key].index(value)
+    raw[at:at + 8] = struct.pack("<d", float(stored))
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(bytes(raw))
+    assert cli.main(args + [str(bad)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {bad}: checksum mismatch, changed since it was written\n"
+
+
 def eval_with_section(tmp_path, ckpt, args, name, change):
     """Exit code and stderr of `kegcn eval` on a copy of the checkpoint
     whose section `name` is change(its array), and the copy's path."""

@@ -9,8 +9,6 @@ from kegcn.graph import (
     GraphError,
     KnowledgeGraph,
     build_graph,
-    entity_norm_factors,
-    relation_norm_factors,
 )
 from kegcn.numerics import RandomSource
 
@@ -106,8 +104,8 @@ def test_zero_degree_convention():
     g = build_graph([(0, 0, 1)], 3, 2)
     assert degree_norm(g, 2, 0.3) == 0.0
     assert relation_norm(g, 1, 0.3) == 0.0
-    assert entity_norm_factors(g, 0.3)[2] == 0.0
-    assert relation_norm_factors(g, 0.3)[1] == 0.0
+    assert g.norm_column(0.3, 1, True)[2, 0] == 0.0
+    assert g.norm_column(0.3, 1, False)[1, 0] == 0.0
 
 
 def test_norm_factor_columns_match_scalars():
@@ -115,8 +113,8 @@ def test_norm_factor_columns_match_scalars():
     triples = [(int(h), int(r), int(t)) for h, r, t in
                zip(rng.integers(0, 10, 30), rng.integers(0, 4, 30), rng.integers(0, 10, 30))]
     g = build_graph(triples, 10, 4)
-    ent = entity_norm_factors(g, 0.3)
-    rel = relation_norm_factors(g, 0.3)
+    ent = g.norm_column(0.3, 1, True)[:, 0]
+    rel = g.norm_column(0.3, 1, False)[:, 0]
     for v in range(10):
         assert ent[v] == degree_norm(g, v, 0.3)
     for r in range(4):

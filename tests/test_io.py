@@ -1,6 +1,7 @@
 """Tests for dataset parsing, config handling, checkpoints, and reports."""
 
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -240,6 +241,27 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_checkpoint_ends_in_a_crc32_checksum_that_loading_checks(tmp_path):
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(str(p), Checkpoint({"a": np.arange(4.0)}))
+    raw = p.read_bytes()
+    assert struct.unpack_from("<I", raw, 4) == (2,)
+    body, trailer = raw[:-30], raw[-30:]
+    assert trailer == (struct.pack("<I", 10) + b"checksum:1" + struct.pack("<Q", 1)
+                       + struct.pack("<d", float(zlib.crc32(body))))
+    assert list(load_checkpoint(str(p)).sections) == ["a"]
+    def flip(i):   # one bit of byte i
+        return raw[:i] + bytes([raw[i] ^ 1]) + raw[i + 1:]
+
+    for bad in (body, flip(len(raw) - 1), flip(12)):   # the checksum, a section name
+        p.write_bytes(bad)
+        with pytest.raises(CheckpointError, match=f"^{p}: checksum mismatch"):
+            load_checkpoint(str(p))
+    # version 1 has no checksum: the same sections load unchecked
+    p.write_bytes(raw[:4] + struct.pack("<I", 1) + body[8:])
+    assert list(load_checkpoint(str(p)).sections) == ["a"]
+
+
 def test_checkpoint_bad_magic_and_truncation(tmp_path):
     p = tmp_path / "m.ckpt"
     save_checkpoint(str(p), Checkpoint({"a": np.arange(4.0)}))
@@ -323,12 +345,17 @@ def test_model_checkpoint_with_one_byte_overwritten_loads_or_names_the_file(
 @pytest.mark.parametrize("old, new", [(b"param/layer0.w_rel", b"param/layer0.w_reX"),
                                       (b"param/layer1.w0", b"param/layer7.w0")])
 def test_unpack_model_rejects_a_param_section_it_does_not_know(tmp_path, old, new):
-    # a damaged weight name must not load as a model that lacks the weight
+    # a damaged weight name must not load as a model that lacks the weight;
+    # renamed after loading, since the checksum rejects the damaged file
     raw = model_checkpoint_bytes(tmp_path)
     assert raw.count(old) == 1
     path = tmp_path / "bad.ckpt"
     path.write_bytes(raw.replace(old, new))
+    with pytest.raises(CheckpointError, match="checksum mismatch"):
+        load_checkpoint(str(path))
+    path.write_bytes(raw)
     cp = load_checkpoint(str(path))
+    cp.sections[new.decode()] = cp.sections.pop(old.decode())
     g = build_graph([(0, 0, 1), (1, 1, 2)], 3, 2)
     with pytest.raises(CheckpointError, match=f"lacks section '{old.decode()}'"):
         unpack_model(cp, unpack_config(cp)[0], {"g1": g, "g2": g})

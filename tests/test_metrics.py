@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from helpers import argmax_prediction, ndcg_one_row, precision_at_k, top_k_classes
+from kegcn import metrics
 from kegcn.metrics import (
     accuracy,
     hits_at_k,
@@ -71,6 +74,33 @@ def test_ranks_from_distance_matrix_ties_match_oracle():
     assert got[0] == 25
     assert ranks_from_distance_matrix(np.zeros((0, 5)), np.zeros(0, np.int64)).shape == (0,)
 
+
+
+@pytest.mark.parametrize("block_bytes", [1, 25, 60, 1 << 20])
+def test_ranks_from_distance_matrix_by_row_blocks_match_oracle(monkeypatch, block_bytes):
+    # 25 candidates a row: blocks of 1, 1 and 2 rows, and all 40 at once
+    monkeypatch.setattr(metrics, "_RANK_BLOCK_BYTES", block_bytes)
+    rng = RandomSource(11)
+    dist = rng.integers(0, 4, (40, 25)).astype(np.float64)
+    truths = rng.integers(0, 25, 40)
+    want = [rank_of_truth(list(enumerate(dist[i])), int(truths[i])) for i in range(40)]
+    assert ranks_from_distance_matrix(dist, truths).tolist() == want
+    dist[-1, 0] = np.nan   # in the last block
+    with pytest.raises(ValueError, match="finite"):
+        ranks_from_distance_matrix(dist, truths)
+
+
+def test_ranks_from_distance_matrix_builds_no_full_size_temporary():
+    rng = RandomSource(13)
+    dist = rng.integers(0, 50, (2000, 1000)).astype(np.float64)
+    truths = rng.integers(0, 1000, 2000)
+    tracemalloc.start()
+    try:
+        ranks_from_distance_matrix(dist, truths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dist.size, peak   # one boolean of the matrix's shape
 
 def test_mrr_hits():
     assert mrr([1, 1, 1]) == 1.0

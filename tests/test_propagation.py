@@ -14,8 +14,8 @@ from kegcn.numerics import RandomSource
 from kegcn.propagation import (
     REDUCTION_MODES,
     EmbeddingState,
+    MODES,
     LayerParams,
-    LayerVars,
     ModelConfig,
     config_scorer,
     entity_width,
@@ -24,7 +24,7 @@ from kegcn.propagation import (
     init_state,
     layer_forward_tape,
     layer_shapes,
-    lift_params,
+    lift,
     model_forward,
     relation_width,
 )
@@ -147,18 +147,33 @@ def test_model_forward_deterministic():
 
 def test_model_forward_equals_recording_tape_bitwise():
     g = random_instance(seed=7)
-    cfg = ModelConfig(mode="kegcn", scorer_kind="quate", dim=8, layers=3, alpha=0.3)
-    rng = RandomSource(11)
-    params = init_params(cfg, g.num_relations, rng)
-    state = init_state(cfg, g, rng)
-    s = config_scorer(cfg)
+    for mode in MODES:
+        cfg = ModelConfig(mode=mode, scorer_kind="quate", dim=8, layers=3, alpha=0.3)
+        rng = RandomSource(11)
+        params = init_params(cfg, g.num_relations, rng)
+        state = init_state(cfg, g, rng)
+        s = config_scorer(cfg)
+        tape = Tape()
+        st = lift(tape, state)
+        e, r = forward_on_tape(tape, g, mode, s, [lift(tape, p) for p in params],
+                               st.entity, st.relation)
+        got = model_forward(g, state, params, mode=mode, scorer=s)
+        assert np.array_equal(got.entity.view(np.int64), e.value.view(np.int64)), mode
+        assert (got.relation is None) == (r is None), mode
+        if r is not None:
+            assert np.array_equal(got.relation.view(np.int64), r.value.view(np.int64)), mode
+
+
+def test_lift_records_each_array_field_in_field_order():
+    cfg = ModelConfig(mode="wgcn", dim=4, layers=1)
+    p = init_params(cfg, 3, RandomSource(0))[0]
+    state = EmbeddingState(np.ones((2, 4)), np.zeros((3, 4)))
     tape = Tape()
-    lvs = [lift_params(tape, p) for p in params]
-    e, r = forward_on_tape(tape, g, "kegcn", s, params, lvs,
-                           tape.leaf(state.entity), tape.leaf(state.relation))
-    got = model_forward(g, state, params, scorer=s)
-    assert np.array_equal(got.entity.view(np.int64), e.value.view(np.int64))
-    assert np.array_equal(got.relation.view(np.int64), r.value.view(np.int64))
+    lp, ls = lift(tape, p), lift(tape, state)
+    assert [v.index for v in (lp.w, lp.rel_scale, ls.entity, ls.relation)] == [0, 1, 2, 3]
+    assert lp.w0 is None and lp.w_rel is None and lp.w_per_rel is None
+    assert (lp.act_ent, lp.act_rel, lp.alpha) == (p.act_ent, p.act_rel, p.alpha)
+    assert lp.w.value is p.w and ls.relation.value is state.relation
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -294,7 +309,8 @@ def test_verify_reduction_runs_the_layout_training_builds(monkeypatch, mode):
     cfg = ModelConfig(mode=mode, dim=8, layers=3, alpha=None)
     assert len(seen) == 1 and len(seen[0]) == 3
     for layer, p in enumerate(seen[0]):
-        got = {f: getattr(p, f).shape for f in LayerVars._fields if getattr(p, f) is not None}
+        got = {f: getattr(p, f).shape for f in LayerParams.WEIGHTS
+               if getattr(p, f) is not None}
         assert got == layer_shapes(cfg, g.num_relations, layer)
 
 
@@ -348,8 +364,9 @@ def test_model_gradients_match_finite_differences(kind):
     w_rel = probe.normal((g.num_relations, relation_width(cfg)))
 
     def fn(tape, ent, rel, w1, w01, wr1, w2, w02, wr2):
-        lvs = [LayerVars(w1, w01, wr1, None, None), LayerVars(w2, w02, wr2, None, None)]
-        hv, hr = forward_on_tape(tape, g, cfg.mode, s, params, lvs, ent, rel)
+        layers = [replace(params[0], w=w1, w0=w01, w_rel=wr1),
+                  replace(params[1], w=w2, w0=w02, w_rel=wr2)]
+        hv, hr = forward_on_tape(tape, g, cfg.mode, s, layers, ent, rel)
         return tape.add(
             tape.sum(tape.mul(hv, tape.leaf(w_ent))),
             tape.sum(tape.mul(hr, tape.leaf(w_rel))),
@@ -389,6 +406,25 @@ def test_graphs_of_equal_size_keep_their_own_scatter_cache():
     assert not np.array_equal(g1.flat_cache["tails"][4], g2.flat_cache["tails"][4])
 
 
+
+def test_graph_builds_its_degree_norm_columns_once():
+    # TransE's factors (-2, -2, 2) fold into the columns: 2 * entity norms,
+    # -2 * relation norms, built on the first pass and reused by the next
+    g = random_instance(seed=7)
+    cfg = ModelConfig(scorer_kind="transe", dim=4, layers=2, alpha=0.3)
+    rng = RandomSource(5)
+    params, state = init_params(cfg, g.num_relations, rng), init_state(cfg, g, rng)
+    first = model_forward(g, state, params, scorer=config_scorer(cfg))
+    columns = dict(g.norm_columns)
+    assert sorted(columns, key=str) == [(0.3, -2, False), (0.3, 2, True)]
+    again = model_forward(g, state, params, scorer=config_scorer(cfg))
+    assert g.norm_columns.keys() == columns.keys()
+    assert all(g.norm_columns[k] is v for k, v in columns.items())
+    assert first.entity.tobytes() == again.entity.tobytes()
+    assert np.array_equal(columns[0.3, 2, True], 2 * g.norm_column(0.3, 1, True))
+    assert np.array_equal(columns[0.3, -2, False], -2 * g.norm_column(0.3, 1, False))
+
+
 # ---------------- intermediate lifetimes ----------------
 
 
@@ -412,9 +448,8 @@ def _first_layer(kind):
     params = init_params(cfg, g.num_relations, rng)
     state = init_state(cfg, g, rng)
     tape = ProbeTape()
-    hv, hr = layer_forward_tape(tape, g, "kegcn", config_scorer(cfg), params[0],
-                                lift_params(tape, params[0]), tape.leaf(state.entity),
-                                tape.leaf(state.relation), {})
+    hv, hr = layer_forward_tape(tape, g, "kegcn", config_scorer(cfg), lift(tape, params[0]),
+                                tape.leaf(state.entity), tape.leaf(state.relation))
     return g, tape, hv, hr
 
 
