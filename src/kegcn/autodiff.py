@@ -7,12 +7,13 @@ identical tape.  Training losses built from these primitives differentiate
 through the score-gradient messages, so second derivatives of the scoring
 functions are picked up automatically.
 
-Gradients: `backward` keeps the first gradient a node receives as its vjp
-built it and adds later ones into it in place, so a node with a second
-consumer owns its first: the incoming gradient itself (`add` and `sub`
-pass it on) if nothing else holds it, else a copy.  A node with one
-consumer reads it, or `concat`'s views of it, as is unless an owner took
-it: both parents of an `add` that no other op reads share one array.
+Gradients: a vjp never writes the gradient g it is given, and returns for
+each parent either a view of g (`add` and `sub` pass g on, `concat`
+splits it) or a fresh array that no other output shares.  `backward`
+keeps a parent's first gradient as its vjp returned it, borrowed if it
+may share memory with g.  A later contribution to a borrowed gradient is
+added out of place into `numerics.empty`, and the parent owns the sum; a
+later one to an owned gradient is added in place.
 
 Value lifetime: an intermediate lives only while a Variable, or a vjp not
 yet run, holds it.  A Variable owns its array; a node holds its parents and
@@ -40,7 +41,6 @@ from __future__ import annotations
 import math
 import sys
 import weakref
-from collections import Counter
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -581,10 +581,9 @@ class Tape:
         nodes = self.nodes.all
         for node in nodes[loss.index + 1:]:
             node.vjp, node.parents = None, ()
-        consumers = Counter(pi for node in nodes[:loss.index + 1] for pi in node.parents)
         grads: list = [None] * (loss.index + 1)
         grads[loss.index] = np.ones_like(loss.value)
-        shared: set = set()   # nodes whose gradient another node may hold too
+        borrowed: set = set()   # nodes whose gradient may share memory with another's
         for i in range(loss.index, -1, -1):
             node = nodes[i]
             vjp, parents = node.vjp, node.parents
@@ -594,31 +593,19 @@ class Tape:
             g, grads[i] = grads[i], None
             if g is None:
                 continue
-            self._accumulate(grads, parents, vjp(g), g, consumers, shared, i in shared)
+            for pi, pg in zip(parents, vjp(g)):
+                if pg is None:
+                    continue
+                if grads[pi] is None:
+                    grads[pi] = pg
+                    if np.may_share_memory(pg, g):
+                        borrowed.add(pi)
+                elif pi in borrowed:
+                    grads[pi] = np.add(grads[pi], pg, out=empty(pg.shape))
+                    borrowed.discard(pi)
+                else:
+                    grads[pi] += pg
         return GradientMap(grads)
-
-    def _accumulate(self, grads: list, parents: tuple, pgs: tuple, g: np.ndarray,
-                    consumers: Counter, shared: set, g_shared: bool) -> None:
-        """Add a vjp's results into the parents' gradients (see the module
-        docstring); readers of g that another node may hold too join `shared`."""
-        readers, g_taken = [], False
-        for pi, pg in zip(parents, pgs):
-            if pg is None:
-                continue
-            if grads[pi] is not None:
-                grads[pi] += pg
-            elif not np.may_share_memory(pg, g):
-                grads[pi] = pg
-            elif consumers[pi] == 1 and not g_taken:
-                grads[pi] = pg
-                readers.append(pi)
-            elif pg is g and not (g_shared or readers or g_taken):
-                grads[pi], g_taken = g, True
-            else:
-                grads[pi] = empty(pg.shape)
-                np.copyto(grads[pi], pg)
-        if g_shared or len(readers) > 1:
-            shared.update(readers)
 
 
 class ForwardTape(Tape):
@@ -645,34 +632,3 @@ class GradientMap:
         if var.index < len(self._grads) and self._grads[var.index] is not None:
             return self._grads[var.index]
         return np.zeros_like(var.value)
-
-
-def fd_error(value_at, point: list, analytic: list, eps: float = 1e-5, rel_floor: float = 1e-2,
-             max_coords: int | None = None) -> float:
-    """The worst error of `analytic`, the gradients of value_at(point) with
-    respect to each array of `point`, against central differences:
-    |analytic - numeric| divided by max(|analytic|, |numeric|, rel_floor);
-    the floor makes the comparison an absolute one near zero.  `max_coords`
-    caps the probed coordinates per array (deterministic subsample) to
-    bound runtime on large parameter sets.  The arrays of `point` are
-    changed in place and restored."""
-    worst = 0.0
-    pick = np.random.Generator(np.random.PCG64(20240917))
-    for k, p in enumerate(point):
-        n = p.size
-        coords = np.arange(n)
-        if max_coords is not None and n > max_coords:
-            coords = np.sort(pick.choice(n, size=max_coords, replace=False))
-        flat = p.ravel()
-        for c in coords:
-            orig = flat[c]
-            flat[c] = orig + eps
-            f_plus = value_at(point)
-            flat[c] = orig - eps
-            f_minus = value_at(point)
-            flat[c] = orig
-            numeric = (f_plus - f_minus) / (2.0 * eps)
-            a = float(analytic[k].ravel()[c])
-            err = abs(a - numeric) / max(abs(a), abs(numeric), rel_floor)
-            worst = max(worst, err)
-    return worst

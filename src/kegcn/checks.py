@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import numerics
-from .autodiff import ForwardTape, Tape, fd_error
+from .autodiff import ForwardTape, Tape
 from .graph import KnowledgeGraph, build_graph
 from .numerics import RandomSource
 from .propagation import (REDUCTION_MODES, EmbeddingState, LayerParams, ModelConfig,
@@ -33,6 +33,37 @@ def _sample_triple(scorer: Scorer, rng: RandomSource):
         r = rng.normal(scorer.relation_width)
     v = rng.normal(scorer.entity_width)
     return u, r, v
+
+
+def fd_error(value_at, point: list, analytic: list, max_coords: int | None = None) -> float:
+    """The worst error of `analytic`, the gradients of value_at(point) with
+    respect to each array of `point`, against central differences of step
+    1e-5: |analytic - numeric| divided by max(|analytic|, |numeric|, 1e-2);
+    the floor makes the comparison an absolute one near zero.  `max_coords`
+    caps the probed coordinates per array (deterministic subsample) to
+    bound runtime on large parameter sets.  The arrays of `point` are
+    changed in place and restored."""
+    eps = 1e-5
+    worst = 0.0
+    pick = np.random.Generator(np.random.PCG64(20240917))
+    for k, p in enumerate(point):
+        n = p.size
+        coords = np.arange(n)
+        if max_coords is not None and n > max_coords:
+            coords = np.sort(pick.choice(n, size=max_coords, replace=False))
+        flat = p.ravel()
+        for c in coords:
+            orig = flat[c]
+            flat[c] = orig + eps
+            f_plus = value_at(point)
+            flat[c] = orig - eps
+            f_minus = value_at(point)
+            flat[c] = orig
+            numeric = (f_plus - f_minus) / (2.0 * eps)
+            a = float(analytic[k].ravel()[c])
+            err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-2)
+            worst = max(worst, err)
+    return worst
 
 
 def message_gradients(scorer: Scorer, u, r, v) -> list:

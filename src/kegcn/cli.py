@@ -18,10 +18,10 @@ from . import io as io_mod
 from .checks import (END_TO_END_TASKS, end_to_end_gradient_fd,
                      reduction_discrepancy, scorer_gradient_fd)
 from .metrics import hits_at_k, mrr
-from .propagation import REDUCTION_MODES, config_scorer, model_forward
+from .propagation import REDUCTION_MODES, config_scorer, model_forward, relation_width
 from .scorers import SCORERS
-from .tasks import (evaluate_alignment, evaluate_classification, scores_from_logits,
-                    train_alignment, train_classification,
+from .tasks import (UnsupportedModeError, evaluate_alignment, evaluate_classification,
+                    scores_from_logits, train_alignment, train_classification,
                     zero_shot_relation_alignment)
 
 
@@ -37,12 +37,12 @@ def _overrides(args: argparse.Namespace) -> dict:
     return {k: getattr(args, k) for k in io_mod.TRAIN_KEYS if getattr(args, k, None) is not None}
 
 
-def _progress_printer(quiet: bool, every: int = 50):
+def _progress_printer(quiet: bool):
     if quiet:
         return None
 
     def progress(epoch, loss, metric):
-        if epoch % every == 0:
+        if epoch % 50 == 0:
             tail = "" if metric is None else f"  valid {metric:.4f}"
             print(f"epoch {epoch:4d}  loss {loss:.6f}{tail}", flush=True)
 
@@ -96,6 +96,9 @@ def _train(args: argparse.Namespace, task: str, run_one) -> int:
 def _run_alignment(values, bundle, cfg, progress):
     rel_test = values.get("rel_test")
     if rel_test:
+        if relation_width(cfg.model_config()) is None:
+            raise UnsupportedModeError("relation alignment needs a mode with relation "
+                                       f"embeddings, not {cfg.mode}")
         rel_pairs = io_mod.load_alignments(rel_test, *bundle.relation_vocabs,
                                            what="relation")
         if not rel_pairs:
@@ -217,6 +220,8 @@ def cmd_metrics_report(args: argparse.Namespace) -> int:
         if rank < 1:
             raise io_mod.DataError(f"{args.ranks} line {lineno}: ranks are 1-based")
         ranks.append(rank)
+    if not ranks:
+        raise io_mod.DataError(f"{args.ranks}: no ranks")
     report = {"mrr": mrr(ranks), "hits1": hits_at_k(ranks, 1),
               "hits10": hits_at_k(ranks, 10)}
     t0 = time.perf_counter()

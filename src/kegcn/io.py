@@ -25,6 +25,7 @@ container itself stays a plain list of float vectors.  Sections are
 written sorted by name, which makes save -> load -> save byte-identical.
 Version 2 ends in a `checksum` section (the CRC-32 of all bytes before it, an
 exact float) that loading checks and drops; version 1 loads unchecked.
+Saving a `Checkpoint` that holds a section of that name raises.
 A model checkpoint (`pack_model`) holds the config echo `config/<key>`,
 `best_valid`, and one `param/layer<i>.<field>` or `table/<graph>.<part>`
 section per array of the layout `propagation.layer_shapes` and
@@ -343,10 +344,13 @@ def _convert(key: str, value: str):
     kind = _TYPES[key]
     if kind in _TYPE_NAMES:
         try:
-            return kind(value)
+            v = kind(value)
         except ValueError:
             raise ConfigError(
                 f"config key '{key}': expected {_TYPE_NAMES[kind]}, got {value!r}") from None
+        if key == "runs" and v < 1:
+            raise ConfigError(f"config key 'runs': need at least 1 run, got {v}")
+        return v
     if value not in _CHOICES[key]:
         raise ConfigError(
             f"config key '{key}': expected one of {_CHOICES[key]}, got {value!r}")
@@ -373,8 +377,6 @@ def parse_config(path: Optional[str] = None, overrides: Optional[dict] = None) -
         values.setdefault(f.name, f.default if f.name != "dim"
                           else 200 if values["task"] == "align" else 32)
     values.setdefault("runs", 1)
-    if values["runs"] < 1:
-        raise ConfigError(f"config key 'runs': need at least 1 run, got {values['runs']}")
     return values
 
 
@@ -419,6 +421,8 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
 
 
 def save_checkpoint(path: str, cp: Checkpoint) -> None:
+    if CHECKSUM in cp.sections:
+        raise CheckpointError(f"{path}: section name '{CHECKSUM}' is reserved for the trailer")
     blob = bytearray(MAGIC + struct.pack("<I", CHECKPOINT_VERSION))
     for name in sorted(cp.sections):
         blob += _section(name, np.atleast_1d(cp.sections[name]))

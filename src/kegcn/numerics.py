@@ -38,6 +38,8 @@ from contextvars import ContextVar
 
 import numpy as np
 
+UNIT_EPS = 1e-12   # a component tuple with a smaller norm projects to (1, 0, ...)
+
 
 class DimensionError(ValueError):
     """Shape or length mismatch handed to a numeric kernel."""
@@ -65,8 +67,8 @@ class RandomSource:
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 
-    def choice(self, n: int, size: int, replace: bool = False) -> np.ndarray:
-        return self._gen.choice(n, size=size, replace=replace)
+    def choice(self, n: int, size: int) -> np.ndarray:
+        return self._gen.choice(n, size=size, replace=False)
 
 
 def _free_refs() -> int:
@@ -328,15 +330,15 @@ def component_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def unit_parts(z: np.ndarray, eps: float = 1e-12):
-    """(safe, small, safe**3, safe**5, unit_project(z, eps)): all that
+def unit_parts(z: np.ndarray):
+    """(safe, small, safe**3, safe**5, unit_project(z)): all that
     unit_project, its pullback and that pullback's vjp read of z.  safe is
     the norm of each tuple (shape z.shape[1:], bitwise np.linalg.norm on
-    trailing tuples) with 1.0 where it is below eps; small marks those
+    trailing tuples) with 1.0 where it is below UNIT_EPS; small marks those
     tuples, or is None when there is none."""
     z = np.asarray(z, dtype=np.float64)
     safe = np.sqrt(component_dot(z, z))
-    small = safe < eps
+    small = safe < UNIT_EPS
     if small.any():
         safe = np.where(small, 1.0, safe)
     else:
@@ -348,25 +350,24 @@ def unit_parts(z: np.ndarray, eps: float = 1e-12):
     return safe, small, safe**3, safe**5, out
 
 
-def unit_project(z: np.ndarray, eps: float = 1e-12) -> np.ndarray:
+def unit_project(z: np.ndarray) -> np.ndarray:
     """Normalize component tuples (planes, shape (k, ...)) to unit norm.
-    Tuples with norm below eps are reset to the unit element (1, 0, ...)."""
-    return unit_parts(z, eps)[4]
+    Tuples with norm below UNIT_EPS are reset to the unit element (1, 0, ...)."""
+    return unit_parts(z)[4]
 
 
-def unit_project_pullback(z: np.ndarray, g: np.ndarray, eps: float = 1e-12,
-                          parts=None, zg=None) -> np.ndarray:
+def unit_project_pullback(z: np.ndarray, g: np.ndarray, parts=None, zg=None) -> np.ndarray:
     """Apply the transposed Jacobian of unit_project at z to g (both
-    planes): g / |z| - z (z.g) / |z|^3.  `parts` is unit_parts(z, eps) and
+    planes): g / |z| - z (z.g) / |z|^3.  `parts` is unit_parts(z) and
     `zg` is component_dot(z, g), if the caller has them.
 
-    Reset tuples (norm < eps) are constants, so their pullback is zero.
+    Reset tuples (norm < UNIT_EPS) are constants, so their pullback is zero.
     """
     z = np.asarray(z, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
     if z.shape != g.shape:
         raise DimensionError(f"length mismatch {z.shape} vs {g.shape}")
-    safe, small, safe3 = (unit_parts(z, eps) if parts is None else parts)[:3]
+    safe, small, safe3 = (unit_parts(z) if parts is None else parts)[:3]
     out = np.divide(g, safe, out=empty(g.shape))
     zg = component_dot(z, g) if zg is None else zg
     t = empty(out.shape[1:])

@@ -2,12 +2,15 @@
 vectorised `tasks.evaluate_classification` and `metrics.ndcg_at_k` are
 checked against, the
 triples a graph file parses to, the reader of `io.write_report` files,
-a finite-difference check of any function recorded on a tape, and the
-per-parameter Adam step the flat `tasks.Adam` is checked against."""
+a finite-difference check of any function recorded on a tape, a reverse
+pass that copies every first gradient, which `Tape.backward` is checked
+against, and the per-parameter Adam step the flat `tasks.Adam` is
+checked against."""
 
 import numpy as np
 
-from kegcn.autodiff import Tape, fd_error
+from kegcn.autodiff import Tape
+from kegcn.checks import fd_error
 from kegcn.io import DataError, _triple_rows
 
 
@@ -66,7 +69,7 @@ def load_triples(path: str):
 
 def finite_diff_check(fn, point, max_coords: int | None = None) -> float:
     """Compare backward() against central differences (see
-    `autodiff.fd_error`).  `fn(tape, *vars) -> scalar Variable` must be a
+    `checks.fd_error`).  `fn(tape, *vars) -> scalar Variable` must be a
     deterministic function of the leaf values."""
     point = [np.asarray(p, dtype=np.float64) for p in point]
     tape = Tape()
@@ -81,6 +84,28 @@ def finite_diff_check(fn, point, max_coords: int | None = None) -> float:
         return float(fn(t, *[t.leaf(a) for a in args]).value)
 
     return fd_error(value_at, point, [grads[v] for v in leaves], max_coords=max_coords)
+
+
+def copying_backward(tape: Tape, loss) -> list:
+    """The gradient of every node up to `loss`, added in `Tape.backward`'s
+    order, but each node's first gradient a copy of what its consumer's
+    vjp returned, so no two nodes share an array and every later
+    contribution is added in place.  Reads the tape without consuming it."""
+    nodes = tape.nodes.all
+    grads = [None] * (loss.index + 1)
+    grads[loss.index] = np.ones_like(loss.value)
+    for i in range(loss.index, -1, -1):
+        vjp, g = nodes[i].vjp, grads[i]
+        if vjp is None or g is None:
+            continue
+        for pi, pg in zip(nodes[i].parents, vjp(g)):
+            if pg is None:
+                continue
+            if grads[pi] is None:
+                grads[pi] = pg.copy()
+            else:
+                grads[pi] += pg
+    return grads
 
 
 class PerParameterAdam:

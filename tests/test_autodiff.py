@@ -5,8 +5,9 @@ from contextlib import nullcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import finite_diff_check
+from helpers import copying_backward, finite_diff_check
 from kegcn import autodiff, numerics
 from kegcn.autodiff import ForwardTape, Tape
 from kegcn.numerics import BufferPool, DimensionError, RandomSource
@@ -99,10 +100,10 @@ def test_single_consumer_parents_of_an_add_share_its_gradient():
 
 
 def test_a_parent_that_is_added_into_owns_its_first_gradient():
-    # a has two consumers, b and c one each.  s's parents p and q share
-    # its gradient, so p passes a shared array on: a must copy it before
-    # r's gradient is added into it, or q, which runs after r, would read
-    # 4 instead of 1 and give c 20
+    # s passes its gradient on to p and q, and p to a and b, so a's first
+    # gradient is the array b and q hold too: r's gradient must be added
+    # out of place, or b and q, which runs after r, would read 4 instead
+    # of 1 and give c 20
     tape = Tape()
     a, b, c = (tape.leaf(np.ones((3, 2))) for _ in range(3))
     q = tape.scale(c, 5.0)
@@ -121,6 +122,94 @@ def test_a_parent_that_is_added_into_owns_its_first_gradient():
         assert not np.may_share_memory(grads[a], grads[b])
         assert np.array_equal(grads[a], np.full((3, 2), 2.0))
         assert np.array_equal(grads[b], np.ones((3, 2)))
+
+
+def test_a_first_gradient_viewing_a_shared_one_is_added_out_of_place():
+    # add gives c and d2 one array, and concat gives a a view of it, not
+    # the array itself: t's gradient, which comes later, must not be added
+    # into that view, or d2's first three columns would read 4
+    tape = Tape()
+    a, b, d2 = tape.leaf(np.ones((2, 3))), tape.leaf(np.ones((2, 2))), tape.leaf(np.ones((2, 5)))
+    t = tape.scale(a, 3.0)
+    c = tape.concat([a, b])
+    s = tape.add(c, d2)
+    grads = tape.backward(tape.add(tape.sum(s), tape.sum(t)))
+    assert np.array_equal(grads[d2], np.ones((2, 5)))
+    assert np.array_equal(grads[a], np.full((2, 3), 4.0))
+    assert np.array_equal(grads[b], np.ones((2, 2)))
+
+
+_ROWS, _WIDTH = 3, 2
+
+
+@st.composite
+def tape_programs(draw):
+    """Leaves of width w or 2w, then ops over earlier values (fan-out), and
+    the indices of the values whose sums the loss adds.  Recent operands,
+    `add` and `concat` are drawn more often, so that views of a gradient
+    that another node holds too come up in many examples."""
+    widths = [_WIDTH] * draw(st.integers(1, 3)) + [2 * _WIDTH] * draw(st.integers(1, 2))
+    leaves = len(widths)
+    ops = []
+    for _ in range(draw(st.integers(1, 16))):
+        op = draw(st.sampled_from(["add", "add", "sub", "mul", "scale", "concat", "concat",
+                                   "slice_cols", "gather", "segment_sum"]))
+        x = len(widths) - 1 - draw(st.integers(0, len(widths) - 1))   # recent first
+        if op in ("add", "sub", "mul"):
+            y = draw(st.sampled_from([i for i, w in enumerate(widths) if w == widths[x]]))
+            ops.append((op, x, y))
+        elif op == "scale":
+            ops.append((op, x, draw(st.sampled_from([3.0, -0.5, 1.25]))))
+        elif op == "concat":
+            narrow = [i for i, w in enumerate(widths) if w == _WIDTH]
+            ops.append((op, draw(st.sampled_from(narrow)), draw(st.sampled_from(narrow))))
+        elif op == "slice_cols":
+            ops.append((op, x, draw(st.integers(0, widths[x] - _WIDTH))))
+        else:
+            ops.append((op, x, np.array(draw(st.lists(st.integers(0, _ROWS - 1),
+                                                      min_size=_ROWS, max_size=_ROWS)))))
+        widths.append(2 * _WIDTH if op == "concat" else _WIDTH if op == "slice_cols"
+                      else widths[x])
+    summed = draw(st.lists(st.integers(0, len(widths) - 1), max_size=4))
+    return widths[:leaves], ops, [len(widths) - 1] + summed
+
+
+def _record_program(tape, program, seed):
+    widths, ops, summed = program
+    rng = RandomSource(seed)
+    values = [tape.leaf(rng.normal((_ROWS, w))) for w in widths]
+    for op, x, arg in ops:
+        x = values[x]
+        if op == "concat":
+            out = tape.concat([x, values[arg]])
+        elif op == "slice_cols":
+            out = tape.slice_cols(x, arg, arg + _WIDTH)
+        elif op == "segment_sum":
+            out = tape.segment_sum(x, arg, _ROWS)
+        elif op in ("scale", "gather"):
+            out = getattr(tape, op)(x, arg)
+        else:
+            out = getattr(tape, op)(x, values[arg])
+        values.append(out)
+    loss = tape.sum(values[summed[0]])
+    for i in summed[1:]:
+        loss = tape.add(loss, tape.sum(values[i]))
+    return values[:len(widths)], loss
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(tape_programs(), st.integers(0, 2**31))
+def test_backward_equals_a_reverse_pass_that_copies_every_first_gradient(program, seed):
+    tape = Tape()
+    leaves, loss = _record_program(tape, program, seed)
+    want = copying_backward(tape, loss)
+    tape = Tape()
+    leaves, loss = _record_program(tape, program, seed)
+    grads = tape.backward(loss)
+    for v in leaves:
+        ref = np.zeros_like(v.value) if want[v.index] is None else want[v.index]
+        assert grads[v].shape == ref.shape and grads[v].tobytes() == ref.tobytes()
+
 
 def test_untouched_leaf_gets_zero():
     tape = Tape()
@@ -387,6 +476,57 @@ def test_second_order_through_pullback():
         return weighted_sum(t, msg, w)
 
     assert finite_diff_check(fn, [z, u]) <= 1e-6
+
+
+class _KeepingTape(Tape):
+    """A Tape that keeps every Variable it records, so each node's value
+    stays alive for the vjp contract test."""
+
+    def __init__(self):
+        super().__init__()
+        self.kept = []
+
+    def _record(self, value, parents=(), vjp=None, name="leaf"):
+        self.kept.append(super()._record(value, parents, vjp, name))
+        return self.kept[-1]
+
+
+def _is_view_of(a, g) -> bool:
+    while a is not None:
+        if a is g:
+            return True
+        a = a.base
+    return False
+
+
+def test_every_vjp_leaves_g_unwritten_and_returns_views_of_g_or_fresh_arrays():
+    # the contract `backward`'s borrowing rests on (see the module docstring)
+    checked = set()
+    for name in sorted(PRIMITIVE_CASES):
+        rng = RandomSource(zlib.crc32(name.encode()))
+        build, arrays = PRIMITIVE_CASES[name](rng)
+        tape = _KeepingTape()
+        build(tape, *[tape.leaf(a) for a in arrays])
+        values = [v.value for v in tape.kept]
+        for v in tape.kept:
+            node = tape.nodes[v.index]
+            if node.vjp is None:
+                continue
+            g = rng.normal(v.shape)
+            g.flags.writeable = False
+            pgs = node.vjp(g)   # writing g raises
+            assert len(pgs) == len(node.parents)
+            for j, (pi, pg) in enumerate(zip(node.parents, pgs)):
+                assert pg.shape == values[pi].shape, (name, node.name)
+                if np.may_share_memory(pg, g):
+                    assert _is_view_of(pg, g), (name, node.name)
+                    continue
+                others = [q for k, q in enumerate(pgs) if k != j] + values
+                assert not any(np.may_share_memory(pg, q) for q in others), (name, node.name)
+            checked.add(node.name)
+    ops = {n for n, f in vars(Tape).items() if callable(f) and not n.startswith("_")}
+    ops = {"slice" if n == "slice_cols" else n for n in ops - {"leaf", "activate", "backward"}}
+    assert ops <= checked, sorted(ops - checked)
 
 
 # ---------------- scatter kernel (np.add.at is the oracle) ----------------

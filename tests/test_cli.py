@@ -91,11 +91,19 @@ def test_metrics_report_undecodable_rank_file_names_file_and_line(tmp_path, caps
     assert capsys.readouterr().err.startswith(f"error: {ranks} line 4: byte 0xff")
 
 
+def test_metrics_report_rank_file_without_ranks_names_the_file(tmp_path, capsys):
+    ranks = tmp_path / "ranks.txt"
+    ranks.write_text("# none\n\n")
+    assert cli.main(["metrics-report", "--ranks", str(ranks)]) == 1
+    assert capsys.readouterr().err == f"error: {ranks}: no ranks\n"
+
+
 @pytest.mark.parametrize("text, lineno", [
     (b"dim = 4\nla\xffyers = 2\n", 2),       # not UTF-8
     (b"# run\n\ndim = 4\rlayers = 2 = 3\r", 4),   # not an integer
     (b"dim = 4\r\nfoo = 3\r\n", 2),           # unknown key
     (b"dim = 4\nscorer = nope\n", 2),          # not a choice
+    (b"dim = 4\nruns = 0\n", 2),               # no run
 ])
 def test_config_file_error_names_file_and_line(tmp_path, capsys, text, lineno):
     cfg = tmp_path / "run.cfg"
@@ -166,6 +174,25 @@ def test_train_align_empty_rel_test_names_the_file(tmp_path, capsys):
                      "--dim", "4", "--layers", "2", "--epochs", "2", "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"{rel_test}: no relation pairs" in err
+
+
+@pytest.mark.parametrize("mode", ["rgcn", "wgcn"])
+def test_train_align_rel_test_without_relation_embeddings_exits_1_before_training(
+        tmp_path, capsys, monkeypatch, mode):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before checking the mode")
+
+    monkeypatch.setattr(cli, "train_alignment", no_training)
+    g1 = write_ring_dataset(tmp_path, prefix="g1")
+    g2 = write_ring_dataset(tmp_path, prefix="g2")
+    train = write_pairs(tmp_path, "train.tsv", [(i, i) for i in range(9)])
+    rel_test = write_pairs(tmp_path, "rp.tsv", [(0, 0), (1, 1)])
+    assert cli.main(["train-align", "--graph1", str(g1), "--graph2", str(g2),
+                     "--train", str(train), "--rel-test", str(rel_test), "--mode", mode,
+                     "--dim", "4", "--layers", "2", "--epochs", "2", "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: relation alignment needs a mode with relation embeddings")
+    assert mode in err
 
 
 def test_train_align_missing_graph(tmp_path, capsys):
@@ -555,7 +582,7 @@ def test_train_runs_below_one_exits_1(tmp_path, capsys, command):
                      "--dim", "4", "--layers", "2", "--epochs", "2", "--runs", "0",
                      "--quiet"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "runs" in err
+    assert err == "error: config key 'runs': need at least 1 run, got 0\n"
 
 
 @pytest.mark.parametrize("mode", ["kegcn", "rgcn", "wgcn"])

@@ -262,6 +262,14 @@ def test_checkpoint_ends_in_a_crc32_checksum_that_loading_checks(tmp_path):
     assert list(load_checkpoint(str(p)).sections) == ["a"]
 
 
+def test_saving_a_section_named_checksum_raises_and_writes_no_file(tmp_path):
+    # the name is the trailer's: such a file would fail to load
+    p = tmp_path / "m.ckpt"
+    with pytest.raises(CheckpointError, match=f"^{p}: section name 'checksum' is reserved"):
+        save_checkpoint(str(p), Checkpoint({"a": np.arange(2.0), "checksum": np.array([1.0])}))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_checkpoint_bad_magic_and_truncation(tmp_path):
     p = tmp_path / "m.ckpt"
     save_checkpoint(str(p), Checkpoint({"a": np.arange(4.0)}))
