@@ -594,8 +594,6 @@ class Tape:
             if g is None:
                 continue
             for pi, pg in zip(parents, vjp(g)):
-                if pg is None:
-                    continue
                 if grads[pi] is None:
                     grads[pi] = pg
                     if np.may_share_memory(pg, g):

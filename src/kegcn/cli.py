@@ -68,22 +68,23 @@ def _emit(report: dict, runtime: float, report_path) -> None:
         print(f"report written to {report_path}")
 
 
-def _train(args: argparse.Namespace, task: str, run_one) -> int:
-    """Shared body of the training subcommands: `runs` seeded runs of
-    run_one(values, bundle, cfg, progress) -> (test metrics, layer params,
-    embedding tables, best validation metric), one aggregated report, and
-    the last run's checkpoint."""
+def _train(args: argparse.Namespace, task: str, prepare) -> int:
+    """Shared body of the training subcommands: prepare(values, bundle) reads
+    and checks what all runs share and returns run_one(cfg, progress) ->
+    (test metrics, layer params, embedding tables, best validation metric);
+    `runs` seeded runs of it, one aggregated report, the last run's checkpoint."""
     overrides = _overrides(args)
     overrides["task"] = task
     values = io_mod.parse_config(args.config, overrides)
     bundle = (io_mod.load_alignment_bundle if task == "align"
               else io_mod.load_classification_bundle)(values)
+    run_one = prepare(values, bundle)
     t0 = time.perf_counter()
     per_run = []
     for run in range(values["runs"]):
         cfg = io_mod.train_config(values)
         cfg.seed = values["seed"] + run
-        metrics, *last = run_one(values, bundle, cfg, _progress_printer(args.quiet))
+        metrics, *last = run_one(cfg, _progress_printer(args.quiet))
         per_run.append(metrics)
     report = _aggregate(per_run, values["seed"])
     if values.get("checkpoint"):
@@ -93,39 +94,45 @@ def _train(args: argparse.Namespace, task: str, run_one) -> int:
     return 0
 
 
-def _run_alignment(values, bundle, cfg, progress):
-    rel_test = values.get("rel_test")
+def _prepare_alignment(values, bundle):
+    rel_test, rel_pairs = values.get("rel_test"), None
     if rel_test:
-        if relation_width(cfg.model_config()) is None:
+        if relation_width(io_mod.train_config(values).model_config()) is None:
             raise UnsupportedModeError("relation alignment needs a mode with relation "
-                                       f"embeddings, not {cfg.mode}")
+                                       f"embeddings, not {values['mode']}")
         rel_pairs = io_mod.load_alignments(rel_test, *bundle.relation_vocabs,
                                            what="relation")
         if not rel_pairs:
             raise io_mod.DataError(f"{rel_test}: no relation pairs")
-    res = train_alignment(*bundle.graphs, bundle.seeds, cfg, progress=progress)
-    metrics = evaluate_alignment(res.state1, res.state2, bundle.seeds.test
-                                 or bundle.seeds.valid or bundle.seeds.train)
-    if rel_test:
-        rel = zero_shot_relation_alignment(res.state1, res.state2, rel_pairs)
-        metrics["relation_mrr"] = rel["mrr"]
-        metrics["relation_hits1"] = rel["hits1"]
-    return metrics, res.params, {"g1": res.init1, "g2": res.init2}, res.best_valid_hits1
+
+    def run_one(cfg, progress):
+        res = train_alignment(*bundle.graphs, bundle.seeds, cfg, progress=progress)
+        metrics = evaluate_alignment(res.state1, res.state2, bundle.seeds.test
+                                     or bundle.seeds.valid or bundle.seeds.train)
+        if rel_pairs:
+            rel = zero_shot_relation_alignment(res.state1, res.state2, rel_pairs)
+            metrics.update(relation_mrr=rel["mrr"], relation_hits1=rel["hits1"])
+        return metrics, res.params, {"g1": res.init1, "g2": res.init2}, res.best_valid_hits1
+
+    return run_one
 
 
-def _run_classification(values, bundle, cfg, progress):
-    ls = bundle.label_set
-    res = train_classification(bundle.graphs[0], ls, cfg, progress=progress)
-    metrics = evaluate_classification(res.scores, ls, ls.test or ls.valid or ls.train)
-    return metrics, res.params, {"g": res.init}, res.best_valid_metric
+def _prepare_classification(values, bundle):
+    def run_one(cfg, progress):
+        ls = bundle.label_set
+        res = train_classification(bundle.graphs[0], ls, cfg, progress=progress)
+        metrics = evaluate_classification(res.scores, ls, ls.test or ls.valid or ls.train)
+        return metrics, res.params, {"g": res.init}, res.best_valid_metric
+
+    return run_one
 
 
 def cmd_train_align(args: argparse.Namespace) -> int:
-    return _train(args, "align", _run_alignment)
+    return _train(args, "align", _prepare_alignment)
 
 
 def cmd_train_classify(args: argparse.Namespace) -> int:
-    return _train(args, "classify", _run_classification)
+    return _train(args, "classify", _prepare_classification)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -210,6 +217,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def cmd_metrics_report(args: argparse.Namespace) -> int:
+    t0 = time.perf_counter()
     ranks = []
     for lineno, line in zip(*io_mod.data_lines(args.ranks)):
         try:
@@ -224,7 +232,6 @@ def cmd_metrics_report(args: argparse.Namespace) -> int:
         raise io_mod.DataError(f"{args.ranks}: no ranks")
     report = {"mrr": mrr(ranks), "hits1": hits_at_k(ranks, 1),
               "hits10": hits_at_k(ranks, 10)}
-    t0 = time.perf_counter()
     _emit(report, time.perf_counter() - t0, args.report)
     return 0
 

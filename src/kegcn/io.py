@@ -576,9 +576,7 @@ def unpack_model(cp: Checkpoint, values: dict, graphs: dict, num_classes: Option
 
 
 def format_value(v) -> str:
-    if isinstance(v, bool):
-        return str(int(v))
-    if isinstance(v, (int, np.integer)):
+    if isinstance(v, (int, np.integer)):   # bool too
         return str(int(v))
     if isinstance(v, (float, np.floating)):
         return repr(float(v))

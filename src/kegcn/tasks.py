@@ -190,10 +190,8 @@ class Adam:
     """Full-batch Adam with bias correction.  Updates parameter arrays in
     place.  The moments m and v are flat, one span per parameter of the
     first step, which every later step must name again with the same
-    shapes.  Each elementwise operation runs once per run of consecutive
-    parameters that fits two scratch arrays of the largest parameter's
-    size, not once per parameter, and every element sees the operations
-    it would see alone."""
+    shapes.  Each elementwise operation runs once over all parameters as
+    one span, and every element sees the operations it would see alone."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
@@ -202,49 +200,35 @@ class Adam:
         self.step_count = 0
         self._layout = None
 
-    def _plan(self, params: dict) -> None:
-        self._layout = [(name, a.shape) for name, a in params.items()]
-        sizes = [a.size for a in params.values()]
-        cap, stop = max(sizes, default=0), 0
-        self._runs = []   # [flat start, flat stop, names] of each run
-        for name, size in zip(params, sizes):
-            if not self._runs or stop + size - self._runs[-1][0] > cap:
-                self._runs.append([stop, stop, []])
-            stop += size
-            self._runs[-1][1] = stop
-            self._runs[-1][2].append(name)
-        self.m, self.v, self._scratch = np.zeros(stop), np.zeros(stop), np.empty((2, cap))
-
     def step(self, params: dict, grads: dict) -> None:
+        layout = [(name, a.shape) for name, a in params.items()]
         if self._layout is None:
-            self._plan(params)
-        if [(name, a.shape) for name, a in params.items()] != self._layout:
+            self._layout, n = layout, sum(a.size for a in params.values())
+            self.m, self.v, self._scratch = np.zeros(n), np.zeros(n), np.empty((2, n))
+        if layout != self._layout:
             raise ValueError("Adam.step takes the parameters of its first step")
         self.step_count += 1
         t = self.step_count
-        for lo, hi, names in self._runs:
-            m, v = self.m[lo:hi], self.v[lo:hi]
-            a, b = (s[:hi - lo] for s in self._scratch)
-            g = np.concatenate([grads[k] for k in names], axis=None, out=b)
-            # m += (1 - beta1) (g - m); v += (1 - beta2) (g g - v);
-            # arr -= lr mhat / (sqrt(vhat) + eps): the same operations in place
-            np.subtract(g, m, out=a)
-            a *= 1.0 - self.beta1
-            m += a
-            np.multiply(g, g, out=a)
-            a -= v
-            a *= 1.0 - self.beta2
-            v += a
-            np.divide(m, 1.0 - self.beta1**t, out=a)
-            a *= self.lr
-            np.divide(v, 1.0 - self.beta2**t, out=b)
-            np.sqrt(b, out=b)
-            b += self.eps
-            a /= b
-            for k in names:
-                arr = params[k]
-                arr -= a[:arr.size].reshape(arr.shape)
-                a = a[arr.size:]
+        m, v, (a, b) = self.m, self.v, self._scratch
+        g = np.concatenate([grads[k] for k in params], axis=None, out=b)
+        # m += (1 - beta1) (g - m); v += (1 - beta2) (g g - v);
+        # arr -= lr mhat / (sqrt(vhat) + eps): the same operations in place
+        np.subtract(g, m, out=a)
+        a *= 1.0 - self.beta1
+        m += a
+        np.multiply(g, g, out=a)
+        a -= v
+        a *= 1.0 - self.beta2
+        v += a
+        np.divide(m, 1.0 - self.beta1**t, out=a)
+        a *= self.lr
+        np.divide(v, 1.0 - self.beta2**t, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        for arr in params.values():
+            arr -= a[:arr.size].reshape(arr.shape)
+            a = a[arr.size:]
 
 
 # ---------------- parameter plumbing ----------------

@@ -99,8 +99,6 @@ def copying_backward(tape: Tape, loss) -> list:
         if vjp is None or g is None:
             continue
         for pi, pg in zip(nodes[i].parents, vjp(g)):
-            if pg is None:
-                continue
             if grads[pi] is None:
                 grads[pi] = pg.copy()
             else:

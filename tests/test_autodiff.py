@@ -672,6 +672,32 @@ def test_backward_keeps_only_leaf_gradients():
     assert all(tape.nodes[i].vjp is None for i in kept)
 
 
+def test_backward_drops_the_nodes_recorded_after_the_loss():
+    # they never run: backward drops their vjps and parents, and the leaf
+    # gradients are those of the tape that never recorded them, bit for bit
+    def record(after: bool):
+        rng = RandomSource(21)
+        tape = Tape()
+        x, w = tape.leaf(rng.normal((4, 3))), tape.leaf(rng.normal((3, 2)))
+        h = tape.matmul(tape.gather(x, np.array([0, 3, 1, 3])), w)
+        loss = tape.sum(tape.mul(h, tape.relu(h)))
+        if after:
+            tape.add(h, h)
+            tape.scale(tape.matmul(x, w), 3.0)
+        return tape, (x, w), loss
+
+    tape, leaves, loss = record(True)
+    after = tape.nodes.all[loss.index + 1:]
+    assert len(after) == 3 and all(n.vjp is not None and n.parents for n in after)
+    grads = tape.backward(loss)
+    assert all(n.vjp is None and n.parents == () for n in after)
+    ref_tape, ref_leaves, ref_loss = record(False)
+    ref = ref_tape.backward(ref_loss)
+    assert len(ref_tape.nodes) == loss.index + 1
+    for v, r in zip(leaves, ref_leaves):
+        assert np.array_equal(grads[v].view(np.int64), ref[r].view(np.int64))
+
+
 def test_backward_frees_dropped_intermediates_while_tape_and_loss_live():
     # mul's vjp captures h's array, so it outlives its dropped Variable
     # until backward has run the mul, and nothing holds it after that

@@ -98,6 +98,22 @@ def test_metrics_report_rank_file_without_ranks_names_the_file(tmp_path, capsys)
     assert capsys.readouterr().err == f"error: {ranks}: no ranks\n"
 
 
+def test_metrics_report_runtime_counts_reading_the_rank_file(tmp_path, capsys, monkeypatch):
+    now = [100.0]
+    read = io_mod.data_lines
+
+    def slow_read(path):
+        now[0] += 2.5
+        return read(path)
+
+    monkeypatch.setattr(cli, "time", argparse.Namespace(perf_counter=lambda: now[0]))
+    monkeypatch.setattr(io_mod, "data_lines", slow_read)
+    ranks = tmp_path / "ranks.txt"
+    ranks.write_text("1\n2\n4\n")
+    assert cli.main(["metrics-report", "--ranks", str(ranks)]) == 0
+    assert "runtime_seconds  2.50\n" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("text, lineno", [
     (b"dim = 4\nla\xffyers = 2\n", 2),       # not UTF-8
     (b"# run\n\ndim = 4\rlayers = 2 = 3\r", 4),   # not an integer
@@ -193,6 +209,28 @@ def test_train_align_rel_test_without_relation_embeddings_exits_1_before_trainin
     err = capsys.readouterr().err
     assert err.startswith("error: relation alignment needs a mode with relation embeddings")
     assert mode in err
+
+
+def test_train_align_reads_the_rel_test_file_once_for_all_runs(tmp_path, capsys, monkeypatch):
+    loads = []
+    load = io_mod.load_alignments
+
+    def counting_load(path, vocab1, vocab2, what="entity"):
+        loads.append(what)
+        return load(path, vocab1, vocab2, what=what)
+
+    monkeypatch.setattr(io_mod, "load_alignments", counting_load)
+    g1 = write_ring_dataset(tmp_path, prefix="g1")
+    g2 = write_ring_dataset(tmp_path, prefix="g2")
+    train = write_pairs(tmp_path, "train.tsv", [(i, i) for i in range(9)])
+    rel_test = write_pairs(tmp_path, "rp.tsv", [(0, 0), (1, 1)])
+    report = tmp_path / "report.tsv"
+    assert cli.main(["train-align", "--graph1", str(g1), "--graph2", str(g2),
+                     "--train", str(train), "--rel-test", str(rel_test), "--runs", "3",
+                     "--dim", "4", "--layers", "2", "--epochs", "2",
+                     "--report", str(report), "--quiet"]) == 0
+    assert loads.count("relation") == 1
+    assert "relation_mrr_std" in read_report(str(report))
 
 
 def test_train_align_missing_graph(tmp_path, capsys):
@@ -430,9 +468,12 @@ def test_eval_of_a_config_value_edited_in_the_file_exits_1_naming_the_file(
 
 def eval_with_section(tmp_path, ckpt, args, name, change):
     """Exit code and stderr of `kegcn eval` on a copy of the checkpoint
-    whose section `name` is change(its array), and the copy's path."""
+    whose section `name` is change(its array, or None if it has none), or
+    is gone when change is None, and the copy's path."""
     cp = io_mod.load_checkpoint(str(ckpt))
-    cp.sections[name] = change(cp.sections[name])
+    old = cp.sections.pop(name, None)
+    if change is not None:
+        cp.sections[name] = change(old)
     bad = tmp_path / "bad.ckpt"
     io_mod.save_checkpoint(str(bad), cp)
     err = io.StringIO()
@@ -472,6 +513,26 @@ def test_eval_config_section_not_of_one_value_exits_1_naming_file_and_section(tm
     code, err, bad = eval_with_section(tmp_path, ckpt, args, "config/dim",
                                        lambda a: np.full(shape, 8.0))
     assert code == 1 and err.startswith(f"error: {bad}: ") and "'config/dim'" in err, err
+
+
+@pytest.mark.parametrize("scorer, name, value, says", [
+    ("transe", "config/dim", None, "checkpoint lacks section 'config/dim'"),
+    ("transe", "config/scorer", 6.0, "checkpoint section 'config/scorer' out of range"),
+    ("transe", "config/mode", -1.0, "checkpoint section 'config/mode' out of range"),
+    ("transe", "config/lr", 0.0,
+     "checkpoint config: learning rate lr must be positive and finite, got 0.0"),
+    ("quate", "config/dim", 6.0,
+     "checkpoint config: dim 6 is not a multiple of 4 required by scorer 'quate'"),
+    ("transe", "table/g3.entity", 0.0, "unexpected section 'table/g3.entity'"),
+])
+def test_eval_checkpoint_its_config_or_model_cannot_hold_exits_1_naming_the_file(
+        tmp_path, scorer, name, value, says):
+    # each copy passes its checksum: the config and model checks must catch it
+    ckpt, args = hub_align_checkpoint(tmp_path, scorer=scorer)
+    change = None if value is None else (lambda _: np.array([value]))
+    code, err, bad = eval_with_section(tmp_path, ckpt, args, name, change)
+    assert code == 1 and err == f"error: {bad}: {says}\n", err
+    assert not list(tmp_path.glob(".tmp-*"))
 
 
 def test_eval_huge_config_layers_exits_1_at_once(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import load_triples, read_report
+from kegcn import io as kio
 from kegcn.io import (
     Checkpoint,
     CheckpointError,
@@ -15,6 +16,7 @@ from kegcn.io import (
     MAGIC,
     DataError,
     Vocabulary,
+    atomic_write_bytes,
     load_alignments,
     load_checkpoint,
     load_graph,
@@ -268,6 +270,28 @@ def test_saving_a_section_named_checksum_raises_and_writes_no_file(tmp_path):
     with pytest.raises(CheckpointError, match=f"^{p}: section name 'checksum' is reserved"):
         save_checkpoint(str(p), Checkpoint({"a": np.arange(2.0), "checksum": np.array([1.0])}))
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_section_repeated_under_a_good_checksum_names_the_file_and_section(tmp_path):
+    blob = (MAGIC + struct.pack("<I", 2) + kio._section("a", np.arange(2.0))
+            + kio._section("a", np.arange(3.0)))
+    p = tmp_path / "m.ckpt"
+    p.write_bytes(blob + kio._section("checksum", kio._checksum(blob)))
+    with pytest.raises(CheckpointError, match=f"^{p}: duplicate section 'a'$"):
+        load_checkpoint(str(p))
+
+
+def test_a_write_whose_replace_fails_leaves_no_temp_file(tmp_path):
+    # the target is a directory, so the final rename fails after the write
+    target = tmp_path / "out"
+    target.mkdir()
+    with pytest.raises(OSError):
+        atomic_write_bytes(str(target), b"data")
+    with pytest.raises(OSError):
+        save_checkpoint(str(target), Checkpoint({"a": np.arange(2.0)}))
+    with pytest.raises(OSError):
+        write_report(str(target), {"mrr": 0.5})
+    assert list(tmp_path.iterdir()) == [target] and list(target.iterdir()) == []
 
 
 def test_checkpoint_bad_magic_and_truncation(tmp_path):

@@ -214,8 +214,7 @@ def test_adam_minimizes_quadratic():
 
 
 def test_flat_adam_is_bitwise_the_per_parameter_step():
-    # runs of consecutive parameters share one pass of each elementwise op
-    # as long as they fit the largest parameter's 12 elements; every element
+    # all parameters share one pass of each elementwise op; every element
     # still sees the operations it sees alone, non-contiguous gradients too
     shapes = {"a": (3, 4), "b": (5,), "c": (2, 3), "d": (1,), "e": (4, 3),
               "f": (2,), "g": (3, 3)}
@@ -225,15 +224,14 @@ def test_flat_adam_is_bitwise_the_per_parameter_step():
     adam, ref = Adam(0.05), PerParameterAdam(0.05)
     for t in range(50):
         grads = {k: rng.normal(s) * 10.0 ** rng.integers(-6, 3) for k, s in shapes.items()}
-        grads["c"] = rng.normal((3, 2)).T          # a strided view inside a run
-        grads["e"] = rng.normal((3, 4)).T          # a strided view alone
+        grads["c"] = rng.normal((3, 2)).T          # strided views
+        grads["e"] = rng.normal((3, 4)).T
         if t % 7 == 3:
             grads["b"][:] = 0.0
         adam.step(flat, grads)
         ref.step(oracle, grads)
         for k in shapes:
             assert np.array_equal(flat[k].view(np.int64), oracle[k].view(np.int64)), (t, k)
-    assert [names for _, _, names in adam._runs] == [["a"], ["b", "c", "d"], ["e"], ["f", "g"]]
     assert np.array_equal(adam.m, np.concatenate([ref.m[k] for k in shapes], axis=None))
     assert np.array_equal(adam.v, np.concatenate([ref.v[k] for k in shapes], axis=None))
 
