@@ -444,11 +444,6 @@ class Tape:
 
         return self._record(p, (x,), vjp, "softmax_row")
 
-    def activate(self, kind: str, x: Variable) -> Variable:
-        if kind not in ("relu", "identity"):
-            raise ValueError(f"unknown activation {kind!r}")
-        return x if kind == "identity" else self.relu(x)
-
     # ---- structured algebra ----
 
     def complex_mul(self, a: Variable, b: Variable, conj_b: bool = False) -> Variable:

@@ -16,7 +16,7 @@ from .autodiff import ForwardTape, Tape
 from .graph import KnowledgeGraph, build_graph
 from .numerics import RandomSource
 from .propagation import (REDUCTION_MODES, EmbeddingState, LayerParams, ModelConfig,
-                          config_scorer, init_params, init_state, model_forward)
+                          config_scorer, init_params, init_state, layer_forward_tape, lift)
 from .scorers import Scorer, make_scorer
 from .synthetic import random_triples
 from .tasks import (LabelSet, alignment_loss, classification_loss, named_parameters,
@@ -206,9 +206,9 @@ def out_edges(graph: KnowledgeGraph, v: int) -> list:
 
 
 def baseline_forward(kind: str, graph: KnowledgeGraph, state: EmbeddingState,
-                     params: LayerParams) -> EmbeddingState:
-    """Literal transcription of one printed baseline layer; no
-    normalization.  Used only as the oracle side of verify_reduction."""
+                     params: LayerParams, last: bool) -> EmbeddingState:
+    """Literal transcription of one printed baseline layer, the last of its
+    stack if `last`; no normalization.  The oracle side of verify_reduction."""
     if kind not in REDUCTION_MODES:
         raise ValueError(f"no baseline for mode {kind!r}")
     ent, rel = state.entity, state.relation
@@ -224,7 +224,7 @@ def baseline_forward(kind: str, graph: KnowledgeGraph, state: EmbeddingState,
             else:
                 m = m + (params.rel_scale[r, 0] * ent[u]) @ params.w
         pre = m + ent[v] @ w_self
-        new_ent[v] = np.maximum(pre, 0.0) if params.act_ent == "relu" else pre
+        new_ent[v] = pre if last else np.maximum(pre, 0.0)
     new_rel = None
     if kind.startswith("compgcn"):
         new_rel = rel @ params.w_rel
@@ -246,14 +246,17 @@ def verify_reduction(mode: str, graph: KnowledgeGraph, seed: int) -> float:
     for p in params:
         if p.rel_scale is not None:
             p.rel_scale = rng.normal(p.rel_scale.shape)
-    generic = model_forward(graph, state, params, mode=mode, collect=True)
-    worst = 0.0
-    base = state
-    for layer_state, p in zip(generic, params):
-        base = baseline_forward(mode, graph, base, p)
-        worst = max(worst, float(np.max(np.abs(layer_state.entity - base.entity))))
+    tape = ForwardTape()
+    st = lift(tape, state)
+    hv, hr = st.entity, st.relation
+    worst, base = 0.0, state
+    for i, p in enumerate(params):
+        last = i == len(params) - 1
+        hv, hr = layer_forward_tape(tape, graph, mode, None, lift(tape, p), hv, hr, last)
+        base = baseline_forward(mode, graph, base, p, last)
+        worst = max(worst, float(np.max(np.abs(hv.value - base.entity))))
         if base.relation is not None:
-            worst = max(worst, float(np.max(np.abs(layer_state.relation - base.relation))))
+            worst = max(worst, float(np.max(np.abs(hr.value - base.relation))))
     return worst
 
 

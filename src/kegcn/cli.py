@@ -25,10 +25,11 @@ from .tasks import (UnsupportedModeError, evaluate_alignment, evaluate_classific
                     zero_shot_relation_alignment)
 
 
-def _add_train_flags(sub: argparse.ArgumentParser) -> None:
+def _add_train_flags(sub: argparse.ArgumentParser, task: str) -> None:
     sub.add_argument("--config", help="key = value configuration file")
     for key in io_mod.TRAIN_KEYS:
-        sub.add_argument(f"--{key.replace('_', '-')}", dest=key)
+        if task == "align" or key not in io_mod.ALIGN_KEYS:
+            sub.add_argument(f"--{key.replace('_', '-')}", dest=key)
     sub.add_argument("--quiet", action="store_true",
                      help="suppress per-epoch progress lines")
 
@@ -139,6 +140,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     cp = io_mod.load_checkpoint(args.checkpoint)
     try:   # checkpoint errors get the file's name; data errors carry their own
         values, _ = io_mod.unpack_config(cp)
+        if args.graph2 is not None and values["task"] != "align":
+            raise io_mod.ConfigError("--graph2: a classification checkpoint reads one graph")
         for key in ("graph1", "graph2", "train", "valid", "test", "report"):
             v = getattr(args, key, None)
             if v is not None:
@@ -243,11 +246,11 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command")
 
     p = subs.add_parser("train-align", help="train a cross-graph entity aligner")
-    _add_train_flags(p)
+    _add_train_flags(p, "align")
     p.set_defaults(func=cmd_train_align)
 
     p = subs.add_parser("train-classify", help="train an entity classifier")
-    _add_train_flags(p)
+    _add_train_flags(p, "classify")
     p.set_defaults(func=cmd_train_classify)
 
     p = subs.add_parser("eval", help="evaluate a saved checkpoint")

@@ -47,7 +47,7 @@ from typing import Optional
 import numpy as np
 
 from .graph import build_graph
-from .propagation import EmbeddingState, layer_params, layer_shapes, table_shapes
+from .propagation import EmbeddingState, LayerParams, layer_shapes, table_shapes
 from .tasks import AlignmentSeeds, LabelSet, TrainConfig, named_parameters
 
 
@@ -262,11 +262,9 @@ def load_labels(path: str, ent_vocab: Vocabulary, class_vocab: Vocabulary):
 @dataclass
 class DatasetBundle:
     graphs: list
-    entity_vocabs: list
     relation_vocabs: list
     seeds: Optional[AlignmentSeeds] = None
     label_set: Optional[LabelSet] = None
-    class_vocab: Optional[Vocabulary] = None
 
 
 def _require_path(values: dict, key: str) -> str:
@@ -283,7 +281,7 @@ def load_alignment_bundle(values: dict) -> DatasetBundle:
         path = values.get(split)
         splits[split] = load_alignments(path, ev1, ev2) if path else []
     seeds = AlignmentSeeds(**splits)
-    return DatasetBundle([g1, g2], [ev1, ev2], [rv1, rv2], seeds=seeds)
+    return DatasetBundle([g1, g2], [rv1, rv2], seeds=seeds)
 
 
 def load_classification_bundle(values: dict) -> DatasetBundle:
@@ -316,8 +314,7 @@ def load_classification_bundle(values: dict) -> DatasetBundle:
         raise DataError(f"{where[e]}: label {max(merged[e])} is not below {limit}, the split "
                         "files' label-token count")
     label_set = LabelSet(merged, class_vocab.size, multi, **split_ids)
-    return DatasetBundle([g], [ev], [rv], label_set=label_set,
-                         class_vocab=class_vocab)
+    return DatasetBundle([g], [rv], label_set=label_set)
 
 
 # ---------------- configuration ----------------
@@ -330,6 +327,7 @@ _PATH_KEYS = ("graph1", "graph2", "train", "valid", "test", "rel_test",
 _FIELDS = fields(TrainConfig)
 _CONFIG_KEYS = ("task",) + tuple(f.name for f in _FIELDS)   # the keys a checkpoint stores
 TRAIN_KEYS = _PATH_KEYS + tuple(f.name for f in _FIELDS) + ("runs",)
+ALIGN_KEYS = ("graph2", "rel_test", "gamma", "negatives")   # classification takes none
 _TYPES = {"task": str, "runs": int, **{f.name: type(f.default) for f in _FIELDS}}
 _CHOICES = {"task": TASKS, **{f.name: f.metadata["choices"] for f in _FIELDS
                               if "choices" in f.metadata}}
@@ -359,20 +357,26 @@ def _convert(key: str, value: str):
 
 def parse_config(path: Optional[str] = None, overrides: Optional[dict] = None) -> dict:
     """`key = value` lines merged with command-line overrides (which win),
-    then defaults; dim defaults to 200 for alignment, 32 for classification."""
+    then defaults; dim defaults to 200 for alignment, 32 for classification.
+    A classification config may not set any of ALIGN_KEYS."""
     values: dict = {}
+    where: dict = {}   # key -> the "file line n: " that set it last, if any
     for lineno, line in zip(*data_lines(path)) if path else ():
-        key, sep, value = line.partition("=")
+        key, sep, value = map(str.strip, line.partition("="))
+        where[key] = f"{path} line {lineno}: "
         try:
             if not sep:
                 raise ConfigError("expected key = value")
-            values[key.strip()] = _convert(key.strip(), value.strip())
+            values[key] = _convert(key, value)
         except ConfigError as exc:
-            raise ConfigError(f"{path} line {lineno}: {exc}") from None
+            raise ConfigError(f"{where[key]}{exc}") from None
     for key, value in (overrides or {}).items():
         if value is not None:
-            values[key] = _convert(key, str(value))
+            values[key], where[key] = _convert(key, str(value)), ""
     values.setdefault("task", "align")
+    bad = [key for key in ALIGN_KEYS if key in values and values["task"] == "classify"]
+    if bad:
+        raise ConfigError(f"{where[bad[0]]}config key '{bad[0]}': classification does not read it")
     for f in _FIELDS:
         values.setdefault(f.name, f.default if f.name != "dim"
                           else 200 if values["task"] == "align" else 32)
@@ -561,8 +565,8 @@ def unpack_model(cp: Checkpoint, values: dict, graphs: dict, num_classes: Option
         return sec[name].copy()
 
     rels = max(g.num_relations for g in graphs.values())
-    params_list = [layer_params(mc, i, {f: take(f"param/layer{i}.{f}", shape)
-                                        for f, shape in layer_shapes(mc, rels, i).items()})
+    params_list = [LayerParams(**{f: take(f"param/layer{i}.{f}", shape) for f, shape
+                                  in layer_shapes(mc, rels, i).items()}, alpha=mc.alpha)
                    for i in range(mc.layers)]
     tables = {name: EmbeddingState(**{part: take(f"table/{name}.{part}", shape)
                                       for part, shape in table_shapes(mc, g).items()})

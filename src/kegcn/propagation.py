@@ -1,6 +1,6 @@
 """Graph convolution layers where the messages are score gradients.
 
-Entity update:  h_v' = act_ent(m_v + W_0 h_v), where m_v sums
+Entity update:  h_v' = sigma(m_v + W_0 h_v), where m_v sums
 W * d f(h_u, h_r, h_v) / d h_v over in-edges and
 W * d f(h_v, h_r, h_u) / d h_v over out-edges, scaled by
 alpha / (|N_in(v)| + |N_out(v)|)  (zero for isolated entities).  The
@@ -8,9 +8,12 @@ sums run over the scorer's messages, the gradients over its `factors`
 (fh, fr, ft), so m_v = ft * norm_v * (in-sum + out-sum) W, with - for +
 where fh = -ft.
 
-Relation update:  h_r' = act_rel(W_rel (m_r + h_r)), where m_r sums
+Relation update:  h_r' = sigma(W_rel (m_r + h_r)), where m_r sums
 d f / d h_r over the edges labeled r, scaled by alpha / |N(r)|: the sum
 of the messages times fr * alpha / |N(r)|.
+
+sigma is relu inside the stack, the identity on the last layer and on
+every compgcn relation; a layer updates relations iff it holds W_rel.
 
 Updates are synchronous: every read comes from the input state.  The
 default mode shares one W per layer and uses the same f on both
@@ -31,8 +34,9 @@ weight shapes and `table_shapes` a graph's embedding tables.
 `init_params`/`init_state` draw exactly those shapes, and
 `io.unpack_model` checks a checkpoint against them.
 Every layer runs batched over all edges on a tape (`layer_forward_tape`).
-Training reads only the last layer's entities, so `tasks.fit` records no
-last-layer relation update; `model_forward` builds it (relation alignment).
+Training reads only the last layer's entities, so `tasks.record_forward`
+runs that layer without its W_rel, recording no relation update there;
+`model_forward` runs it whole (relation alignment).
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ SELF_GAIN = 0.1
 
 @dataclass
 class LayerParams:
-    """One layer's weights plus its activation and normalization choices.
+    """One layer's weights and its degree normalization (alpha).
 
     Exactly one of (w, w_per_rel) carries the message transform; wgcn
     additionally scales each message by rel_scale[r] and reuses w for
@@ -76,8 +80,6 @@ class LayerParams:
     w_rel: Optional[np.ndarray] = None
     w_per_rel: Optional[np.ndarray] = None
     rel_scale: Optional[np.ndarray] = None
-    act_ent: str = "relu"
-    act_rel: str = "relu"
     alpha: Optional[float] = None
 
 
@@ -114,11 +116,6 @@ def config_scorer(cfg: ModelConfig) -> Optional[Scorer]:
     return make_scorer(cfg.scorer_kind, base_dim(cfg.scorer_kind, cfg.dim))
 
 
-def entity_width(cfg: ModelConfig) -> int:
-    s = config_scorer(cfg)
-    return s.entity_width if s is not None else cfg.dim
-
-
 def relation_width(cfg: ModelConfig) -> Optional[int]:
     if cfg.mode == "kegcn":
         return config_scorer(cfg).relation_width
@@ -130,7 +127,7 @@ def relation_width(cfg: ModelConfig) -> Optional[int]:
 def layer_shapes(cfg: ModelConfig, num_relations: int, layer: int) -> dict:
     """The shapes of layer `layer`'s weights by name (see
     LayerParams.WEIGHTS), in the order init_params draws them."""
-    we, wr = entity_width(cfg), relation_width(cfg)
+    we, wr = cfg.dim, relation_width(cfg)
     out_w = cfg.out_dim if layer == cfg.layers - 1 and cfg.out_dim is not None else we
     if cfg.mode == "rgcn":
         return {"w_per_rel": (num_relations, we, out_w), "w0": (we, out_w)}
@@ -142,18 +139,8 @@ def layer_shapes(cfg: ModelConfig, num_relations: int, layer: int) -> dict:
 def table_shapes(cfg: ModelConfig, graph: KnowledgeGraph) -> dict:
     """The shapes of a graph's embedding tables by EmbeddingState field."""
     wr = relation_width(cfg)
-    return {"entity": (graph.num_entities, entity_width(cfg)),
+    return {"entity": (graph.num_entities, cfg.dim),
             **({"relation": (graph.num_relations, wr)} if wr else {})}
-
-
-def layer_params(cfg: ModelConfig, layer: int, weights: dict) -> LayerParams:
-    """Layer `layer` of the stack `cfg` builds, holding `weights`: relu
-    inside the stack, identity on the last layer and on every compgcn
-    relation."""
-    last = layer == cfg.layers - 1
-    return LayerParams(**weights, act_ent="identity" if last else "relu",
-                       act_rel="identity" if last or cfg.mode.startswith("compgcn") else "relu",
-                       alpha=cfg.alpha)
 
 
 def init_params(cfg: ModelConfig, num_relations: int, rng: RandomSource) -> list[LayerParams]:
@@ -166,7 +153,7 @@ def init_params(cfg: ModelConfig, num_relations: int, rng: RandomSource) -> list
         if cfg.mode == "kegcn":
             weights["w"] *= MESSAGE_GAIN[cfg.scorer_kind]
             weights["w0"] *= SELF_GAIN
-        out.append(layer_params(cfg, layer, weights))
+        out.append(LayerParams(**weights, alpha=cfg.alpha))
     return out
 
 
@@ -206,11 +193,11 @@ def _row_scale(tape: Tape, x: Variable, factor: int, graph: KnowledgeGraph,
 
 
 def layer_forward_tape(tape: Tape, graph: KnowledgeGraph, mode: str, scorer: Optional[Scorer],
-                       layer: LayerParams, hv: Variable, hr: Optional[Variable],
-                       relation: bool = True):
-    """One layer on `tape`; `layer` holds its weights as leaves (`lift`)."""
+                       layer: LayerParams, hv: Variable, hr: Optional[Variable], last: bool):
+    """One layer on `tape`, the last of its stack if `last`; `layer` holds
+    its weights as leaves (`lift`).  The relation output is None unless
+    the layer holds w_rel."""
     n, rn, ne = graph.num_entities, graph.num_relations, graph.num_triples
-    relation = relation and hr is not None and layer.w_rel is not None
     self_term = tape.matmul(hv, layer.w0 if layer.w0 is not None else layer.w)
     gr_agg = None
     fh, fr, ft = scorer.factors if mode == "kegcn" else (1, 1, 1)
@@ -222,7 +209,7 @@ def layer_forward_tape(tape: Tape, graph: KnowledgeGraph, mode: str, scorer: Opt
         V = tape.gather(hv, graph.tails, flat_cache=fc["tails"], planes=k)
         Re = (tape.gather(hr, graph.rels, flat_cache=fc["rels"], planes=k)
               if hr is not None else None)
-        gh, gr, gt = _edge_messages_tape(tape, mode, scorer, U, Re, V, relation)
+        gh, gr, gt = _edge_messages_tape(tape, mode, scorer, U, Re, V, layer.w_rel is not None)
         if layer.w_per_rel is not None:
             gt = tape.per_relation_matmul(gt, layer.w_per_rel, graph.rels)
             gh = tape.per_relation_matmul(gh, layer.w_per_rel, graph.rels)
@@ -242,42 +229,31 @@ def layer_forward_tape(tape: Tape, graph: KnowledgeGraph, mode: str, scorer: Opt
         pre = tape.add(m, self_term)
     else:
         pre = self_term
-    new_hv = tape.activate(layer.act_ent, pre)
-
-    new_hr = None
-    if relation:
-        if gr_agg is not None:   # kegcn with edges; the other modes send no gr
-            gr_agg = _row_scale(tape, gr_agg, fr, graph, layer.alpha, entity=False)
-            pre_r = tape.matmul(tape.add(gr_agg, hr), layer.w_rel)
-        else:
-            pre_r = tape.matmul(hr, layer.w_rel)
-        new_hr = tape.activate(layer.act_rel, pre_r)
-    return new_hv, new_hr
+    new_hv = pre if last else tape.relu(pre)
+    if layer.w_rel is None:
+        return new_hv, None
+    if gr_agg is not None:   # kegcn with edges; the other modes send no gr
+        hr = tape.add(_row_scale(tape, gr_agg, fr, graph, layer.alpha, entity=False), hr)
+    pre_r = tape.matmul(hr, layer.w_rel)
+    return new_hv, pre_r if last or mode.startswith("compgcn") else tape.relu(pre_r)
 
 
 def forward_on_tape(tape: Tape, graph: KnowledgeGraph, mode: str, scorer: Optional[Scorer],
-                    layers: list[LayerParams], hv: Variable, hr: Optional[Variable],
-                    collect: bool = False, final_relation: bool = True):
-    """The stack of lifted `layers` on `tape`; without `final_relation` the
-    last layer records no relation update and returns None for it."""
-    states = []
+                    layers: list[LayerParams], hv: Variable, hr: Optional[Variable]):
+    """The stack of lifted `layers` on `tape`: its last entities and
+    relations (None unless the last layer holds w_rel)."""
     for i, layer in enumerate(layers):
-        hv, hr = layer_forward_tape(tape, graph, mode, scorer, layer, hv, hr,
-                                    relation=final_relation or i < len(layers) - 1)
-        states.append((hv, hr))
-    return states if collect else (hv, hr)
+        hv, hr = layer_forward_tape(tape, graph, mode, scorer, layer, hv, hr, i == len(layers) - 1)
+    return hv, hr
 
 
 def model_forward(graph: KnowledgeGraph, state: EmbeddingState,
                   params_list: list[LayerParams], mode: str = "kegcn",
-                  scorer: Optional[Scorer] = None, collect: bool = False):
-    """Run the layer stack; returns the final EmbeddingState, or every
-    layer's state when collect is set.  Runs on a ForwardTape, so the
+                  scorer: Optional[Scorer] = None) -> EmbeddingState:
+    """The final state of the layer stack.  Runs on a ForwardTape, so the
     intermediates of each layer are freed once the layer returns."""
     tape = ForwardTape()
     st = lift(tape, state)
-    out = forward_on_tape(tape, graph, mode, scorer, [lift(tape, p) for p in params_list],
-                          st.entity, st.relation, collect=collect)
-    states = [EmbeddingState(e.value, None if r is None else r.value)
-              for e, r in (out if collect else [out])]
-    return states if collect else states[0]
+    hv, hr = forward_on_tape(tape, graph, mode, scorer, [lift(tape, p) for p in params_list],
+                             st.entity, st.relation)
+    return EmbeddingState(hv.value, None if hr is None else hr.value)

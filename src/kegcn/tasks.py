@@ -11,7 +11,7 @@ gradients flow through the score-gradient messages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -382,14 +382,16 @@ class ClassificationResult:
 def record_forward(tape: Tape, graphs: dict, mode: str, scorer, params_list: list,
                    tables: dict):
     """What a training epoch records on `tape` before its loss: the layer
-    weights as leaves, then each table (in `tables` order), then the layer
-    stack over each graph (in `graphs` order) without the last layer's
-    relation update, which no loss reads.  Returns the leaves by
-    `named_parameters` name and each graph's output entities."""
+    weights as leaves, then each table (in `tables` order), then the stack
+    over each graph (in `graphs` order), its last layer without w_rel (no
+    loss reads that relation update; the leaf gets a zero gradient).
+    Returns the leaves by `named_parameters` name and each graph's output
+    entities."""
     layers = [lift(tape, p) for p in params_list]
     tvars = {name: lift(tape, st) for name, st in tables.items()}
-    outs = [forward_on_tape(tape, g, mode, scorer, layers, tvars[name].entity,
-                            tvars[name].relation, final_relation=False)[0]
+    stack = [*layers[:-1], replace(layers[-1], w_rel=None)]
+    outs = [forward_on_tape(tape, g, mode, scorer, stack, tvars[name].entity,
+                            tvars[name].relation)[0]
             for name, g in graphs.items()]
     return named_parameters(layers, tvars), outs
 

@@ -83,19 +83,16 @@ def relation_message(graph: KnowledgeGraph, state: EmbeddingState, scorer: Optio
     return factor * acc
 
 
-def activate(kind: str, x: np.ndarray) -> np.ndarray:
-    """The layers' activations: relu, or identity for any other kind."""
-    return np.maximum(x, 0.0) if kind == "relu" else x
-
-
 def layer_forward(graph: KnowledgeGraph, state: EmbeddingState, params: LayerParams,
-                  scorer: Optional[Scorer], mode: str = "kegcn") -> EmbeddingState:
-    """Reference per-entity implementation of one synchronous layer."""
+                  scorer: Optional[Scorer], last: bool, mode: str = "kegcn") -> EmbeddingState:
+    """Reference per-entity implementation of one synchronous layer, the
+    last of its stack if `last`: relu inside the stack, identity on the
+    last layer and on every compgcn relation."""
     w_self = params.w0 if params.w0 is not None else params.w
     new_ent = np.zeros((graph.num_entities, w_self.shape[1]))
     for v in range(graph.num_entities):
-        m = entity_message(graph, state, scorer, v, params, mode)
-        new_ent[v] = activate(params.act_ent, m + state.entity[v] @ w_self)
+        pre = entity_message(graph, state, scorer, v, params, mode) + state.entity[v] @ w_self
+        new_ent[v] = pre if last else np.maximum(pre, 0.0)
     new_rel = None
     if state.relation is not None and params.w_rel is not None:
         new_rel = np.zeros((graph.num_relations, params.w_rel.shape[1]))
@@ -105,5 +102,5 @@ def layer_forward(graph: KnowledgeGraph, state: EmbeddingState, params: LayerPar
                 pre = (mr + state.relation[r]) @ params.w_rel
             else:
                 pre = state.relation[r] @ params.w_rel
-            new_rel[r] = activate(params.act_rel, pre)
+            new_rel[r] = pre if last or mode.startswith("compgcn") else np.maximum(pre, 0.0)
     return EmbeddingState(new_ent, new_rel)

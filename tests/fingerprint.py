@@ -24,10 +24,12 @@ receives them, the weights and tables after every step, and the final
 states (`model_forward` over the restored best tables, final relation
 included).
 
-CLI: the report bytes of the three gate runs (`train-align` transe and
-quate with `--rel-test`, `train-classify`; the instances of
-`tests/test_acceptance.py`, 300 epochs) and the stdout of
-`verify-reductions` and `gradcheck --scorer all`.
+CLI: for each of the three gate runs (`train-align` transe and quate
+with `--rel-test`, `train-classify`; the instances of
+`tests/test_acceptance.py`, 300 epochs) the bytes of its report, of the
+checkpoint it writes and of the report of `kegcn eval` on that
+checkpoint; and the stdout of `verify-reductions` and `gradcheck
+--scorer all`.
 
 Not collected by pytest.
 """
@@ -126,6 +128,17 @@ def cli(args, cwd) -> subprocess.CompletedProcess:
     return proc
 
 
+def gate_records(name: str, train_args: list, data_args: list, cwd: str):
+    """The report of one gate run, the checkpoint it writes, and the report
+    of `kegcn eval` on that checkpoint over the same data files."""
+    cli([*train_args, "--quiet", "--report", "report.tsv", "--checkpoint", "model.ckpt"], cwd)
+    cli(["eval", "--checkpoint", "model.ckpt", *data_args, "--report", "eval.tsv"], cwd)
+    for what, path in (("report", "report.tsv"), ("checkpoint", "model.ckpt"),
+                       ("eval report", "eval.tsv")):
+        with open(os.path.join(cwd, path), "rb") as fh:
+            yield f"cli {name} {what}", hashlib.sha256(fh.read()).hexdigest()
+
+
 def cli_records():
     with tempfile.TemporaryDirectory() as tmp:
         for scorer, gen_seed in (("transe", 122), ("quate", 19)):
@@ -137,12 +150,12 @@ def cli_records():
             for name, pairs in (("train", seeds.train), ("test", seeds.test),
                                 ("rel-test", rel_pairs)):
                 synthetic.write_pairs_tsv(os.path.join(tmp, f"{name}.tsv"), pairs)
-            files = ("graph1", "graph2", "train", "test", "rel-test")
-            cli(["train-align", *(x for name in files for x in (f"--{name}", f"{name}.tsv")),
-                 "--scorer", scorer, "--dim", "64", "--epochs", "300", "--seed", "0",
-                 "--quiet", "--report", "report.tsv"], tmp)
-            with open(os.path.join(tmp, "report.tsv"), "rb") as fh:
-                yield f"cli train-align {scorer} report", hashlib.sha256(fh.read()).hexdigest()
+            data = [x for name in ("graph1", "graph2", "train", "test")
+                    for x in (f"--{name}", f"{name}.tsv")]
+            yield from gate_records(
+                f"train-align {scorer}",
+                ["train-align", *data, "--rel-test", "rel-test.tsv", "--scorer", scorer,
+                 "--dim", "64", "--epochs", "300", "--seed", "0"], data, tmp)
 
         graph, labels = synthetic.block_classification(300, 3, 1500, noise=0.1, seed=0)
         split = synthetic.classification_split(labels, 3, train_fraction=0.1,
@@ -150,11 +163,10 @@ def cli_records():
         synthetic.write_graph_tsv(os.path.join(tmp, "g.tsv"), graph)
         synthetic.write_labels_tsv(os.path.join(tmp, "train.tsv"), labels, split.train)
         synthetic.write_labels_tsv(os.path.join(tmp, "test.tsv"), labels, split.test)
-        cli(["train-classify", "--graph1", "g.tsv", "--train", "train.tsv", "--test",
-             "test.tsv", "--epochs", "300", "--seed", "0", "--quiet", "--report",
-             "report.tsv"], tmp)
-        with open(os.path.join(tmp, "report.tsv"), "rb") as fh:
-            yield "cli train-classify report", hashlib.sha256(fh.read()).hexdigest()
+        data = ["--graph1", "g.tsv", "--train", "train.tsv", "--test", "test.tsv"]
+        yield from gate_records("train-classify",
+                                ["train-classify", *data, "--epochs", "300", "--seed", "0"],
+                                data, tmp)
         for args in (["verify-reductions"], ["gradcheck", "--scorer", "all"]):
             out = cli(args, tmp).stdout
             yield f"cli {' '.join(args)} stdout", hashlib.sha256(out).hexdigest()

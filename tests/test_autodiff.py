@@ -525,7 +525,7 @@ def test_every_vjp_leaves_g_unwritten_and_returns_views_of_g_or_fresh_arrays():
                 assert not any(np.may_share_memory(pg, q) for q in others), (name, node.name)
             checked.add(node.name)
     ops = {n for n, f in vars(Tape).items() if callable(f) and not n.startswith("_")}
-    ops = {"slice" if n == "slice_cols" else n for n in ops - {"leaf", "activate", "backward"}}
+    ops = {"slice" if n == "slice_cols" else n for n in ops - {"leaf", "backward"}}
     assert ops <= checked, sorted(ops - checked)
 
 

@@ -263,6 +263,45 @@ def test_train_classify_cli_and_eval(tmp_path, capsys):
     assert read_report(str(ev_report))["accuracy"] == got["accuracy"]
 
 
+def _classify_data(tmp_path):
+    """The --graph1 and --train flags of a small classification dataset."""
+    g = write_ring_dataset(tmp_path, prefix="g")
+    train = write_pairs(tmp_path, "train.tsv", [(i, i % 2) for i in range(8)])
+    return ["--graph1", str(g), "--train", str(train)]
+
+
+@pytest.mark.parametrize("flag, value", [("--graph2", "g.tsv"), ("--rel-test", "/nonexistent.tsv"),
+                                         ("--gamma", "2.0"), ("--negatives", "3")])
+def test_train_classify_offers_no_alignment_flag(tmp_path, capsys, flag, value):
+    # these used to be accepted and ignored, the rel-test file unopened
+    assert cli.main(["train-classify", *_classify_data(tmp_path), "--dim", "4",
+                     "--layers", "1", "--epochs", "1", flag, value, "--quiet"]) == 1
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("graph2", "g.tsv"), ("rel_test", "/nonexistent.tsv"),
+                                        ("gamma", "2.0"), ("negatives", "3")])
+def test_classify_config_setting_an_alignment_key_exits_1_naming_file_line_and_key(
+        tmp_path, capsys, key, value):
+    _, g, _, train = _classify_data(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"graph1 = {g}\ntrain = {train}\n# {key}\n{key} = {value}\n"
+                   "dim = 4\nlayers = 1\nepochs = 1\n")
+    assert cli.main(["train-classify", "--config", str(cfg), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg} line 4: config key '{key}'"), err
+
+
+def test_eval_graph2_on_a_classification_checkpoint_exits_1_naming_the_flag(tmp_path, capsys):
+    data = _classify_data(tmp_path)
+    ckpt = tmp_path / "model.ckpt"
+    assert cli.main(["train-classify", *data, "--dim", "4", "--layers", "1", "--epochs", "1",
+                     "--checkpoint", str(ckpt), "--quiet"]) == 0
+    capsys.readouterr()
+    assert cli.main(["eval", "--checkpoint", str(ckpt), *data, "--graph2", "g.tsv"]) == 1
+    assert capsys.readouterr().err.startswith("error: --graph2: "), "graph2 accepted"
+
+
 def test_train_classify_multirun_reports_spread(tmp_path):
     g = write_ring_dataset(tmp_path, prefix="g")
     train = tmp_path / "train_labels.tsv"
@@ -592,11 +631,12 @@ TRAIN_FLAGS = ["-h", "--help", "--config", "--graph1", "--graph2", "--train", "-
                "--test", "--rel-test", "--report", "--checkpoint", "--mode", "--scorer",
                "--dim", "--layers", "--lr", "--alpha", "--gamma", "--negatives",
                "--epochs", "--patience", "--seed", "--runs", "--quiet"]
+ALIGN_FLAGS = ("--graph2", "--rel-test", "--gamma", "--negatives")
 
 
 def test_cli_surface_flag_names_and_order():
     assert _flags("train-align") == TRAIN_FLAGS
-    assert _flags("train-classify") == TRAIN_FLAGS
+    assert _flags("train-classify") == [f for f in TRAIN_FLAGS if f not in ALIGN_FLAGS]
     assert _flags("eval") == ["-h", "--help", "--checkpoint", "--graph1", "--graph2",
                               "--train", "--valid", "--test", "--report"]
 
@@ -609,16 +649,17 @@ def test_every_train_config_field_round_trips(tmp_path):
     assert all(v != f.default for f, (_, v) in zip(fields(TrainConfig), items))
     cfg = tmp_path / "run.cfg"
     cfg.write_text("".join(f"{k} = {v}\n" for k, v in items))
-    from_file = io_mod.parse_config(str(cfg), {"task": "classify"})
+    from_file = io_mod.parse_config(str(cfg), {"task": "align"})
     args = cli.build_parser().parse_args(
-        ["train-classify"] + [s for k, v in items for s in (f"--{k}", str(v))])
-    from_flags = io_mod.parse_config(None, {**cli._overrides(args), "task": "classify"})
-    mc = want.model_config(out_dim=2)
+        ["train-align"] + [s for k, v in items for s in (f"--{k}", str(v))])
+    from_flags = io_mod.parse_config(None, {**cli._overrides(args), "task": "align"})
+    mc = want.model_config()
     rng = RandomSource(0)
     g = build_graph([(0, 0, 1), (1, 1, 2)], 3, 2)
     ckpt = tmp_path / "m.ckpt"
     io_mod.save_checkpoint(str(ckpt), io_mod.pack_model(
-        from_flags, init_params(mc, 2, rng), {"g": init_state(mc, g, rng)}, None))
+        from_flags, init_params(mc, 2, rng),
+        {name: init_state(mc, g, rng) for name in ("g1", "g2")}, None))
     unpacked = io_mod.unpack_config(io_mod.load_checkpoint(str(ckpt)))[0]
     for values in (from_file, from_flags, unpacked):
         assert io_mod.train_config(values) == want
@@ -639,7 +680,8 @@ def test_count_option_below_one_exits_1(argv, option, capsys):
 def test_train_runs_below_one_exits_1(tmp_path, capsys, command):
     g = write_ring_dataset(tmp_path, prefix="g")
     train = write_pairs(tmp_path, "train.tsv", [(i, i % 2) for i in range(8)])
-    assert cli.main([command, "--graph1", str(g), "--graph2", str(g), "--train", str(train),
+    graph2 = ["--graph2", str(g)] if command == "train-align" else []
+    assert cli.main([command, "--graph1", str(g), *graph2, "--train", str(train),
                      "--dim", "4", "--layers", "2", "--epochs", "2", "--runs", "0",
                      "--quiet"]) == 1
     err = capsys.readouterr().err
@@ -677,8 +719,8 @@ def test_train_epochs_below_one_or_negative_patience_exits_1(tmp_path, capsys, c
                                                              key, value, via):
     g = write_ring_dataset(tmp_path, prefix="g")
     train = write_pairs(tmp_path, "train.tsv", [(i, i % 2) for i in range(8)])
-    options = {"graph1": g, "graph2": g, "train": train, "dim": 4, "layers": 2,
-               "epochs": 2, key: value}
+    options = {"graph1": g, **({"graph2": g} if command == "train-align" else {}),
+               "train": train, "dim": 4, "layers": 2, "epochs": 2, key: value}
     if via == "flag":
         argv = [s for k, v in options.items() for s in (f"--{k}", str(v))]
     else:

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from eager_oracle import activate, entity_message, layer_forward, relation_message
+from eager_oracle import entity_message, layer_forward, relation_message
 from helpers import finite_diff_check
 from kegcn.autodiff import Tape
 from kegcn import checks
@@ -18,7 +18,6 @@ from kegcn.propagation import (
     LayerParams,
     ModelConfig,
     config_scorer,
-    entity_width,
     forward_on_tape,
     init_params,
     init_state,
@@ -34,8 +33,7 @@ ALL_KINDS = sorted(SCORERS)
 
 
 def identity_params(d, alpha=None):
-    return LayerParams(w=np.eye(d), w0=np.eye(d), w_rel=np.eye(d),
-                       act_ent="relu", act_rel="relu", alpha=alpha)
+    return LayerParams(w=np.eye(d), w0=np.eye(d), w_rel=np.eye(d), alpha=alpha)
 
 
 def random_instance(n=12, r=3, edges=30, seed=0):
@@ -91,9 +89,8 @@ def test_relation_message_examples():
 def test_layer_forward_empty_graph_identity():
     g = build_graph([], 3, 2)
     state = EmbeddingState(np.arange(6.0).reshape(3, 2), np.ones((2, 2)))
-    p = LayerParams(w=np.eye(2), w0=np.eye(2), w_rel=np.eye(2),
-                    act_ent="identity", act_rel="identity")
-    out = layer_forward(g, state, p, make_scorer("transe", 2))
+    p = LayerParams(w=np.eye(2), w0=np.eye(2), w_rel=np.eye(2))
+    out = layer_forward(g, state, p, make_scorer("transe", 2), last=True)
     assert np.array_equal(out.entity, state.entity)
     assert np.array_equal(out.relation, state.relation)
 
@@ -101,7 +98,7 @@ def test_layer_forward_empty_graph_identity():
 def test_layer_forward_hand_toy():
     g = build_graph([(0, 0, 1)], 2, 1)
     state = EmbeddingState(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([[1.0, 1.0]]))
-    out = layer_forward(g, state, identity_params(2), make_scorer("transe", 2))
+    out = layer_forward(g, state, identity_params(2), make_scorer("transe", 2), last=False)
     assert np.array_equal(out.entity, [[0.0, 0.0], [4.0, 1.0]])
     assert np.array_equal(out.relation, [[0.0, 1.0]])
 
@@ -114,18 +111,15 @@ def test_model_forward_one_layer_equals_layer_forward():
     state = init_state(cfg, g, rng)
     s = config_scorer(cfg)
     got = model_forward(g, state, params, scorer=s)
-    want = layer_forward(g, state, params[0], s)
+    want = layer_forward(g, state, params[0], s, last=True)
     assert np.allclose(got.entity, want.entity, atol=1e-12)
     assert np.allclose(got.relation, want.relation, atol=1e-12)
 
 
 def test_model_forward_empty_identity_two_layers():
     g = build_graph([], 4, 2)
-    params = [
-        LayerParams(w=np.eye(3), w0=np.eye(3), w_rel=np.eye(3),
-                    act_ent="identity", act_rel="identity")
-        for _ in range(2)
-    ]
+    params = [LayerParams(w=np.eye(3), w0=np.eye(3), w_rel=np.eye(3)) for _ in range(2)]
+    # non-negative, so the first layer's relu keeps them too
     state = EmbeddingState(np.arange(12.0).reshape(4, 3), np.ones((2, 3)))
     out = model_forward(g, state, params, scorer=make_scorer("transe", 3))
     assert np.array_equal(out.entity, state.entity)
@@ -172,7 +166,7 @@ def test_lift_records_each_array_field_in_field_order():
     lp, ls = lift(tape, p), lift(tape, state)
     assert [v.index for v in (lp.w, lp.rel_scale, ls.entity, ls.relation)] == [0, 1, 2, 3]
     assert lp.w0 is None and lp.w_rel is None and lp.w_per_rel is None
-    assert (lp.act_ent, lp.act_rel, lp.alpha) == (p.act_ent, p.act_rel, p.alpha)
+    assert lp.alpha == p.alpha
     assert lp.w.value is p.w and ls.relation.value is state.relation
 
 
@@ -184,12 +178,45 @@ def test_tape_layers_match_eager_oracle(kind):
     params = init_params(cfg, g.num_relations, rng)
     state = init_state(cfg, g, rng)
     s = config_scorer(cfg)
-    tape_states = model_forward(g, state, params, scorer=s, collect=True)
-    eager = state
-    for layer_state, p in zip(tape_states, params):
-        eager = layer_forward(g, eager, p, s)
-        assert np.allclose(layer_state.entity, eager.entity, atol=1e-10), kind
-        assert np.allclose(layer_state.relation, eager.relation, atol=1e-10), kind
+    tape = Tape()
+    st = lift(tape, state)
+    hv, hr, eager = st.entity, st.relation, state
+    for i, p in enumerate(params):
+        last = i == len(params) - 1
+        hv, hr = layer_forward_tape(tape, g, cfg.mode, s, lift(tape, p), hv, hr, last)
+        eager = layer_forward(g, eager, p, s, last)
+        assert np.allclose(hv.value, eager.entity, atol=1e-10), kind
+        assert np.allclose(hr.value, eager.relation, atol=1e-10), kind
+
+
+@pytest.mark.parametrize("mode", ["kegcn", "compgcn-sub", "rgcn"])
+def test_layer_rule_follows_its_place_in_the_stack_and_its_weights(mode):
+    # relu on inner entities and inner kegcn relations; identity on the
+    # last layer and on every compgcn relation; a relation output exactly
+    # where the layer holds w_rel
+    g = random_instance(seed=7)
+    cfg = ModelConfig(mode=mode, scorer_kind="transe", dim=4, layers=2, alpha=0.3)
+    rng = RandomSource(3)
+    params = init_params(cfg, g.num_relations, rng)
+    state = init_state(cfg, g, rng)
+    s = config_scorer(cfg)
+    tape = Tape()
+    st = lift(tape, state)
+    hv, hr = st.entity, st.relation
+    for i, p in enumerate(params):
+        last = i == len(params) - 1
+        layer = lift(tape, p)
+        bare = layer_forward_tape(tape, g, mode, s, replace(layer, w_rel=None), hv, hr, last)
+        assert bare[1] is None
+        hv, hr = layer_forward_tape(tape, g, mode, s, layer, hv, hr, last)
+        assert (tape.nodes[hv.index].name == "relu") == (not last), (mode, i)
+        assert np.array_equal(hv.value, bare[0].value), (mode, i)
+        assert (hr is None) == (mode == "rgcn"), (mode, i)
+        if hr is not None:
+            want_relu = mode == "kegcn" and not last
+            assert (tape.nodes[hr.index].name == "relu") == want_relu, (mode, i)
+        if last:
+            assert (hv.value < 0).any(), (mode, i)   # no relu hides in the identity
 
 
 def test_zero_alpha_reduces_to_self_terms():
@@ -199,9 +226,9 @@ def test_zero_alpha_reduces_to_self_terms():
     params = init_params(cfg, g.num_relations, rng)
     state = init_state(cfg, g, rng)
     out = model_forward(g, state, params, scorer=config_scorer(cfg))
-    p = params[0]
-    assert np.array_equal(out.entity, activate(p.act_ent, state.entity @ p.w0))
-    assert np.array_equal(out.relation, activate(p.act_rel, state.relation @ p.w_rel))
+    p = params[0]   # the only layer is the last: identity
+    assert np.array_equal(out.entity, state.entity @ p.w0)
+    assert np.array_equal(out.relation, state.relation @ p.w_rel)
 
 
 def test_message_additive_over_disjoint_edge_sets():
@@ -300,18 +327,19 @@ def test_verify_reduction_runs_the_layout_training_builds(monkeypatch, mode):
     g = random_instance(n=20, r=4, edges=50, seed=43)
     seen = []
 
-    def recording_forward(graph, state, params, **kwargs):
-        seen.append(params)
-        return model_forward(graph, state, params, **kwargs)
+    def recording_layer(tape, graph, mode, scorer, layer, hv, hr, last):
+        seen.append((layer, last))
+        return layer_forward_tape(tape, graph, mode, scorer, layer, hv, hr, last)
 
-    monkeypatch.setattr(checks, "model_forward", recording_forward)
+    monkeypatch.setattr(checks, "layer_forward_tape", recording_layer)
     verify_reduction(mode, g, 0)
     cfg = ModelConfig(mode=mode, dim=8, layers=3, alpha=None)
-    assert len(seen) == 1 and len(seen[0]) == 3
-    for layer, p in enumerate(seen[0]):
+    assert [last for _, last in seen] == [False, False, True]
+    for layer, (p, _) in enumerate(seen):
         got = {f: getattr(p, f).shape for f in LayerParams.WEIGHTS
                if getattr(p, f) is not None}
         assert got == layer_shapes(cfg, g.num_relations, layer)
+        assert p.alpha is None
 
 
 def test_baseline_forward_examples():
@@ -321,8 +349,8 @@ def test_baseline_forward_examples():
     ent = rng.normal((3, 4))
     w0 = rng.normal((4, 4))
     wstack = rng.normal((2, 4, 4))
-    p = LayerParams(w_per_rel=wstack, w0=w0, act_ent="relu")
-    out = baseline_forward("rgcn", g, EmbeddingState(ent), p)
+    p = LayerParams(w_per_rel=wstack, w0=w0)
+    out = baseline_forward("rgcn", g, EmbeddingState(ent), p, last=False)
     want = np.stack([np.maximum(ent[v] @ w0, 0.0) for v in range(3)])
     assert np.array_equal(out.entity, want)
 
@@ -330,10 +358,10 @@ def test_baseline_forward_examples():
     g = random_instance(n=6, r=2, edges=12, seed=53)
     ent = rng.normal((6, 4))
     w = rng.normal((4, 4))
-    pw = LayerParams(w=w, rel_scale=np.ones((2, 1)), act_ent="relu")
-    pr = LayerParams(w_per_rel=np.stack([w, w]), w0=w, act_ent="relu")
-    a = baseline_forward("wgcn", g, EmbeddingState(ent), pw)
-    b = baseline_forward("rgcn", g, EmbeddingState(ent), pr)
+    pw = LayerParams(w=w, rel_scale=np.ones((2, 1)))
+    pr = LayerParams(w_per_rel=np.stack([w, w]), w0=w)
+    a = baseline_forward("wgcn", g, EmbeddingState(ent), pw, last=False)
+    b = baseline_forward("rgcn", g, EmbeddingState(ent), pr, last=False)
     assert np.allclose(a.entity, b.entity, atol=1e-12)
 
     # compgcn-sub single edge, hand params
@@ -343,8 +371,9 @@ def test_baseline_forward_examples():
     hr = np.array([1.0, 3.0])
     wr = np.array([[1.0, 2.0], [0.0, 1.0]])
     w0 = np.eye(2)
-    p = LayerParams(w=wr, w0=w0, w_rel=np.eye(2), act_ent="relu")
-    out = baseline_forward("compgcn-sub", g, EmbeddingState(np.stack([hu, hv]), hr[None, :]), p)
+    p = LayerParams(w=wr, w0=w0, w_rel=np.eye(2))
+    out = baseline_forward("compgcn-sub", g, EmbeddingState(np.stack([hu, hv]), hr[None, :]), p,
+                           last=False)
     want_v = np.maximum((hu - hr) @ wr + hv, 0.0)
     want_u = np.maximum((hv - hr) @ wr + hu, 0.0)
     assert np.allclose(out.entity[1], want_v, atol=1e-15)
@@ -360,7 +389,7 @@ def test_model_gradients_match_finite_differences(kind):
     state = init_state(cfg, g, rng)
     s = config_scorer(cfg)
     probe = RandomSource(67)
-    w_ent = probe.normal((g.num_entities, entity_width(cfg)))
+    w_ent = probe.normal((g.num_entities, cfg.dim))
     w_rel = probe.normal((g.num_relations, relation_width(cfg)))
 
     def fn(tape, ent, rel, w1, w01, wr1, w2, w02, wr2):
@@ -449,7 +478,7 @@ def _first_layer(kind):
     state = init_state(cfg, g, rng)
     tape = ProbeTape()
     hv, hr = layer_forward_tape(tape, g, "kegcn", config_scorer(cfg), lift(tape, params[0]),
-                                tape.leaf(state.entity), tape.leaf(state.relation))
+                                tape.leaf(state.entity), tape.leaf(state.relation), False)
     return g, tape, hv, hr
 
 

@@ -574,10 +574,16 @@ def test_epoch_equals_the_full_stack_bitwise(monkeypatch, task, mode, scorer):
     run()
     trained, epochs[:] = list(epochs), []
 
-    def full_forward(*args, **kwargs):
-        return propagation.forward_on_tape(*args, **{**kwargs, "final_relation": True})
+    def full_stack(tape, graphs, mode, scorer, params_list, tables):
+        # record_forward with the last layer's w_rel kept
+        layers = [propagation.lift(tape, p) for p in params_list]
+        tvars = {name: propagation.lift(tape, st) for name, st in tables.items()}
+        outs = [propagation.forward_on_tape(tape, g, mode, scorer, layers, tvars[name].entity,
+                                            tvars[name].relation)[0]
+                for name, g in graphs.items()]
+        return tasks_mod.named_parameters(layers, tvars), outs
 
-    monkeypatch.setattr(tasks_mod, "forward_on_tape", full_forward)
+    monkeypatch.setattr(tasks_mod, "record_forward", full_stack)
     monkeypatch.setattr(RecordingTape, "gather", gather_without_rows)
     run()
     assert len(trained) == len(epochs) == 2
