@@ -419,30 +419,23 @@ class Tape:
 
         return self._record(np.maximum(xv, 0.0, out=empty(xv.shape)), (x,), vjp, "relu")
 
-    def sigmoid(self, x: Variable) -> Variable:
-        s = numerics.sigmoid(x.value)
-        return self._record(s, (x,), lambda g: (g * s * (1.0 - s),), "sigmoid")
-
-    def log(self, x: Variable) -> Variable:
+    def softplus(self, x: Variable) -> Variable:
+        """log(1 + exp(x)) entrywise, which neither overflows nor rounds a
+        saturated x's gradient sigmoid(x) away."""
         xv = x.value
-        return self._record(np.log(xv), (x,), lambda g: (g / xv,), "log")
+        return self._record(np.logaddexp(0.0, xv), (x,),
+                            lambda g: (g * numerics.sigmoid(xv),), "softplus")
 
-    def clamp(self, x: Variable, lo: float, hi: float) -> Variable:
-        xv = x.value
-        mask = (xv > lo) & (xv < hi)
+    def neg_log_softmax(self, x: Variable) -> Variable:
+        """-log softmax(x) over the last axis, logsumexp(x) - x, from
+        z = x - max(x): log(sum exp z) - z, so every entry is >= +0.0."""
+        z = x.value - np.max(x.value, axis=-1, keepdims=True)
+        total = np.sum(np.exp(z), axis=-1, keepdims=True)
 
-        def vjp(g):
-            return (g * mask,)
+        def vjp(g):   # softmax(x) sum(g) - g
+            return (np.exp(z) / total * np.sum(g, axis=-1, keepdims=True) - g,)
 
-        return self._record(np.clip(xv, lo, hi), (x,), vjp, "clamp")
-
-    def softmax_row(self, x: Variable) -> Variable:
-        p = numerics.softmax_row(x.value)
-
-        def vjp(g):
-            return (p * (g - np.sum(g * p, axis=-1, keepdims=True)),)
-
-        return self._record(p, (x,), vjp, "softmax_row")
+        return self._record(np.log(total) - z, (x,), vjp, "neg_log_softmax")
 
     # ---- structured algebra ----
 

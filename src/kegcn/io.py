@@ -358,7 +358,8 @@ def _convert(key: str, value: str):
 def parse_config(path: Optional[str] = None, overrides: Optional[dict] = None) -> dict:
     """`key = value` lines merged with command-line overrides (which win),
     then defaults; dim defaults to 200 for alignment, 32 for classification.
-    A classification config may not set any of ALIGN_KEYS."""
+    The task comes from the overrides, never the file, and a classification
+    config may not set any of ALIGN_KEYS."""
     values: dict = {}
     where: dict = {}   # key -> the "file line n: " that set it last, if any
     for lineno, line in zip(*data_lines(path)) if path else ():
@@ -367,6 +368,8 @@ def parse_config(path: Optional[str] = None, overrides: Optional[dict] = None) -
         try:
             if not sep:
                 raise ConfigError("expected key = value")
+            if key == "task":
+                raise ConfigError("config key 'task': the subcommand sets the task")
             values[key] = _convert(key, value)
         except ConfigError as exc:
             raise ConfigError(f"{where[key]}{exc}") from None

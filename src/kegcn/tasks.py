@@ -3,9 +3,10 @@
 Alignment trains two layer stacks with SHARED weights, one per graph,
 with separate trainable input embedding tables, under a margin ranking
 loss over corrupted seed pairs.  Classification trains one stack whose
-last layer emits C columns, under softmax cross-entropy (multi-class)
-or element-wise sigmoid binary cross-entropy (multi-label).  Both run
-full-batch Adam; every epoch rebuilds one tape over the whole loss, so
+last layer emits C logits, under cross-entropy written from the logits:
+softmax cross-entropy logsumexp(x) - x of the true class (multi-class),
+or per-class sigmoid cross-entropy softplus(x) - y x (multi-label).  Both
+run full-batch Adam; every epoch rebuilds one tape over the whole loss, so
 gradients flow through the score-gradient messages.
 """
 
@@ -166,8 +167,10 @@ def _label_matrix(label_set: LabelSet, entity_ids) -> np.ndarray:
 
 def classification_loss(tape: Tape, logits: Variable, label_set: LabelSet,
                         entity_ids) -> Variable:
-    """Cross-entropy over the given labeled entities only; probabilities
-    clamped to [1e-12, 1 - 1e-12] before any log."""
+    """Cross-entropy of the given labeled entities only, from their logits x
+    and label rows y: multi-class sum y (logsumexp(x) - x), multi-label
+    (per-class sigmoid) sum softplus(x) - y x.  Every term is >= +0.0, and
+    a saturated logit keeps its gradient (softmax(x) - y, sigmoid(x) - y)."""
     if label_set.num_classes < 1:
         raise ValueError("classification needs at least one class")
     if logits.shape[1] != label_set.num_classes:
@@ -175,15 +178,9 @@ def classification_loss(tape: Tape, logits: Variable, label_set: LabelSet,
             f"logit width {logits.shape[1]} != class count {label_set.num_classes}")
     rows = tape.gather(logits, np.asarray(entity_ids, dtype=np.int64))
     y = tape.leaf(_label_matrix(label_set, entity_ids))
-    lo, hi = 1e-12, 1.0 - 1e-12
     if label_set.multi_label:
-        s = tape.clamp(tape.sigmoid(rows), lo, hi)
-        ones = tape.leaf(np.ones((1, 1)))
-        pos = tape.sum(tape.mul(y, tape.log(s)))
-        neg = tape.sum(tape.mul(tape.sub(ones, y), tape.log(tape.sub(ones, s))))
-        return tape.scale(tape.add(pos, neg), -1.0)
-    p_var = tape.clamp(tape.softmax_row(rows), lo, hi)
-    return tape.scale(tape.sum(tape.mul(y, tape.log(p_var))), -1.0)
+        return tape.sum(tape.sub(tape.softplus(rows), tape.mul(y, rows)))
+    return tape.sum(tape.mul(y, tape.neg_log_softmax(rows)))
 
 
 class Adam:

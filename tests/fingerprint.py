@@ -139,34 +139,40 @@ def gate_records(name: str, train_args: list, data_args: list, cwd: str):
             yield f"cli {name} {what}", hashlib.sha256(fh.read()).hexdigest()
 
 
+def gate_runs(tmp: str):
+    """Write the data of each gate run (the instances of
+    `tests/test_acceptance.py`) into tmp and yield its name, its training
+    command without a seed, and the data flags `kegcn eval` takes.  The
+    files hold one run's data at a time: the next run's replace them."""
+    for scorer, gen_seed in (("transe", 122), ("quate", 19)):
+        g1, g2, ent_pairs, rel_pairs = synthetic.hub_signature_pair(200, 5, 1000,
+                                                                    seed=gen_seed)
+        seeds = synthetic.alignment_split(ent_pairs, 0.3, seed=0)
+        for name, g in (("graph1", g1), ("graph2", g2)):
+            synthetic.write_graph_tsv(os.path.join(tmp, f"{name}.tsv"), g)
+        for name, pairs in (("train", seeds.train), ("test", seeds.test),
+                            ("rel-test", rel_pairs)):
+            synthetic.write_pairs_tsv(os.path.join(tmp, f"{name}.tsv"), pairs)
+        data = [x for name in ("graph1", "graph2", "train", "test")
+                for x in (f"--{name}", f"{name}.tsv")]
+        yield (f"train-align {scorer}",
+               ["train-align", *data, "--rel-test", "rel-test.tsv", "--scorer", scorer,
+                "--dim", "64", "--epochs", "300"], data)
+
+    graph, labels = synthetic.block_classification(300, 3, 1500, noise=0.1, seed=0)
+    split = synthetic.classification_split(labels, 3, train_fraction=0.1,
+                                           valid_fraction=0.0, seed=0)
+    synthetic.write_graph_tsv(os.path.join(tmp, "g.tsv"), graph)
+    synthetic.write_labels_tsv(os.path.join(tmp, "train.tsv"), labels, split.train)
+    synthetic.write_labels_tsv(os.path.join(tmp, "test.tsv"), labels, split.test)
+    data = ["--graph1", "g.tsv", "--train", "train.tsv", "--test", "test.tsv"]
+    yield "train-classify", ["train-classify", *data, "--epochs", "300"], data
+
+
 def cli_records():
     with tempfile.TemporaryDirectory() as tmp:
-        for scorer, gen_seed in (("transe", 122), ("quate", 19)):
-            g1, g2, ent_pairs, rel_pairs = synthetic.hub_signature_pair(200, 5, 1000,
-                                                                        seed=gen_seed)
-            seeds = synthetic.alignment_split(ent_pairs, 0.3, seed=0)
-            for name, g in (("graph1", g1), ("graph2", g2)):
-                synthetic.write_graph_tsv(os.path.join(tmp, f"{name}.tsv"), g)
-            for name, pairs in (("train", seeds.train), ("test", seeds.test),
-                                ("rel-test", rel_pairs)):
-                synthetic.write_pairs_tsv(os.path.join(tmp, f"{name}.tsv"), pairs)
-            data = [x for name in ("graph1", "graph2", "train", "test")
-                    for x in (f"--{name}", f"{name}.tsv")]
-            yield from gate_records(
-                f"train-align {scorer}",
-                ["train-align", *data, "--rel-test", "rel-test.tsv", "--scorer", scorer,
-                 "--dim", "64", "--epochs", "300", "--seed", "0"], data, tmp)
-
-        graph, labels = synthetic.block_classification(300, 3, 1500, noise=0.1, seed=0)
-        split = synthetic.classification_split(labels, 3, train_fraction=0.1,
-                                               valid_fraction=0.0, seed=0)
-        synthetic.write_graph_tsv(os.path.join(tmp, "g.tsv"), graph)
-        synthetic.write_labels_tsv(os.path.join(tmp, "train.tsv"), labels, split.train)
-        synthetic.write_labels_tsv(os.path.join(tmp, "test.tsv"), labels, split.test)
-        data = ["--graph1", "g.tsv", "--train", "train.tsv", "--test", "test.tsv"]
-        yield from gate_records("train-classify",
-                                ["train-classify", *data, "--epochs", "300", "--seed", "0"],
-                                data, tmp)
+        for name, train_args, data_args in gate_runs(tmp):
+            yield from gate_records(name, [*train_args, "--seed", "0"], data_args, tmp)
         for args in (["verify-reductions"], ["gradcheck", "--scorer", "all"]):
             out = cli(args, tmp).stdout
             yield f"cli {' '.join(args)} stdout", hashlib.sha256(out).hexdigest()

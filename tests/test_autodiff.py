@@ -269,11 +269,12 @@ def test_finite_diff_check_constant():
 
 
 PRIMITIVE_CASES = {}
+FD_STEPS = {}   # central-difference step by case
 
 
-def case(name):
+def case(name, eps=1e-6):
     def deco(f):
-        PRIMITIVE_CASES[name] = f
+        PRIMITIVE_CASES[name], FD_STEPS[name] = f, eps
         return f
 
     return deco
@@ -381,31 +382,35 @@ def _relu(rng):
     return lambda t, a: weighted_sum(t, t.relu(a), w), [x]
 
 
-@case("sigmoid")
-def _sigmoid(rng):
+def saturated(rng, shape):
+    """Logits near +-1e3, where softmax and sigmoid round to 0 and 1.  Their
+    cases take a step of 1e-4: values near 1e3 round 1,000 times coarser
+    than values near 1, and the central difference's error is O(step**2)."""
+    return np.where(rng.normal(shape) < 0.0, -1e3, 1e3) + rng.normal(shape)
+
+
+@case("neg_log_softmax")
+def _neg_log_softmax(rng):
+    x, w = rng.normal((4, 5)) * 2.0, rng.normal((4, 5))
+    return lambda t, a: weighted_sum(t, t.neg_log_softmax(a), w), [x]
+
+
+@case("neg_log_softmax_saturated", eps=1e-4)
+def _neg_log_softmax_saturated(rng):
+    x, w = saturated(rng, (4, 5)), rng.normal((4, 5))
+    return lambda t, a: weighted_sum(t, t.neg_log_softmax(a), w), [x]
+
+
+@case("softplus")
+def _softplus(rng):
     x, w = rng.normal((8,)) * 2.0, rng.normal((8,))
-    return lambda t, a: weighted_sum(t, t.sigmoid(a), w), [x]
+    return lambda t, a: weighted_sum(t, t.softplus(a), w), [x]
 
 
-@case("log")
-def _log(rng):
-    x = np.abs(rng.normal((8,))) + 0.5
-    w = rng.normal((8,))
-    return lambda t, a: weighted_sum(t, t.log(a), w), [x]
-
-
-@case("clamp")
-def _clamp(rng):
-    x = rng.normal((8,)) * 3.0
-    x = np.where(np.abs(np.abs(x) - 1.0) < 0.1, x * 2.0, x)
-    w = rng.normal((8,))
-    return lambda t, a: weighted_sum(t, t.clamp(a, -1.0, 1.0), w), [x]
-
-
-@case("softmax_row")
-def _softmax(rng):
-    x, w = rng.normal((4, 5)), rng.normal((4, 5))
-    return lambda t, a: weighted_sum(t, t.softmax_row(a), w), [x]
+@case("softplus_saturated", eps=1e-4)
+def _softplus_saturated(rng):
+    x, w = saturated(rng, (8,)), rng.normal((8,))
+    return lambda t, a: weighted_sum(t, t.softplus(a), w), [x]
 
 
 @case("complex_mul")
@@ -453,13 +458,22 @@ def _prm(rng):
     return lambda t, a, b: weighted_sum(t, t.per_relation_matmul(a, b, rel), w), [x, w3]
 
 
+def test_neg_log_softmax_and_softplus_values():
+    tape = Tape()
+    nls = tape.neg_log_softmax(tape.leaf([[0.0, 0.0], [1e3, -1e3]])).value
+    assert nls[0, 0] == nls[0, 1] == np.log(2.0)
+    assert np.array_equal(nls[1], [0.0, 2e3]) and np.copysign(1.0, nls[1, 0]) == 1.0
+    sp = tape.softplus(tape.leaf([0.0, -1e3, 1e3])).value
+    assert np.array_equal(sp, [np.log(2.0), 0.0, 1e3])
+
+
 @pytest.mark.parametrize("name", sorted(PRIMITIVE_CASES))
 def test_primitive_gradients_match_finite_differences(name):
     rng = RandomSource(zlib.crc32(name.encode()))
     worst = 0.0
     for _ in range(100):
         build, arrays = PRIMITIVE_CASES[name](rng)
-        worst = max(worst, directional_error(build, arrays, rng))
+        worst = max(worst, directional_error(build, arrays, rng, FD_STEPS[name]))
     assert worst <= 1e-6, f"{name}: worst directional error {worst:.3e}"
 
 

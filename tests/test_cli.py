@@ -292,6 +292,23 @@ def test_classify_config_setting_an_alignment_key_exits_1_naming_file_line_and_k
     assert err.startswith(f"error: {cfg} line 4: config key '{key}'"), err
 
 
+@pytest.mark.parametrize("command, task", [("train-align", "classify"),
+                                           ("train-classify", "align"),
+                                           ("train-classify", "classify")])
+def test_config_setting_task_exits_1_naming_file_and_line(tmp_path, capsys, command, task):
+    # the subcommand sets the task; a file's task key used to be ignored
+    g1, g2 = (write_ring_dataset(tmp_path, prefix=p) for p in ("g1", "g2"))
+    train = write_pairs(tmp_path, "train.tsv", [(i, i % 2) for i in range(8)])
+    graph2 = f"graph2 = {g2}\n" if command == "train-align" else ""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"graph1 = {g1}\n{graph2}train = {train}\ntask = {task}\n"
+                   "dim = 4\nlayers = 1\nepochs = 1\n")
+    line = 4 if graph2 else 3
+    assert cli.main([command, "--config", str(cfg), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg} line {line}: config key 'task'"), err
+
+
 def test_eval_graph2_on_a_classification_checkpoint_exits_1_naming_the_flag(tmp_path, capsys):
     data = _classify_data(tmp_path)
     ckpt = tmp_path / "model.ckpt"

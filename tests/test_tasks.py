@@ -169,6 +169,26 @@ def test_label_set_validation_errors():
         LabelSet({0: ()}, 3, True)
 
 
+def test_perfect_fits_read_positive_zero():
+    # both losses are sums of terms that are >= 0 term by term
+    for multi in (False, True):
+        label_set = LabelSet({0: (1,)}, 2, multi, train=[0])
+        tape = Tape()
+        loss = classification_loss(tape, tape.leaf(np.array([[-1e3, 1e3]])), label_set, [0])
+        assert float(loss.value) == 0.0 and np.copysign(1.0, loss.value) == 1.0
+
+
+@pytest.mark.parametrize("multi", [False, True])
+def test_saturated_logits_still_get_a_gradient(multi):
+    # a confident wrong answer is pushed back: logits near +-1e3, where the
+    # probabilities round to 0 and 1
+    label_set = LabelSet({0: (0,)}, 2, multi, train=[0])
+    tape = Tape()
+    logits = tape.leaf(np.array([[-1e3, 1e3]]))
+    grads = tape.backward(classification_loss(tape, logits, label_set, [0]))
+    assert np.array_equal(grads[logits], [[-1.0, 1.0]])
+
+
 def test_classification_loss_width_mismatch():
     label_set = LabelSet({0: (0,)}, 2, False, train=[0])
     tape = Tape()
@@ -520,16 +540,26 @@ def test_quate_epoch_tape_node_count(monkeypatch):
 
 
 def test_transe_classification_epoch_tape_node_count(monkeypatch):
-    # 4 layers plus the loss; the last layer records no relation
-    # segment_sum, norm scale, add or matmul (92 nodes with them).  TransE's
-    # message is e itself: its factors -2, -2, 2 ride on the norm scales,
-    # not on three edge scale nodes per layer.  The norm columns are
-    # constants, not leaves
+    # 4 layers plus the loss (gather, labels, neg_log_softmax, mul, sum);
+    # the last layer records no relation segment_sum, norm scale, add or
+    # matmul (89 nodes with them).  TransE's message is e itself: its
+    # factors -2, -2, 2 ride on the norm scales, not on three edge scale
+    # nodes per layer.  The norm columns are constants, not leaves
     g, labels = synthetic.block_classification(60, 3, 200, noise=0.1, seed=3)
     label_set = synthetic.classification_split(labels, 3, seed=3)
     cfg = TrainConfig(dim=8, layers=4, epochs=2)
     assert _epoch_node_counts(monkeypatch, lambda: train_classification(g, label_set, cfg)) \
-        == [88, 88]
+        == [85, 85]
+
+
+def test_classification_with_saturating_logits_keeps_training():
+    # alpha 3 saturates the logits in the first epoch; saturated logits
+    # must still get a gradient, so the loss moves
+    g, labels = synthetic.block_classification(60, 3, 200, noise=0.1, seed=3)
+    label_set = synthetic.classification_split(labels, 3, seed=3)
+    cfg = TrainConfig(dim=8, layers=4, lr=0.05, alpha=3.0, epochs=5, patience=10)
+    losses = train_classification(g, label_set, cfg).losses
+    assert len(set(losses)) == 5, losses
 
 
 def gather_without_rows(tape, *args, **kwargs):
