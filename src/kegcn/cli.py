@@ -20,9 +20,9 @@ from .checks import (END_TO_END_TASKS, end_to_end_gradient_fd,
 from .metrics import hits_at_k, mrr
 from .propagation import REDUCTION_MODES, config_scorer, model_forward, relation_width
 from .scorers import SCORERS
-from .tasks import (UnsupportedModeError, evaluate_alignment, evaluate_classification,
-                    scores_from_logits, train_alignment, train_classification,
-                    zero_shot_relation_alignment)
+from .tasks import (EmbeddingState, UnsupportedModeError, evaluate_alignment,
+                    evaluate_classification, scores_from_logits, train_alignment,
+                    train_classification, zero_shot_relation_alignment)
 
 
 def _add_train_flags(sub: argparse.ArgumentParser, task: str) -> None:
@@ -95,6 +95,19 @@ def _train(args: argparse.Namespace, task: str, prepare) -> int:
     return 0
 
 
+def _test_metrics(bundle, finals: list) -> dict:
+    """The task's metrics of its final states, one per graph (a classifier's
+    entities are its logits), on the test split, else valid, else train."""
+    ls = bundle.label_set
+    split = bundle.seeds if ls is None else ls
+    ids = split.test or split.valid or split.train
+    if not ids:
+        raise io_mod.DataError(f"no {'labeled entities' if ls else 'seed pairs'} to evaluate")
+    if ls is None:
+        return evaluate_alignment(*finals, ids)
+    return evaluate_classification(scores_from_logits(finals[0].entity, ls.multi_label), ls, ids)
+
+
 def _prepare_alignment(values, bundle):
     rel_test, rel_pairs = values.get("rel_test"), None
     if rel_test:
@@ -108,8 +121,7 @@ def _prepare_alignment(values, bundle):
 
     def run_one(cfg, progress):
         res = train_alignment(*bundle.graphs, bundle.seeds, cfg, progress=progress)
-        metrics = evaluate_alignment(res.state1, res.state2, bundle.seeds.test
-                                     or bundle.seeds.valid or bundle.seeds.train)
+        metrics = _test_metrics(bundle, [res.state1, res.state2])
         if rel_pairs:
             rel = zero_shot_relation_alignment(res.state1, res.state2, rel_pairs)
             metrics.update(relation_mrr=rel["mrr"], relation_hits1=rel["hits1"])
@@ -120,9 +132,8 @@ def _prepare_alignment(values, bundle):
 
 def _prepare_classification(values, bundle):
     def run_one(cfg, progress):
-        ls = bundle.label_set
-        res = train_classification(bundle.graphs[0], ls, cfg, progress=progress)
-        metrics = evaluate_classification(res.scores, ls, ls.test or ls.valid or ls.train)
+        res = train_classification(bundle.graphs[0], bundle.label_set, cfg, progress=progress)
+        metrics = _test_metrics(bundle, [EmbeddingState(res.logits)])
         return metrics, res.params, {"g": res.init}, res.best_valid_metric
 
     return run_one
@@ -164,19 +175,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if bad:
         raise io_mod.CheckpointError(f"{args.checkpoint}: the model's output on {bad[0]} "
                                      "is not finite")
-    if align:
-        pairs = bundle.seeds.test or bundle.seeds.valid or bundle.seeds.train
-        if not pairs:
-            raise io_mod.DataError("no seed pairs to evaluate")
-        metrics = evaluate_alignment(*finals, pairs)
-    else:
-        label_set = bundle.label_set
-        ids = label_set.test or label_set.valid or label_set.train
-        if not ids:
-            raise io_mod.DataError("no labeled entities to evaluate")
-        metrics = evaluate_classification(
-            scores_from_logits(finals[0].entity, label_set.multi_label), label_set, ids)
-    report = dict(metrics)
+    report = _test_metrics(bundle, finals)
     report["seed"] = values["seed"]
     _emit(report, time.perf_counter() - t0, values.get("report"))
     return 0

@@ -2,10 +2,11 @@
 
 Each scorer provides two things: a scalar score over one (head,
 relation, tail) embedding triple, and `messages`, the gradients of that
-score with respect to each argument over its power-of-two `factors`
-(TransE sends e = h + r - t three ways, for -2, -2, 2; the layer applies
-them per row), as tape expressions over batched edge arrays so training
-can differentiate through them.  `checks.scorer_gradient_fd` runs
+score with respect to each argument over its power-of-two `factors`, as
+tape expressions over batched edge arrays so training can differentiate
+through them.  TransE (-2, -2, 2), TransH (-2, -2, 2) and TransD (-2,
+-2, -2) scale no edge message: the layer applies their factors per row.
+The others have (1, 1, 1).  `checks.scorer_gradient_fd` runs
 `gradients` on a one-row tape against finite differences of `score`;
 the tests also compare it with closed forms derived separately.
 
@@ -125,6 +126,7 @@ class DistMult(Scorer):
 class TransH(Scorer):
     kind = "transh"
     widths = (1, 2)
+    factors = (-2, -2, 2)
 
     def score(self, u, r, v):
         u, r, v = self._args(u, r, v)
@@ -143,20 +145,18 @@ class TransH(Scorer):
         e = tape.sub(tape.add(uproj, r2), vproj)
         pe = tape.sum_axis(tape.mul(r1, e))
         t = tape.sub(e, tape.mul(pe, r1))
-        gh = tape.scale(t, -2.0)
-        gt = tape.scale(t, 2.0)
         if not relation:
-            return gh, None, gt
+            return t, None, t
         duv = tape.sub(V, U)
         pduv = tape.sum_axis(tape.mul(r1, duv))
-        g1 = tape.scale(tape.add(tape.mul(pe, duv), tape.mul(pduv, e)), -2.0)
-        g2 = tape.scale(e, -2.0)
-        return gh, tape.concat([g1, g2]), gt
+        g1 = tape.add(tape.mul(pe, duv), tape.mul(pduv, e))
+        return t, tape.concat([g1, e]), t
 
 
 class TransD(Scorer):
     kind = "transd"
     widths = (2, 2)
+    factors = (-2, -2, -2)
 
     def score(self, u, r, v):
         u, r, v = self._args(u, r, v)
@@ -178,15 +178,11 @@ class TransD(Scorer):
         e = tape.add(tape.sub(tape.add(tape.add(u1, tape.mul(au, r1)), r2), v1),
                      tape.mul(av, r1))
         pe = tape.sum_axis(tape.mul(r1, e))
-        gh = tape.concat([tape.scale(tape.add(e, tape.mul(pe, u2)), -2.0),
-                          tape.scale(tape.mul(pe, u1), -2.0)])
-        gt = tape.concat([tape.scale(tape.sub(e, tape.mul(pe, v2)), 2.0),
-                          tape.scale(tape.mul(pe, v1), -2.0)])
+        gh = tape.concat([tape.add(e, tape.mul(pe, u2)), tape.mul(pe, u1)])
+        gt = tape.concat([tape.sub(tape.mul(pe, v2), e), tape.mul(pe, v1)])
         if not relation:
             return gh, None, gt
-        gr = tape.concat([tape.scale(tape.mul(tape.add(au, av), e), -2.0),
-                          tape.scale(e, -2.0)])
-        return gh, gr, gt
+        return gh, tape.concat([tape.mul(tape.add(au, av), e), e]), gt
 
 
 class RotatE(Scorer):

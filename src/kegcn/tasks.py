@@ -177,10 +177,10 @@ def classification_loss(tape: Tape, logits: Variable, label_set: LabelSet,
         raise ValueError(
             f"logit width {logits.shape[1]} != class count {label_set.num_classes}")
     rows = tape.gather(logits, np.asarray(entity_ids, dtype=np.int64))
-    y = tape.leaf(_label_matrix(label_set, entity_ids))
+    y = _label_matrix(label_set, entity_ids)   # a constant, like the norm columns
     if label_set.multi_label:
-        return tape.sum(tape.sub(tape.softplus(rows), tape.mul(y, rows)))
-    return tape.sum(tape.mul(y, tape.neg_log_softmax(rows)))
+        return tape.sum(tape.sub(tape.softplus(rows), tape.scale(rows, y)))
+    return tape.sum(tape.scale(tape.neg_log_softmax(rows), y))
 
 
 class Adam:

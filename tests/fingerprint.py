@@ -139,22 +139,27 @@ def gate_records(name: str, train_args: list, data_args: list, cwd: str):
             yield f"cli {name} {what}", hashlib.sha256(fh.read()).hexdigest()
 
 
+def write_alignment_data(tmp: str, n: int, r: int, edges: int, seed: int) -> list:
+    """Write `hub_signature_pair(n, r, edges, seed=seed)` with a 30% train
+    split into tmp (graph1, graph2, train, test, and the relation pairs as
+    rel-test) and return the data flags `kegcn eval` takes."""
+    g1, g2, ent_pairs, rel_pairs = synthetic.hub_signature_pair(n, r, edges, seed=seed)
+    seeds = synthetic.alignment_split(ent_pairs, 0.3, seed=0)
+    for name, g in (("graph1", g1), ("graph2", g2)):
+        synthetic.write_graph_tsv(os.path.join(tmp, f"{name}.tsv"), g)
+    for name, pairs in (("train", seeds.train), ("test", seeds.test), ("rel-test", rel_pairs)):
+        synthetic.write_pairs_tsv(os.path.join(tmp, f"{name}.tsv"), pairs)
+    return [x for name in ("graph1", "graph2", "train", "test")
+            for x in (f"--{name}", f"{name}.tsv")]
+
+
 def gate_runs(tmp: str):
     """Write the data of each gate run (the instances of
     `tests/test_acceptance.py`) into tmp and yield its name, its training
     command without a seed, and the data flags `kegcn eval` takes.  The
     files hold one run's data at a time: the next run's replace them."""
     for scorer, gen_seed in (("transe", 122), ("quate", 19)):
-        g1, g2, ent_pairs, rel_pairs = synthetic.hub_signature_pair(200, 5, 1000,
-                                                                    seed=gen_seed)
-        seeds = synthetic.alignment_split(ent_pairs, 0.3, seed=0)
-        for name, g in (("graph1", g1), ("graph2", g2)):
-            synthetic.write_graph_tsv(os.path.join(tmp, f"{name}.tsv"), g)
-        for name, pairs in (("train", seeds.train), ("test", seeds.test),
-                            ("rel-test", rel_pairs)):
-            synthetic.write_pairs_tsv(os.path.join(tmp, f"{name}.tsv"), pairs)
-        data = [x for name in ("graph1", "graph2", "train", "test")
-                for x in (f"--{name}", f"{name}.tsv")]
+        data = write_alignment_data(tmp, 200, 5, 1000, gen_seed)
         yield (f"train-align {scorer}",
                ["train-align", *data, "--rel-test", "rel-test.tsv", "--scorer", scorer,
                 "--dim", "64", "--epochs", "300"], data)

@@ -1,19 +1,27 @@
-"""A seed ledger: the test metrics of the three gate runs at training
-seeds 0-4, to judge a change that moves numbers.
+"""A seed ledger: the test metrics of the three gate runs and of the
+relation instance at training seeds 0-4, to judge a change that moves
+numbers.
 
     python tests/quality.py                          # print the ledger
     python tests/quality.py --json QUALITY.json      # and write it
-    python tests/quality.py --against QUALITY.json   # and the per-seed deltas
+    python tests/quality.py --against QUALITY.json   # and the deltas
 
 The gate runs are those of `tests/test_acceptance.py` (`train-align`
 transe and quate with `--rel-test`, `train-classify`; 300 epochs, the
-CLI defaults otherwise), each run in this process through `kegcn.cli`
-with `--seed` 0 to 4.  Per run the ledger holds the report's test
-metrics, the last epoch's training loss, and the number of epochs in
-which every gradient `Adam.step` received was zero.  Training is
-deterministic, so a rerun writes the same file bit for bit.  The package
-comes from the `src` directory next to this file's directory, so each
-checkout measures its own.
+CLI defaults otherwise).  The relation runs train `hub_signature_pair(300,
+30, 1500, seed=122)` with a 30% split, dim 64 and 300 epochs, with
+`--rel-test`, for `kegcn` transe, `kegcn` quate and `compgcn-sub`: an
+instance on which relation MRR does not saturate, unlike criterion 7's.
+Each run goes through `kegcn.cli` in this process with `--seed` 0 to 4.
+Per run the ledger holds the report's test metrics (relation MRR and
+hits@1 among them for the alignment runs), the last epoch's training
+loss, and the number of epochs in which every gradient `Adam.step`
+received was zero.  Training is deterministic, so a rerun writes the
+same file bit for bit.  The printed lines add each run's training time
+(`fit`, in seconds), which the file leaves out for that reason.
+`--against` prints, per config, the median over seeds of each value,
+then per run the deltas.  The package comes from the `src` directory
+next to this file's directory, so each checkout measures its own.
 
 Not collected by pytest.
 """
@@ -23,10 +31,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
+import statistics
 import sys
 import tempfile
+import time
 
 import fingerprint  # puts this checkout's src first on sys.path
 from kegcn import cli, tasks
@@ -34,14 +45,27 @@ from kegcn import cli, tasks
 SEEDS = range(5)
 
 
+def relation_runs(tmp: str):
+    """Write the relation instance into tmp and yield each config's name
+    and its training command without a seed."""
+    data = fingerprint.write_alignment_data(tmp, 300, 30, 1500, 122)
+    for name, flags in (("kegcn transe", ["--scorer", "transe"]),
+                        ("kegcn quate", ["--scorer", "quate"]),
+                        ("compgcn-sub", ["--mode", "compgcn-sub"])):
+        yield f"relation {name}", ["train-align", *data, "--rel-test", "rel-test.tsv", *flags,
+                                   "--dim", "64", "--epochs", "300"]
+
+
 def train_once(train_args: list, seed: int) -> dict:
-    """One CLI training run: its report's metrics, final loss and
-    all-zero-gradient epoch count."""
+    """One CLI training run: its report's metrics, final loss,
+    all-zero-gradient epoch count and training seconds."""
     rec = {"zero_grad_epochs": 0}
     fit, step = tasks.fit, tasks.Adam.step
 
     def recording_fit(*args, **kwargs):
+        t0 = time.perf_counter()
         out = fit(*args, **kwargs)
+        rec["train_seconds"] = time.perf_counter() - t0
         rec["final_loss"] = out[-1][-1]
         return out
 
@@ -68,7 +92,9 @@ def ledger() -> list:
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         os.chdir(tmp)
         try:
-            for name, train_args, _ in fingerprint.gate_runs(tmp):
+            # lazily: each run's files replace the previous run's
+            for name, train_args, *_ in itertools.chain(fingerprint.gate_runs(tmp),
+                                                        relation_runs(tmp)):
                 runs += [{"run": name, "seed": seed, **train_once(train_args, seed)}
                          for seed in SEEDS]
         finally:
@@ -76,11 +102,31 @@ def ledger() -> list:
     return runs
 
 
+def values(r: dict) -> dict:
+    """A run's test metrics, final loss and zero-gradient epoch count."""
+    return {**r["metrics"], "final_loss": r["final_loss"],
+            "zero_grad_epochs": r["zero_grad_epochs"]}
+
+
 def describe(r: dict) -> str:
-    values = {**r["metrics"], "final_loss": r["final_loss"],
-              "zero_grad_epochs": r["zero_grad_epochs"]}
-    return f"{r['run']} seed {r['seed']}  " + "  ".join(f"{k} {v:.6g}"
-                                                       for k, v in values.items())
+    return f"{r['run']} seed {r['seed']}  " + "  ".join(
+        f"{k} {v:.6g}" for k, v in {**values(r), "train_s": r["train_seconds"]}.items())
+
+
+def change(key: str, saved: float, now: float) -> str:
+    return f"{key} {saved:.6g} -> {now:.6g} ({now - saved:+.4g})"
+
+
+def medians(runs: list, saved: list) -> list:
+    """One line per config of this run: each value's median over seeds as
+    `saved -> now (now - saved)`, nan where the saved ledger lacks it."""
+    out = []
+    for name in dict.fromkeys(r["run"] for r in runs):
+        now, old = ([values(r) for r in rs if r["run"] == name] for rs in (runs, saved))
+        out.append(f"{name} median  " + "  ".join(
+            change(k, statistics.median(v[k] for v in old) if old else float("nan"),
+                   statistics.median(v[k] for v in now)) for k in now[0]))
+    return out
 
 
 def deltas(runs: list, saved: list) -> list:
@@ -92,18 +138,18 @@ def deltas(runs: list, saved: list) -> list:
         if s is None:
             out.append(f"{r['run']} seed {r['seed']}  not in the saved ledger")
             continue
-        pairs = [(k, s["metrics"].get(k, float("nan")), v) for k, v in r["metrics"].items()]
-        pairs += [(k, s[k], r[k]) for k in ("final_loss", "zero_grad_epochs")]
+        before = values(s)
         out.append(f"{r['run']} seed {r['seed']}  " + "  ".join(
-            f"{k} {a:.6g} -> {b:.6g} ({b - a:+.4g})" for k, a, b in pairs))
+            change(k, before.get(k, float("nan")), v) for k, v in values(r).items()))
     return out
 
 
 def main(argv) -> int:
-    parser = argparse.ArgumentParser(description="Test metrics of the gate runs over seeds.")
+    parser = argparse.ArgumentParser(
+        description="Test metrics of the gate runs and the relation instance over seeds.")
     parser.add_argument("--json", metavar="FILE", help="write the ledger to FILE")
-    parser.add_argument("--against", metavar="FILE",
-                        help="a saved ledger: print each run's deltas against it")
+    parser.add_argument("--against", metavar="FILE", help="a saved ledger: print each "
+                        "config's medians and each run's deltas against it")
     args = parser.parse_args(argv)
     saved = None
     if args.against:
@@ -114,12 +160,13 @@ def main(argv) -> int:
         print(describe(r))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(runs, fh, indent=1)
+            json.dump([{k: v for k, v in r.items() if k != "train_seconds"} for r in runs],
+                      fh, indent=1)
             fh.write("\n")
     if saved is not None:
         print(f"against {args.against}:")
-        for d in deltas(runs, saved):
-            print(d)
+        for line in medians(runs, saved) + deltas(runs, saved):
+            print(line)
     return 0
 
 

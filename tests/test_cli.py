@@ -319,6 +319,21 @@ def test_eval_graph2_on_a_classification_checkpoint_exits_1_naming_the_flag(tmp_
     assert capsys.readouterr().err.startswith("error: --graph2: "), "graph2 accepted"
 
 
+def test_eval_with_no_seed_pairs_to_evaluate_exits_1(tmp_path, capsys):
+    # train and eval share one evaluation step: test, else valid, else
+    # train, and none of them empty
+    g1, g2, train, _ = _write_hub_pair(tmp_path)
+    data = ["--graph1", str(g1), "--graph2", str(g2)]
+    ckpt = tmp_path / "model.ckpt"
+    assert cli.main(["train-align", *data, "--train", str(train), "--dim", "8", "--layers",
+                     "1", "--epochs", "1", "--checkpoint", str(ckpt), "--quiet"]) == 0
+    capsys.readouterr()
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("")
+    assert cli.main(["eval", "--checkpoint", str(ckpt), *data, "--train", str(empty)]) == 1
+    assert capsys.readouterr().err == "error: no seed pairs to evaluate\n"
+
+
 def test_train_classify_multirun_reports_spread(tmp_path):
     g = write_ring_dataset(tmp_path, prefix="g")
     train = tmp_path / "train_labels.tsv"

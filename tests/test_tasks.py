@@ -540,16 +540,17 @@ def test_quate_epoch_tape_node_count(monkeypatch):
 
 
 def test_transe_classification_epoch_tape_node_count(monkeypatch):
-    # 4 layers plus the loss (gather, labels, neg_log_softmax, mul, sum);
+    # 4 layers plus the loss (gather, neg_log_softmax, label scale, sum);
     # the last layer records no relation segment_sum, norm scale, add or
-    # matmul (89 nodes with them).  TransE's message is e itself: its
+    # matmul (88 nodes with them).  TransE's message is e itself: its
     # factors -2, -2, 2 ride on the norm scales, not on three edge scale
-    # nodes per layer.  The norm columns are constants, not leaves
+    # nodes per layer.  The norm columns and the label rows are constants,
+    # not leaves
     g, labels = synthetic.block_classification(60, 3, 200, noise=0.1, seed=3)
     label_set = synthetic.classification_split(labels, 3, seed=3)
     cfg = TrainConfig(dim=8, layers=4, epochs=2)
     assert _epoch_node_counts(monkeypatch, lambda: train_classification(g, label_set, cfg)) \
-        == [85, 85]
+        == [84, 84]
 
 
 def test_classification_with_saturating_logits_keeps_training():
@@ -636,10 +637,71 @@ class UnfoldedTransE(scorers.TransE):
                 tape.scale(e, 2.0))
 
 
-def _transe_run(monkeypatch, task, alpha):
+class UnfoldedTransH(scorers.TransH):
+    """TransH with its factors inside the messages: the score gradients
+    -2t, [-2 g1 ; -2e] and 2t, with a scale node per edge term."""
+
+    factors = (1, 1, 1)
+
+    def messages(self, tape, U, R, V, relation=True):
+        d = self.dim
+        r1 = tape.slice_cols(R, 0, d)
+        r2 = tape.slice_cols(R, d, 2 * d)
+        pu = tape.sum_axis(tape.mul(r1, U))
+        pv = tape.sum_axis(tape.mul(r1, V))
+        uproj = tape.sub(U, tape.mul(pu, r1))
+        vproj = tape.sub(V, tape.mul(pv, r1))
+        e = tape.sub(tape.add(uproj, r2), vproj)
+        pe = tape.sum_axis(tape.mul(r1, e))
+        t = tape.sub(e, tape.mul(pe, r1))
+        gh = tape.scale(t, -2.0)
+        gt = tape.scale(t, 2.0)
+        if not relation:
+            return gh, None, gt
+        duv = tape.sub(V, U)
+        pduv = tape.sum_axis(tape.mul(r1, duv))
+        g1 = tape.scale(tape.add(tape.mul(pe, duv), tape.mul(pduv, e)), -2.0)
+        g2 = tape.scale(e, -2.0)
+        return gh, tape.concat([g1, g2]), gt
+
+
+class UnfoldedTransD(scorers.TransD):
+    """TransD with its factors inside the messages: every half of every
+    score gradient scaled by -2 or 2 on its own edge-sized node."""
+
+    factors = (1, 1, 1)
+
+    def messages(self, tape, U, R, V, relation=True):
+        d = self.dim
+        u1 = tape.slice_cols(U, 0, d)
+        u2 = tape.slice_cols(U, d, 2 * d)
+        v1 = tape.slice_cols(V, 0, d)
+        v2 = tape.slice_cols(V, d, 2 * d)
+        r1 = tape.slice_cols(R, 0, d)
+        r2 = tape.slice_cols(R, d, 2 * d)
+        au = tape.sum_axis(tape.mul(u2, u1))
+        av = tape.sum_axis(tape.mul(v2, v1))
+        e = tape.add(tape.sub(tape.add(tape.add(u1, tape.mul(au, r1)), r2), v1),
+                     tape.mul(av, r1))
+        pe = tape.sum_axis(tape.mul(r1, e))
+        gh = tape.concat([tape.scale(tape.add(e, tape.mul(pe, u2)), -2.0),
+                          tape.scale(tape.mul(pe, u1), -2.0)])
+        gt = tape.concat([tape.scale(tape.sub(e, tape.mul(pe, v2)), 2.0),
+                          tape.scale(tape.mul(pe, v1), -2.0)])
+        if not relation:
+            return gh, None, gt
+        gr = tape.concat([tape.scale(tape.mul(tape.add(au, av), e), -2.0),
+                          tape.scale(e, -2.0)])
+        return gh, gr, gt
+
+
+UNFOLDED = {"transe": UnfoldedTransE, "transh": UnfoldedTransH, "transd": UnfoldedTransD}
+
+
+def _scorer_run(monkeypatch, kind, task, alpha):
     """Losses, every epoch's leaf gradients as Adam receives them, and the
     trained arrays and final states (model_forward, final relation
-    included) of a transe run with `alpha` on its ModelConfig.  Without
+    included) of a run of scorer `kind` with `alpha` on its ModelConfig.  Without
     alpha the stack is shallower (2 layers for alignment, 1 for
     classification): deeper unnormalized messages saturate the loss."""
     g1, g2, ent_pairs, _ = synthetic.hub_signature_pair(40, 3, 150, seed=1)
@@ -647,7 +709,7 @@ def _transe_run(monkeypatch, task, alpha):
     g, labels = synthetic.block_classification(60, 3, 200, noise=0.1, seed=3)
     label_set = synthetic.classification_split(labels, 3, seed=3)
     layers = 3 if alpha is not None else 2 if task == "alignment" else 1
-    cfg = TrainConfig(scorer="transe", dim=8, layers=layers, epochs=3, lr=0.05)
+    cfg = TrainConfig(scorer=kind, dim=8, layers=layers, epochs=3, lr=0.05)
     model_config = TrainConfig.model_config
 
     def config(self, out_dim=None):
@@ -680,6 +742,19 @@ def _transe_run(monkeypatch, task, alpha):
     return (res.losses, grads), arrays, type(scorer)
 
 
+def _assert_fold_is_bitwise(monkeypatch, kind, task, alpha):
+    folded, arrays, cls = _scorer_run(monkeypatch, kind, task, alpha)
+    assert cls is scorers.SCORERS[kind] and cls.factors != (1, 1, 1)
+    monkeypatch.setitem(scorers.SCORERS, kind, UNFOLDED[kind])
+    unfolded, ref_arrays, cls = _scorer_run(monkeypatch, kind, task, alpha)
+    assert cls is UNFOLDED[kind]
+    assert len(set(folded[0])) == 3          # the loss moves every epoch
+    _assert_bitwise_records(folded, unfolded, 3)
+    assert len(arrays) == len(ref_arrays)
+    for a, b in zip(arrays, ref_arrays):
+        assert (a is None and b is None) or np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 @pytest.mark.parametrize("alpha", [0.3, None])
 @pytest.mark.parametrize("task", ["alignment", "classification"])
 def test_transe_fold_is_bitwise_the_unfolded_messages(monkeypatch, task, alpha):
@@ -687,16 +762,38 @@ def test_transe_fold_is_bitwise_the_unfolded_messages(monkeypatch, task, alpha):
     # into the degree norms; scaling each edge message first gives the same
     # bits: the factors are powers of two, and e's gradient still adds
     # (tail + relation) + head
-    folded, arrays, kind = _transe_run(monkeypatch, task, alpha)
-    assert kind is scorers.TransE
-    monkeypatch.setitem(scorers.SCORERS, "transe", UnfoldedTransE)
-    unfolded, ref_arrays, kind = _transe_run(monkeypatch, task, alpha)
-    assert kind is UnfoldedTransE
-    assert len(set(folded[0])) == 3          # the loss moves every epoch
-    _assert_bitwise_records(folded, unfolded, 3)
-    assert len(arrays) == len(ref_arrays)
-    for a, b in zip(arrays, ref_arrays):
-        assert (a is None and b is None) or np.array_equal(a.view(np.int64), b.view(np.int64))
+    _assert_fold_is_bitwise(monkeypatch, "transe", task, alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.3, None])
+@pytest.mark.parametrize("task", ["alignment", "classification"])
+@pytest.mark.parametrize("kind", ["transh", "transd"])
+def test_projection_fold_is_bitwise_the_unfolded_messages(monkeypatch, kind, task, alpha):
+    # TransH's -2, -2, 2 and TransD's -2, -2, -2 folded into the degree
+    # norms give the bits of the parent's messages, each scaled on the
+    # tape: every shared node (TransH's t and e, TransD's e and the
+    # products of pe) keeps its consumers in the same order
+    _assert_fold_is_bitwise(monkeypatch, kind, task, alpha)
+
+
+@pytest.mark.parametrize("kind", ["transe", "transh", "transd"])
+def test_translation_scorers_send_no_scale_node_per_edge(monkeypatch, kind):
+    # one alignment epoch over two graphs, 3 layers: the only scale nodes
+    # are the degree-norm columns, two per layer and graph (entities,
+    # relations) less the last layer's relation update, which training
+    # does not record; the factors ride on those columns
+    g1, g2, ent_pairs, _ = synthetic.hub_signature_pair(40, 3, 150, seed=1)
+    seeds = synthetic.alignment_split(ent_pairs)
+    names = []
+
+    class NamingTape(Tape):
+        def backward(self, loss):
+            names.append([self.nodes[i].name for i in range(len(self.nodes))])
+            return super().backward(loss)
+
+    monkeypatch.setattr(tasks_mod, "Tape", NamingTape)
+    train_alignment(g1, g2, seeds, TrainConfig(scorer=kind, dim=8, layers=3, epochs=1))
+    assert len(names) == 1 and names[0].count("scale") == 10
 
 
 # ---------------- training memory ----------------
