@@ -272,7 +272,10 @@ class Tape:
 
     # ---- arithmetic ----
 
-    def add(self, a: Variable, b: Variable) -> Variable:
+    def add(self, a: Variable, b: Variable | float) -> Variable:
+        if not isinstance(b, Variable):   # a float constant: g passes to a alone
+            out = np.add(a.value, b, out=empty(a.shape))
+            return self._record(out, (a,), lambda g: (g,), "add")
         sa, sb = a.shape, b.shape
 
         def vjp(g):

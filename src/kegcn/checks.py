@@ -14,7 +14,6 @@ import numpy as np
 from . import numerics
 from .autodiff import ForwardTape, Tape
 from .graph import KnowledgeGraph, build_graph
-from .numerics import RandomSource
 from .propagation import (REDUCTION_MODES, EmbeddingState, LayerParams, ModelConfig,
                           config_scorer, init_params, init_state, layer_forward_tape, lift)
 from .scorers import Scorer, make_scorer
@@ -23,15 +22,15 @@ from .tasks import (LabelSet, alignment_loss, classification_loss, named_paramet
                     record_forward, sample_negatives)
 
 
-def _sample_triple(scorer: Scorer, rng: RandomSource):
-    u = rng.normal(scorer.entity_width)
-    r = rng.normal(scorer.relation_width)
+def _sample_triple(scorer: Scorer, rng: numerics.Generator):
+    u = rng.normal(size=scorer.entity_width)
+    r = rng.normal(size=scorer.relation_width)
     # keep projected relation tuples away from the modulus reset so the
     # score stays smooth at the probe point
     while scorer.planes > 1 and np.any(
             np.linalg.norm(r.reshape(-1, scorer.planes), axis=1) < 0.3):
-        r = rng.normal(scorer.relation_width)
-    v = rng.normal(scorer.entity_width)
+        r = rng.normal(size=scorer.relation_width)
+    v = rng.normal(size=scorer.entity_width)
     return u, r, v
 
 
@@ -45,7 +44,7 @@ def fd_error(value_at, point: list, analytic: list, max_coords: int | None = Non
     changed in place and restored."""
     eps = 1e-5
     worst = 0.0
-    pick = np.random.Generator(np.random.PCG64(20240917))
+    pick = numerics.seeded(20240917)
     for k, p in enumerate(point):
         n = p.size
         coords = np.arange(n)
@@ -82,7 +81,7 @@ def scorer_gradient_fd(kind: str, n_points: int = 100, seed: int = 0) -> float:
     `Scorer.gradients` computes for one scorer of base dimension 4 against central
     differences of its score, over n_points random smooth points."""
     scorer = make_scorer(kind, 4)
-    rng = RandomSource(seed)
+    rng = numerics.seeded(seed)
     worst = 0.0
     for _ in range(n_points):
         u, r, v = _sample_triple(scorer, rng)
@@ -141,7 +140,7 @@ def _end_to_end_instance(task: str, scorer_kind: str, seed: int):
     if task not in END_TO_END_TASKS:
         raise ValueError(f"unknown task {task!r}")
     n, r = 10, 3
-    rng = RandomSource(seed)
+    rng = numerics.seeded(seed)
     g1 = build_graph(random_triples(n, r, 25, rng), n, r)
     mc = ModelConfig(scorer_kind=scorer_kind, dim=4, layers=2, alpha=0.3,
                      out_dim=3 if task != "alignment" else None)
@@ -239,13 +238,13 @@ def verify_reduction(mode: str, graph: KnowledgeGraph, seed: int) -> float:
     ones, so every scale is exercised."""
     if mode not in REDUCTION_MODES:
         raise ValueError(f"verify_reduction expects a reduction mode, got {mode!r}")
-    rng = RandomSource(seed)
+    rng = numerics.seeded(seed)
     mc = ModelConfig(mode=mode, dim=8, layers=3, alpha=None)
     params = init_params(mc, graph.num_relations, rng)
     state = init_state(mc, graph, rng)
     for p in params:
         if p.rel_scale is not None:
-            p.rel_scale = rng.normal(p.rel_scale.shape)
+            p.rel_scale = rng.normal(size=p.rel_scale.shape)
     tape = ForwardTape()
     st = lift(tape, state)
     hv, hr = st.entity, st.relation
@@ -263,5 +262,5 @@ def verify_reduction(mode: str, graph: KnowledgeGraph, seed: int) -> float:
 def reduction_discrepancy(mode: str, seed: int) -> float:
     """verify_reduction on one random graph of 20 entities, 4 relations and
     about 60 edges, drawn from the seed."""
-    graph = build_graph(random_triples(20, 4, 60, RandomSource(seed * 7919 + 13)), 20, 4)
+    graph = build_graph(random_triples(20, 4, 60, numerics.seeded(seed * 7919 + 13)), 20, 4)
     return verify_reduction(mode, graph, seed)

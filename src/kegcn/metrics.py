@@ -80,20 +80,6 @@ def accuracy(pred_labels, true_labels) -> float:
     return float(np.mean(pred == true))
 
 
-def ndcg_at_k(scores, truth, k: int):
-    """NDCG@k of a score row against its true class ids, or, for 2-D
-    scores, an array of each row's against truth[i] (0 for no true class)."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim == 1:
-        return float(ndcg_at_k(scores[None], [truth], k)[0])
-    sets = [set(t) for t in truth]
-    member = np.zeros(scores.shape, dtype=bool)
-    for i, t in enumerate(sets):
-        member[i, [c for c in t if 0 <= c < scores.shape[1]]] = True
-    hits = np.take_along_axis(member, np.argsort(-scores, axis=1, kind="stable")[:, :k], axis=1)
-    return ndcg_of_hits(hits, [len(t) for t in sets], k)
-
-
 def ndcg_of_hits(hits: np.ndarray, num_true, k: int) -> np.ndarray:
     """Each row's NDCG@k from whether its k best classes in rank order are
     true, and its count of true classes.  Gains are added in rank order

@@ -9,7 +9,7 @@ that x[c] is component c of every tuple, one contiguous run for a
 C-ordered array.  A single tuple of shape (2,) or (4,) is the same in
 both layouts.  Generic vector operations (distances, activations,
 initialization) act on the flat real arrays, so one primitive set serves
-all three algebras.
+all three algebras.  Every random draw comes from a `seeded` Generator.
 
 The component kernels are written out per component, and their results
 are bit for bit those of the plain formulas on trailing tuples.  A
@@ -37,6 +37,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 
 import numpy as np
+from numpy.random import PCG64, Generator
 
 UNIT_EPS = 1e-12   # a component tuple with a smaller norm projects to (1, 0, ...)
 
@@ -45,30 +46,9 @@ class DimensionError(ValueError):
     """Shape or length mismatch handed to a numeric kernel."""
 
 
-class RandomSource:
-    """Deterministic sample stream (PCG64). Same seed, same samples.
-
-    Single consumer by convention: one instance per logical task.
-    """
-
-    def __init__(self, seed: int):
-        self.seed = int(seed)
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
-
-    def normal(self, shape) -> np.ndarray:
-        return self._gen.normal(size=shape)
-
-    def integers(self, low: int, high: int, size=None):
-        return self._gen.integers(low, high, size=size)
-
-    def uniform(self, size=None):
-        return self._gen.random(size=size)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
-
-    def choice(self, n: int, size: int) -> np.ndarray:
-        return self._gen.choice(n, size=size, replace=False)
+def seeded(seed: int) -> Generator:
+    """NumPy's Generator on a pinned PCG64: the same seed, the same samples."""
+    return Generator(PCG64(int(seed)))
 
 
 def _free_refs() -> int:
@@ -170,7 +150,7 @@ def pooled():
         _active.reset(token)
 
 
-def truncated_normal_fill(shape, source: RandomSource, width: int | None = None) -> np.ndarray:
+def truncated_normal_fill(shape, source: Generator, width: int | None = None) -> np.ndarray:
     """Fill `shape` with N(0, sigma^2) samples, sigma = 1/sqrt(width),
     resampling anything outside +-2 sigma.  `width` defaults to the last
     dimension; pass the fan-in explicitly for weight matrices."""
@@ -181,10 +161,10 @@ def truncated_normal_fill(shape, source: RandomSource, width: int | None = None)
     if w <= 0:
         raise DimensionError(f"non-positive width {w}")
     sigma = 1.0 / math.sqrt(w)
-    out = sigma * source.normal(shape)
+    out = sigma * source.normal(size=shape)
     bad = np.abs(out) > 2.0 * sigma
     while np.any(bad):
-        out[bad] = sigma * source.normal(int(bad.sum()))
+        out[bad] = sigma * source.normal(size=int(bad.sum()))
         bad = np.abs(out) > 2.0 * sigma
     return out
 

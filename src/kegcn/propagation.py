@@ -48,7 +48,7 @@ import numpy as np
 
 from .autodiff import ForwardTape, Tape, Variable
 from .graph import KnowledgeGraph
-from .numerics import RandomSource, truncated_normal_fill
+from .numerics import Generator, truncated_normal_fill
 from .scorers import Scorer, base_dim, make_scorer
 
 MODES = ("kegcn", "compgcn-sub", "compgcn-mult", "compgcn-corr", "rgcn", "wgcn")
@@ -143,7 +143,7 @@ def table_shapes(cfg: ModelConfig, graph: KnowledgeGraph) -> dict:
             **({"relation": (graph.num_relations, wr)} if wr else {})}
 
 
-def init_params(cfg: ModelConfig, num_relations: int, rng: RandomSource) -> list[LayerParams]:
+def init_params(cfg: ModelConfig, num_relations: int, rng: Generator) -> list[LayerParams]:
     """Truncated-normal weights with fan-in shape[-2]; wgcn's rel_scale
     starts at ones."""
     out: list[LayerParams] = []
@@ -157,7 +157,7 @@ def init_params(cfg: ModelConfig, num_relations: int, rng: RandomSource) -> list
     return out
 
 
-def init_state(cfg: ModelConfig, graph: KnowledgeGraph, rng: RandomSource) -> EmbeddingState:
+def init_state(cfg: ModelConfig, graph: KnowledgeGraph, rng: Generator) -> EmbeddingState:
     return EmbeddingState(*(truncated_normal_fill(s, rng)
                             for s in table_shapes(cfg, graph).values()))
 

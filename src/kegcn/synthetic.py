@@ -13,11 +13,11 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import KnowledgeGraph, build_graph
-from .numerics import RandomSource
+from .numerics import Generator, seeded
 from .tasks import AlignmentSeeds, LabelSet
 
 
-def random_triples(n: int, r: int, edges: int, rng: RandomSource):
+def random_triples(n: int, r: int, edges: int, rng: Generator):
     """About `edges` distinct random triples without self loops."""
     heads = rng.integers(0, n, edges)
     rels = rng.integers(0, r, edges)
@@ -37,20 +37,20 @@ def hub_signature_triples(n: int, r: int, edges: int, seed: int):
     directions, so the subset works like a signature, and hub pairs are
     chained group to group until the edge budget is met, which keeps the
     hubs themselves distinguishable."""
-    rng = RandomSource(seed)
+    rng = seeded(seed)
     hubs = int(n * 0.2)
     group = (np.arange(hubs) % r)[rng.permutation(hubs)]
     seen, triples = set(), []
     sigs = set()
     for leaf in range(hubs, n):
         while True:
-            hs = tuple(sorted(rng.choice(hubs, size=3)))
+            hs = tuple(sorted(rng.choice(hubs, size=3, replace=False)))
             if hs not in sigs:
                 sigs.add(hs)
                 break
         for h in hs:
             rel = int(group[h])
-            if rng.uniform() < 0.5:
+            if rng.random() < 0.5:
                 e = (leaf, rel, int(h))
             else:
                 e = (int(h), rel, leaf)
@@ -60,9 +60,9 @@ def hub_signature_triples(n: int, r: int, edges: int, seed: int):
     tries = 0
     while len(triples) < edges and tries < 100 * edges:
         tries += 1
-        a, b = rng.choice(hubs, size=2)
+        a, b = rng.choice(hubs, size=2, replace=False)
         ga, gb = int(group[a]), int(group[b])
-        if gb != (ga + 1) % r and rng.uniform() < 0.8:
+        if gb != (ga + 1) % r and rng.random() < 0.8:
             continue
         e = (int(a), ga, int(b))
         if e not in seen:
@@ -75,7 +75,7 @@ def hub_signature_pair(n: int = 200, r: int = 5, edges: int = 1000,
                        seed: int = 0):
     """Isomorphic hub-signature graphs plus the true pairings."""
     triples = hub_signature_triples(n, r, edges, seed)
-    rng = RandomSource(seed + 1000)
+    rng = seeded(seed + 1000)
     ent_perm = rng.permutation(n)
     rel_perm = rng.permutation(r)
     mapped = [(int(ent_perm[h]), int(rel_perm[q]), int(ent_perm[t]))
@@ -89,7 +89,7 @@ def hub_signature_pair(n: int = 200, r: int = 5, edges: int = 1000,
 
 def _split(items: list, train_fraction: float, valid_fraction: float, seed: int) -> tuple:
     """Shuffle `items` with the seed and carve (train, valid, test) lists."""
-    order = RandomSource(seed).permutation(len(items))
+    order = seeded(seed).permutation(len(items))
     n_train = int(round(train_fraction * len(items)))
     n_valid = int(round(valid_fraction * len(items)))
     return tuple([items[i] for i in part] for part in
@@ -110,14 +110,14 @@ def block_classification(n: int = 300, classes: int = 3, edges: int = 1500,
     direction matters: translation scorers carry the relation signal
     with opposite signs on in- and out-edges, so undirected class
     blocks cancel it out.  Returns the graph and the entity class map."""
-    rng = RandomSource(seed)
+    rng = seeded(seed)
     labels = (np.arange(n) % classes)[rng.permutation(n)]
     members = [np.flatnonzero(labels == c) for c in range(classes)]
     seen, triples = set(), []
     tries = 0
     while len(triples) < edges and tries < 100 * edges:
         tries += 1
-        if rng.uniform() < noise:
+        if rng.random() < noise:
             h = int(rng.integers(0, n))
             t = int(rng.integers(0, n))
             c = int(rng.integers(0, classes))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .autodiff import Tape, Variable
 from .graph import KnowledgeGraph
-from .numerics import RandomSource, pooled, sigmoid, softmax_row
+from .numerics import Generator, pooled, seeded, sigmoid, softmax_row
 from .propagation import (
     MODES,
     EmbeddingState,
@@ -119,7 +119,7 @@ class TrainConfig:
 # ---------------- losses ----------------
 
 
-def sample_negatives(pairs: np.ndarray, k: int, n1: int, n2: int, source: RandomSource):
+def sample_negatives(pairs: np.ndarray, k: int, n1: int, n2: int, source: Generator):
     """k corrupted pairs per positive; a coin flip picks which side to
     replace, uniformly over that graph's entities, never reproducing the
     original entity (so every negative differs in exactly one slot)."""
@@ -153,8 +153,7 @@ def alignment_loss(tape: Tape, h1: Variable, h2: Variable, positives: np.ndarray
     neg_d = tape.sum_axis(tape.abs(tape.sub(
         tape.gather(h1, neg_u.reshape(-1)), tape.gather(h2, neg_v.reshape(-1)))))
     pos_rep = tape.gather(pos_d, np.repeat(np.arange(p), k))
-    margin = tape.leaf(np.full((1, 1), float(gamma)))
-    return tape.sum(tape.relu(tape.sub(tape.add(pos_rep, margin), neg_d)))
+    return tape.sum(tape.relu(tape.sub(tape.add(pos_rep, float(gamma)), neg_d)))
 
 
 def _label_matrix(label_set: LabelSet, entity_ids) -> np.ndarray:
@@ -417,7 +416,7 @@ def fit(graphs: dict, mc: ModelConfig, cfg: TrainConfig, loss_fn: Callable,
     metric_fn reads outputs the epoch still holds, which the pool cannot
     hand out again."""
     scorer = config_scorer(mc)
-    rng = RandomSource(cfg.seed)
+    rng = seeded(cfg.seed)
     params_list = init_params(mc, max(g.num_relations for g in graphs.values()), rng)
     tables = {name: init_state(mc, g, rng) for name, g in graphs.items()}
     named = named_parameters(params_list, tables)

@@ -1,6 +1,6 @@
 """Functions only the tests call: the per-row classification metrics the
-vectorised `tasks.evaluate_classification` and `metrics.ndcg_at_k` are
-checked against, the
+vectorised `tasks.evaluate_classification` and `ndcg_at_k` (score rows
+ranked into `metrics.ndcg_of_hits`) are checked against, the
 triples a graph file parses to, the reader of `io.write_report` files,
 a finite-difference check of any function recorded on a tape, a reverse
 pass that copies every first gradient, which `Tape.backward` is checked
@@ -12,6 +12,7 @@ import numpy as np
 from kegcn.autodiff import Tape
 from kegcn.checks import fd_error
 from kegcn.io import DataError, _triple_rows
+from kegcn.metrics import ndcg_of_hits
 
 
 def top_k_classes(scores_row: np.ndarray, k: int) -> np.ndarray:
@@ -44,6 +45,20 @@ def ndcg_one_row(scores_row, truth, k: int) -> float:
             dcg += 1.0 / np.log2(1.0 + pos)
     idcg = sum(1.0 / np.log2(1.0 + pos) for pos in range(1, min(len(truth), k) + 1))
     return float(dcg / idcg)
+
+
+def ndcg_at_k(scores, truth, k: int):
+    """NDCG@k of a score row against its true class ids, or, for 2-D
+    scores, an array of each row's against truth[i] (0 for no true class)."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim == 1:
+        return float(ndcg_at_k(scores[None], [truth], k)[0])
+    sets = [set(t) for t in truth]
+    member = np.zeros(scores.shape, dtype=bool)
+    for i, t in enumerate(sets):
+        member[i, [c for c in t if 0 <= c < scores.shape[1]]] = True
+    hits = np.take_along_axis(member, np.argsort(-scores, axis=1, kind="stable")[:, :k], axis=1)
+    return ndcg_of_hits(hits, [len(t) for t in sets], k)
 
 
 def read_report(path: str) -> dict:

@@ -24,13 +24,13 @@ from kegcn.checks import (
     reduction_discrepancy,
     scorer_gradient_fd,
 )
-from kegcn.metrics import accuracy, hits_at_k, mrr, ndcg_at_k
-from helpers import precision_at_k, read_report
+from kegcn.metrics import accuracy, hits_at_k, mrr
+from helpers import ndcg_at_k, precision_at_k, read_report
 from kegcn.numerics import (
-    RandomSource,
     circular_correlation,
     complex_elementwise_product,
     hamilton_product,
+    seeded,
     softmax_row,
 )
 from kegcn.propagation import REDUCTION_MODES
@@ -187,12 +187,12 @@ def test_criterion_4_algebra(verdict):
     global-phase invariance <= 1e-10, circular-correlation delta identity,
     and softmax rows summing to 1 +/- 1e-12."""
     start = time.monotonic()
-    rng = RandomSource(0)
+    rng = seeded(0)
 
     worst_norm = 0.0
     for _ in range(100):
-        p = rng.normal((4,))
-        q = rng.normal((4,))
+        p = rng.normal(size=(4,))
+        q = rng.normal(size=(4,))
         pq = hamilton_product(p, q)
         worst_norm = max(
             worst_norm,
@@ -213,11 +213,11 @@ def test_criterion_4_algebra(verdict):
     scorer = make_scorer("rotate", 8)
     worst_phase = 0.0
     for _ in range(20):
-        u = rng.normal(scorer.entity_width)
-        r = rng.normal(scorer.relation_width)
-        v = rng.normal(scorer.entity_width)
+        u = rng.normal(size=scorer.entity_width)
+        r = rng.normal(size=scorer.relation_width)
+        v = rng.normal(size=scorer.entity_width)
         base = scorer.score(u, r, v)
-        phi = 2.0 * np.pi * float(rng.uniform())
+        phi = 2.0 * np.pi * float(rng.random())
         rot = np.tile([[np.cos(phi), np.sin(phi)]], (scorer.dim, 1))
         # the kernel takes (2, d) component planes; the scorer interleaved pairs
         u2 = complex_elementwise_product(u.reshape(-1, 2).T, rot.T).T.reshape(-1)
@@ -226,10 +226,10 @@ def test_criterion_4_algebra(verdict):
 
     delta = np.zeros(16)
     delta[0] = 1.0
-    x = rng.normal((16,))
+    x = rng.normal(size=(16,))
     delta_err = float(np.max(np.abs(circular_correlation(delta, x) - x)))
 
-    rows = softmax_row(rng.normal((50, 7)))
+    rows = softmax_row(rng.normal(size=(50, 7)))
     row_err = float(np.max(np.abs(np.sum(rows, axis=-1) - 1.0)))
 
     seconds = time.monotonic() - start

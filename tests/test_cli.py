@@ -21,7 +21,7 @@ from kegcn import cli
 from kegcn import io as io_mod
 from kegcn import synthetic
 from kegcn.graph import build_graph
-from kegcn.numerics import RandomSource
+from kegcn.numerics import seeded
 from kegcn.propagation import init_params, init_state
 from kegcn.tasks import TrainConfig
 
@@ -686,7 +686,7 @@ def test_every_train_config_field_round_trips(tmp_path):
         ["train-align"] + [s for k, v in items for s in (f"--{k}", str(v))])
     from_flags = io_mod.parse_config(None, {**cli._overrides(args), "task": "align"})
     mc = want.model_config()
-    rng = RandomSource(0)
+    rng = seeded(0)
     g = build_graph([(0, 0, 1), (1, 1, 2)], 3, 2)
     ckpt = tmp_path / "m.ckpt"
     io_mod.save_checkpoint(str(ckpt), io_mod.pack_model(

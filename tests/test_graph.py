@@ -10,7 +10,7 @@ from kegcn.graph import (
     KnowledgeGraph,
     build_graph,
 )
-from kegcn.numerics import RandomSource
+from kegcn.numerics import seeded
 
 PROPERTY = settings(max_examples=200, deadline=None, database=None)
 
@@ -109,7 +109,7 @@ def test_zero_degree_convention():
 
 
 def test_norm_factor_columns_match_scalars():
-    rng = RandomSource(2)
+    rng = seeded(2)
     triples = [(int(h), int(r), int(t)) for h, r, t in
                zip(rng.integers(0, 10, 30), rng.integers(0, 4, 30), rng.integers(0, 10, 30))]
     g = build_graph(triples, 10, 4)
@@ -122,7 +122,7 @@ def test_norm_factor_columns_match_scalars():
 
 
 def test_index_consistency_and_shuffle_determinism():
-    rng = RandomSource(9)
+    rng = seeded(9)
     triples = list({(int(h), int(r), int(t)) for h, r, t in
                     zip(rng.integers(0, 20, 80), rng.integers(0, 5, 80), rng.integers(0, 20, 80))})
     g = build_graph(triples, 20, 5)

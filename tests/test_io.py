@@ -30,7 +30,7 @@ from kegcn.io import (
     write_report,
 )
 from kegcn.graph import build_graph
-from kegcn.numerics import RandomSource
+from kegcn.numerics import seeded
 from kegcn.propagation import ModelConfig, init_params, init_state
 
 
@@ -229,8 +229,8 @@ def test_parse_config_errors(tmp_path):
 
 
 def test_checkpoint_roundtrip_bitwise(tmp_path):
-    rng = RandomSource(0)
-    cp = Checkpoint({"b": rng.normal((3, 2)), "a": rng.normal(5),
+    rng = seeded(0)
+    cp = Checkpoint({"b": rng.normal(size=(3, 2)), "a": rng.normal(size=5),
                      "c/x": np.array([1.5])})
     p1 = tmp_path / "m1.ckpt"
     p2 = tmp_path / "m2.ckpt"
@@ -340,7 +340,7 @@ def model_checkpoint_bytes(tmp_path) -> bytes:
     values = parse_config(None, {"task": "align", "dim": "4", "layers": "2",
                                  "scorer": "transd", "mode": "kegcn"})
     cfg = ModelConfig(mode="kegcn", scorer_kind="transd", dim=4, layers=2)
-    rng = RandomSource(3)
+    rng = seeded(3)
     params = init_params(cfg, 2, rng)
     g = build_graph([(0, 0, 1), (1, 1, 2)], 3, 2)
     tables = {"g1": init_state(cfg, g, rng), "g2": init_state(cfg, g, rng)}
@@ -423,7 +423,7 @@ def test_model_pack_unpack_roundtrip(tmp_path):
     cfg = ModelConfig(mode=values["mode"], scorer_kind=values["scorer"],
                       dim=values["dim"], layers=values["layers"],
                       alpha=values["alpha"], out_dim=3)
-    rng = RandomSource(1)
+    rng = seeded(1)
     params = init_params(cfg, 2, rng)
     g = build_graph([(0, 0, 1), (1, 1, 2)], 3, 2)
     tables = {"g": init_state(cfg, g, rng)}
@@ -450,7 +450,7 @@ def test_model_pack_unpack_roundtrip(tmp_path):
 def test_pack_model_no_validation_metric():
     values = parse_config(None, {"task": "align", "dim": "4", "layers": "1"})
     cfg = ModelConfig(dim=4, layers=1)
-    rng = RandomSource(2)
+    rng = seeded(2)
     params = init_params(cfg, 1, rng)
     g = build_graph([(0, 0, 1)], 2, 1)
     tables = {"g1": init_state(cfg, g, rng), "g2": init_state(cfg, g, rng)}

@@ -214,7 +214,7 @@ def adversarial(width, rng):
 def pairs(width, seed):
     """(p, q) batches that meet each adversarial row against random rows,
     zero rows and every other adversarial row."""
-    rng = np.random.default_rng(seed)
+    rng = numerics.seeded(seed)
     a = adversarial(width, rng)
     zeros = signed_zero_tuples(width)
     left = np.concatenate([a, a, np.repeat(a, len(a), axis=0),
@@ -259,7 +259,7 @@ def test_all_negative_zero_tuple_sums_to_positive_zero():
 
 
 def test_unit_norm_parts_without_small_tuples():
-    z = np.random.default_rng(2).normal(size=(5, 3, 4)) + 3.0
+    z = numerics.seeded(2).normal(size=(5, 3, 4)) + 3.0
     safe, small = numerics.unit_parts(planes(z))[:2]
     assert small is None
     assert_bitwise(safe, np.linalg.norm(z, axis=-1))
@@ -286,7 +286,7 @@ def test_complex_product_matches_oracle(lead, conj_b):
 
 
 def test_products_of_single_tuples_and_broadcasts():
-    rng = np.random.default_rng(5)
+    rng = numerics.seeded(5)
     p, q = rng.normal(size=4), rng.normal(size=(6, 4))
     assert_bitwise(trailing(numerics.hamilton_product(p, planes(q))),
                    old_hamilton_product(p, q))
@@ -321,7 +321,7 @@ def test_closed_forms_match_oracle_formulas(kind):
     d = 6
     scorer = make_scorer(kind, d)
     k = scorer.planes
-    rng = np.random.default_rng(13)
+    rng = numerics.seeded(13)
     for _ in range(20):
         u, r, v = rng.normal(size=(3, d * k)) * 10.0 ** rng.integers(-3, 4, (3, d * k))
         r[:k] = 0.0                               # one reset tuple
@@ -349,7 +349,7 @@ def test_closed_forms_match_oracle_formulas(kind):
 
 def test_oracle_tape_reshape_gradient():
     # reshape lives only on the oracle tape, which builds the old messages
-    rng = np.random.default_rng(12)
+    rng = numerics.seeded(12)
     x, w = rng.normal(size=(4, 6)), rng.normal(size=(4, 3, 2))
     tape = OracleTape()
     leaf = tape.leaf(x)
@@ -384,7 +384,7 @@ def assert_same_run(new, old):
 
 @pytest.mark.parametrize("width", [2, 4])
 def test_tape_ops_match_oracle_tape(width):
-    rng = np.random.default_rng(8)
+    rng = numerics.seeded(8)
     z, g = pairs(width, 9)
     z, g = shaped(z, (-1, 3)), shaped(g, (-1, 3))
     z = np.where(np.isfinite(z), z, 0.5)
@@ -411,7 +411,7 @@ def test_tape_ops_match_oracle_tape(width):
 
 
 def test_quat_mul_conjugate_flags_match_conj_nodes():
-    rng = np.random.default_rng(10)
+    rng = numerics.seeded(10)
     p, q = rng.normal(size=(2, 5, 3, 4))
     weights = [rng.normal(size=p.shape) for _ in range(3)]
 
@@ -432,7 +432,7 @@ def test_quat_mul_conjugate_flags_match_conj_nodes():
 def test_messages_match_oracle_tape(kind, old):
     d = 5
     scorer = make_scorer(kind, d)
-    rng = np.random.default_rng(11)
+    rng = numerics.seeded(11)
     n, w = 7, scorer.entity_width
     U, V = rng.normal(size=(2, n, w))
     R = rng.normal(size=(n, scorer.relation_width))

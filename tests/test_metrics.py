@@ -3,17 +3,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import argmax_prediction, ndcg_one_row, precision_at_k, top_k_classes
+from helpers import argmax_prediction, ndcg_at_k, ndcg_one_row, precision_at_k, top_k_classes
 from kegcn import metrics
 from kegcn.metrics import (
     accuracy,
     hits_at_k,
     mrr,
-    ndcg_at_k,
     rank_of_truth,
     ranks_from_distance_matrix,
 )
-from kegcn.numerics import RandomSource
+from kegcn.numerics import seeded
 
 
 def test_rank_of_truth_basic():
@@ -41,8 +40,8 @@ def test_rank_of_truth_tie_break():
 
 
 def test_rank_of_truth_permutation_invariant():
-    rng = RandomSource(3)
-    pairs = [(i, float(d)) for i, d in enumerate(rng.normal(20))]
+    rng = seeded(3)
+    pairs = [(i, float(d)) for i, d in enumerate(rng.normal(size=20))]
     base = rank_of_truth(pairs, 7)
     for _ in range(10):
         perm = rng.permutation(20)
@@ -51,8 +50,8 @@ def test_rank_of_truth_permutation_invariant():
 
 
 def test_ranks_from_distance_matrix_matches_scalar():
-    rng = RandomSource(5)
-    dist = rng.normal((15, 30))
+    rng = seeded(5)
+    dist = rng.normal(size=(15, 30))
     dist[3, 4] = dist[3, 9]  # force one tie
     truths = rng.integers(0, 30, 15)
     got = ranks_from_distance_matrix(dist, truths)
@@ -62,7 +61,7 @@ def test_ranks_from_distance_matrix_matches_scalar():
 
 
 def test_ranks_from_distance_matrix_ties_match_oracle():
-    rng = RandomSource(11)
+    rng = seeded(11)
     # distances from a handful of values, so most rows hold many ties
     dist = rng.integers(0, 4, (40, 25)).astype(np.float64)
     dist[0] = 1.0  # a whole row tied
@@ -80,7 +79,7 @@ def test_ranks_from_distance_matrix_ties_match_oracle():
 def test_ranks_from_distance_matrix_by_row_blocks_match_oracle(monkeypatch, block_bytes):
     # 25 candidates a row: blocks of 1, 1 and 2 rows, and all 40 at once
     monkeypatch.setattr(metrics, "_RANK_BLOCK_BYTES", block_bytes)
-    rng = RandomSource(11)
+    rng = seeded(11)
     dist = rng.integers(0, 4, (40, 25)).astype(np.float64)
     truths = rng.integers(0, 25, 40)
     want = [rank_of_truth(list(enumerate(dist[i])), int(truths[i])) for i in range(40)]
@@ -91,7 +90,7 @@ def test_ranks_from_distance_matrix_by_row_blocks_match_oracle(monkeypatch, bloc
 
 
 def test_ranks_from_distance_matrix_builds_no_full_size_temporary():
-    rng = RandomSource(13)
+    rng = seeded(13)
     dist = rng.integers(0, 50, (2000, 1000)).astype(np.float64)
     truths = rng.integers(0, 1000, 2000)
     tracemalloc.start()
@@ -114,7 +113,7 @@ def test_mrr_hits():
 
 
 def test_rank_metric_invariants():
-    rng = RandomSource(7)
+    rng = seeded(7)
     ranks = rng.integers(1, 50, 200)
     m = mrr(ranks)
     h1 = hits_at_k(ranks, 1)
@@ -170,8 +169,8 @@ def test_ndcg_perfect_and_empty():
 def test_ndcg_of_a_batch_is_bitwise_each_row_alone(k):
     # tied scores, empty, full and out-of-range truths: every row of one
     # batched call, and their mean, equals the per-row loop bit for bit
-    rng = RandomSource(29)
-    scores = np.round(rng.uniform((40, 7)) * 4.0) / 4.0
+    rng = seeded(29)
+    scores = np.round(rng.random((40, 7)) * 4.0) / 4.0
     scores[0] = 0.5
     truths = [{int(c) for c in rng.integers(0, 7, size=int(rng.integers(1, 6)))}
               for _ in range(36)] + [set(), set(range(7)), {2, 9}, {-1}]
@@ -184,9 +183,9 @@ def test_ndcg_of_a_batch_is_bitwise_each_row_alone(k):
 
 
 def test_metric_bounds_random():
-    rng = RandomSource(11)
+    rng = seeded(11)
     for _ in range(50):
-        row = rng.normal(8)
+        row = rng.normal(size=8)
         truth = {int(c) for c in rng.integers(0, 8, 3)}
         for k in (1, 5):
             p = precision_at_k(row, truth, k)

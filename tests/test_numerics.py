@@ -7,11 +7,11 @@ from kegcn import numerics
 from kegcn.numerics import (
     BufferPool,
     DimensionError,
-    RandomSource,
     circular_convolution,
     circular_correlation,
     complex_elementwise_product,
     hamilton_product,
+    seeded,
     sigmoid,
     softmax_row,
     truncated_normal_fill,
@@ -52,17 +52,17 @@ def test_hamilton_hand_expansion():
 
 
 def test_hamilton_norm_multiplicative():
-    rng = RandomSource(7)
-    p = rng.normal((1000, 4))
-    q = rng.normal((1000, 4))
+    rng = seeded(7)
+    p = rng.normal(size=(1000, 4))
+    q = rng.normal(size=(1000, 4))
     lhs = quat_norm(trailing(hamilton_product(planes(p), planes(q))))
     rhs = quat_norm(p) * quat_norm(q)
     assert np.all(np.abs(lhs - rhs) <= 1e-12 * np.maximum(rhs, 1.0))
 
 
 def test_hamilton_associative_not_commutative():
-    rng = RandomSource(11)
-    p, q, r = rng.normal((3, 50, 4))
+    rng = seeded(11)
+    p, q, r = rng.normal(size=(3, 50, 4))
     p, q, r = planes(p), planes(q), planes(r)
     left = hamilton_product(hamilton_product(p, q), r)
     right = hamilton_product(p, hamilton_product(q, r))
@@ -112,11 +112,11 @@ def test_circular_correlation_hand():
 
 
 def test_circular_correlation_delta_identity():
-    rng = RandomSource(3)
+    rng = seeded(3)
     for d in range(1, 65):
         delta = np.zeros(d)
         delta[0] = 1.0
-        b = rng.normal(d)
+        b = rng.normal(size=d)
         assert np.allclose(circular_correlation(delta, b), b, atol=1e-12)
 
 
@@ -127,9 +127,9 @@ def test_circular_correlation_mismatch():
 
 def test_circular_convolution_is_correlation_adjoint():
     # <corr(a, b), g> == <b, conv(a, g)> makes conv the vjp of corr in b.
-    rng = RandomSource(5)
+    rng = seeded(5)
     for _ in range(20):
-        a, b, g = rng.normal((3, 16))
+        a, b, g = rng.normal(size=(3, 16))
         lhs = float(np.dot(circular_correlation(a, b), g))
         rhs = float(np.dot(b, circular_convolution(a, g)))
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
@@ -155,8 +155,8 @@ def test_softmax_row_values():
 
 
 def test_softmax_row_sum_and_shift():
-    rng = RandomSource(13)
-    x = rng.normal((200, 7)) * 10.0
+    rng = seeded(13)
+    x = rng.normal(size=(200, 7)) * 10.0
     p = softmax_row(x)
     assert np.all(np.abs(p.sum(axis=1) - 1.0) <= 1e-12)
     q = softmax_row(x + 3.25)
@@ -166,22 +166,22 @@ def test_softmax_row_sum_and_shift():
 
 
 def test_truncated_normal_bounds_and_determinism():
-    out1 = truncated_normal_fill((500, 16), RandomSource(42))
-    out2 = truncated_normal_fill((500, 16), RandomSource(42))
+    out1 = truncated_normal_fill((500, 16), seeded(42))
+    out2 = truncated_normal_fill((500, 16), seeded(42))
     sigma = 1.0 / 4.0
     assert np.all(np.abs(out1) <= 2.0 * sigma)
     assert np.array_equal(out1, out2)
 
 
 def test_truncated_normal_mean():
-    out = truncated_normal_fill((100000,), RandomSource(0), width=1)
+    out = truncated_normal_fill((100000,), seeded(0), width=1)
     assert -0.02 < out.mean() < 0.02
     assert np.all(np.abs(out) <= 2.0)
 
 
 def test_truncated_normal_bad_shape():
     with pytest.raises(DimensionError):
-        truncated_normal_fill((0, 3), RandomSource(1))
+        truncated_normal_fill((0, 3), seeded(1))
 
 
 def test_unit_project():
@@ -192,9 +192,9 @@ def test_unit_project():
 
 
 def test_unit_project_pullback_matches_finite_difference():
-    rng = RandomSource(17)
-    z = rng.normal((6, 4)) + 0.5
-    g = rng.normal((6, 4))
+    rng = seeded(17)
+    z = rng.normal(size=(6, 4)) + 0.5
+    g = rng.normal(size=(6, 4))
     got = trailing(unit_project_pullback(planes(z), planes(g)))
     eps = 1e-6
     num = np.zeros_like(z)
@@ -215,19 +215,21 @@ def test_unit_project_pullback_zero_on_reset():
                           np.zeros((2, 4)))
 
 
-def test_random_source_streams_differ():
-    a = RandomSource(1).normal(8)
-    b = RandomSource(2).normal(8)
+def test_seeded_streams_are_pinned_pcg64_and_differ_by_seed():
+    assert isinstance(seeded(0).bit_generator, np.random.PCG64)
+    assert seeded(np.int64(0)).random() == 0.6369616873214543   # PCG64's first draw at seed 0
+    a = seeded(1).normal(size=8)
+    b = seeded(2).normal(size=8)
     assert not np.array_equal(a, b)
 
 
 def test_kernels_finite_in_finite_out():
-    rng = RandomSource(23)
-    p = rng.normal((10, 4)) * 1e6
+    rng = seeded(23)
+    p = rng.normal(size=(10, 4)) * 1e6
     assert np.all(np.isfinite(hamilton_product(planes(p), planes(p))))
-    c = rng.normal((10, 2)) * 1e6
+    c = rng.normal(size=(10, 2)) * 1e6
     assert np.all(np.isfinite(complex_elementwise_product(planes(c), planes(c))))
-    a = rng.normal(32) * 1e3
+    a = rng.normal(size=32) * 1e3
     assert np.all(np.isfinite(circular_correlation(a, a)))
     assert np.all(np.isfinite(softmax_row(a)))
 

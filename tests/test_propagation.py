@@ -10,7 +10,7 @@ from kegcn.autodiff import Tape
 from kegcn import checks
 from kegcn.checks import baseline_forward, verify_reduction
 from kegcn.graph import build_graph
-from kegcn.numerics import RandomSource
+from kegcn.numerics import seeded
 from kegcn.propagation import (
     REDUCTION_MODES,
     EmbeddingState,
@@ -37,7 +37,7 @@ def identity_params(d, alpha=None):
 
 
 def random_instance(n=12, r=3, edges=30, seed=0):
-    rng = RandomSource(seed)
+    rng = seeded(seed)
     triples = list(zip(rng.integers(0, n, edges), rng.integers(0, r, edges),
                        rng.integers(0, n, edges)))
     triples = [(int(h), int(q), int(t)) for h, q, t in triples if h != t]
@@ -106,7 +106,7 @@ def test_layer_forward_hand_toy():
 def test_model_forward_one_layer_equals_layer_forward():
     g = random_instance(seed=3)
     cfg = ModelConfig(mode="kegcn", scorer_kind="distmult", dim=4, layers=1, alpha=0.3)
-    rng = RandomSource(5)
+    rng = seeded(5)
     params = init_params(cfg, g.num_relations, rng)
     state = init_state(cfg, g, rng)
     s = config_scorer(cfg)
@@ -129,7 +129,7 @@ def test_model_forward_empty_identity_two_layers():
 def test_model_forward_deterministic():
     g = random_instance(seed=7)
     cfg = ModelConfig(mode="kegcn", scorer_kind="rotate", dim=4, layers=2, alpha=0.3)
-    rng = RandomSource(11)
+    rng = seeded(11)
     params = init_params(cfg, g.num_relations, rng)
     state = init_state(cfg, g, rng)
     s = config_scorer(cfg)
@@ -143,7 +143,7 @@ def test_model_forward_equals_recording_tape_bitwise():
     g = random_instance(seed=7)
     for mode in MODES:
         cfg = ModelConfig(mode=mode, scorer_kind="quate", dim=8, layers=3, alpha=0.3)
-        rng = RandomSource(11)
+        rng = seeded(11)
         params = init_params(cfg, g.num_relations, rng)
         state = init_state(cfg, g, rng)
         s = config_scorer(cfg)
@@ -160,7 +160,7 @@ def test_model_forward_equals_recording_tape_bitwise():
 
 def test_lift_records_each_array_field_in_field_order():
     cfg = ModelConfig(mode="wgcn", dim=4, layers=1)
-    p = init_params(cfg, 3, RandomSource(0))[0]
+    p = init_params(cfg, 3, seeded(0))[0]
     state = EmbeddingState(np.ones((2, 4)), np.zeros((3, 4)))
     tape = Tape()
     lp, ls = lift(tape, p), lift(tape, state)
@@ -174,7 +174,7 @@ def test_lift_records_each_array_field_in_field_order():
 def test_tape_layers_match_eager_oracle(kind):
     g = random_instance(n=12, r=3, edges=36, seed=13)
     cfg = ModelConfig(mode="kegcn", scorer_kind=kind, dim=4, layers=2, alpha=0.3)
-    rng = RandomSource(17)
+    rng = seeded(17)
     params = init_params(cfg, g.num_relations, rng)
     state = init_state(cfg, g, rng)
     s = config_scorer(cfg)
@@ -196,7 +196,7 @@ def test_layer_rule_follows_its_place_in_the_stack_and_its_weights(mode):
     # where the layer holds w_rel
     g = random_instance(seed=7)
     cfg = ModelConfig(mode=mode, scorer_kind="transe", dim=4, layers=2, alpha=0.3)
-    rng = RandomSource(3)
+    rng = seeded(3)
     params = init_params(cfg, g.num_relations, rng)
     state = init_state(cfg, g, rng)
     s = config_scorer(cfg)
@@ -222,7 +222,7 @@ def test_layer_rule_follows_its_place_in_the_stack_and_its_weights(mode):
 def test_zero_alpha_reduces_to_self_terms():
     g = random_instance(seed=19)
     cfg = ModelConfig(mode="kegcn", scorer_kind="transe", dim=4, layers=1, alpha=0.0)
-    rng = RandomSource(23)
+    rng = seeded(23)
     params = init_params(cfg, g.num_relations, rng)
     state = init_state(cfg, g, rng)
     out = model_forward(g, state, params, scorer=config_scorer(cfg))
@@ -232,12 +232,12 @@ def test_zero_alpha_reduces_to_self_terms():
 
 
 def test_message_additive_over_disjoint_edge_sets():
-    rng = RandomSource(29)
+    rng = seeded(29)
     n, r = 8, 2
     edges_a = [(0, 0, 1), (2, 1, 1), (3, 0, 1)]
     edges_b = [(1, 1, 4), (5, 0, 1), (1, 0, 6)]
-    ent = rng.normal((n, 4))
-    rel = rng.normal((r, 4))
+    ent = rng.normal(size=(n, 4))
+    rel = rng.normal(size=(r, 4))
     state = EmbeddingState(ent, rel)
     p = identity_params(4)
     for kind in ("transe", "distmult"):
@@ -254,13 +254,13 @@ def test_message_additive_over_disjoint_edge_sets():
 def test_permutation_equivariance():
     g = random_instance(n=10, r=3, edges=25, seed=31)
     cfg = ModelConfig(mode="kegcn", scorer_kind="transh", dim=4, layers=2, alpha=0.3)
-    rng = RandomSource(37)
+    rng = seeded(37)
     params = init_params(cfg, g.num_relations, rng)
     state = init_state(cfg, g, rng)
     s = config_scorer(cfg)
     out1 = model_forward(g, state, params, scorer=s)
 
-    perm = RandomSource(41).permutation(10)
+    perm = seeded(41).permutation(10)
     triples2 = np.column_stack((perm[g.heads], g.rels, perm[g.tails]))
     g2 = build_graph(triples2, 10, g.num_relations)
     ent2 = np.zeros_like(state.entity)
@@ -282,16 +282,16 @@ def test_model_forward_equivariant_under_relabelling(mode, kind):
     # relative, not bitwise
     g = random_instance(n=12, r=4, edges=40, seed=53)
     cfg = ModelConfig(mode=mode, scorer_kind=kind, dim=8, layers=3, alpha=0.3)
-    rng = RandomSource(59)
+    rng = seeded(59)
     params = init_params(cfg, g.num_relations, rng)
     state = init_state(cfg, g, rng)
-    pe, pr = RandomSource(61).permutation(12), RandomSource(67).permutation(4)
+    pe, pr = seeded(61).permutation(12), seeded(67).permutation(4)
     g2 = build_graph(np.column_stack((pe[g.heads], pr[g.rels], pe[g.tails])), 12, 4)
     params2 = []
     for p in params:
         q = replace(p)
         if p.rel_scale is not None:
-            p.rel_scale = 0.5 + rng.uniform((4, 1))
+            p.rel_scale = 0.5 + rng.random((4, 1))
             q.rel_scale = np.empty_like(p.rel_scale)
             q.rel_scale[pr] = p.rel_scale
         if p.w_per_rel is not None:
@@ -345,10 +345,10 @@ def test_verify_reduction_runs_the_layout_training_builds(monkeypatch, mode):
 def test_baseline_forward_examples():
     # rgcn on the empty graph: sigma(W_0 h_v)
     g = build_graph([], 3, 2)
-    rng = RandomSource(47)
-    ent = rng.normal((3, 4))
-    w0 = rng.normal((4, 4))
-    wstack = rng.normal((2, 4, 4))
+    rng = seeded(47)
+    ent = rng.normal(size=(3, 4))
+    w0 = rng.normal(size=(4, 4))
+    wstack = rng.normal(size=(2, 4, 4))
     p = LayerParams(w_per_rel=wstack, w0=w0)
     out = baseline_forward("rgcn", g, EmbeddingState(ent), p, last=False)
     want = np.stack([np.maximum(ent[v] @ w0, 0.0) for v in range(3)])
@@ -356,8 +356,8 @@ def test_baseline_forward_examples():
 
     # wgcn with alpha_r = 1 equals rgcn with W_r = W
     g = random_instance(n=6, r=2, edges=12, seed=53)
-    ent = rng.normal((6, 4))
-    w = rng.normal((4, 4))
+    ent = rng.normal(size=(6, 4))
+    w = rng.normal(size=(4, 4))
     pw = LayerParams(w=w, rel_scale=np.ones((2, 1)))
     pr = LayerParams(w_per_rel=np.stack([w, w]), w0=w)
     a = baseline_forward("wgcn", g, EmbeddingState(ent), pw, last=False)
@@ -384,13 +384,13 @@ def test_baseline_forward_examples():
 def test_model_gradients_match_finite_differences(kind):
     g = random_instance(n=10, r=3, edges=24, seed=59)
     cfg = ModelConfig(mode="kegcn", scorer_kind=kind, dim=4, layers=2, alpha=0.3)
-    rng = RandomSource(61)
+    rng = seeded(61)
     params = init_params(cfg, g.num_relations, rng)
     state = init_state(cfg, g, rng)
     s = config_scorer(cfg)
-    probe = RandomSource(67)
-    w_ent = probe.normal((g.num_entities, cfg.dim))
-    w_rel = probe.normal((g.num_relations, relation_width(cfg)))
+    probe = seeded(67)
+    w_ent = probe.normal(size=(g.num_entities, cfg.dim))
+    w_rel = probe.normal(size=(g.num_relations, relation_width(cfg)))
 
     def fn(tape, ent, rel, w1, w01, wr1, w2, w02, wr2):
         layers = [replace(params[0], w=w1, w0=w01, w_rel=wr1),
@@ -415,7 +415,7 @@ def test_graphs_of_equal_size_keep_their_own_scatter_cache():
     assert (g1.num_entities, g1.num_relations, g1.num_triples) == \
         (g2.num_entities, g2.num_relations, g2.num_triples)
     cfg = ModelConfig(mode="kegcn", scorer_kind="transe", dim=4, layers=2)
-    rng = RandomSource(4)
+    rng = seeded(4)
     params = init_params(cfg, r, rng)
     state = init_state(cfg, g1, rng)
     scorer = config_scorer(cfg)
@@ -441,7 +441,7 @@ def test_graph_builds_its_degree_norm_columns_once():
     # -2 * relation norms, built on the first pass and reused by the next
     g = random_instance(seed=7)
     cfg = ModelConfig(scorer_kind="transe", dim=4, layers=2, alpha=0.3)
-    rng = RandomSource(5)
+    rng = seeded(5)
     params, state = init_params(cfg, g.num_relations, rng), init_state(cfg, g, rng)
     first = model_forward(g, state, params, scorer=config_scorer(cfg))
     columns = dict(g.norm_columns)
@@ -473,7 +473,7 @@ class ProbeTape(Tape):
 def _first_layer(kind):
     g = random_instance(n=12, r=3, edges=36, seed=13)
     cfg = ModelConfig(mode="kegcn", scorer_kind=kind, dim=8, layers=2, alpha=0.3)
-    rng = RandomSource(17)
+    rng = seeded(17)
     params = init_params(cfg, g.num_relations, rng)
     state = init_state(cfg, g, rng)
     tape = ProbeTape()

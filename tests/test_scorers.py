@@ -3,7 +3,7 @@ import pytest
 
 from kegcn.autodiff import Tape
 from kegcn.checks import message_gradients, scorer_gradient_fd
-from kegcn.numerics import DimensionError, RandomSource, unit_project
+from kegcn.numerics import DimensionError, seeded, unit_project
 from kegcn.scorers import SCORERS, base_dim, make_scorer
 from scorer_oracle import gradients
 
@@ -92,11 +92,11 @@ def test_gradients_match_finite_differences(kind):
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_tape_messages_match_closed_forms(kind):
     scorer = make_scorer(kind, 3)
-    rng = RandomSource(41)
+    rng = seeded(41)
     n = 100
-    U = rng.normal((n, scorer.entity_width))
-    R = rng.normal((n, scorer.relation_width))
-    V = rng.normal((n, scorer.entity_width))
+    U = rng.normal(size=(n, scorer.entity_width))
+    R = rng.normal(size=(n, scorer.relation_width))
+    V = rng.normal(size=(n, scorer.entity_width))
     k = scorer.planes
     if k > 1:
         R += 0.4 * np.sign(R.reshape(n, -1, k)).reshape(n, -1)
@@ -111,8 +111,8 @@ def test_tape_messages_match_closed_forms(kind):
 
 def test_distmult_tape_messages_bitwise():
     scorer = make_scorer("distmult", 5)
-    rng = RandomSource(43)
-    U, R, V = rng.normal((3, 20, 5))
+    rng = seeded(43)
+    U, R, V = rng.normal(size=(3, 20, 5))
     tape = Tape()
     gh, gr, gt = scorer.messages(tape, tape.leaf(U), tape.leaf(R), tape.leaf(V))
     assert np.array_equal(gh.value, R * V)
@@ -123,9 +123,9 @@ def test_distmult_tape_messages_bitwise():
 def test_transe_message_vjp_is_minus_two_g():
     # L = <gt, g>; dL/dV = -2 g because the tail message gt = 2(U + R - V)
     scorer = make_scorer("transe", 4)
-    rng = RandomSource(47)
-    U, R, V = rng.normal((3, 6, 4))
-    g = rng.normal((6, 4))
+    rng = seeded(47)
+    U, R, V = rng.normal(size=(3, 6, 4))
+    g = rng.normal(size=(6, 4))
     tape = Tape()
     vU, vR, vV = tape.leaf(U), tape.leaf(R), tape.leaf(V)
     _, _, gt = scorer.gradients(tape, vU, vR, vV)
@@ -138,7 +138,7 @@ def test_transe_sends_one_edge_term_for_its_factors():
     # the layer applies -2, -2 and 2 once per summed row; the edge term is
     # e = U + R - V for all three directions, recorded once
     scorer = make_scorer("transe", 4)
-    U, R, V = RandomSource(48).normal((3, 6, 4))
+    U, R, V = seeded(48).normal(size=(3, 6, 4))
     tape = Tape()
     gh, gr, gt = scorer.messages(tape, tape.leaf(U), tape.leaf(R), tape.leaf(V))
     assert scorer.factors == (-2, -2, 2) and gh is gr is gt
@@ -149,9 +149,9 @@ def test_transe_sends_one_edge_term_for_its_factors():
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_gradients_are_messages_times_factors_bitwise(kind):
     scorer = make_scorer(kind, 3)
-    rng = RandomSource(49)
-    U, V = rng.normal((2, 10, scorer.entity_width))
-    R = rng.normal((10, scorer.relation_width))
+    rng = seeded(49)
+    U, V = rng.normal(size=(2, 10, scorer.entity_width))
+    R = rng.normal(size=(10, scorer.relation_width))
     k = scorer.planes
     tape = Tape()
     rows = [tape.leaf(to_planes(x, k)) for x in (U, R, V)]
@@ -162,11 +162,11 @@ def test_gradients_are_messages_times_factors_bitwise(kind):
 
 def test_transe_translation_invariance():
     s = make_scorer("transe", 6)
-    rng = RandomSource(53)
+    rng = seeded(53)
     for _ in range(20):
-        u, v = rng.normal((2, 6))
-        r = rng.normal(6)
-        c = rng.normal(6)
+        u, v = rng.normal(size=(2, 6))
+        r = rng.normal(size=6)
+        c = rng.normal(size=6)
         a = s.score(u, r, v)
         b = s.score(u + c, r, v + c)
         assert abs(a - b) <= 1e-10 * max(abs(a), 1.0)
@@ -174,18 +174,18 @@ def test_transe_translation_invariance():
 
 def test_distmult_symmetry_bitwise():
     s = make_scorer("distmult", 8)
-    rng = RandomSource(59)
+    rng = seeded(59)
     for _ in range(20):
-        u, r, v = rng.normal((3, 8))
+        u, r, v = rng.normal(size=(3, 8))
         assert s.score(u, r, v) == s.score(v, r, u)
 
 
 def test_rotate_phase_invariance():
     s = make_scorer("rotate", 4)
-    rng = RandomSource(61)
+    rng = seeded(61)
     for _ in range(20):
-        u, r, v = rng.normal((3, 8))
-        theta = float(rng.normal(1)[0])
+        u, r, v = rng.normal(size=(3, 8))
+        theta = float(rng.normal(size=1)[0])
         phase = np.array([np.cos(theta), np.sin(theta)])
         from kegcn.numerics import complex_elementwise_product
 
@@ -199,11 +199,11 @@ def test_rotate_phase_invariance():
 
 def test_rotate_nonpositive_and_zero_iff_exact():
     s = make_scorer("rotate", 3)
-    rng = RandomSource(67)
+    rng = seeded(67)
     from kegcn.numerics import complex_elementwise_product
 
     for _ in range(20):
-        u, r, v = rng.normal((3, 6))
+        u, r, v = rng.normal(size=(3, 6))
         assert s.score(u, r, v) <= 0.0
         rhat = unit_project(r.reshape(3, 2).T)
         v_exact = complex_elementwise_product(u.reshape(3, 2).T, rhat).T.reshape(-1)
@@ -212,10 +212,10 @@ def test_rotate_nonpositive_and_zero_iff_exact():
 
 def test_quate_identity_relation_is_inner_product():
     s = make_scorer("quate", 3)
-    rng = RandomSource(71)
+    rng = seeded(71)
     ident = np.tile([1.0, 0.0, 0.0, 0.0], 3)
     for _ in range(20):
-        u, v = rng.normal((2, 12))
+        u, v = rng.normal(size=(2, 12))
         a = s.score(u, ident, v)
         b = float(np.dot(u, v))
         assert abs(a - b) <= 1e-12 * max(abs(b), 1.0)

@@ -11,11 +11,11 @@ import pytest
 
 from kegcn import checks, numerics, scorers, synthetic
 from kegcn import tasks as tasks_mod
-from helpers import PerParameterAdam, finite_diff_check
+from helpers import PerParameterAdam, finite_diff_check, ndcg_at_k
 from kegcn.autodiff import Tape
 from kegcn.checks import end_to_end_gradient_fd
 from kegcn.graph import build_graph
-from kegcn.numerics import RandomSource
+from kegcn.numerics import seeded
 from kegcn.tasks import (
     Adam,
     AlignmentSeeds,
@@ -49,7 +49,7 @@ def ring_graph(n, r):
 
 def test_sample_negatives_shape_and_one_slot():
     pairs = np.array([(0, 0), (1, 1), (2, 2)])
-    neg_u, neg_v = sample_negatives(pairs, 5, 6, 7, RandomSource(3))
+    neg_u, neg_v = sample_negatives(pairs, 5, 6, 7, seeded(3))
     assert neg_u.shape == (3, 5) and neg_v.shape == (3, 5)
     assert np.all(neg_u >= 0) and np.all(neg_u < 6)
     assert np.all(neg_v >= 0) and np.all(neg_v < 7)
@@ -60,16 +60,16 @@ def test_sample_negatives_shape_and_one_slot():
 
 def test_sample_negatives_deterministic():
     pairs = np.array([(0, 1), (2, 3)])
-    a = sample_negatives(pairs, 4, 5, 5, RandomSource(9))
-    b = sample_negatives(pairs, 4, 5, 5, RandomSource(9))
+    a = sample_negatives(pairs, 4, 5, 5, seeded(9))
+    b = sample_negatives(pairs, 4, 5, 5, seeded(9))
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-    c = sample_negatives(pairs, 4, 5, 5, RandomSource(10))
+    c = sample_negatives(pairs, 4, 5, 5, seeded(10))
     assert not (np.array_equal(a[0], c[0]) and np.array_equal(a[1], c[1]))
 
 
 def test_sample_negatives_hits_both_sides():
     pairs = np.array([(2, 3)])
-    neg_u, neg_v = sample_negatives(pairs, 200, 9, 9, RandomSource(0))
+    neg_u, neg_v = sample_negatives(pairs, 200, 9, 9, seeded(0))
     assert (neg_u != 2).sum() > 50
     assert (neg_v != 3).sum() > 50
 
@@ -99,14 +99,14 @@ def test_alignment_loss_zero_when_margin_met():
 
 
 def test_alignment_loss_gradients_fd():
-    rng = RandomSource(4)
+    rng = seeded(4)
     pos = np.array([(0, 0), (1, 2), (3, 1)])
     neg_u, neg_v = sample_negatives(pos, 3, 5, 5, rng)
 
     def fn(tape, a, b):
         return alignment_loss(tape, a, b, pos, neg_u, neg_v, 3.0)
 
-    err = finite_diff_check(fn, [rng.normal((5, 4)), rng.normal((5, 4))])
+    err = finite_diff_check(fn, [rng.normal(size=(5, 4)), rng.normal(size=(5, 4))])
     assert err <= 1e-7
 
 
@@ -149,12 +149,12 @@ def test_classification_loss_clamped_stays_finite():
 
 def test_classification_loss_gradients_fd():
     label_set = LabelSet({0: (0, 2), 1: (1,), 2: (0,)}, 3, True, train=[0, 1, 2])
-    rng = RandomSource(8)
+    rng = seeded(8)
 
     def fn(tape, x):
         return classification_loss(tape, x, label_set, [0, 1, 2])
 
-    err = finite_diff_check(fn, [rng.normal((4, 3))])
+    err = finite_diff_check(fn, [rng.normal(size=(4, 3))])
     assert err <= 1e-7
 
 
@@ -238,14 +238,14 @@ def test_flat_adam_is_bitwise_the_per_parameter_step():
     # still sees the operations it sees alone, non-contiguous gradients too
     shapes = {"a": (3, 4), "b": (5,), "c": (2, 3), "d": (1,), "e": (4, 3),
               "f": (2,), "g": (3, 3)}
-    rng = RandomSource(83)
-    flat = {k: rng.normal(s) for k, s in shapes.items()}
+    rng = seeded(83)
+    flat = {k: rng.normal(size=s) for k, s in shapes.items()}
     oracle = {k: v.copy() for k, v in flat.items()}
     adam, ref = Adam(0.05), PerParameterAdam(0.05)
     for t in range(50):
-        grads = {k: rng.normal(s) * 10.0 ** rng.integers(-6, 3) for k, s in shapes.items()}
-        grads["c"] = rng.normal((3, 2)).T          # strided views
-        grads["e"] = rng.normal((3, 4)).T
+        grads = {k: rng.normal(size=s) * 10.0 ** rng.integers(-6, 3) for k, s in shapes.items()}
+        grads["c"] = rng.normal(size=(3, 2)).T          # strided views
+        grads["e"] = rng.normal(size=(3, 4)).T
         if t % 7 == 3:
             grads["b"][:] = 0.0
         adam.step(flat, grads)
@@ -284,9 +284,9 @@ def test_end_to_end_fd_multilabel_rotate():
 
 
 def test_l1_cdist_matches_naive(monkeypatch):
-    rng = RandomSource(5)
-    a = rng.normal((7, 3))
-    b = rng.normal((9, 3))
+    rng = seeded(5)
+    a = rng.normal(size=(7, 3))
+    b = rng.normal(size=(9, 3))
     want = np.array([[np.sum(np.abs(x - y)) for y in b] for x in a])
     # blocks of 2 rows of a against all 9 of b
     monkeypatch.setattr(tasks_mod, "_CDIST_BUFFER_BYTES", 2 * 9 * 3 * 8)
@@ -301,7 +301,7 @@ def _l1_oracle(a, b):
 def test_l1_cdist_chunking_is_bitwise(monkeypatch):
     # a with no rows; b of 1100 rows at dim 64 fills more than one block;
     # buffers from one row pair per block to every pair in one block
-    rng = np.random.default_rng(12)
+    rng = seeded(12)
     for rows_a, rows_b, dim in ((11, 23, 64), (0, 23, 64), (5, 1100, 64), (9, 40, 3)):
         a = rng.normal(size=(rows_a, dim))
         b = rng.normal(size=(rows_b, dim))
@@ -316,7 +316,7 @@ def test_evaluate_classification_matches_per_row_metrics_with_ties():
     from kegcn import metrics
     import helpers
 
-    rng = np.random.default_rng(13)
+    rng = seeded(13)
     scores = rng.integers(0, 3, size=(40, 7)) / 4.0   # many tied scores per row
     scores[0] = 0.5                                     # a row that is all ties
     ids = [int(i) for i in rng.permutation(40)[:30]]
@@ -330,13 +330,13 @@ def test_evaluate_classification_matches_per_row_metrics_with_ties():
     for key, k in (("p1", 1), ("p5", 5)):
         per_row = [helpers.precision_at_k(scores[e], multi.labels[e], k) for e in ids]
         assert got[key] == float(np.mean(per_row))
-    per_row = [metrics.ndcg_at_k(scores[e], multi.labels[e], 5) for e in ids]
+    per_row = [ndcg_at_k(scores[e], multi.labels[e], 5) for e in ids]
     assert got["ndcg5"] == float(np.mean(per_row))
 
 
 def test_evaluate_alignment_perfect_match():
-    rng = RandomSource(6)
-    ent = rng.normal((8, 4))
+    rng = seeded(6)
+    ent = rng.normal(size=(8, 4))
     s1 = EmbeddingState(ent.copy(), None)
     s2 = EmbeddingState(ent.copy(), None)
     pairs = [(i, i) for i in range(8)]
@@ -345,8 +345,8 @@ def test_evaluate_alignment_perfect_match():
 
 
 def test_zero_shot_identity_relations():
-    rng = RandomSource(7)
-    rel = rng.normal((5, 4))
+    rng = seeded(7)
+    rel = rng.normal(size=(5, 4))
     s1 = EmbeddingState(np.zeros((2, 4)), rel.copy())
     s2 = EmbeddingState(np.zeros((2, 4)), rel.copy())
     out = zero_shot_relation_alignment(s1, s2, [(i, i) for i in range(5)])
@@ -354,7 +354,7 @@ def test_zero_shot_identity_relations():
 
 
 def _rank_cases():
-    rng = np.random.default_rng(21)
+    rng = seeded(21)
     half = lambda n, d=5: rng.integers(0, 4, size=(n, d)) / 2.0   # many tied distances
     ties = half(30), half(30)
     yield "ties", ties, rng.permutation(30)[:20], rng.permutation(30)[:20]
@@ -531,12 +531,13 @@ def test_quate_epoch_tape_node_count(monkeypatch):
     # 4 layers on two graphs plus the loss; messages record no reshape nodes.
     # The last layer records no relation update: per graph no quat_mul for
     # ghat, unit_project_pullback, relation segment_sum, norm scale, add or
-    # matmul (196 nodes with it).  The norm columns are constants, not leaves
+    # matmul (195 nodes with it).  The norm columns and the margin are
+    # constants, not leaves
     g1, g2, ent_pairs, _ = synthetic.hub_signature_pair(40, 3, 150, seed=1)
     seeds = synthetic.alignment_split(ent_pairs)
     cfg = TrainConfig(scorer="quate", dim=8, layers=4, epochs=2)
     assert _epoch_node_counts(monkeypatch, lambda: train_alignment(g1, g2, seeds, cfg)) \
-        == [184, 184]
+        == [183, 183]
 
 
 def test_transe_classification_epoch_tape_node_count(monkeypatch):
@@ -551,6 +552,36 @@ def test_transe_classification_epoch_tape_node_count(monkeypatch):
     cfg = TrainConfig(dim=8, layers=4, epochs=2)
     assert _epoch_node_counts(monkeypatch, lambda: train_classification(g, label_set, cfg)) \
         == [84, 84]
+
+
+@pytest.mark.parametrize("task", ["alignment", "classification"])
+def test_every_leaf_of_a_training_tape_is_a_named_parameter(monkeypatch, task):
+    # the margin and the label rows are constants, so backward computes no
+    # gradient that Adam does not step
+    g1, g2, ent_pairs, _ = synthetic.hub_signature_pair(40, 3, 150, seed=1)
+    seeds = synthetic.alignment_split(ent_pairs)
+    g, labels = synthetic.block_classification(60, 3, 200, noise=0.1, seed=3)
+    label_set = synthetic.classification_split(labels, 3, seed=3)
+    cfg = TrainConfig(dim=8, layers=3, epochs=1)
+    named, leaves, record_forward = [], [], tasks_mod.record_forward
+
+    def recording_forward(tape, *args):
+        pvars, outs = record_forward(tape, *args)
+        named.append(sorted(v.index for v in pvars.values()))
+        return pvars, outs
+
+    class LeafTape(Tape):
+        def backward(self, loss):
+            leaves.append([i for i in range(len(self.nodes)) if self.nodes[i].name == "leaf"])
+            return super().backward(loss)
+
+    monkeypatch.setattr(tasks_mod, "record_forward", recording_forward)
+    monkeypatch.setattr(tasks_mod, "Tape", LeafTape)
+    if task == "alignment":
+        train_alignment(g1, g2, seeds, cfg)
+    else:
+        train_classification(g, label_set, cfg)
+    assert len(leaves) == 1 and leaves == named
 
 
 def test_classification_with_saturating_logits_keeps_training():
@@ -1055,7 +1086,7 @@ def test_inference_checks_and_plain_tapes_allocate_from_numpy(monkeypatch):
     monkeypatch.setattr(numerics, "BufferPool", NoPool)
     g1, _, _, _ = synthetic.hub_signature_pair(40, 3, 150, seed=1)
     mc = propagation.ModelConfig(scorer_kind="quate", dim=32, layers=2)
-    rng = RandomSource(0)
+    rng = seeded(0)
     params = propagation.init_params(mc, g1.num_relations, rng)
     out = propagation.model_forward(g1, propagation.init_state(mc, g1, rng), params,
                                     scorer=propagation.config_scorer(mc))
