@@ -9,7 +9,10 @@ functions are picked up automatically.
 
 Gradients: a vjp never writes the gradient g it is given, and returns for
 each parent either a view of g (`add` and `sub` pass g on, `concat`
-splits it) or a fresh array that no other output shares.  `backward`
+splits it) or a fresh array that no other output shares, or None where
+no gradient passes (a relu whose inputs are all <= 0): `backward` adds
+nothing to that parent then, so a zero hinge loss runs no vjp below its
+relu, and a leaf nothing reaches reads zeros.  `backward`
 keeps a parent's first gradient as its vjp returned it, borrowed if it
 may share memory with g.  A later contribution to a borrowed gradient is
 added out of place into `numerics.empty`, and the parent owns the sum; a
@@ -417,8 +420,8 @@ class Tape:
         xv = x.value
         mask = xv > 0
 
-        def vjp(g):
-            return (np.multiply(g, mask, out=empty(g.shape)),)
+        def vjp(g):   # None when no input is positive: no gradient reaches x
+            return (np.multiply(g, mask, out=empty(g.shape)) if mask.any() else None,)
 
         return self._record(np.maximum(xv, 0.0, out=empty(xv.shape)), (x,), vjp, "relu")
 
@@ -585,6 +588,8 @@ class Tape:
             if g is None:
                 continue
             for pi, pg in zip(parents, vjp(g)):
+                if pg is None:
+                    continue
                 if grads[pi] is None:
                     grads[pi] = pg
                     if np.may_share_memory(pg, g):

@@ -222,11 +222,9 @@ def cmd_metrics_report(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     ranks = []
     for lineno, line in zip(*io_mod.data_lines(args.ranks)):
-        try:
-            rank = int(line)
-        except ValueError:
-            raise io_mod.DataError(
-                f"{args.ranks} line {lineno}: expected an integer rank") from None
+        rank = io_mod.int_token(line.strip())   # read as the loaders read an integer id
+        if rank is None:
+            raise io_mod.DataError(f"{args.ranks} line {lineno}: expected an integer rank")
         if rank < 1:
             raise io_mod.DataError(f"{args.ranks} line {lineno}: ranks are 1-based")
         ranks.append(rank)

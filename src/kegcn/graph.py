@@ -63,17 +63,23 @@ def build_graph(triples, num_entities: int, num_relations: int) -> KnowledgeGrap
     except OverflowError:
         raise GraphError("triple id out of range: beyond 64 bits") from None
     ends = rows[:, ::2]
-    bad_entity = ((ends < 0) | (ends >= num_entities)).any(axis=1)
-    bad_relation = (rows[:, 1] < 0) | (rows[:, 1] >= num_relations)
-    bad = np.flatnonzero(bad_entity | bad_relation)
-    if bad.size:
-        i = int(bad[0])
+    if rows.size and not (rows.min() >= 0 and ends.max() < num_entities
+                          and rows[:, 1].max() < num_relations):
+        bad_entity = ((ends < 0) | (ends >= num_entities)).any(axis=1)
+        bad_relation = (rows[:, 1] < 0) | (rows[:, 1] >= num_relations)
+        i = int(np.flatnonzero(bad_entity | bad_relation)[0])
         h, r, v = rows[i].tolist()
         what = "entity" if bad_entity[i] else "relation"
         raise GraphError(f"triple {i}: {what} id out of range in ({h},{r},{v})")
-    rows = rows[np.lexsort(rows.T[::-1])]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    return KnowledgeGraph(num_entities, num_relations,
-                          *(np.ascontiguousarray(c) for c in rows[first].T))
+    n, rn = int(num_entities), int(num_relations)
+    if n * rn * n > 2 ** 63:   # then the rows are sorted as (head, relation, tail) tuples
+        rows = rows[np.lexsort(rows.T[::-1])]
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        return KnowledgeGraph(n, rn, *(np.ascontiguousarray(c) for c in rows[first].T))
+    keys = (rows[:, 0] * rn + rows[:, 1]) * n + rows[:, 2]   # in (head, relation, tail) order
+    keys.sort()
+    keys = keys[np.r_[True, keys[1:] != keys[:-1]]] if keys.size else keys
+    heads, rest = np.divmod(keys, rn * n)
+    return KnowledgeGraph(n, rn, heads, *np.divmod(rest, n))
 

@@ -7,15 +7,23 @@ directly) or all strings (interned in first-seen order); mixing the two
 is an error.  Every malformed line is reported with its line number,
 nothing is skipped silently.
 
-Each file is parsed in one pass over whole columns, with no Python code
-per token: the text is decoded at once (lines end in \\n, \\r\\n or \\r),
-the data lines are split and stripped together, and integer columns are
-checked and converted in bulk.  A file with errors reports the first
-one, its message rebuilt from that line alone, in this order: a byte
-that is not UTF-8; a wrong field count or an empty field; then line by
-line, mixed integer and string ids, an id of more than 18 digits, and an
-id at or above the file's id-token count (triples) or an unknown id,
-duplicate entity or empty label token (pairs and labels).
+The common file takes a bulk path (`_clean_ids`): every line holds
+unpadded ASCII-digit ids of at most 18 digits and ends in \\n or at the
+end of the file, with no comment, blank line or CR.  NumPy checks its
+bytes, then one NumPy call converts all of its ids; no Python code runs
+per line or token.  A file that fails a check there, or whose ids do not
+fit the vocabularies (an id out of range, a repeated labeled entity, a
+string-id vocabulary), takes the general path, which raises every error.
+
+The general path parses in one pass over whole columns, with no Python
+code per token: the text is decoded at once (lines end in \\n, \\r\\n or
+\\r), the data lines are split and stripped together, and integer
+columns are checked and converted in bulk.  A file with errors reports
+the first one, its message rebuilt from that line alone, in this order:
+a byte that is not UTF-8; a wrong field count or an empty field; then
+line by line, mixed integer and string ids, an id of more than 18
+digits, and an id at or above the file's id-token count (triples) or an
+unknown id, duplicate entity or empty label token (pairs and labels).
 
 Checkpoints are a flat binary container: magic `KEGC`, a 4-byte
 little-endian version, then named sections, each
@@ -74,6 +82,14 @@ def _is_int(token: str) -> bool:
     return token.isascii() and token.isdigit()   # isdigit alone admits non-ASCII digits
 
 
+def int_token(token: str) -> Optional[int]:
+    """The integer an id token names: unpadded ASCII digits, at most
+    _MAX_ID_DIGITS of them (so it fits int64); None for any other token.
+    Ranks and checkpoint dims follow it too.  `_ints` checks the same rule
+    on a column of tokens, and `_clean_ids` on a file's bytes."""
+    return int(token) if _is_int(token) and len(token) <= _MAX_ID_DIGITS else None
+
+
 def _int_id(token: str, where: str) -> int:
     if len(token) > _MAX_ID_DIGITS:
         raise DataError(f"{where}: integer id of {len(token)} digits, more than {_MAX_ID_DIGITS}")
@@ -105,10 +121,15 @@ class Vocabulary:
             self.int_mode = _is_int(tokens[0])
         if self.int_mode:
             ids, stop = _ints(tokens, limit)
-            self._count = max(self._count, int(ids.max(initial=-1)) + 1)
+            self.count(ids)
             return ids, stop
         self._ids = dict(zip(dict.fromkeys([*self._ids, *tokens]), itertools.count()))
         return np.fromiter(map(self._ids.__getitem__, tokens), np.int64, len(tokens)), len(tokens)
+
+    def count(self, ids: np.ndarray) -> None:
+        """Take int64 `ids` into integer mode: the count grows to hold them."""
+        self.int_mode = True
+        self._count = max(self._count, int(ids.max(initial=-1)) + 1)
 
     def resolve_all(self, tokens: list):
         """Ids of known tokens in order, up to the first unknown one;
@@ -143,17 +164,48 @@ def _ints(tokens: list, limit: int):
     if not ((joined := "".join(tokens)).isascii() and joined.isdigit()):
         ok &= np.fromiter(map(_is_int, tokens), bool, n)
     stop = _first(~ok, n)
-    ids = np.fromiter(map(int, tokens[:stop]), np.int64, stop)
+    ids = np.fromstring(" ".join(tokens[:stop]), np.int64, sep=" ")
     stop = _first(ids >= limit, stop)
     return ids[:stop], stop
 
 
-def data_lines(path: str):
+def _clean_ids(data: bytes, n_fields: int, listed: bool = False):
+    """The int64 ids of a file's bytes `data` on the bulk path (see the
+    module docstring), in file order, and the byte after each: tab, comma
+    or \\n; None for any other file, the empty one too.  Each line holds
+    n_fields tab-separated fields, the last a comma-separated list if
+    `listed`.  The bytes are checked before NumPy converts them."""
+    data += b"" if data.endswith(b"\n") else b"\n"
+    b = np.frombuffer(data, np.uint8)
+    if (b > ord("9")).any():
+        return None
+    ends = np.flatnonzero(b < ord("0"))   # the byte after each id
+    lens = np.diff(ends, prepend=-1) - 1
+    if not 1 <= lens.min() <= lens.max() <= _MAX_ID_DIGITS:
+        return None
+    seps = b[ends]
+    if listed:   # a tab first on each line, then only commas up to its \n
+        lines = np.flatnonzero(seps == 10)
+        ok = ((seps[np.r_[0, lines[:-1] + 1]] == 9).all()
+              and np.count_nonzero(seps == 9) == lines.size
+              and np.count_nonzero(seps == 44) == seps.size - 2 * lines.size)
+    else:
+        ok = seps.size % n_fields == 0 and (
+            seps.reshape(-1, n_fields) == [9] * (n_fields - 1) + [10]).all()
+    return (np.fromstring(data.replace(b",", b" "), np.int64, sep=" "), seps) if ok else None
+
+
+def _read(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def data_lines(path: str, data: Optional[bytes] = None):
     """Line numbers and text of the data lines of a text file, all lines
     but blank ones and those whose first non-blank character is `#`.
-    Lines end in \\n, \\r\\n or \\r, as in text mode."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    Lines end in \\n, \\r\\n or \\r, as in text mode.  `data` is the
+    file's bytes when the caller has read them already."""
+    data = _read(path) if data is None else data
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -165,10 +217,10 @@ def data_lines(path: str):
     return linenos, [lines[i - 1] for i in linenos]
 
 
-def _read_rows(path: str, n_fields: int):
-    """Line numbers of the data lines of a TSV file and their stripped
-    fields, one flat list of n_fields per line."""
-    linenos, rows = data_lines(path)
+def _read_rows(path: str, n_fields: int, data: bytes):
+    """Line numbers of the data lines of a TSV file, whose bytes are
+    `data`, and their stripped fields, one flat list of n_fields per line."""
+    linenos, rows = data_lines(path, data)
     tokens = list(map(str.strip, "\t".join(rows).split("\t"))) if rows else []
     tabs = n_fields - 1
     if "" in tokens or list(map(str.count, rows, itertools.repeat("\t"))).count(tabs) < len(rows):
@@ -181,7 +233,14 @@ def _read_rows(path: str, n_fields: int):
 def _triple_rows(path: str):
     """(n, 3) int64 rows of a triples file in file order, with its entity
     and relation vocabularies."""
-    linenos, tokens = _read_rows(path, 3)
+    data = _read(path)
+    clean = _clean_ids(data, 3)
+    if clean is not None and clean[0].max() < clean[0].size:   # the id-token count
+        rows, ent, rel = clean[0].reshape(-1, 3), Vocabulary(), Vocabulary()
+        ent.count(rows[:, ::2])
+        rel.count(rows[:, 1])
+        return rows, ent, rel
+    linenos, tokens = _read_rows(path, 3, data)
     n = len(linenos)
     int_mode = n > 0 and all(map(_is_int, tokens[:3]))
     ent, rel = Vocabulary(int_mode), Vocabulary(int_mode)
@@ -213,7 +272,13 @@ def load_graph(path: str):
 
 def load_alignments(path: str, vocab1: Vocabulary, vocab2: Vocabulary, what: str = "entity"):
     """Parse `e1<TAB>e2` seed pairs; both sides must already be known `what`s."""
-    linenos, tokens = _read_rows(path, 2)
+    data = _read(path)
+    clean = _clean_ids(data, 2) if vocab1.int_mode and vocab2.int_mode else None
+    if clean is not None:
+        left, right = clean[0].reshape(-1, 2).T
+        if left.max() < vocab1.size and right.max() < vocab2.size:
+            return list(zip(left.tolist(), right.tolist()))
+    linenos, tokens = _read_rows(path, 2, data)
     left, stop1 = vocab1.resolve_all(tokens[0::2])
     right, stop2 = vocab2.resolve_all(tokens[1::2])
     stop = min(stop1, stop2)
@@ -227,7 +292,31 @@ def load_alignments(path: str, vocab1: Vocabulary, vocab2: Vocabulary, what: str
 def _label_rows(path: str, ent_vocab: Vocabulary, class_vocab: Vocabulary):
     """load_labels, plus the line number of each labeled entity (in the
     map's order) and the file's label-token count."""
-    linenos, tokens = _read_rows(path, 2)
+    data = _read(path)
+    clean = (_clean_ids(data, 2, listed=True)
+             if ent_vocab.int_mode and class_vocab.int_mode is not False else None)
+    if clean is not None:
+        tabs = clean[1] == 9
+        ents, classes = clean[0][tabs], clean[0][~tabs]
+        if ents.max() >= ent_vocab.size or (np.diff(np.sort(ents)) == 0).any():   # repeated
+            clean = None
+    if clean is None:
+        linenos, ents, classes, ends = _general_label_rows(path, data, ent_vocab, class_vocab)
+    else:
+        linenos, ends = range(1, ents.size + 1), np.flatnonzero(clean[1][~tabs] == 10) + 1
+        class_vocab.count(classes)
+    flat, ends = classes.tolist(), ends.tolist()
+    if len(flat) == len(ends):   # one label a line
+        return dict(zip(ents.tolist(), zip(flat))), False, linenos, len(flat)
+    tuples = [tuple(dict.fromkeys(flat[a:b])) for a, b in zip([0] + ends, ends)]
+    return dict(zip(ents.tolist(), tuples)), any(len(t) > 1 for t in tuples), linenos, len(flat)
+
+
+def _general_label_rows(path: str, data: bytes, ent_vocab: Vocabulary,
+                        class_vocab: Vocabulary):
+    """_label_rows' line numbers, entity ids, class ids and one past each
+    line's last class id, on the general path."""
+    linenos, tokens = _read_rows(path, 2, data)
     n = len(linenos)
     ents, stop = ent_vocab.resolve_all(tokens[0::2])
     repeated = np.ones(len(ents), dtype=bool)
@@ -248,9 +337,7 @@ def _label_rows(path: str, ent_vocab: Vocabulary, class_vocab: Vocabulary):
             raise DataError(f"{where}: empty label token")
         raise _rejected(class_vocab, row[Vocabulary(class_vocab.int_mode).intern_all(row)[1]],
                         where)
-    flat, ends = classes.tolist(), ends.tolist()
-    tuples = [tuple(dict.fromkeys(flat[a:b])) for a, b in zip([0] + ends, ends)]
-    return dict(zip(ents.tolist(), tuples)), any(len(t) > 1 for t in tuples), linenos, len(parts)
+    return linenos, ents, classes, ends
 
 
 def load_labels(path: str, ent_vocab: Vocabulary, class_vocab: Vocabulary):
@@ -300,19 +387,19 @@ def load_classification_bundle(values: dict) -> DatasetBundle:
             split_ids[split] = []
             continue
         labels, m, linenos, n_tokens = _label_rows(path, ev, class_vocab)
-        for e, lineno in zip(labels, linenos):
-            if e in merged:
-                raise DataError(f"{path} line {lineno}: entity id {e} labeled in more than "
-                                "one split")
-            where[e] = f"{path} line {lineno}"
+        if merged.keys() & labels.keys():
+            e, lineno = next((e, i) for e, i in zip(labels, linenos) if e in merged)
+            raise DataError(f"{path} line {lineno}: entity id {e} labeled in more than "
+                            "one split")
+        where.update(zip(labels, zip(itertools.repeat(path), linenos)))
         merged.update(labels)
         split_ids[split] = sorted(labels)
         multi = multi or m
         limit += n_tokens
     if class_vocab.int_mode and class_vocab.size > limit:
         e = next(e for e, ids in merged.items() if max(ids) >= limit)
-        raise DataError(f"{where[e]}: label {max(merged[e])} is not below {limit}, the split "
-                        "files' label-token count")
+        raise DataError("{} line {}".format(*where[e]) + f": label {max(merged[e])} is not "
+                        f"below {limit}, the split files' label-token count")
     label_set = LabelSet(merged, class_vocab.size, multi, **split_ids)
     return DatasetBundle([g], [rv], label_set=label_set)
 
@@ -472,9 +559,8 @@ def load_checkpoint(path: str) -> Checkpoint:
         if not sep:
             raise CheckpointError(f"{path}: section {full!r} lacks a shape")
         dims = shape_txt.split("x") if shape_txt else []
-        shape = (tuple(map(int, dims))
-                 if all(_is_int(p) and len(p) <= _MAX_ID_DIGITS for p in dims) else None)
-        if shape is None or math.prod(shape) != count:
+        shape = tuple(map(int_token, dims))
+        if None in shape or math.prod(shape) != count:
             raise CheckpointError(f"{path}: section {name!r} shape/count mismatch")
         if name in sections:
             raise CheckpointError(f"{path}: duplicate section {name!r}")

@@ -1,8 +1,8 @@
-"""Hashes of what training and the CLI compute, to show that a change
-keeps them bit for bit.
+"""Hashes of what training, the loaders and the CLI compute, to show that
+a change keeps them bit for bit.
 
     python tests/fingerprint.py            # everything, a few minutes
-    python tests/fingerprint.py --no-cli   # the training records only
+    python tests/fingerprint.py --no-cli   # the training and loader records only
     python tests/fingerprint.py --against saved.txt
 
 Each line is a name and the sha256 of the bytes it stands for.  The
@@ -23,6 +23,12 @@ Hashed are the losses, every epoch's leaf gradients as `Adam.step`
 receives them, the weights and tables after every step, and the final
 states (`model_forward` over the restored best tables, final relation
 included).
+
+Loaders: for the data files of each of the three gate runs (below),
+and for a copy of the first run's files with every id a string, what
+`kegcn.io` reads: each graph's index columns and vocabulary names, then
+the bundle's seed pairs or labels.  Clean integer files take the
+loaders' bulk path, the string copy their general one.
 
 CLI: for each of the three gate runs (`train-align` transe and quate
 with `--rel-test`, `train-classify`; the instances of
@@ -48,7 +54,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import numpy as np  # noqa: E402
 
-from kegcn import synthetic, tasks  # noqa: E402
+from kegcn import io as kio, synthetic, tasks  # noqa: E402
 from kegcn.propagation import REDUCTION_MODES, model_forward  # noqa: E402
 
 SCORER_KINDS = ("transe", "distmult", "transh", "transd", "rotate", "quate")
@@ -174,6 +180,47 @@ def gate_runs(tmp: str):
     yield "train-classify", ["train-classify", *data, "--epochs", "300"], data
 
 
+def loaded(values: dict) -> str:
+    """sha256 of what the loaders read from one bundle's files (values as
+    `io.load_*_bundle` takes them)."""
+    h = hashlib.sha256()
+    for key in ("graph1", "graph2"):
+        if key in values:
+            g, ent, rel = kio.load_graph(values[key])
+            h.update(digest([g.heads, g.rels, g.tails]).encode())
+            h.update(repr((ent.int_mode, ent.names(), rel.int_mode, rel.names())).encode())
+    if "graph2" in values:
+        s = kio.load_alignment_bundle(values).seeds
+        h.update(repr((s.train, s.valid, s.test)).encode())
+    else:
+        ls = kio.load_classification_bundle(values).label_set
+        h.update(repr((ls.labels, ls.num_classes, ls.multi_label, ls.train, ls.valid,
+                       ls.test)).encode())
+    return h.hexdigest()
+
+
+def string_ids(values: dict) -> dict:
+    """A copy of a bundle's files in which every id is a string: each
+    token gets an `x` in front."""
+    out = {}
+    for key, path in values.items():
+        out[key] = f"{path}.str"
+        with open(path, encoding="utf-8") as src, open(out[key], "w", encoding="utf-8") as dst:
+            dst.writelines("\t".join("x" + t for t in line.rstrip("\n").split("\t")) + "\n"
+                           for line in src)
+    return out
+
+
+def loader_records():
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, _, data_args in gate_runs(tmp):
+            values = {flag[2:]: os.path.join(tmp, path)
+                      for flag, path in zip(data_args[::2], data_args[1::2])}
+            yield f"load {name}", loaded(values)
+            if name == "train-align transe":
+                yield f"load {name} string ids", loaded(string_ids(values))
+
+
 def cli_records():
     with tempfile.TemporaryDirectory() as tmp:
         for name, train_args, data_args in gate_runs(tmp):
@@ -187,13 +234,15 @@ def records(cli_too: bool):
     for task, mode, scorer, alpha in training_cases():
         for what, h in training_record(task, mode, scorer, alpha).items():
             yield f"{task} {mode} {scorer} alpha={alpha} {what}", h
+    yield from loader_records()
     if cli_too:
         yield from cli_records()
 
 
 def main(argv) -> int:
     parser = argparse.ArgumentParser(description="Hash what training and the CLI compute.")
-    parser.add_argument("--no-cli", action="store_true", help="the training records only")
+    parser.add_argument("--no-cli", action="store_true",
+                        help="the training and loader records only")
     parser.add_argument("--against", metavar="FILE",
                         help="a saved run: print the names that differ and exit 1 if any do")
     args = parser.parse_args(argv)

@@ -105,7 +105,8 @@ def copying_backward(tape: Tape, loss) -> list:
     """The gradient of every node up to `loss`, added in `Tape.backward`'s
     order, but each node's first gradient a copy of what its consumer's
     vjp returned, so no two nodes share an array and every later
-    contribution is added in place.  Reads the tape without consuming it."""
+    contribution is added in place; a vjp's None adds nothing, as there.
+    Reads the tape without consuming it."""
     nodes = tape.nodes.all
     grads = [None] * (loss.index + 1)
     grads[loss.index] = np.ones_like(loss.value)
@@ -114,6 +115,8 @@ def copying_backward(tape: Tape, loss) -> list:
         if vjp is None or g is None:
             continue
         for pi, pg in zip(nodes[i].parents, vjp(g)):
+            if pg is None:
+                continue
             if grads[pi] is None:
                 grads[pi] = pg.copy()
             else:

@@ -83,6 +83,19 @@ def test_relu_grad_zero_at_zero():
     assert np.array_equal(grads[x], [0.0, 1.0])
 
 
+def test_a_leaf_reached_only_through_a_relu_with_no_positive_input_reads_zeros():
+    # that relu's vjp returns None, so backward adds nothing to x; y, which
+    # the loss also reaches directly, gets only its own gradient
+    tape = Tape()
+    x, y = tape.leaf([[-1.0, 0.0], [-0.0, -2.0]]), tape.leaf([[3.0, -1.0], [0.5, 2.0]])
+    dead = tape.relu(tape.mul(x, y))
+    loss = tape.add(tape.sum(dead), tape.sum(tape.relu(y)))
+    assert tape.nodes[dead.index].vjp(np.ones((2, 2)))[0] is None
+    grads = tape.backward(loss)
+    assert grads[x].tobytes() == np.zeros((2, 2)).tobytes()   # +0.0 everywhere
+    assert np.array_equal(grads[y], [[1.0, 0.0], [1.0, 1.0]])
+
+
 def test_accumulation_fanout():
     tape = Tape()
     x = tape.leaf([2.0, 5.0])
@@ -153,13 +166,15 @@ def tape_programs(draw):
     ops = []
     for _ in range(draw(st.integers(1, 16))):
         op = draw(st.sampled_from(["add", "add", "sub", "mul", "scale", "concat", "concat",
-                                   "slice_cols", "gather", "segment_sum"]))
+                                   "slice_cols", "gather", "segment_sum", "relu"]))
         x = len(widths) - 1 - draw(st.integers(0, len(widths) - 1))   # recent first
         if op in ("add", "sub", "mul"):
             y = draw(st.sampled_from([i for i, w in enumerate(widths) if w == widths[x]]))
             ops.append((op, x, y))
         elif op == "scale":
             ops.append((op, x, draw(st.sampled_from([3.0, -0.5, 1.25]))))
+        elif op == "relu":   # relu of a relu scaled by -0.5 passes no gradient
+            ops.append((op, x, None))
         elif op == "concat":
             narrow = [i for i, w in enumerate(widths) if w == _WIDTH]
             ops.append((op, draw(st.sampled_from(narrow)), draw(st.sampled_from(narrow))))
@@ -186,6 +201,8 @@ def _record_program(tape, program, seed):
             out = tape.slice_cols(x, arg, arg + _WIDTH)
         elif op == "segment_sum":
             out = tape.segment_sum(x, arg, _ROWS)
+        elif op == "relu":
+            out = tape.relu(x)
         elif op in ("scale", "gather"):
             out = getattr(tape, op)(x, arg)
         else:
@@ -388,6 +405,14 @@ def _relu(rng):
     return lambda t, a: weighted_sum(t, t.relu(a), w), [x]
 
 
+@case("relu_no_positive_input")
+def _relu_dead(rng):
+    # its vjp returns None: x gets the zero gradient the differences show
+    x = -np.abs(rng.normal(size=(8,))) - 0.1
+    w = rng.normal(size=(8,))
+    return lambda t, a: weighted_sum(t, t.relu(a), w), [x]
+
+
 def saturated(rng, shape):
     """Logits near +-1e3, where softmax and sigmoid round to 0 and 1.  Their
     cases take a step of 1e-4: values near 1e3 round 1,000 times coarser
@@ -537,6 +562,9 @@ def test_every_vjp_leaves_g_unwritten_and_returns_views_of_g_or_fresh_arrays():
             pgs = node.vjp(g)   # writing g raises
             assert len(pgs) == len(node.parents)
             for j, (pi, pg) in enumerate(zip(node.parents, pgs)):
+                if pg is None:   # no gradient passes: only relu, with no positive input
+                    assert node.name == "relu" and not (values[pi] > 0).any(), name
+                    continue
                 assert pg.shape == values[pi].shape, (name, node.name)
                 if np.may_share_memory(pg, g):
                     assert _is_view_of(pg, g), (name, node.name)

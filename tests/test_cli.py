@@ -84,6 +84,22 @@ def test_metrics_report_bad_rank(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["1_0", "+2", "٣", "-1", "1" * 19, "0x1", "1.0"])
+def test_metrics_report_reads_ranks_by_the_loaders_integer_rule(tmp_path, capsys, bad):
+    # int() alone reads "1_0", "+2" and an Arabic-Indic 3 as ranks 10, 2 and 3
+    ranks = tmp_path / "ranks.txt"
+    ranks.write_text(f"1\n {bad}\n", encoding="utf-8")
+    assert cli.main(["metrics-report", "--ranks", str(ranks)]) == 1
+    assert capsys.readouterr().err == f"error: {ranks} line 2: expected an integer rank\n"
+
+
+def test_metrics_report_takes_padded_ranks_of_up_to_18_digits(tmp_path, capsys):
+    ranks = tmp_path / "ranks.txt"
+    ranks.write_text(" 1\t\n007\n" + "9" * 18 + "\n")
+    assert cli.main(["metrics-report", "--ranks", str(ranks)]) == 0
+    assert f"{'hits1':16s} {1 / 3!r}\n" in capsys.readouterr().out
+
+
 def test_metrics_report_undecodable_rank_file_names_file_and_line(tmp_path, capsys):
     ranks = tmp_path / "ranks.txt"
     ranks.write_bytes(b"1\r\n# ok\r\n2\r\n\xff\r\n")

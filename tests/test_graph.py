@@ -151,6 +151,15 @@ def test_self_loops_kept():
     assert out_edges(g, 1) == [(1, 0)]
 
 
+@pytest.mark.parametrize("num_relations", [2 ** 21, 2 ** 21 + 1])
+def test_sorted_distinct_columns_on_both_sides_of_the_int64_key_limit(num_relations):
+    # n * n * r ids fit one int64 sort key at 2^63, and not beyond
+    n, r = 2 ** 21, num_relations
+    triples = [(n - 1, r - 1, n - 1), (0, 0, 0), (n - 1, 0, 0), (0, r - 1, n - 1),
+               (n - 1, r - 1, n - 2), (0, 0, 0), (1, r - 1, 0), (n - 1, r - 1, n - 1)]
+    assert_arrays(build_graph(triples, n, r), sorted(set(triples)))
+
+
 # ---------------- properties ----------------
 
 

@@ -131,6 +131,15 @@ def test_load_labels_and_alignments_name_the_line_of_an_overlong_integer_id(tmp_
         load_alignments(str(p), gv, gv)
 
 
+@pytest.mark.parametrize("token,want", [
+    ("0", 0), ("007", 7), ("9" * 18, 10 ** 18 - 1), ("1" * 19, None), (OVERLONG_ID, None),
+    ("", None), (" 1", None), ("1 ", None), ("+2", None), ("-1", None), ("1_0", None),
+    ("\u0663", None), ("0x1", None), ("1.0", None)])
+def test_int_token_is_the_loaders_integer_id_rule(token, want):
+    # the bulk path's byte checks must agree: see tests/test_tsv_loaders.py
+    assert kio.int_token(token) == want
+
+
 def test_load_triples_admits_globally_numbered_second_graph(tmp_path):
     # DBP15K-style numbering: the second graph's ids continue after the
     # first graph's, so a graph of n entities names ids n..2n-1

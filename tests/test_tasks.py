@@ -584,6 +584,63 @@ def test_every_leaf_of_a_training_tape_is_a_named_parameter(monkeypatch, task):
     assert len(leaves) == 1 and leaves == named
 
 
+def _zero_loss_run(monkeypatch, relu=None):
+    """Alignment over 18 epochs, epoch 14 of them with loss exactly 0: the
+    names of the vjps each backward ran, Adam's gradients, the losses and
+    the trained arrays.  `relu` replaces Tape.relu when given."""
+    g1, g2, ent_pairs, _ = synthetic.hub_signature_pair(40, 3, 150, seed=1)
+    seeds = synthetic.alignment_split(ent_pairs)
+    cfg = TrainConfig(dim=8, layers=2, epochs=18, lr=0.05, gamma=0.1, patience=100)
+    ran, grads, step = [], [], Adam.step
+
+    class CountingTape(Tape):
+        def backward(self, loss):
+            names = []
+            for node in self.nodes.all:
+                if node.vjp is not None:
+                    node.vjp = (lambda vjp, name: lambda g: names.append(name) or vjp(g))(
+                        node.vjp, node.name)
+            ran.append(names)
+            return super().backward(loss)
+
+    def recording_step(self, params, g):
+        grads.append([g[k].copy() for k in sorted(g)])
+        step(self, params, g)
+
+    with monkeypatch.context() as m:
+        m.setattr(tasks_mod, "Tape", CountingTape)
+        m.setattr(Adam, "step", recording_step)
+        if relu is not None:
+            m.setattr(Tape, "relu", relu)
+        res = train_alignment(g1, g2, seeds, cfg)
+    trained = [*named_parameters(res.params, {}).values(), res.init1.entity, res.init2.entity]
+    return ran, grads, res.losses, trained
+
+
+def test_zero_loss_epoch_runs_no_vjp_below_the_hinge(monkeypatch):
+    ran, grads, losses, _ = _zero_loss_run(monkeypatch)
+    zero = [i for i, loss in enumerate(losses) if loss == 0.0]
+    assert zero == [14], losses
+    assert ran[14] == ["sum", "relu"]   # relu returns no gradient: nothing below runs
+    assert {len(names) for i, names in enumerate(ran) if i != 14} == {75}   # every vjp
+    assert not any(a.any() for a in grads[14])
+
+
+def test_pruned_backward_trains_as_the_unpruned_one(monkeypatch):
+    # the relu of the parent: g * mask even when the mask holds no True
+    def unpruned_relu(self, x):
+        mask = x.value > 0
+        return self._record(np.maximum(x.value, 0.0), (x,), lambda g: (g * mask,), "relu")
+
+    ran, grads, losses, trained = _zero_loss_run(monkeypatch)
+    ran_u, grads_u, losses_u, trained_u = _zero_loss_run(monkeypatch, unpruned_relu)
+    assert len(ran_u[14]) == len(ran[13]) > 2   # the unpruned tape runs every vjp
+    assert losses == losses_u and 0.0 in losses
+    assert all(np.array_equal(a, b) for step_a, step_b in zip(grads, grads_u)
+               for a, b in zip(step_a, step_b))   # equal up to the sign of a zero
+    assert [a.tobytes() for a in trained] == [b.tobytes() for b in trained_u]
+
+
 def test_classification_with_saturating_logits_keeps_training():
     # alpha 3 saturates the logits in the first epoch; saturated logits
     # must still get a gradient, so the loss moves

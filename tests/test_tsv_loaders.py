@@ -15,7 +15,7 @@ CORRUPT = st.integers(0, 2)   # nonzero: corrupt one to three lines of the file
 
 
 def write(path, text):
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -241,3 +241,137 @@ def test_labels_match_the_oracle(tmp_path_factory, data, bad):
     assert want[0] == "error" or "non_utf8" not in used
     if want[0] == "ok":
         assert vocab_state(classes) == vocab_state(oclasses)
+
+
+# ---------------- the bulk path and the general one ----------------
+
+
+def general_path(load, *args):
+    """The outcome of load(*args) and whether it took the general path,
+    which every file the bulk path refuses goes through (`_read_rows`)."""
+    calls, read = [], kio._read_rows
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(kio, "_read_rows", lambda *a: calls.append(a) or read(*a))
+        got = outcome(load, *args)
+    return got, bool(calls)
+
+
+def clean_layout(draw, rows):
+    """Tab-separated rows of ASCII-digit ids, each line ending in \\n, the
+    last one maybe not: what the bulk path takes."""
+    text = "".join("\t".join(row) + "\n" for row in rows)
+    return text[:-1] if draw(st.booleans()) else text
+
+
+@PROPERTY
+@given(st.data())
+def test_clean_integer_files_take_the_bulk_path(tmp_path_factory, data):
+    n = data.draw(st.integers(1, 10))
+    ids = st.builds(lambda i, z: "0" * z + str(i), st.integers(0, 3 * n - 1),
+                    st.sampled_from([0, 0, 1, 16]))   # up to 18 digits
+    rows = [[data.draw(ids) for _ in range(3)] for _ in range(n)]
+    d = tmp_path_factory.mktemp("b")
+    write(d / "g.tsv", clean_layout(data.draw, rows))
+    got, general = general_path(load_triples, str(d / "g.tsv"))
+    want = outcome(oracle.load_triples, str(d / "g.tsv"))
+    assert triples_state(got) == triples_state(want) and not general
+    (_, ent, rel), (_, oent, orel) = got[1], want[1]
+
+    pairs = data.draw(st.lists(st.tuples(entity_tokens(ent), entity_tokens(rel)).map(list),
+                               min_size=1, max_size=12))
+    write(d / "pairs.tsv", clean_layout(data.draw, pairs))
+    got, general = general_path(kio.load_alignments, str(d / "pairs.tsv"), ent, rel)
+    assert got == outcome(oracle.load_alignments, str(d / "pairs.tsv"), oent, orel)
+    assert not general
+
+    entities = data.draw(st.lists(entity_tokens(ent), min_size=1, max_size=10, unique_by=int))
+    labels = [[e, ",".join(data.draw(st.lists(st.sampled_from(INT_CLASSES), min_size=1,
+                                              max_size=3)))] for e in entities]
+    write(d / "labels.tsv", clean_layout(data.draw, labels))
+    classes, oclasses = kio.Vocabulary(), oracle.OracleVocabulary()
+    got, general = general_path(kio.load_labels, str(d / "labels.tsv"), ent, classes)
+    assert got == outcome(oracle.load_labels, str(d / "labels.tsv"), oent, oclasses)
+    assert not general and vocab_state(classes) == vocab_state(oclasses)
+
+
+DIGITS_18, DIGITS_19 = "0" * 17 + "1", "0" * 18 + "1"
+
+
+@pytest.mark.parametrize("text, general", [
+    ("0\t1\t2\n", False),
+    (f"0\t0\t{DIGITS_18}\n", False),     # 18 digits: an id
+    (f"0\t0\t{DIGITS_19}\n", True),      # 19 digits: an error
+    ("0\t0\t3\n", True),                 # the id-token count: an error
+    ("0\t0\t2\n1\t1\t5\n", False),       # one below it
+    ("00\t01\t002\n", False),            # leading zeros
+    ("0\t+1\t2\n", True), ("0\t-1\t2\n", True), ("+1\t1\t2\n", True),
+    ("0\t٣\t2\n", True),                 # a digit, but not an ASCII one
+    ("0\t 1\t2\n", True), ("0\t1\t2 \n", True), ("0\t1\t2\xa0\n", True),   # padded
+    ("0\t1\t2\r", True), ("0\t1\t2\r\n1\t1\t0\r\n", True),   # CR and CRLF line ends
+    ("0\t1\t2\n1\t1\t0", False),         # no final line end
+    ("", True),                          # an empty file
+    ("\n", True), ("0\t1\t2\n\n", True), ("# c\n0\t1\t2\n", True),
+    ("0\t1\n", True), ("0\t1\t2\t2\n", True), ("0\t\t2\n", True), ("0,1\t1\t2\n", True),
+])
+def test_triples_edge_cases_take_their_path_and_match_the_oracle(tmp_path, text, general):
+    path = write(tmp_path / "g.tsv", text)
+    got, took_general = general_path(load_triples, path)
+    assert triples_state(got) == triples_state(outcome(oracle.load_triples, path))
+    assert took_general == general
+
+
+RING = "".join(f"{i}\t0\t{(i + 1) % 4}\n" for i in range(4))   # entities 0-3, relation 0
+
+
+@pytest.mark.parametrize("text, general", [
+    ("0\t3\n", False), ("3\t0\n", False),
+    ("0\t4\n", True), ("4\t0\n", True),  # the entity count: unknown
+    (f"{DIGITS_18[:-1]}3\t0\n", False), (f"{DIGITS_19}\t0\n", True),
+    ("0\t+1\n", True), ("-1\t0\n", True), ("0\t٣\n", True), (" 0\t1\n", True),
+    ("0\t1\r\n", True), ("0\t1\r", True), ("0\t1", False), ("", True),
+    ("0\t1\t2\n", True), ("0,1\t1\n", True),
+])
+def test_alignment_edge_cases_take_their_path_and_match_the_oracle(tmp_path, text, general):
+    _, ent, _ = load_triples(write(tmp_path / "g.tsv", RING))
+    _, oent, _ = oracle.load_triples(str(tmp_path / "g.tsv"))
+    path = write(tmp_path / "pairs.tsv", text)
+    got, took_general = general_path(kio.load_alignments, path, ent, ent)
+    assert got == outcome(oracle.load_alignments, path, oent, oent)
+    assert took_general == general
+
+
+@pytest.mark.parametrize("text, seen, general", [
+    ("0\t1\n1\t0,2\n", None, False), ("0\t1\n1\t0,2\n", "5", False),
+    ("0\t1\n", "c", True),                    # string classes: the digits are names
+    ("0\t1,1,0\n", None, False),              # a repeated label
+    (f"0\t{DIGITS_18}\n", None, False), (f"0\t{DIGITS_19}\n", None, True),
+    ("4\t1\n", None, True),                   # unknown entity
+    ("0\t1\n0\t2\n", None, True),             # duplicate entity
+    ("0\t1,\n", None, True), ("0\t,1\n", None, True), ("0\t1,,2\n", None, True),
+    ("0\t+1\n", None, True), ("0\t-1\n", None, True), ("0\t٣\n", None, True),
+    ("0\t1, 2\n", None, True), ("0\t1\r\n", None, True), ("0\t1\r", None, True),
+    ("0\t1\n1\t2", None, False), ("", None, True), ("0\t1\t2\n", None, True),
+    ("0,1\t1\n", None, True),
+])
+def test_label_edge_cases_take_their_path_and_match_the_oracle(tmp_path, text, seen,
+                                                                general):
+    _, ent, _ = load_triples(write(tmp_path / "g.tsv", RING))
+    _, oent, _ = oracle.load_triples(str(tmp_path / "g.tsv"))
+    classes, oclasses = kio.Vocabulary(), oracle.OracleVocabulary()
+    if seen is not None:
+        classes.intern_all([seen])
+        oclasses.intern(seen, "setup")
+    path = write(tmp_path / "labels.tsv", text)
+    got, took_general = general_path(kio.load_labels, path, ent, classes)
+    want = outcome(oracle.load_labels, path, oent, oclasses)
+    assert got == want and took_general == general
+    if want[0] == "ok":
+        assert vocab_state(classes) == vocab_state(oclasses)
+
+
+def test_string_id_graph_reads_digit_pairs_as_names(tmp_path):
+    # the bulk path never reads a string vocabulary's names as numbers
+    _, ent, _ = load_triples(write(tmp_path / "g.tsv", "02\tr\t1\n1\tr\ta\n"))
+    path = write(tmp_path / "pairs.tsv", "02\t1\n1\t02\n")
+    got, took_general = general_path(kio.load_alignments, path, ent, ent)
+    assert got == ("ok", [(0, 1), (1, 0)]) and took_general
