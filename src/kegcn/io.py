@@ -15,15 +15,15 @@ per line or token.  A file that fails a check there, or whose ids do not
 fit the vocabularies (an id out of range, a repeated labeled entity, a
 string-id vocabulary), takes the general path, which raises every error.
 
-The general path parses in one pass over whole columns, with no Python
-code per token: the text is decoded at once (lines end in \\n, \\r\\n or
-\\r), the data lines are split and stripped together, and integer
-columns are checked and converted in bulk.  A file with errors reports
-the first one, its message rebuilt from that line alone, in this order:
-a byte that is not UTF-8; a wrong field count or an empty field; then
-line by line, mixed integer and string ids, an id of more than 18
-digits, and an id at or above the file's id-token count (triples) or an
-unknown id, duplicate entity or empty label token (pairs and labels).
+The general path reads line by line: the text is decoded at once (lines
+end in \\n, \\r\\n or \\r), every data line's fields are split, stripped
+and counted, then each line's ids go through `Vocabulary.intern` or
+`resolve` in file order.  A file with errors reports the first one, in
+this order: a byte that is not UTF-8; a wrong field count or an empty
+field; then line by line, mixed integer and string ids, an id of more
+than 18 digits, and an id at or above the file's id-token count
+(triples) or an unknown id, duplicate entity or empty label token (pairs
+and labels).
 
 Checkpoints are a flat binary container: magic `KEGC`, a 4-byte
 little-endian version, then named sections, each
@@ -85,14 +85,17 @@ def _is_int(token: str) -> bool:
 def int_token(token: str) -> Optional[int]:
     """The integer an id token names: unpadded ASCII digits, at most
     _MAX_ID_DIGITS of them (so it fits int64); None for any other token.
-    Ranks and checkpoint dims follow it too.  `_ints` checks the same rule
-    on a column of tokens, and `_clean_ids` on a file's bytes."""
+    Ranks and checkpoint dims follow it too, as do `Vocabulary.intern` and
+    `resolve` token by token and `_clean_ids` on a file's bytes."""
     return int(token) if _is_int(token) and len(token) <= _MAX_ID_DIGITS else None
 
 
-def _int_id(token: str, where: str) -> int:
+def _int_id(token: str) -> int:
+    """The id an integer-mode token names; DataError for any other token."""
+    if not (token.isascii() and token.isdigit()):   # _is_int, without a call per token
+        raise DataError("mixed integer and string ids")
     if len(token) > _MAX_ID_DIGITS:
-        raise DataError(f"{where}: integer id of {len(token)} digits, more than {_MAX_ID_DIGITS}")
+        raise DataError(f"integer id of {len(token)} digits, more than {_MAX_ID_DIGITS}")
     return int(token)
 
 
@@ -112,61 +115,32 @@ class Vocabulary:
     def names(self):
         return list(map(str, range(self._count))) if self.int_mode else list(self._ids)
 
-    def intern_all(self, tokens: list, limit: int = 10 ** _MAX_ID_DIGITS):
-        """Ids of non-empty tokens in order (an unset mode follows the first
-        token), up to the first one integer mode rejects: any but an id of
-        at most _MAX_ID_DIGITS digits below `limit`.  Returns the int64 ids
-        so far and that token's index."""
-        if self.int_mode is None and tokens:
-            self.int_mode = _is_int(tokens[0])
-        if self.int_mode:
-            ids, stop = _ints(tokens, limit)
-            self.count(ids)
-            return ids, stop
-        self._ids = dict(zip(dict.fromkeys([*self._ids, *tokens]), itertools.count()))
-        return np.fromiter(map(self._ids.__getitem__, tokens), np.int64, len(tokens)), len(tokens)
+    def intern(self, token: str) -> int:
+        """The id of a non-empty token, new ones included (an unset mode
+        follows the token); integer mode takes only integer ids."""
+        if self.int_mode is None:
+            self.int_mode = _is_int(token)
+        if not self.int_mode:
+            return self._ids.setdefault(token, len(self._ids))
+        i = _int_id(token)
+        if i >= self._count:
+            self._count = i + 1
+        return i
 
     def count(self, ids: np.ndarray) -> None:
         """Take int64 `ids` into integer mode: the count grows to hold them."""
         self.int_mode = True
         self._count = max(self._count, int(ids.max(initial=-1)) + 1)
 
-    def resolve_all(self, tokens: list):
-        """Ids of known tokens in order, up to the first unknown one;
-        returns the int64 ids so far and that token's index."""
+    def resolve(self, token: str, what: str) -> int:
+        """The id of a known token; an unknown one is an error naming it a `what`."""
         if self.int_mode:
-            return _ints(tokens, self._count)
-        ids = list(map(self._ids.get, tokens))
-        stop = ids.index(None) if None in ids else len(ids)
-        return np.array(ids[:stop], dtype=np.int64), stop
-
-
-def _rejected(vocab: Vocabulary, token: str, where: str, what: Optional[str] = None):
-    """The error for a token that intern_all (what=None) or resolve_all
-    (what names the kind of id) stopped at."""
-    if vocab.int_mode and _is_int(token):
-        _int_id(token, where)   # raises for an id of too many digits
-    return DataError(f"{where}: unknown {what} {token!r}" if what
-                     else f"{where}: mixed integer and string ids")
-
-
-def _first(mask: np.ndarray, default: int) -> int:
-    hits = np.flatnonzero(mask)
-    return int(hits[0]) if hits.size else default
-
-
-def _ints(tokens: list, limit: int):
-    """int64 ids of non-empty `tokens` up to the first that is not an
-    integer id of at most _MAX_ID_DIGITS digits below `limit`, and that
-    token's index (len(tokens) if there is none)."""
-    n = len(tokens)
-    ok = np.fromiter(map(len, tokens), np.int64, n) <= _MAX_ID_DIGITS
-    if not ((joined := "".join(tokens)).isascii() and joined.isdigit()):
-        ok &= np.fromiter(map(_is_int, tokens), bool, n)
-    stop = _first(~ok, n)
-    ids = np.fromstring(" ".join(tokens[:stop]), np.int64, sep=" ")
-    stop = _first(ids >= limit, stop)
-    return ids[:stop], stop
+            i = _int_id(token) if _is_int(token) else -1
+        else:
+            i = self._ids.get(token, -1)
+        if not 0 <= i < self.size:
+            raise DataError(f"unknown {what} {token!r}")
+        return i
 
 
 def _clean_ids(data: bytes, n_fields: int, listed: bool = False):
@@ -241,24 +215,19 @@ def _triple_rows(path: str):
         rel.count(rows[:, 1])
         return rows, ent, rel
     linenos, tokens = _read_rows(path, 3, data)
-    n = len(linenos)
-    int_mode = n > 0 and all(map(_is_int, tokens[:3]))
-    ent, rel = Vocabulary(int_mode), Vocabulary(int_mode)
-    rels, rel_stop = rel.intern_all(tokens[1::3], 3 * n)
-    ends = tokens[:]
-    del ends[1::3]   # heads and tails, interleaved in file order
-    ends, end_stop = ent.intern_all(ends, 3 * n)
-    stop = min(rel_stop, end_stop // 2)
-    if not int_mode:   # then a line of integer ids only is mixed
-        joined = map("".join, zip(tokens[0::3], tokens[1::3], tokens[2::3]))
-        stop = _first(np.fromiter(map(_is_int, joined), bool, n), n)
-    if stop < n:   # the first failing check of that line raises
-        where, row = f"{path} line {linenos[stop]}", tokens[3 * stop:3 * stop + 3]
-        if all(map(_is_int, row)) != int_mode:
-            raise DataError(f"{where}: mixed integer and string ids")
-        top = max(_int_id(t, where) for t in row)
-        raise DataError(f"{where}: id {top} is not below {3 * n}, the file's id-token count")
-    return np.column_stack((ends[0::2], rels, ends[1::2])), ent, rel
+    int_mode = bool(tokens) and _is_int("".join(tokens[:3]))
+    ent, rel, limit, out = Vocabulary(int_mode), Vocabulary(int_mode), len(tokens), []
+    try:
+        for lineno, h, r, t in zip(linenos, tokens[0::3], tokens[1::3], tokens[2::3]):
+            if _is_int(h + r + t) != int_mode:   # the fields are non-empty
+                raise DataError("mixed integer and string ids")
+            row = ent.intern(h), rel.intern(r), ent.intern(t)
+            if int_mode and max(row) >= limit:
+                raise DataError(f"id {max(row)} is not below {limit}, the file's id-token count")
+            out += row   # flat: NumPy converts a list of ints faster than one of tuples
+    except DataError as exc:
+        raise DataError(f"{path} line {lineno}: {exc}") from None
+    return np.array(out, np.int64).reshape(-1, 3), ent, rel
 
 
 def load_graph(path: str):
@@ -279,14 +248,13 @@ def load_alignments(path: str, vocab1: Vocabulary, vocab2: Vocabulary, what: str
         if left.max() < vocab1.size and right.max() < vocab2.size:
             return list(zip(left.tolist(), right.tolist()))
     linenos, tokens = _read_rows(path, 2, data)
-    left, stop1 = vocab1.resolve_all(tokens[0::2])
-    right, stop2 = vocab2.resolve_all(tokens[1::2])
-    stop = min(stop1, stop2)
-    if stop < len(linenos):   # the line's first unknown token raises
-        side = int(stop1 > stop)
-        raise _rejected((vocab1, vocab2)[side], tokens[2 * stop + side],
-                        f"{path} line {linenos[stop]}", what)
-    return list(zip(left.tolist(), right.tolist()))
+    pairs = []
+    try:
+        for lineno, a, b in zip(linenos, tokens[0::2], tokens[1::2]):
+            pairs.append((vocab1.resolve(a, what), vocab2.resolve(b, what)))
+    except DataError as exc:
+        raise DataError(f"{path} line {lineno}: {exc}") from None
+    return pairs
 
 
 def _label_rows(path: str, ent_vocab: Vocabulary, class_vocab: Vocabulary):
@@ -317,27 +285,21 @@ def _general_label_rows(path: str, data: bytes, ent_vocab: Vocabulary,
     """_label_rows' line numbers, entity ids, class ids and one past each
     line's last class id, on the general path."""
     linenos, tokens = _read_rows(path, 2, data)
-    n = len(linenos)
-    ents, stop = ent_vocab.resolve_all(tokens[0::2])
-    repeated = np.ones(len(ents), dtype=bool)
-    repeated[np.unique(ents, return_index=True)[1]] = False
-    ends = np.cumsum(np.fromiter(map(str.count, tokens[1::2], itertools.repeat(",")),
-                                 np.int64, n) + 1)   # one past each line's last label token
-    parts = list(map(str.strip, ",".join(tokens[1::2]).split(","))) if n else []
-    classes, cut = class_vocab.intern_all(parts[:parts.index("") if "" in parts else None])
-    stop = min(_first(repeated, stop), int(np.searchsorted(ends, cut, "right")))
-    if stop < n:   # the first failing check of that line raises
-        where, (entity, text) = f"{path} line {linenos[stop]}", tokens[2 * stop:2 * stop + 2]
-        if stop == len(ents):
-            raise _rejected(ent_vocab, entity, where, "entity")
-        if repeated[stop]:
-            raise DataError(f"{where}: duplicate labels for entity {entity!r}")
-        row = [p.strip() for p in text.split(",")]
-        if not all(row):
-            raise DataError(f"{where}: empty label token")
-        raise _rejected(class_vocab, row[Vocabulary(class_vocab.int_mode).intern_all(row)[1]],
-                        where)
-    return linenos, ents, classes, ends
+    ents, classes, ends = {}, [], []
+    try:
+        for lineno, entity, text in zip(linenos, tokens[0::2], tokens[1::2]):
+            e = ent_vocab.resolve(entity, "entity")
+            if e in ents:
+                raise DataError(f"duplicate labels for entity {entity!r}")
+            parts = [p.strip() for p in text.split(",")]
+            if not all(parts):
+                raise DataError("empty label token")
+            ents[e] = None
+            classes += map(class_vocab.intern, parts)
+            ends.append(len(classes))
+    except DataError as exc:
+        raise DataError(f"{path} line {lineno}: {exc}") from None
+    return linenos, *(np.array(list(x), np.int64) for x in (ents, classes, ends))
 
 
 def load_labels(path: str, ent_vocab: Vocabulary, class_vocab: Vocabulary):

@@ -102,9 +102,9 @@ class ModelConfig:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.layers < 1:
-            raise ValueError("layer count must be >= 1")
+            raise ValueError(f"layers must be at least 1, got {self.layers}")
         if self.dim < 1:
-            raise ValueError("dimension must be >= 1")
+            raise ValueError(f"dim must be at least 1, got {self.dim}")
         if self.mode == "kegcn":
             base_dim(self.scorer_kind, self.dim)
 

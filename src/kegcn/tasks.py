@@ -105,11 +105,13 @@ class TrainConfig:
         if not np.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha}")
         if self.negatives < 1:
-            raise ValueError("need at least one negative per positive")
+            raise ValueError(f"negatives must be at least 1, got {self.negatives}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
         if self.patience < 0:
             raise ValueError(f"patience must be non-negative, got {self.patience}")
+        if not 0 <= self.seed < 2 ** 53:   # a checkpoint holds it as an exact float64
+            raise ValueError(f"seed must be at least 0 and below 2**53, got {self.seed}")
 
     def model_config(self, out_dim: Optional[int] = None) -> ModelConfig:
         return ModelConfig(mode=self.mode, scorer_kind=self.scorer, dim=self.dim,

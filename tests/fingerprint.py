@@ -24,11 +24,13 @@ receives them, the weights and tables after every step, and the final
 states (`model_forward` over the restored best tables, final relation
 included).
 
-Loaders: for the data files of each of the three gate runs (below),
-and for a copy of the first run's files with every id a string, what
-`kegcn.io` reads: each graph's index columns and vocabulary names, then
-the bundle's seed pairs or labels.  Clean integer files take the
-loaders' bulk path, the string copy their general one.
+Loaders: for the data files of each of the three gate runs (below), for
+a copy of the first run's files with every id a string, and for copies
+of the first and last runs' files with integer ids but CRLF line ends, a
+comment line and a padded token, what `kegcn.io` reads: each graph's
+index columns and vocabulary names, then the bundle's seed pairs or
+labels.  Clean integer files take the loaders' bulk path, the copies
+their general one.
 
 CLI: for each of the three gate runs (`train-align` transe and quate
 with `--rel-test`, `train-classify`; the instances of
@@ -211,6 +213,18 @@ def string_ids(values: dict) -> dict:
     return out
 
 
+def unclean_ints(values: dict) -> dict:
+    """A copy of a bundle's files that keeps their integer ids but leaves
+    the bulk path: CRLF line ends, a comment line first, and the first
+    token padded."""
+    out = {}
+    for key, path in values.items():
+        out[key] = f"{path}.crlf"
+        with open(path, "rb") as src, open(out[key], "wb") as dst:
+            dst.write(b"# copy\r\n " + src.read().replace(b"\n", b"\r\n"))
+    return out
+
+
 def loader_records():
     with tempfile.TemporaryDirectory() as tmp:
         for name, _, data_args in gate_runs(tmp):
@@ -219,6 +233,8 @@ def loader_records():
             yield f"load {name}", loaded(values)
             if name == "train-align transe":
                 yield f"load {name} string ids", loaded(string_ids(values))
+            if name in ("train-align transe", "train-classify"):
+                yield f"load {name} unclean ints", loaded(unclean_ints(values))
 
 
 def cli_records():

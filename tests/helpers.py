@@ -4,8 +4,12 @@ ranked into `metrics.ndcg_of_hits`) are checked against, the
 triples a graph file parses to, the reader of `io.write_report` files,
 a finite-difference check of any function recorded on a tape, a reverse
 pass that copies every first gradient, which `Tape.backward` is checked
-against, and the per-parameter Adam step the flat `tasks.Adam` is
-checked against."""
+against, the per-parameter Adam step the flat `tasks.Adam` is checked
+against, and an importer of the benchmark's modules."""
+
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -165,3 +169,13 @@ class PerParameterAdam:
             b += self.eps
             a /= b
             arr -= a
+
+
+def perfbench_module(name: str):
+    """`perfbench/<name>.py`, imported as `perfbench_<name>` (registered
+    first, as dataclasses need)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

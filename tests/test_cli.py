@@ -107,6 +107,13 @@ def test_metrics_report_undecodable_rank_file_names_file_and_line(tmp_path, caps
     assert capsys.readouterr().err.startswith(f"error: {ranks} line 4: byte 0xff")
 
 
+def test_metrics_report_rank_zero_names_file_and_line(tmp_path, capsys):
+    ranks = tmp_path / "ranks.txt"
+    ranks.write_text("1\n0\n")
+    assert cli.main(["metrics-report", "--ranks", str(ranks)]) == 1
+    assert capsys.readouterr().err == f"error: {ranks} line 2: ranks are 1-based\n"
+
+
 def test_metrics_report_rank_file_without_ranks_names_the_file(tmp_path, capsys):
     ranks = tmp_path / "ranks.txt"
     ranks.write_text("# none\n\n")
@@ -761,7 +768,18 @@ def test_eval_rejects_graph_with_relation_beyond_checkpoint(tmp_path, capsys, mo
 
 
 @pytest.mark.parametrize("command", ["train-align", "train-classify"])
-@pytest.mark.parametrize("key, value", [("epochs", 0), ("epochs", -3), ("patience", -1)])
+def test_train_without_graph1_exits_1_naming_the_key(tmp_path, capsys, command):
+    g = write_ring_dataset(tmp_path, prefix="g")
+    train = write_pairs(tmp_path, "train.tsv", [(i, i % 2) for i in range(8)])
+    extra = ["--graph2", str(g)] if command == "train-align" else []
+    assert cli.main([command, *extra, "--train", str(train), "--quiet"]) == 1
+    assert capsys.readouterr().err == "error: config key 'graph1' is required for this task\n"
+
+
+@pytest.mark.parametrize("command", ["train-align", "train-classify"])
+@pytest.mark.parametrize("key, value", [("epochs", 0), ("epochs", -3), ("patience", -1),
+                                        ("layers", 0), ("dim", 0), ("seed", -1),
+                                        ("seed", 2 ** 53 + 1)])
 @pytest.mark.parametrize("via", ["flag", "config"])
 def test_train_epochs_below_one_or_negative_patience_exits_1(tmp_path, capsys, command,
                                                              key, value, via):
@@ -777,7 +795,7 @@ def test_train_epochs_below_one_or_negative_patience_exits_1(tmp_path, capsys, c
         argv = ["--config", str(cfg)]
     assert cli.main([command, *argv, "--quiet"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and key in err
+    assert err.startswith("error:") and f"{key} must be" in err, err
 
 
 def _write_hub_pair(tmp_path):
@@ -794,7 +812,8 @@ def _write_hub_pair(tmp_path):
 
 
 @pytest.mark.parametrize("key, value", [("lr", "-1"), ("lr", "0"), ("lr", "nan"),
-                                        ("lr", "inf"), ("gamma", "nan"), ("alpha", "nan")])
+                                        ("lr", "inf"), ("gamma", "nan"), ("alpha", "nan"),
+                                        ("negatives", "0")])
 def test_bad_learning_rate_or_nonfinite_gamma_alpha_exits_1_naming_it(tmp_path, capsys,
                                                                      key, value):
     # gradient ascent (lr -1) or no step (lr 0) used to train and report

@@ -71,7 +71,7 @@ def test_load_triples_undecodable_byte_line_number(tmp_path):
     pairs = tmp_path / "pairs.tsv"
     pairs.write_bytes(b"0\t0\n1\xfe\t1\n")
     vocab = Vocabulary(True)
-    vocab.intern_all(["1"])
+    vocab.intern("1")
     with pytest.raises(DataError, match=r"pairs\.tsv line 2"):
         load_alignments(str(pairs), vocab, vocab)
 
@@ -117,7 +117,7 @@ def test_load_triples_names_the_line_of_an_overlong_integer_id(tmp_path, line):
 
 def test_load_labels_and_alignments_name_the_line_of_an_overlong_integer_id(tmp_path):
     gv = Vocabulary(True)
-    gv.intern_all(["1"])
+    gv.intern("1")
     p = tmp_path / "labels.tsv"
     p.write_text(f"0\t0\n{OVERLONG_ID}\t0\n")
     with pytest.raises(DataError, match=r"labels\.tsv line 2: integer id of 5000 digits"):
@@ -186,7 +186,8 @@ def test_load_alignments_empty_file(tmp_path):
 
 def test_load_labels_multi_and_duplicates(tmp_path):
     gv = Vocabulary(False)
-    gv.intern_all(["e", "f"])
+    gv.intern("e")
+    gv.intern("f")
     cv = Vocabulary()
     p = tmp_path / "labels.tsv"
     p.write_text("e\tc1,c2\nf\tc1\n")
@@ -200,7 +201,7 @@ def test_load_labels_multi_and_duplicates(tmp_path):
 
 def test_load_labels_unknown_entity(tmp_path):
     gv = Vocabulary(True)
-    gv.intern_all(["0"])
+    gv.intern("0")
     p = tmp_path / "labels.tsv"
     p.write_text("7\t0\n")
     with pytest.raises(DataError, match="line 1.*unknown entity"):
@@ -464,6 +465,27 @@ def test_pack_model_no_validation_metric():
     g = build_graph([(0, 0, 1)], 2, 1)
     tables = {"g1": init_state(cfg, g, rng), "g2": init_state(cfg, g, rng)}
     assert unpack_config(pack_model(values, params, tables, None))[1] is None
+
+
+def test_pack_model_keeps_the_largest_seed_exact():
+    # a checkpoint holds the seed as a float64, exact below 2**53 only
+    values = parse_config(None, {"task": "align", "dim": "4", "layers": "1",
+                                 "seed": str(2 ** 53 - 1)})
+    cfg = ModelConfig(dim=4, layers=1)
+    rng = seeded(2)
+    params = init_params(cfg, 1, rng)
+    g = build_graph([(0, 0, 1)], 2, 1)
+    tables = {"g1": init_state(cfg, g, rng), "g2": init_state(cfg, g, rng)}
+    assert unpack_config(pack_model(values, params, tables, None))[0]["seed"] == 2 ** 53 - 1
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 53, 2 ** 53 + 1])
+def test_train_config_rejects_a_seed_a_checkpoint_cannot_hold(seed):
+    # 2**53 + 1 trained, then came back from its checkpoint as 2**53; -1
+    # reached NumPy's generator, whose error named no option
+    values = parse_config(None, {"task": "align", "seed": str(seed)})
+    with pytest.raises(ValueError, match=f"seed must be .*, got {seed}$"):
+        train_config(values)
 
 
 def test_report_write_read_roundtrip(tmp_path):

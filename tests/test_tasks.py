@@ -1,17 +1,15 @@
 """Tests for losses, negative sampling, Adam, and the training loops."""
 
 import contextlib
-import importlib.util
 import tracemalloc
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from kegcn import checks, numerics, scorers, synthetic
 from kegcn import tasks as tasks_mod
-from helpers import PerParameterAdam, finite_diff_check, ndcg_at_k
+from helpers import PerParameterAdam, finite_diff_check, ndcg_at_k, perfbench_module
 from kegcn.autodiff import Tape
 from kegcn.checks import end_to_end_gradient_fd
 from kegcn.graph import build_graph
@@ -1269,10 +1267,7 @@ def test_perfbench_tracing_patch_points_resolve():
     # perfbench/tracing.py patches module attributes of the package by name
     # (tasks.forward_on_tape, tasks.sample_negatives, io.build_graph, ...);
     # a renamed or dropped one breaks only traced benchmark runs
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = perfbench_module("tracing")
     g1, g2, seeds = small_alignment_instance()
     g = ring_graph(10, 2)
     labels = LabelSet({i: (i % 3,) for i in range(6)}, 3, False,

@@ -1,11 +1,13 @@
-"""The column-wise TSV loaders against the per-line oracle in
-`tsv_oracle.py`, plus the bundle-level label checks."""
+"""The TSV loaders of `kegcn.io`, on both of their paths (the bulk path
+for clean integer files, the per-line reader for every other file),
+against the independent per-line oracle in `tsv_oracle.py`, plus the
+bundle-level label checks."""
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import tsv_oracle as oracle
-from helpers import load_triples
+from helpers import load_triples, perfbench_module
 from kegcn import cli
 from kegcn import io as kio
 from kegcn.graph import build_graph
@@ -233,7 +235,7 @@ def test_labels_match_the_oracle(tmp_path_factory, data, bad):
     seen = data.draw(st.sampled_from([None, "0", "c"]))   # class tokens of an earlier split
     classes, oclasses = kio.Vocabulary(), oracle.OracleVocabulary()
     if seen is not None:
-        classes.intern_all([seen])
+        classes.intern(seen)
         oclasses.intern(seen, "setup")
     got = outcome(kio.load_labels, str(labels), ent, classes)
     want = outcome(oracle.load_labels, str(labels), oent, oclasses)
@@ -292,6 +294,31 @@ def test_clean_integer_files_take_the_bulk_path(tmp_path_factory, data):
     got, general = general_path(kio.load_labels, str(d / "labels.tsv"), ent, classes)
     assert got == outcome(oracle.load_labels, str(d / "labels.tsv"), oent, oclasses)
     assert not general and vocab_state(classes) == vocab_state(oclasses)
+
+
+WORKLOADS = perfbench_module("workloads")
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
+def test_benchmark_workloads_load_on_the_bulk_path(tmp_path, monkeypatch, name, seed):
+    # the benchmark's setup_s times these loads: a generator change that
+    # sent their lines to the per-line reader would move it with no code
+    # change.  An empty split file (align-quate-200 has no valid pairs)
+    # goes through `_read_rows`, which finds no line in it.
+    w = WORKLOADS.WORKLOADS[name]
+    values = WORKLOADS.write_inputs(w, seed, tmp_path)
+    read, lines = kio._read_rows, []
+
+    def reading(*args):
+        linenos, rows = read(*args)
+        lines.extend(linenos)
+        return linenos, rows
+
+    monkeypatch.setattr(kio, "_read_rows", reading)
+    bundle = WORKLOADS.load_bundle(w, values)
+    assert lines == []
+    WORKLOADS.check_sizes(w, WORKLOADS.loaded_sizes(w, bundle), "loaded")
 
 
 DIGITS_18, DIGITS_19 = "0" * 17 + "1", "0" * 18 + "1"
@@ -359,7 +386,7 @@ def test_label_edge_cases_take_their_path_and_match_the_oracle(tmp_path, text, s
     _, oent, _ = oracle.load_triples(str(tmp_path / "g.tsv"))
     classes, oclasses = kio.Vocabulary(), oracle.OracleVocabulary()
     if seen is not None:
-        classes.intern_all([seen])
+        classes.intern(seen)
         oclasses.intern(seen, "setup")
     path = write(tmp_path / "labels.tsv", text)
     got, took_general = general_path(kio.load_labels, path, ent, classes)

@@ -1,9 +1,10 @@
 """Per-line reference parser for the TSV dataset files.
 
-The oracle the column-wise loaders in `kegcn.io` are tested against: it
-reads a file one line at a time, splits and strips each line, and hands
-every token to a `Vocabulary`-style intern/resolve call, so each error
-is raised by the first line and token that causes it.  Results and
+The oracle the loaders in `kegcn.io` are tested against, written
+independently of them: it reads a file one line at a time, splits and
+strips each line, and hands every token to a `Vocabulary`-style
+intern/resolve call, so each error is raised by the first line and
+token that causes it.  Results and
 messages of the package loaders must equal these exactly.
 """
 
