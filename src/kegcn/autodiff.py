@@ -104,54 +104,54 @@ class Variable:
         return self.value.shape
 
 
-class FlatCache(dict):
-    """`scatter_add`'s flat positions of one fixed index array by plane
-    width; its owner checked once that every index is below `rows`."""
+class RowIndex:
+    """Fixed row ids: `ids` as int64, checked once to lie in [0, bound),
+    and `scatter_add`'s flat positions of them by plane width in `flat`,
+    each built on first use.  A table of at least `bound` rows takes the
+    index with no further check; NumPy reads it as its ids."""
 
-    def __init__(self, rows: int):
-        super().__init__()
-        self.rows = rows
+    __slots__ = ("ids", "bound", "flat")
+
+    def __init__(self, ids, bound: int):
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.size and (ids.min() < 0 or ids.max() >= bound):
+            raise IndexError(f"row index outside [0, {bound})")
+        self.ids, self.bound, self.flat = ids, bound, {}
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.ids, dtype=dtype, copy=copy)
 
 
-def _row_index(idx, num: int, flat_cache=None) -> np.ndarray:
-    """idx as int64, raising IndexError unless every entry is in [0, num).
-    The owner of a FlatCache checked its index: only its `rows` is checked."""
-    rows = getattr(flat_cache, "rows", None)
-    if rows is not None:
-        if rows > num:
-            raise IndexError(f"row index outside [0, {num})")
-        return idx
-    idx = np.asarray(idx, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= num):
+def _row_index(idx, num: int) -> RowIndex:
+    """idx for a table of num rows, raising IndexError unless each id is below
+    num: a RowIndex checks only its bound, a plain array is checked and wrapped."""
+    if not isinstance(idx, RowIndex):
+        return RowIndex(idx, num)
+    if idx.bound > num:
         raise IndexError(f"row index outside [0, {num})")
     return idx
 
 
-def scatter_add(x: np.ndarray, idx: np.ndarray, num: int,
-                flat_cache: dict | None = None, planes: int = 1) -> np.ndarray:
+def scatter_add(x: np.ndarray, idx, num: int, planes: int = 1) -> np.ndarray:
     """out[idx[j]] += x[j] into zeros of shape (num,) + trailing, where
     trailing = x.shape[idx.ndim:], as one bincount over flat positions.
+    idx is a RowIndex, whose positions are built once per width, or a
+    plain array, whose positions are built anew on each call.
 
     With planes=k > 1, x holds component planes (k, len(idx), d) and the
     result is interleaved, (num, d*k): plane c of row j lands in columns
     c, k + c, 2k + c, ... of row idx[j].  Each plane is one bincount over
     the width-d positions, so each output entry adds its rows in index order.
 
-    `flat_cache` maps a plane width to the flat positions already built
-    for this same `idx` (shared by the k planes); the owner of a fixed
-    index array (a graph's heads, tails, rels) keeps one so each is built
-    once.  Indices that change per call leave it None.
-
     One plane is bincount's own array; k planes are copied into
     numerics.empty(shape), and bincount's arrays are freed at once.
     """
-    trailing = x.shape[idx.ndim:] if planes == 1 else (x.shape[-1] * planes,)
+    idx = _row_index(idx, num)
+    trailing = x.shape[idx.ids.ndim:] if planes == 1 else (x.shape[-1] * planes,)
     w = math.prod(trailing) // planes
-    flat = None if flat_cache is None else flat_cache.get(w)
-    if flat is None:
-        flat = (idx.reshape(-1, 1) * w + np.arange(w)).ravel()
-        if flat_cache is not None:
-            flat_cache[w] = flat
+    if w not in idx.flat:
+        idx.flat[w] = (idx.ids.reshape(-1, 1) * w + np.arange(w)).ravel()
+    flat = idx.flat[w]
     if planes == 1:   # bincount gives int64 zeros for an empty idx
         sums = np.bincount(flat, x.reshape(-1), num * w)
         return sums.astype(np.float64, copy=False).reshape((num,) + trailing)
@@ -332,32 +332,30 @@ class Tape:
 
     # ---- indexing / shaping ----
 
-    def gather(self, x: Variable, idx: np.ndarray, *,
-               flat_cache: dict | None = None, planes: int = 1) -> Variable:
-        """Rows x[idx]; with planes=k > 1 the interleaved rows come back as
-        (k, len(idx), d) planes (see `take_planes`).  `flat_cache` (see
-        `scatter_add`) serves the vjp.  The result's `rows` (a lookup of x's
-        array with the checked index) are what a vjp that reads it keeps."""
+    def gather(self, x: Variable, idx, *, planes: int = 1) -> Variable:
+        """Rows x[idx] of a RowIndex or plain array idx (see `scatter_add`);
+        with planes=k > 1 the interleaved rows come back as (k, len(idx), d)
+        planes (see `take_planes`).  The result's `rows` (a lookup of x's
+        array with the checked ids) are what a vjp that reads it keeps."""
         xv = x.value
         num = xv.shape[0]
-        idx = _row_index(idx, num, flat_cache)
+        index = _row_index(idx, num)
+        kept = index if index is idx else index.ids   # no plain array's positions ride the tape
 
         def vjp(g):
-            return (scatter_add(g, idx, num, flat_cache, planes),)
+            return (scatter_add(g, kept, num, planes),)
 
-        out = self._record(take_planes(xv, idx, planes), (x,), vjp, "gather")
-        out.rows = Recipe(take_planes, (), (xv, idx, planes))
+        out = self._record(take_planes(xv, index.ids, planes), (x,), vjp, "gather")
+        out.rows = Recipe(take_planes, (), (xv, index.ids, planes))
         return out
 
-    def segment_sum(self, x: Variable, idx: np.ndarray, num: int, *,
-                    flat_cache: dict | None = None, planes: int = 1) -> Variable:
+    def segment_sum(self, x: Variable, idx, num: int, *, planes: int = 1) -> Variable:
         """Row idx[j] of the result sums x[j] over every j carrying it.  With
         planes=k > 1, x is (k, len(idx), d) planes and the result is
         interleaved, (num, d*k)."""
-        idx = _row_index(idx, num, flat_cache)
-        out = scatter_add(x.value, idx, num, flat_cache, planes)
-        return self._record(out, (x,), lambda g: (take_planes(g, idx, planes),),
-                            "segment_sum")
+        idx = _row_index(idx, num)
+        out, ids = scatter_add(x.value, idx, num, planes), idx.ids
+        return self._record(out, (x,), lambda g: (take_planes(g, ids, planes),), "segment_sum")
 
     def concat(self, parts) -> Variable:
         """The parts side by side along the last axis."""

@@ -1,10 +1,11 @@
 """Numerical verification harnesses: finite-difference suites for the
 scorers' messages and whole-model training gradients, and the printed
-baseline layers the reduction modes are checked against, which sum per
-entity over the ascending neighbourhoods below.  These are the checks the
-test suite and the `gradcheck` / `verify-reductions` CLI subcommands run.
-The finite differences take the production gradients as they are; the
-baseline layers avoid the code paths they are checking.
+baseline layers the reduction modes are checked against, which sum and
+degree-normalize per entity over the ascending neighbourhoods below.
+These are the checks the test suite and the `gradcheck` /
+`verify-reductions` CLI subcommands run.  The finite differences take the
+production gradients as they are; the baseline layers avoid the code
+paths they are checking.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from .propagation import (REDUCTION_MODES, EmbeddingState, LayerParams, ModelCon
                           config_scorer, init_params, init_state, layer_forward_tape, lift)
 from .scorers import Scorer, make_scorer
 from .synthetic import random_triples
-from .tasks import (LabelSet, alignment_loss, classification_loss, named_parameters,
-                    record_forward, sample_negatives)
+from .tasks import (LabelSet, TrainConfig, alignment_loss, classification_loss,
+                    named_parameters, record_forward, sample_negatives)
 
 
 def _sample_triple(scorer: Scorer, rng: numerics.Generator):
@@ -207,7 +208,9 @@ def out_edges(graph: KnowledgeGraph, v: int) -> list:
 def baseline_forward(kind: str, graph: KnowledgeGraph, state: EmbeddingState,
                      params: LayerParams, last: bool) -> EmbeddingState:
     """Literal transcription of one printed baseline layer, the last of its
-    stack if `last`; no normalization.  The oracle side of verify_reduction."""
+    stack if `last`: each entity's message sum times params.alpha over its
+    in + out degree, or 0 for an isolated entity.  The oracle side of
+    verify_reduction."""
     if kind not in REDUCTION_MODES:
         raise ValueError(f"no baseline for mode {kind!r}")
     ent, rel = state.entity, state.relation
@@ -215,14 +218,15 @@ def baseline_forward(kind: str, graph: KnowledgeGraph, state: EmbeddingState,
     new_ent = np.zeros((graph.num_entities, w_self.shape[1]))
     for v in range(graph.num_entities):
         m = np.zeros(w_self.shape[1])
-        for u, r in in_edges(graph, v) + out_edges(graph, v):
+        edges = in_edges(graph, v) + out_edges(graph, v)
+        for u, r in edges:
             if kind.startswith("compgcn"):
                 m = m + _phi_eager(kind, ent[u], rel[r]) @ params.w
             elif kind == "rgcn":
                 m = m + ent[u] @ params.w_per_rel[r]
             else:
                 m = m + (params.rel_scale[r, 0] * ent[u]) @ params.w
-        pre = m + ent[v] @ w_self
+        pre = (params.alpha / len(edges) if edges else 0.0) * m + ent[v] @ w_self
         new_ent[v] = pre if last else np.maximum(pre, 0.0)
     new_rel = None
     if kind.startswith("compgcn"):
@@ -232,14 +236,14 @@ def baseline_forward(kind: str, graph: KnowledgeGraph, state: EmbeddingState,
 
 def verify_reduction(mode: str, graph: KnowledgeGraph, seed: int) -> float:
     """Max absolute discrepancy, over all 3 layers of width 8, between the
-    generic layers of the reduction mode, as training builds them without
-    normalization, and the literal baseline, on one random instance.
-    wgcn's relation scales are drawn at random, not left at their initial
-    ones, so every scale is exercised."""
+    generic layers of the reduction mode, as training builds them (at its
+    default alpha, degree-normalized), and the literal baseline, on one
+    random instance.  wgcn's relation scales are drawn at random, not left
+    at their initial ones, so every scale is exercised."""
     if mode not in REDUCTION_MODES:
         raise ValueError(f"verify_reduction expects a reduction mode, got {mode!r}")
     rng = numerics.seeded(seed)
-    mc = ModelConfig(mode=mode, dim=8, layers=3, alpha=None)
+    mc = TrainConfig(mode=mode, dim=8, layers=3).model_config()
     params = init_params(mc, graph.num_relations, rng)
     state = init_state(mc, graph, rng)
     for p in params:

@@ -1,12 +1,12 @@
 """Immutable multi-relational directed graph: the deduplicated triples as
-three int64 index columns in canonical order, plus the degree counts the
-propagation layer normalizes by."""
+three int64 index columns in canonical order, each with its row index, plus
+the degree counts the propagation layer normalizes by."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import FlatCache
+from .autodiff import RowIndex
 
 
 class GraphError(ValueError):
@@ -19,25 +19,26 @@ class KnowledgeGraph:
     downstream has one fixed summation order; in_degree, out_degree and
     rel_degree count the edges into, out of and labeled by each id.
 
-    flat_cache[name] holds the flat scatter positions of the index array
-    `name` (heads, tails or rels), one entry per plane width, filled by
-    the tape on first use (see `autodiff.scatter_add`), and its id count.
+    index[name] is the `autodiff.RowIndex` of column `name` (heads, tails
+    or rels): its ids, checked here once for every tape op on them, and
+    their scatter positions, built on first use (`autodiff.scatter_add`).
     """
 
     def __init__(self, num_entities: int, num_relations: int, heads: np.ndarray,
                  rels: np.ndarray, tails: np.ndarray):
         self.num_entities = int(num_entities)
         self.num_relations = int(num_relations)
-        self.heads, self.rels, self.tails = heads, rels, tails
         n, rn = self.num_entities, self.num_relations
-        self.flat_cache = {"heads": FlatCache(n), "tails": FlatCache(n), "rels": FlatCache(rn)}
-        for name, cache in self.flat_cache.items():   # once for every tape op on them
-            ids = getattr(self, name)
-            if ids.size and (ids.min() < 0 or ids.max() >= cache.rows):
-                raise GraphError(f"{name} id outside [0, {cache.rows})")
-        self.in_degree = np.bincount(tails, minlength=self.num_entities)
-        self.out_degree = np.bincount(heads, minlength=self.num_entities)
-        self.rel_degree = np.bincount(rels, minlength=self.num_relations)
+        self.index = {}
+        for name, ids, bound in (("heads", heads, n), ("tails", tails, n), ("rels", rels, rn)):
+            try:
+                self.index[name] = RowIndex(ids, bound)
+            except IndexError:
+                raise GraphError(f"{name} id outside [0, {bound})") from None
+            setattr(self, name, self.index[name].ids)
+        self.in_degree = np.bincount(self.tails, minlength=n)
+        self.out_degree = np.bincount(self.heads, minlength=n)
+        self.rel_degree = np.bincount(self.rels, minlength=rn)
         self.norm_columns: dict = {}
 
     def norm_column(self, alpha: float, factor: int, entity: bool) -> np.ndarray:

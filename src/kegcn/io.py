@@ -8,12 +8,13 @@ is an error.  Every malformed line is reported with its line number,
 nothing is skipped silently.
 
 The common file takes a bulk path (`_clean_ids`): every line holds
-unpadded ASCII-digit ids of at most 18 digits and ends in \\n or at the
-end of the file, with no comment, blank line or CR.  NumPy checks its
-bytes, then one NumPy call converts all of its ids; no Python code runs
-per line or token.  A file that fails a check there, or whose ids do not
-fit the vocabularies (an id out of range, a repeated labeled entity, a
-string-id vocabulary), takes the general path, which raises every error.
+unpadded ASCII-digit ids of at most 18 digits and ends in \\n, \\r\\n or
+at the end of the file, with no comment, blank line or lone CR.  NumPy
+checks its bytes, then one NumPy call converts all of its ids; no Python
+code runs per line or token.  A file that fails a check there, or whose
+ids do not fit the vocabularies (an id out of range, a repeated labeled
+entity, a string-id vocabulary), takes the general path, which raises
+every error.
 
 The general path reads line by line: the text is decoded at once (lines
 end in \\n, \\r\\n or \\r), every data line's fields are split, stripped
@@ -146,9 +147,10 @@ class Vocabulary:
 def _clean_ids(data: bytes, n_fields: int, listed: bool = False):
     """The int64 ids of a file's bytes `data` on the bulk path (see the
     module docstring), in file order, and the byte after each: tab, comma
-    or \\n; None for any other file, the empty one too.  Each line holds
-    n_fields tab-separated fields, the last a comma-separated list if
-    `listed`.  The bytes are checked before NumPy converts them."""
+    or \\n, a CRLF read as \\n; None for any other file, the empty one too.
+    Each line holds n_fields tab-separated fields, the last a comma-separated
+    list if `listed`.  The bytes are checked before NumPy converts them."""
+    data = data.replace(b"\r\n", b"\n")   # a CR anywhere else stays and refuses the file
     data += b"" if data.endswith(b"\n") else b"\n"
     b = np.frombuffer(data, np.uint8)
     if (b > ord("9")).any():

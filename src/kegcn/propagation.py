@@ -18,8 +18,9 @@ every compgcn relation; a layer updates relations iff it holds W_rel.
 Updates are synchronous: every read comes from the input state.  The
 default mode shares one W per layer and uses the same f on both
 directions and for relations.  The reduction modes reproduce three
-printed baselines exactly (their literal transcriptions live in
-`checks.baseline_forward` and serve as equivalence oracles):
+printed baselines, their message sums normalized as above (R-GCN's
+c_{i,r}); literal transcriptions in `checks.baseline_forward` serve as
+equivalence oracles:
 
     compgcn-sub/-mult/-corr  f = phi(h_u, h_r)^T h_v, f_r = 0,
                              relation update collapses to W_rel h_r
@@ -33,7 +34,8 @@ The model's layout is decided once: `layer_shapes` gives each layer's
 weight shapes and `table_shapes` a graph's embedding tables.
 `init_params`/`init_state` draw exactly those shapes, and
 `io.unpack_model` checks a checkpoint against them.
-Every layer runs batched over all edges on a tape (`layer_forward_tape`).
+Every layer runs batched over all edges on a tape (`layer_forward_tape`),
+reading the graph's edges through its row indices (`KnowledgeGraph.index`).
 Training reads only the last layer's entities, so `tasks.record_forward`
 runs that layer without its W_rel, recording no relation update there;
 `model_forward` runs it whole (relation alignment).
@@ -41,7 +43,7 @@ runs that layer without its W_rel, recording no relation update there;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import ClassVar, Optional
 
 import numpy as np
@@ -66,7 +68,7 @@ SELF_GAIN = 0.1
 
 @dataclass
 class LayerParams:
-    """One layer's weights and its degree normalization (alpha).
+    """One layer's weights and its degree normalization alpha (required).
 
     Exactly one of (w, w_per_rel) carries the message transform; wgcn
     additionally scales each message by rel_scale[r] and reuses w for
@@ -80,7 +82,7 @@ class LayerParams:
     w_rel: Optional[np.ndarray] = None
     w_per_rel: Optional[np.ndarray] = None
     rel_scale: Optional[np.ndarray] = None
-    alpha: Optional[float] = None
+    alpha: float = field(kw_only=True)
 
 
 @dataclass
@@ -95,7 +97,7 @@ class ModelConfig:
     scorer_kind: str = "transe"
     dim: int = 200
     layers: int = 4
-    alpha: Optional[float] = 0.3
+    alpha: float = 0.3
     out_dim: Optional[int] = None
 
     def __post_init__(self):
@@ -184,14 +186,6 @@ def _edge_messages_tape(tape, mode, scorer, U, Re, V, relation):
     return V, None, U
 
 
-def _row_scale(tape: Tape, x: Variable, factor: int, graph: KnowledgeGraph,
-               alpha: Optional[float], entity: bool) -> Variable:
-    """x times `factor` and, unless alpha is None, its rows' degree norms."""
-    if alpha is None:
-        return x if factor == 1 else tape.scale(x, float(factor))
-    return tape.scale(x, graph.norm_column(alpha, factor, entity))
-
-
 def layer_forward_tape(tape: Tape, graph: KnowledgeGraph, mode: str, scorer: Optional[Scorer],
                        layer: LayerParams, hv: Variable, hr: Optional[Variable], last: bool):
     """One layer on `tape`, the last of its stack if `last`; `layer` holds
@@ -202,28 +196,27 @@ def layer_forward_tape(tape: Tape, graph: KnowledgeGraph, mode: str, scorer: Opt
     gr_agg = None
     fh, fr, ft = scorer.factors if mode == "kegcn" else (1, 1, 1)
     if ne > 0:
-        fc = graph.flat_cache
+        heads, rels, tails = (graph.index[c] for c in ("heads", "rels", "tails"))
         # complex/quaternion messages run on (k, E, d) component planes
         k = scorer.planes if mode == "kegcn" else 1
-        U = tape.gather(hv, graph.heads, flat_cache=fc["heads"], planes=k)
-        V = tape.gather(hv, graph.tails, flat_cache=fc["tails"], planes=k)
-        Re = (tape.gather(hr, graph.rels, flat_cache=fc["rels"], planes=k)
-              if hr is not None else None)
+        U = tape.gather(hv, heads, planes=k)
+        V = tape.gather(hv, tails, planes=k)
+        Re = tape.gather(hr, rels, planes=k) if hr is not None else None
         gh, gr, gt = _edge_messages_tape(tape, mode, scorer, U, Re, V, layer.w_rel is not None)
         if layer.w_per_rel is not None:
             gt = tape.per_relation_matmul(gt, layer.w_per_rel, graph.rels)
             gh = tape.per_relation_matmul(gh, layer.w_per_rel, graph.rels)
         elif layer.rel_scale is not None:
-            scl = tape.gather(layer.rel_scale, graph.rels, flat_cache=fc["rels"])
+            scl = tape.gather(layer.rel_scale, rels)
             gt = tape.mul(gt, scl)
             gh = tape.mul(gh, scl)
         # in this order TransE's one message e adds its gradient (tail + relation) + head
-        sh = tape.segment_sum(gh, graph.heads, n, flat_cache=fc["heads"], planes=k)
+        sh = tape.segment_sum(gh, heads, n, planes=k)
         if gr is not None:
-            gr_agg = tape.segment_sum(gr, graph.rels, rn, flat_cache=fc["rels"], planes=k)
-        st = tape.segment_sum(gt, graph.tails, n, flat_cache=fc["tails"], planes=k)
+            gr_agg = tape.segment_sum(gr, rels, rn, planes=k)
+        st = tape.segment_sum(gt, tails, n, planes=k)
         m = (tape.add if fh == ft else tape.sub)(st, sh)
-        m = _row_scale(tape, m, ft, graph, layer.alpha, entity=True)
+        m = tape.scale(m, graph.norm_column(layer.alpha, ft, entity=True))
         if layer.w_per_rel is None:
             m = tape.matmul(m, layer.w)
         pre = tape.add(m, self_term)
@@ -233,7 +226,7 @@ def layer_forward_tape(tape: Tape, graph: KnowledgeGraph, mode: str, scorer: Opt
     if layer.w_rel is None:
         return new_hv, None
     if gr_agg is not None:   # kegcn with edges; the other modes send no gr
-        hr = tape.add(_row_scale(tape, gr_agg, fr, graph, layer.alpha, entity=False), hr)
+        hr = tape.add(tape.scale(gr_agg, graph.norm_column(layer.alpha, fr, entity=False)), hr)
     pre_r = tape.matmul(hr, layer.w_rel)
     return new_hv, pre_r if last or mode.startswith("compgcn") else tape.relu(pre_r)
 

@@ -425,7 +425,7 @@ def fit(graphs: dict, mc: ModelConfig, cfg: TrainConfig, loss_fn: Callable,
     adam = Adam(cfg.lr)
     best_metric, best_epoch, best_snap, losses = None, 0, None, []
     epochs_run = 0
-    with pooled():
+    with pooled(), np.errstate(all="ignore"):   # divergence is reported by _finite_loss
         for epoch in range(cfg.epochs):
             epochs_run = epoch + 1
             tape = Tape()

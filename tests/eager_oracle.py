@@ -66,8 +66,7 @@ def entity_message(graph: KnowledgeGraph, state: EmbeddingState, scorer: Optiona
     for u, r in out_edges(graph, v):
         g = _eager_edge_message(mode, scorer, state, v, r, u, "head")
         acc += _apply_transform(g, params, r)
-    factor = 1.0 if params.alpha is None else degree_norm(graph, v, params.alpha)
-    return factor * acc
+    return degree_norm(graph, v, params.alpha) * acc
 
 
 def relation_message(graph: KnowledgeGraph, state: EmbeddingState, scorer: Optional[Scorer],
@@ -79,8 +78,7 @@ def relation_message(graph: KnowledgeGraph, state: EmbeddingState, scorer: Optio
     acc = np.zeros(width)
     for u, v in relation_edges(graph, r):
         acc += gradients(scorer, state.entity[u], state.relation[r], state.entity[v])[1]
-    factor = 1.0 if params.alpha is None else relation_norm(graph, r, params.alpha)
-    return factor * acc
+    return relation_norm(graph, r, params.alpha) * acc
 
 
 def layer_forward(graph: KnowledgeGraph, state: EmbeddingState, params: LayerParams,

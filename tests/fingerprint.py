@@ -16,10 +16,9 @@ lacks, and exits 1 if there is any.  Saved names this run does not make
 Training records: for kegcn with each of the six scorers and for the
 five reduction modes, on alignment (`hub_signature_pair(40, 3, 150,
 seed=1)`) and classification (`block_classification(60, 3, 200,
-seed=3)`), dim 8, 3 layers, alpha 0.3, 4 epochs; and for kegcn with
-alpha None (set on the `ModelConfig`) in 2 layers for alignment and 1 for
-classification, where deeper unnormalized stacks saturate the loss.
-Hashed are the losses, every epoch's leaf gradients as `Adam.step`
+seed=3)`), dim 8, 3 layers, alpha 0.3, 4 epochs; and for kegcn in 2
+layers for alignment and 1 for classification, so shallow stacks are
+covered too.  Hashed are the losses, every epoch's leaf gradients as `Adam.step`
 receives them, the weights and tables after every step, and the final
 states (`model_forward` over the restored best tables, final relation
 included).
@@ -27,10 +26,11 @@ included).
 Loaders: for the data files of each of the three gate runs (below), for
 a copy of the first run's files with every id a string, and for copies
 of the first and last runs' files with integer ids but CRLF line ends, a
-comment line and a padded token, what `kegcn.io` reads: each graph's
-index columns and vocabulary names, then the bundle's seed pairs or
-labels.  Clean integer files take the loaders' bulk path, the copies
-their general one.
+comment line and a padded token, and for copies with CRLF line ends
+alone, what `kegcn.io` reads: each graph's index columns and vocabulary
+names, then the bundle's seed pairs or labels.  Integer files with \n
+or CRLF line ends and nothing else take the loaders' bulk path, the
+other copies their general one.
 
 CLI: for each of the three gate runs (`train-align` transe and quate
 with `--rel-test`, `train-classify`; the instances of
@@ -71,27 +71,19 @@ def digest(arrays) -> str:
     return h.hexdigest()
 
 
-def training_record(task: str, mode: str, scorer: str, alpha) -> dict:
-    """Hashes of one dim-8, 4-epoch run; alpha None is set on the
-    ModelConfig, since TrainConfig takes a number."""
-    layers = 3 if alpha is not None else 2 if task == "alignment" else 1
+def training_record(task: str, mode: str, scorer: str, layers: int) -> dict:
+    """Hashes of one dim-8, 4-epoch run at alpha 0.3."""
     cfg = tasks.TrainConfig(mode=mode, scorer=scorer, dim=8, layers=layers, epochs=4,
-                            lr=0.05, alpha=0.3 if alpha is None else alpha)
+                            lr=0.05, alpha=0.3)
     grads, steps = [], []
-    step, model_config = tasks.Adam.step, tasks.TrainConfig.model_config
+    step = tasks.Adam.step
 
     def recording_step(self, params, g):
         grads.extend(g[k].copy() for k in sorted(g))
         step(self, params, g)
         steps.extend(params[k].copy() for k in sorted(params))
 
-    def config(self, out_dim=None):
-        mc = model_config(self, out_dim)
-        mc.alpha = alpha
-        return mc
-
     tasks.Adam.step = recording_step
-    tasks.TrainConfig.model_config = config
     try:
         if task == "alignment":
             g1, g2, ent_pairs, _ = synthetic.hub_signature_pair(40, 3, 150, seed=1)
@@ -108,7 +100,7 @@ def training_record(task: str, mode: str, scorer: str, alpha) -> dict:
         finals = [model_forward(g, st, res.params, mode=mode, scorer=scorer_obj)
                   for g, st in runs]
     finally:
-        tasks.Adam.step, tasks.TrainConfig.model_config = step, model_config
+        tasks.Adam.step = step
     return {
         "losses": digest([np.array(res.losses)]),
         "grads": digest(grads),
@@ -121,10 +113,10 @@ def training_record(task: str, mode: str, scorer: str, alpha) -> dict:
 def training_cases():
     for task in ("alignment", "classification"):
         for scorer in SCORER_KINDS:
-            for alpha in (0.3, None):
-                yield task, "kegcn", scorer, alpha
+            for layers in (3, 2 if task == "alignment" else 1):
+                yield task, "kegcn", scorer, layers
         for mode in REDUCTION_MODES:
-            yield task, mode, "transe", 0.3
+            yield task, mode, "transe", 3
 
 
 def cli(args, cwd) -> subprocess.CompletedProcess:
@@ -213,6 +205,16 @@ def string_ids(values: dict) -> dict:
     return out
 
 
+def crlf_ints(values: dict) -> dict:
+    """A copy of a bundle's files with CRLF line ends and nothing else changed."""
+    out = {}
+    for key, path in values.items():
+        out[key] = f"{path}.crlf-only"
+        with open(path, "rb") as src, open(out[key], "wb") as dst:
+            dst.write(src.read().replace(b"\n", b"\r\n"))
+    return out
+
+
 def unclean_ints(values: dict) -> dict:
     """A copy of a bundle's files that keeps their integer ids but leaves
     the bulk path: CRLF line ends, a comment line first, and the first
@@ -235,6 +237,7 @@ def loader_records():
                 yield f"load {name} string ids", loaded(string_ids(values))
             if name in ("train-align transe", "train-classify"):
                 yield f"load {name} unclean ints", loaded(unclean_ints(values))
+                yield f"load {name} crlf ints", loaded(crlf_ints(values))
 
 
 def cli_records():
@@ -247,9 +250,9 @@ def cli_records():
 
 
 def records(cli_too: bool):
-    for task, mode, scorer, alpha in training_cases():
-        for what, h in training_record(task, mode, scorer, alpha).items():
-            yield f"{task} {mode} {scorer} alpha={alpha} {what}", h
+    for task, mode, scorer, layers in training_cases():
+        for what, h in training_record(task, mode, scorer, layers).items():
+            yield f"{task} {mode} {scorer} layers={layers} {what}", h
     yield from loader_records()
     if cli_too:
         yield from cli_records()

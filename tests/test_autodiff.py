@@ -636,16 +636,37 @@ def test_gather_vjp_matches_add_at_bitwise(kind, trailing):
 def test_scatter_cache_serves_equal_results_and_one_entry_per_width():
     rng = seeded(5)
     idx = np.array([4, 1, 1, 0, 4])
-    cache: dict = {}
+    index = autodiff.RowIndex(idx, 6)
     for width in (3, 1, 3):
         x = rng.normal(size=(5, width))
         tape = Tape()
-        out = tape.segment_sum(tape.leaf(x), idx, 6, flat_cache=cache)
+        out = tape.segment_sum(tape.leaf(x), index, 6)
         assert bitwise_equal(out.value, add_at_oracle(x, idx, 6))
-        g = tape.gather(tape.leaf(rng.normal(size=(6, width))), idx, flat_cache=cache)
+        g = tape.gather(tape.leaf(rng.normal(size=(6, width))), index)
         dg = rng.normal(size=g.shape)
         assert bitwise_equal(tape.nodes[g.index].vjp(dg)[0], add_at_oracle(dg, idx, 6))
-    assert sorted(cache) == [1, 3]
+    assert sorted(index.flat) == [1, 3]
+
+
+def test_row_index_checks_its_ids_once_and_reads_as_them():
+    ids = np.array([2, 0, 2])
+    index = autodiff.RowIndex(ids, 3)
+    assert index.ids is ids and np.asarray(index) is ids and np.asarray(index).size == 3
+    assert np.array(index) is not ids and np.asarray(index, float).dtype == np.float64
+    for bad in ([0, 3], [-1, 0]):
+        with pytest.raises(IndexError):
+            autodiff.RowIndex(np.array(bad), 3)
+    tape = Tape()
+    wide = tape.leaf(np.arange(8.0).reshape(4, 2))   # more rows than the bound: taken
+    out = tape.gather(wide, index)
+    assert bitwise_equal(out.value, wide.value[ids])
+    assert bitwise_equal(tape.nodes[out.index].vjp(np.ones((3, 2)))[0],
+                         add_at_oracle(np.ones((3, 2)), ids, 4))
+    assert tape.segment_sum(out, index, 4).shape == (4, 2)
+    with pytest.raises(IndexError):   # fewer rows than the bound, though every id fits
+        tape.gather(tape.leaf(np.ones((2, 2))), autodiff.RowIndex(np.array([0, 1]), 3))
+    with pytest.raises(IndexError):   # a plain array is checked on each call
+        tape.segment_sum(out, ids, 2)
 
 
 def interleaved(x):
@@ -666,18 +687,18 @@ def test_planar_scatters_match_interleaved_bitwise(kind, k):
     x.reshape(-1)[:4] = [-0.0, 0.0, -0.0, -0.0][: x.size]
     x[:, idx == 3] = -0.0                      # a row of only -0.0 sums to +0.0
     rows = interleaved(x)
-    cache: dict = {}
+    index = autodiff.RowIndex(idx, num)
     for _ in range(2):                         # build the positions, then reuse them
-        got = autodiff.scatter_add(x, idx, num, cache, planes=k)
+        got = autodiff.scatter_add(x, index, num, planes=k)
         assert bitwise_equal(got, autodiff.scatter_add(rows, idx, num))
         assert bitwise_equal(got, add_at_oracle(rows, idx, num))
     # the k planes share the positions of one plane: the planes=1 entry of width d
-    assert list(cache) == [d]
+    assert list(index.flat) == [d]
     with numerics.pooled():
-        pooled = autodiff.scatter_add(x, idx, num, cache, k)
+        pooled = autodiff.scatter_add(x, index, num, k)
         assert bitwise_equal(pooled, add_at_oracle(rows, idx, num))
-    autodiff.scatter_add(x[0], idx, num, cache)
-    assert list(cache) == [d] and cache[d].size == idx.size * d
+    autodiff.scatter_add(x[0], index, num)
+    assert list(index.flat) == [d] and index.flat[d].size == idx.size * d
 
     tape = Tape()
     out = tape.segment_sum(tape.leaf(x), idx, num, planes=k)

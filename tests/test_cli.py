@@ -9,6 +9,7 @@ import struct
 import subprocess
 import sys
 import time
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -374,14 +375,30 @@ def test_train_classify_diverged_run_exits_1(tmp_path, capsys):
     train = tmp_path / "train_labels.tsv"
     train.write_text("".join(f"{i}\t{i % 2}\n" for i in range(8)))
     report = tmp_path / "report.tsv"
-    with np.errstate(all="ignore"):
-        code = cli.main(["train-classify", "--graph1", str(g), "--train", str(train),
-                         "--dim", "4", "--layers", "2", "--epochs", "6",
-                         "--lr", "1e300", "--report", str(report), "--quiet"])
+    code = cli.main(["train-classify", "--graph1", str(g), "--train", str(train),
+                     "--dim", "4", "--layers", "2", "--epochs", "6",
+                     "--lr", "1e300", "--report", str(report), "--quiet"])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "epoch" in err
     assert not report.exists()
+
+
+def test_diverged_run_records_no_warning_and_prints_one_error_line(tmp_path, capsys):
+    # the overflow that diverges the run is reported once, as the error,
+    # not first as NumPy warnings naming package source lines
+    g = tmp_path / "g.tsv"
+    g.write_text("0\t0\t1\n1\t0\t2\n2\t0\t0\n")
+    write_pairs(tmp_path, "tr.tsv", [(0, 0)])
+    write_pairs(tmp_path, "te.tsv", [(1, 1), (2, 2)])
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code = cli.main(["train-align", "--graph1", str(g), "--graph2", str(g),
+                         "--train", str(tmp_path / "tr.tsv"), "--test", str(tmp_path / "te.tsv"),
+                         "--epochs", "2", "--lr", "1e308"])
+    assert code == 1 and seen == []
+    assert capsys.readouterr().err == \
+        "error: training diverged: loss is nan at epoch 1; try a lower lr\n"
 
 
 def test_undecodable_input_names_file_and_line(tmp_path, capsys):

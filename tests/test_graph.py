@@ -75,19 +75,17 @@ def test_graph_checks_its_ids_once_and_the_tape_the_table_rows():
     with pytest.raises(GraphError, match="tails id outside"):
         KnowledgeGraph(5, 2, ids, np.array([0, 1, 0]), np.array([0, 1, 5]))
     g = build_graph([(0, 1, 4), (4, 0, 2), (2, 1, 3)], 5, 2)
-    fc = g.flat_cache
     tape = Tape()
     for name, num in (("heads", 5), ("tails", 5), ("rels", 2)):
-        idx = getattr(g, name)
-        out = tape.gather(tape.leaf(np.arange(2.0 * num).reshape(num, 2)), idx,
-                          flat_cache=fc[name])
-        assert np.array_equal(out.value, np.arange(2.0 * num).reshape(num, 2)[idx])
+        idx = g.index[name]
+        assert idx.ids is getattr(g, name) and idx.bound == num
+        out = tape.gather(tape.leaf(np.arange(2.0 * num).reshape(num, 2)), idx)
+        assert np.array_equal(out.value, np.arange(2.0 * num).reshape(num, 2)[idx.ids])
         with pytest.raises(IndexError):
-            tape.gather(tape.leaf(np.ones((num - 1, 2))), idx, flat_cache=fc[name])
+            tape.gather(tape.leaf(np.ones((num - 1, 2))), idx)
         with pytest.raises(IndexError):
-            tape.segment_sum(tape.leaf(np.ones((3, 2))), idx, num - 1, flat_cache=fc[name])
-        assert tape.segment_sum(tape.leaf(np.ones((3, 2))), idx, num + 1,
-                                flat_cache=fc[name]).shape == (num + 1, 2)
+            tape.segment_sum(tape.leaf(np.ones((3, 2))), idx, num - 1)
+        assert tape.segment_sum(tape.leaf(np.ones((3, 2))), idx, num + 1).shape == (num + 1, 2)
 
 
 def test_norms():

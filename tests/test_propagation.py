@@ -28,11 +28,13 @@ from kegcn.propagation import (
     relation_width,
 )
 from kegcn.scorers import SCORERS, make_scorer
+from kegcn.tasks import TrainConfig
 
 ALL_KINDS = sorted(SCORERS)
 
 
-def identity_params(d, alpha=None):
+def identity_params(d, alpha=1.0):
+    # alpha 1 on an entity or relation of one edge leaves its message as it is
     return LayerParams(w=np.eye(d), w0=np.eye(d), w_rel=np.eye(d), alpha=alpha)
 
 
@@ -89,7 +91,7 @@ def test_relation_message_examples():
 def test_layer_forward_empty_graph_identity():
     g = build_graph([], 3, 2)
     state = EmbeddingState(np.arange(6.0).reshape(3, 2), np.ones((2, 2)))
-    p = LayerParams(w=np.eye(2), w0=np.eye(2), w_rel=np.eye(2))
+    p = identity_params(2)
     out = layer_forward(g, state, p, make_scorer("transe", 2), last=True)
     assert np.array_equal(out.entity, state.entity)
     assert np.array_equal(out.relation, state.relation)
@@ -118,7 +120,7 @@ def test_model_forward_one_layer_equals_layer_forward():
 
 def test_model_forward_empty_identity_two_layers():
     g = build_graph([], 4, 2)
-    params = [LayerParams(w=np.eye(3), w0=np.eye(3), w_rel=np.eye(3)) for _ in range(2)]
+    params = [identity_params(3) for _ in range(2)]
     # non-negative, so the first layer's relu keeps them too
     state = EmbeddingState(np.arange(12.0).reshape(4, 3), np.ones((2, 3)))
     out = model_forward(g, state, params, scorer=make_scorer("transe", 3))
@@ -170,23 +172,31 @@ def test_lift_records_each_array_field_in_field_order():
     assert lp.w.value is p.w and ls.relation.value is state.relation
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
-def test_tape_layers_match_eager_oracle(kind):
+@pytest.mark.parametrize("variant", [*ALL_KINDS, *REDUCTION_MODES])
+def test_tape_layers_match_eager_oracle(variant):
+    # kegcn with each scorer, and each reduction mode as training builds
+    # it (degree-normalized; wgcn with drawn relation scales)
+    mode, kind = (variant, "transe") if variant in REDUCTION_MODES else ("kegcn", variant)
     g = random_instance(n=12, r=3, edges=36, seed=13)
-    cfg = ModelConfig(mode="kegcn", scorer_kind=kind, dim=4, layers=2, alpha=0.3)
+    cfg = ModelConfig(mode=mode, scorer_kind=kind, dim=4, layers=2, alpha=0.3)
     rng = seeded(17)
     params = init_params(cfg, g.num_relations, rng)
     state = init_state(cfg, g, rng)
+    for p in params:
+        if p.rel_scale is not None:
+            p.rel_scale = rng.normal(size=p.rel_scale.shape)
     s = config_scorer(cfg)
     tape = Tape()
     st = lift(tape, state)
     hv, hr, eager = st.entity, st.relation, state
     for i, p in enumerate(params):
         last = i == len(params) - 1
-        hv, hr = layer_forward_tape(tape, g, cfg.mode, s, lift(tape, p), hv, hr, last)
-        eager = layer_forward(g, eager, p, s, last)
-        assert np.allclose(hv.value, eager.entity, atol=1e-10), kind
-        assert np.allclose(hr.value, eager.relation, atol=1e-10), kind
+        hv, hr = layer_forward_tape(tape, g, mode, s, lift(tape, p), hv, hr, last)
+        eager = layer_forward(g, eager, p, s, last, mode)
+        assert np.allclose(hv.value, eager.entity, atol=1e-10), variant
+        assert (hr is None) == (eager.relation is None) == (mode in ("rgcn", "wgcn")), variant
+        if hr is not None:
+            assert np.allclose(hr.value, eager.relation, atol=1e-10), variant
 
 
 @pytest.mark.parametrize("mode", ["kegcn", "compgcn-sub", "rgcn"])
@@ -246,8 +256,10 @@ def test_message_additive_over_disjoint_edge_sets():
         gb = build_graph(edges_b, n, r)
         gab = build_graph(edges_a + edges_b, n, r)
         for v in (1, 4, 6):
-            combined = entity_message(gab, state, s, v, p)
-            split = entity_message(ga, state, s, v, p) + entity_message(gb, state, s, v, p)
+            # alpha 1: each message is the edge sum over the entity's degree
+            combined, split = (
+                sum(entity_message(g, state, s, v, p) * (g.in_degree[v] + g.out_degree[v])
+                    for g in graphs) for graphs in ([gab], [ga, gb]))
             assert np.allclose(combined, split, atol=1e-12)
 
 
@@ -333,13 +345,13 @@ def test_verify_reduction_runs_the_layout_training_builds(monkeypatch, mode):
 
     monkeypatch.setattr(checks, "layer_forward_tape", recording_layer)
     verify_reduction(mode, g, 0)
-    cfg = ModelConfig(mode=mode, dim=8, layers=3, alpha=None)
+    cfg = ModelConfig(mode=mode, dim=8, layers=3)
     assert [last for _, last in seen] == [False, False, True]
     for layer, (p, _) in enumerate(seen):
         got = {f: getattr(p, f).shape for f in LayerParams.WEIGHTS
                if getattr(p, f) is not None}
         assert got == layer_shapes(cfg, g.num_relations, layer)
-        assert p.alpha is None
+        assert p.alpha == TrainConfig().alpha
 
 
 def test_baseline_forward_examples():
@@ -349,7 +361,7 @@ def test_baseline_forward_examples():
     ent = rng.normal(size=(3, 4))
     w0 = rng.normal(size=(4, 4))
     wstack = rng.normal(size=(2, 4, 4))
-    p = LayerParams(w_per_rel=wstack, w0=w0)
+    p = LayerParams(w_per_rel=wstack, w0=w0, alpha=0.3)
     out = baseline_forward("rgcn", g, EmbeddingState(ent), p, last=False)
     want = np.stack([np.maximum(ent[v] @ w0, 0.0) for v in range(3)])
     assert np.array_equal(out.entity, want)
@@ -358,26 +370,34 @@ def test_baseline_forward_examples():
     g = random_instance(n=6, r=2, edges=12, seed=53)
     ent = rng.normal(size=(6, 4))
     w = rng.normal(size=(4, 4))
-    pw = LayerParams(w=w, rel_scale=np.ones((2, 1)))
-    pr = LayerParams(w_per_rel=np.stack([w, w]), w0=w)
+    pw = LayerParams(w=w, rel_scale=np.ones((2, 1)), alpha=0.3)
+    pr = LayerParams(w_per_rel=np.stack([w, w]), w0=w, alpha=0.3)
     a = baseline_forward("wgcn", g, EmbeddingState(ent), pw, last=False)
     b = baseline_forward("rgcn", g, EmbeddingState(ent), pr, last=False)
     assert np.allclose(a.entity, b.entity, atol=1e-12)
 
-    # compgcn-sub single edge, hand params
+    # compgcn-sub single edge, hand params; alpha 1 over one edge each
     g = build_graph([(0, 0, 1)], 2, 1)
     hu = np.array([2.0, 1.0])
     hv = np.array([0.5, -1.0])
     hr = np.array([1.0, 3.0])
     wr = np.array([[1.0, 2.0], [0.0, 1.0]])
     w0 = np.eye(2)
-    p = LayerParams(w=wr, w0=w0, w_rel=np.eye(2))
+    p = LayerParams(w=wr, w0=w0, w_rel=np.eye(2), alpha=1.0)
     out = baseline_forward("compgcn-sub", g, EmbeddingState(np.stack([hu, hv]), hr[None, :]), p,
                            last=False)
     want_v = np.maximum((hu - hr) @ wr + hv, 0.0)
     want_u = np.maximum((hv - hr) @ wr + hu, 0.0)
     assert np.allclose(out.entity[1], want_v, atol=1e-15)
     assert np.allclose(out.entity[0], want_u, atol=1e-15)
+
+    # the message sum times alpha / (in + out degree): entity 1 has two edges
+    g = build_graph([(0, 0, 1), (1, 1, 2)], 3, 2)
+    ent, w0 = rng.normal(size=(3, 4)), rng.normal(size=(4, 4))
+    p = LayerParams(w_per_rel=wstack, w0=w0, alpha=0.3)
+    out = baseline_forward("rgcn", g, EmbeddingState(ent), p, last=True)
+    want = 0.15 * (ent[0] @ wstack[0] + ent[2] @ wstack[1]) + ent[1] @ w0
+    assert np.allclose(out.entity[1], want, atol=1e-15)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -426,13 +446,13 @@ def test_graphs_of_equal_size_keep_their_own_scatter_cache():
     assert warm.entity.tobytes() == fresh.entity.tobytes()
     assert warm.relation.tobytes() == fresh.relation.tobytes()
     for name in ("heads", "tails", "rels"):
-        c1, c2 = g1.flat_cache[name], g2.flat_cache[name]
+        c1, c2 = g1.index[name].flat, g2.index[name].flat
         assert c1 is not c2 and c1 and sorted(c1) == sorted(c2)
         for w, flat in c2.items():
             assert c1[w] is not flat
             idx = getattr(g2, name)
             assert np.array_equal(flat, (idx[:, None] * w + np.arange(w)).ravel())
-    assert not np.array_equal(g1.flat_cache["tails"][4], g2.flat_cache["tails"][4])
+    assert not np.array_equal(g1.index["tails"].flat[4], g2.index["tails"].flat[4])
 
 
 

@@ -486,7 +486,7 @@ def test_scatter_cache_size_fixed_across_epochs():
     sizes = []
 
     def progress(*_):
-        sizes.append(sum(len(c) for g in (g1, g2) for c in g.flat_cache.values()))
+        sizes.append(sum(len(ix.flat) for g in (g1, g2) for ix in g.index.values()))
 
     cfg = TrainConfig(dim=4, layers=2, epochs=30, patience=30, negatives=3)
     train_alignment(g1, g2, seeds, cfg, progress=progress)
@@ -501,15 +501,15 @@ def test_quate_scatter_cache_one_entry_per_layout_across_epochs():
     sizes = []
 
     def progress(*_):
-        sizes.append(sum(len(c) for g in (g1, g2) for c in g.flat_cache.values()))
+        sizes.append(sum(len(ix.flat) for g in (g1, g2) for ix in g.index.values()))
 
     cfg = TrainConfig(scorer="quate", dim=8, layers=2, epochs=30, patience=30, negatives=3)
     train_alignment(g1, g2, seeds, cfg, progress=progress)
     assert sizes == [6] * 30
     for g in (g1, g2):
         for name in ("heads", "tails", "rels"):
-            assert list(g.flat_cache[name]) == [2]
-            assert g.flat_cache[name][2].size == 2 * len(getattr(g, name))
+            assert list(g.index[name].flat) == [2]
+            assert g.index[name].flat[2].size == 2 * len(getattr(g, name))
 
 
 def _epoch_node_counts(monkeypatch, train):
@@ -787,22 +787,17 @@ UNFOLDED = {"transe": UnfoldedTransE, "transh": UnfoldedTransH, "transd": Unfold
 def _scorer_run(monkeypatch, kind, task, alpha):
     """Losses, every epoch's leaf gradients as Adam receives them, and the
     trained arrays and final states (model_forward, final relation
-    included) of a run of scorer `kind` with `alpha` on its ModelConfig.  Without
-    alpha the stack is shallower (2 layers for alignment, 1 for
-    classification): deeper unnormalized messages saturate the loss."""
+    included) of a run of scorer `kind`: 3 layers at `alpha`, or, with
+    alpha None, TrainConfig's default alpha in a shallower stack (2 layers
+    for alignment, 1 for classification), so 1- and 2-layer stacks are
+    covered too."""
     g1, g2, ent_pairs, _ = synthetic.hub_signature_pair(40, 3, 150, seed=1)
     seeds = synthetic.alignment_split(ent_pairs, valid_fraction=0.1)
     g, labels = synthetic.block_classification(60, 3, 200, noise=0.1, seed=3)
     label_set = synthetic.classification_split(labels, 3, seed=3)
     layers = 3 if alpha is not None else 2 if task == "alignment" else 1
-    cfg = TrainConfig(scorer=kind, dim=8, layers=layers, epochs=3, lr=0.05)
-    model_config = TrainConfig.model_config
-
-    def config(self, out_dim=None):
-        mc = model_config(self, out_dim)
-        mc.alpha = alpha
-        return mc
-
+    cfg = TrainConfig(scorer=kind, dim=8, layers=layers, epochs=3, lr=0.05,
+                      **({} if alpha is None else {"alpha": alpha}))
     grads = []
 
     def recording_step(self, params, gr):
@@ -810,7 +805,6 @@ def _scorer_run(monkeypatch, kind, task, alpha):
         return ADAM_STEP(self, params, gr)
 
     with monkeypatch.context() as mp:
-        mp.setattr(TrainConfig, "model_config", config)
         mp.setattr(Adam, "step", recording_step)
         if task == "alignment":
             res = train_alignment(g1, g2, seeds, cfg)
@@ -1237,6 +1231,24 @@ def test_train_alignment_rgcn_has_no_relation_table():
         zero_shot_relation_alignment(res.state1, res.state2, [(0, 0)])
 
 
+@pytest.mark.parametrize("mode", ["wgcn", "rgcn"])
+def test_per_relation_tables_wider_than_a_graphs_relation_index_train(mode):
+    # the shared per-relation tables have a row for each relation of the
+    # graph with the most: graph 2's relation index reaches only its first
+    # two rows, and its scatters fill the table's three
+    g1, g2, ent_pairs, _ = synthetic.hub_signature_pair(40, 3, 150, seed=1)
+    keep = g2.rels < 2
+    g2 = build_graph(np.column_stack((g2.heads, g2.rels, g2.tails))[keep], g2.num_entities, 2)
+    assert (g1.num_relations, g2.num_relations) == (3, 2) and 0 < g2.num_triples
+    seeds = synthetic.alignment_split(ent_pairs, valid_fraction=0.1)
+    res = train_alignment(g1, g2, seeds, TrainConfig(mode=mode, dim=8, layers=3, epochs=4))
+    for p in res.params:
+        table = p.rel_scale if mode == "wgcn" else p.w_per_rel
+        assert table.shape[0] == 3 and np.isfinite(table).all()
+    assert np.isfinite(res.losses).all() and len(set(res.losses)) == 4
+    assert np.isfinite(res.state2.entity).all()
+
+
 # ---------------- best checkpoint ----------------
 
 
@@ -1299,7 +1311,7 @@ def test_diverged_alignment_raises_naming_the_epoch():
     g1, g2, ent_pairs, _ = synthetic.hub_signature_pair(40, 3, 150, seed=1)
     seeds = synthetic.alignment_split(ent_pairs)
     cfg = TrainConfig(scorer="quate", dim=8, layers=2, lr=1e300, epochs=4)
-    with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError, match=r"epoch 1\b"):
+    with pytest.raises(TrainingDivergedError, match=r"epoch 1\b"):
         train_alignment(g1, g2, seeds, cfg)
     assert issubclass(TrainingDivergedError, ValueError)
 
@@ -1308,7 +1320,7 @@ def test_diverged_classification_raises_naming_the_epoch():
     g, labels = synthetic.block_classification(60, 3, 200, noise=0.1, seed=3)
     label_set = synthetic.classification_split(labels, 3, seed=3)
     cfg = TrainConfig(dim=8, layers=2, lr=1e300, epochs=4)
-    with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError, match=r"epoch 1\b"):
+    with pytest.raises(TrainingDivergedError, match=r"epoch 1\b"):
         train_classification(g, label_set, cfg)
 
 

@@ -259,10 +259,10 @@ def general_path(load, *args):
 
 
 def clean_layout(draw, rows):
-    """Tab-separated rows of ASCII-digit ids, each line ending in \\n, the
-    last one maybe not: what the bulk path takes."""
-    text = "".join("\t".join(row) + "\n" for row in rows)
-    return text[:-1] if draw(st.booleans()) else text
+    """Tab-separated rows of ASCII-digit ids, each line ending in \\n or
+    \\r\\n, the last one maybe not: what the bulk path takes."""
+    text = "".join("\t".join(row) + draw(st.sampled_from(["\n", "\r\n"])) for row in rows)
+    return text.rstrip("\r\n") if draw(st.booleans()) else text
 
 
 @PROPERTY
@@ -334,7 +334,9 @@ DIGITS_18, DIGITS_19 = "0" * 17 + "1", "0" * 18 + "1"
     ("0\t+1\t2\n", True), ("0\t-1\t2\n", True), ("+1\t1\t2\n", True),
     ("0\t٣\t2\n", True),                 # a digit, but not an ASCII one
     ("0\t 1\t2\n", True), ("0\t1\t2 \n", True), ("0\t1\t2\xa0\n", True),   # padded
-    ("0\t1\t2\r", True), ("0\t1\t2\r\n1\t1\t0\r\n", True),   # CR and CRLF line ends
+    ("0\t1\t2\r", True),                 # a CR line end
+    ("0\t1\t2\r\n1\t1\t0\r\n", False),   # CRLF line ends
+    ("0\t1\t2\r\r\n", True), ("0\t1\t2\r\n\r\n", True),   # a CR line, a CRLF blank one
     ("0\t1\t2\n1\t1\t0", False),         # no final line end
     ("", True),                          # an empty file
     ("\n", True), ("0\t1\t2\n\n", True), ("# c\n0\t1\t2\n", True),
@@ -355,7 +357,7 @@ RING = "".join(f"{i}\t0\t{(i + 1) % 4}\n" for i in range(4))   # entities 0-3, r
     ("0\t4\n", True), ("4\t0\n", True),  # the entity count: unknown
     (f"{DIGITS_18[:-1]}3\t0\n", False), (f"{DIGITS_19}\t0\n", True),
     ("0\t+1\n", True), ("-1\t0\n", True), ("0\t٣\n", True), (" 0\t1\n", True),
-    ("0\t1\r\n", True), ("0\t1\r", True), ("0\t1", False), ("", True),
+    ("0\t1\r\n", False), ("0\t1\r", True), ("0\t1", False), ("", True),
     ("0\t1\t2\n", True), ("0,1\t1\n", True),
 ])
 def test_alignment_edge_cases_take_their_path_and_match_the_oracle(tmp_path, text, general):
@@ -376,7 +378,8 @@ def test_alignment_edge_cases_take_their_path_and_match_the_oracle(tmp_path, tex
     ("0\t1\n0\t2\n", None, True),             # duplicate entity
     ("0\t1,\n", None, True), ("0\t,1\n", None, True), ("0\t1,,2\n", None, True),
     ("0\t+1\n", None, True), ("0\t-1\n", None, True), ("0\t٣\n", None, True),
-    ("0\t1, 2\n", None, True), ("0\t1\r\n", None, True), ("0\t1\r", None, True),
+    ("0\t1, 2\n", None, True), ("0\t1\r\n", None, False), ("0\t1\r", None, True),
+    ("0\t1,2\r\n1\t0\r\n", None, False), ("0\t1\r,2\n", None, True),
     ("0\t1\n1\t2", None, False), ("", None, True), ("0\t1\t2\n", None, True),
     ("0,1\t1\n", None, True),
 ])
